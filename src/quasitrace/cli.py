@@ -210,8 +210,6 @@ def cmd_words(cfg: RunConfig) -> int:
         if len(W.subwords(W.saturation_prefix_length(n), n, validate=False)) != n + 1:
             complexity_ok = False
             failures.append(f"complexity n={n}")
-    for k in range(1, k_table + 1):
-        identity = W.fibonacci_identity_check(k)
 
     phases = cfg.phase_points()
     tasks = [(pt.raw, pt.bits, cfg.k_max) for _, pt in phases]
@@ -249,9 +247,9 @@ def cmd_words(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def _parity_one(args):
-    raw, bits, lam, energies, k_max = args
+    raw, bits, lam, energies, k_max, right_traces = args
     theta = PhasePoint(raw, bits)
-    report = TR.phase_trace_parity(theta, lam, energies, k_max)
+    report = TR.phase_trace_parity(theta, lam, energies, k_max, right_traces)
     return (report.x_even_ok, report.x_odd_ok, report.y_even_ok, report.y_odd_ok)
 
 
@@ -264,23 +262,26 @@ def cmd_traces(cfg: RunConfig) -> int:
     phases = cfg.phase_points()
     k_norm = min(cfg.k_max, 12)
 
+    # each (phase, side) is swept once over the whole energy grid
     trace_rows = []
-    margin_rows = []
+    right_traces = []  # per phase; the parity check reuses them
     for label, theta in phases:
-        for E in energies:
-            duals = TR.dual_traces_upto(cfg.k_max, E, cfg.lam, theta)
-            for k, d in enumerate(duals):
+        duals = TR.dual_traces_upto(cfg.k_max, energies, cfg.lam, theta)
+        right_traces.append([[d.value for d in row] for row in duals])
+        for E, row in zip(energies, duals):
+            for k, d in enumerate(row):
                 trace_rows.append((k, E, cfg.lam, theta, d.value, d.deriv))
     _write_csv(out / "traces.csv", ["k", "E", "lambda", "theta", "x", "dx"], trace_rows)
 
     margin_energies = energies[:: max(1, len(energies) // 16)]
+    margin_rows = []
     for label, theta in phases:
-        for E in margin_energies:
-            for k in range(k_norm + 1):
-                try:
-                    margin = TR.norm_trace_inequality(k, E, cfg.lam, theta)
-                except TR.MarginViolationError as exc:
-                    failures.append(f"norm-derivative-margin: {exc}")
+        table = TR.norm_trace_margins(k_norm, margin_energies, cfg.lam, theta)
+        for E, margins in zip(margin_energies, table):
+            for k, margin in enumerate(margins):
+                if margin is None:
+                    failures.append(
+                        f"norm-derivative-margin: {TR.MarginViolationError.at(k, E, cfg.lam)}")
                     continue
                 margin_rows.append((k, E, cfg.lam, theta, margin))
     _write_csv(out / "margins.csv", ["k", "E", "lambda", "theta", "margin"], margin_rows)
@@ -288,14 +289,17 @@ def cmd_traces(cfg: RunConfig) -> int:
     norm_rows = []
     levels = [W.fib_number(k) for k in range(4, k_norm + 1)]
     for label, theta in phases:
-        for E in margin_energies:
+        sums = {side: TR.norm_profile([side * l for l in levels], margin_energies,
+                                      cfg.lam, theta)
+                for side in (1, -1)}
+        for i, E in enumerate(margin_energies):
             for side in (1, -1):
-                sums = TR.norm_profile([side * l for l in levels], E, cfg.lam, theta)
-                for l, value in zip(levels, sums):
+                for l, value in zip(levels, sums[side][i]):
                     norm_rows.append((side * l, E, cfg.lam, theta, value))
     _write_csv(out / "norms.csv", ["L", "E", "lambda", "theta", "norm_sq"], norm_rows)
 
-    tasks = [(pt.raw, pt.bits, cfg.lam, energies, cfg.k_max) for _, pt in phases]
+    tasks = [(pt.raw, pt.bits, cfg.lam, energies, cfg.k_max, xs)
+             for (_, pt), xs in zip(phases, right_traces)]
     parity_summary = []
     try:
         outcomes = _parallel_map(_parity_one, tasks, cfg.jobs)
@@ -415,10 +419,9 @@ def cmd_dynamics(cfg: RunConfig, retry: bool = True) -> int:
         p_used = trend[0].p_fit
     else:
         p_used = float(cfg.p)
-    n_arg = cfg.N if cfg.N != "auto" else "auto"
     report = DY.dynamical_bound_check(
         cfg.lam, [pt for _, pt in phases], cfg.T_grid,
-        C1=cfg.C1, p_used=p_used, N=n_arg, retry=retry,
+        C1=cfg.C1, p_used=p_used, N=cfg.N, retry=retry,
     )
     label_of = {pt: lab for lab, pt in phases}
     rows = []

@@ -351,12 +351,10 @@ def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18,
         raise ValueError("growth scans supported up to level 22")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    start = k_min + (k_min + (0 if parity == "even" else 1)) % 2
     ks = [k for k in range(k_min, k_max + 1)
           if (k % 2 == 0) == (parity == "even")]
     if len(ks) < 3:
         raise ValueError("need at least three levels for a growth fit")
-    del start
     samples = _cover_samples(k_max, lam)
     xs, ds = trace_grid(samples, lam, max(ks), derivatives=True)
     min_derivs = []
@@ -402,12 +400,10 @@ def norm_growth_check(lam: float, theta: PhasePoint, E_sample, L_grid,
         raise ValueError("window grid must be positive; sides are handled internally")
     records = []
     c_fit = {}
-    for E in energies:
-        per_side = {}
-        for side in (+1, -1):
-            windows = [side * l for l in ls]
-            sums = transfer.norm_profile(windows, E, lam, theta)
-            per_side[side] = [float(s) for s in sums]
+    sums = {side: transfer.norm_profile([side * l for l in ls], energies, lam, theta)
+            for side in (+1, -1)}
+    for i, E in enumerate(energies):
+        per_side = {side: [float(s) for s in sums[side][i]] for side in (+1, -1)}
         c = min(
             val / l**zeta
             for side in (+1, -1)

@@ -9,17 +9,53 @@ All products carry a power-of-two exponent so sweeps stay valid where the
 entries grow past float64 range (doubly exponential growth off the spectrum).
 Rescaling by powers of two is exact, so the extended representation changes
 nothing but the dynamic range.
+
+Scalar layer.  A tuple (a, b, c, d, e) means 2**e * [[a, b], [c, d]].  `_mul`
+multiplies two of them and rescales when an entry passes 2**256; `_add` does
+the same for sums; `_norm_sq` gives the squared spectral norm as an XReal.
+`TransferMatrix` wraps these for single products.
+
+Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
+one-site matrices along the potential for many energies at once, one lane per
+energy:
+
+- lane state: the four float64 entries of the product as a (4, lanes) array
+  and an int64 exponent per lane; with derivatives, the same again for
+  dM/dE; with norms, the running squared-norm sum as an XReal mantissa array
+  and exponent array.  State is O(lanes); nothing is kept per site except at
+  the requested marks (site counts).
+- at each mark it records the product, its derivative, the norm at that
+  site and the running norm sum, so traces, derivative traces and windowed
+  norm sums at all Fibonacci lengths come from one pass.
+
+Byte identity.  Every lane does the IEEE operations of the scalar layer in
+the same order: `_mul` per factor, `_add` for the product rule of the
+derivative, `_norm_sq` and `XReal.__add__` for norm sums, with the same
+per-lane frexp/ldexp rescaling and the same `shift < -1080` branch of `_add`.
+The results are bit-identical to the scalar ones because numpy's elementwise
+float64 operations are correctly rounded IEEE-754 binary64 operations like
+Python's float arithmetic, each one rounds on its own (no fused
+multiply-add), and frexp/ldexp by powers of two are exact.  Two rewrites keep
+the bits: x * 1.0 is x, and x * -1.0 + y is y - x.  The 0.0 * x terms are
+kept, because they fix the sign of zero entries.  The rescale check is
+skipped only while a running upper bound on the entries shows that no lane
+can pass 2**256, so each lane rescales at exactly the sites where the scalar
+code does, and never because another lane did.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .phase import PhasePoint
 from .words import fib_number, rotation_block
-from .xfloat import XReal
+from .xfloat import XReal, rel_gap
 
 __all__ = [
     "TransferMatrix",
@@ -39,15 +75,18 @@ __all__ = [
     "dual_traces_upto",
     "cumulative_norm",
     "norm_profile",
+    "norm_trace_margins",
     "norm_trace_inequality",
     "phase_trace_parity",
 ]
+
+Energies = float | Sequence[float]
 
 _RENORM = 2.0**256  # keep entry squares finite in norm computations
 _frexp = math.frexp
 _ldexp = math.ldexp
 
-TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |reference|); products differ only by rounding
+TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |x|, |reference|); products differ only by rounding
 MARGIN_TOL = 1e-8
 
 
@@ -58,13 +97,14 @@ class TraceParityError(AssertionError):
 class MarginViolationError(AssertionError):
     """The norm/derivative inequality failed beyond rounding (implementation bug)."""
 
+    @classmethod
+    def at(cls, k: int, E: float, lam: float) -> "MarginViolationError":
+        return cls(f"norm/derivative inequality violated at k={k}, E={E}, lam={lam}")
+
 
 # ----------------------------------------------------------------------------
-# internal representation: (a, b, c, d, e) meaning 2**e * [[a, b], [c, d]]
+# scalar representation: (a, b, c, d, e) meaning 2**e * [[a, b], [c, d]]
 # ----------------------------------------------------------------------------
-
-_IDENT = (1.0, 0.0, 0.0, 1.0, 0)
-
 
 def _mul(m1, m2):
     a1, b1, c1, d1, e1 = m1
@@ -121,11 +161,9 @@ def _norm_sq(m) -> XReal:
     if mx == 0.0:
         return XReal()
     ex = _frexp(mx)[1]
-    s = _ldexp(1.0, -ex)
-    a *= s
-    b *= s
-    c *= s
-    d *= s
+    # ldexp on each entry, not a product with 2**-ex: that factor overflows
+    # when the largest entry is subnormal
+    a, b, c, d = (_ldexp(v, -ex) for v in (a, b, c, d))
     t = a * a + b * b + c * c + d * d
     det = a * d - b * c
     disc = t * t - 4.0 * det * det
@@ -137,6 +175,192 @@ def _norm_sq(m) -> XReal:
 @lru_cache(maxsize=1024)
 def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
     return rotation_block(lo, hi, theta).to01()
+
+
+# ----------------------------------------------------------------------------
+# the sweep kernel: one lane per energy
+# ----------------------------------------------------------------------------
+
+# The product of each lane is 2**e * [[a, b], [c, d]], its entries stacked as
+# rows of a (4, lanes) array: the halves X = rows 0-1 and Y = rows 2-3 are the
+# two rows of the matrix on the right side, where factors multiply from the
+# left, and its two columns on the other sides.  A step maps (X, Y) to the new
+# halves.  `right` is T @ M with T = [[t, -1], [1, 0]], `left` is M @ T and
+# `inverse` is M @ T**-1 = M @ [[0, 1], [-1, t]].
+_STEPS = {
+    "right": lambda x, y, t: (x * t - y, x + y * 0.0),
+    "left": lambda x, y, t: (x * t + y, y * 0.0 - x),
+    "inverse": lambda x, y, t: (x * 0.0 - y, x + y * t),
+}
+_ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3], "inverse": [0, 2, 1, 3]}  # of a, b, c, d
+
+# Rounding slack for the entry bounds that let `_renorm` skip its check: a
+# step x * t - y rounds twice, so |new entry| <= (|t| + 1) * bound * (1 + 2**-53)**2,
+# and the bound's own products round once more; 2**-40 covers all of it.
+_SLACK = 1.0 + 2.0**-40
+
+
+class _Mark(NamedTuple):
+    """Lane arrays recorded after `n` factors; None where not requested."""
+
+    n: int
+    m: np.ndarray  # (4, lanes) entries of the product
+    e: np.ndarray
+    dm: np.ndarray | None = None  # its energy derivative
+    de: np.ndarray | None = None
+    norm_m: np.ndarray | None = None  # squared norm at site n, XReal parts
+    norm_e: np.ndarray | None = None
+    sum_m: np.ndarray | None = None  # squared norms summed over sites 1..n
+    sum_e: np.ndarray | None = None
+
+
+def _renorm(m, e, bound):
+    """The rescale of `_mul` and `_add`, per lane.
+
+    `bound` is an upper bound on every |entry|.  While it stays at or below
+    2**256 no lane can need rescaling and nothing is checked; otherwise the
+    largest entry is looked up and becomes the new bound, and only lanes
+    whose own largest entry passes 2**256 are rescaled.
+    """
+    if bound <= _RENORM:
+        return m, e, bound
+    size = np.abs(m)
+    bound = float(size.max(initial=0.0))
+    if bound <= _RENORM:
+        return m, e, bound
+    mx = size.max(axis=0)
+    ex = np.where(mx > _RENORM, np.frexp(mx)[1], 0)
+    s = np.ldexp(1.0, -ex)  # 1.0 on the other lanes, which keeps their bits
+    return m * s, e + ex, float((mx * s).max())
+
+
+def _add_lanes(m1, e1, m2, e2):
+    """`_add` per lane, before its rescale.
+
+    `_add` scales the operand with the smaller exponent by 2**shift and adds
+    it to the other one; here both get a scale, 1.0 for the larger one, which
+    gives the same sums since x * 1.0 is x and addition commutes.
+    """
+    if not (e1 != e2).any():
+        return m1 + m2, e1
+    shift = e1 - e2
+    m = m1 * np.ldexp(1.0, np.minimum(shift, 0)) + m2 * np.ldexp(1.0, np.minimum(-shift, 0))
+    far = np.abs(shift) > 1080
+    if far.any():  # `_add` returns the larger operand untouched
+        m = np.where(far, np.where(shift < 0, m2, m1), m)
+    return m, np.maximum(e1, e2)
+
+
+def _norm_sq_lanes(m, e, rows):
+    """`_norm_sq` per lane for nonzero matrices, normalized like its XReal."""
+    mx = np.abs(m).max(axis=0)
+    ex = np.frexp(mx)[1]
+    m = np.ldexp(m, -ex)  # as in `_norm_sq`, safe for subnormal maxima
+    sq = m * m
+    ia, ib, ic, id_ = rows
+    t = sq[ia] + sq[ib] + sq[ic] + sq[id_]
+    det = m[ia] * m[id_] - m[ib] * m[ic]
+    disc = t * t - 4.0 * det * det
+    disc[disc < 0.0] = 0.0
+    norm, ex2 = np.frexp(0.5 * (t + np.sqrt(disc)))
+    return norm, 2 * (e + ex) + ex2
+
+
+def _xadd_lanes(am, ae, bm, be):
+    """`XReal.__add__` per lane for normalized positive operands (norm sums).
+
+    `XReal.__add__` returns the larger operand when the shift is below -1080;
+    the sum below gives the same there, because ldexp(lo, shift) is then far
+    under half an ulp of the normalized larger mantissa.
+    """
+    swap = ae < be
+    hm = np.where(swap, bm, am)
+    lm = np.where(swap, am, bm)
+    m, ex = np.frexp(hm + np.ldexp(lm, -np.abs(ae - be)))
+    return m, np.maximum(ae, be) + ex
+
+
+def _sweep(side: str, E: np.ndarray, lam: float, theta: PhasePoint, marks,
+           *, deriv: bool = False, norms: bool = False) -> list[_Mark]:
+    """Multiply the one-site matrices for every energy lane; record at marks.
+
+    `side` is "right" (T(n)...T(1) over sites 1..n), "left" (T(0)T(-1)...
+    over sites 0, -1, ...) or "inverse" (T(n+1)**-1...T(0)**-1, ascending).
+    `marks` are increasing site counts >= 1.  `deriv` carries dM/dE by the
+    product rule (right and left only); `norms` carries the running sum of
+    squared norms over sites 1..n.  Norms of unimodular products are at
+    least 1, so the zero branches of `XReal.__add__` never apply after the
+    first site.
+    """
+    if deriv and side == "inverse":
+        raise ValueError("derivatives are carried on the right and left sides only")
+    step, rows = _STEPS[side], _ROWS[side]
+    top = marks[-1]
+    if side == "right":
+        pattern = _potential_pattern(theta, 1, top)
+    else:
+        pattern = _potential_pattern(theta, -top + 1, 0)
+        if side == "left":
+            pattern = pattern[::-1]  # site 0, -1, -2, ...
+    factor = {"0": E, "1": E - lam}
+    # a step multiplies the largest entry by at most max |t| + 1
+    growth = (max(np.abs(E).max(initial=0.0), np.abs(factor["1"]).max(initial=0.0))
+              + 1.0) * _SLACK
+    m = np.zeros((4, E.size))
+    m[0] = m[3] = 1.0  # a and d sit there on every side
+    e = np.zeros(E.size, dtype=np.int64)
+    dm, de = np.zeros_like(m), np.zeros_like(e)
+    zero = np.zeros((2, E.size))
+    bound, dbound = 1.0, 0.0
+    norm_m = norm_e = sum_m = sum_e = None
+    out: list[_Mark] = []
+    pending = iter(marks)
+    want = next(pending)
+    for n, ch in enumerate(pattern, start=1):
+        t = factor[ch]
+        if deriv:
+            # (T M)' = T' M + T M' and (M T)' = M T' + M' T with T' = [[1, 0],
+            # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
+            tdm, tde, tbound = _renorm(np.concatenate(step(dm[:2], dm[2:], t)), de,
+                                       dbound * growth)
+            dm, de, dbound = _renorm(*_add_lanes(np.concatenate((m[:2], zero)), e, tdm, tde),
+                                     (bound + tbound) * _SLACK)
+        m, e, bound = _renorm(np.concatenate(step(m[:2], m[2:], t)), e, bound * growth)
+        if norms:
+            norm_m, norm_e = _norm_sq_lanes(m, e, rows)
+            if n == 1:
+                sum_m, sum_e = norm_m, norm_e
+            else:
+                sum_m, sum_e = _xadd_lanes(sum_m, sum_e, norm_m, norm_e)
+        if n == want:
+            out.append(_Mark(n, m, e, *((dm, de) if deriv else (None, None)),
+                             norm_m, norm_e, sum_m, sum_e))
+            want = next(pending, None)
+    return out
+
+
+def _xreals(m, e) -> list[XReal]:
+    return [XReal(mi, ei) for mi, ei in zip(m.tolist(), e.tolist())]
+
+
+def _lanes(E: Energies):
+    """Energies as a float64 lane array, and whether E was one number."""
+    scalar = np.ndim(E) == 0
+    return np.atleast_1d(np.asarray(E, dtype=float)), scalar
+
+
+def _per_energy(columns, scalar: bool):
+    """Per-mark lists of per-lane values -> per-lane lists (one list if scalar)."""
+    rows = [list(r) for r in zip(*columns)]
+    return rows[0] if scalar else rows
+
+
+def _fib_marks(k_max: int) -> list[int]:
+    return [fib_number(k) for k in range(k_max + 1)]
+
+
+def _trace_xreals(m, e) -> list[XReal]:
+    return _xreals(m[0] + m[3], e)
 
 
 # ----------------------------------------------------------------------------
@@ -208,6 +432,10 @@ class TraceSample:
 
 # ----------------------------------------------------------------------------
 # products and traces
+#
+# The functions whose E is `Energies` take one energy or a sequence of them.
+# A sequence is swept in one pass, one lane per energy, and gives one result
+# per energy, in order.
 # ----------------------------------------------------------------------------
 
 def local_matrix(m: int, E: float, lam: float, theta: PhasePoint) -> TransferMatrix:
@@ -221,58 +449,30 @@ def transfer_product(n: int, E: float, lam: float, theta: PhasePoint) -> Transfe
     """Ordered product over sites 1..n (n >= 1) or inverse factors over n+1..0 (n <= -1)."""
     if n == 0:
         raise ValueError("site count must be nonzero")
-    if n >= 1:
-        pattern = _potential_pattern(theta, 1, n)
-        acc = _IDENT
-        for ch in pattern:
-            t11 = E - lam if ch == "1" else E
-            acc = _mul((t11, -1.0, 1.0, 0.0, 0), acc)
-        return TransferMatrix._from_tuple(acc)
-    # n <= -1: inv([[a, -1], [1, 0]]) = [[0, 1], [-1, a]], composed left to right
-    pattern = _potential_pattern(theta, n + 1, 0)
-    acc = _IDENT
-    for ch in pattern:
-        t11 = E - lam if ch == "1" else E
-        acc = _mul(acc, (0.0, 1.0, -1.0, t11, 0))
-    return TransferMatrix._from_tuple(acc)
+    side = "right" if n > 0 else "inverse"
+    mark = _sweep(side, np.array([float(E)]), lam, theta, [abs(n)])[0]
+    a, b, c, d = mark.m[_ROWS[side], 0].tolist()
+    return TransferMatrix(a, b, c, d, int(mark.e[0]))
 
 
-def traces_right_upto(k_max: int, E: float, lam: float, theta: PhasePoint) -> list[XReal]:
+def _traces_upto(side: str, k_max: int, E: Energies, lam: float, theta: PhasePoint):
+    lanes, scalar = _lanes(E)
+    marks = _sweep(side, lanes, lam, theta, _fib_marks(k_max))
+    return _per_energy([_trace_xreals(mark.m, mark.e) for mark in marks], scalar)
+
+
+def traces_right_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
     """Traces of the right-half-line products at lengths F(0..k_max), one pass."""
-    marks = [fib_number(k) for k in range(k_max + 1)]
-    pattern = _potential_pattern(theta, 1, marks[-1])
-    out: list[XReal] = []
-    acc = _IDENT
-    next_mark = 0
-    for n, ch in enumerate(pattern, start=1):
-        t11 = E - lam if ch == "1" else E
-        acc = _mul((t11, -1.0, 1.0, 0.0, 0), acc)
-        while next_mark <= k_max and marks[next_mark] == n:
-            out.append(_trace(acc))
-            next_mark += 1
-    return out
+    return _traces_upto("right", k_max, E, lam, theta)
 
 
-def traces_left_upto(k_max: int, E: float, lam: float, theta: PhasePoint) -> list[XReal]:
+def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
     """Traces of the left-half-line products at lengths F(0..k_max), one pass.
 
     Uses tr(A**-1) = tr(A) for det-1 matrices: the trace over inverse factors
     down to site -F(k)+1 equals the trace of T(0) T(-1) ... T(-F(k)+1).
     """
-    marks = [fib_number(k) for k in range(k_max + 1)]
-    f_top = marks[-1]
-    pattern = _potential_pattern(theta, -f_top + 1, 0)  # sites ascending
-    out: list[XReal] = []
-    acc = _IDENT
-    next_mark = 0
-    for n in range(f_top):
-        ch = pattern[f_top - 1 - n]  # site 0, -1, -2, ...
-        t11 = E - lam if ch == "1" else E
-        acc = _mul(acc, (t11, -1.0, 1.0, 0.0, 0))
-        while next_mark <= k_max and marks[next_mark] == n + 1:
-            out.append(_trace(acc))
-            next_mark += 1
-    return out
+    return _traces_upto("left", k_max, E, lam, theta)
 
 
 def trace_right(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
@@ -302,37 +502,16 @@ def trace_sequence_recursive(k_max: int, E: float, lam: float) -> list[XReal]:
     return xs[: k_max + 1]
 
 
-# ----------------------------------------------------------------------------
-# dual-number (value, d/dE) propagation
-# ----------------------------------------------------------------------------
-
-def _dual_pass(pattern: str, E: float, lam: float):
-    """Yield (n, M, D) after each right-side factor; D = dM/dE."""
-    m = _IDENT
-    d = (0.0, 0.0, 0.0, 0.0, 0)
-    n = 0
-    for ch in pattern:
-        t11 = E - lam if ch == "1" else E
-        t = (t11, -1.0, 1.0, 0.0, 0)
-        # dT = [[1,0],[0,0]]: dT @ m is row one of m over zeros
-        dt_m = (m[0], m[1], 0.0, 0.0, m[4])
-        d = _add(dt_m, _mul(t, d))
-        m = _mul(t, m)
-        n += 1
-        yield n, m, d
-
-
-def dual_traces_upto(k_max: int, E: float, lam: float, theta: PhasePoint) -> list[DualScalar]:
+def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
     """Right-half-line traces and their energy derivatives at Fibonacci lengths."""
-    marks = [fib_number(k) for k in range(k_max + 1)]
-    pattern = _potential_pattern(theta, 1, marks[-1])
-    out: list[DualScalar] = []
-    next_mark = 0
-    for n, m, d in _dual_pass(pattern, E, lam):
-        while next_mark <= k_max and marks[next_mark] == n:
-            out.append(DualScalar(_trace(m), _trace(d)))
-            next_mark += 1
-    return out
+    lanes, scalar = _lanes(E)
+    marks = _sweep("right", lanes, lam, theta, _fib_marks(k_max), deriv=True)
+    return _per_energy(
+        [[DualScalar(v, d) for v, d in zip(_trace_xreals(mark.m, mark.e),
+                                           _trace_xreals(mark.dm, mark.de))]
+         for mark in marks],
+        scalar,
+    )
 
 
 def trace_derivative(k: int, E: float, lam: float, theta: PhasePoint) -> DualScalar:
@@ -344,7 +523,7 @@ def trace_derivative(k: int, E: float, lam: float, theta: PhasePoint) -> DualSca
 # windowed norms and the norm/derivative inequality
 # ----------------------------------------------------------------------------
 
-def norm_profile(l_values, E: float, lam: float, theta: PhasePoint) -> list[XReal]:
+def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
     """Windowed squared-norm sums at several window lengths, one pass.
 
     All entries of l_values must share a sign.  Positive windows sum
@@ -354,38 +533,28 @@ def norm_profile(l_values, E: float, lam: float, theta: PhasePoint) -> list[XRea
     the matrix itself, so the left side accumulates direct factors downward.
     """
     ls = list(l_values)
+    lanes, scalar = _lanes(E)
     if not ls:
-        return []
+        return [] if scalar else [[] for _ in range(lanes.size)]
     if all(l > 0 for l in ls):
-        side = 1
+        side = "right"
     elif all(l < 0 for l in ls):
-        side = -1
+        side = "left"
     else:
         raise ValueError("window lengths must be all positive or all negative")
     mags = sorted(set(abs(l) for l in ls))
-    top = math.floor(mags[-1]) + 1
-    if side > 0:
-        pattern = _potential_pattern(theta, 1, top)
-    else:
-        pattern = _potential_pattern(theta, -top + 1, 0)[::-1]  # site 0, -1, ...
-    norms: list[XReal] = []  # ||M(+-n)||^2 for n = 1..top
-    acc = _IDENT
-    for ch in pattern:
-        t11 = E - lam if ch == "1" else E
-        t = (t11, -1.0, 1.0, 0.0, 0)
-        acc = _mul(t, acc) if side > 0 else _mul(acc, t)
-        norms.append(_norm_sq(acc))
-    prefix: list[XReal] = [XReal()]
-    for v in norms:
-        prefix.append(prefix[-1] + v)
-    result: dict[float, XReal] = {}
+    edges = {n for l in mags for n in (math.floor(l), math.floor(l) + 1)} - {0}
+    at = {mark.n: mark for mark in _sweep(side, lanes, lam, theta, sorted(edges), norms=True)}
+    result: dict[float, list[XReal]] = {}
     for l in mags:
         fl = math.floor(l)
-        total = prefix[fl]
+        totals = _xreals(at[fl].sum_m, at[fl].sum_e) if fl else [XReal()] * lanes.size
         if l > fl:
-            total = total + (l - fl) * norms[fl]
-        result[l] = total
-    return [result[abs(l)] for l in ls]
+            edge = at[fl + 1]
+            totals = [total + (l - fl) * norm
+                      for total, norm in zip(totals, _xreals(edge.norm_m, edge.norm_e))]
+        result[l] = totals
+    return _per_energy([result[abs(l)] for l in ls], scalar)
 
 
 def cumulative_norm(L: float, E: float, lam: float, theta: PhasePoint) -> XReal:
@@ -395,29 +564,41 @@ def cumulative_norm(L: float, E: float, lam: float, theta: PhasePoint) -> XReal:
     return norm_profile([L], E, lam, theta)[0]
 
 
-def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
-    """Margin 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| at level k; must be >= 0.
-
-    The cubed windowed norm means the 3/2 power of the squared-norm sum,
-    matching the squared object the window is defined on.  A margin below
-    -1e-8 * scale falsifies the implementation and raises.
-    """
-    f_k = fib_number(k)
-    pattern = _potential_pattern(theta, 1, f_k)
-    total = XReal()
-    dual = None
-    for n, m, d in _dual_pass(pattern, E, lam):
-        total = total + _norm_sq(m)
-        if n == f_k:
-            dual = _trace(d)
+def _margin(total: XReal, dual: XReal) -> XReal | None:
     lhs = 4.0 * total.pow_3_2()
     rhs = abs(dual)
     margin = lhs - rhs
     scale = lhs + rhs
-    if margin < -MARGIN_TOL * scale:
-        raise MarginViolationError(
-            f"norm/derivative inequality violated at k={k}, E={E}, lam={lam}"
-        )
+    return None if margin < -MARGIN_TOL * scale else margin
+
+
+def norm_trace_margins(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
+    """Margins of the norm/derivative inequality at levels 0..k_max, one pass.
+
+    The margin at level k is 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| and
+    must be >= 0.  The cubed windowed norm means the 3/2 power of the
+    squared-norm sum, matching the squared object the window is defined on.
+    None marks a margin below -1e-8 * scale, which falsifies the
+    implementation.
+    """
+    lanes, scalar = _lanes(E)
+    marks = _sweep("right", lanes, lam, theta, _fib_marks(k_max), deriv=True, norms=True)
+    return _per_energy(
+        [[_margin(total, dual) for total, dual in zip(_xreals(mark.sum_m, mark.sum_e),
+                                                      _trace_xreals(mark.dm, mark.de))]
+         for mark in marks],
+        scalar,
+    )
+
+
+def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
+    """Margin 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| at level k; must be >= 0.
+
+    A margin below -1e-8 * scale falsifies the implementation and raises.
+    """
+    margin = norm_trace_margins(k, E, lam, theta)[k]
+    if margin is None:
+        raise MarginViolationError.at(k, E, lam)
     return margin
 
 
@@ -439,39 +620,29 @@ class TraceParityReport:
     per_k: tuple = ()  # (k, family 'x'|'y', max relative error over the grid)
 
 
-def _max_rel_err(values: list[XReal], refs: list[XReal]) -> float:
-    worst = 0.0
-    for v, r in zip(values, refs):
-        diff = abs(v - r)
-        if diff.m == 0.0:
-            continue
-        scale = max(abs(r), XReal(1.0))
-        err = 2.0 ** min(diff.log2() - scale.log2(), 64.0)
-        if err > worst:
-            worst = err
-    return worst
-
-
-def phase_trace_parity(theta: PhasePoint, lam: float, E_grid,
-                       k_max: int) -> TraceParityReport:
+def phase_trace_parity(theta: PhasePoint, lam: float, E_grid, k_max: int,
+                       right_traces=None) -> TraceParityReport:
     """Compare traces at phase theta against phase zero over an energy grid.
 
-    For each level the maximal relative deviation over the grid is recorded;
-    a level passes when it stays below TRACE_EQUALITY_TOL.  On each half-line
-    all even levels or all odd levels must pass, else the run aborts.
+    For each level the maximal relative deviation (`rel_gap`) over the grid
+    is recorded; a level passes when it stays below TRACE_EQUALITY_TOL.  On
+    each half-line all even levels or all odd levels must pass, else the run
+    aborts.  `right_traces`, if given, are the right-half-line traces at
+    theta per energy (as from `traces_right_upto` or the values of
+    `dual_traces_upto`) and save that sweep.
     """
     energies = list(E_grid)
     if not energies:
         raise ValueError("energy grid must be nonempty")
-    zero = PhasePoint.zero(theta.bits)
-    refs = [traces_right_upto(k_max, E, lam, zero) for E in energies]
-    xs = [traces_right_upto(k_max, E, lam, theta) for E in energies]
-    ys = [traces_left_upto(k_max, E, lam, theta) for E in energies]
+    refs = traces_right_upto(k_max, energies, lam, PhasePoint.zero(theta.bits))
+    xs = right_traces if right_traces is not None else traces_right_upto(
+        k_max, energies, lam, theta)
+    ys = traces_left_upto(k_max, energies, lam, theta)
     per_k = []
     flags = {"x": {0: True, 1: True}, "y": {0: True, 1: True}}
     for fam, table in (("x", xs), ("y", ys)):
         for k in range(k_max + 1):
-            err = _max_rel_err([row[k] for row in table], [row[k] for row in refs])
+            err = max(rel_gap(row[k], ref[k]) for row, ref in zip(table, refs))
             per_k.append((k, fam, err))
             if err > TRACE_EQUALITY_TOL:
                 flags[fam][k % 2] = False

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
-from quasitrace.phase import PhasePoint, omega
+from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 
 
 def run_cli(args, cwd=None):
@@ -190,10 +191,36 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_jobs_flag_does_not_change_output(tmp_path):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "parallel"
-    args = ["words", "--k-max", "8", "--subword-max", "10",
-            "--random-thetas", "6", "--seed", "7"]
-    assert main(args + ["--jobs", "1", "--out", str(out_a)]) == 0
-    assert main(args + ["--jobs", "2", "--out", str(out_b)]) == 0
-    assert (out_a / "parity.json").read_bytes() == (out_b / "parity.json").read_bytes()
+    runs = [
+        (["words", "--k-max", "8", "--subword-max", "10"], ("parity.json",)),
+        # the parity check runs per phase in the worker pool
+        (["traces", "--k-max", "9", "--energies=-3:13:12"],
+         ("traces.csv", "margins.csv", "norms.csv", "traces_summary.json")),
+    ]
+    for args, names in runs:
+        out_a = tmp_path / args[0] / "serial"
+        out_b = tmp_path / args[0] / "parallel"
+        args = args + ["--random-thetas", "6", "--seed", "7"]
+        assert main(args + ["--jobs", "1", "--out", str(out_a)]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(out_b)]) == 0
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# SHA-256 of the outputs of the traces-large benchmark workload, copied from
+# bench/digests.json; they were taken with per-energy scalar sweeps.
+TRACES_LARGE_SHA256 = {
+    "traces.csv": "236dd2f35476bdffd43ae135f29232518f87939398c739f1ff2cc820beb35b6c",
+    "margins.csv": "abf5a73a71a7174a6f9b69791699db172b304f1c62d75b569bb326308815b420",
+    "norms.csv": "c43e12543d8605ee424c08b37a1fa8ab7105f694c75908b326c68ecd5bf971a0",
+    "traces_summary.json":
+        "438ebd32888bd3f4eb662926eac822ebc9249c87dadedf021281a99dcaef289e",
+}
+
+
+@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
+def test_traces_large_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--k-max", "20", "--energies=-3:13:96", "--theta", "omega/2",
+                 "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_LARGE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

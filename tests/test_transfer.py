@@ -122,9 +122,9 @@ def test_trace_recursion_seeds_and_values():
 
 def test_trace_recursion_matches_direct_products():
     for lam in (2.0, 5.0, 10.0, 20.0):
-        for E in np.linspace(-3, lam + 3, 9):
+        energies = np.linspace(-3, lam + 3, 9)
+        for E, direct in zip(energies, TR.traces_right_upto(20, energies, lam, TH0)):
             rec = TR.trace_sequence_recursive(20, float(E), lam)
-            direct = TR.traces_right_upto(20, float(E), lam, TH0)
             for a, b in zip(rec, direct):
                 assert rel_gap(a, b) < 1e-8
 
