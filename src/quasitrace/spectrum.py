@@ -11,6 +11,15 @@ magnitude the orbit escapes monotonically, hence every level-k band lies
 inside the union of the level-(k-1) and level-(k-2) bands.  Scanning parents
 with a fixed per-parent grid keeps narrow high-level bands resolvable where a
 global grid would step over them.
+
+The scan of a level is batched but byte-identical to scanning each merged
+parent segment on its own ``np.linspace(lo, hi, n)`` grid.  Whole segments are
+packed into blocks of about ``_SCAN_BLOCK_POINTS`` grid points (a fixed budget
+that bounds memory), each block is evaluated in one call, and every segment's
+points are built as linspace builds them, ``arange(n) * ((hi - lo) / (n - 1))
++ lo`` with the last point set to ``hi``.  In-band runs break at every segment
+boundary, so the runs, their brackets and the bands are those of the
+per-segment scan bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ EDGE_TOL_ABS = 1e-12
 SEARCH_MARGIN = 0.5
 _PER_PARENT_POINTS = 129
 _GLOBAL_POINTS = 4097
+_SCAN_BLOCK_POINTS = 1 << 17
 
 
 class BandResolutionError(RuntimeError):
@@ -105,6 +115,29 @@ class NormGrowthResult:
 # vectorized phase-zero trace recursion
 # ----------------------------------------------------------------------------
 
+def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool):
+    """The phase-zero recursion x_j = x_{j-1} x_{j-2} - x_{j-3}, written once.
+
+    Returns the lists (xs, ds) of x_j and, with `derivatives`, dx_j/dE.  With
+    `keep_all` they hold levels 0..max(k_max, 2); without it only the last
+    three levels are kept, so x_k_max is ``xs[min(k_max, 2)]``.
+    """
+    E = np.asarray(E, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = [E - lam, E * E - lam * E - 2.0, (E - lam) * (E * (E - lam) - 2.0) - E]
+        ds = []
+        if derivatives:
+            ds = [np.ones_like(E), 2.0 * E - lam,
+                  (E * (E - lam) - 2.0) + (E - lam) * (2.0 * E - lam) - 1.0]
+        for _ in range(3, k_max + 1):
+            if derivatives:
+                ds.append(ds[-1] * xs[-2] + xs[-1] * ds[-2] - ds[-3])
+            xs.append(xs[-1] * xs[-2] - xs[-3])
+            if not keep_all:
+                del xs[:-3], ds[:-3]
+    return xs, ds
+
+
 def trace_grid(E, lam: float, k_max: int, derivatives: bool = False):
     """Phase-zero traces x_0..x_k_max (and optionally d/dE) on an energy array.
 
@@ -112,31 +145,15 @@ def trace_grid(E, lam: float, k_max: int, derivatives: bool = False):
     every band (bounded orbits stay below ~lam + 6 by the trace invariant),
     so band detection treats non-finite as out.
     """
-    E = np.asarray(E, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x0 = E - lam
-        x1 = E * E - lam * E - 2.0
-        x2 = (E - lam) * (E * (E - lam) - 2.0) - E
-        xs = [x0, x1, x2]
-        if derivatives:
-            d0 = np.ones_like(E)
-            d1 = 2.0 * E - lam
-            d2 = (E * (E - lam) - 2.0) + (E - lam) * (2.0 * E - lam) - 1.0
-            ds = [d0, d1, d2]
-        for _ in range(3, k_max + 1):
-            x_new = xs[-1] * xs[-2] - xs[-3]
-            if derivatives:
-                ds.append(ds[-1] * xs[-2] + xs[-1] * ds[-2] - ds[-3])
-            xs.append(x_new)
-    xs = xs[: k_max + 1]
+    xs, ds = _recurse(E, lam, k_max, derivatives, keep_all=True)
     if derivatives:
-        return xs, ds[: k_max + 1]
-    return xs
+        return xs[: k_max + 1], ds[: k_max + 1]
+    return xs[: k_max + 1]
 
 
 def _trace_at(E, lam: float, k: int):
-    """x_k on an array, for bisection refinement."""
-    return trace_grid(E, lam, k)[k]
+    """x_k on an array, holding three levels at a time."""
+    return _recurse(E, lam, k, False, keep_all=False)[0][min(k, 2)]
 
 
 # ----------------------------------------------------------------------------
@@ -146,29 +163,41 @@ def _trace_at(E, lam: float, k: int):
 def _scan_segments(segments, lam: float, k: int, per_parent: int):
     """Return rough in-band runs (E_out_left, E_in_left, E_in_right, E_out_right).
 
-    Each segment carries a weight (how many parent bands merged into it) and
-    is scanned on its own uniform grid sized weight * per_parent, keeping the
-    per-parent resolution independent of merging.  Neighbouring out-of-band
-    grid points provide the bisection brackets; None marks a band edge lying
-    on the segment boundary itself.
+    `segments` holds the arrays (lo, hi, weight); the weight counts the parent
+    bands merged into a segment.  Each segment is scanned on its own uniform
+    grid sized weight * per_parent, keeping the per-parent resolution
+    independent of merging.  Neighbouring out-of-band grid points provide the
+    bisection brackets; None marks a band edge lying on the segment boundary
+    itself.
     """
+    lo, hi, weight = segments
+    sizes = weight * (per_parent - 1) + 1
+    step = (hi - lo) / (sizes - 1)
+    # hi > lo without underflow: numpy's step == 0 branch of linspace never arises
+    assert np.all(step > 0), "scan segments must have hi > lo"
+    offsets = np.cumsum(sizes) - sizes
+    cuts = np.flatnonzero(np.diff(offsets // _SCAN_BLOCK_POINTS)) + 1
     runs = []
-    for lo, hi, weight in segments:
-        per_segment = weight * (per_parent - 1) + 1
-        grid = np.linspace(lo, hi, per_segment)
+    for block in np.split(np.arange(sizes.size), cuts):
+        n = sizes[block]
+        first = np.cumsum(n) - n
+        total = int(n.sum())
+        grid = ((np.arange(total) - np.repeat(first, n)) * np.repeat(step[block], n)
+                + np.repeat(lo[block], n))
+        grid[first + n - 1] = hi[block]
         vals = _trace_at(grid, lam, k)
         inside = np.isfinite(vals) & (np.abs(vals) <= 2.0)
-        idx = np.flatnonzero(inside)
-        if idx.size == 0:
-            continue
-        splits = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], splits + 1))
-        ends = np.concatenate((splits, [idx.size - 1]))
-        for s, e in zip(starts, ends):
-            i0, i1 = idx[s], idx[e]
-            left_out = grid[i0 - 1] if i0 > 0 else None
-            right_out = grid[i1 + 1] if i1 < per_segment - 1 else None
-            runs.append((left_out, grid[i0], grid[i1], right_out))
+        at_lo = np.zeros(total, dtype=bool)
+        at_lo[first] = True
+        at_hi = np.roll(at_lo, -1)
+        starts = np.flatnonzero(inside & (at_lo | ~np.roll(inside, 1)))
+        ends = np.flatnonzero(inside & (at_hi | ~np.roll(inside, -1)))
+        runs.extend(
+            (None if a else out_lo, in_lo, in_hi, None if b else out_hi)
+            for out_lo, in_lo, in_hi, out_hi, a, b in zip(
+                grid[starts - 1], grid[starts], grid[ends], grid[(ends + 1) % total],
+                at_lo[starts].tolist(), at_hi[ends].tolist())
+        )
     return runs
 
 
@@ -221,33 +250,21 @@ def _detect_bands(segments, lam: float, k: int, per_segment: int) -> list[Band]:
     return sorted(out, key=lambda b: b.lo)
 
 
-def _edge_pad(edge: float) -> float:
-    return 64.0 * float(np.spacing(abs(edge) + 1e-300))
+def _edge_pad(edge):
+    return 64.0 * np.spacing(np.abs(edge) + 1e-300)
 
 
-def _merge_intervals(intervals):
-    merged = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+def _merge_intervals(lo, hi):
+    """Merge intervals given as arrays; return the arrays (lo, hi, count).
 
-
-def _weighted_segments(parent_bands) -> list[tuple[float, float, int]]:
-    """Merge padded parent intervals, remembering how many went into each."""
-    padded = sorted(
-        (b.lo - _edge_pad(b.lo), b.hi + _edge_pad(b.hi)) for b in parent_bands
-    )
-    merged: list[list] = []
-    for lo, hi in padded:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-            merged[-1][2] += 1
-        else:
-            merged.append([lo, hi, 1])
-    return [(lo, hi, w) for lo, hi, w in merged]
+    The unions come sorted by lo; count is how many intervals went into each.
+    """
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    last = np.append(first[1:], lo.size) - 1
+    return lo[first], reach[last], last - first + 1
 
 
 _BANDS_CACHE: dict = {}
@@ -272,15 +289,17 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
         if key_l in _BANDS_CACHE:
             continue
         if level <= 2:
-            segments = [(-2.0 - SEARCH_MARGIN, lam + 2.0 + SEARCH_MARGIN, 1)]
+            segments = (np.array([-2.0 - SEARCH_MARGIN]),
+                        np.array([lam + 2.0 + SEARCH_MARGIN]), np.array([1]))
             base_pts = max(_GLOBAL_POINTS, 16 * fib_number(level) + 1)
         else:
             # Pad parents past their own edge-location tolerance: a child band
             # narrower than the parent's edge slack may otherwise be clipped.
-            segments = _weighted_segments(
-                _BANDS_CACHE[(level - 1, float(lam), oversample)]
-                + _BANDS_CACHE[(level - 2, float(lam), oversample)]
-            )
+            parents = (_BANDS_CACHE[(level - 1, float(lam), oversample)]
+                       + _BANDS_CACHE[(level - 2, float(lam), oversample)])
+            lo = np.array([b.lo for b in parents])
+            hi = np.array([b.hi for b in parents])
+            segments = _merge_intervals(lo - _edge_pad(lo), hi + _edge_pad(hi))
             base_pts = _PER_PARENT_POINTS * oversample
         pts = base_pts
         found = None
@@ -320,8 +339,10 @@ def spectrum_cover(K: int, lam: float) -> list[Band]:
     """
     if K > 24:
         raise ValueError("cover supported up to level 24")
-    pieces = [(b.lo, b.hi) for b in bands(K, lam)] + [(b.lo, b.hi) for b in bands(K + 1, lam)]
-    return [Band(K, lo, hi, lam) for lo, hi in _merge_intervals(pieces)]
+    pieces = bands(K, lam) + bands(K + 1, lam)
+    lo, hi, _ = _merge_intervals(np.array([b.lo for b in pieces]),
+                                 np.array([b.hi for b in pieces]))
+    return [Band(K, float(a), float(b), lam) for a, b in zip(lo, hi)]
 
 
 # ----------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quasitrace
 from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 
+# the child interpreter imports the same package as this one
+PACKAGE_ROOT = str(Path(quasitrace.__file__).resolve().parents[1])
+
 
 def run_cli(args, cwd=None):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "quasitrace", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -223,4 +230,21 @@ def test_traces_large_outputs_are_pinned(tmp_path):
     assert main(["traces", "--k-max", "20", "--energies=-3:13:96", "--theta", "omega/2",
                  "--out", str(tmp_path)]) == 0
     for name, digest in TRACES_LARGE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the default spectrum outputs, copied from the paper-default entry
+# of bench/digests.json; they were taken with one trace_grid call per segment.
+SPECTRUM_DEFAULT_SHA256 = {
+    "bands.csv": "06c740f347b59d31767528e8abb0d85ea728b39f57dd0f02eae2fd89039fc23b",
+    "growth.csv": "9f5136ae2a83d3fa15aa7caf1a6c42b5da2f3ecdf9c32a4fb4ffbea16714007e",
+    "norm_growth.csv": "05228828cad098328e80c0565d14933194b6602d215285b8190e55b3abdbcd15",
+    "spectrum.json": "7362b017da5d13d5e04bf3e4c20a1e1f9cb0452bc06b03c4aa8520f09668e1a2",
+}
+
+
+@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
+def test_spectrum_default_outputs_are_pinned(tmp_path):
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    for name, digest in SPECTRUM_DEFAULT_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,7 +1,10 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasitrace.phase import PhasePoint
 from quasitrace.words import fib_number
@@ -110,6 +113,123 @@ def test_cover_measure_decreases(caplog):
     for K in (6, 8, 10):
         measures.append(sum(b.width for b in SP.bands(K, lam)))
     assert measures[0] > measures[1] > measures[2]
+
+
+def _scan_reference(segments, lam, k, per_parent):
+    """The per-segment scan: one np.linspace grid and one trace_grid call each."""
+    runs = []
+    for lo, hi, weight in zip(*segments):
+        per_segment = weight * (per_parent - 1) + 1
+        grid = np.linspace(lo, hi, per_segment)
+        vals = SP.trace_grid(grid, lam, k)[k]
+        inside = np.isfinite(vals) & (np.abs(vals) <= 2.0)
+        idx = np.flatnonzero(inside)
+        if idx.size == 0:
+            continue
+        splits = np.flatnonzero(np.diff(idx) > 1)
+        starts = np.concatenate(([0], splits + 1))
+        ends = np.concatenate((splits, [idx.size - 1]))
+        for s, e in zip(starts, ends):
+            i0, i1 = idx[s], idx[e]
+            left_out = grid[i0 - 1] if i0 > 0 else None
+            right_out = grid[i1 + 1] if i1 < per_segment - 1 else None
+            runs.append((left_out, grid[i0], grid[i1], right_out))
+    return runs
+
+
+def _bits(runs):
+    """Runs with every entry as (type, exact hex value), so == compares bits."""
+    return [tuple(None if v is None else (type(v), float(v).hex()) for v in run)
+            for run in runs]
+
+
+def _arrays(segments):
+    """(lo, hi, weight) tuples as the (lo, hi, weight) arrays a scan takes."""
+    return tuple(np.array(col) for col in zip(*segments))
+
+
+def _batched(segments, lam, k, per_parent, budget):
+    with mock.patch.object(SP, "_SCAN_BLOCK_POINTS", budget):
+        return SP._scan_segments(_arrays(segments), lam, k, per_parent)
+
+
+@st.composite
+def _segment_lists(draw):
+    lam = draw(st.sampled_from([0.5, 2.0, 10.0]))
+    # segments between consecutive cut points abut; dropping some leaves gaps
+    ticks = sorted(draw(st.sets(st.integers(0, 1000), min_size=2, max_size=9)))
+    cuts = [-3.0 + t * (lam + 6.0) / 1000.0 for t in ticks]
+    segments = [(lo, hi, draw(st.integers(1, 4)))
+                for lo, hi in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    return lam, segments or [(cuts[0], cuts[-1], 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segment_lists(), st.integers(0, 9), st.sampled_from([2, 3, 5, 17, 129]),
+       st.sampled_from([1, 7, 64, 1 << 17]))
+def test_batched_scan_matches_per_segment_scan(case, k, per_parent, budget):
+    lam, segments = case
+    got = _batched(segments, lam, k, per_parent, budget)
+    assert _bits(got) == _bits(_scan_reference(_arrays(segments), lam, k, per_parent))
+
+
+@pytest.mark.parametrize("budget", [1 << 17, 4, 1])
+def test_batched_scan_edge_cases(budget):
+    # level 0 at coupling 10 has the one band [8, 12]
+    segments = [
+        (7.9, 12.1, 1),   # grid 7.9, 10.0, 12.1: a single-point run
+        (6.0, 10.0, 2),   # weight 2; its run ends on the shared end 10.0
+        (10.0, 13.0, 1),  # abuts the previous segment; its run starts at 10.0
+        (-3.0, 9.4, 3),   # run on the last point only, which 6 * step - 3.0 misses
+    ]
+    assert 6 * ((9.4 + 3.0) / 6) - 3.0 != 9.4
+    ref = _scan_reference(_arrays(segments), 10.0, 0, 3)
+    assert any(run[1] == run[2] and None not in run for run in ref)
+    assert any(run[3] is None for run in ref) and any(run[0] is None for run in ref)
+    assert len(ref) == 4  # the runs break at the shared segment end
+    assert ref[-1][1:] == (9.4, 9.4, None)
+    # budget 4 splits the segments into two blocks, budget 1 into four
+    assert _bits(_batched(segments, 10.0, 0, 3, budget)) == _bits(ref)
+
+
+def test_bands_raise_when_census_never_stabilises(monkeypatch):
+    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+    calls = itertools.count()
+
+    def alternating(segments, lam, k, pts):
+        return [SP.Band(k, 0.0, 1.0, lam)] * (1 + next(calls) % 2)
+
+    monkeypatch.setattr(SP, "_detect_bands", alternating)
+    with pytest.raises(SP.BandResolutionError):
+        SP.bands(0, 2.0)  # below coupling 6, so only the stability gate acts
+    assert next(calls) == 6  # three refinement attempts, two scans each
+
+
+@pytest.mark.parametrize("lam, accepted_pts", [(10.0, 32769), (2.0, 8193)])
+def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
+        monkeypatch, lam, accepted_pts):
+    # the first attempt (4097 and 8193 points) sees one spurious split band
+    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+    grids = []
+
+    def split_on_coarse_grids(segments, lam, k, pts):
+        grids.append(pts)
+        count = fib_number(k) + (pts <= 8193)
+        return [SP.Band(k, float(i), i + 0.5, lam) for i in range(count)]
+
+    monkeypatch.setattr(SP, "_detect_bands", split_on_coarse_grids)
+    found = SP.bands(0, lam)
+    assert grids[-1] == accepted_pts
+    assert len(found) == (1 if lam > 6.0 else 2)
+
+
+def test_bands_census_always_above_fibonacci_raises(monkeypatch):
+    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+    monkeypatch.setattr(SP, "_detect_bands", lambda segments, lam, k, pts: [
+        SP.Band(k, float(i), i + 0.5, lam) for i in range(fib_number(k) + 1)])
+    with pytest.raises(SP.BandResolutionError):
+        SP.bands(0, 10.0)
+    assert len(SP.bands(0, 2.0)) == 2  # at coupling <= 6 a stable census stands
 
 
 def test_bands_rejects_out_of_range():
