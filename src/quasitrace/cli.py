@@ -444,6 +444,7 @@ def cmd_dynamics(cfg: RunConfig, retry: bool = True) -> int:
         "theta_list": [lab for lab, _ in phases],
         "T_grid": list(report.T_grid),
         "N_used": {label_of[t]: n for t, n in report.N_used.items()},
+        "solver": {label_of[t]: stats for t, stats in report.solver.items()},
         "table": [
             {
                 "theta": label_of[r.theta],

@@ -8,17 +8,36 @@ probability at the outermost sites, and a record is valid only when that edge
 mass is negligible, so boundary effects cannot silently contaminate results.
 
 Abel means of site probabilities are evaluated in closed form through the
-eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2);
-time-domain quadrature of the same averages is kept solely as a cross-check.
+eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
+The sum reads only the eigenvalues and the eigenvector entries at the window,
+edge and source sites, so `site_spectrum` computes exactly those, by Cuppen's
+divide and conquer: the box is split at its centre into two halves coupled by
+one rank-one term, each half is solved the same way down to blocks of 16
+sites that LAPACK ``dstevd`` solves whole, and each pair of halves is merged
+by one deflated secular-equation solve (LAPACK ``dlaed4`` for the roots, the
+Gu-Eisenstat eigenvectors of ``dlaed3``).  A block carries along only the
+rows its callers read: the requested ones and its two ends, where the cuts
+are.  The strongly coupled boxes are extremely clustered, and deflation is
+what makes the merges accurate and cheap there.  Memory stays at the tracked
+rows times the box size plus fixed-size blocks of the secular passes.  The
+solver validates what it returns against an independent ``dsterf``
+eigenvalue solve, the orthonormality of the tracked rows, and the first
+moments of the operator.
+
+The dense `eigensystem` (all eigenvectors, MRRR) is kept as the reference the
+tests compare against, with `evolve`, `windowed_norm` and the time-domain
+quadrature `abel_average` as independent cross-checks of the closed form.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack, eigh_tridiagonal, lapack
 
 from .phase import PhasePoint
 from .words import rotation_block
@@ -26,6 +45,7 @@ from .words import rotation_block
 __all__ = [
     "Truncation",
     "EigenSystem",
+    "SiteSpectrum",
     "WavePacket",
     "AbelRecord",
     "BoundReport",
@@ -33,6 +53,7 @@ __all__ = [
     "WindowError",
     "build_truncation",
     "eigensystem",
+    "site_spectrum",
     "evolve",
     "windowed_norm",
     "abel_average",
@@ -46,6 +67,8 @@ __all__ = [
 EDGE_MASS_TOL = 1e-6
 ABEL_TAIL_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
+GRAM_TOL = 1e-9
+EIGENVALUE_TOL = 1e-12  # times |lambda| + 2, against the dsterf eigenvalues
 
 
 class WindowError(ValueError):
@@ -84,6 +107,37 @@ class EigenSystem:
         """Eigenbasis coefficients of the unit vector at the given site."""
         return self.eigenvectors[self.site_index(site), :]
 
+    def site_rows(self, sites) -> np.ndarray:
+        """Eigenvector entries phi_j(n), one row per site, columns as eigenvalues."""
+        return self.eigenvectors[[self.site_index(n) for n in sites], :]
+
+
+@dataclass(frozen=True)
+class SiteSpectrum:
+    """All eigenvalues of a truncation, eigenvector entries at tracked sites only.
+
+    `rows[i, j]` is phi_j(sites[i]); `stats` holds the solver's validation
+    numbers (see `site_spectrum`).
+    """
+
+    trunc: Truncation
+    eigenvalues: np.ndarray
+    sites: tuple  # tracked sites, ascending
+    rows: np.ndarray
+    stats: dict
+
+    def site_rows(self, sites) -> np.ndarray:
+        """Eigenvector entries phi_j(n), one row per site, columns as eigenvalues."""
+        where = {n: i for i, n in enumerate(self.sites)}
+        picks = []
+        for n in sites:
+            if not -self.trunc.N <= n <= self.trunc.N:
+                raise WindowError(f"site {n} outside the box [-{self.trunc.N}, {self.trunc.N}]")
+            if n not in where:
+                raise KeyError(f"site {n} was not tracked by the solver")
+            picks.append(where[n])
+        return self.rows[picks, :]
+
 
 @dataclass(frozen=True)
 class WavePacket:
@@ -121,6 +175,7 @@ class BoundReport:
     records: tuple
     G_emp: float
     N_used: dict  # phase -> box half-width actually used
+    solver: dict  # phase -> site_spectrum validation numbers for that box
 
 
 @dataclass(frozen=True)
@@ -192,6 +247,235 @@ def eigensystem(trunc: Truncation, check: bool = True) -> EigenSystem:
     raise AssertionError(f"no tridiagonal eigensolver produced a valid system: {last_error}")
 
 
+# ----------------------------------------------------------------------------
+# split-and-merge solver: all eigenvalues, eigenvector entries at chosen rows
+# ----------------------------------------------------------------------------
+
+# LAPACK's relative machine precision dlamch('E'): half the spacing at 1.0
+_EPS = 0.5 * np.finfo(float).eps
+_SECULAR_CHUNK = 1 << 20  # kernel entries per block of the secular passes
+_LEAF_SIZE = 16  # blocks this small are solved whole by dstevd
+
+
+@functools.lru_cache(maxsize=None)
+def _dlaed4():
+    """LAPACK dlaed4 (one root of a rank-one secular equation) via ctypes."""
+    capsule = cython_lapack.__pyx_capi__["dlaed4"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    int_p, dbl_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    proto = ctypes.CFUNCTYPE(None, int_p, int_p, dbl_p, dbl_p, dbl_p, dbl_p, dbl_p, int_p)
+    return proto(get_pointer(capsule, get_name(capsule)))
+
+
+def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
+    """Roots of 1 + rho sum z_i^2 / (poles_i - x) = 0 for increasing poles.
+
+    Returns the roots and, per root, the nearest pole and the root's offset
+    from it, as dlaed4 represents them.  `_root_gaps` rebuilds every
+    pole-minus-root difference from those: |poles_i - origin| is at most
+    twice |poles_i - root|, so the difference keeps full relative accuracy.
+    """
+    k = len(poles)
+    roots, origin, offset = [], [], []
+    delta = np.empty(k)
+    dbl_p = ctypes.POINTER(ctypes.c_double)
+    i_c, root, info = ctypes.c_int(0), ctypes.c_double(0.0), ctypes.c_int(0)
+    args = (ctypes.byref(ctypes.c_int(k)), ctypes.byref(i_c),
+            poles.ctypes.data_as(dbl_p), z.ctypes.data_as(dbl_p),
+            delta.ctypes.data_as(dbl_p), ctypes.byref(ctypes.c_double(rho)),
+            ctypes.byref(root), ctypes.byref(info))
+    dlaed4 = _dlaed4()
+    for i in range(k):
+        i_c.value = i + 1
+        dlaed4(*args)
+        if info.value != 0:
+            raise AssertionError(f"dlaed4 did not converge on root {i + 1} of {k}")
+        # root i lies between poles i and i + 1 (beyond the last pole for i = k - 1)
+        o = i if i == k - 1 or abs(delta[i]) <= abs(delta[i + 1]) else i + 1
+        roots.append(root.value)
+        origin.append(o)
+        offset.append(-delta[o])
+    return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
+
+
+def _root_gaps(poles, origin, offset, cols) -> np.ndarray:
+    """poles_i - root_j for all i and the roots j in `cols`."""
+    return (poles[:, None] - poles[origin[cols]][None, :]) - offset[cols][None, :]
+
+
+def _merge(poles, z, rho, tracked):
+    """Eigen-decomposition of diag(poles) + rho z z^T, applied to tracked rows.
+
+    Deflation follows LAPACK dlaed2: a pole whose weight rho |z_i| is at most
+    tol is an eigenvalue as it stands; two poles closer than tol in the
+    rotated sense |t c s| are rotated (in `tracked` too) so that one of them
+    carries no weight.  The rest goes to the secular equation, whose
+    eigenvectors use the recomputed weights of Gu and Eisenstat (dlaed3) and
+    are applied to the tracked rows in blocks of roots.  `tracked` is
+    overwritten.  Returns (eigenvalues, rows, (small-weight, close-pole)
+    deflation counts), unsorted.
+    """
+    d = poles.copy()
+    tol = 8.0 * _EPS * max(np.abs(d).max(), np.abs(z).max())
+    zl = z.tolist()
+    small, close, keep = [], [], []
+    pj = -1
+    for nj in np.argsort(d, kind="stable").tolist():
+        if rho * abs(zl[nj]) <= tol:
+            small.append(nj)
+            continue
+        if pj >= 0:
+            s, c = zl[pj], zl[nj]
+            tau = math.hypot(c, s)
+            t = d[nj] - d[pj]
+            c, s = c / tau, -s / tau
+            if abs(t * c * s) <= tol:
+                zl[nj], zl[pj] = tau, 0.0
+                a, b = tracked[:, pj].copy(), tracked[:, nj].copy()
+                tracked[:, pj] = c * a + s * b
+                tracked[:, nj] = c * b - s * a
+                d[pj], d[nj] = (d[pj] * c * c + d[nj] * s * s,
+                                d[pj] * s * s + d[nj] * c * c)
+                close.append(pj)
+            else:
+                keep.append(pj)
+        pj = nj
+    if pj >= 0:
+        keep.append(pj)
+    deflated = small + close
+    lam_k, rows_k = _secular_rows(d[keep], np.array(zl)[keep], rho, tracked[:, keep])
+    eigenvalues = np.concatenate([lam_k, d[deflated]])
+    rows = np.concatenate([rows_k, tracked[:, deflated]], axis=1)
+    return eigenvalues, rows, (len(small), len(close))
+
+
+def _secular_rows(poles, z, rho, tracked):
+    """Roots of the undeflated secular equation and its eigenvectors' tracked rows."""
+    k = len(poles)
+    if k <= 2:
+        # dlaed4 returns eigenvector entries, not differences, for k <= 2
+        lam, vecs = np.linalg.eigh(np.diag(poles) + rho * np.outer(z, z))
+        return lam, tracked @ vecs
+    roots, origin, offset = _secular_roots(poles, z, rho)
+    chunk = max(1, _SECULAR_CHUNK // k)
+    blocks = [np.arange(j0, min(j0 + chunk, k)) for j0 in range(0, k, chunk)]
+    # Gu-Eisenstat: the weights for which the computed roots are exact,
+    # zhat_i^2 = -prod_j (poles_i - root_j) / prod_{j != i} (poles_i - poles_j)
+    w = np.ones(k)
+    for cols in blocks:
+        ratio = _root_gaps(poles, origin, offset, cols)
+        denom = poles[:, None] - poles[None, cols]
+        denom[cols, cols - cols[0]] = 1.0
+        w *= np.prod(ratio / denom, axis=1)
+    if not (np.all(np.isfinite(w)) and np.all(w < 0.0)):
+        raise AssertionError("secular roots do not interlace the poles")
+    zhat = np.copysign(np.sqrt(-w), z)
+    rows = np.empty((tracked.shape[0], k))
+    for cols in blocks:
+        vecs = zhat[:, None] / _root_gaps(poles, origin, offset, cols)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        rows[:, cols] = tracked @ vecs
+    return roots, rows
+
+
+def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
+    """All eigenvalues of the tridiagonal (d, e) and eigenvector entries at `rows`.
+
+    Cuppen's split at the centre, as in LAPACK dlaed0: with beta = e[c-1],
+    T = diag(T1', T2') + |beta| v v^T, v = e_{c-1} + sign(beta) e_c, and
+    T1', T2' the halves with |beta| taken off the two diagonal entries at the
+    cut.  Each half is solved the same way, asked only for its rows in `rows`
+    and its row at the cut, down to blocks of at most `_LEAF_SIZE` that
+    dstevd solves whole.  `rows` is ascending.  Returns the sorted
+    eigenvalues, the rows (one per entry of `rows`, columns in eigenvalue
+    order) and the deflation counts summed over all merges.
+    """
+    m = len(d)
+    if m <= _LEAF_SIZE:
+        vals, vecs, info = lapack.dstevd(d, e if len(e) else np.zeros(1))
+        if info != 0:
+            raise AssertionError(f"dstevd failed on a {m}-site block (info={info})")
+        return vals, vecs[rows, :], (0, 0)
+    c = m // 2
+    beta = float(e[c - 1])
+    d1, d2 = d[:c].copy(), d[c:].copy()
+    d1[-1] -= abs(beta)
+    d2[0] -= abs(beta)
+    left = rows < c
+    need1 = np.union1d(rows[left], [c - 1])
+    need2 = np.union1d(rows[~left] - c, [0])
+    poles1, rows1, (small1, close1) = _split_merge(d1, e[:c - 1], need1)
+    poles2, rows2, (small2, close2) = _split_merge(d2, e[c:], need2)
+    tracked = np.zeros((len(rows), m))
+    tracked[left, :c] = rows1[np.searchsorted(need1, rows[left])]
+    tracked[~left, c:] = rows2[np.searchsorted(need2, rows[~left] - c)]
+    # dlaed2's normalisation: z = Q^T v / |v| and rho = |beta| |v|^2
+    z = np.concatenate([rows1[-1], np.copysign(1.0, beta) * rows2[0]]) / math.sqrt(2.0)
+    w, out, (small, close) = _merge(np.concatenate([poles1, poles2]), z,
+                                    abs(2.0 * beta), tracked)
+    order = np.argsort(w, kind="stable")
+    return w[order], out[:, order], (small1 + small2 + small, close1 + close2 + close)
+
+
+def _validate_site_spectrum(trunc: Truncation, eigenvalues: np.ndarray,
+                        reference: np.ndarray, rows_at: np.ndarray,
+                        rows: np.ndarray) -> dict:
+    """Validate eigenvalues and tracked eigenvector rows; return the defects.
+
+    `rows[i]` holds the entries at box index `rows_at[i]` (ascending) and
+    `reference` the eigenvalues of an independent solver.  Raises
+    AssertionError on: an eigenvalue outside the Gershgorin interval; a gap
+    to `reference` beyond EIGENVALUE_TOL * scale; first moments
+    sum_j E_j phi_j(r) phi_j(s) off H_rs by more than RESIDUAL_TOL * scale;
+    a Gram defect of the rows beyond GRAM_TOL.  scale = |lambda| + 2.
+    """
+    scale = abs(trunc.lam) + 2.0
+    d, e = trunc.diagonal, trunc.offdiagonal
+    radius = 2.0 * float(np.abs(e).max())
+    lo, hi = float(d.min()) - radius, float(d.max()) + radius
+    if eigenvalues.min() < lo - 1e-9 * scale or eigenvalues.max() > hi + 1e-9 * scale:
+        raise AssertionError("eigenvalues escaped the Gershgorin interval")
+    gap = float(np.abs(np.sort(eigenvalues) - reference).max())
+    if gap > EIGENVALUE_TOL * scale:
+        raise AssertionError(f"eigenvalues {gap:.3e} away from the dsterf solve")
+    h = np.diag(d[rows_at])
+    nxt = np.flatnonzero(np.diff(rows_at) == 1)
+    h[nxt, nxt + 1] = h[nxt + 1, nxt] = e[rows_at[nxt]]
+    moment = float(np.abs((rows * eigenvalues) @ rows.T - h).max())
+    if moment > RESIDUAL_TOL * scale:
+        raise AssertionError(f"first moments of the tracked rows off by {moment:.3e}")
+    gram = float(np.abs(rows @ rows.T - np.eye(len(rows_at))).max())
+    if gram > GRAM_TOL:
+        raise AssertionError(f"tracked eigenvector rows Gram defect {gram:.3e}")
+    return {"eigenvalue_gap": gap, "moment_defect": moment, "gram_defect": gram}
+
+
+def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
+    """All eigenvalues and the eigenvector entries at `sites` and the source site 1.
+
+    Divide and conquer that carries only the rows it needs (`_split_merge`),
+    validated by `_validate_site_spectrum` against LAPACK dsterf.  `stats`
+    records the box size, the poles deflated in the merges (of each kind)
+    and the three defects.
+    """
+    tracked = sorted({int(n) for n in sites} | {1})
+    for n in (tracked[0], tracked[-1]):
+        if not -trunc.N <= n <= trunc.N:
+            raise WindowError(f"site {n} outside the box [-{trunc.N}, {trunc.N}]")
+    rows_at = np.array(tracked) + trunc.N
+    w, rows, (small, close) = _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at)
+    reference, info = lapack.dsterf(trunc.diagonal, trunc.offdiagonal)
+    if info != 0:
+        raise AssertionError(f"dsterf failed (info={info})")
+    stats = {"size": trunc.size, "deflated_small_weight": small,
+             "deflated_close_poles": close}
+    stats.update(_validate_site_spectrum(trunc, w, reference, rows_at, rows))
+    return SiteSpectrum(trunc, w, tuple(tracked), rows, stats)
+
+
 def evolve(es: EigenSystem, t: float, site: int = 1) -> WavePacket:
     """Unitary evolution of the unit vector at the given site for time t."""
     if t < 0:
@@ -249,18 +533,21 @@ def abel_average(A, T: float, eps_tail: float = ABEL_TAIL_EPS,
     return (2.0 / T) * (integral + tail)
 
 
-def abel_site_masses(es: EigenSystem, sites, T: float, chunk: int = 768) -> np.ndarray:
+def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: float,
+                     chunk: int = 768) -> np.ndarray:
     """Closed-form Abel means of site probabilities for the corner initial state.
 
     <|psi_t(n)|^2>_T = sum_{j,j'} g_j g_j' / (1 + (T/2)^2 (E_j - E_j')^2)
     with g_j = phi_j(n) phi_j(1).  Evaluated per site over column chunks of
-    the Lorentzian kernel, so memory stays at O(M * chunk).
+    the Lorentzian kernel, so memory stays at O(M * chunk).  `es` is a
+    `SiteSpectrum` or a dense `EigenSystem`; both give `eigenvalues` and
+    `site_rows`.
     """
     w = es.eigenvalues
-    idx = np.array([es.site_index(n) for n in sites], dtype=int)
-    g = es.eigenvectors[idx, :] * es.initial_coefficients()[None, :]
+    rows = es.site_rows(list(sites) + [1])
+    g = rows[:-1] * rows[-1][None, :]
     tau = 0.5 * T
-    acc = np.zeros(len(idx))
+    acc = np.zeros(len(g))
     m = len(w)
     for j0 in range(0, m, chunk):
         cols = slice(j0, min(j0 + chunk, m))
@@ -314,6 +601,7 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
     base_n = auto_box_size(max(ts), n_cap) if N == "auto" else int(N)
     records: list[AbelRecord] = []
     n_used: dict = {}
+    solver: dict = {}
     for theta in thetas:
         n_box = base_n
         for attempt in (0, 1):
@@ -322,9 +610,9 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
                 raise WindowError(
                     f"window radius {max_l:.1f} does not fit the box N={n_box}"
                 )
-            es = eigensystem(build_truncation(n_box, lam, theta))
             fl_max = math.floor(max_l) + 1
             sites = list(range(-fl_max, fl_max + 1)) + [-n_box, n_box]
+            es = site_spectrum(build_truncation(n_box, lam, theta), sites)
             all_t = {t: abel_site_masses(es, sites, t) for t in ts}
             recs = []
             all_valid = True
@@ -339,11 +627,12 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
             if all_valid or not retry or attempt == 1:
                 records.extend(recs)
                 n_used[theta] = n_box
+                solver[theta] = es.stats
                 break
             n_box *= 2
     g_emp = min(r.mass for r in records)
     return BoundReport(lam, C1, p_used, tuple(thetas), tuple(ts),
-                       tuple(records), g_emp, n_used)
+                       tuple(records), g_emp, n_used, solver)
 
 
 def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0, 1000.0),
@@ -363,10 +652,10 @@ def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0,
         if lam <= 8.0:
             raise ValueError("exponent calibration expects couplings above 8")
         n_box = auto_box_size(max(ts), n_cap)
-        es = eigensystem(build_truncation(n_box, lam, theta))
         l_cap = n_box - 2
         fl_max = min(math.floor(max(ts) ** max(p_grid)), l_cap) + 1
         sites = list(range(-fl_max, fl_max + 1)) + [-n_box, n_box]
+        es = site_spectrum(build_truncation(n_box, lam, theta), sites)
         per_t = {}
         for t in ts:
             masses = dict(zip(sites, abel_site_masses(es, sites, t)))

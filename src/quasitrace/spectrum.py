@@ -275,7 +275,9 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
 
     The census on any grid must match the census on the doubled grid; if two
     refinement rounds cannot stabilize it, the scan aborts.  For couplings
-    above 6 the count is additionally pinned to F(k) (all gaps open there).
+    above 6 in modulus the count is additionally pinned to F(k) (all gaps
+    open there).  A negative coupling mirrors the bands: x_k(-E, -lam) =
+    (-1)^F(k) x_k(E, lam).
     """
     if k < 0:
         raise ValueError("level must be >= 0")
@@ -289,8 +291,9 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
         if key_l in _BANDS_CACHE:
             continue
         if level <= 2:
-            segments = (np.array([-2.0 - SEARCH_MARGIN]),
-                        np.array([lam + 2.0 + SEARCH_MARGIN]), np.array([1]))
+            # the spectrum lies in [min(0, lam) - 2, max(0, lam) + 2]
+            segments = (np.array([min(0.0, lam) - 2.0 - SEARCH_MARGIN]),
+                        np.array([max(0.0, lam) + 2.0 + SEARCH_MARGIN]), np.array([1]))
             base_pts = max(_GLOBAL_POINTS, 16 * fib_number(level) + 1)
         else:
             # Pad parents past their own edge-location tolerance: a child band
@@ -309,7 +312,7 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
             stable = len(first) == len(second)
             # above coupling 6 all gaps are open, so more than F(k) bands can
             # only be spurious splits: treat as instability and refine
-            not_split = (lam <= 6.0) or (len(second) <= fib_number(level))
+            not_split = (abs(lam) <= 6.0) or (len(second) <= fib_number(level))
             if stable and not_split:
                 found = second
                 break
@@ -318,7 +321,7 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
             raise BandResolutionError(
                 f"band census at level {level}, coupling {lam} unstable under refinement"
             )
-        if lam > 6.0 and len(found) < fib_number(level):
+        if abs(lam) > 6.0 and len(found) < fib_number(level):
             # narrowest bands can sink below float64 noise at high level and
             # strong coupling; they carry the largest derivatives, so minima
             # and covers are unaffected

@@ -149,6 +149,25 @@ def test_dynamics_command(tmp_path):
     assert payload["pass"] is True
 
 
+def test_dynamics_report_carries_solver_numbers(tmp_path):
+    args = ["dynamics", "--lambda", "10", "--theta-list", "0,1/2",
+            "--T-grid", "10,50", "--p", "0.2", "--N", "300"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    for name in ("dynamics.csv", "bound_report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    solver = json.loads((tmp_path / "a" / "bound_report.json").read_text())["solver"]
+    assert sorted(solver) == ["0", "1/2"]
+    for stats in solver.values():
+        assert set(stats) == {"size", "deflated_small_weight", "deflated_close_poles",
+                              "eigenvalue_gap", "moment_defect", "gram_defect"}
+        assert stats["size"] == 601
+        assert stats["deflated_small_weight"] >= 0 and stats["deflated_close_poles"] >= 0
+        assert 0.0 <= stats["eigenvalue_gap"] <= 1e-12 * 12.0
+        assert 0.0 <= stats["moment_defect"] <= 1e-8 * 12.0
+        assert 0.0 <= stats["gram_defect"] <= 1e-9
+
+
 def test_dynamics_auto_p_needs_strong_coupling(tmp_path):
     code = main(["dynamics", "--lambda", "2", "--T-grid", "10",
                  "--out", str(tmp_path)])

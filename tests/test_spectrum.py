@@ -232,6 +232,27 @@ def test_bands_census_always_above_fibonacci_raises(monkeypatch):
     assert len(SP.bands(0, 2.0)) == 2  # at coupling <= 6 a stable census stands
 
 
+@pytest.mark.parametrize("lam", [3.0, 10.0])
+def test_negative_coupling_mirrors_the_bands(lam):
+    # gauge identity x_k(-E, -lam) = (-1)^F(k) x_k(E, lam), so the level-k
+    # band set of -lam is the mirror image of that of lam
+    for k in range(7):
+        pos, neg = SP.bands(k, lam), SP.bands(k, -lam)
+        assert len(neg) == len(pos)
+        for a, b in zip(pos, reversed(neg)):
+            assert abs(b.lo + a.hi) <= SP.EDGE_TOL_ABS
+            assert abs(b.hi + a.lo) <= SP.EDGE_TOL_ABS
+
+
+def test_census_gate_acts_on_the_modulus_of_the_coupling(monkeypatch):
+    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+    monkeypatch.setattr(SP, "_detect_bands", lambda segments, lam, k, pts: [
+        SP.Band(k, float(i), i + 0.5, lam) for i in range(fib_number(k) + 1)])
+    with pytest.raises(SP.BandResolutionError):
+        SP.bands(0, -10.0)
+    assert len(SP.bands(0, -2.0)) == 2
+
+
 def test_bands_rejects_out_of_range():
     with pytest.raises(ValueError):
         SP.bands(-1, 10.0)
