@@ -92,8 +92,8 @@ class RunConfig:
         lo, hi, count = self.energies
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and count >= 1):
             raise ConfigError("energy grid must be lo:hi:count with lo < hi, count >= 1")
-        if any(t <= 0 for t in self.T_grid):
-            raise ConfigError("timescales must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.T_grid):
+            raise ConfigError("timescales must be finite and positive")
         if self.N != "auto" and (not isinstance(self.N, int) or self.N < 1):
             raise ConfigError("N must be a positive integer or 'auto'")
         if self.C1 <= 0:

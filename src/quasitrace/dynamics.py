@@ -9,6 +9,11 @@ mass is negligible, so boundary effects cannot silently contaminate results.
 
 Abel means of site probabilities are evaluated in closed form through the
 eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
+`abel_site_masses` does it for all timescales in one sweep over column blocks
+of the kernel's lower triangle: the kernel is symmetric, so the part below
+each diagonal block counts twice, and a block's squared eigenvalue gaps serve
+every T.  Two reused buffers of `_SECULAR_CHUNK` entries bound its memory, as
+they bound the secular passes of the solver.
 The sum reads only the eigenvalues and the eigenvector entries at the window,
 edge and source sites, so `site_spectrum` computes exactly those, by Cuppen's
 divide and conquer: the box is split at its centre into two halves coupled by
@@ -19,7 +24,7 @@ Gu-Eisenstat eigenvectors of ``dlaed3``).  A block carries along only the
 rows its callers read: the requested ones and its two ends, where the cuts
 are.  The strongly coupled boxes are extremely clustered, and deflation is
 what makes the merges accurate and cheap there.  Memory stays at the tracked
-rows times the box size plus fixed-size blocks of the secular passes.  The
+rows times the box size plus the two fixed-size buffers of a merge.  The
 solver validates what it returns against an independent ``dsterf``
 eigenvalue solve, the orthonormality of the tracked rows, and the first
 moments of the operator.
@@ -34,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +75,9 @@ ABEL_TAIL_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 GRAM_TOL = 1e-9
 EIGENVALUE_TOL = 1e-12  # times |lambda| + 2, against the dsterf eigenvalues
+
+
+Timescales = float | Sequence[float]
 
 
 class WindowError(ValueError):
@@ -253,7 +262,7 @@ def eigensystem(trunc: Truncation, check: bool = True) -> EigenSystem:
 
 # LAPACK's relative machine precision dlamch('E'): half the spacing at 1.0
 _EPS = 0.5 * np.finfo(float).eps
-_SECULAR_CHUNK = 1 << 20  # kernel entries per block of the secular passes
+_SECULAR_CHUNK = 1 << 20  # entries per block of the secular passes and the Abel sweep
 _LEAF_SIZE = 16  # blocks this small are solved whole by dstevd
 
 
@@ -301,9 +310,10 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
 
 
-def _root_gaps(poles, origin, offset, cols) -> np.ndarray:
-    """poles_i - root_j for all i and the roots j in `cols`."""
-    return (poles[:, None] - poles[origin[cols]][None, :]) - offset[cols][None, :]
+def _root_gaps(poles, origin, offset, cols, out) -> np.ndarray:
+    """poles_i - root_j for all i and the roots j in `cols`, written into `out`."""
+    np.subtract(poles[:, None], poles[origin[cols]][None, :], out=out)
+    return np.subtract(out, offset[cols][None, :], out=out)
 
 
 def _merge(poles, z, rho, tracked):
@@ -353,7 +363,12 @@ def _merge(poles, z, rho, tracked):
 
 
 def _secular_rows(poles, z, rho, tracked):
-    """Roots of the undeflated secular equation and its eigenvectors' tracked rows."""
+    """Roots of the undeflated secular equation and its eigenvectors' tracked rows.
+
+    Both passes run over blocks of roots of at most `_SECULAR_CHUNK` entries,
+    in two buffers allocated once: the root gaps, and the pole differences
+    or the squares of the column norms.
+    """
     k = len(poles)
     if k <= 2:
         # dlaed4 returns eigenvector entries, not differences, for k <= 2
@@ -361,22 +376,31 @@ def _secular_rows(poles, z, rho, tracked):
         return lam, tracked @ vecs
     roots, origin, offset = _secular_roots(poles, z, rho)
     chunk = max(1, _SECULAR_CHUNK // k)
-    blocks = [np.arange(j0, min(j0 + chunk, k)) for j0 in range(0, k, chunk)]
+    gap_buf, aux_buf = np.empty((2, k * min(chunk, k)))
+
+    def blocks():
+        for j0 in range(0, k, chunk):
+            b = min(chunk, k - j0)
+            cols = slice(j0, j0 + b)
+            yield (j0, cols, _root_gaps(poles, origin, offset, cols,
+                                        gap_buf[:k * b].reshape(k, b)),
+                   aux_buf[:k * b].reshape(k, b))
+
     # Gu-Eisenstat: the weights for which the computed roots are exact,
     # zhat_i^2 = -prod_j (poles_i - root_j) / prod_{j != i} (poles_i - poles_j)
     w = np.ones(k)
-    for cols in blocks:
-        ratio = _root_gaps(poles, origin, offset, cols)
-        denom = poles[:, None] - poles[None, cols]
-        denom[cols, cols - cols[0]] = 1.0
-        w *= np.prod(ratio / denom, axis=1)
+    for j0, cols, ratio, denom in blocks():
+        np.subtract(poles[:, None], poles[None, cols], out=denom)
+        diag = np.arange(denom.shape[1])
+        denom[j0 + diag, diag] = 1.0
+        w *= np.prod(np.divide(ratio, denom, out=ratio), axis=1)
     if not (np.all(np.isfinite(w)) and np.all(w < 0.0)):
         raise AssertionError("secular roots do not interlace the poles")
     zhat = np.copysign(np.sqrt(-w), z)
     rows = np.empty((tracked.shape[0], k))
-    for cols in blocks:
-        vecs = zhat[:, None] / _root_gaps(poles, origin, offset, cols)
-        vecs /= np.linalg.norm(vecs, axis=0)
+    for _, cols, vecs, sq in blocks():
+        np.divide(zhat[:, None], vecs, out=vecs)
+        vecs /= np.sqrt(np.add.reduce(np.multiply(vecs, vecs, out=sq), axis=0))
         rows[:, cols] = tracked @ vecs
     return roots, rows
 
@@ -533,29 +557,56 @@ def abel_average(A, T: float, eps_tail: float = ABEL_TAIL_EPS,
     return (2.0 / T) * (integral + tail)
 
 
-def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: float,
-                     chunk: int = 768) -> np.ndarray:
+def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: Timescales) -> np.ndarray:
     """Closed-form Abel means of site probabilities for the corner initial state.
 
     <|psi_t(n)|^2>_T = sum_{j,j'} g_j g_j' / (1 + (T/2)^2 (E_j - E_j')^2)
-    with g_j = phi_j(n) phi_j(1).  Evaluated per site over column chunks of
-    the Lorentzian kernel, so memory stays at O(M * chunk).  `es` is a
-    `SiteSpectrum` or a dense `EigenSystem`; both give `eigenvalues` and
+    with g_j = phi_j(n) phi_j(1).  `T` is one timescale or a sequence of
+    them: one T gives one mass per site, a sequence one row per T.  `es` is
+    a `SiteSpectrum` or a dense `EigenSystem`; both give `eigenvalues` and
     `site_rows`.
+
+    One sweep serves every T.  The kernel is symmetric, so each block of
+    columns covers only its diagonal block and the rows below it, and the
+    part below counts twice.  A block's squared eigenvalue gaps are formed
+    once; for each T one reused buffer turns them into the kernel in place.
+    For M eigenvalues and S sites, the two buffers hold at most
+    max(`_SECULAR_CHUNK`, M, S) entries each, and the one product per block
+    and T at most that many more.
     """
+    scalar = np.ndim(T) == 0
+    tau2 = np.atleast_1d(np.asarray(T, dtype=float))
+    if not np.all(np.isfinite(tau2) & (tau2 > 0.0)):
+        raise ValueError("timescale must be positive")
+    tau2 = (0.5 * tau2) ** 2
     w = es.eigenvalues
-    rows = es.site_rows(list(sites) + [1])
-    g = rows[:-1] * rows[-1][None, :]
-    tau = 0.5 * T
-    acc = np.zeros(len(g))
-    m = len(w)
-    for j0 in range(0, m, chunk):
-        cols = slice(j0, min(j0 + chunk, m))
-        kern = 1.0 / (1.0 + (tau * (w[:, None] - w[None, cols])) ** 2)
-        acc += np.einsum("sb,sb->s", g @ kern, g[:, cols])
+    g = es.site_rows(list(sites) + [1])  # site_rows copies: scale in place
+    g[:-1] *= g[-1]
+    g = g[:-1]
+    m, s = len(w), len(g)
+    size = max(min(m * m, _SECULAR_CHUNK), m, s)
+    gap_buf, kern_buf = np.empty((2, size))
+    acc = np.zeros((len(tau2), s))
+    j0 = 0
+    while j0 < m:
+        j1 = min(m, j0 + size // max(m - j0, s))
+        b = j1 - j0
+        gap2 = np.subtract(w[j0:, None], w[None, j0:j1],
+                           out=gap_buf[:(m - j0) * b].reshape(m - j0, b))
+        np.square(gap2, out=gap2)
+        kern = kern_buf[:gap2.size].reshape(gap2.shape)
+        for t, c in enumerate(tau2):
+            np.multiply(gap2, c, out=kern)
+            kern += 1.0
+            # 2 / x is exactly twice 1 / x: the part below counts twice
+            np.divide(1.0, kern[:b], out=kern[:b])
+            np.divide(2.0, kern[b:], out=kern[b:])
+            acc[t] += np.einsum("sb,sb->s", g[:, j0:] @ kern, g[:, j0:j1])
+        j0 = j1
     # the kernel is positive definite, so the exact values are probabilities;
     # rounding can leave ~1e-20 negatives at numerically empty sites
-    return np.maximum(acc, 0.0)
+    np.maximum(acc, 0.0, out=acc)
+    return acc[0] if scalar else acc
 
 
 def abel_closed_form(es: EigenSystem, n: int, T: float) -> float:
@@ -613,7 +664,7 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
             fl_max = math.floor(max_l) + 1
             sites = list(range(-fl_max, fl_max + 1)) + [-n_box, n_box]
             es = site_spectrum(build_truncation(n_box, lam, theta), sites)
-            all_t = {t: abel_site_masses(es, sites, t) for t in ts}
+            all_t = dict(zip(ts, abel_site_masses(es, sites, ts)))
             recs = []
             all_valid = True
             for t in ts:
@@ -657,8 +708,8 @@ def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0,
         sites = list(range(-fl_max, fl_max + 1)) + [-n_box, n_box]
         es = site_spectrum(build_truncation(n_box, lam, theta), sites)
         per_t = {}
-        for t in ts:
-            masses = dict(zip(sites, abel_site_masses(es, sites, t)))
+        for t, row in zip(ts, abel_site_masses(es, sites, ts)):
+            masses = dict(zip(sites, row))
             edge = masses[-n_box] + masses[n_box]
             if edge >= EDGE_MASS_TOL:
                 raise AssertionError(

@@ -62,6 +62,8 @@ def test_config_round_trip():
     ("C1", 0.0),
     ("p", 1.5),
     ("thetas", ("nope",)),
+    ("T_grid", (float("inf"),)),
+    ("T_grid", (10.0, float("nan"))),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError):
@@ -196,6 +198,15 @@ def test_exit_code_usage_error(tmp_path):
 def test_exit_code_unknown_command():
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_exit_code_non_finite_timescale(tmp_path, bad):
+    proc = run_cli(["dynamics", "--p", "0.3", "--N", "50", "--T-grid", bad,
+                    "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "timescales must be finite and positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_success(tmp_path):
