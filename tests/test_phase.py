@@ -1,8 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasitrace.phase import PRECISION_BITS, EndpointMonitor, PhasePoint, omega
+
+RAWS = st.integers(0, (1 << PRECISION_BITS) - 1)
+HALF_ULP = Fraction(1, 1 << (PRECISION_BITS + 1))
 
 
 def test_precision_default_at_least_96():
@@ -60,3 +65,45 @@ def test_monitor_records_hits():
     mon.record(7, 1e-30)
     assert mon.hits == 1
     assert mon.samples == [(7, 1e-30)]
+
+
+# ---------------------------------------------------------------------------
+# properties against fractions.Fraction mod 1
+# ---------------------------------------------------------------------------
+
+def _value(x: PhasePoint) -> Fraction:
+    return Fraction(x.raw, 1 << x.bits)
+
+
+def _circle_distance(a: Fraction, b: Fraction) -> Fraction:
+    d = (a - b) % 1
+    return min(d, 1 - d)
+
+
+@given(RAWS, RAWS)
+def test_add_sub_neg_are_exact_mod_one(a, b):
+    x, y = PhasePoint(a), PhasePoint(b)
+    assert _value(x.add(y)) == (_value(x) + _value(y)) % 1
+    assert _value(x.sub(y)) == (_value(x) - _value(y)) % 1
+    neg = x.times(-1)
+    assert _value(neg) == (-_value(x)) % 1
+    assert neg == PhasePoint.zero().sub(x) and neg.add(x) == PhasePoint.zero()
+    assert x.add(y).sub(y) == x
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+def test_from_fraction_rounds_to_nearest(num, den):
+    x = PhasePoint.from_fraction(num, den)
+    assert _circle_distance(_value(x), Fraction(num, den)) <= HALF_ULP
+
+
+@given(RAWS, st.integers(1, 130))
+def test_decimal_round_trip_property(raw, digits):
+    x = PhasePoint(raw)
+    text = x.to_decimal(digits)
+    # to_decimal truncates; from_decimal rounds to the nearest point
+    assert Fraction(text) == Fraction(math.floor(_value(x) * 10**digits), 10**digits)
+    back = PhasePoint.from_decimal(text)
+    assert _circle_distance(_value(back), Fraction(text)) <= HALF_ULP
+    if Fraction(1, 10**digits) <= HALF_ULP:
+        assert back == x

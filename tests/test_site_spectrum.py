@@ -3,13 +3,14 @@
 Dense references: bisection with inverse iteration (LAPACK stebz/stein, the
 fallback driver of `eigensystem`), the default `eigensystem` (MRRR), and a
 40-digit mpmath eigendecomposition.  MRRR loses up to about 4e-11 in Abel
-masses on clustered boxes of a few hundred sites (and 6e-11 on the default
-6001-site box), where bisection and the new route agree to about 1e-13, so
+masses on clustered boxes of a few hundred sites (and 6e-11 on a 6001-site
+box at coupling 10), where bisection and the new route agree to about 1e-13, so
 the 1e-12 comparisons use bisection and MRRR gets a looser bound.  The
 validation gates of `_validate_site_spectrum` are fed corrupted input one
 check at a time.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,7 +58,7 @@ def test_site_spectrum_matches_dense_reference(raw, lam, N, frac):
 
 
 def test_exponent_trend_box_matches_dense_reference():
-    # the 1601-site calibration box of the default run, every site tracked
+    # a strongly clustered 1601-site box, every site tracked
     trunc = DY.build_truncation(800, 10.0, HALF)
     sites = list(range(-800, 801))
     spec = DY.site_spectrum(trunc, sites)
@@ -219,7 +220,6 @@ def test_validation_rejects_eigenvalue_outside_gershgorin(checked):
 @pytest.fixture(scope="module")
 def mp_site_masses():
     """Abel site masses of the 41-site box at lambda 10, theta 0, at 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
     trunc = DY.build_truncation(20, 10.0, TH0)
     m = trunc.size
     with mpmath.workdps(40):
@@ -247,7 +247,7 @@ def mp_site_masses():
 
 def test_window_and_edge_masses_match_high_precision(mp_site_masses):
     report = DY.dynamical_bound_check(10.0, [TH0], [10.0, 1000.0], C1=1.0,
-                                      p_used=0.3, N=20, retry=False)
+                                      p_used=0.3, N=20)
     for rec in report.records:
         ref = mp_site_masses[rec.T]
         assert abs(rec.mass - DY._window_mass(ref, rec.L)) <= 1e-13

@@ -1,9 +1,16 @@
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from quasitrace.xfloat import XReal, rel_gap, xreal
+
+EPS = 2.0 ** -52
+EXPONENTS = st.integers(-10**4, 10**4)
+MANTISSAS = st.floats(-1e6, 1e6, allow_nan=False)
+XREALS = st.builds(XReal, MANTISSAS, EXPONENTS)
 
 
 def test_round_trip_moderate_values():
@@ -73,3 +80,68 @@ def test_rel_gap():
     gap = rel_gap(XReal(1.0, 400) * (1.0 + 1e-10), XReal(1.0, 400))
     assert gap == pytest.approx(1e-10, rel=1e-3)
     assert rel_gap(xreal(0.0), xreal(1e-12)) == pytest.approx(1e-12, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# properties against 60-digit mpmath
+# ---------------------------------------------------------------------------
+
+def _mp(x: XReal):
+    return mpmath.ldexp(mpmath.mpf(x.m), x.e)
+
+
+@st.composite
+def xreal_pairs(draw):
+    """Pairs at any distance, often close enough in exponent to interact."""
+    a = draw(XREALS)
+    near = st.integers(a.e - 64, a.e + 64)
+    return a, XReal(draw(MANTISSAS), draw(st.one_of(EXPONENTS, near)))
+
+
+@given(xreal_pairs())
+def test_add_and_sub_match_mpmath(pair):
+    a, b = pair
+    with mpmath.workdps(60):
+        A, B = _mp(a), _mp(b)
+        scale = max(abs(A), abs(B))
+        assert abs(_mp(a + b) - (A + B)) <= EPS * scale
+        assert abs(_mp(a - b) - (A - B)) <= EPS * scale
+    if a and b and abs(a.e - b.e) > 60:
+        # the smaller term lies below half an ulp of the larger: absorbed exactly
+        hi = a if a.e > b.e else b
+        assert ((a + b).m, (a + b).e) == (hi.m, hi.e)
+
+
+@given(xreal_pairs())
+def test_mul_matches_mpmath(pair):
+    a, b = pair
+    with mpmath.workdps(60):
+        exact = _mp(a) * _mp(b)
+        assert abs(_mp(a * b) - exact) <= EPS * abs(exact)
+
+
+@given(xreal_pairs())
+def test_comparisons_match_mpmath(pair):
+    a, b = pair
+    with mpmath.workdps(60):
+        A, B = _mp(a), _mp(b)
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (A < B, A <= B, A > B, A >= B, A == B)
+    assert a == a and not a < a
+
+
+@given(XREALS)
+def test_sqrt_matches_mpmath(a):
+    with mpmath.workdps(60):
+        exact = mpmath.sqrt(abs(_mp(a)))
+        assert abs(_mp(abs(a).sqrt()) - exact) <= EPS * exact
+
+
+@given(xreal_pairs(), st.floats(1e-300, 1e300))
+def test_rel_gap_matches_mpmath(pair, floor):
+    a, b = pair
+    with mpmath.workdps(60):
+        A, B = _mp(a), _mp(b)
+        exact = abs(A - B) / max(mpmath.mpf(floor), abs(A), abs(B))
+        # the difference is good to EPS of the scale, log2 of exponents up to
+        # 1e4 to about 2e-12
+        assert abs(rel_gap(a, b, floor) - exact) <= 1e-11 * exact + 2 * EPS
