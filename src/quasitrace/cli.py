@@ -16,7 +16,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 from . import words as W
@@ -160,6 +160,17 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _finish(name: str, path: Path, payload: dict, failures: list[str], ok: str) -> int:
+    """Write a suite's JSON summary with its failures and pass flag, print the
+    verdict and return the exit code."""
+    _write_json(path, {**payload, "failures": sorted(failures), "pass": not failures})
+    if failures:
+        print(f"{name}: FAILED " + "; ".join(sorted(failures)))
+        return 1
+    print(f"{name}: ok ({ok})")
+    return 0
+
+
 # ----------------------------------------------------------------------------
 # words subcommand
 # ----------------------------------------------------------------------------
@@ -225,21 +236,12 @@ def cmd_words(cfg: RunConfig) -> int:
             "right": {"even_ok": right.even_ok, "odd_ok": right.odd_ok},
             "left": {"even_ok": left.even_ok, "odd_ok": left.odd_ok},
         })
-    payload = {
+    return _finish("words", out / "parity.json", {
         "k_max": cfg.k_max,
         "complexity_max_n": cfg.subword_max,
         "complexity_ok": complexity_ok,
         "classifications": classifications,
-        "failures": sorted(failures),
-        "pass": not failures,
-    }
-    _write_json(out / "parity.json", payload)
-    if failures:
-        print("words: FAILED " + "; ".join(sorted(failures)))
-        return 1
-    print(f"words: ok (k_max={cfg.k_max}, {len(phases)} phases, "
-          f"complexity to n={cfg.subword_max})")
-    return 0
+    }, failures, f"k_max={cfg.k_max}, {len(phases)} phases, complexity to n={cfg.subword_max}")
 
 
 # ----------------------------------------------------------------------------
@@ -312,20 +314,12 @@ def cmd_traces(cfg: RunConfig) -> int:
     except TR.TraceParityError as exc:
         failures.append(f"trace-parity: {exc}")
 
-    _write_json(out / "traces_summary.json", {
+    return _finish("traces", out / "traces_summary.json", {
         "lambda": cfg.lam,
         "k_max": cfg.k_max,
         "energy_grid": list(cfg.energies),
         "parity": parity_summary,
-        "failures": sorted(failures),
-        "pass": not failures,
-    })
-    if failures:
-        print("traces: FAILED " + "; ".join(sorted(failures)))
-        return 1
-    print(f"traces: ok (lambda={cfg.lam}, {len(phases)} phases, "
-          f"{count} energies, k_max={cfg.k_max})")
-    return 0
+    }, failures, f"lambda={cfg.lam}, {len(phases)} phases, {count} energies, k_max={cfg.k_max}")
 
 
 # ----------------------------------------------------------------------------
@@ -385,22 +379,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     _write_csv(out / "norm_growth.csv",
                ["theta", "E", "side", "L", "norm_sq", "bound"], norm_rows)
 
-    _write_json(out / "spectrum.json", {
+    ok = f"lambda={cfg.lam}, levels 0..{cfg.k_max}"
+    if fit_payload:
+        ok += f", xi_hat={fit_payload['xi_hat']:.2f}"
+    return _finish("spectrum", out / "spectrum.json", {
         "lambda": cfg.lam,
         "band_counts": {str(k): v for k, v in counts.items()},
         "growth_fit": fit_payload,
         "norm_growth_constants": c_fits,
-        "failures": sorted(failures),
-        "pass": not failures,
-    })
-    if failures:
-        print("spectrum: FAILED " + "; ".join(sorted(failures)))
-        return 1
-    msg = f"spectrum: ok (lambda={cfg.lam}, levels 0..{cfg.k_max}"
-    if fit_payload:
-        msg += f", xi_hat={fit_payload['xi_hat']:.2f}"
-    print(msg + ")")
-    return 0
+    }, failures, ok)
 
 
 # ----------------------------------------------------------------------------
@@ -435,7 +422,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
                rows)
     if report.G_emp <= 0:
         failures.append("empirical-floor G_emp <= 0")
-    _write_json(out / "bound_report.json", {
+    return _finish("dynamics", out / "bound_report.json", {
         "lambda": cfg.lam,
         "C1": cfg.C1,
         "p_used": p_used,
@@ -447,15 +434,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         "box_steps": {label_of[t]: steps for t, steps in report.box_steps.items()},
         "solver": {label_of[t]: stats for t, stats in report.solver.items()},
         "table": [{**asdict(r), "theta": label_of[r.theta]} for r in report.records],
-        "failures": sorted(failures),
-        "pass": not failures,
-    })
-    if failures:
-        print("dynamics: FAILED " + "; ".join(sorted(failures)))
-        return 1
-    print(f"dynamics: ok (lambda={cfg.lam}, p_used={p_used}, "
-          f"G_emp={report.G_emp:.4f})")
-    return 0
+    }, failures, f"lambda={cfg.lam}, p_used={p_used}, G_emp={report.G_emp:.4f}")
 
 
 # ----------------------------------------------------------------------------
@@ -551,71 +530,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# RunConfig fields parsed from their argument strings; the other fields that
+# a subcommand takes are copied as parsed by argparse
+_PARSED = {"thetas", "energies", "growth", "T_grid", "p", "N"}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    updates: dict = {"out": args.out}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "jobs", None):
-        updates["jobs"] = args.jobs
-    tokens: list[str] = []
-    if getattr(args, "thetas", None):
-        tokens.extend(args.thetas)
-    if getattr(args, "theta_list", None):
-        tokens.extend(t for t in args.theta_list.split(",") if t.strip())
+    given = vars(args)
+    updates = {f.name: given[f.name] for f in fields(RunConfig)
+               if f.name in given and f.name not in _PARSED}
+    tokens = (given.get("thetas") or []) + [
+        t for t in (given.get("theta_list") or "").split(",") if t.strip()]
     if tokens:
         updates["thetas"] = tuple(tokens)
-    if getattr(args, "random_thetas", 0):
-        updates["random_thetas"] = args.random_thetas
-    if hasattr(args, "lam"):
-        updates["lam"] = args.lam
-    if getattr(args, "k_max", None) is not None:
-        updates["k_max"] = args.k_max
-    if getattr(args, "subword_max", None) is not None:
-        updates["subword_max"] = args.subword_max
-    if getattr(args, "energies", None):
+    if given.get("energies"):
         parts = args.energies.split(":")
         if len(parts) != 3:
             raise ConfigError("energy grid must be LO:HI:COUNT")
         updates["energies"] = (float(parts[0]), float(parts[1]), int(parts[2]))
-    if getattr(args, "growth", None):
+    if given.get("growth"):
         parts = args.growth.split(":")
         if len(parts) != 2:
             raise ConfigError("growth range must be KMIN:KMAX")
         updates["growth"] = (int(parts[0]), int(parts[1]))
-    if getattr(args, "T_grid", None):
+    if given.get("T_grid"):
         updates["T_grid"] = tuple(float(t) for t in args.T_grid.split(","))
-    if hasattr(args, "C1"):
-        updates["C1"] = args.C1
-    if getattr(args, "p", None) is not None:
+    if given.get("p") is not None:
         updates["p"] = args.p if args.p == "auto" else float(args.p)
-    if getattr(args, "N", None) is not None:
+    if given.get("N") is not None:
         updates["N"] = args.N if args.N == "auto" else int(args.N)
-    return replace(cfg, **updates)
+    return RunConfig(**updates)
+
+
+_COMMANDS = {"words": cmd_words, "traces": cmd_traces, "spectrum": cmd_spectrum,
+            "dynamics": cmd_dynamics, "report": cmd_report}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "words":
-            code = cmd_words(cfg)
-        elif args.command == "traces":
-            code = cmd_traces(cfg)
-        elif args.command == "spectrum":
-            code = cmd_spectrum(cfg)
-        elif args.command == "dynamics":
-            code = cmd_dynamics(cfg)
-        elif args.command == "report":
-            code = cmd_report(cfg)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
-            return 2
+        return _COMMANDS[args.command](_config_from_args(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -39,9 +39,10 @@ solver validates what it returns against an independent ``dsterf``
 eigenvalue solve, the orthonormality of the tracked rows, and the first
 moments of the operator.
 
-The dense `eigensystem` (all eigenvectors, MRRR) is kept as the reference the
-tests compare against, with `evolve`, `windowed_norm` and the time-domain
-quadrature `abel_average` as independent cross-checks of the closed form.
+Kept for the tests and the benchmark only: the dense `eigensystem` (all
+eigenvectors, MRRR, a benchmark span) with `EigenSystem`, `evolve`,
+`WavePacket`, `windowed_norm` and the time-domain quadrature `abel_average`,
+which the tests compare `site_spectrum` and the closed form against.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ __all__ = [
     "evolve",
     "windowed_norm",
     "abel_average",
-    "abel_closed_form",
     "abel_site_masses",
     "dynamical_bound_check",
     "exponent_trend",
@@ -93,6 +93,13 @@ Timescales = float | Sequence[float]
 
 class WindowError(ValueError):
     """Requested window exceeds the truncation box."""
+
+
+def _box_index(n: int, N: int) -> int:
+    """Index of site n in the box [-N, N]; WindowError outside it."""
+    if not -N <= n <= N:
+        raise WindowError(f"site {n} outside the box [-{N}, {N}]")
+    return n + N
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,7 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
     def site_index(self, n: int) -> int:
-        if not -self.trunc.N <= n <= self.trunc.N:
-            raise WindowError(f"site {n} outside the box [-{self.trunc.N}, {self.trunc.N}]")
-        return n + self.trunc.N
+        return _box_index(n, self.trunc.N)
 
     def initial_coefficients(self, site: int = 1) -> np.ndarray:
         """Eigenbasis coefficients of the unit vector at the given site."""
@@ -151,8 +156,7 @@ class SiteSpectrum:
         where = {n: i for i, n in enumerate(self.sites)}
         picks = []
         for n in sites:
-            if not -self.trunc.N <= n <= self.trunc.N:
-                raise WindowError(f"site {n} outside the box [-{self.trunc.N}, {self.trunc.N}]")
+            _box_index(n, self.trunc.N)
             if n not in where:
                 raise KeyError(f"site {n} was not tracked by the solver")
             picks.append(where[n])
@@ -499,10 +503,7 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     and the three defects.
     """
     tracked = sorted({int(n) for n in sites} | {1})
-    for n in (tracked[0], tracked[-1]):
-        if not -trunc.N <= n <= trunc.N:
-            raise WindowError(f"site {n} outside the box [-{trunc.N}, {trunc.N}]")
-    rows_at = np.array(tracked) + trunc.N
+    rows_at = np.array([_box_index(n, trunc.N) for n in tracked])
     w, rows, (small, close) = _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at)
     reference, info = lapack.dsterf(trunc.diagonal, trunc.offdiagonal)
     if info != 0:
@@ -620,11 +621,6 @@ def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: Timescales) -> np
     # rounding can leave ~1e-20 negatives at numerically empty sites
     np.maximum(acc, 0.0, out=acc)
     return acc[0] if scalar else acc
-
-
-def abel_closed_form(es: EigenSystem, n: int, T: float) -> float:
-    """Closed-form Abel mean of the probability at one site."""
-    return float(abel_site_masses(es, [n], T)[0])
 
 
 def _window_mass(site_masses: dict, L: float) -> float:

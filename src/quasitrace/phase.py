@@ -88,10 +88,6 @@ class PhasePoint:
         scaled = ((frac.numerator << (bits + 1)) // frac.denominator + 1) >> 1
         return cls(scaled % (1 << bits), bits)
 
-    @classmethod
-    def from_float(cls, value: float, bits: int = PRECISION_BITS) -> "PhasePoint":
-        return cls.from_decimal(repr(float(value) % 1.0), bits)
-
     # -- exact circle arithmetic ----------------------------------------
 
     def _check(self, other: "PhasePoint") -> None:

@@ -20,6 +20,9 @@ points are built as linspace builds them, ``arange(n) * ((hi - lo) / (n - 1))
 + lo`` with the last point set to ``hi``.  In-band runs break at every segment
 boundary, so the runs, their brackets and the bands are those of the
 per-segment scan bit for bit.
+
+No public name here is kept for the tests alone.  `trace_grid` is also a
+benchmark span, and the tests hold it to the transfer-matrix sweeps.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ _SCAN_BLOCK_POINTS = 1 << 17
 
 
 class BandResolutionError(RuntimeError):
-    """Band census did not stabilize under grid refinement."""
+    """Band census empty, or unstable under grid refinement."""
 
 
 class DegenerateGrowthError(RuntimeError):
@@ -120,9 +123,9 @@ def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool):
 
     Returns the lists (xs, ds) of x_j and, with `derivatives`, dx_j/dE.  With
     `keep_all` they hold levels 0..max(k_max, 2); without it only the last
-    three levels are kept, so x_k_max is ``xs[min(k_max, 2)]``.
+    three levels are kept, so x_k_max is ``xs[min(k_max, 2)]``.  E is a float64
+    array, or an XReal, in which the tests run it far past float64 range.
     """
-    E = np.asarray(E, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         xs = [E - lam, E * E - lam * E - 2.0, (E - lam) * (E * (E - lam) - 2.0) - E]
         ds = []
@@ -145,7 +148,7 @@ def trace_grid(E, lam: float, k_max: int, derivatives: bool = False):
     every band (bounded orbits stay below ~lam + 6 by the trace invariant),
     so band detection treats non-finite as out.
     """
-    xs, ds = _recurse(E, lam, k_max, derivatives, keep_all=True)
+    xs, ds = _recurse(np.asarray(E, dtype=float), lam, k_max, derivatives, keep_all=True)
     if derivatives:
         return xs[: k_max + 1], ds[: k_max + 1]
     return xs[: k_max + 1]
@@ -226,21 +229,15 @@ def _detect_bands(segments, lam: float, k: int, per_segment: int) -> list[Band]:
     runs = _scan_segments(segments, lam, k, per_segment)
     if not runs:
         return []
-    left_out, left_in, right_in, right_out = zip(*runs)
-    los = list(left_in)
-    his = list(right_in)
-    refine_left = [i for i, v in enumerate(left_out) if v is not None]
-    refine_right = [i for i, v in enumerate(right_out) if v is not None]
-    if refine_left:
-        refined = _bisect_edges([left_out[i] for i in refine_left],
-                                [left_in[i] for i in refine_left], lam, k)
-        for j, i in enumerate(refine_left):
-            los[i] = float(refined[j])
-    if refine_right:
-        refined = _bisect_edges([right_out[i] for i in refine_right],
-                                [right_in[i] for i in refine_right], lam, k)
-        for j, i in enumerate(refine_right):
-            his[i] = float(refined[j])
+    columns = list(zip(*runs))
+    los, his = list(columns[1]), list(columns[2])
+    for outer, edges in ((columns[0], los), (columns[3], his)):  # left edges, then right
+        refine = [i for i, v in enumerate(outer) if v is not None]
+        if refine:
+            refined = _bisect_edges([outer[i] for i in refine], [edges[i] for i in refine],
+                                    lam, k)
+            for j, i in enumerate(refine):
+                edges[i] = float(refined[j])
     out = [Band(k, lo, hi, lam) for lo, hi in zip(los, his) if lo < hi]
     # zero-width runs (single grid point, edges collapsed) still count as bands
     for lo, hi in zip(los, his):
@@ -321,6 +318,9 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
             raise BandResolutionError(
                 f"band census at level {level}, coupling {lam} unstable under refinement"
             )
+        if not found:  # every level has F(level) >= 1 bands
+            raise BandResolutionError(
+                f"no band resolvable in float64 at level {level}, coupling {lam}")
         if abs(lam) > 6.0 and len(found) < fib_number(level):
             # narrowest bands can sink below float64 noise at high level and
             # strong coupling; they carry the largest derivatives, so minima

@@ -41,6 +41,11 @@ kept, because they fix the sign of zero entries.  The rescale check is
 skipped only while a running upper bound on the entries shows that no lane
 can pass 2**256, so each lane rescales at exactly the sites where the scalar
 code does, and never because another lane did.
+
+Kept for the tests and the benchmark only.  `TransferMatrix`, `local_matrix`
+and `transfer_product` with the scalar layer are the references the tests
+hold the lane sweep to; `norm_trace_inequality` (one level, raising) is what
+the tests and a benchmark span call in place of `norm_trace_margins`.
 """
 
 from __future__ import annotations
@@ -60,20 +65,14 @@ from .xfloat import XReal, rel_gap
 __all__ = [
     "TransferMatrix",
     "DualScalar",
-    "TraceSample",
     "TraceParityReport",
     "TraceParityError",
     "MarginViolationError",
     "local_matrix",
     "transfer_product",
-    "trace_right",
-    "trace_left",
     "traces_right_upto",
     "traces_left_upto",
-    "trace_sequence_recursive",
-    "trace_derivative",
     "dual_traces_upto",
-    "cumulative_norm",
     "norm_profile",
     "norm_trace_margins",
     "norm_trace_inequality",
@@ -409,26 +408,6 @@ class DualScalar:
     value: XReal
     deriv: XReal
 
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
-
-    @property
-    def deriv_float(self) -> float:
-        return float(self.deriv)
-
-
-@dataclass(frozen=True)
-class TraceSample:
-    """One (level, energy, coupling, phase) trace record."""
-
-    k: int
-    E: float
-    lam: float
-    theta: PhasePoint
-    x: XReal
-    dx: XReal
-
 
 # ----------------------------------------------------------------------------
 # products and traces
@@ -475,33 +454,6 @@ def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
     return _traces_upto("left", k_max, E, lam, theta)
 
 
-def trace_right(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
-    """Trace of the product over sites 1..F(k)."""
-    return traces_right_upto(k, E, lam, theta)[k]
-
-
-def trace_left(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
-    """Trace of the inverse-factor product over sites -F(k)+1..0."""
-    return traces_left_upto(k, E, lam, theta)[k]
-
-
-def trace_sequence_recursive(k_max: int, E: float, lam: float) -> list[XReal]:
-    """Phase-zero traces by the three-term recursion x(k+1) = x(k)x(k-1) - x(k-2).
-
-    Seeds are taken from direct products; the recursion is a Cayley-Hamilton
-    consequence of the two-block concatenation of level words.  Costs O(k_max)
-    scalar operations instead of O(F(k_max)) matrix products.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    seeds = traces_right_upto(min(k_max, 2), E, lam, PhasePoint.zero())
-    xs = list(seeds)
-    for _ in range(3, k_max + 2):
-        if len(xs) >= 3:
-            xs.append(xs[-1] * xs[-2] - xs[-3])
-    return xs[: k_max + 1]
-
-
 def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
     """Right-half-line traces and their energy derivatives at Fibonacci lengths."""
     lanes, scalar = _lanes(E)
@@ -512,11 +464,6 @@ def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
          for mark in marks],
         scalar,
     )
-
-
-def trace_derivative(k: int, E: float, lam: float, theta: PhasePoint) -> DualScalar:
-    """(trace, d trace / dE) for the length-F(k) right-half-line product."""
-    return dual_traces_upto(k, E, lam, theta)[k]
 
 
 # ----------------------------------------------------------------------------
@@ -555,13 +502,6 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
                       for total, norm in zip(totals, _xreals(edge.norm_m, edge.norm_e))]
         result[l] = totals
     return _per_energy([result[abs(l)] for l in ls], scalar)
-
-
-def cumulative_norm(L: float, E: float, lam: float, theta: PhasePoint) -> XReal:
-    """Windowed squared-norm sum at window length L (sign selects the half-line)."""
-    if L == 0:
-        return XReal()
-    return norm_profile([L], E, lam, theta)[0]
 
 
 def _margin(total: XReal, dual: XReal) -> XReal | None:

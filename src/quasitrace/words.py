@@ -67,16 +67,6 @@ class Word:
                 raise ValueError(f"not a binary word: {text!r}")
         return cls(bits, len(text))
 
-    @classmethod
-    def from_symbols(cls, symbols) -> "Word":
-        bits = 0
-        n = 0
-        for s in symbols:
-            if s:
-                bits |= 1 << n
-            n += 1
-        return cls(bits, n)
-
     @property
     def bits(self) -> int:
         return self._bits
@@ -136,9 +126,6 @@ class Word:
         """Cyclic shift moving position r to the front."""
         r %= max(self._len, 1)
         return self[r:] + self[:r]
-
-    def occurs_in(self, other: "Word") -> bool:
-        return self.to01() in other.to01()
 
     def is_rotation_of(self, other: "Word") -> bool:
         if self._len != other._len:
@@ -220,19 +207,7 @@ def rotation_symbol(n: int, theta: PhasePoint, monitor: EndpointMonitor | None =
     and the comparison is exact in fixed point.  If a monitor is supplied,
     evaluations within 2**-64 of either endpoint are recorded.
     """
-    bits = theta.bits
-    one = 1 << bits
-    om = omega(bits).raw
-    val = (n * om + theta.raw) % one
-    left = one - om
-    if monitor is not None:
-        near = 1 << (bits - 64)
-        d_left = abs(val - left)
-        d_right = min(val, one - val)
-        d = min(d_left, d_right)
-        if d < near:
-            monitor.record(n, d / one)
-    return 1 if val >= left else 0
+    return rotation_block(n, n, theta, monitor)[0]
 
 
 def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,

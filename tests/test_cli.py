@@ -266,6 +266,25 @@ def test_exit_code_non_finite_c1(tmp_path, bad):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_exit_code_jobs_below_one(tmp_path, jobs):
+    proc = run_cli(["words", "--k-max", "3", "--subword-max", "5", "--jobs", jobs,
+                    "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "jobs >= 1" in proc.stderr
+
+
+def test_exit_code_empty_band_census(tmp_path):
+    # at coupling 100 float64 resolves no band at level 18 of the growth scan
+    proc = run_cli(["spectrum", "--lambda", "100", "--out", str(tmp_path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["pass"] is False
+    assert payload["failures"] == [
+        "growth: no band resolvable in float64 at level 18, coupling 100.0"]
+
+
 def test_exit_code_success(tmp_path):
     proc = run_cli(["words", "--k-max", "3", "--subword-max", "5",
                     "--out", str(tmp_path)])

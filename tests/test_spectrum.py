@@ -20,7 +20,7 @@ def test_trace_grid_matches_transfer_products():
     xs = SP.trace_grid(energies, 10.0, 10)
     for k in (0, 1, 2, 5, 10):
         for i, E in enumerate(energies):
-            ref = float(TR.trace_right(k, float(E), 10.0, TH0))
+            ref = float(TR.traces_right_upto(k, float(E), 10.0, TH0)[k])
             assert xs[k][i] == pytest.approx(ref, rel=1e-10, abs=1e-9)
 
 
@@ -29,9 +29,9 @@ def test_trace_grid_derivatives_match_duals():
     xs, ds = SP.trace_grid(energies, 10.0, 9, derivatives=True)
     for k in (1, 4, 9):
         for i, E in enumerate(energies):
-            ref = TR.trace_derivative(k, float(E), 10.0, TH0)
-            assert xs[k][i] == pytest.approx(ref.value_float, rel=1e-10, abs=1e-9)
-            assert ds[k][i] == pytest.approx(ref.deriv_float, rel=1e-10, abs=1e-9)
+            ref = TR.dual_traces_upto(k, float(E), 10.0, TH0)[k]
+            assert xs[k][i] == pytest.approx(float(ref.value), rel=1e-10, abs=1e-9)
+            assert ds[k][i] == pytest.approx(float(ref.deriv), rel=1e-10, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_bands_independent_revalidation_against_products():
     # re-evaluate the trace by direct matrix products at 64 interior points
     band = SP.bands(8, 10.0)[21]
     for E in np.linspace(band.lo, band.hi, 64):
-        assert abs(float(TR.trace_right(8, float(E), 10.0, TH0))) <= 2.0 + 1e-9
+        assert abs(float(TR.traces_right_upto(8, float(E), 10.0, TH0)[8])) <= 2.0 + 1e-9
 
 
 def test_spectrum_cover_nesting():
@@ -251,6 +251,14 @@ def test_census_gate_acts_on_the_modulus_of_the_coupling(monkeypatch):
     with pytest.raises(SP.BandResolutionError):
         SP.bands(0, -10.0)
     assert len(SP.bands(0, -2.0)) == 2
+
+
+def test_bands_raise_on_an_empty_census(monkeypatch):
+    # every level has F(k) >= 1 bands; at coupling 1000 float64 resolves none
+    # at level 1, which the next level's parent merge could not take
+    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+    with pytest.raises(SP.BandResolutionError, match="no band .* level 1,"):
+        SP.bands(3, 1000.0)
 
 
 def test_bands_rejects_out_of_range():

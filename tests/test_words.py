@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quasitrace.phase import PRECISION_BITS, EndpointMonitor, PhasePoint
+from quasitrace.phase import PRECISION_BITS, EndpointMonitor, PhasePoint, omega
 from quasitrace import words as W
 
 
@@ -39,6 +40,28 @@ def test_word_round_trip_and_slicing():
 def test_word_rejects_non_binary():
     with pytest.raises(ValueError):
         W.Word.from_str("10120")
+
+
+BINARY = st.text(alphabet="01", max_size=80)
+
+
+@given(BINARY, BINARY, st.integers(-100, 100), st.integers(-100, 100))
+def test_word_operations_match_strings(a, b, i, j):
+    w, v = W.Word.from_str(a), W.Word.from_str(b)
+    assert w.to01() == str(w) == a and len(w) == len(a)
+    assert w.ones() == a.count("1")
+    assert w == W.Word.from_str(a) and (w == v) == (a == b)
+    assert w[i:j].to01() == a[i:j]
+    assert (w + v).to01() == a + b
+    assert [str(s) for s in w] == list(a)
+    rotations_of_b = {b[r:] + b[:r] for r in range(max(len(b), 1))}
+    assert w.is_rotation_of(v) == (len(a) == len(b) and a in rotations_of_b)
+    if a:
+        n = i % (2 * len(a)) - len(a)  # a valid index, negative or not
+        assert w[n] == int(a[n])
+        r = i % len(a)
+        assert w.rotate(i).to01() == a[r:] + a[:r]
+        assert w.rotate(i).is_rotation_of(w)
 
 
 def test_rotation_membership():
@@ -138,6 +161,28 @@ def test_rotation_block_consistent_with_symbols():
     block = W.rotation_block(-40, 40, theta)
     for i, n in enumerate(range(-40, 41)):
         assert block[i] == W.rotation_symbol(n, theta)
+
+
+@st.composite
+def _phases(draw):
+    """Random phases, and phases within a few 2**-62 of -m omega, where site m
+    sits on the right endpoint and site m - 1 on the left one."""
+    if draw(st.booleans()):
+        return PhasePoint(draw(st.integers(0, (1 << PRECISION_BITS) - 1)))
+    near = omega().times(-draw(st.integers(-60, 100)))
+    offset = draw(st.integers(-(1 << (PRECISION_BITS - 62)), 1 << (PRECISION_BITS - 62)))
+    return PhasePoint((near.raw + offset) % (1 << PRECISION_BITS))
+
+
+@given(_phases(), st.integers(-60, 60), st.integers(0, 40))
+def test_rotation_symbols_match_block_and_monitor(theta, lo, span):
+    sites = range(lo, lo + span + 1)
+    block_monitor, symbol_monitor = EndpointMonitor(), EndpointMonitor()
+    block = W.rotation_block(lo, lo + span, theta, block_monitor)
+    assert [W.rotation_symbol(n, theta, symbol_monitor) for n in sites] == list(block)
+    assert W.rotation_block(lo, lo + span, theta) == block
+    assert symbol_monitor.hits == block_monitor.hits
+    assert symbol_monitor.samples == block_monitor.samples
 
 
 # ---------------------------------------------------------------------------
