@@ -291,13 +291,11 @@ def cmd_traces(cfg: RunConfig) -> int:
     norm_rows = []
     levels = [W.fib_number(k) for k in range(4, k_norm + 1)]
     for label, theta in phases:
-        sums = {side: TR.norm_profile([side * l for l in levels], margin_energies,
-                                      cfg.lam, theta)
-                for side in (1, -1)}
-        for i, E in enumerate(margin_energies):
-            for side in (1, -1):
-                for l, value in zip(levels, sums[side][i]):
-                    norm_rows.append((side * l, E, cfg.lam, theta, value))
+        signed = levels + [-l for l in levels]
+        sums = TR.norm_profile(signed, margin_energies, cfg.lam, theta)
+        for E, values in zip(margin_energies, sums):
+            for l, value in zip(signed, values):
+                norm_rows.append((l, E, cfg.lam, theta, value))
     _write_csv(out / "norms.csv", ["L", "E", "lambda", "theta", "norm_sq"], norm_rows)
 
     tasks = [(pt.raw, pt.bits, cfg.lam, energies, cfg.k_max, xs)
@@ -399,11 +397,15 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     phases = cfg.phase_points()
+    trend = None
     if cfg.p == "auto":
         if cfg.lam <= 8.0:
             raise ConfigError("automatic exponent calibration needs coupling > 8; pass --p")
-        trend = DY.exponent_trend([cfg.lam], parse_theta("1/2"), T_grid=cfg.T_grid)
-        p_used = trend[0].p_fit
+        label = "1/2"
+        (row,) = DY.exponent_trend([cfg.lam], parse_theta(label), T_grid=cfg.T_grid)
+        p_used = row.p_fit
+        trend = {"theta": label, "p_fit": row.p_fit, "N_used": row.box_steps[-1][0],
+                 "box_steps": row.box_steps}
     else:
         p_used = float(cfg.p)
     report = DY.dynamical_bound_check(
@@ -426,6 +428,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         "lambda": cfg.lam,
         "C1": cfg.C1,
         "p_used": p_used,
+        **({"trend": trend} if trend else {}),
         "G_emp": report.G_emp,
         "theta_list": [lab for lab, _ in phases],
         "T_grid": list(report.T_grid),

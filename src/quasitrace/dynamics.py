@@ -209,6 +209,7 @@ class TrendRow:
     lam: float
     p_fit: float
     masses: tuple  # ((p, T, mass) ...) for the fitted exponent
+    box_steps: tuple  # ((N, worst trunc_bound), ...) for every box tried
 
 
 def build_truncation(N: int, lam: float, theta: PhasePoint) -> Truncation:
@@ -303,6 +304,14 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     from it, as dlaed4 represents them.  `_root_gaps` rebuilds every
     pole-minus-root difference from those: |poles_i - origin| is at most
     twice |poles_i - root|, so the difference keeps full relative accuracy.
+
+    One dlaed4 call per root, from Python, is not the cost to chase.  On the
+    2001-site box at coupling 6 and phase 0 (127 merges, 13,772 roots, k up
+    to 1963; 2-vCPU VM) the loop took 0.20 s, of which about 5 us per call,
+    some 0.07 s, is the ctypes call and the rest dlaed4's own O(k) work per
+    root.  LAPACK dlaed9, which finds the same roots and the Gu-Eisenstat
+    vectors in one Fortran call, took 0.24 s there and needs two k x k
+    arrays, 62 MB at k = 1963.
     """
     k = len(poles)
     roots, origin, offset = [], [], []
@@ -704,7 +713,8 @@ def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0,
     floor at every timescale.  The box is the first certified one of the
     doubling from 2 * `_BOX_MARGIN`, with every site up to the largest window
     tracked; a window that covers the box is clipped to it, whose mass 1 is
-    the true mass up to the certified error.
+    the true mass up to the certified error.  Each row keeps the boxes tried,
+    the last one certified.
     """
     if p_grid is None:
         p_grid = [round(0.05 * i, 2) for i in range(1, 21)]
@@ -726,5 +736,5 @@ def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0,
                 break
         if p_fit is None:
             raise AssertionError(f"no exponent on the grid confines coupling {lam}")
-        rows.append(TrendRow(lam, p_fit, tuple(fitted)))
+        rows.append(TrendRow(lam, p_fit, tuple(fitted), steps))
     return rows

@@ -21,6 +21,13 @@ points are built as linspace builds them, ``arange(n) * ((hi - lo) / (n - 1))
 boundary, so the runs, their brackets and the bands are those of the
 per-segment scan bit for bit.
 
+A refinement attempt compares the census at p points per parent with the one
+at 2p - 1 and evaluates only the finer grid.  Its even-indexed points are the
+coarse grid bit for bit: (hi - lo) / (2m) is exactly ((hi - lo) / m) / 2 in
+binary floating point, so 2j times the fine step is j times the coarse step,
+and both grids end on ``hi``.  The coarse census is the run count on those
+points, and only the fine runs are bisected into bands.
+
 No public name here is kept for the tests alone.  `trace_grid` is also a
 benchmark span, and the tests hold it to the transfer-matrix sweeps.
 """
@@ -172,6 +179,10 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
     independent of merging.  Neighbouring out-of-band grid points provide the
     bisection brackets; None marks a band edge lying on the segment boundary
     itself.
+
+    Also returns the number of in-band runs on the even-indexed points of
+    each segment, which for per_parent = 2p - 1 is the run count of the scan
+    at p points per parent.
     """
     lo, hi, weight = segments
     sizes = weight * (per_parent - 1) + 1
@@ -181,12 +192,13 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
     offsets = np.cumsum(sizes) - sizes
     cuts = np.flatnonzero(np.diff(offsets // _SCAN_BLOCK_POINTS)) + 1
     runs = []
+    coarse = 0
     for block in np.split(np.arange(sizes.size), cuts):
         n = sizes[block]
         first = np.cumsum(n) - n
         total = int(n.sum())
-        grid = ((np.arange(total) - np.repeat(first, n)) * np.repeat(step[block], n)
-                + np.repeat(lo[block], n))
+        index = np.arange(total) - np.repeat(first, n)
+        grid = index * np.repeat(step[block], n) + np.repeat(lo[block], n)
         grid[first + n - 1] = hi[block]
         vals = _trace_at(grid, lam, k)
         inside = np.isfinite(vals) & (np.abs(vals) <= 2.0)
@@ -201,7 +213,10 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
                 grid[starts - 1], grid[starts], grid[ends], grid[(ends + 1) % total],
                 at_lo[starts].tolist(), at_hi[ends].tolist())
         )
-    return runs
+        even = index % 2 == 0
+        inside, at_lo = inside[even], at_lo[even]
+        coarse += int(np.count_nonzero(inside & (at_lo | ~np.roll(inside, 1))))
+    return runs, coarse
 
 
 def _bisect_edges(outer, inner, lam: float, k: int):
@@ -225,10 +240,11 @@ def _bisect_edges(outer, inner, lam: float, k: int):
     return hi  # converged in-band side
 
 
-def _detect_bands(segments, lam: float, k: int, per_segment: int) -> list[Band]:
-    runs = _scan_segments(segments, lam, k, per_segment)
+def _detect_bands(segments, lam: float, k: int, per_segment: int):
+    """The bands of one scan, and the run count on its even-indexed points."""
+    runs, coarse = _scan_segments(segments, lam, k, per_segment)
     if not runs:
-        return []
+        return [], coarse
     columns = list(zip(*runs))
     los, his = list(columns[1]), list(columns[2])
     for outer, edges in ((columns[0], los), (columns[3], his)):  # left edges, then right
@@ -244,7 +260,7 @@ def _detect_bands(segments, lam: float, k: int, per_segment: int) -> list[Band]:
         if lo >= hi:
             eps = 2.0 * np.spacing(abs(lo) + 1.0)
             out.append(Band(k, lo - eps, hi + eps, lam))
-    return sorted(out, key=lambda b: b.lo)
+    return sorted(out, key=lambda b: b.lo), coarse
 
 
 def _edge_pad(edge):
@@ -270,10 +286,10 @@ _BANDS_CACHE: dict = {}
 def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
     """Maximal closed intervals where |x_k| <= 2, by hierarchical refinement.
 
-    The census on any grid must match the census on the doubled grid; if two
-    refinement rounds cannot stabilize it, the scan aborts.  For couplings
-    above 6 in modulus the count is additionally pinned to F(k) (all gaps
-    open there).  A negative coupling mirrors the bands: x_k(-E, -lam) =
+    The census on any grid must match the census on the doubled grid, read
+    off the even points of one scan; if two refinement rounds cannot
+    stabilize it, the scan aborts.  For couplings above 6 in modulus the
+    count is additionally pinned to F(k) (all gaps open there).  A negative coupling mirrors the bands: x_k(-E, -lam) =
     (-1)^F(k) x_k(E, lam).
     """
     if k < 0:
@@ -304,14 +320,14 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
         pts = base_pts
         found = None
         for _attempt in range(3):
-            first = _detect_bands(segments, lam, level, pts)
-            second = _detect_bands(segments, lam, level, 2 * pts - 1)
-            stable = len(first) == len(second)
+            # the census at pts points is that of the even points of the doubled grid
+            fine, coarse = _detect_bands(segments, lam, level, 2 * pts - 1)
+            stable = coarse == len(fine)
             # above coupling 6 all gaps are open, so more than F(k) bands can
             # only be spurious splits: treat as instability and refine
-            not_split = (abs(lam) <= 6.0) or (len(second) <= fib_number(level))
+            not_split = (abs(lam) <= 6.0) or (len(fine) <= fib_number(level))
             if stable and not_split:
-                found = second
+                found = fine
                 break
             pts = 4 * pts - 3
         if found is None:
@@ -424,10 +440,10 @@ def norm_growth_check(lam: float, theta: PhasePoint, E_sample, L_grid,
         raise ValueError("window grid must be positive; sides are handled internally")
     records = []
     c_fit = {}
-    sums = {side: transfer.norm_profile([side * l for l in ls], energies, lam, theta)
-            for side in (+1, -1)}
+    sums = transfer.norm_profile(ls + [-l for l in ls], energies, lam, theta)
     for i, E in enumerate(energies):
-        per_side = {side: [float(s) for s in sums[side][i]] for side in (+1, -1)}
+        values = [float(s) for s in sums[i]]
+        per_side = {+1: values[:len(ls)], -1: values[len(ls):]}
         c = min(
             val / l**zeta
             for side in (+1, -1)

@@ -17,7 +17,9 @@ the same for sums; `_norm_sq` gives the squared spectral norm as an XReal.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
 one-site matrices along the potential for many energies at once, one lane per
-energy:
+energy and half-line.  A sweep runs on one side, or on both: then each lane
+steps along its own half-line, so the right and left norm sums of
+`norm_profile` come from one pass.
 
 - lane state: the four float64 entries of the product as a (4, lanes) array
   and an int64 exponent per lane; with derivatives, the same again for
@@ -41,6 +43,15 @@ kept, because they fix the sign of zero entries.  The rescale check is
 skipped only while a running upper bound on the entries shows that no lane
 can pass 2**256, so each lane rescales at exactly the sites where the scalar
 code does, and never because another lane did.
+
+A one-sided sweep runs the step of its side as written.  A two-sided sweep
+runs one step for both sides, x * t + y * s and x * -s + y * 0.0 with s = -1
+on the right lanes and 1 on the left ones.  By the same rewrites that is
+x * t - y and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 -
+x on the left, with the signs of zeros kept.  Each lane's factor is picked
+per site from the four (right symbol, left symbol) pairs, and one gather puts
+every lane's entries in (a, b, c, d) order before its squared norm, so the
+squares add in the order of `_norm_sq`.
 
 Kept for the tests and the benchmark only.  `TransferMatrix`, `local_matrix`
 and `transfer_product` with the scalar layer are the references the tests
@@ -279,32 +290,56 @@ def _xadd_lanes(am, ae, bm, be):
     return m, np.maximum(ae, be) + ex
 
 
-def _sweep(side: str, E: np.ndarray, lam: float, theta: PhasePoint, marks,
+def _sweep(side, E: np.ndarray, lam: float, theta: PhasePoint, marks,
            *, deriv: bool = False, norms: bool = False) -> list[_Mark]:
     """Multiply the one-site matrices for every energy lane; record at marks.
 
     `side` is "right" (T(n)...T(1) over sites 1..n), "left" (T(0)T(-1)...
-    over sites 0, -1, ...) or "inverse" (T(n+1)**-1...T(0)**-1, ascending).
+    over sites 0, -1, ...) or "inverse" (T(n+1)**-1...T(0)**-1, ascending),
+    or, for a two-sided sweep, a sequence giving "right" or "left" per lane;
+    each lane then keeps its entries in the row order of its own side.
     `marks` are increasing site counts >= 1.  `deriv` carries dM/dE by the
-    product rule (right and left only); `norms` carries the running sum of
-    squared norms over sites 1..n.  Norms of unimodular products are at
-    least 1, so the zero branches of `XReal.__add__` never apply after the
-    first site.
+    product rule (one-sided right and left sweeps only); `norms` carries the
+    running sum of squared norms over sites 1..n.  Norms of unimodular
+    products are at least 1, so the zero branches of `XReal.__add__` never
+    apply after the first site.
     """
-    if deriv and side == "inverse":
-        raise ValueError("derivatives are carried on the right and left sides only")
-    step, rows = _STEPS[side], _ROWS[side]
     top = marks[-1]
-    if side == "right":
-        pattern = _potential_pattern(theta, 1, top)
-    else:
-        pattern = _potential_pattern(theta, -top + 1, 0)
-        if side == "left":
-            pattern = pattern[::-1]  # site 0, -1, -2, ...
     factor = {"0": E, "1": E - lam}
     # a step multiplies the largest entry by at most max |t| + 1
     growth = (max(np.abs(E).max(initial=0.0), np.abs(factor["1"]).max(initial=0.0))
               + 1.0) * _SLACK
+    rows, gather = _ROWS["right"], None
+    if isinstance(side, str):
+        if deriv and side == "inverse":
+            raise ValueError("derivatives are carried on the right and left sides only")
+        step, rows = _STEPS[side], _ROWS[side]
+        if side == "right":
+            symbols = _potential_pattern(theta, 1, top)
+        else:
+            symbols = _potential_pattern(theta, -top + 1, 0)
+            if side == "left":
+                symbols = symbols[::-1]  # site 0, -1, -2, ...
+    else:
+        if set(side) != {"right", "left"} or len(side) != E.size:
+            raise ValueError("a two-sided sweep takes 'right' or 'left' per lane, both used")
+        if deriv:
+            raise ValueError("derivatives are carried on one-sided sweeps only")
+        left = np.array([s == "left" for s in side])
+        # both steps in one, bit for bit: see "Byte identity" in the module docstring
+        sign = np.where(left, 1.0, -1.0)
+        flip = -sign
+
+        def step(x, y, t):
+            return x * t + y * sign, x * flip + y * 0.0
+
+        # per site the factor of each lane, by the (right, left) symbol pair
+        factor = {r + l: np.where(left, factor[l], factor[r]) for r in "01" for l in "01"}
+        symbols = map(str.__add__, _potential_pattern(theta, 1, top),
+                      _potential_pattern(theta, -top + 1, 0)[::-1])
+        # flat indices that put every lane's entries in (a, b, c, d) order
+        order = np.where(left, np.array(_ROWS["left"])[:, None], np.arange(4)[:, None])
+        gather = order * E.size + np.arange(E.size)
     m = np.zeros((4, E.size))
     m[0] = m[3] = 1.0  # a and d sit there on every side
     e = np.zeros(E.size, dtype=np.int64)
@@ -315,7 +350,7 @@ def _sweep(side: str, E: np.ndarray, lam: float, theta: PhasePoint, marks,
     out: list[_Mark] = []
     pending = iter(marks)
     want = next(pending)
-    for n, ch in enumerate(pattern, start=1):
+    for n, ch in enumerate(symbols, start=1):
         t = factor[ch]
         if deriv:
             # (T M)' = T' M + T M' and (M T)' = M T' + M' T with T' = [[1, 0],
@@ -326,7 +361,7 @@ def _sweep(side: str, E: np.ndarray, lam: float, theta: PhasePoint, marks,
                                      (bound + tbound) * _SLACK)
         m, e, bound = _renorm(np.concatenate(step(m[:2], m[2:], t)), e, bound * growth)
         if norms:
-            norm_m, norm_e = _norm_sq_lanes(m, e, rows)
+            norm_m, norm_e = _norm_sq_lanes(m if gather is None else m.take(gather), e, rows)
             if n == 1:
                 sum_m, sum_e = norm_m, norm_e
             else:
@@ -473,35 +508,43 @@ def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
 def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
     """Windowed squared-norm sums at several window lengths, one pass.
 
-    All entries of l_values must share a sign.  Positive windows sum
-    ||M(1)||^2 .. ||M(floor(L))||^2 plus the fractional edge term; negative
-    windows do the mirrored left-half-line sum over sites -1 .. -floor(|L|).
-    Singular values of the inverse of a det-1 matrix coincide with those of
-    the matrix itself, so the left side accumulates direct factors downward.
+    Positive windows sum ||M(1)||^2 .. ||M(floor(L))||^2 plus the fractional
+    edge term; negative windows do the mirrored left-half-line sum over sites
+    -1 .. -floor(|L|).  Singular values of the inverse of a det-1 matrix
+    coincide with those of the matrix itself, so the left side accumulates
+    direct factors downward.  Windows of both signs share one two-sided
+    sweep, a block of lanes per half-line, bit-identical to a call per sign.
     """
     ls = list(l_values)
     lanes, scalar = _lanes(E)
     if not ls:
         return [] if scalar else [[] for _ in range(lanes.size)]
-    if all(l > 0 for l in ls):
-        side = "right"
-    elif all(l < 0 for l in ls):
-        side = "left"
-    else:
-        raise ValueError("window lengths must be all positive or all negative")
+    if 0 in ls:
+        raise ValueError("window lengths must be nonzero")
+    blocks = [side for side, sign in (("right", 1), ("left", -1))
+              if any(l * sign > 0 for l in ls)]
+    sides = blocks[0] if len(blocks) == 1 else [s for s in blocks for _ in lanes]
     mags = sorted(set(abs(l) for l in ls))
     edges = {n for l in mags for n in (math.floor(l), math.floor(l) + 1)} - {0}
-    at = {mark.n: mark for mark in _sweep(side, lanes, lam, theta, sorted(edges), norms=True)}
+    at = {mark.n: mark for mark in _sweep(sides, np.tile(lanes, len(blocks)), lam, theta,
+                                          sorted(edges), norms=True)}
     result: dict[float, list[XReal]] = {}
     for l in mags:
         fl = math.floor(l)
-        totals = _xreals(at[fl].sum_m, at[fl].sum_e) if fl else [XReal()] * lanes.size
+        totals = (_xreals(at[fl].sum_m, at[fl].sum_e) if fl
+                  else [XReal()] * (lanes.size * len(blocks)))
         if l > fl:
             edge = at[fl + 1]
             totals = [total + (l - fl) * norm
                       for total, norm in zip(totals, _xreals(edge.norm_m, edge.norm_e))]
         result[l] = totals
-    return _per_energy([result[abs(l)] for l in ls], scalar)
+    n = lanes.size
+    offset = {side: i * n for i, side in enumerate(blocks)}
+    columns = []
+    for l in ls:
+        o = offset["right" if l > 0 else "left"]
+        columns.append(result[abs(l)][o:o + n])
+    return _per_energy(columns, scalar)
 
 
 def _margin(total: XReal, dual: XReal) -> XReal | None:

@@ -5,6 +5,13 @@ interval [1-omega, 1); it is equivalently generated by the substitution
 0 -> 1, 1 -> 10.  Finite words are stored packed: bit i of an integer holds
 the symbol at position i, so concatenation, slicing, rotation and equality
 are cheap big-integer operations even for words of 10**8 symbols.
+
+No CLI path calls `substitute` or `hull_membership_check`; they stay public as
+the two definitions a word is checked against.  `substitute` is the rule
+0 -> 1, 1 -> 10 itself, from which `fib_word` and its faster concatenation
+must not drift.  `hull_membership_check` says at a finite scale whether a
+window, taken from any sequence, carries exactly the factors of w: membership
+in the hull, over which the paper's bounds are uniform.
 """
 
 from __future__ import annotations

@@ -151,6 +151,7 @@ def test_dynamics_command(tmp_path):
     assert rows[0] == "lambda,theta,T,L,mass,edge_mass,trunc_bound,valid"
     assert len(rows) == 5
     payload = json.loads((tmp_path / "bound_report.json").read_text())
+    assert "trend" not in payload  # the exponent was given, not calibrated
     assert payload["G_emp"] > 0
     assert payload["pass"] is True
     assert payload["trunc_tol"] == DY.TRUNC_TOL
@@ -180,6 +181,17 @@ def test_dynamics_auto_box_is_reported(tmp_path):
     worst = max(r["trunc_bound"] for r in payload["table"])
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert report["bound_report.json"]["trunc_bound"] == worst
+
+
+def test_dynamics_auto_exponent_reports_its_certified_box(tmp_path):
+    assert main(["dynamics", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "bound_report.json").read_text())
+    trend = payload["trend"]
+    assert trend["theta"] == "1/2"
+    assert trend["p_fit"] == payload["p_used"]
+    assert trend["N_used"] == 128 == trend["box_steps"][-1][0]
+    assert trend["box_steps"][-1][1] <= DY.TRUNC_TOL
+    assert all(worst > DY.TRUNC_TOL for _, worst in trend["box_steps"][:-1])
 
 
 def test_dynamics_small_fixed_box_fails_the_certificate(tmp_path, capsys):

@@ -273,3 +273,6 @@ def test_exponent_trend_small():
     (row,) = rows
     assert 0.05 <= row.p_fit <= 1.0
     assert all(m >= 0.5 for _, _, m in row.masses)
+    sizes = [n for n, _ in row.box_steps]
+    assert sizes == [sizes[0] * 2**i for i in range(len(sizes))]
+    assert row.box_steps[-1][1] <= DY.TRUNC_TOL

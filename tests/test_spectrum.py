@@ -149,6 +149,7 @@ def _arrays(segments):
 
 
 def _batched(segments, lam, k, per_parent, budget):
+    """The runs of a batched scan, and its run count on the even points."""
     with mock.patch.object(SP, "_SCAN_BLOCK_POINTS", budget):
         return SP._scan_segments(_arrays(segments), lam, k, per_parent)
 
@@ -169,8 +170,33 @@ def _segment_lists(draw):
        st.sampled_from([1, 7, 64, 1 << 17]))
 def test_batched_scan_matches_per_segment_scan(case, k, per_parent, budget):
     lam, segments = case
-    got = _batched(segments, lam, k, per_parent, budget)
+    got, _ = _batched(segments, lam, k, per_parent, budget)
     assert _bits(got) == _bits(_scan_reference(_arrays(segments), lam, k, per_parent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segment_lists(), st.integers(0, 9), st.sampled_from([2, 3, 5, 17, 129]),
+       st.sampled_from([1, 7, 64, 1 << 17]))
+def test_even_points_of_the_doubled_grid_count_the_coarse_runs(case, k, per_parent,
+                                                               budget):
+    # the census at per_parent points comes from the scan at 2 per_parent - 1
+    lam, segments = case
+    _, coarse = _batched(segments, lam, k, 2 * per_parent - 1, budget)
+    runs, _ = _batched(segments, lam, k, per_parent, budget)
+    assert coarse == len(runs)
+
+
+def test_even_points_of_the_doubled_grid_are_the_coarse_grid():
+    # (hi - lo) / (2 m) is ((hi - lo) / m) / 2 exactly, so 2 j times the fine
+    # step is j times the coarse step bit for bit
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-3.0, 13.0, 200)
+    hi = lo + rng.uniform(1e-9, 4.0, 200)
+    for m in (1, 3, 128, 1021, 8192):
+        j = np.arange(m + 1)
+        fine = (hi - lo)[:, None] / (2 * m) * (2 * j) + lo[:, None]
+        coarse = (hi - lo)[:, None] / m * j + lo[:, None]
+        assert np.array_equal(fine, coarse)
 
 
 @pytest.mark.parametrize("budget", [1 << 17, 4, 1])
@@ -189,20 +215,25 @@ def test_batched_scan_edge_cases(budget):
     assert len(ref) == 4  # the runs break at the shared segment end
     assert ref[-1][1:] == (9.4, 9.4, None)
     # budget 4 splits the segments into two blocks, budget 1 into four
-    assert _bits(_batched(segments, 10.0, 0, 3, budget)) == _bits(ref)
+    runs, coarse = _batched(segments, 10.0, 0, 3, budget)
+    assert _bits(runs) == _bits(ref)
+    # on the even points (7.9, 12.1 | 6, 8, 10 | 10, 13 | -3, ..., 9.4) the
+    # runs are [8, 10], [10, 10] and [9.4, 9.4]; the first segment has none
+    assert coarse == 3
 
 
 def test_bands_raise_when_census_never_stabilises(monkeypatch):
     monkeypatch.setattr(SP, "_BANDS_CACHE", {})
     calls = itertools.count()
 
-    def alternating(segments, lam, k, pts):
-        return [SP.Band(k, 0.0, 1.0, lam)] * (1 + next(calls) % 2)
+    def unstable(segments, lam, k, pts):
+        next(calls)
+        return [SP.Band(k, 0.0, 1.0, lam)] * 2, 1  # one band on the even points
 
-    monkeypatch.setattr(SP, "_detect_bands", alternating)
+    monkeypatch.setattr(SP, "_detect_bands", unstable)
     with pytest.raises(SP.BandResolutionError):
         SP.bands(0, 2.0)  # below coupling 6, so only the stability gate acts
-    assert next(calls) == 6  # three refinement attempts, two scans each
+    assert next(calls) == 3  # three refinement attempts, one scan each
 
 
 @pytest.mark.parametrize("lam, accepted_pts", [(10.0, 32769), (2.0, 8193)])
@@ -215,7 +246,8 @@ def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
     def split_on_coarse_grids(segments, lam, k, pts):
         grids.append(pts)
         count = fib_number(k) + (pts <= 8193)
-        return [SP.Band(k, float(i), i + 0.5, lam) for i in range(count)]
+        coarse = fib_number(k) + ((pts + 1) // 2 <= 8193)  # the even points
+        return [SP.Band(k, float(i), i + 0.5, lam) for i in range(count)], coarse
 
     monkeypatch.setattr(SP, "_detect_bands", split_on_coarse_grids)
     found = SP.bands(0, lam)
@@ -223,10 +255,15 @@ def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
     assert len(found) == (1 if lam > 6.0 else 2)
 
 
+def _split_census(segments, lam, k, pts):
+    """One band more than F(k), on the scanned grid and on its even points."""
+    return ([SP.Band(k, float(i), i + 0.5, lam) for i in range(fib_number(k) + 1)],
+            fib_number(k) + 1)
+
+
 def test_bands_census_always_above_fibonacci_raises(monkeypatch):
     monkeypatch.setattr(SP, "_BANDS_CACHE", {})
-    monkeypatch.setattr(SP, "_detect_bands", lambda segments, lam, k, pts: [
-        SP.Band(k, float(i), i + 0.5, lam) for i in range(fib_number(k) + 1)])
+    monkeypatch.setattr(SP, "_detect_bands", _split_census)
     with pytest.raises(SP.BandResolutionError):
         SP.bands(0, 10.0)
     assert len(SP.bands(0, 2.0)) == 2  # at coupling <= 6 a stable census stands
@@ -246,8 +283,7 @@ def test_negative_coupling_mirrors_the_bands(lam):
 
 def test_census_gate_acts_on_the_modulus_of_the_coupling(monkeypatch):
     monkeypatch.setattr(SP, "_BANDS_CACHE", {})
-    monkeypatch.setattr(SP, "_detect_bands", lambda segments, lam, k, pts: [
-        SP.Band(k, float(i), i + 0.5, lam) for i in range(fib_number(k) + 1)])
+    monkeypatch.setattr(SP, "_detect_bands", _split_census)
     with pytest.raises(SP.BandResolutionError):
         SP.bands(0, -10.0)
     assert len(SP.bands(0, -2.0)) == 2

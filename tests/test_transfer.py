@@ -267,9 +267,10 @@ def test_cumulative_norm_monotone_and_floored():
             assert v >= l  # each factor has spectral norm at least one
 
 
-def test_norm_profile_rejects_mixed_signs():
-    with pytest.raises(ValueError):
-        TR.norm_profile([1.0, -2.0], 0.0, 2.0, TH0)
+def test_norm_profile_rejects_a_zero_window():
+    for ls in ([0.0], [1.0, 0.0], [-2.0, -0.0], [1.0, -2.0, 0]):
+        with pytest.raises(ValueError):
+            TR.norm_profile(ls, 0.0, 2.0, TH0)
 
 
 def test_margin_example_and_positivity():

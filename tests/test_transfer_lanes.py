@@ -10,9 +10,11 @@ would change even where its normalized values do not.
 """
 
 import math
+import random
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasitrace import transfer as TR
@@ -103,6 +105,70 @@ def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
     for E, lane in zip(energies, lanes):
         assert lane == lane_results(side, k, [E], lam, theta)[0]
         assert lane == scalar_reference(side, k, E, lam, theta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(0, 14),
+    lam=st.floats(0.0, 12.0),
+    energies=st.lists(st.floats(-4.0, 16.0), min_size=1, max_size=3),
+    far=st.floats(6.0, 10.0),
+    phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
+         shuffle=random.Random(0))
+@example(k=9, lam=0.0, energies=[0.0, -0.0], far=6.0, phase=0, shuffle=random.Random(1))
+def test_two_sided_lanes_match_scalar_products(k, lam, energies, far, phase, shuffle):
+    # one lane per energy and side, the sides mixed in any order
+    theta = PhasePoint(phase)
+    energies = energies + [lam + far, -far]  # off the spectrum: these rescale
+    lanes = [(side, E) for E in energies for side in ("right", "left")]
+    shuffle.shuffle(lanes)
+    marks = TR._sweep([side for side, _ in lanes], np.array([E for _, E in lanes]), lam,
+                      theta, [fib_number(j) for j in range(k + 1)], norms=True)
+    for i, (side, E) in enumerate(lanes):
+        want = [(m_raw, values[0], values[2])
+                for m_raw, _, values in scalar_reference(side, k, E, lam, theta)]
+        got = [(lane_raw(side, mark.m, mark.e, i),
+                *xbits([TR._trace_xreals(mark.m, mark.e)[i],
+                        TR._xreals(mark.sum_m, mark.sum_e)[i]]))
+               for mark in marks]
+        assert got == want
+
+
+window = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 13.0, 21.0, 144.0]) | st.floats(0.01, 400.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.sampled_from([0.0, 12.0]) | st.floats(0.0, 12.0),
+    energies=st.lists(st.floats(-4.0, 16.0), max_size=3),
+    far=st.floats(6.0, 10.0),
+    windows=st.lists(st.tuples(window, st.sampled_from([1, -1])), max_size=6),
+    right=window,
+    left=window,
+    phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+)
+@example(lam=0.0, energies=[], far=6.0, windows=[(0.5, -1), (0.5, 1)], right=2.75,
+         left=300.5, phase=0)
+def test_two_sided_norm_profile_matches_one_call_per_side(lam, energies, far, windows,
+                                                          right, left, phase):
+    theta = PhasePoint(phase)
+    energies = energies + [0.0, -0.0, lam + far, -far]  # the far lanes rescale
+    ls = [sign * w for w, sign in windows] + [right, -left]
+    both = TR.norm_profile(ls, energies, lam, theta)
+    pos = TR.norm_profile([l for l in ls if l > 0], energies, lam, theta)
+    neg = TR.norm_profile([l for l in ls if l < 0], energies, lam, theta)
+    for row, p, n in zip(both, pos, neg):
+        p, n = iter(p), iter(n)
+        assert xbits(row) == xbits([next(p) if l > 0 else next(n) for l in ls])
+
+
+def test_two_sided_sweep_carries_no_derivative():
+    with pytest.raises(ValueError):
+        TR._sweep(["right", "left"], np.array([0.5, 0.5]), 2.0, PhasePoint.zero(), [3],
+                  deriv=True)
 
 
 def test_band_lane_never_rescales_beside_far_lanes():
