@@ -249,9 +249,9 @@ def cmd_words(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def _parity_one(args):
-    raw, bits, lam, energies, k_max, right_traces = args
+    raw, bits, lam, energies, k_max, right_traces, refs = args
     theta = PhasePoint(raw, bits)
-    report = TR.phase_trace_parity(theta, lam, energies, k_max, right_traces)
+    report = TR.phase_trace_parity(theta, lam, energies, k_max, right_traces, refs)
     return (report.x_even_ok, report.x_odd_ok, report.y_even_ok, report.y_odd_ok)
 
 
@@ -298,7 +298,10 @@ def cmd_traces(cfg: RunConfig) -> int:
                 norm_rows.append((l, E, cfg.lam, theta, value))
     _write_csv(out / "norms.csv", ["L", "E", "lambda", "theta", "norm_sq"], norm_rows)
 
-    tasks = [(pt.raw, pt.bits, cfg.lam, energies, cfg.k_max, xs)
+    refs = next((xs for (_, pt), xs in zip(phases, right_traces) if pt.raw == 0), None)
+    if refs is None and phases:
+        refs = TR.traces_right_upto(cfg.k_max, energies, cfg.lam, PhasePoint.zero())
+    tasks = [(pt.raw, pt.bits, cfg.lam, energies, cfg.k_max, xs, refs)
              for (_, pt), xs in zip(phases, right_traces)]
     parity_summary = []
     try:

@@ -170,6 +170,11 @@ def _trace_at(E, lam: float, k: int):
 # band detection
 # ----------------------------------------------------------------------------
 
+def _in_band(vals):
+    """|x| <= 2 per point; NaN and +-inf compare False, so they are out of band."""
+    return np.abs(vals) <= 2.0
+
+
 def _scan_segments(segments, lam: float, k: int, per_parent: int):
     """Return rough in-band runs (E_out_left, E_in_left, E_in_right, E_out_right).
 
@@ -200,8 +205,7 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
         index = np.arange(total) - np.repeat(first, n)
         grid = index * np.repeat(step[block], n) + np.repeat(lo[block], n)
         grid[first + n - 1] = hi[block]
-        vals = _trace_at(grid, lam, k)
-        inside = np.isfinite(vals) & (np.abs(vals) <= 2.0)
+        inside = _in_band(_trace_at(grid, lam, k))
         at_lo = np.zeros(total, dtype=bool)
         at_lo[first] = True
         at_hi = np.roll(at_lo, -1)
@@ -233,8 +237,7 @@ def _bisect_edges(outer, inner, lam: float, k: int):
         if np.all(width <= tol):
             break
         mid = 0.5 * (lo + hi)
-        vals = _trace_at(mid, lam, k)
-        inside = np.isfinite(vals) & (np.abs(vals) <= 2.0)
+        inside = _in_band(_trace_at(mid, lam, k))
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
     return hi  # converged in-band side
@@ -399,7 +402,7 @@ def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18,
     xs, ds = trace_grid(samples, lam, max(ks), derivatives=True)
     min_derivs = []
     for k in ks:
-        mask = np.isfinite(xs[k]) & (np.abs(xs[k]) <= 2.0)
+        mask = _in_band(xs[k])
         if not mask.any():
             raise BandResolutionError(f"no cover samples inside the level-{k} bands")
         m_k = float(np.min(np.abs(ds[k][mask])))

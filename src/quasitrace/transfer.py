@@ -23,9 +23,12 @@ steps along its own half-line, so the right and left norm sums of
 
 - lane state: the four float64 entries of the product as a (4, lanes) array
   and an int64 exponent per lane; with derivatives, the same again for
-  dM/dE; with norms, the running squared-norm sum as an XReal mantissa array
-  and exponent array.  State is O(lanes); nothing is kept per site except at
-  the requested marks (site counts).
+  dM/dE.  The loop over sites does only the 2x2 step, rescale and derivative.
+- with norms, each site's product also goes into a buffer of B sites; per
+  block, `_norm_sq_lanes` takes all its squared norms in one call, and
+  `_running_sums` their running sums in one float64 `np.add.accumulate`.
+  State is O(lanes * B); nothing else is kept per site except at the
+  requested marks (site counts).
 - at each mark it records the product, its derivative, the norm at that
   site and the running norm sum, so traces, derivative traces and windowed
   norm sums at all Fibonacci lengths come from one pass.
@@ -44,19 +47,33 @@ skipped only while a running upper bound on the entries shows that no lane
 can pass 2**256, so each lane rescales at exactly the sites where the scalar
 code does, and never because another lane did.
 
+Norm sums keep the bits of one `XReal.__add__` per site, though they are
+summed a block at a time.  For normalized positive operands that add is the
+binary64 sum of the values scaled by a common power of two while the larger
+stays normal: scaling does not change IEEE rounding.  `_running_sums` scales
+a lane's carry and block values by 2**-top (top their largest exponent), adds
+them in float64 and splits the sums back with `frexp`.  Squared norms of det-1
+products change by at most g**2 per site, g = `growth` (||T|| <= |t| + 1), and
+B = `_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every running sum
+stays within 2**960 of its block's largest value, normal and exact.  A value
+that goes subnormal lies below half an ulp of the sum it joins and rounds
+away in both forms, as in the `shift < -1080` branch.  Where no B fits,
+B = 1 and a block is one add, whose larger operand scales into [0.5, 1).
+
 A one-sided sweep runs the step of its side as written.  A two-sided sweep
 runs one step for both sides, x * t + y * s and x * -s + y * 0.0 with s = -1
 on the right lanes and 1 on the left ones.  By the same rewrites that is
 x * t - y and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 -
 x on the left, with the signs of zeros kept.  Each lane's factor is picked
-per site from the four (right symbol, left symbol) pairs, and one gather puts
-every lane's entries in (a, b, c, d) order before its squared norm, so the
-squares add in the order of `_norm_sq`.
+per site from the four (right symbol, left symbol) pairs.  On every side,
+one gather per block puts each lane's entries in (a, b, c, d) order before
+its squared norms, so the squares add in the order of `_norm_sq`.
 
 Kept for the tests and the benchmark only.  `TransferMatrix`, `local_matrix`
-and `transfer_product` with the scalar layer are the references the tests
-hold the lane sweep to; `norm_trace_inequality` (one level, raising) is what
-the tests and a benchmark span call in place of `norm_trace_margins`.
+and `transfer_product` (a pure-Python `_mul` chain) with the scalar layer are
+the references the tests hold the lane sweep to; `norm_trace_inequality`
+(one level, raising) is what the tests and a benchmark span call in place of
+`norm_trace_margins`.
 """
 
 from __future__ import annotations
@@ -152,14 +169,6 @@ def _add(m1, m2):
     return (a, b, c, d, e1)
 
 
-def _trace(m) -> XReal:
-    return XReal(m[0] + m[3], m[4])
-
-
-def _det(m) -> XReal:
-    return XReal(m[0] * m[3] - m[1] * m[2], 2 * m[4])
-
-
 def _norm_sq(m) -> XReal:
     """Squared spectral norm, closed form from tr(A^T A) and det(A).
 
@@ -194,15 +203,13 @@ def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
 # The product of each lane is 2**e * [[a, b], [c, d]], its entries stacked as
 # rows of a (4, lanes) array: the halves X = rows 0-1 and Y = rows 2-3 are the
 # two rows of the matrix on the right side, where factors multiply from the
-# left, and its two columns on the other sides.  A step maps (X, Y) to the new
-# halves.  `right` is T @ M with T = [[t, -1], [1, 0]], `left` is M @ T and
-# `inverse` is M @ T**-1 = M @ [[0, 1], [-1, t]].
+# left, and its two columns on the left side.  A step maps (X, Y) to the new
+# halves.  `right` is T @ M with T = [[t, -1], [1, 0]] and `left` is M @ T.
 _STEPS = {
     "right": lambda x, y, t: (x * t - y, x + y * 0.0),
     "left": lambda x, y, t: (x * t + y, y * 0.0 - x),
-    "inverse": lambda x, y, t: (x * 0.0 - y, x + y * t),
 }
-_ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3], "inverse": [0, 2, 1, 3]}  # of a, b, c, d
+_ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}  # of a, b, c, d
 
 # Rounding slack for the entry bounds that let `_renorm` skip its check: a
 # step x * t - y rounds twice, so |new entry| <= (|t| + 1) * bound * (1 + 2**-53)**2,
@@ -261,65 +268,64 @@ def _add_lanes(m1, e1, m2, e2):
     return m, np.maximum(e1, e2)
 
 
-def _norm_sq_lanes(m, e, rows):
-    """`_norm_sq` per lane for nonzero matrices, normalized like its XReal."""
+def _norm_sq_lanes(m, e):
+    """`_norm_sq` per lane for nonzero matrices, normalized like its XReal.
+
+    The entries a, b, c, d lie on axis 0; the rest is elementwise, so a
+    (4, sites, lanes) block gives the bits of one call per site.
+    """
     mx = np.abs(m).max(axis=0)
     ex = np.frexp(mx)[1]
     m = np.ldexp(m, -ex)  # as in `_norm_sq`, safe for subnormal maxima
     sq = m * m
-    ia, ib, ic, id_ = rows
-    t = sq[ia] + sq[ib] + sq[ic] + sq[id_]
-    det = m[ia] * m[id_] - m[ib] * m[ic]
+    t = sq[0] + sq[1] + sq[2] + sq[3]
+    det = m[0] * m[3] - m[1] * m[2]
     disc = t * t - 4.0 * det * det
     disc[disc < 0.0] = 0.0
     norm, ex2 = np.frexp(0.5 * (t + np.sqrt(disc)))
     return norm, 2 * (e + ex) + ex2
 
 
-def _xadd_lanes(am, ae, bm, be):
-    """`XReal.__add__` per lane for normalized positive operands (norm sums).
+def _block_sites(growth: float) -> int:
+    """B of "Byte identity": max B <= 256 with 2 * (B + 1) * log2(growth) <= 960, else 1."""
+    bits = math.log2(growth)
+    return min(256, max(1, math.floor(480.0 / bits) - 1)) if bits < 480.0 else 1
 
-    `XReal.__add__` returns the larger operand when the shift is below -1080;
-    the sum below gives the same there, because ldexp(lo, shift) is then far
-    under half an ulp of the normalized larger mantissa.
-    """
-    swap = ae < be
-    hm = np.where(swap, bm, am)
-    lm = np.where(swap, am, bm)
-    m, ex = np.frexp(hm + np.ldexp(lm, -np.abs(ae - be)))
-    return m, np.maximum(ae, be) + ex
+
+def _running_sums(m, e, carry):
+    """`XReal.__add__` per site over norms (sites, lanes) from `carry`; see "Byte identity"."""
+    top = np.maximum(e.max(axis=0), carry[1])
+    vals = np.ldexp(m, e - top)
+    vals[0] += np.ldexp(carry[0], carry[1] - top)
+    sum_m, ex = np.frexp(np.add.accumulate(vals, axis=0, out=vals))
+    return sum_m, ex + top
 
 
 def _sweep(side, E: np.ndarray, lam: float, theta: PhasePoint, marks,
            *, deriv: bool = False, norms: bool = False) -> list[_Mark]:
     """Multiply the one-site matrices for every energy lane; record at marks.
 
-    `side` is "right" (T(n)...T(1) over sites 1..n), "left" (T(0)T(-1)...
-    over sites 0, -1, ...) or "inverse" (T(n+1)**-1...T(0)**-1, ascending),
-    or, for a two-sided sweep, a sequence giving "right" or "left" per lane;
-    each lane then keeps its entries in the row order of its own side.
-    `marks` are increasing site counts >= 1.  `deriv` carries dM/dE by the
-    product rule (one-sided right and left sweeps only); `norms` carries the
-    running sum of squared norms over sites 1..n.  Norms of unimodular
-    products are at least 1, so the zero branches of `XReal.__add__` never
-    apply after the first site.
+    `side` is "right" (T(n)...T(1) over sites 1..n) or "left" (T(0)T(-1)...
+    over sites 0, -1, ...), or, for a two-sided sweep, a sequence giving
+    "right" or "left" per lane; each lane then keeps its entries in the row
+    order of its own side.  `marks` are increasing site counts >= 1.
+    `deriv` carries dM/dE by the product rule (one-sided sweeps only);
+    `norms` carries the running sum of squared norms over sites 1..n.  Norms
+    of unimodular products are at least 1, so the zero branches of
+    `XReal.__add__` never apply after the first site.
+
+    State is O(lanes * B): with `norms`, products wait in a buffer of B
+    sites, and a mark gets its norm fields when its block is summed.
     """
     top = marks[-1]
     factor = {"0": E, "1": E - lam}
     # a step multiplies the largest entry by at most max |t| + 1
     growth = (max(np.abs(E).max(initial=0.0), np.abs(factor["1"]).max(initial=0.0))
               + 1.0) * _SLACK
-    rows, gather = _ROWS["right"], None
     if isinstance(side, str):
-        if deriv and side == "inverse":
-            raise ValueError("derivatives are carried on the right and left sides only")
-        step, rows = _STEPS[side], _ROWS[side]
-        if side == "right":
-            symbols = _potential_pattern(theta, 1, top)
-        else:
-            symbols = _potential_pattern(theta, -top + 1, 0)
-            if side == "left":
-                symbols = symbols[::-1]  # site 0, -1, -2, ...
+        step, order = _STEPS[side], np.array(_ROWS[side])[:, None, None]
+        symbols = (_potential_pattern(theta, 1, top) if side == "right"
+                   else _potential_pattern(theta, -top + 1, 0)[::-1])  # site 0, -1, -2, ...
     else:
         if set(side) != {"right", "left"} or len(side) != E.size:
             raise ValueError("a two-sided sweep takes 'right' or 'left' per lane, both used")
@@ -337,16 +343,21 @@ def _sweep(side, E: np.ndarray, lam: float, theta: PhasePoint, marks,
         factor = {r + l: np.where(left, factor[l], factor[r]) for r in "01" for l in "01"}
         symbols = map(str.__add__, _potential_pattern(theta, 1, top),
                       _potential_pattern(theta, -top + 1, 0)[::-1])
-        # flat indices that put every lane's entries in (a, b, c, d) order
-        order = np.where(left, np.array(_ROWS["left"])[:, None], np.arange(4)[:, None])
-        gather = order * E.size + np.arange(E.size)
+        # per lane the rows that put its entries in (a, b, c, d) order
+        order = np.where(left, np.array(_ROWS["left"])[:, None], np.arange(4)[:, None])[:, None]
     m = np.zeros((4, E.size))
     m[0] = m[3] = 1.0  # a and d sit there on every side
     e = np.zeros(E.size, dtype=np.int64)
     dm, de = np.zeros_like(m), np.zeros_like(e)
     zero = np.zeros((2, E.size))
     bound, dbound = 1.0, 0.0
-    norm_m = norm_e = sum_m = sum_e = None
+    if norms:
+        size = _block_sites(growth)
+        block_m = np.empty((4, size, E.size))
+        block_e = np.empty((size, E.size), dtype=np.int64)
+        # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
+        carry = np.zeros(E.size), np.zeros(E.size, dtype=np.int64)
+        done = 0  # marks that have their norm fields
     out: list[_Mark] = []
     pending = iter(marks)
     want = next(pending)
@@ -360,16 +371,23 @@ def _sweep(side, E: np.ndarray, lam: float, theta: PhasePoint, marks,
             dm, de, dbound = _renorm(*_add_lanes(np.concatenate((m[:2], zero)), e, tdm, tde),
                                      (bound + tbound) * _SLACK)
         m, e, bound = _renorm(np.concatenate(step(m[:2], m[2:], t)), e, bound * growth)
-        if norms:
-            norm_m, norm_e = _norm_sq_lanes(m if gather is None else m.take(gather), e, rows)
-            if n == 1:
-                sum_m, sum_e = norm_m, norm_e
-            else:
-                sum_m, sum_e = _xadd_lanes(sum_m, sum_e, norm_m, norm_e)
         if n == want:
-            out.append(_Mark(n, m, e, *((dm, de) if deriv else (None, None)),
-                             norm_m, norm_e, sum_m, sum_e))
+            out.append(_Mark(n, m, e, *((dm, de) if deriv else (None, None))))
             want = next(pending, None)
+        if norms:
+            j = (n - 1) % size
+            block_m[:, j], block_e[j] = m, e
+            if j == size - 1 or n == top:
+                # in (a, b, c, d) order, as `_norm_sq` adds the squares
+                block = np.take_along_axis(block_m[:, :j + 1], order, axis=0)
+                norm_m, norm_e = _norm_sq_lanes(block, block_e[:j + 1])
+                sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
+                carry = sum_m[j], sum_e[j]
+                for i in range(done, len(out)):
+                    at = out[i].n - (n - j)
+                    out[i] = out[i]._replace(norm_m=norm_m[at].copy(), norm_e=norm_e[at].copy(),
+                                             sum_m=sum_m[at].copy(), sum_e=sum_e[at].copy())
+                done = len(out)
     return out
 
 
@@ -414,18 +432,14 @@ class TransferMatrix:
     def _tuple(self):
         return (self.a11, self.a12, self.a21, self.a22, self.exp2)
 
-    @classmethod
-    def _from_tuple(cls, m) -> "TransferMatrix":
-        return cls(m[0], m[1], m[2], m[3], m[4])
-
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix._from_tuple(_mul(self._tuple(), other._tuple()))
+        return TransferMatrix(*_mul(self._tuple(), other._tuple()))
 
     def trace(self) -> XReal:
-        return _trace(self._tuple())
+        return XReal(self.a11 + self.a22, self.exp2)
 
     def det(self) -> XReal:
-        return _det(self._tuple())
+        return XReal(self.a11 * self.a22 - self.a12 * self.a21, 2 * self.exp2)
 
     def norm_sq(self) -> XReal:
         return _norm_sq(self._tuple())
@@ -460,13 +474,17 @@ def local_matrix(m: int, E: float, lam: float, theta: PhasePoint) -> TransferMat
 
 
 def transfer_product(n: int, E: float, lam: float, theta: PhasePoint) -> TransferMatrix:
-    """Ordered product over sites 1..n (n >= 1) or inverse factors over n+1..0 (n <= -1)."""
+    """Ordered product over sites 1..n (n >= 1) or inverse factors over n+1..0 (n <= -1).
+
+    A `_mul` chain over `local_matrix` factors, T**-1 = [[0, 1], [-1, t]].
+    """
     if n == 0:
         raise ValueError("site count must be nonzero")
-    side = "right" if n > 0 else "inverse"
-    mark = _sweep(side, np.array([float(E)]), lam, theta, [abs(n)])[0]
-    a, b, c, d = mark.m[_ROWS[side], 0].tolist()
-    return TransferMatrix(a, b, c, d, int(mark.e[0]))
+    E, m = float(E), (1.0, 0.0, 0.0, 1.0, 0)
+    for ch in _potential_pattern(theta, *((1, n) if n > 0 else (n + 1, 0))):
+        t = E - lam if ch == "1" else E  # as in `local_matrix`
+        m = _mul((t, -1.0, 1.0, 0.0, 0), m) if n > 0 else _mul(m, (0.0, 1.0, -1.0, t, 0))
+    return TransferMatrix(*m)
 
 
 def _traces_upto(side: str, k_max: int, E: Energies, lam: float, theta: PhasePoint):
@@ -514,6 +532,7 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
     coincide with those of the matrix itself, so the left side accumulates
     direct factors downward.  Windows of both signs share one two-sided
     sweep, a block of lanes per half-line, bit-identical to a call per sign.
+    Its norms are summed a block of sites at a time; see "Byte identity".
     """
     ls = list(l_values)
     lanes, scalar = _lanes(E)
@@ -604,7 +623,7 @@ class TraceParityReport:
 
 
 def phase_trace_parity(theta: PhasePoint, lam: float, E_grid, k_max: int,
-                       right_traces=None) -> TraceParityReport:
+                       right_traces=None, refs=None) -> TraceParityReport:
     """Compare traces at phase theta against phase zero over an energy grid.
 
     For each level the maximal relative deviation (`rel_gap`) over the grid
@@ -612,12 +631,14 @@ def phase_trace_parity(theta: PhasePoint, lam: float, E_grid, k_max: int,
     each half-line all even levels or all odd levels must pass, else the run
     aborts.  `right_traces`, if given, are the right-half-line traces at
     theta per energy (as from `traces_right_upto` or the values of
-    `dual_traces_upto`) and save that sweep.
+    `dual_traces_upto`) and save that sweep; `refs`, if given, are those
+    traces at phase zero, shared by all phases of a run.
     """
     energies = list(E_grid)
     if not energies:
         raise ValueError("energy grid must be nonempty")
-    refs = traces_right_upto(k_max, energies, lam, PhasePoint.zero(theta.bits))
+    if refs is None:
+        refs = traces_right_upto(k_max, energies, lam, PhasePoint.zero(theta.bits))
     xs = right_traces if right_traces is not None else traces_right_upto(
         k_max, energies, lam, theta)
     ys = traces_left_upto(k_max, energies, lam, theta)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,15 @@ def test_trace_grid_derivatives_match_duals():
 # ---------------------------------------------------------------------------
 # band structure
 # ---------------------------------------------------------------------------
+
+def test_in_band_mask_puts_nan_and_infinities_out_of_band():
+    # one comparison, no isfinite pass: NaN and +-inf compare False, silently
+    vals = np.array([np.nan, np.inf, -np.inf, 2.0, -2.0, -0.0, np.nextafter(2.0, 3.0), -3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = SP._in_band(vals)
+    assert inside.tolist() == [False, False, False, True, True, True, False, False]
+
 
 def test_band_closed_forms():
     (b,) = SP.bands(0, 2.0)

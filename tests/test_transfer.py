@@ -319,6 +319,14 @@ def test_parity_free_case_all_levels():
     assert rep.x_even_ok and rep.x_odd_ok and rep.y_even_ok and rep.y_odd_ok
 
 
+def test_parity_with_a_shared_reference_matches_its_own_sweep():
+    grid = list(np.linspace(-3, 13, 8))
+    refs = TR.traces_right_upto(10, grid, 10.0, TH0)
+    for theta in (TH0, PhasePoint.from_decimal("0.3")):
+        assert (TR.phase_trace_parity(theta, 10.0, grid, 10, refs=refs)
+                == TR.phase_trace_parity(theta, 10.0, grid, 10))
+
+
 def test_parity_rejects_empty_grid():
     with pytest.raises(ValueError):
         TR.phase_trace_parity(TH0, 10.0, [], 5)

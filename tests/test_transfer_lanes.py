@@ -6,7 +6,9 @@ for that energy alone: the raw entries and exponents of the product and of
 its energy derivative, and the XReal (mantissa, exponent) pairs of traces,
 derivative traces and norm sums.  A lane whose entries pass 2**256 rescales
 on its own; if a rescale leaked into another lane, that lane's raw exponents
-would change even where its normalized values do not.
+would change even where its normalized values do not.  Norm sums are taken
+a block of sites at a time, so marks on both sides of every block edge, and
+windows whose edge term opens the next block, are held to the scalar sums.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS, PhasePoint
-from quasitrace.words import fib_number
+from quasitrace.words import fib_number, rotation_block
 from quasitrace.xfloat import XReal
 
 BAND_CENTER = -0.2492839750009455  # a level-9 band at lambda 12, phase 0
@@ -49,12 +51,12 @@ def scalar_reference(side, k, E, lam, theta):
         if side == "right":  # T(n) ... T(1); (T M)' = T' M + T M'
             t = TR.local_matrix(n, E, lam, theta)
             t_m = (m.a11, m.a12, 0.0, 0.0, m.exp2)
-            d = TR.TransferMatrix._from_tuple(TR._add(t_m, (t @ d)._tuple()))
+            d = TR.TransferMatrix(*TR._add(t_m, (t @ d)._tuple()))
             m = t @ m
         else:  # T(0) T(-1) ... T(1 - n); (M T)' = M T' + M' T
             t = TR.local_matrix(1 - n, E, lam, theta)
             m_t = (m.a11, 0.0, m.a21, 0.0, m.exp2)
-            d = TR.TransferMatrix._from_tuple(TR._add(m_t, (d @ t)._tuple()))
+            d = TR.TransferMatrix(*TR._add(m_t, (d @ t)._tuple()))
             m = m @ t
         total = total + TR._norm_sq(m._tuple())
         if n in marks:
@@ -210,7 +212,7 @@ def test_lane_add_matches_scalar_add(pairs):
 @example([(0.0, 0.0, 0.0, 2.225073858507203e-309, 0)])  # subnormal largest entry
 def test_lane_norm_matches_scalar_norm(matrices):
     m, e = columns(matrices)
-    m, ex = TR._norm_sq_lanes(m, e, TR._ROWS["right"])
+    m, ex = TR._norm_sq_lanes(m, e)
     for i, mat in enumerate(matrices):
         assert xbits(TR._xreals(m[i:i + 1], ex[i:i + 1])) == xbits([TR._norm_sq(mat)])
 
@@ -221,9 +223,116 @@ positive = st.tuples(st.floats(0.5, 1.0, exclude_max=True), st.integers(-5000, 5
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(positive, positive), min_size=1, max_size=5))
 def test_lane_xreal_add_matches_xreal(pairs):
+    # a carried sum and a block of one norm: any exponent gap, as at B = 1
     am, ae = (np.array(v) for v in zip(*[p for p, _ in pairs]))
     bm, be = (np.array(v) for v in zip(*[q for _, q in pairs]))
-    m, e = TR._xadd_lanes(am, ae, bm, be)
+    m, e = TR._running_sums(bm[None], be[None], (am, ae))
     for i, (p, q) in enumerate(pairs):
         want = XReal._raw(*p) + XReal._raw(*q)
-        assert (f64(m[i]), int(e[i])) == (f64(want.m), want.e)
+        assert (f64(m[0, i]), int(e[0, i])) == (f64(want.m), want.e)
+
+
+# ---------------------------------------------------------------------------
+# norm sums a block of sites at a time
+# ---------------------------------------------------------------------------
+
+def scalar_norms(side, top, E, lam, theta):
+    """Per site n = 1..top: ||M(n)||^2 and its sum over sites 1..n, as XReals."""
+    if side == "right":
+        pattern = rotation_block(1, top, theta).to01()
+    else:
+        pattern = rotation_block(1 - top, 0, theta).to01()[::-1]  # site 0, -1, ...
+    m, total, out = (1.0, 0.0, 0.0, 1.0, 0), XReal(), []
+    for v in pattern:
+        t = (E - lam if v == "1" else E, -1.0, 1.0, 0.0, 0)  # as in `local_matrix`
+        m = TR._mul(t, m) if side == "right" else TR._mul(m, t)
+        norm = TR._norm_sq(m)
+        total = total + norm
+        out.append((norm, total))
+    return out
+
+
+def block_length(energies, lam):
+    """The B of a sweep over these energies, from its step growth bound."""
+    E = np.array(energies, dtype=float)
+    return TR._block_sites((max(np.abs(E).max(), np.abs(E - lam).max()) + 1.0) * TR._SLACK)
+
+
+def lane_columns(values):
+    """Per-mark lists of per-lane XReals -> per-lane lists of their bits."""
+    return [xbits(lane) for lane in zip(*values)]
+
+
+HUGE = 1e80  # log2 of the growth passes 240, so B = 1
+couplings = st.sampled_from([0.0, 12.0, HUGE, -HUGE]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    lam=couplings,
+    energies=st.lists(st.floats(-4.0, 16.0), max_size=2),
+    blocks=st.integers(1, 3),
+    phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(lam=HUGE, energies=[], blocks=3, phase=0, shuffle=random.Random(0))
+@example(lam=0.0, energies=[0.0, -0.0], blocks=2, phase=0, shuffle=random.Random(1))
+@example(lam=12.0, energies=[BAND_CENTER], blocks=3, phase=0, shuffle=random.Random(2))
+def test_block_norm_sums_match_scalar_sums(lam, energies, blocks, phase, shuffle):
+    # a mark at every site puts marks on both sides of every block edge; the
+    # last block holds one site
+    theta = PhasePoint(phase)
+    energies = energies + [0.0, -0.0, lam + 8.0, -8.0]  # the far lanes rescale
+    lanes = [(side, E) for E in energies for side in ("right", "left")]
+    shuffle.shuffle(lanes)
+    size = block_length(energies, lam)
+    top = blocks * size + 1 if size > 1 else 40
+    marks = TR._sweep([side for side, _ in lanes], np.array([E for _, E in lanes]), lam,
+                      theta, list(range(1, top + 1)), norms=True)
+    norms = lane_columns([TR._xreals(mark.norm_m, mark.norm_e) for mark in marks])
+    sums = lane_columns([TR._xreals(mark.sum_m, mark.sum_e) for mark in marks])
+    for i, (side, E) in enumerate(lanes):
+        want = scalar_norms(side, top, E, lam, theta)
+        assert norms[i] == xbits([norm for norm, _ in want])
+        assert sums[i] == xbits([total for _, total in want])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    lam=couplings,
+    energies=st.lists(st.floats(-4.0, 16.0), max_size=2),
+    fraction=st.floats(0.01, 0.99),
+    phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+)
+@example(lam=HUGE, energies=[], fraction=0.5, phase=0)
+@example(lam=0.0, energies=[0.0, -0.0], fraction=0.25, phase=0)
+def test_fractional_windows_across_block_edges(lam, energies, fraction, phase):
+    # floor(L) closes a block and its edge term floor(L) + 1 opens the next
+    theta = PhasePoint(phase)
+    energies = energies + [0.0, -0.0, lam + 8.0, -8.0]
+    size = block_length(energies, lam)
+    mags = [fraction] + [b * size + fraction for b in (1, 2, 3)]
+    ls = mags + [-l for l in mags]
+    rows = TR.norm_profile(ls, energies, lam, theta)
+    for E, row in zip(energies, rows):
+        want = []
+        for side in ("right", "left"):
+            per_site = scalar_norms(side, 3 * size + 1, E, lam, theta)
+            for l in mags:
+                fl = math.floor(l)
+                total = per_site[fl - 1][1] if fl else XReal()
+                want.append(total + (l - fl) * per_site[fl][0])
+        assert xbits(row) == xbits(want)
+
+
+@given(st.floats(1.0, 1e300, exclude_min=True)
+       | st.sampled_from([1.0 + 2.0**-40, 2.0, 2.0**3.75, 2.0**240, 2.0**480, math.inf]))
+def test_block_length_keeps_running_sums_in_range(growth):
+    # 2 (B + 1) log2(g) <= 960 keeps every running sum within 2**960 of its
+    # block's largest value; B is the largest such length up to 256, else 1
+    # (the tolerance only absorbs the rounding of 480 / log2(g))
+    size, bits = TR._block_sites(growth), math.log2(growth)
+    assert 1 <= size <= 256
+    assert size == 1 or 2 * (size + 1) * bits <= 960 * (1 + 1e-12)
+    assert size == 256 or 2 * (size + 2) * bits > 960 * (1 - 1e-12)
+    assert TR._block_sites(math.nan) == 1
