@@ -248,13 +248,6 @@ def cmd_words(cfg: RunConfig) -> int:
 # traces subcommand
 # ----------------------------------------------------------------------------
 
-def _parity_one(args):
-    raw, bits, lam, energies, k_max, right_traces, refs = args
-    theta = PhasePoint(raw, bits)
-    report = TR.phase_trace_parity(theta, lam, energies, k_max, right_traces, refs)
-    return (report.x_even_ok, report.x_odd_ok, report.y_even_ok, report.y_odd_ok)
-
-
 def cmd_traces(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,16 +257,26 @@ def cmd_traces(cfg: RunConfig) -> int:
     phases = cfg.phase_points()
     k_norm = min(cfg.k_max, 12)
 
-    # each (phase, side) is swept once over the whole energy grid
-    trace_rows = []
-    right_traces = []  # per phase; the parity check reuses them
-    for label, theta in phases:
-        duals = TR.dual_traces_upto(cfg.k_max, energies, cfg.lam, theta)
-        right_traces.append([[d.value for d in row] for row in duals])
-        for E, row in zip(energies, duals):
-            for k, d in enumerate(row):
-                trace_rows.append((k, E, cfg.lam, theta, d.value, d.deriv))
+    # one sweep for both sides of every phase and the phase-zero reference
+    tables, refs = TR.phase_traces(cfg.k_max, energies, cfg.lam, [pt for _, pt in phases])
+    trace_rows = [(k, E, cfg.lam, theta, x, dx)
+                  for (_, theta), (right, _) in zip(phases, tables)
+                  for E, xs, dxs in zip(energies, right.traces, right.derivs)
+                  for k, (x, dx) in enumerate(zip(xs, dxs))]
     _write_csv(out / "traces.csv", ["k", "E", "lambda", "theta", "x", "dx"], trace_rows)
+
+    try:
+        reports = [TR.phase_trace_parity(theta, cfg.lam, energies, cfg.k_max, traces, refs)
+                   for (_, theta), traces in zip(phases, tables)]
+    except TR.TraceParityError as exc:
+        failures.append(f"trace-parity: {exc}")
+        reports = []
+    parity_summary = [{
+        "theta": label,
+        "x": {"even_ok": rep.x_even_ok, "odd_ok": rep.x_odd_ok},
+        "y": {"even_ok": rep.y_even_ok, "odd_ok": rep.y_odd_ok},
+    } for (label, _), rep in zip(phases, reports)]
+    del tables, refs, trace_rows  # memory peaks in the norm sums below
 
     margin_energies = energies[:: max(1, len(energies) // 16)]
     margin_rows = []
@@ -297,23 +300,6 @@ def cmd_traces(cfg: RunConfig) -> int:
             for l, value in zip(signed, values):
                 norm_rows.append((l, E, cfg.lam, theta, value))
     _write_csv(out / "norms.csv", ["L", "E", "lambda", "theta", "norm_sq"], norm_rows)
-
-    refs = next((xs for (_, pt), xs in zip(phases, right_traces) if pt.raw == 0), None)
-    if refs is None and phases:
-        refs = TR.traces_right_upto(cfg.k_max, energies, cfg.lam, PhasePoint.zero())
-    tasks = [(pt.raw, pt.bits, cfg.lam, energies, cfg.k_max, xs, refs)
-             for (_, pt), xs in zip(phases, right_traces)]
-    parity_summary = []
-    try:
-        outcomes = _parallel_map(_parity_one, tasks, cfg.jobs)
-        for (label, _), flags in zip(phases, outcomes):
-            parity_summary.append({
-                "theta": label,
-                "x": {"even_ok": flags[0], "odd_ok": flags[1]},
-                "y": {"even_ok": flags[2], "odd_ok": flags[3]},
-            })
-    except TR.TraceParityError as exc:
-        failures.append(f"trace-parity: {exc}")
 
     return _finish("traces", out / "traces_summary.json", {
         "lambda": cfg.lam,
@@ -346,9 +332,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
     growth_rows = []
     fit_payload = None
+    resolved = max(counts, default=-1)  # bands(k) resolves every level up to k
     if cfg.lam > 4.0:
         try:
             fit = SP.derivative_growth_scan(cfg.lam, cfg.growth[0], cfg.growth[1])
+            resolved = max(resolved, cfg.growth[1] + 1)  # the scan's cover reads level kmax + 1
             for k, m in fit.min_derivs:
                 growth_rows.append((cfg.lam, k, m))
             fit_payload = {
@@ -360,6 +348,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         except (SP.BandResolutionError, SP.DegenerateGrowthError) as exc:
             failures.append(f"growth: {exc}")
     _write_csv(out / "growth.csv", ["lambda", "k", "min_abs_dx"], growth_rows)
+    failures.extend(f"census: level {level} resolves {found} of {total} bands"
+                    for level, found, total in SP.census_shortfalls(resolved, cfg.lam))
 
     norm_rows = []
     c_fits = {}
@@ -489,7 +479,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=20260810,
                         help="seed for randomized phase sampling")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (only words uses them)")
     parser.add_argument("--theta", dest="thetas", action="append", default=None,
                         metavar="PHASE", help="phase token (repeatable)")
     parser.add_argument("--theta-list", default=None,

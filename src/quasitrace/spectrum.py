@@ -53,6 +53,7 @@ __all__ = [
     "DegenerateGrowthError",
     "trace_grid",
     "bands",
+    "census_shortfalls",
     "spectrum_cover",
     "derivative_growth_scan",
     "norm_growth_check",
@@ -351,6 +352,16 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
             )
         _BANDS_CACHE[key_l] = found
     return _BANDS_CACHE[key]
+
+
+def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
+    """(level, bands found, F(level)) for each level 0..k that resolves fewer
+    than F(level) bands where all of them are open, at couplings above 6 in
+    modulus; `bands` only warns about these, a run reports them as failures."""
+    if abs(lam) <= 6.0:
+        return []
+    return [(level, len(found), fib_number(level)) for level in range(k + 1)
+            if len(found := bands(level, lam)) < fib_number(level)]
 
 
 def spectrum_cover(K: int, lam: float) -> list[Band]:

@@ -16,22 +16,29 @@ the same for sums; `_norm_sq` gives the squared spectral norm as an XReal.
 `TransferMatrix` wraps these for single products.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
-one-site matrices along the potential for many energies at once, one lane per
-energy and half-line.  A sweep runs on one side, or on both: then each lane
-steps along its own half-line, so the right and left norm sums of
-`norm_profile` come from one pass.
+one-site matrices along the potential for many lanes at once.  A lane has an
+energy, a side and a phase; the lanes of one (side, phase) form a group and
+step along that group's half-line and potential.  So the right and left norm
+sums of `norm_profile` come from one pass, and `phase_traces` sweeps both
+sides of every phase of a `traces` run and the phase-zero reference in one.
 
 - lane state: the four float64 entries of the product as a (4, lanes) array
-  and an int64 exponent per lane; with derivatives, the same again for
-  dM/dE.  The loop over sites does only the 2x2 step, rescale and derivative.
-- with norms, each site's product also goes into a buffer of B sites; per
-  block, `_norm_sq_lanes` takes all its squared norms in one call, and
-  `_running_sums` their running sums in one float64 `np.add.accumulate`.
-  State is O(lanes * B); nothing else is kept per site except at the
-  requested marks (site counts).
+  and an int64 exponent per lane; with derivatives, the same again for dM/dE
+  on a prefix of the lanes.  The loop over sites does only the 2x2 step,
+  rescale and derivative.
+- factors: a (sites, groups) array of potential symbols; per block of B sites
+  one lookup gives every lane its factors, so memory is O(lanes * B +
+  sites * groups) however many groups share the sweep (B as below with
+  norms, at most 32 without).
+- with norms (or peaks), each site's product also goes into a buffer of B
+  sites; per block, `_norm_sq_lanes` takes all its squared norms in one call,
+  and `_running_sums` their running sums in one float64 `np.add.accumulate`
+  (the peaks, one running maximum of exponents).  State is O(lanes * B);
+  nothing else is kept per site except at the requested marks (site counts).
 - at each mark it records the product, its derivative, the norm at that
-  site and the running norm sum, so traces, derivative traces and windowed
-  norm sums at all Fibonacci lengths come from one pass.
+  site, the running norm sum and the peak, so traces, derivative traces,
+  windowed norm sums and rounding scales at all Fibonacci lengths come from
+  one pass.
 
 Byte identity.  Every lane does the IEEE operations of the scalar layer in
 the same order: `_mul` per factor, `_add` for the product rule of the
@@ -60,20 +67,29 @@ that goes subnormal lies below half an ulp of the sum it joins and rounds
 away in both forms, as in the `shift < -1080` branch.  Where no B fits,
 B = 1 and a block is one add, whose larger operand scales into [0.5, 1).
 
-A one-sided sweep runs the step of its side as written.  A two-sided sweep
-runs one step for both sides, x * t + y * s and x * -s + y * 0.0 with s = -1
-on the right lanes and 1 on the left ones.  By the same rewrites that is
-x * t - y and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 -
-x on the left, with the signs of zeros kept.  Each lane's factor is picked
-per site from the four (right symbol, left symbol) pairs.  On every side,
-one gather per block puts each lane's entries in (a, b, c, d) order before
-its squared norms, so the squares add in the order of `_norm_sq`.
+Every lane runs one step, x * t + y * s and x * -s + y * 0.0 with s = -1 on
+the right lanes and 1 on the left ones, both halves from one product of
+(X, Y) with per-lane factor arrays.  By the same rewrites that is x * t - y
+and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 - x on the
+left, the steps of `_mul` (addition commutes in IEEE arithmetic), with the
+signs of zeros kept.  The derivative step is the same on both sides: the
+step of dM/dE plus X of the old product (see `_sweep`), run as extra lanes
+after the products, with the factors and signs of the lanes they belong to.  Which lanes share the sweep, and
+in what order, changes no lane's bits: every operation is elementwise, and
+a lane rescales only where its own entries pass 2**256.  Each lane's factor
+is E or E - lam of its own energy, picked by its group's symbol at the site.
+On every side, one gather per block puts each lane's entries in (a, b, c, d)
+order before its squared norms, so the squares add in the order of
+`_norm_sq`.
 
 Kept for the tests and the benchmark only.  `TransferMatrix`, `local_matrix`
 and `transfer_product` (a pure-Python `_mul` chain) with the scalar layer are
 the references the tests hold the lane sweep to; `norm_trace_inequality`
 (one level, raising) is what the tests and a benchmark span call in place of
-`norm_trace_margins`.
+`norm_trace_margins`.  `traces_right_upto`, `traces_left_upto` and
+`dual_traces_upto` are one-group calls of the sweep that the `traces`
+command makes through `phase_traces`; they stay as library entries and
+benchmark spans.
 """
 
 from __future__ import annotations
@@ -88,7 +104,7 @@ import numpy as np
 
 from .phase import PhasePoint
 from .words import fib_number, rotation_block
-from .xfloat import XReal, rel_gap
+from .xfloat import XReal
 
 __all__ = [
     "TransferMatrix",
@@ -105,6 +121,8 @@ __all__ = [
     "norm_trace_margins",
     "norm_trace_inequality",
     "phase_trace_parity",
+    "phase_traces",
+    "TraceTable",
 ]
 
 Energies = float | Sequence[float]
@@ -112,8 +130,10 @@ Energies = float | Sequence[float]
 _RENORM = 2.0**256  # keep entry squares finite in norm computations
 _frexp = math.frexp
 _ldexp = math.ldexp
+_ONE = XReal(1.0)
 
-TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |x|, |reference|); products differ only by rounding
+TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |x|, |reference|); see `phase_trace_parity`
+TRACE_ROUNDING = 64.0  # c of the rounding term of `phase_trace_parity`
 MARGIN_TOL = 1e-8
 
 
@@ -204,11 +224,10 @@ def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
 # rows of a (4, lanes) array: the halves X = rows 0-1 and Y = rows 2-3 are the
 # two rows of the matrix on the right side, where factors multiply from the
 # left, and its two columns on the left side.  A step maps (X, Y) to the new
-# halves.  `right` is T @ M with T = [[t, -1], [1, 0]] and `left` is M @ T.
-_STEPS = {
-    "right": lambda x, y, t: (x * t - y, x + y * 0.0),
-    "left": lambda x, y, t: (x * t + y, y * 0.0 - x),
-}
+# halves: T @ M with T = [[t, -1], [1, 0]] on the right is (x * t - y,
+# x + y * 0.0), M @ T on the left is (x * t + y, y * 0.0 - x).  `_sweep` runs
+# both as x * t + y * s, x * f + y * 0.0 with (s, f) = (-1, 1) on the right
+# and (1, -1) on the left; see "Byte identity".
 _ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}  # of a, b, c, d
 
 # Rounding slack for the entry bounds that let `_renorm` skip its check: a
@@ -229,6 +248,7 @@ class _Mark(NamedTuple):
     norm_e: np.ndarray | None = None
     sum_m: np.ndarray | None = None  # squared norms summed over sites 1..n
     sum_e: np.ndarray | None = None
+    peak: np.ndarray | None = None  # every |entry| over sites 1..n is below 2**peak
 
 
 def _renorm(m, e, bound):
@@ -258,13 +278,12 @@ def _add_lanes(m1, e1, m2, e2):
     it to the other one; here both get a scale, 1.0 for the larger one, which
     gives the same sums since x * 1.0 is x and addition commutes.
     """
-    if not (e1 != e2).any():
-        return m1 + m2, e1
     shift = e1 - e2
+    if not shift.any():
+        return m1 + m2, e1
     m = m1 * np.ldexp(1.0, np.minimum(shift, 0)) + m2 * np.ldexp(1.0, np.minimum(-shift, 0))
-    far = np.abs(shift) > 1080
-    if far.any():  # `_add` returns the larger operand untouched
-        m = np.where(far, np.where(shift < 0, m2, m1), m)
+    if shift.min() < -1080 or shift.max() > 1080:  # `_add` returns the larger operand untouched
+        m = np.where(np.abs(shift) > 1080, np.where(shift < 0, m2, m1), m)
     return m, np.maximum(e1, e2)
 
 
@@ -301,92 +320,137 @@ def _running_sums(m, e, carry):
     return sum_m, ex + top
 
 
-def _sweep(side, E: np.ndarray, lam: float, theta: PhasePoint, marks,
-           *, deriv: bool = False, norms: bool = False) -> list[_Mark]:
+def _lanes_by_group(side, theta, size: int):
+    """Per-lane (side, phase) pairs -> (groups, group index per lane, sides per lane)."""
+    sides = [side] * size if isinstance(side, str) else list(side)
+    thetas = [theta] * size if isinstance(theta, PhasePoint) else list(theta)
+    if len(sides) != size or len(thetas) != size or not set(sides) <= {"right", "left"}:
+        raise ValueError("a sweep takes 'right' or 'left' and a phase per lane")
+    index: dict = {}
+    group = np.array([index.setdefault(pair, len(index)) for pair in zip(sides, thetas)],
+                     dtype=np.intp)
+    return list(index), group, sides
+
+
+def _symbols(groups, top: int) -> np.ndarray:
+    """(top, groups) booleans: whether the n-th factor of each group has potential 1."""
+    rows = [_potential_pattern(theta, 1, top) if side == "right"
+            else _potential_pattern(theta, -top + 1, 0)[::-1]  # site 0, -1, -2, ...
+            for side, theta in groups]
+    return np.stack([np.frombuffer(r.encode(), dtype=np.uint8) == ord("1") for r in rows],
+                    axis=1)
+
+
+def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int = False,
+           norms: bool = False, peaks: bool = False) -> list[_Mark]:
     """Multiply the one-site matrices for every energy lane; record at marks.
 
-    `side` is "right" (T(n)...T(1) over sites 1..n) or "left" (T(0)T(-1)...
-    over sites 0, -1, ...), or, for a two-sided sweep, a sequence giving
-    "right" or "left" per lane; each lane then keeps its entries in the row
-    order of its own side.  `marks` are increasing site counts >= 1.
-    `deriv` carries dM/dE by the product rule (one-sided sweeps only);
-    `norms` carries the running sum of squared norms over sites 1..n.  Norms
-    of unimodular products are at least 1, so the zero branches of
+    Each lane has an energy, a side and a phase.  `side` is "right"
+    (T(n)...T(1) over sites 1..n) or "left" (T(0)T(-1)... over sites 0, -1,
+    ...), `theta` a PhasePoint, or either a sequence with one per lane; each
+    lane keeps its entries in the row order of its own side.  Lanes with the
+    same (side, phase) form a group and read their factors from one row of
+    symbols.  `marks` are increasing site counts >= 1.  `deriv` carries dM/dE
+    by the product rule, on every lane if True, or on the first `deriv` lanes
+    if an int; `norms` carries the running sum of squared norms over sites
+    1..n; `peaks` the least p with 2**e * |entry| < 2**p at every site 1..n.
+    Norms of unimodular products are at least 1, so the zero branches of
     `XReal.__add__` never apply after the first site.
 
-    State is O(lanes * B): with `norms`, products wait in a buffer of B
-    sites, and a mark gets its norm fields when its block is summed.
+    State is O(lanes * B + sites * groups): the factors of a block of sites
+    are looked up at once, and with `norms` or `peaks` products wait in a
+    buffer of B sites, and a mark gets those fields when its block is done.
     """
-    top = marks[-1]
-    factor = {"0": E, "1": E - lam}
+    top, lanes = marks[-1], E.size
+    n_d = lanes if deriv is True else int(deriv)
+    if not 0 <= n_d <= lanes:
+        raise ValueError("derivatives are carried on a prefix of the lanes")
+    groups, group, sides = _lanes_by_group(side, theta, lanes)
+    symbols = _symbols(groups, top)
+    # the state holds the products, then dM/dE of the first n_d lanes: T dM is
+    # one more step, with the factors and signs of the lane it belongs to
+    group = np.concatenate((group, group[:n_d]))
+    E = np.concatenate((E, E[:n_d]))
+    span = E - lam
+    left = np.array([s == "left" for s in sides + sides[:n_d]])
+    # the step x * t + y * s, x * f + y * 0.0 of every lane: its factors
+    # (t, f) per site of a block and (s, 0.0) as arrays of shape (2, 1, lanes),
+    # so that one product with (X, Y) gives both new halves
+    sign = np.where(left, 1.0, -1.0)
+    y_factors = np.stack((sign, np.zeros_like(sign)))[:, None]
     # a step multiplies the largest entry by at most max |t| + 1
-    growth = (max(np.abs(E).max(initial=0.0), np.abs(factor["1"]).max(initial=0.0))
-              + 1.0) * _SLACK
-    if isinstance(side, str):
-        step, order = _STEPS[side], np.array(_ROWS[side])[:, None, None]
-        symbols = (_potential_pattern(theta, 1, top) if side == "right"
-                   else _potential_pattern(theta, -top + 1, 0)[::-1])  # site 0, -1, -2, ...
-    else:
-        if set(side) != {"right", "left"} or len(side) != E.size:
-            raise ValueError("a two-sided sweep takes 'right' or 'left' per lane, both used")
-        if deriv:
-            raise ValueError("derivatives are carried on one-sided sweeps only")
-        left = np.array([s == "left" for s in side])
-        # both steps in one, bit for bit: see "Byte identity" in the module docstring
-        sign = np.where(left, 1.0, -1.0)
-        flip = -sign
-
-        def step(x, y, t):
-            return x * t + y * sign, x * flip + y * 0.0
-
-        # per site the factor of each lane, by the (right, left) symbol pair
-        factor = {r + l: np.where(left, factor[l], factor[r]) for r in "01" for l in "01"}
-        symbols = map(str.__add__, _potential_pattern(theta, 1, top),
-                      _potential_pattern(theta, -top + 1, 0)[::-1])
-        # per lane the rows that put its entries in (a, b, c, d) order
-        order = np.where(left, np.array(_ROWS["left"])[:, None], np.arange(4)[:, None])[:, None]
-    m = np.zeros((4, E.size))
-    m[0] = m[3] = 1.0  # a and d sit there on every side
-    e = np.zeros(E.size, dtype=np.int64)
-    dm, de = np.zeros_like(m), np.zeros_like(e)
-    zero = np.zeros((2, E.size))
-    bound, dbound = 1.0, 0.0
+    growth = (max(np.abs(E).max(initial=0.0), np.abs(span).max(initial=0.0)) + 1.0) * _SLACK
+    # per lane the rows that put its entries in (a, b, c, d) order
+    order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
+                     np.arange(4)[:, None])[:, None]
+    m = np.zeros((4, lanes + n_d))
+    m[0, :lanes] = m[3, :lanes] = 1.0  # a and d sit there on every side
+    e = np.zeros(lanes + n_d, dtype=np.int64)
+    zero = np.zeros((2, n_d))
+    bound = 1.0
+    # exact norm sums need B <= `_block_sites`; without them 32 sites keep the
+    # factor and peak buffers small
+    size = _block_sites(growth) if norms else min(_block_sites(growth), 32)
+    x_factors = np.empty((size, 2, 1, lanes + n_d))
+    x_factors[:, 1, 0] = -sign
     if norms:
-        size = _block_sites(growth)
-        block_m = np.empty((4, size, E.size))
-        block_e = np.empty((size, E.size), dtype=np.int64)
+        block_m = np.empty((4, size, lanes))
+    if peaks:
+        block_p = np.empty((size, lanes))  # the largest |entry| of each lane
+    if norms or peaks:
+        block_e = np.empty((size, lanes), dtype=np.int64)
         # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
-        carry = np.zeros(E.size), np.zeros(E.size, dtype=np.int64)
-        done = 0  # marks that have their norm fields
+        carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
+        # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
+        high = np.zeros(lanes, dtype=np.int64)
+        done = 0  # marks that have their block fields
     out: list[_Mark] = []
     pending = iter(marks)
     want = next(pending)
-    for n, ch in enumerate(symbols, start=1):
-        t = factor[ch]
-        if deriv:
-            # (T M)' = T' M + T M' and (M T)' = M T' + M' T with T' = [[1, 0],
-            # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
-            tdm, tde, tbound = _renorm(np.concatenate(step(dm[:2], dm[2:], t)), de,
-                                       dbound * growth)
-            dm, de, dbound = _renorm(*_add_lanes(np.concatenate((m[:2], zero)), e, tdm, tde),
-                                     (bound + tbound) * _SLACK)
-        m, e, bound = _renorm(np.concatenate(step(m[:2], m[2:], t)), e, bound * growth)
+    for n in range(1, top + 1):
+        j = (n - 1) % size
+        if j == 0:  # the factors of each lane over the next block of sites
+            rows = symbols[n - 1:n - 1 + size][:, group]
+            x_factors[:len(rows), 0, 0] = np.where(rows, span, E)
+        # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
+        # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
+        x, ex, old = m[:2, :n_d], e[:n_d], bound
+        step = m[:2] * x_factors[j] + m[2:] * y_factors
+        m, e, bound = _renorm(step.reshape(4, -1), e, bound * growth)
+        if n_d:
+            dm, de, dbound = _renorm(*_add_lanes(np.concatenate((x, zero)), ex, m[:, lanes:],
+                                                 e[lanes:]), (old + bound) * _SLACK)
+            m, e = np.concatenate((m[:, :lanes], dm), axis=1), np.concatenate((e[:lanes], de))
+            bound = max(bound, dbound)
         if n == want:
-            out.append(_Mark(n, m, e, *((dm, de) if deriv else (None, None))))
+            out.append(_Mark(n, m[:, :lanes], e[:lanes],
+                             *((m[:, lanes:], e[lanes:]) if n_d else (None, None))))
             want = next(pending, None)
         if norms:
-            j = (n - 1) % size
-            block_m[:, j], block_e[j] = m, e
+            block_m[:, j] = m[:, :lanes]
+        if peaks:
+            np.abs(m[:, :lanes]).max(axis=0, out=block_p[j])
+        if norms or peaks:
+            block_e[j] = e[:lanes]
             if j == size - 1 or n == top:
-                # in (a, b, c, d) order, as `_norm_sq` adds the squares
-                block = np.take_along_axis(block_m[:, :j + 1], order, axis=0)
-                norm_m, norm_e = _norm_sq_lanes(block, block_e[:j + 1])
-                sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
-                carry = sum_m[j], sum_e[j]
+                fields = {}
+                if norms:
+                    # in (a, b, c, d) order, as `_norm_sq` adds the squares
+                    block = np.take_along_axis(block_m[:, :j + 1], order, axis=0)
+                    norm_m, norm_e = _norm_sq_lanes(block, block_e[:j + 1])
+                    sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
+                    carry = sum_m[j], sum_e[j]
+                    fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
+                if peaks:
+                    peak = block_e[:j + 1]  # the buffer is spent: add in place
+                    peak += np.frexp(block_p[:j + 1])[1]
+                    np.maximum(peak[0], high, out=peak[0])
+                    np.maximum.accumulate(peak, axis=0, out=peak)
+                    high = peak[j].copy()
+                    fields.update(peak=peak)
                 for i in range(done, len(out)):
                     at = out[i].n - (n - j)
-                    out[i] = out[i]._replace(norm_m=norm_m[at].copy(), norm_e=norm_e[at].copy(),
-                                             sum_m=sum_m[at].copy(), sum_e=sum_e[at].copy())
+                    out[i] = out[i]._replace(**{name: v[at].copy() for name, v in fields.items()})
                 done = len(out)
     return out
 
@@ -519,6 +583,52 @@ def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
     )
 
 
+class TraceTable(NamedTuple):
+    """Traces at lengths F(0..k_max) of one (side, phase), one row per energy.
+
+    `derivs` holds their energy derivatives, or None; `peaks`, an (energies,
+    levels) int array, per product the least p with every |entry| of the
+    products along its sites below 2**p, the scale of its rounding in
+    `phase_trace_parity`.
+    """
+
+    traces: list
+    derivs: list | None
+    peaks: np.ndarray
+
+
+def phase_traces(k_max: int, E: Energies, lam: float, thetas):
+    """Right and left traces of every phase and the phase-zero traces, one pass.
+
+    Returns a (right, left) pair of `TraceTable`s per phase, the right ones
+    with derivatives, and the right table at phase zero: that of a phase of
+    the list that is zero, else one swept in lanes of its own.  All lanes
+    share one sweep, bit-identical to a sweep per (side, phase).
+    """
+    lanes, scalar = _lanes(E)
+    thetas = list(thetas)
+    at_zero = next((i for i, theta in enumerate(thetas) if theta.raw == 0), None)
+    groups = ([("right", theta) for theta in thetas] + [("left", theta) for theta in thetas]
+              + ([("right", PhasePoint.zero())] if at_zero is None else []))
+    n = lanes.size
+    marks = _sweep([side for side, _ in groups for _ in range(n)], np.tile(lanes, len(groups)),
+                   lam, [theta for _, theta in groups for _ in range(n)], _fib_marks(k_max),
+                   deriv=len(thetas) * n, peaks=True)
+    traces = [_trace_xreals(mark.m, mark.e) for mark in marks]
+    peaks = np.array([mark.peak for mark in marks]).T
+    derivs = [_trace_xreals(mark.dm, mark.de) for mark in marks] if thetas else []
+
+    def table(g: int) -> TraceTable:
+        def rows(columns):
+            return _per_energy([column[g * n:(g + 1) * n] for column in columns], scalar)
+        lanes_g = peaks[g * n:(g + 1) * n]
+        return TraceTable(rows(traces), rows(derivs) if g < len(thetas) else None,
+                          lanes_g[0] if scalar else lanes_g)
+
+    tables = [(table(g), table(len(thetas) + g)) for g in range(len(thetas))]
+    return tables, tables[at_zero][0] if at_zero is not None else table(len(groups) - 1)
+
+
 # ----------------------------------------------------------------------------
 # windowed norms and the norm/derivative inequality
 # ----------------------------------------------------------------------------
@@ -542,7 +652,7 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
         raise ValueError("window lengths must be nonzero")
     blocks = [side for side, sign in (("right", 1), ("left", -1))
               if any(l * sign > 0 for l in ls)]
-    sides = blocks[0] if len(blocks) == 1 else [s for s in blocks for _ in lanes]
+    sides = [s for s in blocks for _ in lanes]
     mags = sorted(set(abs(l) for l in ls))
     edges = {n for l in mags for n in (math.floor(l), math.floor(l) + 1)} - {0}
     at = {mark.n: mark for mark in _sweep(sides, np.tile(lanes, len(blocks)), lam, theta,
@@ -619,36 +729,68 @@ class TraceParityReport:
     x_odd_ok: bool
     y_even_ok: bool
     y_odd_ok: bool
-    per_k: tuple = ()  # (k, family 'x'|'y', max relative error over the grid)
+    per_k: tuple = ()  # (k, family 'x'|'y', worst gap over its allowance on the grid)
+
+
+def _gap_ratio(x: XReal, ref: XReal, k: int, peak: int, ref_peak: int) -> float:
+    """|x - ref| over its allowance in the error model of `phase_trace_parity`."""
+    gap = abs(x - ref)
+    if not gap:
+        return 0.0
+    rounding = TRACE_ROUNDING * fib_number(k) * 2.0**-53
+    allowance = (TRACE_EQUALITY_TOL * max(abs(x), abs(ref), _ONE)
+                 + XReal(rounding, 2 * peak) + XReal(rounding, 2 * ref_peak))
+    return 2.0 ** min(gap.log2() - allowance.log2(), 64.0)
 
 
 def phase_trace_parity(theta: PhasePoint, lam: float, E_grid, k_max: int,
-                       right_traces=None, refs=None) -> TraceParityReport:
+                       traces=None, refs=None) -> TraceParityReport:
     """Compare traces at phase theta against phase zero over an energy grid.
 
-    For each level the maximal relative deviation (`rel_gap`) over the grid
-    is recorded; a level passes when it stays below TRACE_EQUALITY_TOL.  On
-    each half-line all even levels or all odd levels must pass, else the run
-    aborts.  `right_traces`, if given, are the right-half-line traces at
-    theta per energy (as from `traces_right_upto` or the values of
-    `dual_traces_upto`) and save that sweep; `refs`, if given, are those
-    traces at phase zero, shared by all phases of a run.
+    A level passes when every energy of the grid meets the error model below;
+    on each half-line all even levels or all odd levels must pass, else the
+    run aborts.  `per_k` records per level the worst ratio of the gap to its
+    allowance.  `traces`, if given, is the (right, left) pair of `TraceTable`s
+    at theta and `refs` the right table at phase zero, as from `phase_traces`
+    (which sweeps all phases of a run and the reference at once); what is not
+    given is swept here.
+
+    Error model.  A trace x of the sweep at level k and its phase-zero
+    reference x0 pass when
+
+        |x - x0| <= TRACE_EQUALITY_TOL * max(1, |x|, |x0|)
+                    + TRACE_ROUNDING * F(k) * 2**-53 * (P**2 + P0**2),
+
+    P and P0 the peaks of the two tables: powers of two above every entry the
+    products pass through on their F(k) sites.  Rounding follows those
+    entries, not the trace: at strong coupling a det-1 product can pass
+    entries of 1e7 and end near trace 1, and the cancellation leaves an
+    error of about 2**-53 times their square, far above 2**-53 times the
+    final norm.  The model is empirical: against 400-bit references (the
+    trace-map recursion at phase zero, products at random phases on both
+    sides), over random couplings up to 10**4 and energies on and off the
+    bands and near E = lam - 1 and E = 0, where such cancellations happen,
+    the error stayed below 26.3 * F(k) * 2**-53 * P**2, and TRACE_ROUNDING
+    keeps a factor 2.4 above that.  The allowance grows as P**2, so where
+    products grow the gate cannot fail: at coupling 10 it reaches the traces
+    themselves near level 16.
     """
     energies = list(E_grid)
     if not energies:
         raise ValueError("energy grid must be nonempty")
-    if refs is None:
-        refs = traces_right_upto(k_max, energies, lam, PhasePoint.zero(theta.bits))
-    xs = right_traces if right_traces is not None else traces_right_upto(
-        k_max, energies, lam, theta)
-    ys = traces_left_upto(k_max, energies, lam, theta)
+    if traces is None or refs is None:
+        (own,), own_refs = phase_traces(k_max, energies, lam, [theta])
+        traces = own if traces is None else traces
+        refs = own_refs if refs is None else refs
     per_k = []
     flags = {"x": {0: True, 1: True}, "y": {0: True, 1: True}}
-    for fam, table in (("x", xs), ("y", ys)):
+    for fam, table in zip("xy", traces):
         for k in range(k_max + 1):
-            err = max(rel_gap(row[k], ref[k]) for row, ref in zip(table, refs))
+            err = max(_gap_ratio(row[k], ref[k], k, int(peak[k]), int(ref_peak[k]))
+                      for row, peak, ref, ref_peak in zip(table.traces, table.peaks,
+                                                         refs.traces, refs.peaks))
             per_k.append((k, fam, err))
-            if err > TRACE_EQUALITY_TOL:
+            if err > 1.0:
                 flags[fam][k % 2] = False
     if not (flags["x"][0] or flags["x"][1]):
         raise TraceParityError(f"no parity class passes for right traces at theta={theta}")

@@ -20,11 +20,11 @@ PUBLIC = {
         "TransferMatrix", "DualScalar", "TraceParityReport", "TraceParityError",
         "MarginViolationError", "local_matrix", "transfer_product", "traces_right_upto",
         "traces_left_upto", "dual_traces_upto", "norm_profile", "norm_trace_margins",
-        "norm_trace_inequality", "phase_trace_parity",
+        "norm_trace_inequality", "phase_trace_parity", "phase_traces", "TraceTable",
     },
     "spectrum": {
         "Band", "GrowthFit", "NormGrowthRecord", "NormGrowthResult", "BandResolutionError",
-        "DegenerateGrowthError", "trace_grid", "bands", "spectrum_cover",
+        "DegenerateGrowthError", "trace_grid", "bands", "census_shortfalls", "spectrum_cover",
         "derivative_growth_scan", "norm_growth_check",
     },
     "dynamics": {

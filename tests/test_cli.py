@@ -113,6 +113,13 @@ def test_traces_command(tmp_path):
     assert summary["pass"] is True
 
 
+def test_traces_parity_at_strong_coupling(tmp_path):
+    # the level-11 products reach norm 4.3e6 against traces near -12.1
+    assert main(["traces", "--lambda", "11.923897424524766",
+                 "--energies=12.095241866584063:12.2:2", "--k-max", "13",
+                 "--theta", "0.3", "--out", str(tmp_path)]) == 0
+
+
 def test_traces_free_case_all_parities(tmp_path):
     code = main(["traces", "--lambda", "0", "--k-max", "6",
                  "--energies=-2:2:5", "--theta", "0.37", "--out", str(tmp_path)])
@@ -293,8 +300,24 @@ def test_exit_code_empty_band_census(tmp_path):
     assert "Traceback" not in proc.stderr
     payload = json.loads((tmp_path / "spectrum.json").read_text())
     assert payload["pass"] is False
-    assert payload["failures"] == [
-        "growth: no band resolvable in float64 at level 18, coupling 100.0"]
+    # levels 0..12 of the band table resolve fewer than F(k) bands; the
+    # growth scan's levels are not reported, as the scan failed
+    assert payload["failures"] == sorted(
+        [f"census: level {k} resolves {n} of {f} bands"
+         for k, n, f in [(2, 2, 3), (4, 7, 8), (5, 12, 13), (6, 19, 21), (7, 31, 34),
+                         (8, 50, 55), (9, 81, 89), (10, 131, 144), (11, 198, 233),
+                         (12, 218, 377)]]
+        + ["growth: no band resolvable in float64 at level 18, coupling 100.0"])
+
+
+def test_census_shortfall_fails_the_run(tmp_path):
+    # the growth scan succeeds, but its cover reads level 15 with 130 of 1597 bands
+    assert main(["spectrum", "--lambda", "100", "--growth", "6:14",
+                 "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["growth_fit"] is not None
+    assert "census: level 15 resolves 130 of 1597 bands" in payload["failures"]
+    assert all(f.startswith("census: level ") for f in payload["failures"])
 
 
 def test_exit_code_success(tmp_path):
@@ -318,7 +341,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_jobs_flag_does_not_change_output(tmp_path):
     runs = [
         (["words", "--k-max", "8", "--subword-max", "10"], ("parity.json",)),
-        # the parity check runs per phase in the worker pool
+        # traces takes --jobs, but sweeps every phase in one pass and runs no pool
         (["traces", "--k-max", "9", "--energies=-3:13:12"],
          ("traces.csv", "margins.csv", "norms.csv", "traces_summary.json")),
     ]
@@ -348,6 +371,38 @@ def test_traces_large_outputs_are_pinned(tmp_path):
     assert main(["traces", "--k-max", "20", "--energies=-3:13:96", "--theta", "omega/2",
                  "--out", str(tmp_path)]) == 0
     for name, digest in TRACES_LARGE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of multi-phase traces runs, taken before the phases and the
+# phase-zero reference shared one sweep: without phase 0 in the list (the
+# reference is swept in lanes of its own) and with it (its traces are the
+# reference)
+TRACES_MULTI_PHASE_SHA256 = {
+    ("1/3",): {
+        "traces.csv": "0e693aff6fa887cc832772223fb18e52a547b27e289d58b80426a052af6b3501",
+        "margins.csv": "7966d0e8e014808ebb97c3c6b89dad7457bddc29b487fad7725f45c9d380a31c",
+        "norms.csv": "7575503bd670f450d84fa15d4c38a971b041e12b911990be7ac09c2b2d23a372",
+        "traces_summary.json":
+            "d53432991f04cf3e2359fbe0439d96aca6a3c9877bf3290d34099c0c50bca70f",
+    },
+    ("0", "1/3"): {
+        "traces.csv": "5d5298897c3250ec63bfb52dcb798cefec9659bf609f0360a00dc01e0ff480a4",
+        "margins.csv": "55904bf3ac8e18d0c87c45ee878987f4f1e5b4aa3765f0bb9b35b4a8a419dea7",
+        "norms.csv": "7467d7f0cb298ae58f71a5c5a04db82fa745ec5a721e59faa5d7d458d217bf6f",
+        "traces_summary.json":
+            "5392c45ef9552d59ca92c74e6f51cda1b86932df8e59105331552256082115b2",
+    },
+}
+
+
+@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
+@pytest.mark.parametrize("thetas", sorted(TRACES_MULTI_PHASE_SHA256))
+def test_traces_multi_phase_outputs_are_pinned(tmp_path, thetas):
+    args = [arg for theta in thetas for arg in ("--theta", theta)]
+    assert main(["traces", "--k-max", "12", "--energies=-3:13:16", *args,
+                 "--random-thetas", "3", "--seed", "5", "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_MULTI_PHASE_SHA256[thetas].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 

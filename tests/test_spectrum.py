@@ -307,6 +307,15 @@ def test_bands_raise_on_an_empty_census(monkeypatch):
         SP.bands(3, 1000.0)
 
 
+def test_census_shortfalls_list_the_levels_below_fibonacci():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert SP.census_shortfalls(6, 100.0) == [(2, 2, 3), (4, 7, 8), (5, 12, 13),
+                                                  (6, 19, 21)]
+    assert SP.census_shortfalls(19, 10.0) == []  # the levels of a default run
+    assert SP.census_shortfalls(12, 3.0) == []  # gaps may close at weak coupling
+
+
 def test_bands_rejects_out_of_range():
     with pytest.raises(ValueError):
         SP.bands(-1, 10.0)

@@ -1,9 +1,10 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 from quasitrace.words import fib_number, rotation_block
@@ -321,10 +322,71 @@ def test_parity_free_case_all_levels():
 
 def test_parity_with_a_shared_reference_matches_its_own_sweep():
     grid = list(np.linspace(-3, 13, 8))
-    refs = TR.traces_right_upto(10, grid, 10.0, TH0)
+    # the reference of another run, swept in lanes of its own
+    _, refs = TR.phase_traces(10, grid, 10.0, [PhasePoint.from_decimal("0.7")])
     for theta in (TH0, PhasePoint.from_decimal("0.3")):
+        (traces,), _ = TR.phase_traces(10, grid, 10.0, [theta])
         assert (TR.phase_trace_parity(theta, 10.0, grid, 10, refs=refs)
+                == TR.phase_trace_parity(theta, 10.0, grid, 10, traces, refs)
                 == TR.phase_trace_parity(theta, 10.0, grid, 10))
+
+
+def test_parity_passes_at_strong_coupling_where_products_outgrow_traces():
+    # the level-11 product at phase zero reaches norm 4.3e6 against a trace
+    # of -12.1; its rounding is far above 1e-9 relative to the trace
+    lam, E, theta = 11.923897424524766, 12.095241866584063, PhasePoint.from_decimal("0.3")
+    rep = TR.phase_trace_parity(theta, lam, [E, 12.2], 13)
+    assert rep.x_even_ok and rep.y_odd_ok
+    # here the gaps of levels 4 to 8 pass 2**-53 * F(k) * 64 * P, but stay
+    # below the square of the peaks
+    lam, E, theta = 387.46705524669363, 386.46963608552727, PhasePoint.from_decimal("0.11")
+    rep = TR.phase_trace_parity(theta, lam, [E], 8)
+    assert rep.x_even_ok and rep.x_odd_ok
+
+
+def test_parity_fails_a_trace_off_by_a_millionth():
+    # a level-8 band centre at lambda 10, where the products stay small
+    lam, E = 10.0, 9.048289750908484
+    assert abs(SP.trace_grid([E], lam, 8)[8][0]) <= 2.0
+    grid = [-3.0, E, 13.0]
+    (traces,), refs = TR.phase_traces(8, grid, lam, [TH0])
+
+    def off(family, k):
+        table = traces[family]
+        rows = [list(row) for row in table.traces]
+        rows[1][k] = rows[1][k] * (1.0 + 1e-6)  # |x| is about 10 at levels 3 and 6
+        bad = list(traces)
+        bad[family] = table._replace(traces=rows)
+        return TR.phase_trace_parity(TH0, lam, grid, 8, tuple(bad), refs)
+
+    rep = TR.phase_trace_parity(TH0, lam, grid, 8, traces, refs)
+    assert (rep.x_even_ok, rep.x_odd_ok, rep.y_even_ok, rep.y_odd_ok) == (True, True, False, True)
+    assert (off(0, 6).x_even_ok, off(0, 6).x_odd_ok) == (False, True)
+    assert (off(0, 3).x_even_ok, off(0, 3).x_odd_ok) == (True, False)
+    with pytest.raises(TR.TraceParityError):
+        off(1, 3)  # the only class of the left traces at phase zero
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.sampled_from([12.0, 57.0, 237.6967740309825]) | st.floats(0.0, 3000.0),
+       offset=st.floats(-1.5, 1.5), spread=st.floats(-3.0, 3.0), k=st.integers(0, 16))
+# the worst of 1,520 random draws against 400-bit references: the error is
+# 26.3 * F(4) * 2**-53 * P**2, so TRACE_ROUNDING must be at least 26.3
+@example(lam=387.46705524669363, offset=386.46963608552727 - 387.46705524669363, spread=0.0,
+         k=4)
+@example(lam=237.6967740309825, offset=236.69887089114744 - 237.6967740309825, spread=0.0, k=8)
+@example(lam=11.923897424524766, offset=12.095241866584063 - 11.923897424524766, spread=0.0,
+         k=11)
+def test_rounding_term_bounds_the_sweep_error(lam, offset, spread, k):
+    # energies near E = lam - 1 and E = 0, where one factor is about +-1 and the
+    # other about lam: products pass large entries and cancel back down
+    grid = [lam + offset, offset, spread, lam + spread]
+    _, refs = TR.phase_traces(k, grid, lam, [])
+    for E, traces, peaks in zip(grid, refs.traces, refs.peaks):
+        with mp.workprec(200):
+            exact = SP._recurse(mp.mpf(E), mp.mpf(lam), k, False, keep_all=True)[0][k]
+            error = abs(mp.ldexp(traces[k].m, traces[k].e) - exact)
+            assert error <= TR.TRACE_ROUNDING * fib_number(k) * mp.ldexp(1, 2 * int(peaks[k]) - 53)
 
 
 def test_parity_rejects_empty_grid():

@@ -9,6 +9,8 @@ on its own; if a rescale leaked into another lane, that lane's raw exponents
 would change even where its normalized values do not.  Norm sums are taken
 a block of sites at a time, so marks on both sides of every block edge, and
 windows whose edge term opens the next block, are held to the scalar sums.
+Lanes of several (side, phase) groups in one sweep, with derivatives on a
+prefix of them, keep the bits of a sweep per group.
 """
 
 import math
@@ -16,7 +18,6 @@ import random
 import struct
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasitrace import transfer as TR
@@ -167,10 +168,89 @@ def test_two_sided_norm_profile_matches_one_call_per_side(lam, energies, far, wi
         assert xbits(row) == xbits([next(p) if l > 0 else next(n) for l in ls])
 
 
-def test_two_sided_sweep_carries_no_derivative():
-    with pytest.raises(ValueError):
-        TR._sweep(["right", "left"], np.array([0.5, 0.5]), 2.0, PhasePoint.zero(), [3],
-                  deriv=True)
+def column(mark, i, deriv):
+    """Bits of lane i of a mark: entries, exponent, norm, norm sum, peak and,
+    with `deriv`, the derivative's entries and exponent."""
+    fields = [mark.m[:, i], mark.e[i], mark.norm_m[i], mark.norm_e[i], mark.sum_m[i],
+              mark.sum_e[i], mark.peak[i]]
+    if deriv:
+        fields += [mark.dm[:, i], mark.de[i]]
+    return [np.asarray(f).tobytes() for f in fields]
+
+
+phases = st.sampled_from([0, 1 << (PRECISION_BITS - 1)]) | st.integers(
+    0, (1 << PRECISION_BITS) - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    groups=st.lists(st.tuples(st.sampled_from(["right", "left"]), phases),
+                    min_size=1, max_size=4),
+    k=st.integers(0, 13),
+    lam=st.sampled_from([0.0, 12.0]) | st.floats(0.0, 12.0),
+    energies=st.lists(st.floats(-4.0, 16.0) | st.sampled_from([0.0, -0.0]), max_size=2),
+    far=st.floats(6.0, 10.0),
+    prefix=st.floats(0.0, 1.0),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(groups=[("right", 0), ("left", 0), ("right", 1 << (PRECISION_BITS - 1))], k=14,
+         lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, prefix=0.5, shuffle=random.Random(0))
+@example(groups=[("left", 0), ("right", 0)], k=9, lam=0.0, energies=[0.0, -0.0], far=6.0,
+         prefix=1.0, shuffle=random.Random(1))
+def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, prefix,
+                                                 shuffle):
+    # lanes of any (side, phase) groups in any order, derivatives on a prefix:
+    # each lane keeps the bits of a sweep of its group alone
+    energies = energies + [lam + far, -far]  # off the spectrum: these rescale
+    lanes = [(side, PhasePoint(phase), E) for side, phase in groups for E in energies]
+    shuffle.shuffle(lanes)
+    n_d = round(prefix * len(lanes))
+    marks = [fib_number(j) for j in range(k + 1)]
+    grouped = TR._sweep([s for s, _, _ in lanes], np.array([E for _, _, E in lanes]), lam,
+                        [t for _, t, _ in lanes], marks, deriv=n_d, norms=True, peaks=True)
+    for side, theta in {(s, t) for s, t, _ in lanes}:
+        own = [i for i, (s, t, _) in enumerate(lanes) if (s, t) == (side, theta)]
+        alone = TR._sweep(side, np.array([lanes[i][2] for i in own]), lam, theta, marks,
+                          deriv=True, norms=True, peaks=True)
+        for mark, ref in zip(grouped, alone):
+            for j, i in enumerate(own):
+                assert column(mark, i, i < n_d) == column(ref, j, i < n_d)
+
+
+def test_peaks_are_the_least_power_of_two_above_every_entry():
+    lam, theta = 12.0, PhasePoint.from_decimal("0.3")
+    energies = [BAND_CENTER, 3.0, lam + 8.0, -8.0]
+    for side in ("right", "left"):
+        top = 300
+        marks = TR._sweep(side, np.array(energies), lam, theta, list(range(1, top + 1)),
+                          peaks=True)
+        pattern = (rotation_block(1, top, theta).to01() if side == "right"
+                   else rotation_block(1 - top, 0, theta).to01()[::-1])
+        for i, E in enumerate(energies):
+            m, high = (1.0, 0.0, 0.0, 1.0, 0), -math.inf
+            for mark, v in zip(marks, pattern):
+                t = (E - lam if v == "1" else E, -1.0, 1.0, 0.0, 0)
+                m = TR._mul(t, m) if side == "right" else TR._mul(m, t)
+                high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
+                assert int(mark.peak[i]) == high
+
+
+def test_phase_traces_match_the_one_group_calls():
+    grid, lam = [-0.0, 0.0, BAND_CENTER, 3.0, 20.0, -8.0], 12.0
+    other = PhasePoint.from_decimal("0.3")
+    for thetas in ([other], [other, PhasePoint.zero()]):
+        tables, refs = TR.phase_traces(11, grid, lam, thetas)
+        for theta, (right, left) in zip(thetas, tables):
+            duals = TR.dual_traces_upto(11, grid, lam, theta)
+            assert [xbits(r) for r in right.traces] == [xbits(d.value for d in row)
+                                                         for row in duals]
+            assert [xbits(r) for r in right.derivs] == [xbits(d.deriv for d in row)
+                                                         for row in duals]
+            assert left.derivs is None
+            assert [xbits(r) for r in left.traces] == [
+                xbits(row) for row in TR.traces_left_upto(11, grid, lam, theta)]
+        assert [xbits(r) for r in refs.traces] == [
+            xbits(row) for row in TR.traces_right_upto(11, grid, lam, PhasePoint.zero())]
 
 
 def test_band_lane_never_rescales_beside_far_lanes():
