@@ -6,7 +6,7 @@ Subpackages:
     xfloat    extended-range scalars for doubly-exponential growth
     transfer  unimodular transfer-matrix products, traces, windowed norms
     spectrum  trace-condition bands, derivative and norm growth exponents
-    dynamics  finite truncations, time evolution, Abel-averaged confinement
+    dynamics  finite truncations, their spectra, Abel-averaged confinement
     cli       command-line front end (`quasitrace`)
 """
 

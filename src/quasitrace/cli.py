@@ -9,7 +9,6 @@ is ever written.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -94,8 +93,8 @@ class RunConfig:
             raise ConfigError("energy grid must be lo:hi:count with lo < hi, count >= 1")
         if not all(math.isfinite(t) and t > 0 for t in self.T_grid):
             raise ConfigError("timescales must be finite and positive")
-        if self.N != "auto" and (not isinstance(self.N, int) or self.N < 1):
-            raise ConfigError("N must be a positive integer or 'auto'")
+        if self.N != "auto" and (not isinstance(self.N, int) or not 1 <= self.N <= DY.MAX_BOX):
+            raise ConfigError(f"N must be an integer in [1, {DY.MAX_BOX}] or 'auto'")
         if not (math.isfinite(self.C1) and self.C1 > 0):
             raise ConfigError("C1 must be finite and positive")
         if self.p != "auto" and not (0 < float(self.p) <= 1.0):
@@ -175,20 +174,6 @@ def _finish(name: str, path: Path, payload: dict, failures: list[str], ok: str) 
 # words subcommand
 # ----------------------------------------------------------------------------
 
-def _classify_one(args):
-    raw, bits, k_max = args
-    theta = PhasePoint(raw, bits)
-    right, left = W.classify_phase_words(theta, k_max)
-    return right, left
-
-
-def _parallel_map(func, items, jobs: int):
-    if jobs <= 1:
-        return [func(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items, chunksize=8))
-
-
 def cmd_words(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,9 +208,8 @@ def cmd_words(cfg: RunConfig) -> int:
             failures.append(f"complexity n={n}")
 
     phases = cfg.phase_points()
-    tasks = [(pt.raw, pt.bits, cfg.k_max) for _, pt in phases]
     try:
-        reports = _parallel_map(_classify_one, tasks, cfg.jobs)
+        reports = [W.classify_phase_words(pt, cfg.k_max) for _, pt in phases]
     except W.PhaseClassificationError as exc:
         failures.append(f"phase-classification: {exc}")
         reports = []
@@ -480,7 +464,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=20260810,
                         help="seed for randomized phase sampling")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (only words uses them)")
+                        help="must be >= 1; has no effect, every suite runs in one process")
     parser.add_argument("--theta", dest="thetas", action="append", default=None,
                         metavar="PHASE", help="phase token (repeatable)")
     parser.add_argument("--theta-list", default=None,

@@ -1,5 +1,4 @@
-"""Finite-box quantum dynamics: evolution of a corner state and Abel-averaged
-window masses.
+"""Finite-box quantum dynamics: Abel-averaged window masses of a corner state.
 
 The operator is the discrete one-dimensional Schrodinger operator with the
 golden-rotation potential, truncated to sites [-N, N] with hard (Dirichlet)
@@ -39,10 +38,11 @@ solver validates what it returns against an independent ``dsterf``
 eigenvalue solve, the orthonormality of the tracked rows, and the first
 moments of the operator.
 
-Kept for the tests and the benchmark only: the dense `eigensystem` (all
-eigenvectors, MRRR, a benchmark span) with `EigenSystem`, `evolve`,
-`WavePacket`, `windowed_norm` and the time-domain quadrature `abel_average`,
-which the tests compare `site_spectrum` and the closed form against.
+Kept for the benchmark: the dense `eigensystem` (all eigenvectors, MRRR)
+with `EigenSystem` and `_validate_eigensystem`, and `abel_site_masses` taking
+an `EigenSystem`.  No command calls them, but the benchmark's spans trace and
+count them and its own tests call them, so they stay until the benchmark
+drops them; the tests also hold `site_spectrum` to them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "Truncation",
     "EigenSystem",
     "SiteSpectrum",
-    "WavePacket",
     "AbelRecord",
     "BoundReport",
     "TrendRow",
@@ -71,9 +70,6 @@ __all__ = [
     "build_truncation",
     "eigensystem",
     "site_spectrum",
-    "evolve",
-    "windowed_norm",
-    "abel_average",
     "abel_site_masses",
     "dynamical_bound_check",
     "exponent_trend",
@@ -82,10 +78,11 @@ __all__ = [
 TRUNC_TOL = 1e-5  # largest certified truncation error T sqrt(e_T) of a valid record
 MAX_BOX = 4096  # largest box half-width the certified loop tries
 _BOX_MARGIN = 16  # sites between the largest window and the edge of the first box
-ABEL_TAIL_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 GRAM_TOL = 1e-9
 EIGENVALUE_TOL = 1e-12  # times |lambda| + 2, against the dsterf eigenvalues
+_TREND_FLOOR = 0.5  # Abel mass a window of `exponent_trend` must hold
+_TREND_P_GRID = tuple(round(0.05 * i, 2) for i in range(1, 21))  # its exponents
 
 
 Timescales = float | Sequence[float]
@@ -128,10 +125,6 @@ class EigenSystem:
     def site_index(self, n: int) -> int:
         return _box_index(n, self.trunc.N)
 
-    def initial_coefficients(self, site: int = 1) -> np.ndarray:
-        """Eigenbasis coefficients of the unit vector at the given site."""
-        return self.eigenvectors[self.site_index(site), :]
-
     def site_rows(self, sites) -> np.ndarray:
         """Eigenvector entries phi_j(n), one row per site, columns as eigenvalues."""
         return self.eigenvectors[[self.site_index(n) for n in sites], :]
@@ -161,18 +154,6 @@ class SiteSpectrum:
                 raise KeyError(f"site {n} was not tracked by the solver")
             picks.append(where[n])
         return self.rows[picks, :]
-
-
-@dataclass(frozen=True)
-class WavePacket:
-    """State amplitudes over sites -N..N at one instant."""
-
-    N: int
-    amplitudes: np.ndarray
-    time: float
-
-    def at_site(self, n: int) -> complex:
-        return self.amplitudes[n + self.N]
 
 
 @dataclass(frozen=True)
@@ -253,7 +234,7 @@ def _validate_eigensystem(es: EigenSystem) -> None:
         raise AssertionError(f"sampled eigenvector Gram defect {gram_err:.3e}")
 
 
-def eigensystem(trunc: Truncation, check: bool = True) -> EigenSystem:
+def eigensystem(trunc: Truncation) -> EigenSystem:
     """Spectral decomposition of the truncation, validated.
 
     Tries the fast LAPACK driver first and falls back to bisection plus
@@ -266,8 +247,7 @@ def eigensystem(trunc: Truncation, check: bool = True) -> EigenSystem:
             w, V = eigh_tridiagonal(trunc.diagonal, trunc.offdiagonal,
                                     lapack_driver=driver)
             es = EigenSystem(trunc, w, V)
-            if check:
-                _validate_eigensystem(es)
+            _validate_eigensystem(es)
             return es
         except (np.linalg.LinAlgError, AssertionError) as exc:
             last_error = exc
@@ -523,63 +503,6 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     return SiteSpectrum(trunc, w, tuple(tracked), rows, stats)
 
 
-def evolve(es: EigenSystem, t: float, site: int = 1) -> WavePacket:
-    """Unitary evolution of the unit vector at the given site for time t."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    c = es.initial_coefficients(site)
-    phases = np.exp(-1j * t * es.eigenvalues)
-    amps = es.eigenvectors @ (phases * c)
-    return WavePacket(es.trunc.N, amps, t)
-
-
-def windowed_norm(psi: WavePacket, L: float) -> float:
-    """Probability inside radius L with fractional weight at the window edge.
-
-    Sums |psi(n)|^2 over |n| <= floor(L) and adds (L - floor(L)) times the
-    probabilities at the two sites just outside.  Both edge sites must exist.
-    """
-    if L < 0:
-        raise ValueError("window radius must be nonnegative")
-    fl = math.floor(L)
-    if fl + 1 > psi.N:
-        raise WindowError(f"window radius {L} exceeds the box (N={psi.N})")
-    prob = np.abs(psi.amplitudes) ** 2
-    center = psi.N
-    total = float(prob[center - fl: center + fl + 1].sum())
-    frac = L - fl
-    if frac:
-        total += frac * float(prob[center - fl - 1] + prob[center + fl + 1])
-    return total
-
-
-def abel_average(A, T: float, eps_tail: float = ABEL_TAIL_EPS,
-                 max_step: float = 0.05) -> float:
-    """Exponentially weighted time average (2/T) int_0^inf exp(-2t/T) A(t) dt.
-
-    Composite Simpson rule up to the cutoff where the weight has decayed to
-    eps_tail, with step small enough to resolve every Bohr frequency of the
-    bounded operators at hand; the tail is closed analytically with the last
-    sampled value.
-    """
-    if T <= 0:
-        raise ValueError("timescale must be positive")
-    t_max = 0.5 * T * math.log(1.0 / eps_tail)
-    h = min(T / 200.0, max_step)
-    n = int(math.ceil(t_max / h))
-    n += n % 2
-    ts = np.linspace(0.0, n * h, n + 1)
-    vals = np.array([A(float(t)) for t in ts], dtype=float)
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
-    integrand = np.exp(-2.0 * ts / T) * vals
-    integral = float(weights @ integrand)
-    tail = 0.5 * T * math.exp(-2.0 * ts[-1] / T) * vals[-1]
-    return (2.0 / T) * (integral + tail)
-
-
 def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: Timescales) -> np.ndarray:
     """Closed-form Abel means of site probabilities for the corner initial state.
 
@@ -705,32 +628,30 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
                        tuple(records), g_emp, n_used, solver, box_steps)
 
 
-def exponent_trend(lambdas, theta: PhasePoint, T_grid=(10.0, 30.0, 100.0, 300.0, 1000.0),
-                   floor: float = 0.5, p_grid=None) -> list[TrendRow]:
-    """Smallest window exponent keeping the Abel mass above the floor, per coupling.
+def exponent_trend(lambdas, theta: PhasePoint,
+                   T_grid=(10.0, 30.0, 100.0, 300.0, 1000.0)) -> list[TrendRow]:
+    """Smallest window exponent keeping the Abel mass at 1/2 or more, per coupling.
 
-    p_fit is the smallest p on the grid whose masses at radius T**p clear the
-    floor at every timescale.  The box is the first certified one of the
-    doubling from 2 * `_BOX_MARGIN`, with every site up to the largest window
+    p_fit is the smallest p of `_TREND_P_GRID` whose masses at radius T**p
+    reach `_TREND_FLOOR` at every timescale.  The box is the first certified
+    one of the doubling from 2 * `_BOX_MARGIN`, with every site up to the largest window
     tracked; a window that covers the box is clipped to it, whose mass 1 is
     the true mass up to the certified error.  Each row keeps the boxes tried,
     the last one certified.
     """
-    if p_grid is None:
-        p_grid = [round(0.05 * i, 2) for i in range(1, 21)]
     ts = sorted(float(T) for T in T_grid)
     rows = []
     for lam in lambdas:
         if lam <= 8.0:
             raise ValueError("exponent calibration expects couplings above 8")
-        top = math.floor(max(ts) ** max(p_grid)) + 1
+        top = math.floor(max(ts) ** max(_TREND_P_GRID)) + 1
         per_t, _, _, steps = _certified_box(lam, theta, ts, 2 * _BOX_MARGIN, top)
         n_box = steps[-1][0]
         p_fit = None
         fitted = []
-        for p in p_grid:
+        for p in _TREND_P_GRID:
             table = [(p, t, _window_mass(m, min(t**p, n_box))) for t, m in zip(ts, per_t)]
-            if all(mass >= floor for _, _, mass in table):
+            if all(mass >= _TREND_FLOOR for _, _, mass in table):
                 p_fit = p
                 fitted = table
                 break

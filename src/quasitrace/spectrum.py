@@ -287,7 +287,7 @@ def _merge_intervals(lo, hi):
 _BANDS_CACHE: dict = {}
 
 
-def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
+def bands(k: int, lam: float) -> list[Band]:
     """Maximal closed intervals where |x_k| <= 2, by hierarchical refinement.
 
     The census on any grid must match the census on the doubled grid, read
@@ -300,11 +300,11 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
         raise ValueError("level must be >= 0")
     if k > 25:
         raise ValueError("band scans supported up to level 25")
-    key = (k, float(lam), oversample)
+    key = (k, float(lam))
     if key in _BANDS_CACHE:
         return _BANDS_CACHE[key]
     for level in range(k + 1):
-        key_l = (level, float(lam), oversample)
+        key_l = (level, float(lam))
         if key_l in _BANDS_CACHE:
             continue
         if level <= 2:
@@ -315,12 +315,11 @@ def bands(k: int, lam: float, oversample: int = 1) -> list[Band]:
         else:
             # Pad parents past their own edge-location tolerance: a child band
             # narrower than the parent's edge slack may otherwise be clipped.
-            parents = (_BANDS_CACHE[(level - 1, float(lam), oversample)]
-                       + _BANDS_CACHE[(level - 2, float(lam), oversample)])
+            parents = _BANDS_CACHE[(level - 1, float(lam))] + _BANDS_CACHE[(level - 2, float(lam))]
             lo = np.array([b.lo for b in parents])
             hi = np.array([b.hi for b in parents])
             segments = _merge_intervals(lo - _edge_pad(lo), hi + _edge_pad(hi))
-            base_pts = _PER_PARENT_POINTS * oversample
+            base_pts = _PER_PARENT_POINTS
         pts = base_pts
         found = None
         for _attempt in range(3):

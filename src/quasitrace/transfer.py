@@ -13,7 +13,8 @@ nothing but the dynamic range.
 Scalar layer.  A tuple (a, b, c, d, e) means 2**e * [[a, b], [c, d]].  `_mul`
 multiplies two of them and rescales when an entry passes 2**256; `_add` does
 the same for sums; `_norm_sq` gives the squared spectral norm as an XReal.
-`TransferMatrix` wraps these for single products.
+They are the specification the sweep keeps bit for bit (see "Byte identity"),
+and the tests build their scalar products on them.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
 one-site matrices along the potential for many lanes at once.  A lane has an
@@ -82,14 +83,12 @@ On every side, one gather per block puts each lane's entries in (a, b, c, d)
 order before its squared norms, so the squares add in the order of
 `_norm_sq`.
 
-Kept for the tests and the benchmark only.  `TransferMatrix`, `local_matrix`
-and `transfer_product` (a pure-Python `_mul` chain) with the scalar layer are
-the references the tests hold the lane sweep to; `norm_trace_inequality`
-(one level, raising) is what the tests and a benchmark span call in place of
-`norm_trace_margins`.  `traces_right_upto`, `traces_left_upto` and
-`dual_traces_upto` are one-group calls of the sweep that the `traces`
-command makes through `phase_traces`; they stay as library entries and
-benchmark spans.
+Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
+`dual_traces_upto` (with its `DualScalar`) are one-group calls of the sweep
+that the `traces` command makes through `phase_traces`, and
+`norm_trace_inequality` is one level of `norm_trace_margins` that raises.  No
+command calls them, but the benchmark's spans trace them and its own tests
+call `dual_traces_upto`, so they stay until the benchmark drops them.
 """
 
 from __future__ import annotations
@@ -107,13 +106,10 @@ from .words import fib_number, rotation_block
 from .xfloat import XReal
 
 __all__ = [
-    "TransferMatrix",
     "DualScalar",
     "TraceParityReport",
     "TraceParityError",
     "MarginViolationError",
-    "local_matrix",
-    "transfer_product",
     "traces_right_upto",
     "traces_left_upto",
     "dual_traces_upto",
@@ -479,41 +475,6 @@ def _trace_xreals(m, e) -> list[XReal]:
     return _xreals(m[0] + m[3], e)
 
 
-# ----------------------------------------------------------------------------
-# public matrix type
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 real matrix with a power-of-two scale: 2**exp2 * [[a11, a12], [a21, a22]]."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-    exp2: int = 0
-
-    def _tuple(self):
-        return (self.a11, self.a12, self.a21, self.a22, self.exp2)
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(*_mul(self._tuple(), other._tuple()))
-
-    def trace(self) -> XReal:
-        return XReal(self.a11 + self.a22, self.exp2)
-
-    def det(self) -> XReal:
-        return XReal(self.a11 * self.a22 - self.a12 * self.a21, 2 * self.exp2)
-
-    def norm_sq(self) -> XReal:
-        return _norm_sq(self._tuple())
-
-    def entries(self) -> tuple[float, float, float, float]:
-        """Plain-float entries; overflows to inf if the scale exceeds float range."""
-        s = 2.0**self.exp2 if -1020 < self.exp2 < 1020 else math.inf
-        return (self.a11 * s, self.a12 * s, self.a21 * s, self.a22 * s)
-
-
 @dataclass(frozen=True)
 class DualScalar:
     """A value and its energy derivative, propagated jointly."""
@@ -529,27 +490,6 @@ class DualScalar:
 # A sequence is swept in one pass, one lane per energy, and gives one result
 # per energy, in order.
 # ----------------------------------------------------------------------------
-
-def local_matrix(m: int, E: float, lam: float, theta: PhasePoint) -> TransferMatrix:
-    """One-site propagation matrix [[E - V(m), -1], [1, 0]]."""
-    v = _potential_pattern(theta, m, m)
-    a = E - lam if v == "1" else E
-    return TransferMatrix(a, -1.0, 1.0, 0.0, 0)
-
-
-def transfer_product(n: int, E: float, lam: float, theta: PhasePoint) -> TransferMatrix:
-    """Ordered product over sites 1..n (n >= 1) or inverse factors over n+1..0 (n <= -1).
-
-    A `_mul` chain over `local_matrix` factors, T**-1 = [[0, 1], [-1, t]].
-    """
-    if n == 0:
-        raise ValueError("site count must be nonzero")
-    E, m = float(E), (1.0, 0.0, 0.0, 1.0, 0)
-    for ch in _potential_pattern(theta, *((1, n) if n > 0 else (n + 1, 0))):
-        t = E - lam if ch == "1" else E  # as in `local_matrix`
-        m = _mul((t, -1.0, 1.0, 0.0, 0), m) if n > 0 else _mul(m, (0.0, 1.0, -1.0, t, 0))
-    return TransferMatrix(*m)
-
 
 def _traces_upto(side: str, k_max: int, E: Energies, lam: float, theta: PhasePoint):
     lanes, scalar = _lanes(E)

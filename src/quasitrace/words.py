@@ -30,7 +30,6 @@ __all__ = [
     "substitute",
     "fib_number",
     "fib_word",
-    "rotation_symbol",
     "rotation_block",
     "subwords",
     "saturation_prefix_length",
@@ -207,19 +206,15 @@ def fib_word(k: int) -> Word:
     return _FIB_WORDS[k]
 
 
-def rotation_symbol(n: int, theta: PhasePoint, monitor: EndpointMonitor | None = None) -> int:
-    """Coding of the orbit point n*omega + theta by the interval [1-omega, 1).
+def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
+                   monitor: EndpointMonitor | None = None) -> Word:
+    """The word v(n_lo) v(n_lo+1) ... v(n_hi) of orbit codings.
 
-    The left endpoint is inclusive, the right endpoint (= 0 mod 1) exclusive,
+    v(n) codes the orbit point n*omega + theta by the interval [1-omega, 1):
+    the left endpoint is inclusive, the right endpoint (= 0 mod 1) exclusive,
     and the comparison is exact in fixed point.  If a monitor is supplied,
     evaluations within 2**-64 of either endpoint are recorded.
     """
-    return rotation_block(n, n, theta, monitor)[0]
-
-
-def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
-                   monitor: EndpointMonitor | None = None) -> Word:
-    """The word v(n_lo) v(n_lo+1) ... v(n_hi) of orbit codings."""
     if n_lo > n_hi:
         raise ValueError("n_lo must not exceed n_hi")
     bits = theta.bits

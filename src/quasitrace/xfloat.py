@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["XReal", "xreal", "rel_gap"]
+__all__ = ["XReal"]
 
 _LOG10_2 = math.log10(2.0)
 
@@ -156,16 +156,3 @@ class XReal:
     def __repr__(self):
         return f"XReal({self.sci()})"
 
-
-def xreal(x) -> XReal:
-    return x if isinstance(x, XReal) else XReal(float(x))
-
-
-def rel_gap(a, b, floor: float = 1.0) -> float:
-    """|a - b| relative to max(floor, |a|, |b|), exact at any magnitude."""
-    xa, xb = xreal(a), xreal(b)
-    diff = abs(xa - xb)
-    scale = max(abs(xa), abs(xb), xreal(floor))
-    if diff.m == 0.0:
-        return 0.0
-    return float(2.0 ** min(diff.log2() - scale.log2(), 64.0))

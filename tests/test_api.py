@@ -10,17 +10,17 @@ PUBLIC = {
     "phase": {"PRECISION_BITS", "PhasePoint", "EndpointMonitor", "omega", "omega_float"},
     "words": {
         "Word", "SubwordSet", "ParityReport", "SaturationError", "PhaseClassificationError",
-        "substitute", "fib_number", "fib_word", "rotation_symbol", "rotation_block",
+        "substitute", "fib_number", "fib_word", "rotation_block",
         "subwords", "saturation_prefix_length", "cyclic_permutations", "special_word",
         "height", "fibonacci_identity_check", "classify_phase_words",
         "hull_membership_check",
     },
-    "xfloat": {"XReal", "xreal", "rel_gap"},
+    "xfloat": {"XReal"},
     "transfer": {
-        "TransferMatrix", "DualScalar", "TraceParityReport", "TraceParityError",
-        "MarginViolationError", "local_matrix", "transfer_product", "traces_right_upto",
-        "traces_left_upto", "dual_traces_upto", "norm_profile", "norm_trace_margins",
-        "norm_trace_inequality", "phase_trace_parity", "phase_traces", "TraceTable",
+        "DualScalar", "TraceParityReport", "TraceParityError", "MarginViolationError",
+        "traces_right_upto", "traces_left_upto", "dual_traces_upto", "norm_profile",
+        "norm_trace_margins", "norm_trace_inequality", "phase_trace_parity", "phase_traces",
+        "TraceTable",
     },
     "spectrum": {
         "Band", "GrowthFit", "NormGrowthRecord", "NormGrowthResult", "BandResolutionError",
@@ -28,9 +28,8 @@ PUBLIC = {
         "derivative_growth_scan", "norm_growth_check",
     },
     "dynamics": {
-        "Truncation", "EigenSystem", "SiteSpectrum", "WavePacket", "AbelRecord",
-        "BoundReport", "TrendRow", "WindowError", "build_truncation", "eigensystem",
-        "site_spectrum", "evolve", "windowed_norm", "abel_average", "abel_site_masses",
+        "Truncation", "EigenSystem", "SiteSpectrum", "AbelRecord", "BoundReport", "TrendRow",
+        "WindowError", "build_truncation", "eigensystem", "site_spectrum", "abel_site_masses",
         "dynamical_bound_check", "exponent_trend",
     },
     "cli": {"RunConfig", "ConfigError", "parse_theta", "main"},

@@ -68,6 +68,7 @@ def test_config_round_trip():
     ("T_grid", (10.0, float("nan"))),
     ("C1", float("inf")),
     ("C1", float("nan")),
+    ("N", DY.MAX_BOX + 1),  # an explicit box past the cap of --N auto
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError):
@@ -341,7 +342,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_jobs_flag_does_not_change_output(tmp_path):
     runs = [
         (["words", "--k-max", "8", "--subword-max", "10"], ("parity.json",)),
-        # traces takes --jobs, but sweeps every phase in one pass and runs no pool
+        # --jobs is validated but runs no pool: every suite runs in one process
         (["traces", "--k-max", "9", "--energies=-3:13:12"],
          ("traces.csv", "margins.csv", "norms.csv", "traces_summary.json")),
     ]

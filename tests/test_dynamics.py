@@ -8,6 +8,8 @@ from scipy.special import jv
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace import dynamics as DY
 
+from oracles import abel_average, evolve, windowed_norm
+
 TH0 = PhasePoint.zero()
 HALF = PhasePoint.from_fraction(1, 2)
 
@@ -61,27 +63,28 @@ def test_eigensystem_quality(coupled_system):
 # ---------------------------------------------------------------------------
 
 def test_evolve_identity_at_time_zero(coupled_system):
-    psi = DY.evolve(coupled_system, 0.0)
-    assert abs(psi.at_site(1) - 1.0) < 1e-10
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-9
+    psi = evolve(coupled_system, 0.0)
+    assert abs(psi[coupled_system.site_index(1)] - 1.0) < 1e-10
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
 
 def test_evolve_unitary(coupled_system):
     for t in (0.5, 3.0, 42.0, 500.0):
-        psi = DY.evolve(coupled_system, t)
-        assert abs(np.linalg.norm(psi.amplitudes) ** 2 - 1.0) < 1e-9
+        psi = evolve(coupled_system, t)
+        assert abs(np.linalg.norm(psi) ** 2 - 1.0) < 1e-9
 
 
 def test_free_evolution_matches_bessel(free_system):
     t = 20.0
-    psi = DY.evolve(free_system, t)
+    psi = evolve(free_system, t)
     for n in range(-80, 81):
-        assert abs(psi.at_site(n)) == pytest.approx(abs(jv(n - 1, 2 * t)), abs=1e-6)
+        assert abs(psi[free_system.site_index(n)]) == pytest.approx(abs(jv(n - 1, 2 * t)),
+                                                                    abs=1e-6)
 
 
 def test_evolve_rejects_negative_time(coupled_system):
     with pytest.raises(ValueError):
-        DY.evolve(coupled_system, -1.0)
+        evolve(coupled_system, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,68 +92,74 @@ def test_evolve_rejects_negative_time(coupled_system):
 # ---------------------------------------------------------------------------
 
 def test_windowed_norm_examples(coupled_system):
-    psi = DY.evolve(coupled_system, 0.0)
-    assert DY.windowed_norm(psi, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert DY.windowed_norm(psi, 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert DY.windowed_norm(psi, 0.0) == pytest.approx(0.0, abs=1e-12)
+    psi = evolve(coupled_system, 0.0)
+    assert windowed_norm(psi, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert windowed_norm(psi, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert windowed_norm(psi, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_windowed_norm_monotone(coupled_system):
-    psi = DY.evolve(coupled_system, 30.0)
-    values = [DY.windowed_norm(psi, l) for l in (0.0, 0.5, 1.0, 5.0, 20.5, 100.0, 199.0)]
+    psi = evolve(coupled_system, 30.0)
+    values = [windowed_norm(psi, l) for l in (0.0, 0.5, 1.0, 5.0, 20.5, 100.0, 199.0)]
     assert values == sorted(values)
 
 
 def test_windowed_norm_edge_identity(coupled_system):
     # the full-box window plus the two boundary probabilities is the total mass
-    psi = DY.evolve(coupled_system, 12.0)
-    n = psi.N
-    total = DY.windowed_norm(psi, n - 1)
-    edges = abs(psi.at_site(-n)) ** 2 + abs(psi.at_site(n)) ** 2
-    assert total + edges == pytest.approx(float(np.linalg.norm(psi.amplitudes) ** 2),
-                                          abs=1e-12)
+    psi = evolve(coupled_system, 12.0)
+    n = coupled_system.trunc.N
+    total = windowed_norm(psi, n - 1)
+    edges = abs(psi[0]) ** 2 + abs(psi[-1]) ** 2
+    assert total + edges == pytest.approx(float(np.linalg.norm(psi) ** 2), abs=1e-12)
 
 
 def test_windowed_norm_rejects_oversize_window(coupled_system):
-    psi = DY.evolve(coupled_system, 0.0)
+    psi = evolve(coupled_system, 0.0)
     with pytest.raises(DY.WindowError):
-        DY.windowed_norm(psi, psi.N)
+        windowed_norm(psi, coupled_system.trunc.N)
 
 
 # ---------------------------------------------------------------------------
 # Abel averages
 # ---------------------------------------------------------------------------
 
+def site_probability(es, n):
+    """t -> |psi_t(n)|^2 on an array of times, for the state at site 1."""
+    g = es.eigenvectors[es.site_index(n), :] * es.eigenvectors[es.site_index(1), :]
+
+    def probability(ts):
+        phases = np.outer(ts, es.eigenvalues)
+        return (np.cos(phases) @ g) ** 2 + (np.sin(phases) @ g) ** 2
+    return probability
+
+
 def test_abel_average_of_constant():
-    assert DY.abel_average(lambda t: 0.37, 25.0) == pytest.approx(0.37, abs=1e-9)
+    assert abel_average(lambda t: 0.37, 25.0) == pytest.approx(0.37, abs=1e-9)
 
 
 def test_abel_average_of_exponential():
     a, T = 0.31, 11.0
-    got = DY.abel_average(lambda t: math.exp(-a * t), T)
+    got = abel_average(lambda t: np.exp(-a * t), T)
     assert got == pytest.approx(2.0 / (2.0 + a * T), rel=1e-7)
 
 
 def test_abel_average_of_full_mass(coupled_system):
-    got = DY.abel_average(lambda t: 1.0, 100.0)
+    got = abel_average(lambda t: 1.0, 100.0)
     assert got == pytest.approx(1.0, abs=1e-9)
 
 
 def test_abel_average_rejects_bad_timescale():
     with pytest.raises(ValueError):
-        DY.abel_average(lambda t: 1.0, 0.0)
+        abel_average(lambda t: 1.0, 0.0)
 
 
 def test_closed_form_matches_quadrature(coupled_system):
     rng = np.random.default_rng(20260810)
     es = coupled_system
-    c1 = es.initial_coefficients()
     for _ in range(20):
         n = int(rng.integers(-30, 31))
         T = float(rng.uniform(1.0, 40.0))
-        g = es.eigenvectors[es.site_index(n), :] * c1
-        quad = DY.abel_average(
-            lambda t: abs(np.sum(g * np.exp(-1j * t * es.eigenvalues))) ** 2, T)
+        quad = abel_average(site_probability(es, n), T)
         assert float(DY.abel_site_masses(es, [n], T)[0]) == pytest.approx(quad, abs=1e-6)
 
 
@@ -166,7 +175,7 @@ def test_single_eigenstate_time_invariant():
     # diagonal term of the double sum: the mass is time-independent
     es = DY.eigensystem(DY.build_truncation(1, 0.0, TH0))
     masses = [float(DY.abel_site_masses(es, [1], T)[0]) for T in (0.1, 1.0, 10.0, 1000.0)]
-    instant = [abs(DY.evolve(es, t).at_site(1)) ** 2 for t in (0.0,)]
+    instant = [abs(evolve(es, t)[es.site_index(1)]) ** 2 for t in (0.0,)]
     assert max(masses) - min(masses) < 0.7  # oscillatory part decays with T
     assert all(0.0 <= m <= 1.0 for m in masses)
     assert instant[0] == pytest.approx(1.0)
@@ -179,11 +188,7 @@ def test_hand_quadrature_three_site_box():
                        atol=1e-12)
     for T in (0.7, 5.0, 80.0):
         cf = float(DY.abel_site_masses(es, [0], T)[0])
-        c1 = es.initial_coefficients()
-        g = es.eigenvectors[es.site_index(0), :] * c1
-        quad = DY.abel_average(
-            lambda t: abs(np.sum(g * np.exp(-1j * t * es.eigenvalues))) ** 2, T)
-        assert cf == pytest.approx(quad, abs=1e-8)
+        assert cf == pytest.approx(abel_average(site_probability(es, 0), T), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

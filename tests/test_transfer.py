@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 from quasitrace.words import fib_number, rotation_block
-from quasitrace.xfloat import XReal, rel_gap
+from quasitrace.xfloat import XReal
 from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
+
+from oracles import det, entries, local_matrix, rel_gap, trace, transfer_product
 
 TH0 = PhasePoint.zero()
 
@@ -39,17 +41,17 @@ def xreal_recursion(k_max, E, lam):
 # ---------------------------------------------------------------------------
 
 def test_local_matrix_examples():
-    assert TR.local_matrix(1, 0.0, 2.0, TH0).entries() == (-2.0, -1.0, 1.0, 0.0)
-    assert TR.local_matrix(2, 0.0, 2.0, TH0).entries() == (0.0, -1.0, 1.0, 0.0)
-    assert TR.local_matrix(5, 3.0, 0.0, TH0).entries() == (3.0, -1.0, 1.0, 0.0)
+    assert entries(local_matrix(1, 0.0, 2.0, TH0)) == (-2.0, -1.0, 1.0, 0.0)
+    assert entries(local_matrix(2, 0.0, 2.0, TH0)) == (0.0, -1.0, 1.0, 0.0)
+    assert entries(local_matrix(5, 3.0, 0.0, TH0)) == (3.0, -1.0, 1.0, 0.0)
 
 
 def test_product_examples():
-    assert TR.transfer_product(1, 0.0, 2.0, TH0).entries() == (-2.0, -1.0, 1.0, 0.0)
-    assert TR.transfer_product(2, 0.0, 2.0, TH0).entries() == (-1.0, 0.0, -2.0, -1.0)
-    assert TR.transfer_product(-1, 0.0, 2.0, TH0).entries() == (0.0, 1.0, -1.0, 0.0)
+    assert entries(transfer_product(1, 0.0, 2.0, TH0)) == (-2.0, -1.0, 1.0, 0.0)
+    assert entries(transfer_product(2, 0.0, 2.0, TH0)) == (-1.0, 0.0, -2.0, -1.0)
+    assert entries(transfer_product(-1, 0.0, 2.0, TH0)) == (0.0, 1.0, -1.0, 0.0)
     with pytest.raises(ValueError):
-        TR.transfer_product(0, 0.0, 2.0, TH0)
+        transfer_product(0, 0.0, 2.0, TH0)
 
 
 def test_products_match_numpy_oracle():
@@ -59,21 +61,20 @@ def test_products_match_numpy_oracle():
         E = rng.uniform(-3, 13)
         lam = rng.choice([0.0, 2.0, 10.0])
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
-        ours = TR.transfer_product(n, E, lam, theta)
+        ours = transfer_product(n, E, lam, theta)
         oracle = numpy_product(n, E, lam, theta)
-        ref = np.array(ours.entries()).reshape(2, 2)
+        ref = np.array(entries(ours)).reshape(2, 2)
         assert np.allclose(ref, oracle, rtol=1e-12, atol=1e-12)
 
 
 def test_determinant_one_long_products():
     # the determinant comes from cancelling entry products of size ||M||^2,
     # so the achievable accuracy is relative to that magnitude scale
-    from quasitrace.xfloat import XReal
     for E, theta_text in ((0.11, "0.37"), (4.8, "0.0"), (9.3, "0.62")):
         for n in (10_000, 100_000, -100_000):
-            m = TR.transfer_product(n, E, 10.0, PhasePoint.from_decimal(theta_text))
-            defect = abs(m.det() - 1.0)
-            scale = max(m.norm_sq(), XReal(1.0))
+            m = transfer_product(n, E, 10.0, PhasePoint.from_decimal(theta_text))
+            defect = abs(det(m) - 1.0)
+            scale = max(TR._norm_sq(m), XReal(1.0))
             assert defect <= 1e-10 * scale
 
 
@@ -83,10 +84,9 @@ def test_determinant_exact_at_moderate_lengths():
         n = rng.choice([17, 100, -64, 987])
         E = rng.uniform(-3, 13)
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
-        m = TR.transfer_product(n, E, 10.0, theta)
-        defect = abs(m.det() - 1.0)
-        from quasitrace.xfloat import XReal
-        scale = max(m.norm_sq(), XReal(1.0))
+        m = transfer_product(n, E, 10.0, theta)
+        defect = abs(det(m) - 1.0)
+        scale = max(TR._norm_sq(m), XReal(1.0))
         assert defect <= 1e-12 * scale
 
 
@@ -104,8 +104,8 @@ def test_determinant_one_at_random_points(n, lam, span, theta):
     is relative to that; over 3,000 random draws at |n| <= 1000 the worst
     defect was 1.7e-14 of it.
     """
-    m = TR.transfer_product(n, -3.0 + span * (lam + 6.0), lam, theta)
-    assert abs(m.det() - 1.0) <= 1e-12 * max(m.norm_sq(), XReal(1.0))
+    m = transfer_product(n, -3.0 + span * (lam + 6.0), lam, theta)
+    assert abs(det(m) - 1.0) <= 1e-12 * max(TR._norm_sq(m), XReal(1.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,7 +125,7 @@ def test_fricke_vogt_invariant_at_random_points(lam, span):
     draws the worst error was 7.1 * F(k+1) * u * M.
     """
     E = -3.0 + span * (lam + 6.0)
-    norms = [TR.transfer_product(fib_number(j), E, lam, TH0).norm_sq().sqrt()
+    norms = [TR._norm_sq(transfer_product(fib_number(j), E, lam, TH0)).sqrt()
              for j in range(14)]
     for xs in (TR.traces_right_upto(13, E, lam, TH0), xreal_recursion(13, E, lam)):
         for k in range(1, 13):
@@ -155,7 +155,7 @@ def test_trace_left_equals_inverse_product_trace():
         k = rng.randrange(0, 9)
         E = rng.uniform(-3, 13)
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
-        literal = TR.transfer_product(-fib_number(k), E, 10.0, theta).trace()
+        literal = trace(transfer_product(-fib_number(k), E, 10.0, theta))
         fast = TR.traces_left_upto(k, E, 10.0, theta)[k]
         assert rel_gap(literal, fast) < 1e-12
 
@@ -175,13 +175,16 @@ def test_trace_recursion_seeds_and_values():
 
 
 def test_trace_recursion_matches_direct_products():
+    # the sweep against the trace-map recursion run on 400-bit numbers
     for lam in (2.0, 5.0, 10.0, 20.0):
         energies = np.linspace(-3, lam + 3, 9)
         for E, direct in zip(energies, TR.traces_right_upto(20, energies, lam, TH0)):
-            rec = xreal_recursion(20, float(E), lam)
-            assert len(rec) == 21
-            for a, b in zip(rec, direct):
-                assert rel_gap(a, b) < 1e-8
+            with mp.workprec(400):
+                rec = SP._recurse(mp.mpf(float(E)), mp.mpf(lam), 20, False, keep_all=True)[0]
+                assert len(rec) == 21
+                for a, b in zip(rec, direct):
+                    b = mp.ldexp(b.m, b.e)
+                    assert abs(a - b) < 1e-8 * max(1, abs(a), abs(b))
 
 
 def test_fricke_invariant_from_direct_products():
@@ -253,7 +256,7 @@ def test_norm_matches_numpy_singular_value():
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
         m = numpy_product(n, E, 10.0, theta)
         smax = np.linalg.svd(m, compute_uv=False)[0]
-        ours = TR.transfer_product(n, E, 10.0, theta).norm_sq()
+        ours = TR._norm_sq(transfer_product(n, E, 10.0, theta))
         assert float(ours) == pytest.approx(smax * smax, rel=1e-10)
 
 

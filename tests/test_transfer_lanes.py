@@ -1,7 +1,7 @@
 """Property tests of the batched transfer sweep against scalar products.
 
 Every lane of `transfer._sweep` must reproduce, bit for bit, what a one-lane
-sweep and what plain `TransferMatrix` products with `_add` / `_norm_sq` give
+sweep and what scalar `_mul` products with `_add` / `_norm_sq` give
 for that energy alone: the raw entries and exponents of the product and of
 its energy derivative, and the XReal (mantissa, exponent) pairs of traces,
 derivative traces and norm sums.  A lane whose entries pass 2**256 rescales
@@ -25,6 +25,8 @@ from quasitrace.phase import PRECISION_BITS, PhasePoint
 from quasitrace.words import fib_number, rotation_block
 from quasitrace.xfloat import XReal
 
+from oracles import local_matrix, trace
+
 BAND_CENTER = -0.2492839750009455  # a level-9 band at lambda 12, phase 0
 
 
@@ -44,25 +46,21 @@ def raw(matrix):
 def scalar_reference(side, k, E, lam, theta):
     """Per mark F(0..k): raw M, raw dM/dE, trace, derivative trace, norm sum."""
     marks = {fib_number(j) for j in range(k + 1)}
-    m = TR.TransferMatrix(1.0, 0.0, 0.0, 1.0)
-    d = TR.TransferMatrix(0.0, 0.0, 0.0, 0.0)
+    m, d = (1.0, 0.0, 0.0, 1.0, 0), (0.0, 0.0, 0.0, 0.0, 0)
     total = XReal()
     out = []
     for n in range(1, fib_number(k) + 1):
         if side == "right":  # T(n) ... T(1); (T M)' = T' M + T M'
-            t = TR.local_matrix(n, E, lam, theta)
-            t_m = (m.a11, m.a12, 0.0, 0.0, m.exp2)
-            d = TR.TransferMatrix(*TR._add(t_m, (t @ d)._tuple()))
-            m = t @ m
+            t = local_matrix(n, E, lam, theta)
+            d = TR._add((m[0], m[1], 0.0, 0.0, m[4]), TR._mul(t, d))
+            m = TR._mul(t, m)
         else:  # T(0) T(-1) ... T(1 - n); (M T)' = M T' + M' T
-            t = TR.local_matrix(1 - n, E, lam, theta)
-            m_t = (m.a11, 0.0, m.a21, 0.0, m.exp2)
-            d = TR.TransferMatrix(*TR._add(m_t, (d @ t)._tuple()))
-            m = m @ t
-        total = total + TR._norm_sq(m._tuple())
+            t = local_matrix(1 - n, E, lam, theta)
+            d = TR._add((m[0], 0.0, m[2], 0.0, m[4]), TR._mul(d, t))
+            m = TR._mul(m, t)
+        total = total + TR._norm_sq(m)
         if n in marks:
-            out.append((raw(m._tuple()), raw(d._tuple()),
-                        xbits([m.trace(), d.trace(), total])))
+            out.append((raw(m), raw(d), xbits([trace(m), trace(d), total])))
     return out
 
 

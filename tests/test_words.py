@@ -129,14 +129,14 @@ def test_suffix_alternation():
 
 def test_rotation_symbol_examples():
     th0 = PhasePoint.zero()
-    assert W.rotation_symbol(1, th0) == 1
-    assert W.rotation_symbol(0, th0) == 0
-    assert W.rotation_symbol(-1, th0) == 1  # exact left-endpoint hit, inclusive
+    assert W.rotation_block(1, 1, th0)[0] == 1
+    assert W.rotation_block(0, 0, th0)[0] == 0
+    assert W.rotation_block(-1, -1, th0)[0] == 1  # exact left-endpoint hit, inclusive
 
 
 def test_rotation_symbol_flags_exact_endpoint():
     mon = EndpointMonitor()
-    W.rotation_symbol(-1, PhasePoint.zero(), mon)
+    W.rotation_block(-1, -1, PhasePoint.zero(), mon)
     assert mon.hits == 1
     assert mon.samples[0] == (-1, 0.0)
 
@@ -160,7 +160,7 @@ def test_rotation_block_consistent_with_symbols():
     theta = PhasePoint.from_decimal("0.731")
     block = W.rotation_block(-40, 40, theta)
     for i, n in enumerate(range(-40, 41)):
-        assert block[i] == W.rotation_symbol(n, theta)
+        assert block[i] == W.rotation_block(n, n, theta)[0]
 
 
 @st.composite
@@ -179,7 +179,7 @@ def test_rotation_symbols_match_block_and_monitor(theta, lo, span):
     sites = range(lo, lo + span + 1)
     block_monitor, symbol_monitor = EndpointMonitor(), EndpointMonitor()
     block = W.rotation_block(lo, lo + span, theta, block_monitor)
-    assert [W.rotation_symbol(n, theta, symbol_monitor) for n in sites] == list(block)
+    assert [W.rotation_block(n, n, theta, symbol_monitor)[0] for n in sites] == list(block)
     assert W.rotation_block(lo, lo + span, theta) == block
     assert symbol_monitor.hits == block_monitor.hits
     assert symbol_monitor.samples == block_monitor.samples
@@ -276,7 +276,7 @@ def test_classify_respects_first_symbol_rule():
     # v(1) = 1 predicts the even class on the right side
     for text in ("0", "0.9", "0.2"):
         theta = PhasePoint.from_decimal(text)
-        if W.rotation_symbol(1, theta) == 1:
+        if W.rotation_block(1, 1, theta)[0] == 1:
             right, _ = W.classify_phase_words(theta, 12)
             assert right.even_ok
 

@@ -5,7 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from quasitrace.xfloat import XReal, rel_gap, xreal
+from quasitrace.xfloat import XReal
+
+from oracles import rel_gap, xreal
 
 EPS = 2.0 ** -52
 EXPONENTS = st.integers(-10**4, 10**4)
