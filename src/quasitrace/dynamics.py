@@ -38,6 +38,11 @@ solver validates what it returns against an independent ``dsterf``
 eigenvalue solve, the orthonormality of the tracked rows, and the first
 moments of the operator.
 
+SciPy's LAPACK wrappers are imported inside the functions that call them
+(`eigensystem`, `_dlaed4`, `_split_merge` and `site_spectrum`), not with this
+module.  The command line imports every layer, and SciPy more than doubles the time
+that import takes, so only the `dynamics` subcommand pays for it.
+
 Kept for the benchmark: the dense `eigensystem` (all eigenvectors, MRRR)
 with `EigenSystem` and `_validate_eigensystem`, and `abel_site_masses` taking
 an `EigenSystem`.  No command calls them, but the benchmark's spans trace and
@@ -54,7 +59,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigh_tridiagonal, lapack
 
 from .phase import PhasePoint
 from .words import rotation_block
@@ -241,6 +245,8 @@ def eigensystem(trunc: Truncation) -> EigenSystem:
     inverse iteration when it refuses to converge or fails validation:
     residual bounds, the Gershgorin interval, and orthogonality probes.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     last_error: Exception | None = None
     for driver in ("stemr", "stebz"):
         try:
@@ -267,6 +273,8 @@ _LEAF_SIZE = 16  # blocks this small are solved whole by dstevd
 @functools.lru_cache(maxsize=None)
 def _dlaed4():
     """LAPACK dlaed4 (one root of a rank-one secular equation) via ctypes."""
+    from scipy.linalg import cython_lapack
+
     capsule = cython_lapack.__pyx_capi__["dlaed4"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
@@ -425,6 +433,8 @@ def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
     """
     m = len(d)
     if m <= _LEAF_SIZE:
+        from scipy.linalg import lapack
+
         vals, vecs, info = lapack.dstevd(d, e if len(e) else np.zeros(1))
         if info != 0:
             raise AssertionError(f"dstevd failed on a {m}-site block (info={info})")
@@ -491,6 +501,8 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     records the box size, the poles deflated in the merges (of each kind)
     and the three defects.
     """
+    from scipy.linalg import lapack
+
     tracked = sorted({int(n) for n in sites} | {1})
     rows_at = np.array([_box_index(n, trunc.N) for n in tracked])
     w, rows, (small, close) = _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +18,17 @@ from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 PACKAGE_ROOT = str(Path(quasitrace.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd=None):
+def run_python(args, cwd=None, env=None):
+    """Run a fresh interpreter on `args` with this package importable."""
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "quasitrace", *args],
-        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path, **(env or {})),
     )
+
+
+def run_cli(args, cwd=None):
+    return run_python(["-m", "quasitrace", *args], cwd=cwd)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +327,62 @@ def test_census_shortfall_fails_the_run(tmp_path):
     assert all(f.startswith("census: level ") for f in payload["failures"])
 
 
+# the console script's entry point, "module:function", as pyproject.toml declares it
+SCRIPT_ENTRY = re.search(r'^quasitrace = "(.+)"$',
+                         (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(),
+                         re.M).group(1)
+
+
+@pytest.mark.parametrize("launcher", ["-m", "script"])
+@pytest.mark.parametrize("bits", ["abc", "8"])
+def test_exit_code_bad_precision_bits(tmp_path, launcher, bits):
+    module, func = SCRIPT_ENTRY.split(":")
+    # what the installed script runs: import the entry point and exit with its code
+    prefix = (["-m", "quasitrace"] if launcher == "-m" else
+              ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"])
+    proc = run_python([*prefix, "words", "--out", str(tmp_path)],
+                      env={"QUASITRACE_PRECISION_BITS": bits})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: QUASITRACE_PRECISION_BITS ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# run in a fresh interpreter: importing the command line loads every layer
+# (the benchmark's tracer reads them from sys.modules) but not SciPy, which
+# only the dynamics solvers import
+SCIPY_ON_DEMAND = """
+import sys
+
+import quasitrace.cli as cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+out = sys.argv[1]
+assert scipy_modules() == [], scipy_modules()[:5]
+layers = ["phase", "xfloat", "words", "transfer", "spectrum", "dynamics"]
+assert [n for n in layers if f"quasitrace.{n}" not in sys.modules] == []
+for args in (["words", "--k-max", "5", "--subword-max", "10"],
+             ["traces", "--k-max", "5", "--energies=-3:13:4"],
+             ["report"]):
+    assert cli.main([*args, "--out", out]) == 0, args
+assert scipy_modules() == [], scipy_modules()[:5]
+assert cli.main(["dynamics", "--p", "0.3", "--N", "50", "--T-grid", "10",
+                 "--out", out]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_is_imported_only_by_dynamics(tmp_path):
+    proc = run_python(["-c", SCIPY_ON_DEMAND, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert "dynamics: ok" in proc.stdout
+
+
 def test_exit_code_success(tmp_path):
     proc = run_cli(["words", "--k-max", "3", "--subword-max", "5",
                     "--out", str(tmp_path)])
@@ -421,4 +483,27 @@ SPECTRUM_DEFAULT_SHA256 = {
 def test_spectrum_default_outputs_are_pinned(tmp_path):
     assert main(["spectrum", "--out", str(tmp_path)]) == 0
     for name, digest in SPECTRUM_DEFAULT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the default dynamics and words outputs, taken before the
+# dynamics solvers imported SciPy on first use
+DEFAULT_SHA256 = {
+    "dynamics": {
+        "dynamics.csv": "a14379b0cd8a816f7fecb2476860d704f4b47e0a0d67a7f6f4c823773731654a",
+        "bound_report.json":
+            "6886d704b914a022aafde5dc83b297d5ab1e023852b10e421e06e59d993952e6",
+    },
+    "words": {
+        "words.csv": "9a7858dfb13e09cf37aad051939e67727a8c926c0702a494abc7ad4e2c10a9fc",
+        "parity.json": "a601b758b4ee9dbcab13e18a98cdf951b8b2d326861e7c01bf717d6b8462955e",
+    },
+}
+
+
+@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
+@pytest.mark.parametrize("command", sorted(DEFAULT_SHA256))
+def test_default_outputs_are_pinned(tmp_path, command):
+    assert main([command, "--out", str(tmp_path)]) == 0
+    for name, digest in DEFAULT_SHA256[command].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
