@@ -250,39 +250,41 @@ def cmd_traces(cfg: RunConfig) -> int:
     _write_csv(out / "traces.csv", ["k", "E", "lambda", "theta", "x", "dx"], trace_rows)
 
     try:
-        reports = [TR.phase_trace_parity(theta, cfg.lam, energies, cfg.k_max, traces, refs)
+        reports = [TR.phase_trace_parity(theta, traces, refs)
                    for (_, theta), traces in zip(phases, tables)]
     except TR.TraceParityError as exc:
         failures.append(f"trace-parity: {exc}")
         reports = []
     parity_summary = [{
         "theta": label,
-        "x": {"even_ok": rep.x_even_ok, "odd_ok": rep.x_odd_ok},
-        "y": {"even_ok": rep.y_even_ok, "odd_ok": rep.y_odd_ok},
-    } for (label, _), rep in zip(phases, reports)]
+        "x": {"even_ok": right.even_ok, "odd_ok": right.odd_ok},
+        "y": {"even_ok": left.even_ok, "odd_ok": left.odd_ok},
+    } for (label, _), (right, left) in zip(phases, reports)]
+    # the margins take their trace derivatives from the sweep above
+    step = max(1, len(energies) // 16)
+    margin_energies = energies[::step]
+    margin_derivs = [[row[:k_norm + 1] for row in right.derivs[::step]] for right, _ in tables]
     del tables, refs, trace_rows  # memory peaks in the norm sums below
 
-    margin_energies = energies[:: max(1, len(energies) // 16)]
-    margin_rows = []
-    for label, theta in phases:
-        table = TR.norm_trace_margins(k_norm, margin_energies, cfg.lam, theta)
-        for E, margins in zip(margin_energies, table):
-            for k, margin in enumerate(margins):
+    # per phase one sweep gives the norm sums over windows +-F(0..k_norm): the
+    # right ones at F(k) for the margins, both sides from F(4) on for norms.csv
+    levels = [W.fib_number(k) for k in range(k_norm + 1)]
+    margin_rows, norm_rows = [], []
+    for (_, theta), derivs in zip(phases, margin_derivs):
+        sums = TR.norm_profile(levels + [-l for l in levels], margin_energies, cfg.lam, theta)
+        for E, row, dxs in zip(margin_energies, sums, derivs):
+            right, left = row[:len(levels)], row[len(levels):]
+            for k, (total, dx) in enumerate(zip(right, dxs)):
+                margin = TR.norm_trace_margin(total, dx)
                 if margin is None:
                     failures.append(
                         f"norm-derivative-margin: {TR.MarginViolationError.at(k, E, cfg.lam)}")
                     continue
                 margin_rows.append((k, E, cfg.lam, theta, margin))
+            norm_rows.extend((sign * l, E, cfg.lam, theta, value)
+                             for sign, half in ((1, right), (-1, left))
+                             for l, value in zip(levels[4:], half[4:]))
     _write_csv(out / "margins.csv", ["k", "E", "lambda", "theta", "margin"], margin_rows)
-
-    norm_rows = []
-    levels = [W.fib_number(k) for k in range(4, k_norm + 1)]
-    for label, theta in phases:
-        signed = levels + [-l for l in levels]
-        sums = TR.norm_profile(signed, margin_energies, cfg.lam, theta)
-        for E, values in zip(margin_energies, sums):
-            for l, value in zip(signed, values):
-                norm_rows.append((l, E, cfg.lam, theta, value))
     _write_csv(out / "norms.csv", ["L", "E", "lambda", "theta", "norm_sq"], norm_rows)
 
     return _finish("traces", out / "traces_summary.json", {
@@ -423,13 +425,19 @@ def cmd_dynamics(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     out = Path(cfg.out)
+    if not out.is_dir():
+        raise ConfigError(f"no output directory {str(out)!r}")
     summary: dict = {"out_dir": str(out)}
     for name in ("parity.json", "traces_summary.json", "spectrum.json",
                  "bound_report.json"):
         path = out / name
         if path.exists():
-            with open(path) as fh:
-                data = json.load(fh)
+            try:
+                data = json.loads(path.read_text())
+            except ValueError as exc:
+                raise ConfigError(f"{str(path)!r} is not valid JSON: {exc}") from None
+            if not isinstance(data, dict):
+                raise ConfigError(f"{str(path)!r} is not a JSON object")
             summary[name] = {
                 "pass": data.get("pass"),
                 "failures": data.get("failures", []),

@@ -340,15 +340,6 @@ def bands(k: int, lam: float) -> list[Band]:
         if not found:  # every level has F(level) >= 1 bands
             raise BandResolutionError(
                 f"no band resolvable in float64 at level {level}, coupling {lam}")
-        if abs(lam) > 6.0 and len(found) < fib_number(level):
-            # narrowest bands can sink below float64 noise at high level and
-            # strong coupling; they carry the largest derivatives, so minima
-            # and covers are unaffected
-            warnings.warn(
-                f"level {level} census at coupling {lam}: {len(found)} of "
-                f"{fib_number(level)} bands resolvable in float64",
-                stacklevel=2,
-            )
         _BANDS_CACHE[key_l] = found
     return _BANDS_CACHE[key]
 
@@ -356,7 +347,7 @@ def bands(k: int, lam: float) -> list[Band]:
 def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
     """(level, bands found, F(level)) for each level 0..k that resolves fewer
     than F(level) bands where all of them are open, at couplings above 6 in
-    modulus; `bands` only warns about these, a run reports them as failures."""
+    modulus; a run reports them as failures."""
     if abs(lam) <= 6.0:
         return []
     return [(level, len(found), fib_number(level)) for level in range(k + 1)

@@ -19,9 +19,11 @@ and the tests build their scalar products on them.
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
 one-site matrices along the potential for many lanes at once.  A lane has an
 energy, a side and a phase; the lanes of one (side, phase) form a group and
-step along that group's half-line and potential.  So the right and left norm
-sums of `norm_profile` come from one pass, and `phase_traces` sweeps both
-sides of every phase of a `traces` run and the phase-zero reference in one.
+step along that group's half-line and potential.  A `traces` run over P
+phases makes 1 + P sweeps: `phase_traces` sweeps both sides of every phase
+and the phase-zero reference in one, with the right derivatives, and per
+phase `norm_profile` sums the right and left norms in one.  The margins of
+`norm_trace_margin` read their derivatives and norm sums off these sweeps.
 
 - lane state: the four float64 entries of the product as a (4, lanes) array
   and an int64 exponent per lane; with derivatives, the same again for dM/dE
@@ -86,9 +88,9 @@ order before its squared norms, so the squares add in the order of
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` (with its `DualScalar`) are one-group calls of the sweep
 that the `traces` command makes through `phase_traces`, and
-`norm_trace_inequality` is one level of `norm_trace_margins` that raises.  No
-command calls them, but the benchmark's spans trace them and its own tests
-call `dual_traces_upto`, so they stay until the benchmark drops them.
+`norm_trace_inequality` is `norm_trace_margin` at one level, swept on its
+own, that raises.  No command calls them, but the benchmark's spans trace them
+and its own tests call `dual_traces_upto`, so they stay until it drops them.
 """
 
 from __future__ import annotations
@@ -102,19 +104,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .phase import PhasePoint
-from .words import fib_number, rotation_block
+from .words import ParityReport, fib_number, rotation_block
 from .xfloat import XReal
 
 __all__ = [
     "DualScalar",
-    "TraceParityReport",
     "TraceParityError",
     "MarginViolationError",
     "traces_right_upto",
     "traces_left_upto",
     "dual_traces_upto",
     "norm_profile",
-    "norm_trace_margins",
+    "norm_trace_margin",
     "norm_trace_inequality",
     "phase_trace_parity",
     "phase_traces",
@@ -616,39 +617,30 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
     return _per_energy(columns, scalar)
 
 
-def _margin(total: XReal, dual: XReal) -> XReal | None:
+def norm_trace_margin(total: XReal, deriv: XReal) -> XReal | None:
+    """Margin 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| of the norm/derivative inequality.
+
+    `total` is the squared-norm sum over the window F(k) and `deriv` the
+    energy derivative of the level-k trace; the margin must be >= 0.  The
+    cubed windowed norm means the 3/2 power of the squared-norm sum, matching
+    the squared object the window is defined on.  None marks a margin below
+    -1e-8 * scale, which falsifies the implementation.
+    """
     lhs = 4.0 * total.pow_3_2()
-    rhs = abs(dual)
+    rhs = abs(deriv)
     margin = lhs - rhs
     scale = lhs + rhs
     return None if margin < -MARGIN_TOL * scale else margin
 
 
-def norm_trace_margins(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
-    """Margins of the norm/derivative inequality at levels 0..k_max, one pass.
-
-    The margin at level k is 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| and
-    must be >= 0.  The cubed windowed norm means the 3/2 power of the
-    squared-norm sum, matching the squared object the window is defined on.
-    None marks a margin below -1e-8 * scale, which falsifies the
-    implementation.
-    """
-    lanes, scalar = _lanes(E)
-    marks = _sweep("right", lanes, lam, theta, _fib_marks(k_max), deriv=True, norms=True)
-    return _per_energy(
-        [[_margin(total, dual) for total, dual in zip(_xreals(mark.sum_m, mark.sum_e),
-                                                      _trace_xreals(mark.dm, mark.de))]
-         for mark in marks],
-        scalar,
-    )
-
-
 def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
-    """Margin 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| at level k; must be >= 0.
+    """`norm_trace_margin` at level k, from one sweep over F(k) sites.
 
     A margin below -1e-8 * scale falsifies the implementation and raises.
     """
-    margin = norm_trace_margins(k, E, lam, theta)[k]
+    (mark,) = _sweep("right", _lanes(E)[0], lam, theta, [fib_number(k)], deriv=True, norms=True)
+    margin = norm_trace_margin(_xreals(mark.sum_m, mark.sum_e)[0],
+                               _trace_xreals(mark.dm, mark.de)[0])
     if margin is None:
         raise MarginViolationError.at(k, E, lam)
     return margin
@@ -657,20 +649,6 @@ def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XR
 # ----------------------------------------------------------------------------
 # phase invariance of traces
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TraceParityReport:
-    """Which parity class of levels reproduces the phase-zero traces, per side."""
-
-    theta: PhasePoint
-    lam: float
-    k_max: int
-    x_even_ok: bool
-    x_odd_ok: bool
-    y_even_ok: bool
-    y_odd_ok: bool
-    per_k: tuple = ()  # (k, family 'x'|'y', worst gap over its allowance on the grid)
-
 
 def _gap_ratio(x: XReal, ref: XReal, k: int, peak: int, ref_peak: int) -> float:
     """|x - ref| over its allowance in the error model of `phase_trace_parity`."""
@@ -683,17 +661,15 @@ def _gap_ratio(x: XReal, ref: XReal, k: int, peak: int, ref_peak: int) -> float:
     return 2.0 ** min(gap.log2() - allowance.log2(), 64.0)
 
 
-def phase_trace_parity(theta: PhasePoint, lam: float, E_grid, k_max: int,
-                       traces=None, refs=None) -> TraceParityReport:
-    """Compare traces at phase theta against phase zero over an energy grid.
+def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, ParityReport]:
+    """Compare the traces at phase theta against phase zero, level by level.
 
-    A level passes when every energy of the grid meets the error model below;
-    on each half-line all even levels or all odd levels must pass, else the
-    run aborts.  `per_k` records per level the worst ratio of the gap to its
-    allowance.  `traces`, if given, is the (right, left) pair of `TraceTable`s
-    at theta and `refs` the right table at phase zero, as from `phase_traces`
-    (which sweeps all phases of a run and the reference at once); what is not
-    given is swept here.
+    `traces` is the (right, left) pair of `TraceTable`s at theta and `refs`
+    the right table at phase zero, as `phase_traces` gives them, over one grid
+    of energies.  A level passes when every energy meets the error model
+    below; on each half-line all even levels or all odd levels must pass,
+    else `TraceParityError`.  Returns a (right, left) pair of `ParityReport`s
+    whose `per_k` holds per level the worst ratio of the gap to its allowance.
 
     Error model.  A trace x of the sweep at level k and its phase-zero
     reference x0 pass when
@@ -715,29 +691,16 @@ def phase_trace_parity(theta: PhasePoint, lam: float, E_grid, k_max: int,
     products grow the gate cannot fail: at coupling 10 it reaches the traces
     themselves near level 16.
     """
-    energies = list(E_grid)
-    if not energies:
-        raise ValueError("energy grid must be nonempty")
-    if traces is None or refs is None:
-        (own,), own_refs = phase_traces(k_max, energies, lam, [theta])
-        traces = own if traces is None else traces
-        refs = own_refs if refs is None else refs
-    per_k = []
-    flags = {"x": {0: True, 1: True}, "y": {0: True, 1: True}}
-    for fam, table in zip("xy", traces):
-        for k in range(k_max + 1):
-            err = max(_gap_ratio(row[k], ref[k], k, int(peak[k]), int(ref_peak[k]))
+    if not refs.traces or any(len(table.traces) != len(refs.traces) for table in traces):
+        raise ValueError("trace tables must share one nonempty energy grid")
+    reports = []
+    for side, table in zip(("right", "left"), traces):
+        ratios = [max(_gap_ratio(row[k], ref[k], k, int(peak[k]), int(ref_peak[k]))
                       for row, peak, ref, ref_peak in zip(table.traces, table.peaks,
                                                          refs.traces, refs.peaks))
-            per_k.append((k, fam, err))
-            if err > 1.0:
-                flags[fam][k % 2] = False
-    if not (flags["x"][0] or flags["x"][1]):
-        raise TraceParityError(f"no parity class passes for right traces at theta={theta}")
-    if not (flags["y"][0] or flags["y"][1]):
-        raise TraceParityError(f"no parity class passes for left traces at theta={theta}")
-    return TraceParityReport(
-        theta, lam, k_max,
-        flags["x"][0], flags["x"][1], flags["y"][0], flags["y"][1],
-        tuple(per_k),
-    )
+                  for k in range(len(refs.traces[0]))]
+        report = ParityReport.of(side, ratios, [ratio <= 1.0 for ratio in ratios])
+        if not (report.even_ok or report.odd_ok):
+            raise TraceParityError(f"no parity class passes for {side} traces at theta={theta}")
+        reports.append(report)
+    return reports[0], reports[1]

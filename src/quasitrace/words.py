@@ -155,12 +155,20 @@ class SubwordSet:
 
 @dataclass(frozen=True)
 class ParityReport:
-    """Conjugacy outcomes of the phase windows on one half-line, by level parity."""
+    """Outcomes of a phase check on one half-line, by level parity: of the windows'
+    conjugacy in `classify_phase_words`, of the traces' in `transfer.phase_trace_parity`."""
 
     side: str  # "right" or "left"
     even_ok: bool
     odd_ok: bool
-    per_k: tuple = field(default_factory=tuple)  # (k, side, is_cyclic)
+    per_k: tuple = field(default_factory=tuple)  # (k, side, is_cyclic or worst gap ratio)
+
+    @classmethod
+    def of(cls, side: str, outcomes: list, passed: list[bool]) -> "ParityReport":
+        """The report of per-level outcomes and pass flags at levels 0, 1, ...:
+        even levels pass if all of them pass, odd levels likewise."""
+        return cls(side, all(passed[0::2]), all(passed[1::2]),
+                   tuple((k, side, outcome) for k, outcome in enumerate(outcomes)))
 
 
 def substitute(w: Word) -> Word:
@@ -349,24 +357,17 @@ def classify_phase_words(theta: PhasePoint, k_max: int) -> tuple[ParityReport, P
     left_block = rotation_block(-f_top + 1, 0, theta)
     reports = []
     for side, block in (("right", right_block), ("left", left_block)):
-        per_k = []
-        even_ok = True
-        odd_ok = True
+        passed = []
         for k in range(k_max + 1):
             f = fib_number(k)
             window = block[:f] if side == "right" else block[len(block) - f:]
-            ok = window.is_rotation_of(fib_word(k))
-            per_k.append((k, side, ok))
-            if not ok:
-                if k % 2 == 0:
-                    even_ok = False
-                else:
-                    odd_ok = False
-        if not (even_ok or odd_ok):
+            passed.append(window.is_rotation_of(fib_word(k)))
+        report = ParityReport.of(side, passed, passed)
+        if not (report.even_ok or report.odd_ok):
             raise PhaseClassificationError(
                 f"no parity class passes on the {side} side for theta={theta}"
             )
-        reports.append(ParityReport(side, even_ok, odd_ok, tuple(per_k)))
+        reports.append(report)
     return reports[0], reports[1]
 
 

@@ -17,9 +17,9 @@ PUBLIC = {
     },
     "xfloat": {"XReal"},
     "transfer": {
-        "DualScalar", "TraceParityReport", "TraceParityError", "MarginViolationError",
+        "DualScalar", "TraceParityError", "MarginViolationError",
         "traces_right_upto", "traces_left_upto", "dual_traces_upto", "norm_profile",
-        "norm_trace_margins", "norm_trace_inequality", "phase_trace_parity", "phase_traces",
+        "norm_trace_margin", "norm_trace_inequality", "phase_trace_parity", "phase_traces",
         "TraceTable",
     },
     "spectrum": {

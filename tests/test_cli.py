@@ -11,6 +11,7 @@ import pytest
 
 import quasitrace
 from quasitrace import dynamics as DY
+from quasitrace import transfer as TR
 from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 
@@ -135,6 +136,41 @@ def test_traces_free_case_all_parities(tmp_path):
     parity = summary["parity"][0]
     assert parity["x"]["even_ok"] and parity["x"]["odd_ok"]
     assert parity["y"]["even_ok"] and parity["y"]["odd_ok"]
+
+
+def test_traces_margin_gate_fails_on_scaled_norms(tmp_path, monkeypatch):
+    # norm sums a millionth of their size: the margin 4 * sum**1.5 - |dx/dE|
+    # goes negative wherever the derivative is not far below the true bound
+    profile = TR.norm_profile
+    monkeypatch.setattr(TR, "norm_profile", lambda *args: [
+        [total * 1e-6 for total in row] for row in profile(*args)])
+    assert main(["traces", "--k-max", "8", "--energies=-3:13:6", "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "traces_summary.json").read_text())
+    failed = {(int(k), float(E)) for k, E in
+              (re.fullmatch(r"norm-derivative-margin: norm/derivative inequality violated"
+                            r" at k=(\d+), E=(\S+), lam=10.0", f).groups()
+               for f in summary["failures"])}
+    assert failed
+    rows = (tmp_path / "margins.csv").read_text().splitlines()[1:]
+    kept = {(int(row.split(",")[0]), float(row.split(",")[1])) for row in rows}
+    assert not kept & failed
+    assert len(kept) + len(failed) == 9 * 6  # levels 0..8 at every energy
+
+
+def test_traces_sweeps_once_plus_once_per_phase(tmp_path, monkeypatch):
+    # one sweep for the traces of all phases and the reference, and one per
+    # phase for its norm sums; the margins read both
+    calls = []
+    sweep = TR._sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(TR, "_sweep", counted)
+    assert main(["traces", "--random-thetas", "2", "--k-max", "8",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4
 
 
 def test_spectrum_command(tmp_path):
@@ -298,6 +334,27 @@ def test_exit_code_jobs_below_one(tmp_path, jobs):
                     "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert "jobs >= 1" in proc.stderr
+
+
+def test_exit_code_report_on_a_missing_directory(tmp_path):
+    missing = tmp_path / "no" / "such" / "dir"
+    proc = run_cli(["report", "--out", str(missing)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: no output directory {str(missing)!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,problem", [("{not json", "is not valid JSON: "),
+                                          ("[]", "is not a JSON object")])
+def test_exit_code_report_on_a_summary_that_is_not_json(tmp_path, text, problem):
+    (tmp_path / "parity.json").write_text(text)
+    proc = run_cli(["report", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: {str(tmp_path / 'parity.json')!r} {problem}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["parity.json"]
 
 
 def test_exit_code_empty_band_census(tmp_path):

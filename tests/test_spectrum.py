@@ -308,10 +308,7 @@ def test_bands_raise_on_an_empty_census(monkeypatch):
 
 
 def test_census_shortfalls_list_the_levels_below_fibonacci():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert SP.census_shortfalls(6, 100.0) == [(2, 2, 3), (4, 7, 8), (5, 12, 13),
-                                                  (6, 19, 21)]
+    assert SP.census_shortfalls(6, 100.0) == [(2, 2, 3), (4, 7, 8), (5, 12, 13), (6, 19, 21)]
     assert SP.census_shortfalls(19, 10.0) == []  # the levels of a default run
     assert SP.census_shortfalls(12, 3.0) == []  # gaps may close at weak coupling
 

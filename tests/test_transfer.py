@@ -301,10 +301,16 @@ def test_margin_positive_across_magnitudes():
 # phase invariance of traces
 # ---------------------------------------------------------------------------
 
+def parity(theta, lam, grid, k_max):
+    """The (right, left) parity reports at theta, from one `phase_traces` sweep."""
+    (traces,), refs = TR.phase_traces(k_max, grid, lam, [theta])
+    return TR.phase_trace_parity(theta, traces, refs)
+
+
 def test_parity_theta_zero_exact():
     grid = list(np.linspace(-3, 13, 8))
-    rep = TR.phase_trace_parity(TH0, 10.0, grid, 10)
-    assert rep.x_even_ok and rep.x_odd_ok
+    right, _ = parity(TH0, 10.0, grid, 10)
+    assert right.even_ok and right.odd_ok
 
 
 def test_parity_random_phases():
@@ -312,15 +318,15 @@ def test_parity_random_phases():
     grid = list(np.linspace(-3, 13, 16))
     for _ in range(8):
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
-        rep = TR.phase_trace_parity(theta, 10.0, grid, 12)
-        assert rep.x_even_ok or rep.x_odd_ok
-        assert rep.y_even_ok or rep.y_odd_ok
+        right, left = parity(theta, 10.0, grid, 12)
+        assert right.even_ok or right.odd_ok
+        assert left.even_ok or left.odd_ok
 
 
 def test_parity_free_case_all_levels():
     grid = list(np.linspace(-2, 2, 8))
-    rep = TR.phase_trace_parity(PhasePoint.from_decimal("0.345"), 0.0, grid, 10)
-    assert rep.x_even_ok and rep.x_odd_ok and rep.y_even_ok and rep.y_odd_ok
+    right, left = parity(PhasePoint.from_decimal("0.345"), 0.0, grid, 10)
+    assert right.even_ok and right.odd_ok and left.even_ok and left.odd_ok
 
 
 def test_parity_with_a_shared_reference_matches_its_own_sweep():
@@ -328,23 +334,22 @@ def test_parity_with_a_shared_reference_matches_its_own_sweep():
     # the reference of another run, swept in lanes of its own
     _, refs = TR.phase_traces(10, grid, 10.0, [PhasePoint.from_decimal("0.7")])
     for theta in (TH0, PhasePoint.from_decimal("0.3")):
-        (traces,), _ = TR.phase_traces(10, grid, 10.0, [theta])
-        assert (TR.phase_trace_parity(theta, 10.0, grid, 10, refs=refs)
-                == TR.phase_trace_parity(theta, 10.0, grid, 10, traces, refs)
-                == TR.phase_trace_parity(theta, 10.0, grid, 10))
+        (traces,), own_refs = TR.phase_traces(10, grid, 10.0, [theta])
+        assert (TR.phase_trace_parity(theta, traces, refs)
+                == TR.phase_trace_parity(theta, traces, own_refs))
 
 
 def test_parity_passes_at_strong_coupling_where_products_outgrow_traces():
     # the level-11 product at phase zero reaches norm 4.3e6 against a trace
     # of -12.1; its rounding is far above 1e-9 relative to the trace
     lam, E, theta = 11.923897424524766, 12.095241866584063, PhasePoint.from_decimal("0.3")
-    rep = TR.phase_trace_parity(theta, lam, [E, 12.2], 13)
-    assert rep.x_even_ok and rep.y_odd_ok
+    right, left = parity(theta, lam, [E, 12.2], 13)
+    assert right.even_ok and left.odd_ok
     # here the gaps of levels 4 to 8 pass 2**-53 * F(k) * 64 * P, but stay
     # below the square of the peaks
     lam, E, theta = 387.46705524669363, 386.46963608552727, PhasePoint.from_decimal("0.11")
-    rep = TR.phase_trace_parity(theta, lam, [E], 8)
-    assert rep.x_even_ok and rep.x_odd_ok
+    right, _ = parity(theta, lam, [E], 8)
+    assert right.even_ok and right.odd_ok
 
 
 def test_parity_fails_a_trace_off_by_a_millionth():
@@ -360,12 +365,16 @@ def test_parity_fails_a_trace_off_by_a_millionth():
         rows[1][k] = rows[1][k] * (1.0 + 1e-6)  # |x| is about 10 at levels 3 and 6
         bad = list(traces)
         bad[family] = table._replace(traces=rows)
-        return TR.phase_trace_parity(TH0, lam, grid, 8, tuple(bad), refs)
+        return TR.phase_trace_parity(TH0, tuple(bad), refs)
 
-    rep = TR.phase_trace_parity(TH0, lam, grid, 8, traces, refs)
-    assert (rep.x_even_ok, rep.x_odd_ok, rep.y_even_ok, rep.y_odd_ok) == (True, True, False, True)
-    assert (off(0, 6).x_even_ok, off(0, 6).x_odd_ok) == (False, True)
-    assert (off(0, 3).x_even_ok, off(0, 3).x_odd_ok) == (True, False)
+    right, left = TR.phase_trace_parity(TH0, traces, refs)
+    assert (right.even_ok, right.odd_ok, left.even_ok, left.odd_ok) == (True, True, False, True)
+    # per level the worst gap over its allowance: the left side fails an even level
+    assert [(k, side) for k, side, _ in left.per_k] == [(k, "left") for k in range(9)]
+    assert max(ratio for _, _, ratio in left.per_k[0::2]) > 1.0
+    assert max(ratio for _, _, ratio in left.per_k[1::2]) <= 1.0
+    assert (off(0, 6)[0].even_ok, off(0, 6)[0].odd_ok) == (False, True)
+    assert (off(0, 3)[0].even_ok, off(0, 3)[0].odd_ok) == (True, False)
     with pytest.raises(TR.TraceParityError):
         off(1, 3)  # the only class of the left traces at phase zero
 
@@ -393,5 +402,6 @@ def test_rounding_term_bounds_the_sweep_error(lam, offset, spread, k):
 
 
 def test_parity_rejects_empty_grid():
+    empty = TR.TraceTable([], None, np.zeros((0, 6), dtype=np.int64))
     with pytest.raises(ValueError):
-        TR.phase_trace_parity(TH0, 10.0, [], 5)
+        TR.phase_trace_parity(TH0, (empty, empty), empty)
