@@ -91,6 +91,8 @@ class RunConfig:
         lo, hi, count = self.energies
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and count >= 1):
             raise ConfigError("energy grid must be lo:hi:count with lo < hi, count >= 1")
+        if not math.isfinite(hi - lo):
+            raise ConfigError("energy grid span hi - lo must be finite")
         if not all(math.isfinite(t) and t > 0 for t in self.T_grid):
             raise ConfigError("timescales must be finite and positive")
         if self.N != "auto" and (not isinstance(self.N, int) or not 1 <= self.N <= DY.MAX_BOX):

@@ -76,6 +76,7 @@ def test_config_round_trip():
     ("C1", float("inf")),
     ("C1", float("nan")),
     ("N", DY.MAX_BOX + 1),  # an explicit box past the cap of --N auto
+    ("energies", (-1e308, 1e308, 3)),  # hi - lo overflows to inf
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError):
@@ -326,6 +327,13 @@ def test_exit_code_non_finite_c1(tmp_path, bad):
     assert proc.returncode == 2
     assert "C1 must be finite and positive" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_exit_code_energy_grid_span_overflow(tmp_path):
+    proc = run_cli(["traces", "--energies=-1e308:1e308:3", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: energy grid span hi - lo must be finite\n"
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

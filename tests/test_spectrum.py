@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasitrace.phase import PhasePoint
 from quasitrace.words import fib_number
@@ -159,9 +160,14 @@ def _arrays(segments):
 
 
 def _batched(segments, lam, k, per_parent, budget):
-    """The runs of a batched scan, and its run count on the even points."""
+    """The runs of a batched scan as tuples, None for an edge on the segment
+    boundary, and its run count on the even points."""
     with mock.patch.object(SP, "_SCAN_BLOCK_POINTS", budget):
-        return SP._scan_segments(_arrays(segments), lam, k, per_parent)
+        runs, coarse = SP._scan_segments(_arrays(segments), lam, k, per_parent)
+    out_lo, in_lo, in_hi, out_hi, has_lo, has_hi = runs
+    return [(a if left else None, b, c, d if right else None)
+            for a, b, c, d, left, right in zip(out_lo, in_lo, in_hi, out_hi, has_lo, has_hi)
+            ], coarse
 
 
 @st.composite
@@ -230,6 +236,104 @@ def test_batched_scan_edge_cases(budget):
     # on the even points (7.9, 12.1 | 6, 8, 10 | 10, 13 | -3, ..., 9.4) the
     # runs are [8, 10], [10, 10] and [9.4, 9.4]; the first segment has none
     assert coarse == 3
+
+
+@st.composite
+def _drawn_patterns(draw):
+    """Segment weights, an in/out mark for every grid point, and a budget."""
+    per_parent = draw(st.sampled_from([2, 3, 4, 5]))
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    total = sum(w * (per_parent - 1) + 1 for w in weights)
+    pattern = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    return per_parent, weights, pattern, draw(st.integers(1, total + 1))
+
+
+def _pattern_reference(segments, per_parent, pattern):
+    """Runs and even-point run count of each segment's slice of the pattern."""
+    runs, coarse, at = [], 0, 0
+    for lo, hi, weight in zip(*segments):
+        n = weight * (per_parent - 1) + 1
+        grid, inside = np.linspace(lo, hi, n), pattern[at:at + n]
+        at += n
+        for i in range(n):
+            if inside[i] and (i == 0 or not inside[i - 1]):
+                j = i
+                while j + 1 < n and inside[j + 1]:
+                    j += 1
+                runs.append((grid[i - 1] if i > 0 else None, grid[i], grid[j],
+                             grid[j + 1] if j + 1 < n else None))
+        even = inside[::2]
+        coarse += sum(1 for i, v in enumerate(even) if v and (i == 0 or not even[i - 1]))
+    return runs, coarse
+
+
+# sizes 5, 3, 5: a single odd-point run, runs on both ends of a segment, and
+# two pairs of runs split by one odd point, which join on the even points;
+# budget 6 puts the first two segments in one block, 1 every segment in its own
+_SPLIT_BY_ODD = [False, True, False, True, True, True, False, True,
+                 True, True, True, False, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_patterns())
+@example((3, [2, 1, 2], _SPLIT_BY_ODD, 6))
+@example((3, [2, 1, 2], _SPLIT_BY_ODD, 1))
+@example((3, [2, 1, 2], _SPLIT_BY_ODD, 1 << 15))
+def test_runs_and_census_of_a_drawn_pattern(case):
+    # the pattern, not the traces, says which grid points are in band, so
+    # the scan meets run layouts that real traces rarely produce
+    per_parent, weights, pattern, budget = case
+    segments = [(2.0 * i, 2.0 * i + 1.0, w) for i, w in enumerate(weights)]
+    marks = iter(pattern)  # the scan evaluates each block once, in grid order
+
+    def drawn(vals):
+        return np.array([next(marks) for _ in range(len(vals))], dtype=bool)
+
+    with mock.patch.object(SP, "_in_band", drawn):
+        runs, coarse = _batched(segments, 10.0, 3, per_parent, budget)
+    ref_runs, ref_coarse = _pattern_reference(_arrays(segments), per_parent, pattern)
+    assert _bits(runs) == _bits(ref_runs)
+    assert coarse == ref_coarse
+    assert next(marks, None) is None
+
+
+def test_bisection_raises_on_a_bracket_it_cannot_close():
+    # level 0 at coupling 10 has the band [8, 12]; 90 halvings leave a bracket
+    # of width 1e30 about 1e3 wide
+    with pytest.raises(SP.BandResolutionError, match="level 0, coupling 10.0"):
+        SP._bisect_edges(np.array([-1e30]), np.array([10.0]), 10.0, 0)
+
+
+def test_bisection_keeps_an_edge_at_zero():
+    # x_1(0) = -2 at every coupling: the 4-ulp tolerance shrinks with |E|, so
+    # this edge never meets it, but its bracket closes far below EDGE_TOL_ABS
+    (edge,) = SP._bisect_edges(np.array([1.0]), np.array([-0.2]), 10.0, 1)
+    assert 0.0 < edge <= SP.EDGE_TOL_ABS
+
+
+# SHA-256 of "level lo hi" lines with the hex edges of the bands of every
+# level <= k, taken before the band scan read its runs off arrays; (50, 12)
+# and (24, 16) include levels that resolve fewer than F(level) bands
+BAND_EDGE_SHA256 = {
+    (0.5, 14): "dbc521d16ed10c59800466833cc7ce27068c91503ce4c85149ac8e13021448f5",
+    (2.0, 14): "e0d584bb3da9d2a5ca5294627307c00c2cb8011d202452bb4cc9e6638a01cf0e",
+    (3.0, 14): "bc040a7a2eb3eb61c82120298c9644406180323ab6543aaf05eb4de27fbe6bb3",
+    (7.0, 14): "91454a0152c2d37ab32fa3a941a4eddc36ebbb16e28e98414a1cffa49a47601f",
+    (20.0, 14): "6233ec51cbe170e5c8d11d606fbab3fd3a461dd959655cb0f8ccdacdeaaa5367",
+    (-10.0, 14): "b5bf498e10d4c6c891ec04b5fb35363d1dd50645052a867e83ffd8191bc9b173",
+    (50.0, 12): "40f103652dec838eff94a0ab510bc1a439b5755c0ef04dc46dcf5e46cf21aeda",
+    (24.0, 16): "7d40f8c966063c113cdee3c3b5c22b19a19777d4e575f4c6ff94498a11dd8b8f",
+}
+
+
+@pytest.mark.parametrize("lam, k", sorted(BAND_EDGE_SHA256))
+def test_band_edges_are_pinned(lam, k):
+    found = [(level, b) for level in range(k + 1) for b in SP.bands(level, lam)]
+    text = "".join(f"{level} {b.lo.hex()} {b.hi.hex()}\n" for level, b in found)
+    assert hashlib.sha256(text.encode()).hexdigest() == BAND_EDGE_SHA256[(lam, k)]
+    # plain floats, which bands.csv prints as numbers; at (24, 16) the
+    # zero-width bands once held numpy scalars there
+    assert {type(v) for _, b in found for v in (b.lo, b.hi)} == {float}
 
 
 def test_bands_raise_when_census_never_stabilises(monkeypatch):
