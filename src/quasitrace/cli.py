@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per verification suite.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or configuration
-error.  Identical configuration and seed produce byte-identical output files;
-all tables are CSV, structured reports are JSON, and nothing time-dependent
-is ever written.
+error.  Identical configuration and seed produce byte-identical output files
+(for `dynamics`, on the same BLAS library and thread count); all tables are
+CSV, structured reports are JSON, and nothing time-dependent is ever written.
 """
 
 from __future__ import annotations

@@ -7,14 +7,28 @@ By Duhamel, psi_t - psi^N_t = -i int_0^t e^{-i(t-s)H} (H - H_N) psi^N_s ds,
 and (H - H_N) psi^N_s has norm b(s) = (|psi^N_s(N)|^2 + |psi^N_s(-N)|^2)^{1/2}.
 For any projection P, such as a window, |a^2 - b^2| <= 2 |a - b| when
 a, b <= 1, so the Abel mean of the mass error is at most
-2 int_0^inf b(s) e^{-2s/T} ds, which Cauchy-Schwarz bounds by
-trunc_bound = T sqrt(e_T), e_T being the Abel edge mass at +-N.  A record is
-valid iff trunc_bound <= TRUNC_TOL = 1e-5.  The computed e_T has an absolute
-rounding floor of about 1e-20, so no box certifies below about T * 1e-10: on
-a fixed 2001-site box at coupling 6 and T <= 3000 the worst bound over 211
-phases was 5.7e-7, and a 1e-8 tolerance would fail 7 of them.  N = "auto"
-starts the box just beyond the largest window and doubles it until every
-record of the phase is certified, up to MAX_BOX; an explicit N fixes it.
+2 int_0^inf b(s) e^{-2s/T} ds, which Cauchy-Schwarz bounds by T sqrt(e_T),
+e_T being the Abel edge mass at +-N.  The computed e_T carries an absolute
+rounding error, and far from the source it is nothing but rounding, which
+can come out negative; `abel_site_masses` clips that to 0.  So a record
+charges the rounding too: trunc_bound = T sqrt(e_T + EDGE_ROUNDING), and it
+is valid iff trunc_bound <= TRUNC_TOL = 1e-5.  Against a 40-digit mpmath
+eigendecomposition of 8 boxes of 41 to 101 sites (couplings 3 to 24, phases
+0, 1/3 and 1/2, T = 10 to 3000, 64 edge masses), the computed e_T fell short
+of the reference by at most 6.8e-20 where the reference was below 1e-10
+(a reference of 1.3e-22 computed as -6.7e-20); above that its relative
+error stayed below 1e-12.  EDGE_ROUNDING = 1e-18 is 15 times that shortfall.
+At the far edges of the phase sweep's 2001-site boxes and of an 8193-site
+box the unclipped e_T stayed within 5.2e-24 of 0, negatives included.  No
+box certifies beyond T = TRUNC_TOL / sqrt(EDGE_ROUNDING) = 1e4; at T = 3000
+every bound is at least 3e-6.  N = "auto" starts the box just beyond the
+largest window and doubles it until every record of the phase is certified,
+up to MAX_BOX; an explicit N fixes it.
+
+Outputs are byte-identical across runs on one BLAS configuration only: the
+products of the Abel sweep and of the secular passes go through BLAS, and
+OpenBLAS splits them differently by thread count, which moves their last
+bits (masses by about 1e-15).
 
 Abel means of site probabilities are evaluated in closed form through the
 eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
@@ -26,17 +40,59 @@ they bound the secular passes of the solver.
 The sum reads only the eigenvalues and the eigenvector entries at the window,
 edge and source sites, so `site_spectrum` computes exactly those, by Cuppen's
 divide and conquer: the box is split at its centre into two halves coupled by
-one rank-one term, each half is solved the same way down to blocks of 16
-sites that LAPACK ``dstevd`` solves whole, and each pair of halves is merged
-by one deflated secular-equation solve (LAPACK ``dlaed4`` for the roots, the
-Gu-Eisenstat eigenvectors of ``dlaed3``).  A block carries along only the
-rows its callers read: the requested ones and its two ends, where the cuts
-are.  The strongly coupled boxes are extremely clustered, and deflation is
-what makes the merges accurate and cheap there.  Memory stays at the tracked
-rows times the box size plus the two fixed-size buffers of a merge.  The
-solver validates what it returns against an independent ``dsterf``
-eigenvalue solve, the orthonormality of the tracked rows, and the first
-moments of the operator.
+one rank-one term, each half is solved the same way down to blocks of at most
+`_LEAF_SIZE` sites that LAPACK ``dstevd`` solves whole, and each pair of
+halves is merged by one deflated secular-equation solve (LAPACK ``dlaed4``
+for the roots, the Gu-Eisenstat eigenvectors of ``dlaed3``).  A block
+carries along only the rows its callers read: the requested ones and its two
+ends, where the cuts are.  The strongly coupled boxes are extremely
+clustered, and deflation is what makes the merges accurate and cheap there.
+Memory stays at the tracked rows times the box size plus the two fixed-size
+buffers of a merge.  The solver validates what it returns against an
+independent ``dsterf`` eigenvalue solve, the orthonormality of the tracked
+rows, and the first moments of the operator.
+
+The two block sizes were chosen by measurement.  Each entry below is the
+median of 5 fresh processes, the configurations alternating: raw seconds of
+`cli.main` and the process's peak RSS, on a 2-vCPU Xeon (2 MiB L2 per core)
+with OpenBLAS on 2 threads.  "sweep" is the benchmark's phase sweep,
+``dynamics --lambda 6 --p 0.3 --N 1000 --T-grid 10,100,1000,3000
+--random-thetas 7`` (8 boxes of 2001 sites); "N 4096" is ``dynamics --lambda 6
+--p 0.3 --N 4096 --T-grid 10,1000`` (one box of 8193 sites).
+
+    _SECULAR_CHUNK   sweep            N 4096
+    (leaf 96)
+    2^14             3.48 s  62.1 MB  6.47 s  66.1 MB
+    2^15             2.98 s  62.4 MB  5.70 s  66.2 MB
+    2^16             3.27 s  63.2 MB  5.08 s  66.8 MB
+    2^17             3.09 s  64.2 MB  5.10 s  68.8 MB
+    2^18             3.12 s  69.1 MB  4.65 s  71.1 MB
+    2^19             3.15 s  77.3 MB  4.53 s  75.1 MB
+    2^20             3.26 s  91.9 MB  4.73 s  95.8 MB
+    2^20, leaf 16    3.63 s  91.9 MB  4.98 s  95.8 MB
+
+    _LEAF_SIZE       sweep            N 4096    merges, roots
+    (chunk 2^18)                                (2001 sites)
+    16               3.66 s  68.9 MB  5.21 s    127, 13,772
+    32               3.17 s  69.1 MB  4.84 s     63, 11,841
+    48               3.28 s  69.1 MB  4.83 s     63, 11,841
+    64               2.98 s  69.1 MB  4.71 s     31,  9,863
+    96               3.08 s  69.1 MB  4.79 s     31,  9,863
+    128              3.05 s  68.9 MB  4.40 s     15,  7,882
+
+A block of the secular passes is k poles by `_SECULAR_CHUNK` // k roots.
+The largest merge of the 8193-site box keeps k = 8065, and there the two
+passes took 1.12, 0.94, 0.96, 0.87 and 0.77 s at 2^16 to 2^20 entries (8 to
+130 roots per block).  At 2^18 entries, 2 MiB per buffer, that box still
+runs faster than with the former 2^20 entries and 16-site leaves.  The
+phase sweep's peak RSS falls by a quarter, because each large merge of a
+2001-site box (k up to 1963) fills both buffers.  A whole ``dstevd`` block
+costs less than one split and merge up to a few hundred sites (125 sites:
+0.75 against 1.36 ms; 500 sites: 10.7 against 12.2 ms), but past 48 the
+sweep moves within its run-to-run spread (N 4096 at leaf 128 read 3.7 to
+5.1 s).  96 takes the 64- and 65-site blocks of the boxes 2N + 1 = 2^j + 1
+whole, where 64 splits the 65-site ones again, and keeps merges in boxes of
+a few hundred sites, whose deflation paths the tests exercise.
 
 SciPy's LAPACK wrappers are imported inside the functions that call them
 (`eigensystem`, `_dlaed4`, `_split_merge` and `site_spectrum`), not with this
@@ -79,7 +135,8 @@ __all__ = [
     "exponent_trend",
 ]
 
-TRUNC_TOL = 1e-5  # largest certified truncation error T sqrt(e_T) of a valid record
+TRUNC_TOL = 1e-5  # largest certified truncation error of a valid record
+EDGE_ROUNDING = 1e-18  # bound on the rounding error of a computed edge mass e_T
 MAX_BOX = 4096  # largest box half-width the certified loop tries
 _BOX_MARGIN = 16  # sites between the largest window and the edge of the first box
 RESIDUAL_TOL = 1e-8
@@ -169,7 +226,7 @@ class AbelRecord:
     L: float
     mass: float
     edge_mass: float
-    trunc_bound: float  # T sqrt(edge_mass), the certified truncation error
+    trunc_bound: float  # T sqrt(edge_mass + EDGE_ROUNDING), the certified truncation error
     valid: bool  # trunc_bound <= TRUNC_TOL
 
 
@@ -266,8 +323,9 @@ def eigensystem(trunc: Truncation) -> EigenSystem:
 
 # LAPACK's relative machine precision dlamch('E'): half the spacing at 1.0
 _EPS = 0.5 * np.finfo(float).eps
-_SECULAR_CHUNK = 1 << 20  # entries per block of the secular passes and the Abel sweep
-_LEAF_SIZE = 16  # blocks this small are solved whole by dstevd
+# both chosen by measurement, see the module docstring
+_SECULAR_CHUNK = 1 << 18  # entries per block of the secular passes and the Abel sweep
+_LEAF_SIZE = 96  # blocks this small are solved whole by dstevd
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,12 +352,13 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     twice |poles_i - root|, so the difference keeps full relative accuracy.
 
     One dlaed4 call per root, from Python, is not the cost to chase.  On the
-    2001-site box at coupling 6 and phase 0 (127 merges, 13,772 roots, k up
-    to 1963; 2-vCPU VM) the loop took 0.20 s, of which about 5 us per call,
-    some 0.07 s, is the ctypes call and the rest dlaed4's own O(k) work per
-    root.  LAPACK dlaed9, which finds the same roots and the Gu-Eisenstat
-    vectors in one Fortran call, took 0.24 s there and needs two k x k
-    arrays, 62 MB at k = 1963.
+    2001-site box at coupling 6 and phase 0 (31 merges, 9,863 roots, k up to
+    1963; 2-vCPU VM) the loop took 0.10 s of the solve's 0.27 s, of which
+    about 5 us per call, some 0.05 s, is the ctypes call and the rest
+    dlaed4's own O(k) work per root.  LAPACK dlaed9, which finds the same
+    roots and the Gu-Eisenstat vectors in one Fortran call, took 0.24 s there
+    with 16-site leaves (127 merges, 13,772 roots), where the loop took
+    0.20 s, and needs two k x k arrays, 62 MB at k = 1963.
     """
     k = len(poles)
     roots, origin, offset = [], [], []
@@ -381,7 +440,12 @@ def _secular_rows(poles, z, rho, tracked):
 
     Both passes run over blocks of roots of at most `_SECULAR_CHUNK` entries,
     in two buffers allocated once: the root gaps, and the pole differences
-    or the squares of the column norms.
+    or the squares of the column norms.  A block is k poles by b roots.  The
+    first pass multiplies along the roots, so it lays each root's column out
+    contiguously: numpy then runs its broadcasts and the product in loops of
+    k entries, not k loops of b, and multiplies the columns in the same order.
+    The second pass keeps each pole's row contiguous: numpy sums along a
+    contiguous axis pairwise, which would move the column norms' last bits.
     """
     k = len(poles)
     if k <= 2:
@@ -392,18 +456,18 @@ def _secular_rows(poles, z, rho, tracked):
     chunk = max(1, _SECULAR_CHUNK // k)
     gap_buf, aux_buf = np.empty((2, k * min(chunk, k)))
 
-    def blocks():
+    def blocks(layout):
         for j0 in range(0, k, chunk):
             b = min(chunk, k - j0)
             cols = slice(j0, j0 + b)
-            yield (j0, cols, _root_gaps(poles, origin, offset, cols,
-                                        gap_buf[:k * b].reshape(k, b)),
-                   aux_buf[:k * b].reshape(k, b))
+            gaps, aux = (buf[:k * b].reshape((k, b), order=layout)
+                         for buf in (gap_buf, aux_buf))
+            yield j0, cols, _root_gaps(poles, origin, offset, cols, gaps), aux
 
     # Gu-Eisenstat: the weights for which the computed roots are exact,
     # zhat_i^2 = -prod_j (poles_i - root_j) / prod_{j != i} (poles_i - poles_j)
     w = np.ones(k)
-    for j0, cols, ratio, denom in blocks():
+    for j0, cols, ratio, denom in blocks("F"):
         np.subtract(poles[:, None], poles[None, cols], out=denom)
         diag = np.arange(denom.shape[1])
         denom[j0 + diag, diag] = 1.0
@@ -412,7 +476,7 @@ def _secular_rows(poles, z, rho, tracked):
         raise AssertionError("secular roots do not interlace the poles")
     zhat = np.copysign(np.sqrt(-w), z)
     rows = np.empty((tracked.shape[0], k))
-    for _, cols, vecs, sq in blocks():
+    for _, cols, vecs, sq in blocks("C"):
         np.divide(zhat[:, None], vecs, out=vecs)
         vecs /= np.sqrt(np.add.reduce(np.multiply(vecs, vecs, out=sq), axis=0))
         rows[:, cols] = tracked @ vecs
@@ -562,7 +626,8 @@ def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: Timescales) -> np
             acc[t] += np.einsum("sb,sb->s", g[:, j0:] @ kern, g[:, j0:j1])
         j0 = j1
     # the kernel is positive definite, so the exact values are probabilities;
-    # rounding can leave ~1e-20 negatives at numerically empty sites
+    # rounding can leave negatives of up to ~1e-19 at numerically empty
+    # sites, which the truncation bound charges through EDGE_ROUNDING
     np.maximum(acc, 0.0, out=acc)
     return acc[0] if scalar else acc
 
@@ -580,10 +645,11 @@ def _certified_box(lam: float, theta: PhasePoint, ts: list, n_box: int, top: int
                    fixed: bool = False):
     """Abel site masses at |n| <= top and the edges, from the first certified box.
 
-    Solves [-n_box, n_box]; unless `fixed`, doubles it until every T sqrt(e_T)
-    is at most TRUNC_TOL, and past MAX_BOX raises ValueError with the best
-    bound reached.  Returns the masses per T (dicts by site), the bounds, the
-    solver's stats and the boxes tried as (N, worst bound) pairs.
+    Solves [-n_box, n_box]; unless `fixed`, doubles it until every bound
+    T sqrt(e_T + EDGE_ROUNDING) is at most TRUNC_TOL, and past MAX_BOX raises
+    ValueError with the best bound reached.  Returns the masses per T (dicts
+    by site), the bounds, the solver's stats and the boxes tried as
+    (N, worst bound) pairs.
     """
     steps = []
     while True:
@@ -591,7 +657,8 @@ def _certified_box(lam: float, theta: PhasePoint, ts: list, n_box: int, top: int
         sites = list(range(-reach, reach + 1)) + ([-n_box, n_box] if reach < n_box else [])
         es = site_spectrum(build_truncation(n_box, lam, theta), sites)
         per_t = [dict(zip(sites, row)) for row in abel_site_masses(es, sites, ts)]
-        bounds = [t * math.sqrt(m[-n_box] + m[n_box]) for t, m in zip(ts, per_t)]
+        bounds = [t * math.sqrt(m[-n_box] + m[n_box] + EDGE_ROUNDING)
+                  for t, m in zip(ts, per_t)]
         steps.append((n_box, max(bounds)))
         if fixed or max(bounds) <= TRUNC_TOL:
             return per_t, bounds, es.stats, tuple(steps)

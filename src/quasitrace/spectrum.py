@@ -253,7 +253,11 @@ def _bisect_edges(outer, inner, lam: float, k: int):
 
 
 def _detect_bands(segments, lam: float, k: int, per_segment: int):
-    """The bands of one scan, and the run count on its even-indexed points."""
+    """The band edges (lo, hi) of one scan, and the run count on its even points.
+
+    The edges come as two arrays sorted by lo, a zero-width band after a
+    band of the same lo.
+    """
     (out_lo, los, his, out_hi, has_lo, has_hi), coarse = _scan_segments(
         segments, lam, k, per_segment)
     for outer, edges, refine in ((out_lo, los, has_lo), (out_hi, his, has_hi)):
@@ -263,8 +267,7 @@ def _detect_bands(segments, lam: float, k: int, per_segment: int):
     eps = 2.0 * np.spacing(np.abs(los[point]) + 1.0)
     los[point], his[point] = los[point] - eps, his[point] + eps
     order = np.lexsort((point, los))
-    return [Band(k, lo, hi, lam)
-            for lo, hi in zip(los[order].tolist(), his[order].tolist())], coarse
+    return (los[order], his[order]), coarse
 
 
 def _edge_pad(edge):
@@ -284,11 +287,11 @@ def _merge_intervals(lo, hi):
     return lo[first], reach[last], last - first + 1
 
 
-_BANDS_CACHE: dict = {}
+_BANDS_CACHE: dict = {}  # (level, lam) -> band edges (lo, hi), arrays sorted by lo
 
 
-def bands(k: int, lam: float) -> list[Band]:
-    """Maximal closed intervals where |x_k| <= 2, by hierarchical refinement.
+def _band_edges(k: int, lam: float):
+    """The level-k bands as arrays (lo, hi), by hierarchical refinement.
 
     The census on any grid must match the census on the doubled grid, read
     off the even points of one scan; if two refinement rounds cannot
@@ -315,9 +318,9 @@ def bands(k: int, lam: float) -> list[Band]:
         else:
             # Pad parents past their own edge-location tolerance: a child band
             # narrower than the parent's edge slack may otherwise be clipped.
-            parents = _BANDS_CACHE[(level - 1, float(lam))] + _BANDS_CACHE[(level - 2, float(lam))]
-            lo = np.array([b.lo for b in parents])
-            hi = np.array([b.hi for b in parents])
+            (lo1, hi1), (lo2, hi2) = (_BANDS_CACHE[(level - 1, float(lam))],
+                                      _BANDS_CACHE[(level - 2, float(lam))])
+            lo, hi = np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2))
             segments = _merge_intervals(lo - _edge_pad(lo), hi + _edge_pad(hi))
             base_pts = _PER_PARENT_POINTS
         pts = base_pts
@@ -325,10 +328,11 @@ def bands(k: int, lam: float) -> list[Band]:
         for _attempt in range(3):
             # the census at pts points is that of the even points of the doubled grid
             fine, coarse = _detect_bands(segments, lam, level, 2 * pts - 1)
-            stable = coarse == len(fine)
+            count = len(fine[0])
+            stable = coarse == count
             # above coupling 6 all gaps are open, so more than F(k) bands can
             # only be spurious splits: treat as instability and refine
-            not_split = (abs(lam) <= 6.0) or (len(fine) <= fib_number(level))
+            not_split = (abs(lam) <= 6.0) or (count <= fib_number(level))
             if stable and not_split:
                 found = fine
                 break
@@ -337,11 +341,20 @@ def bands(k: int, lam: float) -> list[Band]:
             raise BandResolutionError(
                 f"band census at level {level}, coupling {lam} unstable under refinement"
             )
-        if not found:  # every level has F(level) >= 1 bands
+        if not found[0].size:  # every level has F(level) >= 1 bands
             raise BandResolutionError(
                 f"no band resolvable in float64 at level {level}, coupling {lam}")
         _BANDS_CACHE[key_l] = found
     return _BANDS_CACHE[key]
+
+
+def _as_bands(k: int, lam: float, lo, hi) -> list[Band]:
+    return [Band(k, a, b, lam) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def bands(k: int, lam: float) -> list[Band]:
+    """Maximal closed intervals where |x_k| <= 2, sorted by lo (`_band_edges`)."""
+    return _as_bands(k, lam, *_band_edges(k, lam))
 
 
 def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
@@ -350,8 +363,17 @@ def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
     modulus; a run reports them as failures."""
     if abs(lam) <= 6.0:
         return []
-    return [(level, len(found), fib_number(level)) for level in range(k + 1)
-            if len(found := bands(level, lam)) < fib_number(level)]
+    return [(level, found, fib_number(level)) for level in range(k + 1)
+            if (found := len(_band_edges(level, lam)[0])) < fib_number(level)]
+
+
+def _cover_edges(K: int, lam: float):
+    """The intervals of `spectrum_cover` as arrays (lo, hi)."""
+    if K > 24:
+        raise ValueError("cover supported up to level 24")
+    (lo1, hi1), (lo2, hi2) = _band_edges(K, lam), _band_edges(K + 1, lam)
+    lo, hi, _ = _merge_intervals(np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2)))
+    return lo, hi
 
 
 def spectrum_cover(K: int, lam: float) -> list[Band]:
@@ -360,12 +382,7 @@ def spectrum_cover(K: int, lam: float) -> list[Band]:
     An outer approximation of the spectrum, used as the sampling domain for
     spectrum-restricted bounds; it is not the spectrum itself.
     """
-    if K > 24:
-        raise ValueError("cover supported up to level 24")
-    pieces = bands(K, lam) + bands(K + 1, lam)
-    lo, hi, _ = _merge_intervals(np.array([b.lo for b in pieces]),
-                                 np.array([b.hi for b in pieces]))
-    return [Band(K, float(a), float(b), lam) for a, b in zip(lo, hi)]
+    return _as_bands(K, lam, *_cover_edges(K, lam))
 
 
 # ----------------------------------------------------------------------------
@@ -374,12 +391,9 @@ def spectrum_cover(K: int, lam: float) -> list[Band]:
 
 def _cover_samples(K: int, lam: float) -> np.ndarray:
     """Three interior points per cover interval (quarter, mid, three-quarter)."""
-    cover = spectrum_cover(K, lam)
-    pts = []
-    for b in cover:
-        w = b.width
-        pts.extend((b.lo + 0.25 * w, b.center, b.hi - 0.25 * w))
-    return np.array(sorted(set(pts)))
+    lo, hi = _cover_edges(K, lam)
+    w = hi - lo
+    return np.unique(np.concatenate((lo + 0.25 * w, 0.5 * (lo + hi), hi - 0.25 * w)))
 
 
 def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18,

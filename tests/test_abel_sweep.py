@@ -235,7 +235,7 @@ def test_one_sweep_per_solve(monkeypatch):
 def test_sweep_memory_is_bounded():
     # the 3001 x 768 kernel block and its gaps, both alive at once in the
     # per-timescale formula, take 2 * 18.4 MB; the sweep holds two buffers
-    # of _SECULAR_CHUNK doubles (8.4 MB each) and products of fewer entries
+    # of _SECULAR_CHUNK doubles (2.1 MB each) and products of fewer entries
     trunc = DY.build_truncation(1500, 10.0, TH0)
     sites = list(range(-4, 5)) + [-1500, 1500]
     spec = DY.site_spectrum(trunc, sites)
@@ -244,6 +244,27 @@ def test_sweep_memory_is_bounded():
     tracemalloc.start()
     try:
         DY.abel_site_masses(spec, sites, T_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_secular_pass_memory_is_bounded():
+    # the 2001-site box of the phase sweep: its largest merge keeps 1963
+    # roots, so the secular passes fill both buffers, 2 * 8 * _SECULAR_CHUNK
+    # bytes; the solver also holds about 4.6 copies of the tracked rows (the
+    # merge's input, its secular rows, their concatenation, the sorted result)
+    trunc = DY.build_truncation(1000, 6.0, TH0)
+    sites = list(range(-12, 13)) + [-1000, 1000]  # the source site 1 included
+    rows = 8 * len(sites) * trunc.size
+    bound = 2 * 8 * DY._SECULAR_CHUNK + 6 * rows
+    # at the former budget of 2^20 entries the two buffers alone took 16.8 MB
+    assert bound < 2 * 8 * 1963 * ((1 << 20) // 1963)
+    DY.site_spectrum(DY.build_truncation(40, 6.0, TH0), [0])  # LAPACK loaded
+    tracemalloc.start()
+    try:
+        DY.site_spectrum(trunc, sites)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -208,7 +208,8 @@ def test_dynamics_command(tmp_path):
     assert payload["trunc_tol"] == DY.TRUNC_TOL
     assert payload["N_used"] == {"0": 300, "1/2": 300}
     for row in payload["table"]:
-        assert row["trunc_bound"] == row["T"] * math.sqrt(row["edge_mass"]) <= DY.TRUNC_TOL
+        assert (row["trunc_bound"] == row["T"] * math.sqrt(row["edge_mass"] + DY.EDGE_ROUNDING)
+                <= DY.TRUNC_TOL)
     for theta, steps in payload["box_steps"].items():
         assert steps == [[300, max(r["trunc_bound"] for r in payload["table"]
                                    if r["theta"] == theta)]]
@@ -551,13 +552,15 @@ def test_spectrum_default_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of the default dynamics and words outputs, taken before the
-# dynamics solvers imported SciPy on first use
+# SHA-256 of the default dynamics and words outputs.  The dynamics digests
+# hold for one BLAS configuration: OpenBLAS splits its products by thread
+# count, which moves the solver's last bits, so they are taken with
+# single-threaded BLAS (numpy's OpenBLAS build, 2-vCPU x86-64).
 DEFAULT_SHA256 = {
     "dynamics": {
-        "dynamics.csv": "a14379b0cd8a816f7fecb2476860d704f4b47e0a0d67a7f6f4c823773731654a",
+        "dynamics.csv": "0b3c819e5bbcdd88b92595b4a466f12d8af083c5c8d39f59232c64d9bb9b8864",
         "bound_report.json":
-            "6886d704b914a022aafde5dc83b297d5ab1e023852b10e421e06e59d993952e6",
+            "ba43b77be11098495643318d4c8f05df70e2756b7959e620ce995f9dbc34944d",
     },
     "words": {
         "words.csv": "9a7858dfb13e09cf37aad051939e67727a8c926c0702a494abc7ad4e2c10a9fc",
@@ -569,6 +572,33 @@ DEFAULT_SHA256 = {
 @pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
 @pytest.mark.parametrize("command", sorted(DEFAULT_SHA256))
 def test_default_outputs_are_pinned(tmp_path, command):
-    assert main([command, "--out", str(tmp_path)]) == 0
+    # a fresh interpreter, so the BLAS reads its thread count at start-up
+    proc = run_python(["-m", "quasitrace", command, "--out", str(tmp_path)],
+                      env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
     for name, digest in DEFAULT_SHA256[command].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_dynamics_agrees_across_blas_thread_counts(tmp_path):
+    # the automatic box doubles from N = 28 to 448 per phase, and its last
+    # bits differ between 1 and 2 OpenBLAS threads
+    args = ["-m", "quasitrace", "dynamics", "--lambda", "6", "--p", "0.3",
+            "--T-grid", "10,3000", "--theta-list", "0,1/3"]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = run_python([*args, "--out", str(out)],
+                          env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads((out / "bound_report.json").read_text()))
+    one, two = reports
+    assert one["N_used"] == two["N_used"]
+    assert ({theta: [n for n, _ in steps] for theta, steps in one["box_steps"].items()}
+            == {theta: [n for n, _ in steps] for theta, steps in two["box_steps"].items()})
+    assert len(one["table"]) == len(two["table"]) == 4
+    for a, b in zip(one["table"], two["table"]):
+        assert (a["theta"], a["T"], a["valid"]) == (b["theta"], b["T"], b["valid"])
+        assert abs(a["mass"] - b["mass"]) <= 1e-12
+        assert abs(a["edge_mass"] - b["edge_mass"]) <= 1e-12
+    assert abs(one["G_emp"] - two["G_emp"]) <= 1e-12

@@ -208,7 +208,7 @@ def test_auto_box_is_the_first_certified_doubling():
         assert max(r.trunc_bound for r in records) == steps[-1][1]
         for r in records:
             assert r.valid
-            assert r.trunc_bound == r.T * math.sqrt(r.edge_mass)
+            assert r.trunc_bound == r.T * math.sqrt(r.edge_mass + DY.EDGE_ROUNDING)
 
 
 def test_auto_box_stops_at_the_size_limit(monkeypatch):
@@ -264,8 +264,27 @@ def test_fixed_box_invalid_for_ballistic_control():
     report = DY.dynamical_bound_check(0.0, [TH0], [400.0], C1=1.0, p_used=0.2, N=400)
     (rec,) = report.records
     assert not rec.valid
-    assert rec.trunc_bound == 400.0 * math.sqrt(rec.edge_mass) > DY.TRUNC_TOL
+    assert rec.trunc_bound == 400.0 * math.sqrt(rec.edge_mass + DY.EDGE_ROUNDING) > DY.TRUNC_TOL
     assert report.box_steps == {TH0: ((400, rec.trunc_bound),)}
+
+
+def test_clipped_edge_mass_keeps_a_positive_bound(monkeypatch):
+    # far from the source the computed edge mass is all rounding, and the
+    # sweep clips its negatives to 0 (at coupling 10, N = 300, phase 0 and
+    # T = 100 it reads 0.0 on x86-64); the bound still charges EDGE_ROUNDING
+    sweep = DY.abel_site_masses
+
+    def clipped(es, sites, T):
+        masses = sweep(es, sites, T)
+        masses[:, [sites.index(-es.trunc.N), sites.index(es.trunc.N)]] = 0.0
+        return masses
+
+    monkeypatch.setattr(DY, "abel_site_masses", clipped)
+    report = DY.dynamical_bound_check(10.0, [TH0], [10.0, 100.0], p_used=0.2, N=300)
+    for rec in report.records:
+        assert rec.edge_mass == 0.0
+        assert rec.trunc_bound >= rec.T * math.sqrt(DY.EDGE_ROUNDING) > 0.0
+        assert rec.valid
 
 
 def test_exponent_trend_rejects_weak_coupling():

@@ -118,6 +118,24 @@ def test_cover_free_case():
     assert cover[0].hi == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("K, lam", [(8, 10.0), (12, 3.0), (9, 0.0), (10, -24.0)])
+def test_cover_samples_are_those_of_the_cover_intervals(K, lam):
+    # the samples as Python floats once built them, deduplicated by a set
+    ref = []
+    for b in SP.spectrum_cover(K, lam):
+        w = b.width
+        ref.extend((b.lo + 0.25 * w, b.center, b.hi - 0.25 * w))
+    assert SP._cover_samples(K, lam).tobytes() == np.array(sorted(set(ref))).tobytes()
+
+
+def test_band_levels_are_cached_as_edge_arrays():
+    found = SP.bands(7, 10.0)
+    lo, hi = SP._BANDS_CACHE[(7, 10.0)]
+    assert lo.dtype == hi.dtype == np.float64 and lo.shape == hi.shape == (len(found),)
+    assert [(b.lo, b.hi) for b in found] == list(zip(lo.tolist(), hi.tolist()))
+    assert all(b.k == 7 and b.lam == 10.0 for b in found)
+
+
 def test_cover_measure_decreases(caplog):
     lam = 10.0
     measures = []
@@ -342,7 +360,7 @@ def test_bands_raise_when_census_never_stabilises(monkeypatch):
 
     def unstable(segments, lam, k, pts):
         next(calls)
-        return [SP.Band(k, 0.0, 1.0, lam)] * 2, 1  # one band on the even points
+        return (np.zeros(2), np.ones(2)), 1  # one band on the even points
 
     monkeypatch.setattr(SP, "_detect_bands", unstable)
     with pytest.raises(SP.BandResolutionError):
@@ -361,7 +379,7 @@ def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
         grids.append(pts)
         count = fib_number(k) + (pts <= 8193)
         coarse = fib_number(k) + ((pts + 1) // 2 <= 8193)  # the even points
-        return [SP.Band(k, float(i), i + 0.5, lam) for i in range(count)], coarse
+        return (np.arange(count, dtype=float), np.arange(count) + 0.5), coarse
 
     monkeypatch.setattr(SP, "_detect_bands", split_on_coarse_grids)
     found = SP.bands(0, lam)
@@ -371,8 +389,8 @@ def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
 
 def _split_census(segments, lam, k, pts):
     """One band more than F(k), on the scanned grid and on its even points."""
-    return ([SP.Band(k, float(i), i + 0.5, lam) for i in range(fib_number(k) + 1)],
-            fib_number(k) + 1)
+    count = fib_number(k) + 1
+    return (np.arange(count, dtype=float), np.arange(count) + 0.5), count
 
 
 def test_bands_census_always_above_fibonacci_raises(monkeypatch):
