@@ -14,16 +14,20 @@ can come out negative; `abel_site_masses` clips that to 0.  So a record
 charges the rounding too: trunc_bound = T sqrt(e_T + EDGE_ROUNDING), and it
 is valid iff trunc_bound <= TRUNC_TOL = 1e-5.  Against a 40-digit mpmath
 eigendecomposition of 8 boxes of 41 to 101 sites (couplings 3 to 24, phases
-0, 1/3 and 1/2, T = 10 to 3000, 64 edge masses), the computed e_T fell short
-of the reference by at most 6.8e-20 where the reference was below 1e-10
-(a reference of 1.3e-22 computed as -6.7e-20); above that its relative
-error stayed below 1e-12.  EDGE_ROUNDING = 1e-18 is 15 times that shortfall.
-At the far edges of the phase sweep's 2001-site boxes and of an 8193-site
-box the unclipped e_T stayed within 5.2e-24 of 0, negatives included.  No
-box certifies beyond T = TRUNC_TOL / sqrt(EDGE_ROUNDING) = 1e4; at T = 3000
-every bound is at least 3e-6.  N = "auto" starts the box just beyond the
-largest window and doubles it until every record of the phase is certified,
-up to MAX_BOX; an explicit N fixes it.
+0, 1/3 and 1/2, T = 10 to 3000, 64 edge masses), solved with leaves of 4
+and 16 sites, where every box merges, and of 96, where only the 101-site
+box does, the unclipped e_T fell short of the reference by at most 1.9e-19,
+1.5e-20 and 1.5e-19 where the reference was below 1e-10; above that its
+relative error stayed below 1.4e-10.  At the sites of a 41-site box whose
+masses are below 1e-10 the computed ones are off by at most 2.4e-19 either
+way (`test_rounding_at_empty_sites_stays_below_edge_rounding`).
+EDGE_ROUNDING = 1e-18 is 4 times that.  At the far edges of the phase
+sweep's 2001-site boxes and of an 8193-site box the unclipped e_T stayed
+within 5.2e-24 of 0, negatives included.  No box certifies beyond
+T = TRUNC_TOL / sqrt(EDGE_ROUNDING) = 1e4, and N = "auto" refuses such a T
+before it solves; at T = 3000 every bound is at least 3e-6.  N = "auto"
+starts the box just beyond the largest window and doubles it until every
+record of the phase is certified, up to MAX_BOX; an explicit N fixes it.
 
 Outputs are byte-identical across runs on one BLAS configuration only: the
 products of the Abel sweep and of the secular passes go through BLAS, and
@@ -80,6 +84,15 @@ with OpenBLAS on 2 threads.  "sweep" is the benchmark's phase sweep,
     96               3.08 s  69.1 MB  4.79 s     31,  9,863
     128              3.05 s  68.9 MB  4.40 s     15,  7,882
 
+A second leaf sweep, 7 processes each, read:
+
+    _LEAF_SIZE       sweep            N 4096    merges, roots
+    64               3.19 s  69.1 MB  4.73 s     31,  9,863
+    96               3.11 s  69.0 MB  4.81 s     31,  9,863
+    128              3.11 s  68.9 MB  4.86 s     15,  7,882
+    192              3.01 s  69.1 MB  4.77 s     15,  7,882
+    256              3.79 s  69.5 MB  4.82 s      7,  5,895
+
 A block of the secular passes is k poles by `_SECULAR_CHUNK` // k roots.
 The largest merge of the 8193-site box keeps k = 8065, and there the two
 passes took 1.12, 0.94, 0.96, 0.87 and 0.77 s at 2^16 to 2^20 entries (8 to
@@ -88,11 +101,11 @@ runs faster than with the former 2^20 entries and 16-site leaves.  The
 phase sweep's peak RSS falls by a quarter, because each large merge of a
 2001-site box (k up to 1963) fills both buffers.  A whole ``dstevd`` block
 costs less than one split and merge up to a few hundred sites (125 sites:
-0.75 against 1.36 ms; 500 sites: 10.7 against 12.2 ms), but past 48 the
-sweep moves within its run-to-run spread (N 4096 at leaf 128 read 3.7 to
-5.1 s).  96 takes the 64- and 65-site blocks of the boxes 2N + 1 = 2^j + 1
-whole, where 64 splits the 65-site ones again, and keeps merges in boxes of
-a few hundred sites, whose deflation paths the tests exercise.
+0.75 against 1.36 ms; 500 sites: 10.7 against 12.2 ms), but from 48 to 192
+sites both commands move within their run-to-run spread (the interquartile
+ranges of the second sweep are 0.3 s on the phase sweep and 0.6 s on N
+4096), and at 256 the phase sweep, whose leaves become 250-site blocks, is a
+fifth slower.  96 sits in the middle of that plateau.
 
 SciPy's LAPACK wrappers are imported inside the functions that call them
 (`eigensystem`, `_dlaed4`, `_split_merge` and `site_spectrum`), not with this
@@ -647,10 +660,15 @@ def _certified_box(lam: float, theta: PhasePoint, ts: list, n_box: int, top: int
 
     Solves [-n_box, n_box]; unless `fixed`, doubles it until every bound
     T sqrt(e_T + EDGE_ROUNDING) is at most TRUNC_TOL, and past MAX_BOX raises
-    ValueError with the best bound reached.  Returns the masses per T (dicts
+    ValueError with the best bound reached; a T that no box can certify
+    raises before the first solve.  Returns the masses per T (dicts
     by site), the bounds, the solver's stats and the boxes tried as
     (N, worst bound) pairs.
     """
+    if not fixed and max(ts) * math.sqrt(EDGE_ROUNDING) > TRUNC_TOL:
+        raise ValueError(
+            f"no box certifies T={max(ts):g}: T*sqrt(EDGE_ROUNDING) exceeds the "
+            f"tolerance {TRUNC_TOL:g} beyond T={TRUNC_TOL / math.sqrt(EDGE_ROUNDING):g}")
     steps = []
     while True:
         reach = min(top, n_box)
@@ -666,7 +684,8 @@ def _certified_box(lam: float, theta: PhasePoint, ts: list, n_box: int, top: int
             best_n, best = min(steps, key=lambda step: step[1])
             raise ValueError(
                 f"no box up to N={MAX_BOX} certifies the masses at lambda={lam}: "
-                f"best T*sqrt(edge mass) {best:.2e} at N={best_n}, tolerance {TRUNC_TOL:g}")
+                f"best T*sqrt(edge mass + EDGE_ROUNDING) {best:.2e} at N={best_n}, "
+                f"tolerance {TRUNC_TOL:g}")
         n_box = min(2 * n_box, MAX_BOX)
 
 

@@ -7,6 +7,8 @@ by thread count, so the same solve can differ in the last bits.
 
 import os
 
+import pytest
+
 
 def _blas_name() -> str:
     """BLAS name and version numpy was built against, from ``numpy.__config__``."""
@@ -25,3 +27,15 @@ def pytest_report_header(config):
     # sched_getaffinity is Linux-only; elsewhere count every CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return [f"blas: {_blas_name()}; {threads}; cpu affinity: {cpus}"]
+
+
+@pytest.fixture
+def small_leaves(monkeypatch):
+    """`site_spectrum` with 16-site leaves, so that boxes of a few dozen sites merge.
+
+    Tests of the merge path set this themselves, so they keep running merges
+    whatever leaf size the solver is tuned to.
+    """
+    from quasitrace import dynamics
+
+    monkeypatch.setattr(dynamics, "_LEAF_SIZE", 16)

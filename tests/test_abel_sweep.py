@@ -138,7 +138,7 @@ def test_one_timescale_in_a_list_gives_one_row():
 # tied eigenvalues
 # ---------------------------------------------------------------------------
 
-def test_free_box(monkeypatch):
+def test_free_box(monkeypatch, small_leaves):
     trunc = DY.build_truncation(120, 0.0, TH0)
     sites = list(range(-120, 121))
     spec = DY.site_spectrum(trunc, sites)
@@ -281,7 +281,7 @@ def test_secular_pass_memory_is_bounded():
     (250, 3.0, TH0, 1000),  # several blocks of roots in every large merge
     (200, 20.0, HALF, 1),
 ])
-def test_secular_passes_are_bit_identical(monkeypatch, N, lam, theta, budget):
+def test_secular_passes_are_bit_identical(monkeypatch, small_leaves, N, lam, theta, budget):
     monkeypatch.setattr(DY, "_SECULAR_CHUNK", budget)
     trunc = DY.build_truncation(N, lam, theta)
     sites = list(range(-5, 6)) + [-N, N]

@@ -213,10 +213,18 @@ def test_auto_box_is_the_first_certified_doubling():
 
 def test_auto_box_stops_at_the_size_limit(monkeypatch):
     monkeypatch.setattr(DY, "MAX_BOX", 40)
-    with pytest.raises(ValueError, match=r"no box up to N=40 .* best T\*sqrt\(edge mass\)"):
+    with pytest.raises(ValueError,
+                       match=r"no box up to N=40 .* best T\*sqrt\(edge mass \+ EDGE_ROUNDING\)"):
         DY.dynamical_bound_check(10.0, [TH0], [1000.0], p_used=0.15)
     with pytest.raises(DY.WindowError):
         DY.dynamical_bound_check(10.0, [TH0], [1000.0], p_used=0.6)
+
+
+def test_auto_box_refuses_uncertifiable_timescales_before_solving(monkeypatch):
+    # T sqrt(EDGE_ROUNDING) alone exceeds TRUNC_TOL beyond T = 1e4, so no box can do
+    monkeypatch.setattr(DY, "site_spectrum", None)  # any solve would raise TypeError
+    with pytest.raises(ValueError, match=r"no box certifies T=20000"):
+        DY.dynamical_bound_check(6.0, [TH0], [10.0, 20000.0], p_used=0.3)
 
 
 # tiny boxes at short times are where the bound comes closest to the gap

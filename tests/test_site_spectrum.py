@@ -2,7 +2,9 @@
 
 Dense references: bisection with inverse iteration (LAPACK stebz/stein, the
 fallback driver of `eigensystem`), the default `eigensystem` (MRRR), and a
-40-digit mpmath eigendecomposition.  MRRR loses up to about 4e-11 in Abel
+40-digit mpmath eigendecomposition.  Tests of the merges solve with 16-site
+leaves (the `small_leaves` fixture), so boxes of a few dozen sites merge
+whatever leaf size the solver is tuned to.  MRRR loses up to about 4e-11 in Abel
 masses on clustered boxes of a few hundred sites (and 6e-11 on a 6001-site
 box at coupling 10), where bisection and the new route agree to about 1e-13, so
 the 1e-12 comparisons use bisection and MRRR gets a looser bound.  The
@@ -44,12 +46,15 @@ def _masses_agree(spec, dense, sites, tol):
 @given(raw=st.integers(0, (1 << PRECISION_BITS) - 1),
        lam=st.floats(0.0, 20.0),
        N=st.integers(1, 300),
-       frac=st.floats(0.0, 1.0))
-def test_site_spectrum_matches_dense_reference(raw, lam, N, frac):
+       frac=st.floats(0.0, 1.0),
+       leaf=st.sampled_from([16, DY._LEAF_SIZE]))
+def test_site_spectrum_matches_dense_reference(raw, lam, N, frac, leaf):
     trunc = DY.build_truncation(N, lam, PhasePoint(raw))
     L = round(frac * N)  # windows from the single site 0 up to the whole box
     sites = list(range(-L, L + 1))
-    spec = DY.site_spectrum(trunc, sites)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DY, "_LEAF_SIZE", leaf)
+        spec = DY.site_spectrum(trunc, sites)
     dense = DY.eigensystem(trunc)
     assert spec.eigenvalues.shape == (trunc.size,)
     assert np.abs(spec.eigenvalues - dense.eigenvalues).max() <= 1e-12 * (lam + 2.0)
@@ -68,7 +73,7 @@ def test_exponent_trend_box_matches_dense_reference():
     _masses_agree(spec, DY.eigensystem(trunc), sites, MRRR_MASS_TOL)
 
 
-def test_site_rows_interface():
+def test_site_rows_interface(small_leaves):
     trunc = DY.build_truncation(30, 10.0, TH0)
     spec = DY.site_spectrum(trunc, [-3, 4])
     assert spec.sites == (-3, 1, 4)  # the source site is always tracked
@@ -93,23 +98,23 @@ def _deflations(N, lam, theta):
     return stats["deflated_small_weight"], stats["deflated_close_poles"]
 
 
-def test_no_deflation_in_a_small_box():
+def test_no_deflation_in_a_small_box(small_leaves):
     assert _deflations(30, 10.0, TH0) == (0, 0)
 
 
-def test_small_weight_deflation_only():
+def test_small_weight_deflation_only(small_leaves):
     # an eigenvector of a half localised far from its cut carries no weight there
     small, close = _deflations(100, 3.0, HALF)
     assert small > 0 and close == 0
 
 
-def test_close_pole_deflation_only_in_the_free_box():
+def test_close_pole_deflation_only_in_the_free_box(small_leaves):
     # the free box's inner blocks are mirror-symmetric: their halves share poles
     small, close = _deflations(300, 0.0, TH0)
     assert small == 0 and close > 0
 
 
-def test_both_deflations_at_strong_coupling():
+def test_both_deflations_at_strong_coupling(small_leaves):
     small, close = _deflations(300, 20.0, TH0)
     assert small > 0 and close > 0
 
@@ -245,7 +250,7 @@ def mp_site_masses():
     return out
 
 
-def test_window_and_edge_masses_match_high_precision(mp_site_masses):
+def test_window_and_edge_masses_match_high_precision(mp_site_masses, small_leaves):
     report = DY.dynamical_bound_check(10.0, [TH0], [10.0, 1000.0], C1=1.0,
                                       p_used=0.3, N=20)
     for rec in report.records:
@@ -256,3 +261,22 @@ def test_window_and_edge_masses_match_high_precision(mp_site_masses):
     for T, ref in mp_site_masses.items():
         got = DY.abel_site_masses(spec, range(-20, 21), T)
         assert np.abs(got - [ref[n] for n in range(-20, 21)]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("leaf", [4, 16])
+def test_rounding_at_empty_sites_stays_below_edge_rounding(monkeypatch, mp_site_masses, leaf):
+    # the truncation bound charges EDGE_ROUNDING for the rounding of a
+    # computed edge mass; at every site whose true mass is negligible the
+    # computed one stays within it.  Both leaf sizes split the 41-site box,
+    # so the masses come from merges.
+    monkeypatch.setattr(DY, "_LEAF_SIZE", leaf)
+    spec = DY.site_spectrum(DY.build_truncation(20, 10.0, TH0), range(-20, 21))
+    checked = 0
+    for T, ref in mp_site_masses.items():
+        got = DY.abel_site_masses(spec, range(-20, 21), T)
+        want = np.array([ref[n] for n in range(-20, 21)])
+        tiny = want < 1e-10
+        checked += np.count_nonzero(tiny)
+        assert np.all(np.abs(got - want)[tiny] <= DY.EDGE_ROUNDING)
+    # five far sites at T = 10, masses 3e-12 to 6e-11, off by up to 2.4e-19
+    assert checked == 5
