@@ -32,7 +32,7 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-_THETA_OMEGA = re.compile(r"^(\d+)?\*?omega(?:/(\d+))?$")
+_THETA_OMEGA = re.compile(r"^(?:(\d+)\*?)?omega(?:/(\d+))?$")
 _THETA_FRACTION = re.compile(r"^(\d+)/(\d+)$")
 _THETA_DECIMAL = re.compile(r"^\d*\.?\d+$")
 
@@ -41,8 +41,10 @@ def parse_theta(token: str) -> PhasePoint:
     """Parse a phase token: decimal, integer fraction, or rational omega multiple.
 
     Accepted forms: "0.25", "1/3", "omega", "omega/2", "3omega/4", "3*omega/4".
-    Rational multiples of the rotation number are formed exactly in fixed
-    point, so nothing is lost at the command-line boundary.
+    Decimals and fractions are rounded to the nearest phase point.  A multiple
+    n*omega/d is formed from the 128-bit `omega()`, itself the nearest point
+    to omega, as floor(n * omega().raw / d): exact for d = 1, and otherwise
+    within one unit of the last place below n*omega~/d.
     """
     text = token.strip().lower()
     m = _THETA_OMEGA.match(text)

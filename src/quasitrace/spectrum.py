@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhasePoint, omega_float
+from .phase import PhasePoint, omega
 from .words import fib_number
 from . import transfer
 
@@ -438,7 +438,7 @@ def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18,
         raise DegenerateGrowthError(
             f"no exponential derivative growth at coupling {lam} (xi_hat={xi_hat:.3g})"
         )
-    zeta_hat = math.log(xi_hat) / (3.0 * math.log(omega_float() ** -2))
+    zeta_hat = math.log(xi_hat) / (3.0 * math.log(float(omega()) ** -2))
     residual = float(np.sqrt(np.mean((logs - (slope * karr + intercept)) ** 2)))
     return GrowthFit(lam, (ks[0], ks[-1]), xi_hat, zeta_hat, residual, tuple(min_derivs))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .phase import PhasePoint, EndpointMonitor, omega
+from .phase import PRECISION_BITS, PhasePoint, EndpointMonitor, omega
 
 __all__ = [
     "Word",
@@ -218,17 +218,19 @@ def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
                    monitor: EndpointMonitor | None = None) -> Word:
     """The word v(n_lo) v(n_lo+1) ... v(n_hi) of orbit codings.
 
-    v(n) codes the orbit point n*omega + theta by the interval [1-omega, 1):
-    the left endpoint is inclusive, the right endpoint (= 0 mod 1) exclusive,
-    and the comparison is exact in fixed point.  If a monitor is supplied,
-    evaluations within 2**-64 of either endpoint are recorded.
+    v(n) codes the orbit point n*omega~ + theta of the rotation by omega~,
+    the 128-bit rotation number `omega()`, by the interval [1-omega~, 1): the
+    left endpoint is inclusive, the right endpoint (= 0 mod 1) exclusive, and
+    the comparison is exact in fixed point.  On the sites the commands reach,
+    every point farther than 2**-111 from an endpoint is coded as by the
+    rotation by omega itself (the `phase` error model).  If a monitor is
+    supplied, evaluations within 2**-64 of either endpoint are recorded.
     """
     if n_lo > n_hi:
         raise ValueError("n_lo must not exceed n_hi")
-    bits = theta.bits
-    one = 1 << bits
+    one = 1 << PRECISION_BITS
     mask = one - 1
-    om = omega(bits).raw
+    om = omega().raw
     left = one - om
     val = (n_lo * om + theta.raw) % one
     out = 0
@@ -238,7 +240,7 @@ def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
                 out |= 1 << i
             val = (val + om) & mask
     else:
-        near = 1 << (bits - 64)
+        near = 1 << (PRECISION_BITS - 64)
         for i in range(n_hi - n_lo + 1):
             d = min(abs(val - left), val, one - val)
             if d < near:

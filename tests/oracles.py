@@ -5,6 +5,7 @@ Scalar transfer products are plain (a, b, c, d, e) tuples, 2**e * [[a, b],
 the lane sweep keeps bit for bit.  The time-domain route (`evolve`,
 `windowed_norm`, `abel_average`) is what the closed-form Abel masses of
 `dynamics` are checked against, and `rel_gap` compares extended-range values.
+`beatty_block` codes the rotation by the true golden number, exactly.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 
 from quasitrace import dynamics as DY
 from quasitrace import transfer as TR
+from quasitrace.phase import PRECISION_BITS
 from quasitrace.words import rotation_block
 from quasitrace.xfloat import XReal
 
@@ -35,6 +37,34 @@ def rel_gap(a, b, floor: float = 1.0) -> float:
     if diff.m == 0.0:
         return 0.0
     return float(2.0 ** min(diff.log2() - scale.log2(), 64.0))
+
+
+# ---------------------------------------------------------------------------
+# exact coding of the golden rotation
+# ---------------------------------------------------------------------------
+
+def _orbit_floor(m: int, t: int) -> int:
+    """floor(m*omega + t/2**B), B = PRECISION_BITS, for omega = (sqrt(5) - 1)/2.
+
+    Scaled by 2**B the point is m*sqrt(5)*2**(B-1) - m*2**(B-1) + t.  Its
+    irrational part is +-sqrt(5*m**2*2**(2B-2)), whose floor isqrt gives: for
+    m < 0 it is -isqrt - 1, since 5*m**2*2**(2B-2) is no square for m != 0.
+    """
+    root = math.isqrt(5 * m * m << (2 * PRECISION_BITS - 2))
+    if m < 0:
+        root = -root - 1
+    return (root - (m << (PRECISION_BITS - 1)) + t) >> PRECISION_BITS
+
+
+def beatty_block(n_lo: int, n_hi: int, theta) -> str:
+    """The codings v(n_lo) .. v(n_hi) of the rotation by omega, as "0"/"1".
+
+    v(n) = floor((n+1)*omega + theta) - floor(n*omega + theta) with the true
+    omega and theta = theta.raw / 2**B: the [1 - omega, 1) coding, decided
+    exactly however close a point comes to an endpoint.
+    """
+    floors = [_orbit_floor(m, theta.raw) for m in range(n_lo, n_hi + 2)]
+    return "".join(str(b - a) for a, b in zip(floors, floors[1:]))
 
 
 # ---------------------------------------------------------------------------

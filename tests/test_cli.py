@@ -13,7 +13,7 @@ import quasitrace
 from quasitrace import dynamics as DY
 from quasitrace import transfer as TR
 from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
-from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
+from quasitrace.phase import PhasePoint, omega
 
 # the child interpreter imports the same package as this one
 PACKAGE_ROOT = str(Path(quasitrace.__file__).resolve().parents[1])
@@ -50,7 +50,8 @@ def test_parse_theta_omega_forms():
     assert parse_theta("3*omega/4") == parse_theta("3omega/4")
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "omega/0", "-0.5", "1..2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "omega/0", "-0.5", "1..2", "*omega",
+                                 "*omega/2"])
 def test_parse_theta_rejects_garbage(bad):
     with pytest.raises(ConfigError):
         parse_theta(bad)
@@ -400,19 +401,26 @@ SCRIPT_ENTRY = re.search(r'^quasitrace = "(.+)"$',
 
 
 @pytest.mark.parametrize("launcher", ["-m", "script"])
-@pytest.mark.parametrize("bits", ["abc", "8"])
-def test_exit_code_bad_precision_bits(tmp_path, launcher, bits):
+@pytest.mark.parametrize("bits", ["abc", "8", "96"])
+def test_exit_code_bad_precision_bits(tmp_path, monkeypatch, launcher, bits):
+    # phases are 128-bit whatever the environment holds: a value once refused
+    # exits 0, and the random phases drawn from one seed, and the outputs,
+    # are those of a run without the variable
     module, func = SCRIPT_ENTRY.split(":")
     # what the installed script runs: import the entry point and exit with its code
     prefix = (["-m", "quasitrace"] if launcher == "-m" else
               ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"])
-    proc = run_python([*prefix, "words", "--out", str(tmp_path)],
-                      env={"QUASITRACE_PRECISION_BITS": bits})
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: QUASITRACE_PRECISION_BITS ")
-    assert len(proc.stderr.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
+    monkeypatch.delenv("QUASITRACE_PRECISION_BITS", raising=False)
+    outputs = []
+    for value in (None, bits):
+        out = tmp_path / str(value)
+        proc = run_python([*prefix, "words", "--k-max", "8", "--subword-max", "5",
+                           "--random-thetas", "3", "--seed", "5", "--out", str(out)],
+                          env=None if value is None else {"QUASITRACE_PRECISION_BITS": value})
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        outputs.append((out / "parity.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # run in a fresh interpreter: importing the command line loads every layer
@@ -495,7 +503,6 @@ TRACES_LARGE_SHA256 = {
 }
 
 
-@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
 def test_traces_large_outputs_are_pinned(tmp_path):
     assert main(["traces", "--k-max", "20", "--energies=-3:13:96", "--theta", "omega/2",
                  "--out", str(tmp_path)]) == 0
@@ -525,7 +532,6 @@ TRACES_MULTI_PHASE_SHA256 = {
 }
 
 
-@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
 @pytest.mark.parametrize("thetas", sorted(TRACES_MULTI_PHASE_SHA256))
 def test_traces_multi_phase_outputs_are_pinned(tmp_path, thetas):
     args = [arg for theta in thetas for arg in ("--theta", theta)]
@@ -545,7 +551,6 @@ SPECTRUM_DEFAULT_SHA256 = {
 }
 
 
-@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
 def test_spectrum_default_outputs_are_pinned(tmp_path):
     assert main(["spectrum", "--out", str(tmp_path)]) == 0
     for name, digest in SPECTRUM_DEFAULT_SHA256.items():
@@ -569,7 +574,6 @@ DEFAULT_SHA256 = {
 }
 
 
-@pytest.mark.skipif(PRECISION_BITS != 128, reason="digests taken at 128-bit phases")
 @pytest.mark.parametrize("command", sorted(DEFAULT_SHA256))
 def test_default_outputs_are_pinned(tmp_path, command):
     # a fresh interpreter, so the BLAS reads its thread count at start-up

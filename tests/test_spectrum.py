@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quasitrace.phase import PhasePoint
+from quasitrace.phase import PhasePoint, omega
 from quasitrace.words import fib_number
 from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
@@ -450,7 +450,7 @@ def test_growth_fit_bracket_small_run():
     fit = SP.derivative_growth_scan(10.0, 6, 14)
     assert 5.0 <= fit.xi_hat <= 40.0
     assert fit.zeta_hat == pytest.approx(
-        math.log(fit.xi_hat) / (3.0 * math.log(SP.omega_float() ** -2)))
+        math.log(fit.xi_hat) / (3.0 * math.log(float(omega()) ** -2)))
     ks = [k for k, _ in fit.min_derivs]
     assert ks == [6, 8, 10, 12, 14]
 

@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from quasitrace.cli import parse_theta
 from quasitrace.phase import PRECISION_BITS, EndpointMonitor, PhasePoint, omega
 from quasitrace import words as W
+
+from oracles import beatty_block
 
 
 # independent oracle: build the infinite word prefix by string substitution
@@ -163,15 +166,38 @@ def test_rotation_block_consistent_with_symbols():
         assert block[i] == W.rotation_block(n, n, theta)[0]
 
 
+# the 128-bit coding is the coding of the rotation by the true omega on
+# every site a command reaches, unless a point lies within 2**-111 of an
+# endpoint (the `phase` error model); the exact Beatty form checks it
+def test_rotation_block_codes_the_true_rotation():
+    rng = random.Random(16)
+    thetas = [PhasePoint.zero(), parse_theta("omega/2"), PhasePoint.from_fraction(1, 3)]
+    thetas += [PhasePoint(rng.getrandbits(PRECISION_BITS)) for _ in range(6)]
+    f = W.fib_number(20)
+    for theta in thetas:
+        assert W.rotation_block(-f, f, theta).to01() == beatty_block(-f, f, theta)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rotation_block_codes_the_true_rotation_near_endpoints(sign):
+    # theta = -m omega~ +- 2**-100 puts site m just off the right endpoint and
+    # site m - 1 just off the left one: m*(omega - omega~) is below 2**-115
+    for m in [sign * W.fib_number(k) for k in range(19)] + [sign * 10**4]:
+        for offset in (1 << (PRECISION_BITS - 100), -(1 << (PRECISION_BITS - 100))):
+            theta = PhasePoint((-m * omega().raw + offset) % (1 << PRECISION_BITS))
+            assert (W.rotation_block(m - 2, m + 1, theta).to01()
+                    == beatty_block(m - 2, m + 1, theta)), (m, offset)
+
+
 @st.composite
 def _phases(draw):
     """Random phases, and phases within a few 2**-62 of -m omega, where site m
     sits on the right endpoint and site m - 1 on the left one."""
     if draw(st.booleans()):
         return PhasePoint(draw(st.integers(0, (1 << PRECISION_BITS) - 1)))
-    near = omega().times(-draw(st.integers(-60, 100)))
+    near = -draw(st.integers(-60, 100)) * omega().raw
     offset = draw(st.integers(-(1 << (PRECISION_BITS - 62)), 1 << (PRECISION_BITS - 62)))
-    return PhasePoint((near.raw + offset) % (1 << PRECISION_BITS))
+    return PhasePoint((near + offset) % (1 << PRECISION_BITS))
 
 
 @given(_phases(), st.integers(-60, 60), st.integers(0, 40))
