@@ -25,10 +25,11 @@ and the phase-zero reference in one, with the right derivatives, and per
 phase `norm_profile` sums the right and left norms in one.  The margins of
 `norm_trace_margin` read their derivatives and norm sums off these sweeps.
 
-- lane state: the four float64 entries of the product as a (4, lanes) array
-  and an int64 exponent per lane; with derivatives, the same again for dM/dE
-  on a prefix of the lanes.  The loop over sites does only the 2x2 step,
-  rescale and derivative.
+- lane state: the four float64 entries of the product and an int64 exponent
+  per lane; with derivatives, the same again for dM/dE on a prefix of the
+  lanes.  The entries live in two preallocated buffers, and each site steps
+  from one into the other with `out=` (see "Calls per site").  The loop over
+  sites does only the 2x2 step, rescale and derivative.
 - factors: a (sites, groups) array of potential symbols; per block of B sites
   one lookup gives every lane its factors, so memory is O(lanes * B +
   sites * groups) however many groups share the sweep (B as below with
@@ -57,6 +58,22 @@ skipped only while a running upper bound on the entries shows that no lane
 can pass 2**256, so each lane rescales at exactly the sites where the scalar
 code does, and never because another lane did.
 
+`_renorm` takes each lane's largest |entry| before it rescales, and with
+peaks every site is checked, so that one maximum serves both the check and
+the peak.  The peak is exact: a lane that rescales is multiplied by 2**-ex,
+ex = frexp(mx)[1], which puts its largest entry in [0.5, 1) without
+rounding; so mx * 2**-ex is the largest rescaled entry, and frexp(mx)[1] + e
+does not change under the rescale.  The scales 2**-ex of the rescale and
+2**shift of `_add` come from one table, `_HALVES[i]` = ldexp(1.0, -i) for
+i = 0..1075, taken with mode="clip".  That is ldexp(1.0, -max(k, 0)) for
+every integer k: a k below 0 reads 1.0, the scale of the operand with the
+larger exponent, and one above 1075 reads `_HALVES[1075]` = 0.0, as
+ldexp(1.0, -k) is 0.0 for every k >= 1075 (2**-1075 is half the least
+subnormal and rounds to even).
+Where |shift| > 1080 `_add` returns the larger operand untouched, and so
+does `_add_lanes`: adding the other operand's 0.0 would turn a -0.0 entry
+into 0.0.
+
 Norm sums keep the bits of one `XReal.__add__` per site, though they are
 summed a block at a time.  For normalized positive operands that add is the
 binary64 sum of the values scaled by a common power of two while the larger
@@ -84,6 +101,36 @@ is E or E - lam of its own energy, picked by its group's symbol at the site.
 On every side, one gather per block puts each lane's entries in (a, b, c, d)
 order before its squared norms, so the squares add in the order of
 `_norm_sq`.
+
+Calls per site.  The state is two (3, 2, lanes) buffers, (X, Y) and a block
+of zeros; a site multiplies (X, Y) by the step's factors [[t, f], [s, 0.0]]
+of its block with one `np.multiply` and sums the two terms into the other
+buffer with one `np.add`.  The old buffer keeps X, and its zeros complete it
+to the operand (X, 0) of the derivative's `_add`, written in place into the
+derivative lanes.  A `_renorm` check is one `np.abs` and two
+`np.maximum.reduce`; a rescale adds eight calls: `np.frexp`, the comparison
+and product that zero ex on the other lanes, one `take` of the scales, the
+in-place products of the entries and of the maxima, the new exponents and
+the new bound.  `_add_lanes` makes eight calls: the shifts, their two signs
+(`np.multiply.outer`), one `take` of both scales, the |shift| > 1080 test,
+the scaled sum (three) and the exponents.  Counting ufunc calls, ufunc
+methods, numpy functions and the reducing ndarray methods (not numpy scalar
+arithmetic), each weighted by how often its branch runs, the `phase_traces`
+sweep of the benchmark's `traces-large` run (17,711 sites, 384 lanes with 96
+derivative lanes; the step rescales at 15,618 sites) made per site, in the
+step, its check and rescale, the derivative and the peaks, and took in CPU
+seconds (median of 8 fresh processes each, alternating, on a 2-vCPU Xeon):
+
+                          step   renorm  derivative  peaks  total  seconds
+    per-site arrays        3.0     10.8        18.7    2.0   34.5     1.46
+    two buffers, `out=`    2.0     10.1        10.6      -   22.6     1.13
+
+The first row allocated each step's result, concatenated the derivative's
+operands and results, took the scales of `_add` by `ldexp(1.0, minimum(...))`
+and its reductions through the `ndarray` wrappers, and took the peaks in a
+pass of their own.  Without the 96 derivative lanes the sweep takes about
+0.75 and 0.6 s: the derivative, a quarter of the lanes, is half the sweep in
+both rows.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` (with its `DualScalar`) are one-group calls of the sweep
@@ -232,6 +279,12 @@ _ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}  # of a, b, c, d
 # and the bound's own products round once more; 2**-40 covers all of it.
 _SLACK = 1.0 + 2.0**-40
 
+# 2**-i for i = 0..1075, the last one 0.0, as ldexp(1.0, -1075) rounds to even.
+# Taken with mode="clip", an index below 0 reads 1.0 and one above 1075 reads
+# 0.0, so `_HALVES.take(k, mode="clip")` is ldexp(1.0, -max(k, 0)) for every k.
+_HALVES = np.ldexp(1.0, -np.arange(1076))
+_SIGNS = np.array([1, -1])
+
 
 class _Mark(NamedTuple):
     """Lane arrays recorded after `n` factors; None where not requested."""
@@ -248,40 +301,61 @@ class _Mark(NamedTuple):
     peak: np.ndarray | None = None  # every |entry| over sites 1..n is below 2**peak
 
 
-def _renorm(m, e, bound):
-    """The rescale of `_mul` and `_add`, per lane.
+class _Buffer(NamedTuple):
+    """Views of one (3, 2, lanes) state buffer of `_sweep`: (X, Y, zeros)."""
 
-    `bound` is an upper bound on every |entry|.  While it stays at or below
-    2**256 no lane can need rescaling and nothing is checked; otherwise the
-    largest entry is looked up and becomes the new bound, and only lanes
-    whose own largest entry passes 2**256 are rescaled.
+    step: np.ndarray  # (X, Y), shaped to multiply the step's factors
+    m: np.ndarray  # (X, Y) of every lane
+    x: np.ndarray  # (X, 0) of the lanes that carry derivatives
+    dm: np.ndarray  # (X, Y) of the derivative lanes
+
+
+def _renorm(m, e, bound, mx=None, out=None):
+    """The rescale of `_mul` and `_add`, per lane, in place on `m`.
+
+    `m` holds the entries of each lane along its last axis, and `bound` is an
+    upper bound on every |entry|.  While it stays at or below 2**256 no lane
+    can need rescaling and nothing is checked; otherwise each lane's largest
+    |entry| goes to `mx` (a new array if None), and only lanes whose own
+    largest entry passes 2**256 are rescaled, `mx` with them.  Their new
+    exponents go to `out` (a new array if None), and the largest of `mx` is
+    the new bound.  Returns (m, e, bound).
     """
     if bound <= _RENORM:
         return m, e, bound
-    size = np.abs(m)
-    bound = float(size.max(initial=0.0))
+    mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0, out=mx)
+    bound = float(np.maximum.reduce(mx, initial=0.0))
     if bound <= _RENORM:
         return m, e, bound
-    mx = size.max(axis=0)
-    ex = np.where(mx > _RENORM, np.frexp(mx)[1], 0)
-    s = np.ldexp(1.0, -ex)  # 1.0 on the other lanes, which keeps their bits
-    return m * s, e + ex, float((mx * s).max())
+    ex = np.frexp(mx)[1]
+    ex *= mx > _RENORM  # 0 on the other lanes: a scale of 1.0 keeps their bits
+    s = _HALVES.take(ex, mode="clip")
+    m *= s
+    mx *= s  # exact: the largest entry of a rescaled lane lands in [0.5, 1)
+    return m, np.add(e, ex, out=out), float(np.maximum.reduce(mx))
 
 
-def _add_lanes(m1, e1, m2, e2):
-    """`_add` per lane, before its rescale.
+def _add_lanes(m1, e1, m2, e2, out=(None, None)):
+    """`_add` per lane, before its rescale: the sums and their exponents.
 
     `_add` scales the operand with the smaller exponent by 2**shift and adds
-    it to the other one; here both get a scale, 1.0 for the larger one, which
-    gives the same sums since x * 1.0 is x and addition commutes.
+    it to the other one; here both get a scale from `_HALVES`, 1.0 for the
+    larger one, which gives the same sums since x * 1.0 is x and addition
+    commutes.  `out` is an (entries, exponents) pair of buffers for the result,
+    None for new arrays; they may be m2 and e2.
     """
     shift = e1 - e2
-    if not shift.any():
-        return m1 + m2, e1
-    m = m1 * np.ldexp(1.0, np.minimum(shift, 0)) + m2 * np.ldexp(1.0, np.minimum(-shift, 0))
-    if shift.min() < -1080 or shift.max() > 1080:  # `_add` returns the larger operand untouched
-        m = np.where(np.abs(shift) > 1080, np.where(shift < 0, m2, m1), m)
-    return m, np.maximum(e1, e2)
+    turns = np.multiply.outer(_SIGNS, shift)  # shift and -shift
+    s2, s1 = _HALVES.take(turns, mode="clip")
+    far = np.maximum.reduce(turns, axis=None, initial=0) > 1080
+    if far:  # `_add` returns the larger operand untouched
+        keep = np.where(shift < 0, m2, m1)
+    m, e = out
+    m = np.multiply(m2, s2, out=m)
+    m += m1 * s1
+    if far:
+        np.copyto(m, keep, where=np.abs(shift) > 1080)
+    return m, np.maximum(e1, e2, out=e)
 
 
 def _norm_sq_lanes(m, e):
@@ -369,31 +443,37 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
     group = np.concatenate((group, group[:n_d]))
     E = np.concatenate((E, E[:n_d]))
     span = E - lam
+    width = lanes + n_d
     left = np.array([s == "left" for s in sides + sides[:n_d]])
-    # the step x * t + y * s, x * f + y * 0.0 of every lane: its factors
-    # (t, f) per site of a block and (s, 0.0) as arrays of shape (2, 1, lanes),
-    # so that one product with (X, Y) gives both new halves
     sign = np.where(left, 1.0, -1.0)
-    y_factors = np.stack((sign, np.zeros_like(sign)))[:, None]
-    # a step multiplies the largest entry by at most max |t| + 1
-    growth = (max(np.abs(E).max(initial=0.0), np.abs(span).max(initial=0.0)) + 1.0) * _SLACK
+    # a step multiplies the largest entry by at most max |t| + 1; a Python
+    # float, so that the bounds below go to inf without a warning
+    growth = float((max(np.abs(E).max(initial=0.0), np.abs(span).max(initial=0.0)) + 1.0)
+                   * _SLACK)
     # per lane the rows that put its entries in (a, b, c, d) order
     order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
                      np.arange(4)[:, None])[:, None]
-    m = np.zeros((4, lanes + n_d))
-    m[0, :lanes] = m[3, :lanes] = 1.0  # a and d sit there on every side
-    e = np.zeros(lanes + n_d, dtype=np.int64)
-    zero = np.zeros((2, n_d))
+    # two buffers of (X, Y, zeros), each lane's halves along axis 1; a site
+    # steps from one into the other, which keeps X of the old product for
+    # the derivative, and the zeros complete it to the operand (X, 0) of `_add`
+    buffers = np.zeros((2, 3, 2, width))
+    buffers[0, 0, 0, :lanes] = buffers[0, 1, 1, :lanes] = 1.0  # a and d on every side
+    cur, nxt = (_Buffer(b[:2, None], b[:2], b[::2, :, :n_d], b[:2, :, lanes:]) for b in buffers)
+    e = np.zeros(width, dtype=np.int64)
     bound = 1.0
     # exact norm sums need B <= `_block_sites`; without them 32 sites keep the
     # factor and peak buffers small
     size = _block_sites(growth) if norms else min(_block_sites(growth), 32)
-    x_factors = np.empty((size, 2, 1, lanes + n_d))
-    x_factors[:, 1, 0] = -sign
+    # per site of a block the step's factors [[t, f], [s, 0.0]]: row one
+    # multiplies x and row two y, column one gives the new X and column two Y
+    factors = np.zeros((size, 2, 2, 1, width))
+    factors[:, 0, 1, 0] = -sign
+    factors[:, 1, 0, 0] = sign
+    terms = np.empty((2, 2, 2, width))  # x and y times their factors
     if norms:
         block_m = np.empty((4, size, lanes))
     if peaks:
-        block_p = np.empty((size, lanes))  # the largest |entry| of each lane
+        block_p = np.empty((size, width))  # the largest |entry| of each lane
     if norms or peaks:
         block_e = np.empty((size, lanes), dtype=np.int64)
         # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
@@ -408,25 +488,29 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
         j = (n - 1) % size
         if j == 0:  # the factors of each lane over the next block of sites
             rows = symbols[n - 1:n - 1 + size][:, group]
-            x_factors[:len(rows), 0, 0] = np.where(rows, span, E)
-        # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
-        # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
-        x, ex, old = m[:2, :n_d], e[:n_d], bound
-        step = m[:2] * x_factors[j] + m[2:] * y_factors
-        m, e, bound = _renorm(step.reshape(4, -1), e, bound * growth)
+            factors[:len(rows), 0, 0, 0] = np.where(rows, span, E)
+        np.multiply(cur.step, factors[j], out=terms)
+        m = np.add(terms[0], terms[1], out=nxt.m)
+        # with peaks every site is checked: the check's largest |entry| of
+        # each lane, rescaled with it, gives the peak (see "Byte identity")
+        e_old, old = e, bound
+        m, e, bound = _renorm(m, e, math.inf if peaks else bound * growth,
+                              block_p[j] if peaks else None)
         if n_d:
-            dm, de, dbound = _renorm(*_add_lanes(np.concatenate((x, zero)), ex, m[:, lanes:],
-                                                 e[lanes:]), (old + bound) * _SLACK)
-            m, e = np.concatenate((m[:, :lanes], dm), axis=1), np.concatenate((e[:lanes], de))
-            bound = max(bound, dbound)
+            # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
+            # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
+            de = e[lanes:]
+            _add_lanes(cur.x, e_old[:n_d], nxt.dm, de, out=(nxt.dm, de))
+            bound = max(bound, _renorm(nxt.dm, de, (old + bound) * _SLACK, out=de)[2])
+        cur, nxt = nxt, cur
         if n == want:
-            out.append(_Mark(n, m[:, :lanes], e[:lanes],
-                             *((m[:, lanes:], e[lanes:]) if n_d else (None, None))))
+            entries = m.reshape(4, width)
+            out.append(_Mark(n, entries[:, :lanes].copy(), e[:lanes].copy(),
+                             *((entries[:, lanes:].copy(), e[lanes:].copy()) if n_d
+                               else (None, None))))
             want = next(pending, None)
         if norms:
-            block_m[:, j] = m[:, :lanes]
-        if peaks:
-            np.abs(m[:, :lanes]).max(axis=0, out=block_p[j])
+            block_m[:, j] = m[..., :lanes].reshape(4, lanes)
         if norms or peaks:
             block_e[j] = e[:lanes]
             if j == size - 1 or n == top:
@@ -440,7 +524,7 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
                     fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
                 if peaks:
                     peak = block_e[:j + 1]  # the buffer is spent: add in place
-                    peak += np.frexp(block_p[:j + 1])[1]
+                    peak += np.frexp(block_p[:j + 1, :lanes])[1]
                     np.maximum(peak[0], high, out=peak[0])
                     np.maximum.accumulate(peak, axis=0, out=peak)
                     high = peak[j].copy()

@@ -541,6 +541,23 @@ def test_traces_multi_phase_outputs_are_pinned(tmp_path, thetas):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the default traces outputs, the run of the paper-default
+# workload, taken before the sweep stepped in preallocated buffers
+TRACES_DEFAULT_SHA256 = {
+    "traces.csv": "ed56a36cce79c4590a4e27b76768238cefbe0094c9dc335bd2963fa8dae6b0e1",
+    "margins.csv": "257190169ea1a450d2fab4c5b7534a650f1ba3346b62beaef3acfbb8543addd0",
+    "norms.csv": "e25bbb8e163ca4d71c52fabd6bb7026c8a7c3ac44ad7c10038bb48c9ee8df519",
+    "traces_summary.json":
+        "524f5da916f9de5f91950a5b01d7029fce6945023161813a5c3900181d916da1",
+}
+
+
+def test_traces_default_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_DEFAULT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of the default spectrum outputs, copied from the paper-default entry
 # of bench/digests.json; they were taken with one trace_grid call per segment.
 SPECTRUM_DEFAULT_SHA256 = {

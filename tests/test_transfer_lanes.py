@@ -16,6 +16,7 @@ prefix of them, keep the bits of a sweep per group.
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -251,6 +252,24 @@ def test_phase_traces_match_the_one_group_calls():
             xbits(row) for row in TR.traces_right_upto(11, grid, lam, PhasePoint.zero())]
 
 
+def test_phase_traces_at_huge_energies_run_without_warnings():
+    # at |E| = 1e300 the running entry bound times the step growth passes
+    # float range; it must go to inf quietly, and every lane, huge or in
+    # the band, must keep the bits of the one-group calls
+    grid, lam, k = [-1e300, BAND_CENTER, 3.0, 1e300], 12.0, 9
+    theta = PhasePoint.from_decimal("0.3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(right, left)], refs = TR.phase_traces(k, grid, lam, [theta])
+        duals = TR.dual_traces_upto(k, grid, lam, theta)
+        lefts = TR.traces_left_upto(k, grid, lam, theta)
+        zeros = TR.traces_right_upto(k, grid, lam, PhasePoint.zero())
+    assert [xbits(r) for r in right.traces] == [xbits(d.value for d in row) for row in duals]
+    assert [xbits(r) for r in right.derivs] == [xbits(d.deriv for d in row) for row in duals]
+    assert [xbits(r) for r in left.traces] == [xbits(row) for row in lefts]
+    assert [xbits(r) for r in refs.traces] == [xbits(row) for row in zeros]
+
+
 def test_band_lane_never_rescales_beside_far_lanes():
     # the premise of the examples above: at lambda 12 and phase 0 the band
     # lane keeps exponent 0 over F(14) sites while the far lanes rescale
@@ -275,8 +294,17 @@ def columns(matrices):
     return np.array([a, b, c, d]), e.astype(np.int64)
 
 
+# shifts on both sides of where 2**shift underflows to 0 (-1074) and of where
+# `_add` starts returning the larger operand (beyond 1080), with -0.0 entries
+# that an added 0.0 would turn into 0.0
+LARGER, SMALLER = (1.0, -0.0, -3.0, 2.0**255), (-2.0**200, 1.5, -0.0, 0.0)
+EDGE_SHIFTS = (1074, 1075, 1080, 1081)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(matrix, matrix), min_size=1, max_size=5))
+@example([((*LARGER, shift), (*SMALLER, 0)) for shift in EDGE_SHIFTS])
+@example([((*SMALLER, 0), (*LARGER, shift)) for shift in EDGE_SHIFTS])
 def test_lane_add_matches_scalar_add(pairs):
     m1, e1 = columns([p for p, _ in pairs])
     m2, e2 = columns([q for _, q in pairs])
