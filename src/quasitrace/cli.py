@@ -15,6 +15,7 @@ import math
 import random
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -31,6 +32,13 @@ __all__ = ["RunConfig", "ConfigError", "parse_theta", "main"]
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
+
+# range messages, shared by the argument parsing and the checks of RunConfig
+_ENERGY_RANGE = "energy grid must be lo:hi:count with lo < hi, count >= 1"
+_T_RANGE = "timescales must be finite and positive"
+_N_RANGE = f"N must be an integer in [1, {DY.MAX_BOX}] or 'auto'"
+_P_RANGE = "p must be in (0, 1] or 'auto'"
+_GROWTH_RANGE = "growth range must satisfy 0 <= kmin < kmax <= 22"
 
 _THETA_OMEGA = re.compile(r"^(?:(\d+)\*?)?omega(?:/(\d+))?$")
 _THETA_FRACTION = re.compile(r"^(\d+)/(\d+)$")
@@ -92,24 +100,24 @@ class RunConfig:
             raise ConfigError("k-max must lie in [0, 25]")
         lo, hi, count = self.energies
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and count >= 1):
-            raise ConfigError("energy grid must be lo:hi:count with lo < hi, count >= 1")
+            raise ConfigError(_ENERGY_RANGE)
         if not math.isfinite(hi - lo):
             raise ConfigError("energy grid span hi - lo must be finite")
         if not all(math.isfinite(t) and t > 0 for t in self.T_grid):
-            raise ConfigError("timescales must be finite and positive")
+            raise ConfigError(_T_RANGE)
         if self.N != "auto" and (not isinstance(self.N, int) or not 1 <= self.N <= DY.MAX_BOX):
-            raise ConfigError(f"N must be an integer in [1, {DY.MAX_BOX}] or 'auto'")
+            raise ConfigError(_N_RANGE)
         if not (math.isfinite(self.C1) and self.C1 > 0):
             raise ConfigError("C1 must be finite and positive")
         if self.p != "auto" and not (0 < float(self.p) <= 1.0):
-            raise ConfigError("p must be in (0, 1] or 'auto'")
+            raise ConfigError(_P_RANGE)
         if self.random_thetas < 0 or self.jobs < 1:
             raise ConfigError("counts must be nonnegative, jobs >= 1")
         if not 1 <= self.subword_max <= 2000:
             raise ConfigError("subword-max must lie in [1, 2000]")
         kmin, kmax = self.growth
         if not (0 <= kmin < kmax <= 22):
-            raise ConfigError("growth range must satisfy 0 <= kmin < kmax <= 22")
+            raise ConfigError(_GROWTH_RANGE)
         for token in self.thetas:
             parse_theta(token)
 
@@ -528,6 +536,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSED = {"thetas", "energies", "growth", "T_grid", "p", "N"}
 
 
+@contextmanager
+def _numbers_or(message: str):
+    """Turn a failed int() or float() of an argument into ConfigError(message)."""
+    try:
+        yield
+    except ValueError:
+        raise ConfigError(message) from None
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     updates = {f.name: given[f.name] for f in fields(RunConfig)
@@ -540,18 +557,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         parts = args.energies.split(":")
         if len(parts) != 3:
             raise ConfigError("energy grid must be LO:HI:COUNT")
-        updates["energies"] = (float(parts[0]), float(parts[1]), int(parts[2]))
+        with _numbers_or(_ENERGY_RANGE):
+            updates["energies"] = (float(parts[0]), float(parts[1]), int(parts[2]))
     if given.get("growth"):
         parts = args.growth.split(":")
         if len(parts) != 2:
             raise ConfigError("growth range must be KMIN:KMAX")
-        updates["growth"] = (int(parts[0]), int(parts[1]))
+        with _numbers_or(_GROWTH_RANGE):
+            updates["growth"] = (int(parts[0]), int(parts[1]))
     if given.get("T_grid"):
-        updates["T_grid"] = tuple(float(t) for t in args.T_grid.split(","))
+        with _numbers_or(_T_RANGE):
+            updates["T_grid"] = tuple(float(t) for t in args.T_grid.split(","))
     if given.get("p") is not None:
-        updates["p"] = args.p if args.p == "auto" else float(args.p)
+        with _numbers_or(_P_RANGE):
+            updates["p"] = args.p if args.p == "auto" else float(args.p)
     if given.get("N") is not None:
-        updates["N"] = args.N if args.N == "auto" else int(args.N)
+        with _numbers_or(_N_RANGE):
+            updates["N"] = args.N if args.N == "auto" else int(args.N)
     return RunConfig(**updates)
 
 

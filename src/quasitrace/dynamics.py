@@ -107,6 +107,15 @@ ranges of the second sweep are 0.3 s on the phase sweep and 0.6 s on N
 4096), and at 256 the phase sweep, whose leaves become 250-site blocks, is a
 fifth slower.  96 sits in the middle of that plateau.
 
+The tables predate two changes that took about a tenth off the sweep and
+moved no bit: dlaed4 called through a bare pointer (`_secular_roots`), and
+each block of gaps built as a copy and an in-place subtract
+(`_column_minus_row`).  Where a 2001-site box's time goes since (coupling 6,
+phase 0, 4 timescales; median of 6 solves in one process): `site_spectrum`
+0.26 s, of which the dlaed4 loop over 9,863 roots takes 0.10 s, the two
+secular passes 0.09 s, the rest of the 31 merges 0.01 s, and the leaves, the
+dsterf solve and the validation 0.06 s; then the Abel sweep 0.04 s.
+
 SciPy's LAPACK wrappers are imported inside the functions that call them
 (`eigensystem`, `_dlaed4`, `_split_merge` and `site_spectrum`), not with this
 module.  The command line imports every layer, and SciPy more than doubles the time
@@ -343,7 +352,12 @@ _LEAF_SIZE = 96  # blocks this small are solved whole by dstevd
 
 @functools.lru_cache(maxsize=None)
 def _dlaed4():
-    """LAPACK dlaed4 (one root of a rank-one secular equation) via ctypes."""
+    """LAPACK dlaed4 (one root of a rank-one secular equation), a bare C pointer.
+
+    No argument types are declared: ctypes passes the pointer objects that
+    `_secular_roots` builds as they are, instead of checking and converting
+    each of the eight on every call.
+    """
     from scipy.linalg import cython_lapack
 
     capsule = cython_lapack.__pyx_capi__["dlaed4"]
@@ -351,9 +365,7 @@ def _dlaed4():
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    int_p, dbl_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    proto = ctypes.CFUNCTYPE(None, int_p, int_p, dbl_p, dbl_p, dbl_p, dbl_p, dbl_p, int_p)
-    return proto(get_pointer(capsule, get_name(capsule)))
+    return ctypes.CFUNCTYPE(None)(get_pointer(capsule, get_name(capsule)))
 
 
 def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
@@ -364,24 +376,29 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     pole-minus-root difference from those: |poles_i - origin| is at most
     twice |poles_i - root|, so the difference keeps full relative accuracy.
 
-    One dlaed4 call per root, from Python, is not the cost to chase.  On the
-    2001-site box at coupling 6 and phase 0 (31 merges, 9,863 roots, k up to
-    1963; 2-vCPU VM) the loop took 0.10 s of the solve's 0.27 s, of which
-    about 5 us per call, some 0.05 s, is the ctypes call and the rest
-    dlaed4's own O(k) work per root.  LAPACK dlaed9, which finds the same
-    roots and the Gu-Eisenstat vectors in one Fortran call, took 0.24 s there
-    with 16-site leaves (127 merges, 13,772 roots), where the loop took
-    0.20 s, and needs two k x k arrays, 62 MB at k = 1963.
+    One dlaed4 call per root, from Python.  dlaed4 reads `poles` and `z`
+    through raw pointers, so both must be C-contiguous float64.  The eight
+    pointer arguments are built once per call of this function, and `delta`
+    is a ctypes array whose entries read as Python floats.  A call through
+    the bare pointer costs about 0.7 us against 2.1 us through a prototype
+    that declares the argument types (k = 5, where dlaed4 itself does next
+    to nothing).  On the 2001-site box at coupling 6 and phase 0 (31 merges,
+    9,863 roots, k up to 1963) the loop takes 0.10 s, most of it dlaed4's
+    own O(k) work per root.  LAPACK dlaed9, which finds the same roots and
+    the Gu-Eisenstat vectors in one Fortran call, took 0.24 s there with
+    16-site leaves (127 merges, 13,772 roots) and needs two k x k arrays,
+    62 MB at k = 1963.
     """
     k = len(poles)
+    for a in (poles, z):
+        if a.dtype != np.float64 or not a.flags.c_contiguous or len(a) != k:
+            raise AssertionError("dlaed4 needs C-contiguous float64 poles and weights")
     roots, origin, offset = [], [], []
-    delta = np.empty(k)
-    dbl_p = ctypes.POINTER(ctypes.c_double)
+    delta = (ctypes.c_double * k)()
     i_c, root, info = ctypes.c_int(0), ctypes.c_double(0.0), ctypes.c_int(0)
     args = (ctypes.byref(ctypes.c_int(k)), ctypes.byref(i_c),
-            poles.ctypes.data_as(dbl_p), z.ctypes.data_as(dbl_p),
-            delta.ctypes.data_as(dbl_p), ctypes.byref(ctypes.c_double(rho)),
-            ctypes.byref(root), ctypes.byref(info))
+            ctypes.c_void_p(poles.ctypes.data), ctypes.c_void_p(z.ctypes.data), delta,
+            ctypes.byref(ctypes.c_double(rho)), ctypes.byref(root), ctypes.byref(info))
     dlaed4 = _dlaed4()
     for i in range(k):
         i_c.value = i + 1
@@ -396,10 +413,21 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
 
 
+def _column_minus_row(col, row, out) -> np.ndarray:
+    """col_i - row_j for all i and j, written into `out` of shape (len(col), len(row)).
+
+    A copy of `col` into every column, then one in-place subtract: the same
+    IEEE subtractions as ``np.subtract(col[:, None], row[None, :])``, in loops
+    that run about 1.5 times faster than numpy's for two broadcast operands.
+    """
+    np.copyto(out, col[:, None])
+    return np.subtract(out, row, out=out)
+
+
 def _root_gaps(poles, origin, offset, cols, out) -> np.ndarray:
     """poles_i - root_j for all i and the roots j in `cols`, written into `out`."""
-    np.subtract(poles[:, None], poles[origin[cols]][None, :], out=out)
-    return np.subtract(out, offset[cols][None, :], out=out)
+    _column_minus_row(poles, poles[origin[cols]], out)
+    return np.subtract(out, offset[cols], out=out)
 
 
 def _merge(poles, z, rho, tracked):
@@ -412,14 +440,14 @@ def _merge(poles, z, rho, tracked):
     eigenvectors use the recomputed weights of Gu and Eisenstat (dlaed3) and
     are applied to the tracked rows in blocks of roots.  `tracked` is
     overwritten.  Returns (eigenvalues, rows, (small-weight, close-pole)
-    deflation counts), unsorted.
+    deflation counts), unsorted.  The scan runs on Python floats, which
+    round as the float64 entries do.
     """
-    d = poles.copy()
-    tol = 8.0 * _EPS * max(np.abs(d).max(), np.abs(z).max())
-    zl = z.tolist()
+    tol = 8.0 * _EPS * max(np.abs(poles).max(), np.abs(z).max())
+    d, zl = poles.tolist(), z.tolist()
     small, close, keep = [], [], []
     pj = -1
-    for nj in np.argsort(d, kind="stable").tolist():
+    for nj in np.argsort(poles, kind="stable").tolist():
         if rho * abs(zl[nj]) <= tol:
             small.append(nj)
             continue
@@ -442,6 +470,7 @@ def _merge(poles, z, rho, tracked):
     if pj >= 0:
         keep.append(pj)
     deflated = small + close
+    d = np.array(d)
     lam_k, rows_k = _secular_rows(d[keep], np.array(zl)[keep], rho, tracked[:, keep])
     eigenvalues = np.concatenate([lam_k, d[deflated]])
     rows = np.concatenate([rows_k, tracked[:, deflated]], axis=1)
@@ -481,7 +510,7 @@ def _secular_rows(poles, z, rho, tracked):
     # zhat_i^2 = -prod_j (poles_i - root_j) / prod_{j != i} (poles_i - poles_j)
     w = np.ones(k)
     for j0, cols, ratio, denom in blocks("F"):
-        np.subtract(poles[:, None], poles[None, cols], out=denom)
+        _column_minus_row(poles, poles[cols], denom)
         diag = np.arange(denom.shape[1])
         denom[j0 + diag, diag] = 1.0
         w *= np.prod(np.divide(ratio, denom, out=ratio), axis=1)
@@ -626,12 +655,15 @@ def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: Timescales) -> np
     while j0 < m:
         j1 = min(m, j0 + size // max(m - j0, s))
         b = j1 - j0
-        gap2 = np.subtract(w[j0:, None], w[None, j0:j1],
-                           out=gap_buf[:(m - j0) * b].reshape(m - j0, b))
-        np.square(gap2, out=gap2)
+        gap2 = _column_minus_row(w[j0:], w[j0:j1], gap_buf[:(m - j0) * b].reshape(m - j0, b))
         kern = kern_buf[:gap2.size].reshape(gap2.shape)
+        # a squared gap, or its product with (T/2)^2, beyond the float range
+        # is inf, whose kernel 1 / (1 + inf) = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            np.square(gap2, out=gap2)
         for t, c in enumerate(tau2):
-            np.multiply(gap2, c, out=kern)
+            with np.errstate(over="ignore"):
+                np.multiply(gap2, c, out=kern)
             kern += 1.0
             # 2 / x is exactly twice 1 / x: the part below counts twice
             np.divide(1.0, kern[:b], out=kern[:b])

@@ -6,8 +6,11 @@ the lane sweep keeps bit for bit.  The time-domain route (`evolve`,
 `windowed_norm`, `abel_average`) is what the closed-form Abel masses of
 `dynamics` are checked against, and `rel_gap` compares extended-range values.
 `beatty_block` codes the rotation by the true golden number, exactly.
+`secular_roots` is the dlaed4 loop of the divide-and-conquer solver as it ran
+through a typed ctypes prototype.
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -65,6 +68,39 @@ def beatty_block(n_lo: int, n_hi: int, theta) -> str:
     """
     floors = [_orbit_floor(m, theta.raw) for m in range(n_lo, n_hi + 2)]
     return "".join(str(b - a) for a, b in zip(floors, floors[1:]))
+
+
+# ---------------------------------------------------------------------------
+# secular roots through a typed dlaed4 prototype
+# ---------------------------------------------------------------------------
+
+def secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
+    """(roots, origin, offset) as `dynamics._secular_roots` defines them.
+
+    The same LAPACK dlaed4, called through a prototype that declares its
+    eight pointer types, on numpy arrays, with `delta` read as numpy scalars.
+    """
+    int_p, dbl_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    proto = ctypes.CFUNCTYPE(None, int_p, int_p, dbl_p, dbl_p, dbl_p, dbl_p, dbl_p, int_p)
+    dlaed4 = proto(ctypes.cast(DY._dlaed4(), ctypes.c_void_p).value)
+    k = len(poles)
+    roots, origin, offset = [], [], []
+    delta = np.empty(k)
+    i_c, root, info = ctypes.c_int(0), ctypes.c_double(0.0), ctypes.c_int(0)
+    args = (ctypes.byref(ctypes.c_int(k)), ctypes.byref(i_c),
+            poles.ctypes.data_as(dbl_p), z.ctypes.data_as(dbl_p),
+            delta.ctypes.data_as(dbl_p), ctypes.byref(ctypes.c_double(rho)),
+            ctypes.byref(root), ctypes.byref(info))
+    for i in range(k):
+        i_c.value = i + 1
+        dlaed4(*args)
+        if info.value != 0:
+            raise AssertionError(f"dlaed4 did not converge on root {i + 1} of {k}")
+        o = i if i == k - 1 or abs(delta[i]) <= abs(delta[i + 1]) else i + 1
+        roots.append(root.value)
+        origin.append(o)
+        offset.append(-delta[o])
+    return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ solver's output must be bit-identical.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from quasitrace import dynamics as DY
+from quasitrace.cli import main
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 
 TH0 = PhasePoint.zero()
@@ -199,6 +201,33 @@ def test_rejects_timescales_that_are_not_finite_and_positive(T):
     spec = DY.site_spectrum(DY.build_truncation(10, 10.0, TH0), [0])
     with pytest.raises(ValueError, match="timescale must be positive"):
         DY.abel_site_masses(spec, [0], T)
+
+
+# the masses the sweep gave before it silenced the overflow, all others 0:
+# every pole deflates, and a squared gap (1e308, 1e160) or its product with
+# (T/2)^2 (1e153, T = 1000) overflows to a kernel entry of exactly 0
+HUGE_COUPLING_MASSES = {1e308: {1: 1.0}, 1e160: {1: 1.0, 2: 2e-320},
+                        1e153: {1: 1.0, 2: 2e-306}}
+
+
+@pytest.mark.parametrize("lam", sorted(HUGE_COUPLING_MASSES))
+def test_huge_couplings_run_without_overflow_warnings(lam):
+    sites = list(range(-50, 51))
+    spec = DY.site_spectrum(DY.build_truncation(50, lam, TH0), sites)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = DY.abel_site_masses(spec, sites, [10.0, 1000.0])
+    want = [HUGE_COUPLING_MASSES[lam].get(n, 0.0) for n in sites]
+    assert got.tolist() == [want, want]
+
+
+def test_huge_coupling_command_runs_without_warnings(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dynamics", "--lambda", "1e308", "--p", "0.3", "--N", "50",
+                     "--T-grid", "10", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "dynamics.csv").read_text().splitlines()[1] == (
+        "1e+308,0.000000000000000000000000,10.0,1.9952623149688795,1.0,0.0,1e-08,1")
 
 
 # ---------------------------------------------------------------------------

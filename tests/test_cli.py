@@ -338,6 +338,23 @@ def test_exit_code_energy_grid_span_overflow(tmp_path):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["dynamics", "--N", "abc"], "N must be an integer in [1, 4096] or 'auto'"),
+    (["dynamics", "--N", "5.5"], "N must be an integer in [1, 4096] or 'auto'"),
+    (["dynamics", "--p", "abc"], "p must be in (0, 1] or 'auto'"),
+    (["dynamics", "--T-grid", "abc"], "timescales must be finite and positive"),
+    (["dynamics", "--T-grid", "10,,100"], "timescales must be finite and positive"),
+    (["traces", "--energies=a:b:c"],
+     "energy grid must be lo:hi:count with lo < hi, count >= 1"),
+    (["traces", "--energies=-3:13:6.5"],
+     "energy grid must be lo:hi:count with lo < hi, count >= 1"),
+    (["spectrum", "--growth", "6:x"], "growth range must satisfy 0 <= kmin < kmax <= 22"),
+])
+def test_exit_code_non_numeric_argument_names_its_option(tmp_path, capsys, args, message):
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_exit_code_jobs_below_one(tmp_path, jobs):
     proc = run_cli(["words", "--k-max", "3", "--subword-max", "5", "--jobs", jobs,
@@ -598,6 +615,27 @@ def test_default_outputs_are_pinned(tmp_path, command):
                       env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     for name, digest in DEFAULT_SHA256[command].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a dynamics run with large merges: two 801-site boxes, whose
+# last merges keep 793 and 788 poles in the secular equation (the default
+# run's largest box, 305 sites, keeps at most 301).  Taken with
+# single-threaded BLAS before dlaed4 was called through a bare function
+# pointer.
+LARGE_MERGE_SHA256 = {
+    "dynamics.csv": "a4c0cc02383ee975c455e863d09a441190aaa1d7e57444df1b956c49dd6a8d5d",
+    "bound_report.json": "6d1382b1ea998dbbcecd559f6beb6e8f51735b70e46285b6db64f9899d78b2cd",
+}
+
+
+def test_large_merge_dynamics_outputs_are_pinned(tmp_path):
+    proc = run_python(["-m", "quasitrace", "dynamics", "--lambda", "6", "--p", "0.3",
+                       "--N", "400", "--T-grid", "10,1000", "--theta-list", "0,1/3",
+                       "--out", str(tmp_path)],
+                      env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    for name, digest in LARGE_MERGE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
