@@ -56,20 +56,26 @@ the bits: x * 1.0 is x, and x * -1.0 + y is y - x.  The 0.0 * x terms are
 kept, because they fix the sign of zero entries.  The rescale check is
 skipped only while a running upper bound on the entries shows that no lane
 can pass 2**256, so each lane rescales at exactly the sites where the scalar
-code does, and never because another lane did.
+code does, and never because another lane did.  With peaks no bound is kept
+and every site is checked.  After their `_add` the derivative lanes are
+first checked as one: where the largest |entry| over all of them is at most
+2**256 no lane of them can need rescaling, and only otherwise does
+`_renorm` check them lane by lane.
 
-`_renorm` takes each lane's largest |entry| before it rescales, and with
-peaks every site is checked, so that one maximum serves both the check and
-the peak.  The peak is exact: a lane that rescales is multiplied by 2**-ex,
-ex = frexp(mx)[1], which puts its largest entry in [0.5, 1) without
-rounding; so mx * 2**-ex is the largest rescaled entry, and frexp(mx)[1] + e
-does not change under the rescale.  The scales 2**-ex of the rescale and
-2**shift of `_add` come from one table, `_HALVES[i]` = ldexp(1.0, -i) for
-i = 0..1075, taken with mode="clip".  That is ldexp(1.0, -max(k, 0)) for
-every integer k: a k below 0 reads 1.0, the scale of the operand with the
-larger exponent, and one above 1075 reads `_HALVES[1075]` = 0.0, as
-ldexp(1.0, -k) is 0.0 for every k >= 1075 (2**-1075 is half the least
-subnormal and rounds to even).
+`_renorm` takes each lane's largest |entry| mx before it rescales, and with
+peaks every site is checked, so that one maximum serves both the check and the
+peak.  The peak frexp(mx)[1] + e is taken from mx and the exponent e from
+before the rescale, and it is the same on either side of it: a lane that
+rescales is multiplied by 2**-ex, ex = frexp(mx)[1], which puts its largest
+entry in [0.5, 1) without rounding, so frexp of that entry is ex lower while e
+is ex higher.  So the rescale leaves mx as it is, and the peaks read the
+exponents from before it, in a buffer of their own beside the exponents after
+it that the norms read.  The scales 2**-ex of the rescale and 2**shift of
+`_add` come from one table, `_HALVES[i]` = ldexp(1.0, -i) for i = 0..1075,
+taken with mode="clip".  That is ldexp(1.0, -max(k, 0)) for every integer k: a
+k below 0 reads 1.0, the scale of the operand with the larger exponent, and
+one above 1075 reads `_HALVES[1075]` = 0.0, as ldexp(1.0, -k) is 0.0 for every
+k >= 1075 (2**-1075 is half the least subnormal and rounds to even).
 Where |shift| > 1080 `_add` returns the larger operand untouched, and so
 does `_add_lanes`: adding the other operand's 0.0 would turn a -0.0 entry
 into 0.0.
@@ -94,8 +100,9 @@ and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 - x on the
 left, the steps of `_mul` (addition commutes in IEEE arithmetic), with the
 signs of zeros kept.  The derivative step is the same on both sides: the
 step of dM/dE plus X of the old product (see `_sweep`), run as extra lanes
-after the products, with the factors and signs of the lanes they belong to.  Which lanes share the sweep, and
-in what order, changes no lane's bits: every operation is elementwise, and
+after the products, with the factors and signs of the lanes they belong to.
+Which lanes share the sweep, and in what order, changes no lane's bits:
+every operation is elementwise, and
 a lane rescales only where its own entries pass 2**256.  Each lane's factor
 is E or E - lam of its own energy, picked by its group's symbol at the site.
 On every side, one gather per block puts each lane's entries in (a, b, c, d)
@@ -108,29 +115,44 @@ of its block with one `np.multiply` and sums the two terms into the other
 buffer with one `np.add`.  The old buffer keeps X, and its zeros complete it
 to the operand (X, 0) of the derivative's `_add`, written in place into the
 derivative lanes.  A `_renorm` check is one `np.abs` and two
-`np.maximum.reduce`; a rescale adds eight calls: `np.frexp`, the comparison
+`np.maximum.reduce`; a rescale adds six calls: `np.frexp`, the comparison
 and product that zero ex on the other lanes, one `take` of the scales, the
-in-place products of the entries and of the maxima, the new exponents and
-the new bound.  `_add_lanes` makes eight calls: the shifts, their two signs
-(`np.multiply.outer`), one `take` of both scales, the |shift| > 1080 test,
-the scaled sum (three) and the exponents.  Counting ufunc calls, ufunc
+in-place product of the entries and the new exponents, and two more where a
+bound is kept, the rescaled maxima and the new bound.  `_add_lanes` makes
+eight calls into work arrays made once per sweep: the shifts and their
+negatives, one `take` of both scales, the |shift| > 1080 test, the scaled
+sum (three) and the exponents; the one check of the derivative lanes after
+it is one `np.abs` and one `np.maximum.reduce`.  Counting ufunc calls, ufunc
 methods, numpy functions and the reducing ndarray methods (not numpy scalar
-arithmetic), each weighted by how often its branch runs, the `phase_traces`
-sweep of the benchmark's `traces-large` run (17,711 sites, 384 lanes with 96
-derivative lanes; the step rescales at 15,618 sites) made per site, in the
-step, its check and rescale, the derivative and the peaks, and took in CPU
-seconds (median of 8 fresh processes each, alternating, on a 2-vCPU Xeon):
+arithmetic or indexing), each weighted by how often its branch runs, the
+`phase_traces` sweep of the benchmark's `traces-large` run (17,711 sites,
+384 lanes with 96 derivative lanes; the step rescales at 15,618 sites, the
+derivative lanes after their `_add` at 8) made per site, in the step, its
+check and rescale, the derivative and the peaks, and took in CPU seconds
+(median of 8 fresh processes each, alternating, on a 2-vCPU Xeon):
 
                           step   renorm  derivative  peaks  total  seconds
     per-site arrays        3.0     10.8        18.7    2.0   34.5     1.46
     two buffers, `out=`    2.0     10.1        10.6      -   22.6     1.13
+    pre-rescale peaks      2.0      8.3        10.0      -   20.3     0.71
 
 The first row allocated each step's result, concatenated the derivative's
 operands and results, took the scales of `_add` by `ldexp(1.0, minimum(...))`
 and its reductions through the `ndarray` wrappers, and took the peaks in a
-pass of their own.  Without the 96 derivative lanes the sweep takes about
-0.75 and 0.6 s: the derivative, a quarter of the lanes, is half the sweep in
-both rows.
+pass of their own.  The second row rescaled the maxima with their lanes for
+the peaks and took a new bound at every rescale, and checked the derivative
+lanes lane by lane at 15,020 sites, as its bound came from the product lanes
+near 2**256.  The third row takes the peaks from the maxima before the
+rescale, checks the derivative lanes with one maximum over all of them, and
+builds the work arrays of `_add_lanes` and the per-site views of the factors
+once per sweep.  Its seconds come from a later series of 24 fresh processes
+each, alternating with the second row, which took 0.88 s there; the third
+row was lower in 21 of the 24 pairs.  `_add_lanes` stays a function: by
+`timeit` on 96 lanes the call costs at most 0.3 us per site over its body
+inlined in the loop, and its own test holds it to `_add` at the |shift|
+edges.  Without the 96 derivative lanes the sweep takes about 0.75, 0.6 and
+0.42 s (the last measured against 0.82 s in one process): the derivative, a
+quarter of the lanes, is still half the sweep.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` (with its `DualScalar`) are one-group calls of the sweep
@@ -283,7 +305,6 @@ _SLACK = 1.0 + 2.0**-40
 # Taken with mode="clip", an index below 0 reads 1.0 and one above 1075 reads
 # 0.0, so `_HALVES.take(k, mode="clip")` is ldexp(1.0, -max(k, 0)) for every k.
 _HALVES = np.ldexp(1.0, -np.arange(1076))
-_SIGNS = np.array([1, -1])
 
 
 class _Mark(NamedTuple):
@@ -314,45 +335,58 @@ def _renorm(m, e, bound, mx=None, out=None):
     """The rescale of `_mul` and `_add`, per lane, in place on `m`.
 
     `m` holds the entries of each lane along its last axis, and `bound` is an
-    upper bound on every |entry|.  While it stays at or below 2**256 no lane
-    can need rescaling and nothing is checked; otherwise each lane's largest
-    |entry| goes to `mx` (a new array if None), and only lanes whose own
-    largest entry passes 2**256 are rescaled, `mx` with them.  Their new
-    exponents go to `out` (a new array if None), and the largest of `mx` is
-    the new bound.  Returns (m, e, bound).
+    upper bound on every |entry|, or inf where none is kept.  While it stays
+    at or below 2**256 no lane can need rescaling and nothing is checked;
+    otherwise each lane's largest |entry| goes to `mx` (a new array if None),
+    and only lanes whose own largest entry passes 2**256 are rescaled.  Their
+    new exponents go to `out` (a new array if None).  With a finite `bound`,
+    `mx` is rescaled with its lanes and its largest value is the new bound;
+    with inf, `mx` keeps the maxima from before the rescale, which with the
+    exponents from before it give the peaks (see "Byte identity"), and the
+    bound stays inf.  Returns (m, e, bound).
     """
     if bound <= _RENORM:
         return m, e, bound
     mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0, out=mx)
-    bound = float(np.maximum.reduce(mx, initial=0.0))
-    if bound <= _RENORM:
-        return m, e, bound
+    top = float(np.maximum.reduce(mx, initial=0.0))
+    if top <= _RENORM:
+        return m, e, top if bound < math.inf else bound
     ex = np.frexp(mx)[1]
     ex *= mx > _RENORM  # 0 on the other lanes: a scale of 1.0 keeps their bits
     s = _HALVES.take(ex, mode="clip")
     m *= s
-    mx *= s  # exact: the largest entry of a rescaled lane lands in [0.5, 1)
-    return m, np.add(e, ex, out=out), float(np.maximum.reduce(mx))
+    if bound < math.inf:
+        # exact: the largest entry of a rescaled lane lands in [0.5, 1)
+        bound = float(np.maximum.reduce(np.multiply(mx, s, out=mx)))
+    return m, np.add(e, ex, out=out), bound
 
 
-def _add_lanes(m1, e1, m2, e2, out=(None, None)):
+def _add_work(m):
+    """Work arrays of `_add_lanes` for operands shaped like `m`, made once per sweep."""
+    turns, scales = np.empty((2, m.shape[-1]), dtype=np.int64), np.empty((2, m.shape[-1]))
+    return turns, *turns, scales, *scales, np.empty(m.shape)
+
+
+def _add_lanes(m1, e1, m2, e2, out=(None, None), work=None):
     """`_add` per lane, before its rescale: the sums and their exponents.
 
     `_add` scales the operand with the smaller exponent by 2**shift and adds
     it to the other one; here both get a scale from `_HALVES`, 1.0 for the
     larger one, which gives the same sums since x * 1.0 is x and addition
     commutes.  `out` is an (entries, exponents) pair of buffers for the result,
-    None for new arrays; they may be m2 and e2.
+    None for new arrays; they may be m2 and e2.  `work` is `_add_work` of
+    m1, new ones if None.
     """
-    shift = e1 - e2
-    turns = np.multiply.outer(_SIGNS, shift)  # shift and -shift
-    s2, s1 = _HALVES.take(turns, mode="clip")
+    turns, shift, back, scales, s2, s1, scaled = work or _add_work(m1)
+    np.subtract(e1, e2, out=shift)
+    np.negative(shift, out=back)
+    _HALVES.take(turns, mode="clip", out=scales)
     far = np.maximum.reduce(turns, axis=None, initial=0) > 1080
     if far:  # `_add` returns the larger operand untouched
         keep = np.where(shift < 0, m2, m1)
     m, e = out
     m = np.multiply(m2, s2, out=m)
-    m += m1 * s1
+    m += np.multiply(m1, s1, out=scaled)
     if far:
         np.copyto(m, keep, where=np.abs(shift) > 1080)
     return m, np.maximum(e1, e2, out=e)
@@ -460,7 +494,8 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
     buffers[0, 0, 0, :lanes] = buffers[0, 1, 1, :lanes] = 1.0  # a and d on every side
     cur, nxt = (_Buffer(b[:2, None], b[:2], b[::2, :, :n_d], b[:2, :, lanes:]) for b in buffers)
     e = np.zeros(width, dtype=np.int64)
-    bound = 1.0
+    # with peaks every site is checked, so no bound is kept
+    bound = math.inf if peaks else 1.0
     # exact norm sums need B <= `_block_sites`; without them 32 sites keep the
     # factor and peak buffers small
     size = _block_sites(growth) if norms else min(_block_sites(growth), 32)
@@ -469,18 +504,26 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
     factors = np.zeros((size, 2, 2, 1, width))
     factors[:, 0, 1, 0] = -sign
     factors[:, 1, 0, 0] = sign
+    steps = list(factors)
     terms = np.empty((2, 2, 2, width))  # x and y times their factors
+    x_terms, y_terms = terms
+    # work arrays of the derivative's `_add` and of its rescale check
+    work = _add_work(cur.dm)
+    entries_abs = np.empty(cur.dm.shape)
+    maxima = [None] * size
     if norms:
         block_m = np.empty((4, size, lanes))
-    if peaks:
-        block_p = np.empty((size, width))  # the largest |entry| of each lane
-    if norms or peaks:
         block_e = np.empty((size, lanes), dtype=np.int64)
         # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
         carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
+    if peaks:
+        # each lane's largest |entry| and exponent before the site's rescale
+        block_p = np.empty((size, width))
+        block_pe = np.empty((size, lanes), dtype=np.int64)
+        maxima = list(block_p)
         # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
         high = np.zeros(lanes, dtype=np.int64)
-        done = 0  # marks that have their block fields
+    done = 0  # marks that have their block fields
     out: list[_Mark] = []
     pending = iter(marks)
     want = next(pending)
@@ -489,19 +532,25 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
         if j == 0:  # the factors of each lane over the next block of sites
             rows = symbols[n - 1:n - 1 + size][:, group]
             factors[:len(rows), 0, 0, 0] = np.where(rows, span, E)
-        np.multiply(cur.step, factors[j], out=terms)
-        m = np.add(terms[0], terms[1], out=nxt.m)
-        # with peaks every site is checked: the check's largest |entry| of
-        # each lane, rescaled with it, gives the peak (see "Byte identity")
+        np.multiply(cur.step, steps[j], out=terms)
+        m = np.add(x_terms, y_terms, out=nxt.m)
+        if peaks:
+            block_pe[j] = e[:lanes]
         e_old, old = e, bound
-        m, e, bound = _renorm(m, e, math.inf if peaks else bound * growth,
-                              block_p[j] if peaks else None)
+        m, e, bound = _renorm(m, e, bound * growth, maxima[j])
         if n_d:
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
             de = e[lanes:]
-            _add_lanes(cur.x, e_old[:n_d], nxt.dm, de, out=(nxt.dm, de))
-            bound = max(bound, _renorm(nxt.dm, de, (old + bound) * _SLACK, out=de)[2])
+            _add_lanes(cur.x, e_old[:n_d], nxt.dm, de, (nxt.dm, de), work)
+            # one test of all the derivative lanes; a lane rescales only
+            # where its own largest entry passes 2**256
+            grown = (old + bound) * _SLACK
+            if not grown <= _RENORM:
+                grown = float(np.maximum.reduce(np.abs(nxt.dm, out=entries_abs), axis=None))
+                if not grown <= _RENORM:
+                    grown = _renorm(nxt.dm, de, grown, out=de)[2]
+            bound = max(bound, grown)
         cur, nxt = nxt, cur
         if n == want:
             entries = m.reshape(4, width)
@@ -511,28 +560,28 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
             want = next(pending, None)
         if norms:
             block_m[:, j] = m[..., :lanes].reshape(4, lanes)
-        if norms or peaks:
             block_e[j] = e[:lanes]
-            if j == size - 1 or n == top:
-                fields = {}
-                if norms:
-                    # in (a, b, c, d) order, as `_norm_sq` adds the squares
-                    block = np.take_along_axis(block_m[:, :j + 1], order, axis=0)
-                    norm_m, norm_e = _norm_sq_lanes(block, block_e[:j + 1])
-                    sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
-                    carry = sum_m[j], sum_e[j]
-                    fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
-                if peaks:
-                    peak = block_e[:j + 1]  # the buffer is spent: add in place
-                    peak += np.frexp(block_p[:j + 1, :lanes])[1]
-                    np.maximum(peak[0], high, out=peak[0])
-                    np.maximum.accumulate(peak, axis=0, out=peak)
-                    high = peak[j].copy()
-                    fields.update(peak=peak)
-                for i in range(done, len(out)):
-                    at = out[i].n - (n - j)
-                    out[i] = out[i]._replace(**{name: v[at].copy() for name, v in fields.items()})
-                done = len(out)
+        if (norms or peaks) and (j == size - 1 or n == top):
+            fields = {}
+            if norms:
+                # in (a, b, c, d) order, as `_norm_sq` adds the squares
+                block = np.take_along_axis(block_m[:, :j + 1], order, axis=0)
+                norm_m, norm_e = _norm_sq_lanes(block, block_e[:j + 1])
+                sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
+                carry = sum_m[j], sum_e[j]
+                fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
+            if peaks:
+                # frexp(mx)[1] + e is the same before and after a rescale
+                peak = block_pe[:j + 1]  # the buffer is spent: add in place
+                peak += np.frexp(block_p[:j + 1, :lanes])[1]
+                np.maximum(peak[0], high, out=peak[0])
+                np.maximum.accumulate(peak, axis=0, out=peak)
+                high = peak[j].copy()
+                fields.update(peak=peak)
+            for i in range(done, len(out)):
+                at = out[i].n - (n - j)
+                out[i] = out[i]._replace(**{name: v[at].copy() for name, v in fields.items()})
+            done = len(out)
     return out
 
 

@@ -19,6 +19,7 @@ import struct
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasitrace import transfer as TR
@@ -45,10 +46,10 @@ def raw(matrix):
 
 
 def scalar_reference(side, k, E, lam, theta):
-    """Per mark F(0..k): raw M, raw dM/dE, trace, derivative trace, norm sum."""
+    """Per mark F(0..k): raw M, raw dM/dE, trace and derivative trace, norm sum, peak."""
     marks = {fib_number(j) for j in range(k + 1)}
     m, d = (1.0, 0.0, 0.0, 1.0, 0), (0.0, 0.0, 0.0, 0.0, 0)
-    total = XReal()
+    total, high = XReal(), -math.inf
     out = []
     for n in range(1, fib_number(k) + 1):
         if side == "right":  # T(n) ... T(1); (T M)' = T' M + T M'
@@ -60,8 +61,9 @@ def scalar_reference(side, k, E, lam, theta):
             d = TR._add((m[0], 0.0, m[2], 0.0, m[4]), TR._mul(d, t))
             m = TR._mul(m, t)
         total = total + TR._norm_sq(m)
+        high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
         if n in marks:
-            out.append((raw(m), raw(d), xbits([trace(m), trace(d), total])))
+            out.append((raw(m), raw(d), xbits([trace(m), trace(d)]), xbits([total]), high))
     return out
 
 
@@ -69,21 +71,29 @@ def lane_raw(side, m, e, i):
     return raw(m[TR._ROWS[side], i].tolist() + [int(e[i])])
 
 
-def lane_results(side, k, energies, lam, theta):
-    """Per lane, per mark F(0..k): the same records as `scalar_reference`."""
+def lane_results(side, k, energies, lam, theta, carry):
+    """Per lane, per mark F(0..k): the records of `scalar_reference`, from a
+    sweep that carries "norms" or "peaks"; None for the field it does not."""
     marks = TR._sweep(side, np.array(energies, dtype=float), lam, theta,
-                      [fib_number(j) for j in range(k + 1)], deriv=True, norms=True)
+                      [fib_number(j) for j in range(k + 1)], deriv=True, **{carry: True})
     lanes = []
     for i in range(len(energies)):
         records = []
         for mark in marks:
-            values = [TR._trace_xreals(mark.m, mark.e)[i],
-                      TR._trace_xreals(mark.dm, mark.de)[i],
-                      TR._xreals(mark.sum_m, mark.sum_e)[i]]
+            values = [TR._trace_xreals(mark.m, mark.e)[i], TR._trace_xreals(mark.dm, mark.de)[i]]
+            total = (xbits(TR._xreals(mark.sum_m, mark.sum_e)[i:i + 1]) if carry == "norms"
+                     else None)
             records.append((lane_raw(side, mark.m, mark.e, i),
-                            lane_raw(side, mark.dm, mark.de, i), xbits(values)))
+                            lane_raw(side, mark.dm, mark.de, i), xbits(values), total,
+                            int(mark.peak[i]) if carry == "peaks" else None))
         lanes.append(records)
     return lanes
+
+
+def carried(records, carry):
+    """Scalar records with None for the field a sweep carrying `carry` does not take."""
+    return [(*r[:3], r[3] if carry == "norms" else None, r[4] if carry == "peaks" else None)
+            for r in records]
 
 
 @settings(max_examples=25, deadline=None)
@@ -99,14 +109,20 @@ def lane_results(side, k, energies, lam, theta):
 # lanes rescale every hundred sites or so
 @example(side="right", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0)
 @example(side="left", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0)
+# the derivative of the E = 77 lane first passes 2**256 in the product rule's
+# `_add` at site 41, where its step `_mul` stays below
+@example(side="right", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0)
+@example(side="left", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0)
 def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
                                                          far, phase):
     theta = PhasePoint(phase)
     energies = energies + [lam + far, -far]  # off the spectrum: these rescale
-    lanes = lane_results(side, k, energies, lam, theta)
-    for E, lane in zip(energies, lanes):
-        assert lane == lane_results(side, k, [E], lam, theta)[0]
-        assert lane == scalar_reference(side, k, E, lam, theta)
+    references = [scalar_reference(side, k, E, lam, theta) for E in energies]
+    for carry in ("norms", "peaks"):
+        lanes = lane_results(side, k, energies, lam, theta, carry)
+        for E, lane, reference in zip(energies, lanes, references):
+            assert lane == lane_results(side, k, [E], lam, theta, carry)[0]
+            assert lane == carried(reference, carry)
 
 
 @settings(max_examples=25, deadline=None)
@@ -130,8 +146,8 @@ def test_two_sided_lanes_match_scalar_products(k, lam, energies, far, phase, shu
     marks = TR._sweep([side for side, _ in lanes], np.array([E for _, E in lanes]), lam,
                       theta, [fib_number(j) for j in range(k + 1)], norms=True)
     for i, (side, E) in enumerate(lanes):
-        want = [(m_raw, values[0], values[2])
-                for m_raw, _, values in scalar_reference(side, k, E, lam, theta)]
+        want = [(m_raw, values[0], *total)
+                for m_raw, _, values, total, _ in scalar_reference(side, k, E, lam, theta)]
         got = [(lane_raw(side, mark.m, mark.e, i),
                 *xbits([TR._trace_xreals(mark.m, mark.e)[i],
                         TR._xreals(mark.sum_m, mark.sum_e)[i]]))
@@ -311,6 +327,34 @@ def test_lane_add_matches_scalar_add(pairs):
     m, e, _ = TR._renorm(*TR._add_lanes(m1, e1, m2, e2), math.inf)
     for i, (p, q) in enumerate(pairs):
         assert lane_raw("right", m, e, i) == raw(TR._add(p, q))
+
+
+@pytest.mark.parametrize("maxima", [True, False], ids=["with-maxima", "bound-only"])
+def test_rescale_starts_strictly_above_two_to_the_256(maxima):
+    # lanes whose largest entry is exactly 2**256 keep it, as `_mul` does;
+    # beside them in one call, lanes an ulp above rescale
+    above = math.nextafter(TR._RENORM, math.inf)
+    matrices = []
+    for top in (TR._RENORM, above):
+        for sign in (1.0, -1.0):
+            for place in range(4):
+                entries = [0.75, -3.0, 0.0, 1.5]
+                entries[place] = sign * top
+                matrices.append((*entries, 7))
+    products = [TR._mul(mat, (1.0, 0.0, 0.0, 1.0, 0)) for mat in matrices]
+    assert [p[4] for p in products] == [7] * 8 + [7 + 257] * 8
+    m, e = columns(matrices)
+    mx = np.empty(len(matrices)) if maxima else None
+    before = e.copy()
+    m, e, bound = TR._renorm(m, e, math.inf if maxima else 2.0 * above, mx)
+    for i, product in enumerate(products):
+        assert lane_raw("right", m, e, i) == raw(product)
+    if maxima:  # the largest |entry| before the rescale gives the peak
+        peaks = np.frexp(mx)[1] + before
+        assert peaks.tolist() == [math.frexp(max(map(abs, p[:4])))[1] + p[4] for p in products]
+        assert bound == math.inf
+    else:
+        assert bound == max(max(map(abs, p[:4])) for p in products)
 
 
 @settings(max_examples=200, deadline=None)
