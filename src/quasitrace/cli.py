@@ -118,8 +118,11 @@ class RunConfig:
         kmin, kmax = self.growth
         if not (0 <= kmin < kmax <= 22):
             raise ConfigError(_GROWTH_RANGE)
-        for token in self.thetas:
-            parse_theta(token)
+        first: dict = {}  # phase -> index of the first token that names it
+        for i, token in enumerate(self.thetas):
+            j = first.setdefault(parse_theta(token), i)
+            if j != i:
+                raise ConfigError(f"phase tokens {self.thetas[j]!r} and {token!r} name one phase")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -117,15 +117,12 @@ secular passes 0.09 s, the rest of the 31 merges 0.01 s, and the leaves, the
 dsterf solve and the validation 0.06 s; then the Abel sweep 0.04 s.
 
 SciPy's LAPACK wrappers are imported inside the functions that call them
-(`eigensystem`, `_dlaed4`, `_split_merge` and `site_spectrum`), not with this
-module.  The command line imports every layer, and SciPy more than doubles the time
-that import takes, so only the `dynamics` subcommand pays for it.
+(`_dlaed4`, `_split_merge` and `site_spectrum`), not with this module.  The
+command line imports every layer, and SciPy more than doubles the time that
+import takes, so only the `dynamics` subcommand pays for it.
 
-Kept for the benchmark: the dense `eigensystem` (all eigenvectors, MRRR)
-with `EigenSystem` and `_validate_eigensystem`, and `abel_site_masses` taking
-an `EigenSystem`.  No command calls them, but the benchmark's spans trace and
-count them and its own tests call them, so they stay until the benchmark
-drops them; the tests also hold `site_spectrum` to them.
+Kept for the benchmark: `eigensystem`, `site_spectrum` with every site
+tracked, whose validation then costs O(n^3) for n sites.
 """
 
 from __future__ import annotations
@@ -143,7 +140,6 @@ from .words import rotation_block
 
 __all__ = [
     "Truncation",
-    "EigenSystem",
     "SiteSpectrum",
     "AbelRecord",
     "BoundReport",
@@ -195,22 +191,6 @@ class Truncation:
     @property
     def size(self) -> int:
         return 2 * self.N + 1
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full spectral data of a truncation; eigenvectors are orthonormal columns."""
-
-    trunc: Truncation
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def site_index(self, n: int) -> int:
-        return _box_index(n, self.trunc.N)
-
-    def site_rows(self, sites) -> np.ndarray:
-        """Eigenvector entries phi_j(n), one row per site, columns as eigenvalues."""
-        return self.eigenvectors[[self.site_index(n) for n in sites], :]
 
 
 @dataclass(frozen=True)
@@ -284,59 +264,6 @@ def build_truncation(N: int, lam: float, theta: PhasePoint) -> Truncation:
     diag = lam * np.array(list(pattern), dtype=float)
     off = np.ones(2 * N, dtype=float)
     return Truncation(N, lam, theta, diag, off)
-
-
-def _validate_eigensystem(es: EigenSystem) -> None:
-    trunc = es.trunc
-    w, V = es.eigenvalues, es.eigenvectors
-    scale = abs(trunc.lam) + 2.0
-    if w[0] < -2.0 - 1e-9 * scale or w[-1] > trunc.lam + 2.0 + 1e-9 * scale:
-        raise AssertionError("eigenvalues escaped the Gershgorin interval")
-    worst = 0.0
-    for j0 in range(0, len(w), 1024):
-        block = slice(j0, min(j0 + 1024, len(w)))
-        hv = trunc.diagonal[:, None] * V[:, block]
-        hv[1:] += V[:-1, block]
-        hv[:-1] += V[1:, block]
-        hv -= V[:, block] * w[block][None, :]
-        worst = max(worst, float(np.sqrt((hv * hv).sum(axis=0)).max()))
-    if worst > RESIDUAL_TOL * scale:
-        raise AssertionError(f"eigenpair residual {worst:.3e} beyond tolerance")
-    # orthogonality probes: the spectrum clusters tightly, which defeats some
-    # LAPACK drivers; row norms and a sampled Gram block catch that cheaply
-    mid = trunc.N
-    span = min(64, trunc.N)
-    row_err = np.abs(np.linalg.norm(V[mid - span: mid + span + 1, :], axis=1) - 1.0).max()
-    if row_err > 1e-9:
-        raise AssertionError(f"eigenvector rows deviate from orthonormality: {row_err:.3e}")
-    step = max(1, len(w) // 200)
-    sample = V[:, ::step]
-    gram = sample.T @ sample
-    gram_err = np.abs(gram - np.eye(gram.shape[0])).max()
-    if gram_err > 1e-9:
-        raise AssertionError(f"sampled eigenvector Gram defect {gram_err:.3e}")
-
-
-def eigensystem(trunc: Truncation) -> EigenSystem:
-    """Spectral decomposition of the truncation, validated.
-
-    Tries the fast LAPACK driver first and falls back to bisection plus
-    inverse iteration when it refuses to converge or fails validation:
-    residual bounds, the Gershgorin interval, and orthogonality probes.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    last_error: Exception | None = None
-    for driver in ("stemr", "stebz"):
-        try:
-            w, V = eigh_tridiagonal(trunc.diagonal, trunc.offdiagonal,
-                                    lapack_driver=driver)
-            es = EigenSystem(trunc, w, V)
-            _validate_eigensystem(es)
-            return es
-        except (np.linalg.LinAlgError, AssertionError) as exc:
-            last_error = exc
-    raise AssertionError(f"no tridiagonal eigensolver produced a valid system: {last_error}")
 
 
 # ----------------------------------------------------------------------------
@@ -621,14 +548,20 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     return SiteSpectrum(trunc, w, tuple(tracked), rows, stats)
 
 
-def abel_site_masses(es: SiteSpectrum | EigenSystem, sites, T: Timescales) -> np.ndarray:
+def eigensystem(trunc: Truncation) -> SiteSpectrum:
+    """`site_spectrum` over every site, kept only because the benchmark's span and
+    tests name it.  Its moment and Gram checks then cost O(n^3) for n sites:
+    nothing on the benchmark's 21-site box, the largest it is called on."""
+    return site_spectrum(trunc, range(-trunc.N, trunc.N + 1))
+
+
+def abel_site_masses(es: SiteSpectrum, sites, T: Timescales) -> np.ndarray:
     """Closed-form Abel means of site probabilities for the corner initial state.
 
     <|psi_t(n)|^2>_T = sum_{j,j'} g_j g_j' / (1 + (T/2)^2 (E_j - E_j')^2)
     with g_j = phi_j(n) phi_j(1).  `T` is one timescale or a sequence of
-    them: one T gives one mass per site, a sequence one row per T.  `es` is
-    a `SiteSpectrum` or a dense `EigenSystem`; both give `eigenvalues` and
-    `site_rows`.
+    them: one T gives one mass per site, a sequence one row per T.  `es`
+    must track every site of `sites` and the source site 1.
 
     One sweep serves every T.  The kernel is symmetric, so each block of
     columns covers only its diagonal block and the rows below it, and the

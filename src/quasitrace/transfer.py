@@ -155,8 +155,9 @@ edges.  Without the 96 derivative lanes the sweep takes about 0.75, 0.6 and
 quarter of the lanes, is still half the sweep.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
-`dual_traces_upto` (with its `DualScalar`) are one-group calls of the sweep
-that the `traces` command makes through `phase_traces`, and
+`dual_traces_upto` are one-group calls of the sweep that the `traces` command
+makes through `phase_traces`; `dual_traces_upto` returns the right
+`TraceTable` that `phase_traces` builds, from the same `_trace_tables`.
 `norm_trace_inequality` is `norm_trace_margin` at one level, swept on its
 own, that raises.  No command calls them, but the benchmark's spans trace them
 and its own tests call `dual_traces_upto`, so they stay until it drops them.
@@ -166,7 +167,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -177,7 +177,6 @@ from .words import ParityReport, fib_number, rotation_block
 from .xfloat import XReal
 
 __all__ = [
-    "DualScalar",
     "TraceParityError",
     "MarginViolationError",
     "traces_right_upto",
@@ -609,14 +608,6 @@ def _trace_xreals(m, e) -> list[XReal]:
     return _xreals(m[0] + m[3], e)
 
 
-@dataclass(frozen=True)
-class DualScalar:
-    """A value and its energy derivative, propagated jointly."""
-
-    value: XReal
-    deriv: XReal
-
-
 # ----------------------------------------------------------------------------
 # products and traces
 #
@@ -645,18 +636,6 @@ def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
     return _traces_upto("left", k_max, E, lam, theta)
 
 
-def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
-    """Right-half-line traces and their energy derivatives at Fibonacci lengths."""
-    lanes, scalar = _lanes(E)
-    marks = _sweep("right", lanes, lam, theta, _fib_marks(k_max), deriv=True)
-    return _per_energy(
-        [[DualScalar(v, d) for v, d in zip(_trace_xreals(mark.m, mark.e),
-                                           _trace_xreals(mark.dm, mark.de))]
-         for mark in marks],
-        scalar,
-    )
-
-
 class TraceTable(NamedTuple):
     """Traces at lengths F(0..k_max) of one (side, phase), one row per energy.
 
@@ -669,6 +648,30 @@ class TraceTable(NamedTuple):
     traces: list
     derivs: list | None
     peaks: np.ndarray
+
+
+def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) -> list:
+    """A `TraceTable` per group of n lanes of a sweep with peaks; the first `with_derivs`
+    groups carry derivatives, as the sweep's `deriv` prefix does."""
+    traces = [_trace_xreals(mark.m, mark.e) for mark in marks]
+    peaks = np.array([mark.peak for mark in marks]).T
+    derivs = [_trace_xreals(mark.dm, mark.de) for mark in marks] if with_derivs else []
+
+    def table(g: int) -> TraceTable:
+        def rows(columns):
+            return _per_energy([column[g * n:(g + 1) * n] for column in columns], scalar)
+        lanes_g = peaks[g * n:(g + 1) * n]
+        return TraceTable(rows(traces), rows(derivs) if g < with_derivs else None,
+                          lanes_g[0] if scalar else lanes_g)
+
+    return [table(g) for g in range(groups)]
+
+
+def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> TraceTable:
+    """The right `TraceTable` of `phase_traces` at one phase: traces, derivatives, peaks."""
+    lanes, scalar = _lanes(E)
+    marks = _sweep("right", lanes, lam, theta, _fib_marks(k_max), deriv=True, peaks=True)
+    return _trace_tables(marks, lanes.size, scalar, 1, 1)[0]
 
 
 def phase_traces(k_max: int, E: Energies, lam: float, thetas):
@@ -688,19 +691,9 @@ def phase_traces(k_max: int, E: Energies, lam: float, thetas):
     marks = _sweep([side for side, _ in groups for _ in range(n)], np.tile(lanes, len(groups)),
                    lam, [theta for _, theta in groups for _ in range(n)], _fib_marks(k_max),
                    deriv=len(thetas) * n, peaks=True)
-    traces = [_trace_xreals(mark.m, mark.e) for mark in marks]
-    peaks = np.array([mark.peak for mark in marks]).T
-    derivs = [_trace_xreals(mark.dm, mark.de) for mark in marks] if thetas else []
-
-    def table(g: int) -> TraceTable:
-        def rows(columns):
-            return _per_energy([column[g * n:(g + 1) * n] for column in columns], scalar)
-        lanes_g = peaks[g * n:(g + 1) * n]
-        return TraceTable(rows(traces), rows(derivs) if g < len(thetas) else None,
-                          lanes_g[0] if scalar else lanes_g)
-
-    tables = [(table(g), table(len(thetas) + g)) for g in range(len(thetas))]
-    return tables, tables[at_zero][0] if at_zero is not None else table(len(groups) - 1)
+    tables = _trace_tables(marks, n, scalar, len(groups), len(thetas))
+    pairs = list(zip(tables, tables[len(thetas):2 * len(thetas)]))
+    return pairs, tables[at_zero if at_zero is not None else -1]
 
 
 # ----------------------------------------------------------------------------

@@ -7,13 +7,18 @@ the lane sweep keeps bit for bit.  The time-domain route (`evolve`,
 `dynamics` are checked against, and `rel_gap` compares extended-range values.
 `beatty_block` codes the rotation by the true golden number, exactly.
 `secular_roots` is the dlaed4 loop of the divide-and-conquer solver as it ran
-through a typed ctypes prototype.
+through a typed ctypes prototype.  `dense_spectrum` is the dense reference
+`site_spectrum` is held to: every eigenpair by SciPy's ``eigh_tridiagonal``,
+MRRR (``stemr``) with bisection and inverse iteration (``stebz``) as fallback,
+validated by residuals, the Gershgorin interval and orthogonality probes; it
+calls nothing of the solver it checks.
 """
 
 import ctypes
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from quasitrace import dynamics as DY
 from quasitrace import transfer as TR
@@ -104,6 +109,69 @@ def secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
 
 
 # ---------------------------------------------------------------------------
+# dense eigendecomposition of a truncation
+# ---------------------------------------------------------------------------
+
+MRRR = ("stemr", "stebz")  # MRRR, with bisection and inverse iteration as fallback
+BISECTION = ("stebz",)
+
+
+def _validate_dense(d, lam, w, V) -> None:
+    """Residual bounds, the Gershgorin interval of a potential in {0, lam}, and
+    orthogonality probes of the eigenpairs (w, V) of the tridiagonal (d, 1)."""
+    scale = abs(lam) + 2.0
+    if w[0] < -2.0 - 1e-9 * scale or w[-1] > lam + 2.0 + 1e-9 * scale:
+        raise AssertionError("eigenvalues escaped the Gershgorin interval")
+    worst = 0.0
+    for j0 in range(0, len(w), 1024):
+        block = slice(j0, min(j0 + 1024, len(w)))
+        hv = d[:, None] * V[:, block]
+        hv[1:] += V[:-1, block]
+        hv[:-1] += V[1:, block]
+        hv -= V[:, block] * w[block][None, :]
+        worst = max(worst, float(np.sqrt((hv * hv).sum(axis=0)).max()))
+    if worst > DY.RESIDUAL_TOL * scale:
+        raise AssertionError(f"eigenpair residual {worst:.3e} beyond tolerance")
+    # orthogonality probes: the spectrum clusters tightly, which defeats some
+    # LAPACK drivers; row norms and a sampled Gram block catch that cheaply
+    mid = len(d) // 2
+    span = min(64, mid)
+    row_err = np.abs(np.linalg.norm(V[mid - span: mid + span + 1, :], axis=1) - 1.0).max()
+    if row_err > 1e-9:
+        raise AssertionError(f"eigenvector rows deviate from orthonormality: {row_err:.3e}")
+    step = max(1, len(w) // 200)
+    sample = V[:, ::step]
+    gram = sample.T @ sample
+    gram_err = np.abs(gram - np.eye(gram.shape[0])).max()
+    if gram_err > 1e-9:
+        raise AssertionError(f"sampled eigenvector Gram defect {gram_err:.3e}")
+
+
+def dense_eigenpairs(d, lam: float, drivers=MRRR):
+    """Eigenvalues and eigenvector columns of the tridiagonal (d, 1), validated.
+
+    Tries the drivers in order and falls back to the next one when LAPACK
+    refuses to converge or the result fails `_validate_dense`.
+    """
+    last_error: Exception | None = None
+    for driver in drivers:
+        try:
+            w, V = eigh_tridiagonal(d, np.ones(len(d) - 1), lapack_driver=driver)
+            _validate_dense(d, lam, w, V)
+            return w, V
+        except (np.linalg.LinAlgError, AssertionError) as exc:
+            last_error = exc
+    raise AssertionError(f"no tridiagonal eigensolver produced a valid system: {last_error}")
+
+
+def dense_spectrum(trunc, drivers=MRRR) -> DY.SiteSpectrum:
+    """`dense_eigenpairs` of a truncation as a `SiteSpectrum` that tracks every site."""
+    w, V = dense_eigenpairs(trunc.diagonal, trunc.lam, drivers)
+    return DY.SiteSpectrum(trunc, w, tuple(range(-trunc.N, trunc.N + 1)), V,
+                           {"size": trunc.size})
+
+
+# ---------------------------------------------------------------------------
 # scalar transfer products
 # ---------------------------------------------------------------------------
 
@@ -141,15 +209,17 @@ def det(m) -> XReal:
 
 
 # ---------------------------------------------------------------------------
-# time-domain dynamics on a dense eigensystem
+# time-domain dynamics on a spectrum that tracks every site
 # ---------------------------------------------------------------------------
 
 def evolve(es, t: float, site: int = 1) -> np.ndarray:
     """Amplitudes over sites -N..N of the unit vector at `site` after time t."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    c = es.eigenvectors[es.site_index(site), :]
-    return es.eigenvectors @ (np.exp(-1j * t * es.eigenvalues) * c)
+    if len(es.sites) != es.trunc.size:
+        raise ValueError("evolution needs the eigenvector entries at every site")
+    c = es.site_rows([site])[0]
+    return es.rows @ (np.exp(-1j * t * es.eigenvalues) * c)
 
 
 def windowed_norm(amplitudes: np.ndarray, L: float) -> float:

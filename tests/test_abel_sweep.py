@@ -15,11 +15,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
 
 from quasitrace import dynamics as DY
 from quasitrace.cli import main
 from quasitrace.phase import PRECISION_BITS, PhasePoint
+
+from oracles import dense_eigenpairs
 
 TH0 = PhasePoint.zero()
 HALF = PhasePoint.from_fraction(1, 2)
@@ -158,7 +159,7 @@ def _mirror_system(n, lam, theta):
     carry weight on both blocks and their kernel entry is exactly 1.
     """
     d = DY.build_truncation(n, lam, theta).diagonal[:n]
-    wb, vb = eigh_tridiagonal(d, np.ones(n - 1))
+    wb, vb = dense_eigenpairs(d, lam)
     m = 2 * n + 1
     diag = np.concatenate([d, [lam], d[::-1]])
     off = np.ones(m - 1)
@@ -171,7 +172,7 @@ def _mirror_system(n, lam, theta):
     vecs[n, -1] = 1.0
     w = np.concatenate([np.repeat(wb, 2), [lam]])
     order = np.argsort(w, kind="stable")
-    return DY.EigenSystem(trunc, w[order], vecs[:, order])
+    return DY.SiteSpectrum(trunc, w[order], tuple(range(-n, n + 1)), vecs[:, order], {})
 
 
 @pytest.mark.parametrize("budget", [1 << 20, 1, 5, 120])
@@ -179,7 +180,7 @@ def test_mirror_box_with_exact_ties(monkeypatch, budget):
     es = _mirror_system(30, 10.0, HALF)
     w = es.eigenvalues
     assert np.count_nonzero(np.diff(w) == 0.0) == 30
-    assert np.abs(es.eigenvectors.T @ es.eigenvectors - np.eye(61)).max() <= 1e-13
+    assert np.abs(es.rows.T @ es.rows - np.eye(61)).max() <= 1e-13
     sites = list(range(-30, 31))
     monkeypatch.setattr(DY, "_SECULAR_CHUNK", budget)
     _assert_matches_reference(es, sites, T_GRID)

@@ -17,7 +17,7 @@ PUBLIC = {
     },
     "xfloat": {"XReal"},
     "transfer": {
-        "DualScalar", "TraceParityError", "MarginViolationError",
+        "TraceParityError", "MarginViolationError",
         "traces_right_upto", "traces_left_upto", "dual_traces_upto", "norm_profile",
         "norm_trace_margin", "norm_trace_inequality", "phase_trace_parity", "phase_traces",
         "TraceTable",
@@ -28,7 +28,7 @@ PUBLIC = {
         "derivative_growth_scan", "norm_growth_check",
     },
     "dynamics": {
-        "Truncation", "EigenSystem", "SiteSpectrum", "AbelRecord", "BoundReport", "TrendRow",
+        "Truncation", "SiteSpectrum", "AbelRecord", "BoundReport", "TrendRow",
         "WindowError", "build_truncation", "eigensystem", "site_spectrum", "abel_site_masses",
         "dynamical_bound_check", "exponent_trend",
     },

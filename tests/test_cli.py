@@ -12,6 +12,7 @@ import pytest
 import quasitrace
 from quasitrace import dynamics as DY
 from quasitrace import transfer as TR
+from quasitrace import words as W
 from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
 from quasitrace.phase import PhasePoint, omega
 
@@ -84,6 +85,26 @@ def test_config_validation(field, value):
         RunConfig(**{field: value})
 
 
+def test_config_rejects_two_tokens_for_one_phase():
+    with pytest.raises(ConfigError, match="'0' and '1' name one phase"):
+        RunConfig(thetas=("0", "1"))
+
+
+@pytest.mark.parametrize("args, first, second", [
+    (["dynamics", "--lambda", "6", "--p", "0.3", "--N", "100", "--T-grid", "10,100",
+      "--theta", "0", "--theta", "1"], "0", "1"),
+    (["traces", "--theta-list", "1/2,0.5"], "1/2", "0.5"),
+], ids=["dynamics", "traces"])
+def test_two_tokens_for_one_phase_exit_2_before_writing(tmp_path, capsys, args, first, second):
+    # one box per phase and one label per row: two tokens for one point would
+    # solve it twice and label every row with the last token
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: phase tokens {first!r} and {second!r} name one phase\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -106,6 +127,35 @@ def test_words_degenerate_level_zero(tmp_path):
     assert code == 0
     rows = (tmp_path / "words.csv").read_text().splitlines()
     assert len(rows) == 2  # header plus the single level
+
+
+def _drop_one_factor(subwords):
+    def patched(*args, **kwargs):
+        found = subwords(*args, **kwargs)
+        return W.SubwordSet(found.n, frozenset(list(found.members)[1:]))
+    return patched
+
+
+def _raise_classification(theta, k_max):
+    raise W.PhaseClassificationError("no parity class passes on the right side")
+
+
+@pytest.mark.parametrize("name, patch, failures", [
+    ("fibonacci_identity_check", lambda fn: lambda k: 2,
+     [f"fibonacci-identity k={k}" for k in range(1, 7)]),
+    ("cyclic_permutations", lambda fn: lambda w: (fn(w)[0], fn(w)[1] - 1),
+     [f"distinct-rotations k={k}" for k in range(7)]),
+    ("subwords", _drop_one_factor,
+     [f"census-count k={k}" for k in range(7)] + [f"complexity n={n}" for n in range(1, 11)]),
+    ("classify_phase_words", lambda fn: _raise_classification,
+     ["phase-classification: no parity class passes on the right side"]),
+], ids=["identity", "rotations", "census", "classification"])
+def test_words_gates_can_fail(tmp_path, monkeypatch, name, patch, failures):
+    monkeypatch.setattr(W, name, patch(getattr(W, name)))
+    assert main(["words", "--k-max", "6", "--subword-max", "10", "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "parity.json").read_text())
+    assert payload["pass"] is False
+    assert payload["failures"] == sorted(failures)
 
 
 def test_traces_command(tmp_path):

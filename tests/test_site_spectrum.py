@@ -1,13 +1,14 @@
 """The split-and-merge solver `site_spectrum` against dense references.
 
-Dense references: bisection with inverse iteration (LAPACK stebz/stein, the
-fallback driver of `eigensystem`), the default `eigensystem` (MRRR), and a
-40-digit mpmath eigendecomposition.  Tests of the merges solve with 16-site
-leaves (the `small_leaves` fixture), so boxes of a few dozen sites merge
-whatever leaf size the solver is tuned to.  MRRR loses up to about 4e-11 in Abel
-masses on clustered boxes of a few hundred sites (and 6e-11 on a 6001-site
-box at coupling 10), where bisection and the new route agree to about 1e-13, so
-the 1e-12 comparisons use bisection and MRRR gets a looser bound.  The
+Dense references: `oracles.dense_spectrum` with bisection and inverse
+iteration (LAPACK stebz/stein, the fallback driver of its MRRR reference),
+the MRRR reference itself, and a 40-digit mpmath eigendecomposition.  None of
+them calls the solver.  Tests of the merges solve with 16-site leaves (the
+`small_leaves` fixture), so boxes of a few dozen sites merge whatever leaf
+size the solver is tuned to.  MRRR loses up to about 4e-11 in Abel masses on
+clustered boxes of a few hundred sites (and 6e-11 on a 6001-site box at
+coupling 10), where bisection and the new route agree to about 1e-13, so the
+1e-12 comparisons use bisection and MRRR gets a looser bound.  The
 validation gates of `_validate_site_spectrum` are fed corrupted input one
 check at a time.
 """
@@ -16,10 +17,13 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 
 from quasitrace import dynamics as DY
 from quasitrace.phase import PRECISION_BITS, PhasePoint
+
+import oracles
+from oracles import BISECTION, dense_spectrum
 
 TH0 = PhasePoint.zero()
 HALF = PhasePoint.from_fraction(1, 2)
@@ -27,8 +31,7 @@ MRRR_MASS_TOL = 1e-10
 
 
 def _bisection_reference(trunc):
-    return DY.EigenSystem(trunc, *eigh_tridiagonal(trunc.diagonal, trunc.offdiagonal,
-                                                   lapack_driver="stebz"))
+    return dense_spectrum(trunc, BISECTION)
 
 
 def _masses_agree(spec, dense, sites, tol):
@@ -55,7 +58,7 @@ def test_site_spectrum_matches_dense_reference(raw, lam, N, frac, leaf):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DY, "_LEAF_SIZE", leaf)
         spec = DY.site_spectrum(trunc, sites)
-    dense = DY.eigensystem(trunc)
+    dense = dense_spectrum(trunc)
     assert spec.eigenvalues.shape == (trunc.size,)
     assert np.abs(spec.eigenvalues - dense.eigenvalues).max() <= 1e-12 * (lam + 2.0)
     _masses_agree(spec, _bisection_reference(trunc), sites, 1e-12)
@@ -70,7 +73,51 @@ def test_exponent_trend_box_matches_dense_reference():
     assert spec.stats["deflated_small_weight"] > 0
     assert spec.stats["deflated_close_poles"] > 0
     _masses_agree(spec, _bisection_reference(trunc), sites, 1e-12)
-    _masses_agree(spec, DY.eigensystem(trunc), sites, MRRR_MASS_TOL)
+    _masses_agree(spec, dense_spectrum(trunc), sites, MRRR_MASS_TOL)
+
+
+def test_eigensystem_is_site_spectrum_over_every_site(small_leaves):
+    # the benchmark's name for the solver: every site tracked, on a box that merges
+    trunc = DY.build_truncation(30, 10.0, HALF)
+    spec = DY.eigensystem(trunc)
+    assert spec.sites == tuple(range(-30, 31))
+    assert spec.rows.shape == (61, 61)
+    assert spec.stats["size"] == 61
+    sites = list(spec.sites)
+    _masses_agree(spec, _bisection_reference(trunc), sites, 1e-12)
+    _masses_agree(spec, dense_spectrum(trunc), sites, MRRR_MASS_TOL)
+
+
+def test_mrrr_reference_runs_without_the_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called the solver it checks")
+
+    trunc = DY.build_truncation(40, 10.0, TH0)
+    want = dense_spectrum(trunc)
+    monkeypatch.setattr(DY, "site_spectrum", refuse)
+    monkeypatch.setattr(DY, "_split_merge", refuse)
+    with pytest.raises(AssertionError, match="the solver it checks"):
+        DY.site_spectrum(trunc, [0])
+    got = dense_spectrum(trunc)
+    assert got.sites == tuple(range(-40, 41))
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.rows, want.rows)
+
+
+def test_mrrr_reference_falls_back_to_bisection(monkeypatch):
+    solve = oracles.eigh_tridiagonal
+
+    def without_mrrr(d, e, lapack_driver):
+        if lapack_driver == "stemr":
+            raise np.linalg.LinAlgError("stemr refused")
+        return solve(d, e, lapack_driver=lapack_driver)
+
+    trunc = DY.build_truncation(40, 10.0, TH0)
+    want = dense_spectrum(trunc, BISECTION)
+    monkeypatch.setattr(oracles, "eigh_tridiagonal", without_mrrr)
+    got = dense_spectrum(trunc)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.rows, want.rows)
 
 
 def test_site_rows_interface(small_leaves):
@@ -80,7 +127,7 @@ def test_site_rows_interface(small_leaves):
     # single rows differ between solvers by rotations inside clusters; their
     # norms and the Abel masses do not
     assert np.allclose(np.linalg.norm(spec.site_rows([4, -3]), axis=1), 1.0, atol=1e-12)
-    _masses_agree(spec, DY.eigensystem(trunc), [-3, 1, 4], 1e-13)
+    _masses_agree(spec, dense_spectrum(trunc), [-3, 1, 4], 1e-13)
     with pytest.raises(KeyError):
         spec.site_rows([2])
     with pytest.raises(DY.WindowError):

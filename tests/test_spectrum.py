@@ -31,9 +31,9 @@ def test_trace_grid_derivatives_match_duals():
     xs, ds = SP.trace_grid(energies, 10.0, 9, derivatives=True)
     for k in (1, 4, 9):
         for i, E in enumerate(energies):
-            ref = TR.dual_traces_upto(k, float(E), 10.0, TH0)[k]
-            assert xs[k][i] == pytest.approx(float(ref.value), rel=1e-10, abs=1e-9)
-            assert ds[k][i] == pytest.approx(float(ref.deriv), rel=1e-10, abs=1e-9)
+            ref = TR.dual_traces_upto(k, float(E), 10.0, TH0)
+            assert xs[k][i] == pytest.approx(float(ref.traces[k]), rel=1e-10, abs=1e-9)
+            assert ds[k][i] == pytest.approx(float(ref.derivs[k]), rel=1e-10, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -208,9 +208,9 @@ def test_trace_overflow_carries_exponent():
 # ---------------------------------------------------------------------------
 
 def test_derivative_examples():
-    assert float(TR.dual_traces_upto(0, 5.0, 2.0, TH0)[0].deriv) == pytest.approx(1.0)
-    d1 = TR.dual_traces_upto(1, 0.0, 2.0, TH0)[1]
-    assert float(d1.deriv) == pytest.approx(-2.0)  # d/dE (E^2 - lam E - 2) at 0
+    assert float(TR.dual_traces_upto(0, 5.0, 2.0, TH0).derivs[0]) == pytest.approx(1.0)
+    d1 = TR.dual_traces_upto(1, 0.0, 2.0, TH0).derivs[1]
+    assert float(d1) == pytest.approx(-2.0)  # d/dE (E^2 - lam E - 2) at 0
 
 
 def test_derivative_matches_finite_differences():
@@ -221,20 +221,21 @@ def test_derivative_matches_finite_differences():
         lam = rng.choice([2.0, 10.0])
         E = rng.uniform(-3, lam + 3)
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
-        dual = TR.dual_traces_upto(k, E, lam, theta)[k]
-        if abs(dual.value.log2()) > 250:
+        dual = TR.dual_traces_upto(k, E, lam, theta)
+        if abs(dual.traces[k].log2()) > 250:
             continue  # outside float-difference range
         fd = (float(TR.traces_right_upto(k, E + h, lam, theta)[k])
               - float(TR.traces_right_upto(k, E - h, lam, theta)[k])) / (2 * h)
-        assert float(dual.deriv) == pytest.approx(fd, rel=1e-5)
+        assert float(dual.derivs[k]) == pytest.approx(fd, rel=1e-5)
 
 
 def test_dual_traces_consistent_with_scalar_calls():
     duals = TR.dual_traces_upto(8, 0.42, 10.0, TH0)
     for k in (0, 3, 8):
-        single = TR.dual_traces_upto(k, 0.42, 10.0, TH0)[k]
-        assert rel_gap(duals[k].value, single.value) == 0.0
-        assert rel_gap(duals[k].deriv, single.deriv) == 0.0
+        single = TR.dual_traces_upto(k, 0.42, 10.0, TH0)
+        assert rel_gap(duals.traces[k], single.traces[k]) == 0.0
+        assert rel_gap(duals.derivs[k], single.derivs[k]) == 0.0
+        assert duals.peaks[k] == single.peaks[k]
 
 
 # ---------------------------------------------------------------------------

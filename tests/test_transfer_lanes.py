@@ -40,6 +40,12 @@ def xbits(values):
     return [(f64(v.m), v.e) for v in values]
 
 
+def tables_bits(table):
+    """A `TraceTable` as bits: traces, derivatives and peaks."""
+    return ([xbits(r) for r in table.traces], [xbits(r) for r in table.derivs],
+            table.peaks.tolist())
+
+
 def raw(matrix):
     """Bits of (a, b, c, d) and the exponent of a scalar product."""
     return [f64(v) for v in matrix[:4]] + [matrix[4]]
@@ -256,11 +262,7 @@ def test_phase_traces_match_the_one_group_calls():
     for thetas in ([other], [other, PhasePoint.zero()]):
         tables, refs = TR.phase_traces(11, grid, lam, thetas)
         for theta, (right, left) in zip(thetas, tables):
-            duals = TR.dual_traces_upto(11, grid, lam, theta)
-            assert [xbits(r) for r in right.traces] == [xbits(d.value for d in row)
-                                                         for row in duals]
-            assert [xbits(r) for r in right.derivs] == [xbits(d.deriv for d in row)
-                                                         for row in duals]
+            assert tables_bits(right) == tables_bits(TR.dual_traces_upto(11, grid, lam, theta))
             assert left.derivs is None
             assert [xbits(r) for r in left.traces] == [
                 xbits(row) for row in TR.traces_left_upto(11, grid, lam, theta)]
@@ -280,8 +282,7 @@ def test_phase_traces_at_huge_energies_run_without_warnings():
         duals = TR.dual_traces_upto(k, grid, lam, theta)
         lefts = TR.traces_left_upto(k, grid, lam, theta)
         zeros = TR.traces_right_upto(k, grid, lam, PhasePoint.zero())
-    assert [xbits(r) for r in right.traces] == [xbits(d.value for d in row) for row in duals]
-    assert [xbits(r) for r in right.derivs] == [xbits(d.deriv for d in row) for row in duals]
+    assert tables_bits(right) == tables_bits(duals)
     assert [xbits(r) for r in left.traces] == [xbits(row) for row in lefts]
     assert [xbits(r) for r in refs.traces] == [xbits(row) for row in zeros]
 
