@@ -27,7 +27,8 @@ phase `norm_profile` sums the right and left norms in one.  The margins of
 
 - lane state: the four float64 entries of the product and an int64 exponent
   per lane; with derivatives, the same again for dM/dE on a prefix of the
-  lanes.  The entries live in two preallocated buffers, and each site steps
+  lanes, whose exponent is that of its product (see "Derivative lanes").
+  The entries live in two preallocated buffers, and each site steps
   from one into the other with `out=` (see "Calls per site").  The loop over
   sites does only the 2x2 step, rescale and derivative.
 - factors: a (sites, groups) array of potential symbols; per block of B sites
@@ -44,23 +45,20 @@ phase `norm_profile` sums the right and left norms in one.  The margins of
   windowed norm sums and rounding scales at all Fibonacci lengths come from
   one pass.
 
-Byte identity.  Every lane does the IEEE operations of the scalar layer in
-the same order: `_mul` per factor, `_add` for the product rule of the
-derivative, `_norm_sq` and `XReal.__add__` for norm sums, with the same
-per-lane frexp/ldexp rescaling and the same `shift < -1080` branch of `_add`.
-The results are bit-identical to the scalar ones because numpy's elementwise
-float64 operations are correctly rounded IEEE-754 binary64 operations like
-Python's float arithmetic, each one rounds on its own (no fused
-multiply-add), and frexp/ldexp by powers of two are exact.  Two rewrites keep
-the bits: x * 1.0 is x, and x * -1.0 + y is y - x.  The 0.0 * x terms are
-kept, because they fix the sign of zero entries.  The rescale check is
-skipped only while a running upper bound on the entries shows that no lane
-can pass 2**256, so each lane rescales at exactly the sites where the scalar
-code does, and never because another lane did.  With peaks no bound is kept
-and every site is checked.  After their `_add` the derivative lanes are
-first checked as one: where the largest |entry| over all of them is at most
-2**256 no lane of them can need rescaling, and only otherwise does
-`_renorm` check them lane by lane.
+Byte identity.  Every product lane does the IEEE operations of the scalar
+layer in the same order: `_mul` per factor, `_norm_sq` and `XReal.__add__`
+for norm sums, with the same per-lane frexp/ldexp rescaling.  The derivative
+lanes keep the values of `_add` for the product rule, and their traces its
+bits (see "Derivative lanes").  The results are bit-identical to the scalar
+ones because numpy's elementwise float64 operations are correctly rounded
+IEEE-754 binary64 operations like Python's float arithmetic, each one rounds
+on its own (no fused multiply-add), and frexp/ldexp by powers of two are
+exact.  Two rewrites keep the bits: x * 1.0 is x, and x * -1.0 + y is y - x.
+The 0.0 * x terms are kept, because they fix the sign of zero entries.  The
+rescale check is skipped only while a running upper bound on the entries
+shows that no lane can pass 2**256, so each lane rescales at exactly the
+sites where the scalar code does, and never because another lane did.  With
+peaks no bound is kept and every site is checked.
 
 `_renorm` takes each lane's largest |entry| mx before it rescales, and with
 peaks every site is checked, so that one maximum serves both the check and the
@@ -79,6 +77,47 @@ k >= 1075 (2**-1075 is half the least subnormal and rounds to even).
 Where |shift| > 1080 `_add` returns the larger operand untouched, and so
 does `_add_lanes`: adding the other operand's 0.0 would turn a -0.0 entry
 into 0.0.
+
+Derivative lanes.  A derivative lane shares its product lane's exponent e:
+it is not checked against 2**256, and `_renorm` copies its owner's ex to it
+before the one `take` of the scales, so it takes every rescale of its owner.
+Both operands of the product rule, T dM and (X, 0), then carry the exponent
+of the old product, and the rule is one `np.add`.  The scalar rule rescales
+T dM on its own and aligns the operands of `_add` by 2**shift; all of these
+are scalings by powers of two, exact while no entry leaves the normal range,
+and IEEE rounding does not change under a common power-of-two scale.  So
+each entry of dM has the value that `_add` gives, and only its split into
+entry and exponent differs; the derivative traces, XReals normalized from
+dM[0] + dM[3], keep their bits.  Values can differ only where an entry leaves
+the normal range.  At |E| near 1e300 dM lies about 1e-300 below its product,
+and its entries 1e-300 below its largest round to 0.0 in the shared exponent;
+where the scalar rule drops an operand by its far-shift branch, a zero entry
+can differ in sign.  The traces, dominated by the largest entry, kept their
+bits in every such case tried: the lane tests at coupling or energy near
+1e300, and 300 random draws of both up to 1e300 against the scalar rule.
+
+dM is never squared, so it needs no rescale of its own; it only must not
+overflow in the next step.  |T dM + X| <= growth * |dM| + 2**256 (the
+rounding slack is in `growth`), and the Python float `d_bound` carries that
+bound from site to site.  Where it passes `d_limit`, 2**1022 / growth but at
+least 1.0, `_renorm` with `limit` takes the largest |entry| of every
+derivative lane, which becomes the new bound, and rescales into [0.5, 1)
+each lane whose own entries pass the limit: that lane leaves its owner's
+exponent.  Until a later check finds every lane back on its owner's
+exponent, the product rule runs as `_add_lanes`, the general `_add` per
+lane; on a lane whose exponent is its owner's both operands take the scale
+1.0, so it gets the bits of the one add.  A lane off its owner's exponent
+still takes its owner's rescales, as no power-of-two scale changes a value.
+`d_bound` bounds every lane, so a lane leaves exactly where its own entries
+pass `d_limit`; that limit follows the largest factor of the sweep, so the
+split of a derivative lane that leaves, but not its values, can depend on
+the other lanes.  The running bound of the product lanes, kept where there
+are no peaks, does not cover the derivative lanes: `d_bound` does.  The
+general add ran at 0 of the 17,711 sites of the `phase_traces` sweep of
+the benchmark's `traces-large` run, at 0 of 987 of the default `traces` run,
+and at 373 of 377 of `traces --lambda 1e300 --k-max 12 --energies=-1:1:5
+--theta 1/3`, where a derivative outgrows its product by about lambda per
+level.  `d_bound` passed the limit at 89, 4 and 377 of those sites.
 
 Norm sums keep the bits of one `XReal.__add__` per site, though they are
 summed a block at a time.  For normalized positive operands that add is the
@@ -101,58 +140,66 @@ left, the steps of `_mul` (addition commutes in IEEE arithmetic), with the
 signs of zeros kept.  The derivative step is the same on both sides: the
 step of dM/dE plus X of the old product (see `_sweep`), run as extra lanes
 after the products, with the factors and signs of the lanes they belong to.
-Which lanes share the sweep, and in what order, changes no lane's bits:
-every operation is elementwise, and
-a lane rescales only where its own entries pass 2**256.  Each lane's factor
-is E or E - lam of its own energy, picked by its group's symbol at the site.
-On every side, one gather per block puts each lane's entries in (a, b, c, d)
-order before its squared norms, so the squares add in the order of
-`_norm_sq`.
+Which lanes share the sweep, and in what order, changes no product lane's
+bits and no derivative's values: every operation is elementwise, and a
+product lane rescales only where its own entries pass 2**256.  Each lane's
+factor is E or E - lam of its own energy, picked by its group's symbol at
+the site.  On every side, one gather per block puts each lane's entries in
+(a, b, c, d) order before its squared norms, so the squares add in the order
+of `_norm_sq`.
 
 Calls per site.  The state is two (3, 2, lanes) buffers, (X, Y) and a block
 of zeros; a site multiplies (X, Y) by the step's factors [[t, f], [s, 0.0]]
 of its block with one `np.multiply` and sums the two terms into the other
 buffer with one `np.add`.  The old buffer keeps X, and its zeros complete it
-to the operand (X, 0) of the derivative's `_add`, written in place into the
-derivative lanes.  A `_renorm` check is one `np.abs` and two
-`np.maximum.reduce`; a rescale adds six calls: `np.frexp`, the comparison
-and product that zero ex on the other lanes, one `take` of the scales, the
-in-place product of the entries and the new exponents, and two more where a
-bound is kept, the rescaled maxima and the new bound.  `_add_lanes` makes
-eight calls into work arrays made once per sweep: the shifts and their
-negatives, one `take` of both scales, the |shift| > 1080 test, the scaled
-sum (three) and the exponents; the one check of the derivative lanes after
-it is one `np.abs` and one `np.maximum.reduce`.  Counting ufunc calls, ufunc
-methods, numpy functions and the reducing ndarray methods (not numpy scalar
-arithmetic or indexing), each weighted by how often its branch runs, the
-`phase_traces` sweep of the benchmark's `traces-large` run (17,711 sites,
-384 lanes with 96 derivative lanes; the step rescales at 15,618 sites, the
-derivative lanes after their `_add` at 8) made per site, in the step, its
-check and rescale, the derivative and the peaks, and took in CPU seconds
-(median of 8 fresh processes each, alternating, on a 2-vCPU Xeon):
+to the operand (X, 0) of the derivative's product rule, added in place into
+the derivative lanes with one more `np.add`.  A `_renorm` check is one
+`np.abs` and two `np.maximum.reduce`; a rescale adds six calls: `np.frexp`,
+the comparison and product that zero ex on the other lanes, one `take` of the
+scales, the in-place product of the entries and the new exponents, and two
+more where a bound is kept, the rescaled maxima and the new bound.  Where
+`d_bound` passes its limit, the check of the derivative lanes is the same
+three calls and `np.array_equal`.  `_add_lanes`, where it runs, makes eight
+calls into work arrays made once per sweep: the shifts and their negatives,
+one `take` of both scales, the |shift| > 1080 test, the scaled sum (three)
+and the exponents.  Counting ufunc calls, ufunc methods, numpy functions and
+the reducing ndarray methods (not numpy scalar arithmetic or indexing), each
+weighted by how often its branch runs, the `phase_traces` sweep of the
+benchmark's `traces-large` run (17,711 sites, 288 product lanes and 96
+derivative lanes) made per site, in the step, its check and rescale, the
+derivative and the peaks, and took in CPU seconds (median of 8 fresh
+processes each, alternating, on a 2-vCPU Xeon):
 
                           step   renorm  derivative  peaks  total  seconds
     per-site arrays        3.0     10.8        18.7    2.0   34.5     1.46
     two buffers, `out=`    2.0     10.1        10.6      -   22.6     1.13
     pre-rescale peaks      2.0      8.3        10.0      -   20.3     0.71
+    shared exponent        2.0      7.7         1.0      -   10.8     0.53
 
-The first row allocated each step's result, concatenated the derivative's
-operands and results, took the scales of `_add` by `ldexp(1.0, minimum(...))`
-and its reductions through the `ndarray` wrappers, and took the peaks in a
-pass of their own.  The second row rescaled the maxima with their lanes for
-the peaks and took a new bound at every rescale, and checked the derivative
-lanes lane by lane at 15,020 sites, as its bound came from the product lanes
-near 2**256.  The third row takes the peaks from the maxima before the
-rescale, checks the derivative lanes with one maximum over all of them, and
-builds the work arrays of `_add_lanes` and the per-site views of the factors
-once per sweep.  Its seconds come from a later series of 24 fresh processes
-each, alternating with the second row, which took 0.88 s there; the third
-row was lower in 21 of the 24 pairs.  `_add_lanes` stays a function: by
+In the first three rows every derivative lane had an exponent of its own: the
+step checked and rescaled the derivative lanes with the products (it rescaled
+at 15,618 sites), and after their `_add` they were checked again, and rescaled
+at 8 sites.  The first row allocated each step's result, concatenated the
+derivative's operands and results, took the scales of `_add` by `ldexp(1.0,
+minimum(...))` and its reductions through the `ndarray` wrappers, and took the
+peaks in a pass of their own.  The second row rescaled the maxima with their
+lanes for the peaks and took a new bound at every rescale, and checked the
+derivative lanes lane by lane at 15,020 sites, as its bound came from the
+product lanes near 2**256.  The third row took the peaks from the maxima
+before the rescale, checked the derivative lanes with one maximum over all of
+them, and built the work arrays of `_add_lanes` and the per-site views of the
+factors once per sweep.  Its seconds come from a later series of 24 fresh
+processes each, alternating with the second row, which took 0.88 s there; the
+third row was lower in 21 of the 24 pairs.  `_add_lanes` stays a function: by
 `timeit` on 96 lanes the call costs at most 0.3 us per site over its body
-inlined in the loop, and its own test holds it to `_add` at the |shift|
-edges.  Without the 96 derivative lanes the sweep takes about 0.75, 0.6 and
-0.42 s (the last measured against 0.82 s in one process): the derivative, a
-quarter of the lanes, is still half the sweep.
+inlined in the loop, and its own test holds it to `_add` at the |shift| edges.
+The fourth row shares the products' exponents (see "Derivative lanes"): the
+step checks only the product lanes and rescales at 13,951 sites, and the
+derivative is one add per site plus the check of `d_bound`, 0.02 calls per
+site at its 89 sites.  Its seconds come from a series of 8 fresh processes
+each, alternating with the third row, which took 0.73 s there; the fourth row
+was lower in 8 of the 8 pairs.  Without its 96 derivative lanes the same sweep
+took 0.48 s in that series.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` are one-group calls of the sweep that the `traces` command
@@ -166,6 +213,7 @@ and its own tests call `dual_traces_upto`, so they stay until it drops them.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
@@ -330,33 +378,38 @@ class _Buffer(NamedTuple):
     dm: np.ndarray  # (X, Y) of the derivative lanes
 
 
-def _renorm(m, e, bound, mx=None, out=None):
+def _renorm(m, e, bound, mx=None, out=None, owned=0, limit=_RENORM):
     """The rescale of `_mul` and `_add`, per lane, in place on `m`.
 
     `m` holds the entries of each lane along its last axis, and `bound` is an
     upper bound on every |entry|, or inf where none is kept.  While it stays
-    at or below 2**256 no lane can need rescaling and nothing is checked;
+    at or below `limit` no lane can need rescaling and nothing is checked;
     otherwise each lane's largest |entry| goes to `mx` (a new array if None),
-    and only lanes whose own largest entry passes 2**256 are rescaled.  Their
+    and only lanes whose own largest entry passes `limit` are rescaled.  Their
     new exponents go to `out` (a new array if None).  With a finite `bound`,
     `mx` is rescaled with its lanes and its largest value is the new bound;
     with inf, `mx` keeps the maxima from before the rescale, which with the
     exponents from before it give the peaks (see "Byte identity"), and the
-    bound stays inf.  Returns (m, e, bound).
+    bound stays inf.  The last `owned` lanes are the derivatives of the first
+    `owned` ones: they are not checked, they take their owner's rescale, and
+    the bound does not cover them (see "Derivative lanes").  Returns
+    (m, e, bound).
     """
-    if bound <= _RENORM:
+    if bound <= limit:
         return m, e, bound
     mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0, out=mx)
-    top = float(np.maximum.reduce(mx, initial=0.0))
-    if top <= _RENORM:
+    lanes = mx.size - owned
+    top = float(np.maximum.reduce(mx[:lanes], initial=0.0))
+    if top <= limit:
         return m, e, top if bound < math.inf else bound
     ex = np.frexp(mx)[1]
-    ex *= mx > _RENORM  # 0 on the other lanes: a scale of 1.0 keeps their bits
+    ex *= mx > limit  # 0 on the other lanes: a scale of 1.0 keeps their bits
+    ex[lanes:] = ex[:owned]
     s = _HALVES.take(ex, mode="clip")
     m *= s
     if bound < math.inf:
         # exact: the largest entry of a rescaled lane lands in [0.5, 1)
-        bound = float(np.maximum.reduce(np.multiply(mx, s, out=mx)))
+        bound = float(np.maximum.reduce(np.multiply(mx, s, out=mx)[:lanes]))
     return m, np.add(e, ex, out=out), bound
 
 
@@ -483,12 +536,17 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
     # float, so that the bounds below go to inf without a warning
     growth = float((max(np.abs(E).max(initial=0.0), np.abs(span).max(initial=0.0)) + 1.0)
                    * _SLACK)
+    # derivative lanes at most this large stay finite through the next step
+    # and its add, and a lane that passes it takes an exponent of its own;
+    # at least 1.0, so a rescale into [0.5, 1) puts any lane below it
+    d_limit = max(2.0**1022 / growth, 1.0)
     # per lane the rows that put its entries in (a, b, c, d) order
     order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
                      np.arange(4)[:, None])[:, None]
     # two buffers of (X, Y, zeros), each lane's halves along axis 1; a site
     # steps from one into the other, which keeps X of the old product for
-    # the derivative, and the zeros complete it to the operand (X, 0) of `_add`
+    # the derivative, and the zeros complete it to the operand (X, 0) of the
+    # product rule
     buffers = np.zeros((2, 3, 2, width))
     buffers[0, 0, 0, :lanes] = buffers[0, 1, 1, :lanes] = 1.0  # a and d on every side
     cur, nxt = (_Buffer(b[:2, None], b[:2], b[::2, :, :n_d], b[:2, :, lanes:]) for b in buffers)
@@ -506,9 +564,10 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
     steps = list(factors)
     terms = np.empty((2, 2, 2, width))  # x and y times their factors
     x_terms, y_terms = terms
-    # work arrays of the derivative's `_add` and of its rescale check
-    work = _add_work(cur.dm)
-    entries_abs = np.empty(cur.dm.shape)
+    # the derivative lanes share their owners' exponents while `apart` is
+    # False; `d_bound` bounds their entries, which no rescale check covers
+    apart, d_bound = False, 0.0
+    work = _add_work(cur.dm)  # work arrays of the general add
     maxima = [None] * size
     if norms:
         block_m = np.empty((4, size, lanes))
@@ -533,23 +592,24 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
             factors[:len(rows), 0, 0, 0] = np.where(rows, span, E)
         np.multiply(cur.step, steps[j], out=terms)
         m = np.add(x_terms, y_terms, out=nxt.m)
-        if peaks:
-            block_pe[j] = e[:lanes]
-        e_old, old = e, bound
-        m, e, bound = _renorm(m, e, bound * growth, maxima[j])
         if n_d:
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
+            if apart:
+                _add_lanes(cur.x, e[:n_d], nxt.dm, e[lanes:], (nxt.dm, e[lanes:]), work)
+            else:
+                np.add(nxt.dm, cur.x, out=nxt.dm)
+            # |T M' + X| <= growth * |M'| + 2**256, rounding included
+            d_bound = (d_bound + _RENORM) * growth
+        if peaks:
+            block_pe[j] = e[:lanes]
+        m, e, bound = _renorm(m, e, bound * growth, maxima[j], owned=n_d)
+        if d_bound > d_limit:
+            # lanes whose derivative passes the limit leave their owner's exponent
             de = e[lanes:]
-            _add_lanes(cur.x, e_old[:n_d], nxt.dm, de, (nxt.dm, de), work)
-            # one test of all the derivative lanes; a lane rescales only
-            # where its own largest entry passes 2**256
-            grown = (old + bound) * _SLACK
-            if not grown <= _RENORM:
-                grown = float(np.maximum.reduce(np.abs(nxt.dm, out=entries_abs), axis=None))
-                if not grown <= _RENORM:
-                    grown = _renorm(nxt.dm, de, grown, out=de)[2]
-            bound = max(bound, grown)
+            d_bound = _renorm(nxt.dm, de, min(d_bound, sys.float_info.max), out=de,
+                              limit=d_limit)[2]
+            apart = not np.array_equal(de, e[:n_d])
         cur, nxt = nxt, cur
         if n == want:
             entries = m.reshape(4, width)

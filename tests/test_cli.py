@@ -625,6 +625,26 @@ def test_traces_default_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of a traces run at coupling 1e300, taken while every derivative
+# lane still carried an exponent of its own.  There a derivative outgrows its
+# product by about lambda per level, so the derivative lanes leave their
+# product's exponent and take the general add of the product rule.
+TRACES_HUGE_COUPLING_SHA256 = {
+    "traces.csv": "d27ae053c2b7394833ad14eaef64a32eb69c5f9a06a00d1c5dd5d6ea5b9e0077",
+    "margins.csv": "3a69a9de053257ec700b303cc3eba1c062198a0a67ef4e7e9b4d6dd9de345bbf",
+    "norms.csv": "b4fb365cd38d436fbc091351fa072fe23343618721d6745272a30771ad361926",
+    "traces_summary.json":
+        "bb0c545d7b5701ecfbdba4fa0b7b10ba9d3467d98f4b9b6f9597b1f1ad22576e",
+}
+
+
+def test_traces_huge_coupling_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--lambda", "1e300", "--k-max", "12", "--energies=-1:1:5",
+                 "--theta", "1/3", "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_HUGE_COUPLING_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of the default spectrum outputs, copied from the paper-default entry
 # of bench/digests.json; they were taken with one trace_grid call per segment.
 SPECTRUM_DEFAULT_SHA256 = {

@@ -402,6 +402,56 @@ def test_rounding_term_bounds_the_sweep_error(lam, offset, spread, k):
             assert error <= TR.TRACE_ROUNDING * fib_number(k) * mp.ldexp(1, 2 * int(peaks[k]) - 53)
 
 
+def exact_right_derivs(k, E, lam, theta):
+    """d/dE of the right traces at lengths F(0..k), by a 300-bit product rule."""
+    marks = {fib_number(j): j for j in range(k + 1)}
+    out = [None] * (k + 1)
+    with mp.workprec(300):
+        E, lam = mp.mpf(E), mp.mpf(lam)
+        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        da = db = dc = dd = mp.mpf(0)
+        for n, v in enumerate(rotation_block(1, fib_number(k), theta).to01(), 1):
+            t = E - lam if v == "1" else E
+            # (T M)' = T M' + T' M with T = [[t, -1], [1, 0]], T' = [[1, 0], [0, 0]]
+            da, db, dc, dd = t * da - dc + a, t * db - dd + b, da, db
+            a, b, c, d = t * a - c, t * b - d, a, b
+            if n in marks:
+                out[marks[n]] = da + dd
+    return out
+
+
+# Error model of the derivative traces: |x_k' - exact| <= DERIV_ROUNDING *
+# F(k)**2 * 2**-53 * P**3, P the peak of the level-k product.  The derivative
+# of a product of F(k) factors sums F(k) products, each with entries up to
+# about P**3 (M(n..j+1) = M(n) M(j)**-1 has entries up to 2 P**2), and each
+# is rounded along up to F(k) steps.  Against the 300-bit product rule, over
+# 2,200 draws at random phases (levels <= 14, lambda <= 24 and near 0, E
+# uniform in [-4, lambda + 4] and near lambda - 1, 0 and +-2), the error
+# stayed below 0.32 * F(k)**2 * 2**-53 * P**3; F(k) * P**2 reached 317 and
+# F(k) * P**3 24 and still grew with the level.  DERIV_ROUNDING keeps a
+# factor 3.1 above the worst draw.
+DERIV_ROUNDING = 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.floats(0.0, 24.0), spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       k=st.integers(0, 14), phase=st.integers(0, (1 << PRECISION_BITS) - 1))
+# the worst of the draws above: 0.317 * F(5)**2 * 2**-53 * P**3, P = 2**5
+@example(lam=20.12213789974964, spots=[(19.172492501884832 + 4.0) / 28.12213789974964], k=5,
+         phase=317525582766468125240611707992700095979)
+def test_derivative_traces_meet_their_error_model(lam, spots, k, phase):
+    theta = PhasePoint(phase)
+    grid = [-4.0 + s * (lam + 8.0) for s in spots]  # E in [-4, lam + 4]
+    [(right, _)], _ = TR.phase_traces(k, grid, lam, [theta])
+    for E, derivs, peaks in zip(grid, right.derivs, right.peaks):
+        exact = exact_right_derivs(k, E, lam, theta)
+        with mp.workprec(300):
+            for j in range(k + 1):
+                error = abs(mp.ldexp(derivs[j].m, derivs[j].e) - exact[j])
+                bound = DERIV_ROUNDING * fib_number(j) ** 2 * mp.ldexp(1, 3 * int(peaks[j]) - 53)
+                assert error <= bound, (E, j)
+
+
 def test_parity_rejects_empty_grid():
     empty = TR.TraceTable([], None, np.zeros((0, 6), dtype=np.int64))
     with pytest.raises(ValueError):

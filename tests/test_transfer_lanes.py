@@ -2,15 +2,19 @@
 
 Every lane of `transfer._sweep` must reproduce, bit for bit, what a one-lane
 sweep and what scalar `_mul` products with `_add` / `_norm_sq` give
-for that energy alone: the raw entries and exponents of the product and of
-its energy derivative, and the XReal (mantissa, exponent) pairs of traces,
-derivative traces and norm sums.  A lane whose entries pass 2**256 rescales
-on its own; if a rescale leaked into another lane, that lane's raw exponents
-would change even where its normalized values do not.  Norm sums are taken
-a block of sites at a time, so marks on both sides of every block edge, and
-windows whose edge term opens the next block, are held to the scalar sums.
-Lanes of several (side, phase) groups in one sweep, with derivatives on a
-prefix of them, keep the bits of a sweep per group.
+for that energy alone: the raw entries and exponents of the product, the
+value of each entry of its energy derivative, and the XReal (mantissa,
+exponent) pairs of traces, derivative traces and norm sums.  A lane whose
+entries pass 2**256 rescales on its own; if a rescale leaked into another
+lane, that lane's raw exponents would change even where its normalized values
+do not.  A derivative lane shares its product's exponent, so only the values
+of its entries, each normalized with that exponent, are the scalar rule's;
+at coupling or energy near 1e300 its entries 1e-300 below its largest leave
+the normal range, and there its traces are held to the scalar rule.  Norm
+sums are taken a block of sites at a time, so marks on both sides of every
+block edge, and windows whose edge term opens the next block, are held to
+the scalar sums.  Lanes of several (side, phase) groups in one sweep, with
+derivatives on a prefix of them, keep the bits of a sweep per group.
 """
 
 import math
@@ -51,8 +55,19 @@ def raw(matrix):
     return [f64(v) for v in matrix[:4]] + [matrix[4]]
 
 
+def entry_values(matrix):
+    """Each entry of a scalar product with its exponent, normalized: equal for
+    equal values however the product splits them (zeros keep their sign)."""
+    out = []
+    for v in matrix[:4]:
+        mantissa, ex = math.frexp(v)
+        out.append((f64(mantissa), ex + matrix[4] if v else 0))
+    return out
+
+
 def scalar_reference(side, k, E, lam, theta):
-    """Per mark F(0..k): raw M, raw dM/dE, trace and derivative trace, norm sum, peak."""
+    """Per mark F(0..k): raw M, the values of dM/dE, trace and derivative trace,
+    norm sum, peak."""
     marks = {fib_number(j) for j in range(k + 1)}
     m, d = (1.0, 0.0, 0.0, 1.0, 0), (0.0, 0.0, 0.0, 0.0, 0)
     total, high = XReal(), -math.inf
@@ -69,12 +84,17 @@ def scalar_reference(side, k, E, lam, theta):
         total = total + TR._norm_sq(m)
         high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
         if n in marks:
-            out.append((raw(m), raw(d), xbits([trace(m), trace(d)]), xbits([total]), high))
+            out.append((raw(m), entry_values(d), xbits([trace(m), trace(d)]), xbits([total]),
+                        high))
     return out
 
 
 def lane_raw(side, m, e, i):
     return raw(m[TR._ROWS[side], i].tolist() + [int(e[i])])
+
+
+def lane_values(side, m, e, i):
+    return entry_values(m[TR._ROWS[side], i].tolist() + [int(e[i])])
 
 
 def lane_results(side, k, energies, lam, theta, carry):
@@ -86,11 +106,11 @@ def lane_results(side, k, energies, lam, theta, carry):
     for i in range(len(energies)):
         records = []
         for mark in marks:
-            values = [TR._trace_xreals(mark.m, mark.e)[i], TR._trace_xreals(mark.dm, mark.de)[i]]
+            traces = [TR._trace_xreals(mark.m, mark.e)[i], TR._trace_xreals(mark.dm, mark.de)[i]]
             total = (xbits(TR._xreals(mark.sum_m, mark.sum_e)[i:i + 1]) if carry == "norms"
                      else None)
             records.append((lane_raw(side, mark.m, mark.e, i),
-                            lane_raw(side, mark.dm, mark.de, i), xbits(values), total,
+                            lane_values(side, mark.dm, mark.de, i), xbits(traces), total,
                             int(mark.peak[i]) if carry == "peaks" else None))
         lanes.append(records)
     return lanes
@@ -129,6 +149,63 @@ def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
         for E, lane, reference in zip(energies, lanes, references):
             assert lane == lane_results(side, k, [E], lam, theta, carry)[0]
             assert lane == carried(reference, carry)
+
+
+def signed(lo, hi):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+# coupling near 1e300 with energies in [-1, 1], or energies near +-1e300.
+# Energies of magnitude between about 1e-292 and 1e-177 are left out at
+# coupling 1e250..1e300: there a product entry near lambda * |E| stays below
+# 2**256 unrescaled and the next factor of lambda overflows the product itself,
+# in the scalar rule as in the sweep.
+huge_coupling = st.tuples(st.just(1e300) | st.floats(1e250, 1e300),
+                          st.lists(st.just(0.0) | signed(1e-150, 1.0), min_size=1, max_size=3))
+huge_energy = st.tuples(st.floats(0.0, 12.0),
+                        st.lists(signed(1e250, 1e300), min_size=1, max_size=3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    side=st.sampled_from(["right", "left"]),
+    k=st.integers(0, 12),
+    case=huge_coupling | huge_energy,
+    phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+)
+# at coupling 1e300 a derivative outgrows its product by about lambda per
+# level: its lane leaves the product's exponent and takes the general add
+@example(side="right", k=12, case=(1e300, [-1.0, 0.0, 1.0]), phase=0)
+@example(side="left", k=12, case=(1e300, [-1.0, 0.0, 1.0]), phase=0)
+# at |E| = 1e300 a derivative lies about 1e-300 below its product, and its
+# small entries fall below the normal range in the shared exponent
+@example(side="right", k=12, case=(12.0, [-1e300, 1e300]), phase=0)
+@example(side="left", k=12, case=(12.0, [-1e300, 1e300]), phase=0)
+def test_huge_lanes_keep_the_derivative_traces_of_the_add_rule(side, k, case, phase):
+    # everything but the entries of dM/dE keeps the bits of the scalar rule
+    lam, energies = case
+    theta = PhasePoint(phase)
+    references = [scalar_reference(side, k, E, lam, theta) for E in energies]
+    for carry in ("norms", "peaks"):
+        lanes = lane_results(side, k, energies, lam, theta, carry)
+        for lane, reference in zip(lanes, references):
+            assert ([(m, *rest) for m, _, *rest in lane]
+                    == [(m, *rest) for m, _, *rest in carried(reference, carry)])
+
+
+def test_derivative_lanes_leave_their_product_only_past_the_limit():
+    # at coupling 1e300 some derivative lane takes an exponent of its own; in
+    # the examples of the tests above at lambda 12 none does
+    for side in ("right", "left"):
+        marks = TR._sweep(side, np.array([-1.0, 0.0, 1.0]), 1e300, PhasePoint.zero(),
+                          [fib_number(j) for j in range(13)], deriv=True, peaks=True)
+        assert (marks[-1].de != marks[-1].e).any()
+        for carry in ("norms", "peaks"):
+            marks = TR._sweep(side, np.array([BAND_CENTER, 3.0, 20.0, -8.0]), 12.0,
+                              PhasePoint.zero(), [fib_number(j) for j in range(15)],
+                              deriv=True, **{carry: True})
+            assert all((mark.de == mark.e).all() for mark in marks)
+            assert min(marks[-1].e[2:]) > 256  # the far lanes rescale
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,6 +295,10 @@ phases = st.sampled_from([0, 1 << (PRECISION_BITS - 1)]) | st.integers(
          lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, prefix=0.5, shuffle=random.Random(0))
 @example(groups=[("left", 0), ("right", 0)], k=9, lam=0.0, energies=[0.0, -0.0], far=6.0,
          prefix=1.0, shuffle=random.Random(1))
+# derivative lanes that leave their product's exponent beside lanes that keep
+# it: the general add must keep the bits of the shared one
+@example(groups=[("right", 0), ("left", 1 << (PRECISION_BITS - 1))], k=12, lam=1e300,
+         energies=[-1.0, 0.0], far=6.0, prefix=0.5, shuffle=random.Random(2))
 def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, prefix,
                                                  shuffle):
     # lanes of any (side, phase) groups in any order, derivatives on a prefix:
