@@ -200,7 +200,7 @@ def cmd_words(cfg: RunConfig) -> int:
         s = W.fib_word(k)
         b = W.special_word(k)
         _, distinct = W.cyclic_permutations(s)
-        census = len(W.subwords(W.saturation_prefix_length(len(s)), len(s), validate=False))
+        census = len(W.subwords(len(s)))
         identity = W.fibonacci_identity_check(k) if k >= 1 else 1
         rows.append((k, W.fib_number(k), W.height(s),
                      s.to01()[-2:] if len(s) >= 2 else s.to01(),
@@ -218,7 +218,7 @@ def cmd_words(cfg: RunConfig) -> int:
 
     complexity_ok = True
     for n in range(1, cfg.subword_max + 1):
-        if len(W.subwords(W.saturation_prefix_length(n), n, validate=False)) != n + 1:
+        if len(W.subwords(n)) != n + 1:
             complexity_ok = False
             failures.append(f"complexity n={n}")
 
@@ -396,7 +396,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         if cfg.lam <= 8.0:
             raise ConfigError("automatic exponent calibration needs coupling > 8; pass --p")
         label = "1/2"
-        (row,) = DY.exponent_trend([cfg.lam], parse_theta(label), T_grid=cfg.T_grid)
+        row = DY.exponent_trend(cfg.lam, parse_theta(label), T_grid=cfg.T_grid)
         p_used = row.p_fit
         trend = {"theta": label, "p_fit": row.p_fit, "N_used": row.box_steps[-1][0],
                  "box_steps": row.box_steps}

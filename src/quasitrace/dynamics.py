@@ -691,34 +691,25 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
                        tuple(records), g_emp, n_used, solver, box_steps)
 
 
-def exponent_trend(lambdas, theta: PhasePoint,
-                   T_grid=(10.0, 30.0, 100.0, 300.0, 1000.0)) -> list[TrendRow]:
-    """Smallest window exponent keeping the Abel mass at 1/2 or more, per coupling.
+def exponent_trend(lam: float, theta: PhasePoint,
+                   T_grid=(10.0, 30.0, 100.0, 300.0, 1000.0)) -> TrendRow:
+    """Smallest window exponent keeping the Abel mass at 1/2 or more.
 
     p_fit is the smallest p of `_TREND_P_GRID` whose masses at radius T**p
     reach `_TREND_FLOOR` at every timescale.  The box is the first certified
     one of the doubling from 2 * `_BOX_MARGIN`, with every site up to the largest window
     tracked; a window that covers the box is clipped to it, whose mass 1 is
-    the true mass up to the certified error.  Each row keeps the boxes tried,
+    the true mass up to the certified error.  The row keeps the boxes tried,
     the last one certified.
     """
+    if lam <= 8.0:
+        raise ValueError("exponent calibration expects a coupling above 8")
     ts = sorted(float(T) for T in T_grid)
-    rows = []
-    for lam in lambdas:
-        if lam <= 8.0:
-            raise ValueError("exponent calibration expects couplings above 8")
-        top = math.floor(max(ts) ** max(_TREND_P_GRID)) + 1
-        per_t, _, _, steps = _certified_box(lam, theta, ts, 2 * _BOX_MARGIN, top)
-        n_box = steps[-1][0]
-        p_fit = None
-        fitted = []
-        for p in _TREND_P_GRID:
-            table = [(p, t, _window_mass(m, min(t**p, n_box))) for t, m in zip(ts, per_t)]
-            if all(mass >= _TREND_FLOOR for _, _, mass in table):
-                p_fit = p
-                fitted = table
-                break
-        if p_fit is None:
-            raise AssertionError(f"no exponent on the grid confines coupling {lam}")
-        rows.append(TrendRow(lam, p_fit, tuple(fitted), steps))
-    return rows
+    top = math.floor(max(ts) ** max(_TREND_P_GRID)) + 1
+    per_t, _, _, steps = _certified_box(lam, theta, ts, 2 * _BOX_MARGIN, top)
+    n_box = steps[-1][0]
+    for p in _TREND_P_GRID:
+        table = [(p, t, _window_mass(m, min(t**p, n_box))) for t, m in zip(ts, per_t)]
+        if all(mass >= _TREND_FLOOR for _, _, mass in table):
+            return TrendRow(lam, p, tuple(table), steps)
+    raise AssertionError(f"no exponent on the grid confines coupling {lam}")

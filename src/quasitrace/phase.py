@@ -24,7 +24,6 @@ from fractions import Fraction
 __all__ = [
     "PRECISION_BITS",
     "PhasePoint",
-    "EndpointMonitor",
     "omega",
 ]
 
@@ -76,28 +75,6 @@ def _nearest(value: Fraction) -> PhasePoint:
     frac = value % 1
     raw = ((frac.numerator << (PRECISION_BITS + 1)) // frac.denominator + 1) >> 1
     return PhasePoint(raw % _ONE)
-
-
-class EndpointMonitor:
-    """Diagnostic channel recording orbit points that graze the coding interval.
-
-    A hit is an evaluation landing within 2**-64 of either endpoint of the
-    half-open interval [1 - omega, 1).  Hits are resolved deterministically by
-    the fixed-point comparison; the monitor only reports them.
-    """
-
-    def __init__(self, max_samples: int = 32):
-        self.hits = 0
-        self.samples: list[tuple[int, float]] = []
-        self._max_samples = max_samples
-
-    def record(self, n: int, distance: float) -> None:
-        self.hits += 1
-        if len(self.samples) < self._max_samples:
-            self.samples.append((n, distance))
-
-    def __repr__(self):
-        return f"EndpointMonitor(hits={self.hits})"
 
 
 # (sqrt(5) - 1)/2 * 2**128 rounded to nearest: isqrt gives floor(sqrt(5) * 2**128),

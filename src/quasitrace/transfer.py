@@ -11,26 +11,29 @@ Rescaling by powers of two is exact, so the extended representation changes
 nothing but the dynamic range.
 
 Scalar layer.  A tuple (a, b, c, d, e) means 2**e * [[a, b], [c, d]].  `_mul`
-multiplies two of them and rescales when an entry passes 2**256; `_add` does
-the same for sums; `_norm_sq` gives the squared spectral norm as an XReal.
-They are the specification the sweep keeps bit for bit (see "Byte identity"),
-and the tests build their scalar products on them.
+multiplies two of them and rescales when an entry passes its threshold,
+`_lane_limit` of the energy: 2**256, or 2**1022 / g where that is lower, g =
+max(|E|, |E - lam|) + 1, so that the next factor cannot overflow.  `_add`
+rescales sums past 2**256; `_norm_sq` gives the squared spectral norm as an
+XReal.  They are the specification the sweep keeps bit for bit (see "Byte
+identity"), and the tests build their scalar products on them.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
-one-site matrices along the potential for many lanes at once.  A lane has an
-energy, a side and a phase; the lanes of one (side, phase) form a group and
-step along that group's half-line and potential.  A `traces` run over P
-phases makes 1 + P sweeps: `phase_traces` sweeps both sides of every phase
-and the phase-zero reference in one, with the right derivatives, and per
-phase `norm_profile` sums the right and left norms in one.  The margins of
-`norm_trace_margin` read their derivatives and norm sums off these sweeps.
+one-site matrices along the potential for many lanes at once: the lanes are
+(side, phase) groups times one grid of energies, and each group steps along
+its half-line and potential.  A `traces` run over P phases makes 1 + P
+sweeps: `phase_traces` sweeps both sides of every phase and the phase-zero
+reference in one, with the right derivatives, and per phase `norm_profile`
+sums the right and left norms in one.  The margins of `norm_trace_margin`
+read their derivatives and norm sums off these sweeps.
 
 - lane state: the four float64 entries of the product and an int64 exponent
-  per lane; with derivatives, the same again for dM/dE on a prefix of the
-  lanes, whose exponent is that of its product (see "Derivative lanes").
-  The entries live in two preallocated buffers, and each site steps
-  from one into the other with `out=` (see "Calls per site").  The loop over
-  sites does only the 2x2 step, rescale and derivative.
+  per lane; with derivatives, the same again for dM/dE on the lanes of a
+  prefix of the groups, whose exponent is that of its product (see
+  "Derivative lanes").  The entries live in two preallocated buffers, and
+  each site steps from one into the other with `out=` (see "Calls per
+  site").  The loop over sites does only the 2x2 step, rescale and
+  derivative.
 - factors: a (sites, groups) array of potential symbols; per block of B sites
   one lookup gives every lane its factors, so memory is O(lanes * B +
   sites * groups) however many groups share the sweep (B as below with
@@ -56,9 +59,9 @@ on its own (no fused multiply-add), and frexp/ldexp by powers of two are
 exact.  Two rewrites keep the bits: x * 1.0 is x, and x * -1.0 + y is y - x.
 The 0.0 * x terms are kept, because they fix the sign of zero entries.  The
 rescale check is skipped only while a running upper bound on the entries
-shows that no lane can pass 2**256, so each lane rescales at exactly the
-sites where the scalar code does, and never because another lane did.  With
-peaks no bound is kept and every site is checked.
+shows that no lane can pass its threshold, so each lane rescales at exactly
+the sites where the scalar code does, and never because another lane did.
+With peaks no bound is kept and every site is checked.
 
 `_renorm` takes each lane's largest |entry| mx before it rescales, and with
 peaks every site is checked, so that one maximum serves both the check and the
@@ -79,8 +82,8 @@ does `_add_lanes`: adding the other operand's 0.0 would turn a -0.0 entry
 into 0.0.
 
 Derivative lanes.  A derivative lane shares its product lane's exponent e:
-it is not checked against 2**256, and `_renorm` copies its owner's ex to it
-before the one `take` of the scales, so it takes every rescale of its owner.
+it is not checked against a threshold, and `_renorm` copies its owner's ex to
+it before the one `take` of the scales, so it takes every rescale of its owner.
 Both operands of the product rule, T dM and (X, 0), then carry the exponent
 of the old product, and the rule is one `np.add`.  The scalar rule rescales
 T dM on its own and aligns the operands of `_add` by 2**shift; all of these
@@ -142,9 +145,9 @@ step of dM/dE plus X of the old product (see `_sweep`), run as extra lanes
 after the products, with the factors and signs of the lanes they belong to.
 Which lanes share the sweep, and in what order, changes no product lane's
 bits and no derivative's values: every operation is elementwise, and a
-product lane rescales only where its own entries pass 2**256.  Each lane's
-factor is E or E - lam of its own energy, picked by its group's symbol at
-the site.  On every side, one gather per block puts each lane's entries in
+product lane rescales only where its own entries pass its own threshold.
+Each lane's factor is E or E - lam of its own energy, picked by its group's
+symbol at the site.  On every side, one gather per block puts each lane's entries in
 (a, b, c, d) order before its squared norms, so the squares add in the order
 of `_norm_sq`.
 
@@ -166,40 +169,21 @@ and the exponents.  Counting ufunc calls, ufunc methods, numpy functions and
 the reducing ndarray methods (not numpy scalar arithmetic or indexing), each
 weighted by how often its branch runs, the `phase_traces` sweep of the
 benchmark's `traces-large` run (17,711 sites, 288 product lanes and 96
-derivative lanes) made per site, in the step, its check and rescale, the
-derivative and the peaks, and took in CPU seconds (median of 8 fresh
-processes each, alternating, on a 2-vCPU Xeon):
+derivative lanes) made per site, in the step, its check and rescale and the
+derivative, and took in CPU seconds (median of 8 fresh processes, on a 2-vCPU
+Xeon):
 
-                          step   renorm  derivative  peaks  total  seconds
-    per-site arrays        3.0     10.8        18.7    2.0   34.5     1.46
-    two buffers, `out=`    2.0     10.1        10.6      -   22.6     1.13
-    pre-rescale peaks      2.0      8.3        10.0      -   20.3     0.71
-    shared exponent        2.0      7.7         1.0      -   10.8     0.53
+                          step   renorm  derivative  total  seconds
+    shared exponent        2.0      7.7         1.0   10.8     0.53
 
-In the first three rows every derivative lane had an exponent of its own: the
-step checked and rescaled the derivative lanes with the products (it rescaled
-at 15,618 sites), and after their `_add` they were checked again, and rescaled
-at 8 sites.  The first row allocated each step's result, concatenated the
-derivative's operands and results, took the scales of `_add` by `ldexp(1.0,
-minimum(...))` and its reductions through the `ndarray` wrappers, and took the
-peaks in a pass of their own.  The second row rescaled the maxima with their
-lanes for the peaks and took a new bound at every rescale, and checked the
-derivative lanes lane by lane at 15,020 sites, as its bound came from the
-product lanes near 2**256.  The third row took the peaks from the maxima
-before the rescale, checked the derivative lanes with one maximum over all of
-them, and built the work arrays of `_add_lanes` and the per-site views of the
-factors once per sweep.  Its seconds come from a later series of 24 fresh
-processes each, alternating with the second row, which took 0.88 s there; the
-third row was lower in 21 of the 24 pairs.  `_add_lanes` stays a function: by
-`timeit` on 96 lanes the call costs at most 0.3 us per site over its body
-inlined in the loop, and its own test holds it to `_add` at the |shift| edges.
-The fourth row shares the products' exponents (see "Derivative lanes"): the
-step checks only the product lanes and rescales at 13,951 sites, and the
+The step checks only the product lanes and rescales at 13,951 sites, and the
 derivative is one add per site plus the check of `d_bound`, 0.02 calls per
-site at its 89 sites.  Its seconds come from a series of 8 fresh processes
-each, alternating with the third row, which took 0.73 s there; the fourth row
-was lower in 8 of the 8 pairs.  Without its 96 derivative lanes the same sweep
-took 0.48 s in that series.
+site at its 89 sites (see "Derivative lanes").  Without its 96 derivative
+lanes the same sweep took 0.48 s.  Where some lane's threshold is below
+2**256, which needs a factor of 2**766 or more, each check takes one more
+call for the least threshold.  `_add_lanes` stays a function: by `timeit` on
+96 lanes the call costs at most 0.3 us per site over its body inlined in the
+loop, and its own test holds it to `_add` at the |shift| edges.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` are one-group calls of the sweep that the `traces` command
@@ -266,7 +250,18 @@ class MarginViolationError(AssertionError):
 # scalar representation: (a, b, c, d, e) meaning 2**e * [[a, b], [c, d]]
 # ----------------------------------------------------------------------------
 
-def _mul(m1, m2):
+def _lane_limit(E, lam: float):
+    """The rescale threshold of a product at energy E (a number or an array).
+
+    A step multiplies the largest entry by at most g = max(|E|, |E - lam|) + 1,
+    so entries up to 2**1022 / g stay finite through the next one; the
+    threshold is that or 2**256, whichever is lower, and 2**256 for g below
+    2**766.
+    """
+    return np.minimum(_RENORM, 2.0**1022 / (np.maximum(np.abs(E), np.abs(E - lam)) + 1.0))
+
+
+def _mul(m1, m2, limit=_RENORM):
     a1, b1, c1, d1, e1 = m1
     a2, b2, c2, d2, e2 = m2
     a = a1 * a2 + b1 * c2
@@ -274,7 +269,7 @@ def _mul(m1, m2):
     c = c1 * a2 + d1 * c2
     d = c1 * b2 + d1 * d2
     mx = max(abs(a), abs(b), abs(c), abs(d))
-    if mx > _RENORM:
+    if mx > limit:
         ex = _frexp(mx)[1]
         s = _ldexp(1.0, -ex)
         return (a * s, b * s, c * s, d * s, e1 + e2 + ex)
@@ -330,7 +325,7 @@ def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
 
 
 # ----------------------------------------------------------------------------
-# the sweep kernel: one lane per energy
+# the sweep kernel: one lane per (side, phase) group and energy
 # ----------------------------------------------------------------------------
 
 # The product of each lane is 2**e * [[a, b], [c, d]], its entries stacked as
@@ -382,25 +377,27 @@ def _renorm(m, e, bound, mx=None, out=None, owned=0, limit=_RENORM):
     """The rescale of `_mul` and `_add`, per lane, in place on `m`.
 
     `m` holds the entries of each lane along its last axis, and `bound` is an
-    upper bound on every |entry|, or inf where none is kept.  While it stays
-    at or below `limit` no lane can need rescaling and nothing is checked;
-    otherwise each lane's largest |entry| goes to `mx` (a new array if None),
-    and only lanes whose own largest entry passes `limit` are rescaled.  Their
-    new exponents go to `out` (a new array if None).  With a finite `bound`,
-    `mx` is rescaled with its lanes and its largest value is the new bound;
-    with inf, `mx` keeps the maxima from before the rescale, which with the
-    exponents from before it give the peaks (see "Byte identity"), and the
-    bound stays inf.  The last `owned` lanes are the derivatives of the first
-    `owned` ones: they are not checked, they take their owner's rescale, and
-    the bound does not cover them (see "Derivative lanes").  Returns
-    (m, e, bound).
+    upper bound on every |entry|, or inf where none is kept.  `limit` is the
+    rescale threshold, one number or one per lane (`_lane_limit`).  While the
+    bound stays at or below the least limit no lane can need rescaling and
+    nothing is checked; otherwise each lane's largest |entry| goes to `mx` (a
+    new array if None), and only lanes whose own largest entry passes their
+    limit are rescaled.  Their new exponents go to `out` (a new array if None).
+    With a finite `bound`, `mx` is rescaled with its lanes and its largest
+    value is the new bound; with inf, `mx` keeps the maxima from before the
+    rescale, which with the exponents from before it give the peaks (see "Byte
+    identity"), and the bound stays inf.  The last `owned` lanes are the
+    derivatives of the first `owned` ones: they are not checked, they take
+    their owner's rescale, and the bound does not cover them (see "Derivative
+    lanes").  Returns (m, e, bound).
     """
-    if bound <= limit:
+    least = limit if isinstance(limit, float) else float(limit.min())
+    if bound <= least:
         return m, e, bound
     mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0, out=mx)
     lanes = mx.size - owned
     top = float(np.maximum.reduce(mx[:lanes], initial=0.0))
-    if top <= limit:
+    if top <= least:
         return m, e, top if bound < math.inf else bound
     ex = np.frexp(mx)[1]
     ex *= mx > limit  # 0 on the other lanes: a scale of 1.0 keeps their bits
@@ -477,18 +474,6 @@ def _running_sums(m, e, carry):
     return sum_m, ex + top
 
 
-def _lanes_by_group(side, theta, size: int):
-    """Per-lane (side, phase) pairs -> (groups, group index per lane, sides per lane)."""
-    sides = [side] * size if isinstance(side, str) else list(side)
-    thetas = [theta] * size if isinstance(theta, PhasePoint) else list(theta)
-    if len(sides) != size or len(thetas) != size or not set(sides) <= {"right", "left"}:
-        raise ValueError("a sweep takes 'right' or 'left' and a phase per lane")
-    index: dict = {}
-    group = np.array([index.setdefault(pair, len(index)) for pair in zip(sides, thetas)],
-                     dtype=np.intp)
-    return list(index), group, sides
-
-
 def _symbols(groups, top: int) -> np.ndarray:
     """(top, groups) booleans: whether the n-th factor of each group has potential 1."""
     rows = [_potential_pattern(theta, 1, top) if side == "right"
@@ -498,40 +483,46 @@ def _symbols(groups, top: int) -> np.ndarray:
                     axis=1)
 
 
-def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int = False,
+def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
            norms: bool = False, peaks: bool = False) -> list[_Mark]:
-    """Multiply the one-site matrices for every energy lane; record at marks.
+    """Multiply the one-site matrices for every lane; record at marks.
 
-    Each lane has an energy, a side and a phase.  `side` is "right"
-    (T(n)...T(1) over sites 1..n) or "left" (T(0)T(-1)... over sites 0, -1,
-    ...), `theta` a PhasePoint, or either a sequence with one per lane; each
-    lane keeps its entries in the row order of its own side.  Lanes with the
-    same (side, phase) form a group and read their factors from one row of
-    symbols.  `marks` are increasing site counts >= 1.  `deriv` carries dM/dE
-    by the product rule, on every lane if True, or on the first `deriv` lanes
-    if an int; `norms` carries the running sum of squared norms over sites
-    1..n; `peaks` the least p with 2**e * |entry| < 2**p at every site 1..n.
-    Norms of unimodular products are at least 1, so the zero branches of
+    `groups` are (side, phase) pairs: side "right" is T(n)...T(1) over sites
+    1..n, "left" T(0)T(-1)... over sites 0, -1, ....  Every group sweeps
+    every energy of `E`: lane g * E.size + i is energy E[i] of group g, reads
+    its factors from the group's row of symbols and keeps its entries in the
+    row order of its side.  `marks` are increasing site counts >= 1.
+    `deriv` carries dM/dE by the product rule on the first `deriv` groups;
+    `norms` carries the running sum of squared norms over sites 1..n; `peaks`
+    the least p with 2**e * |entry| < 2**p at every site 1..n.  Norms of
+    unimodular products are at least 1, so the zero branches of
     `XReal.__add__` never apply after the first site.
 
     State is O(lanes * B + sites * groups): the factors of a block of sites
     are looked up at once, and with `norms` or `peaks` products wait in a
     buffer of B sites, and a mark gets those fields when its block is done.
     """
-    top, lanes = marks[-1], E.size
-    n_d = lanes if deriv is True else int(deriv)
-    if not 0 <= n_d <= lanes:
-        raise ValueError("derivatives are carried on a prefix of the lanes")
-    groups, group, sides = _lanes_by_group(side, theta, lanes)
+    if not {side for side, _ in groups} <= {"right", "left"}:
+        raise ValueError("a sweep takes ('right' or 'left', phase) groups")
+    if not 0 <= deriv <= len(groups):
+        raise ValueError("derivatives are carried on a prefix of the groups")
+    top, n = marks[-1], E.size
+    lanes, n_d = len(groups) * n, deriv * n
     symbols = _symbols(groups, top)
-    # the state holds the products, then dM/dE of the first n_d lanes: T dM is
-    # one more step, with the factors and signs of the lane it belongs to
-    group = np.concatenate((group, group[:n_d]))
-    E = np.concatenate((E, E[:n_d]))
+    # the state holds the products, then dM/dE of the first `deriv` groups: T dM
+    # is one more step, with the factors and signs of the lane it belongs to
+    owners = [*range(len(groups)), *range(deriv)]
+    group = np.repeat(owners, n)
+    left = np.repeat([groups[g][0] == "left" for g in owners], n)
+    E = np.tile(E, len(owners))
     span = E - lam
     width = lanes + n_d
-    left = np.array([s == "left" for s in sides + sides[:n_d]])
     sign = np.where(left, 1.0, -1.0)
+    # each product lane's rescale threshold: 2**256 unless its energy or
+    # coupling is near float range
+    limit = _lane_limit(E, lam)
+    if (limit == _RENORM).all():
+        limit = _RENORM
     # a step multiplies the largest entry by at most max |t| + 1; a Python
     # float, so that the bounds below go to inf without a warning
     growth = float((max(np.abs(E).max(initial=0.0), np.abs(span).max(initial=0.0)) + 1.0)
@@ -603,7 +594,7 @@ def _sweep(side, E: np.ndarray, lam: float, theta, marks, *, deriv: bool | int =
             d_bound = (d_bound + _RENORM) * growth
         if peaks:
             block_pe[j] = e[:lanes]
-        m, e, bound = _renorm(m, e, bound * growth, maxima[j], owned=n_d)
+        m, e, bound = _renorm(m, e, bound * growth, maxima[j], owned=n_d, limit=limit)
         if d_bound > d_limit:
             # lanes whose derivative passes the limit leave their owner's exponent
             de = e[lanes:]
@@ -678,7 +669,7 @@ def _trace_xreals(m, e) -> list[XReal]:
 
 def _traces_upto(side: str, k_max: int, E: Energies, lam: float, theta: PhasePoint):
     lanes, scalar = _lanes(E)
-    marks = _sweep(side, lanes, lam, theta, _fib_marks(k_max))
+    marks = _sweep([(side, theta)], lanes, lam, _fib_marks(k_max))
     return _per_energy([_trace_xreals(mark.m, mark.e) for mark in marks], scalar)
 
 
@@ -730,7 +721,7 @@ def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) ->
 def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> TraceTable:
     """The right `TraceTable` of `phase_traces` at one phase: traces, derivatives, peaks."""
     lanes, scalar = _lanes(E)
-    marks = _sweep("right", lanes, lam, theta, _fib_marks(k_max), deriv=True, peaks=True)
+    marks = _sweep([("right", theta)], lanes, lam, _fib_marks(k_max), deriv=1, peaks=True)
     return _trace_tables(marks, lanes.size, scalar, 1, 1)[0]
 
 
@@ -747,11 +738,8 @@ def phase_traces(k_max: int, E: Energies, lam: float, thetas):
     at_zero = next((i for i, theta in enumerate(thetas) if theta.raw == 0), None)
     groups = ([("right", theta) for theta in thetas] + [("left", theta) for theta in thetas]
               + ([("right", PhasePoint.zero())] if at_zero is None else []))
-    n = lanes.size
-    marks = _sweep([side for side, _ in groups for _ in range(n)], np.tile(lanes, len(groups)),
-                   lam, [theta for _, theta in groups for _ in range(n)], _fib_marks(k_max),
-                   deriv=len(thetas) * n, peaks=True)
-    tables = _trace_tables(marks, n, scalar, len(groups), len(thetas))
+    marks = _sweep(groups, lanes, lam, _fib_marks(k_max), deriv=len(thetas), peaks=True)
+    tables = _trace_tables(marks, lanes.size, scalar, len(groups), len(thetas))
     pairs = list(zip(tables, tables[len(thetas):2 * len(thetas)]))
     return pairs, tables[at_zero if at_zero is not None else -1]
 
@@ -779,10 +767,9 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
         raise ValueError("window lengths must be nonzero")
     blocks = [side for side, sign in (("right", 1), ("left", -1))
               if any(l * sign > 0 for l in ls)]
-    sides = [s for s in blocks for _ in lanes]
     mags = sorted(set(abs(l) for l in ls))
     edges = {n for l in mags for n in (math.floor(l), math.floor(l) + 1)} - {0}
-    at = {mark.n: mark for mark in _sweep(sides, np.tile(lanes, len(blocks)), lam, theta,
+    at = {mark.n: mark for mark in _sweep([(side, theta) for side in blocks], lanes, lam,
                                           sorted(edges), norms=True)}
     result: dict[float, list[XReal]] = {}
     for l in mags:
@@ -824,7 +811,8 @@ def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XR
 
     A margin below -1e-8 * scale falsifies the implementation and raises.
     """
-    (mark,) = _sweep("right", _lanes(E)[0], lam, theta, [fib_number(k)], deriv=True, norms=True)
+    (mark,) = _sweep([("right", theta)], _lanes(E)[0], lam, [fib_number(k)], deriv=1,
+                     norms=True)
     margin = norm_trace_margin(_xreals(mark.sum_m, mark.sum_e)[0],
                                _trace_xreals(mark.dm, mark.de)[0])
     if margin is None:

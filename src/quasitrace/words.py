@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .phase import PRECISION_BITS, PhasePoint, EndpointMonitor, omega
+from .phase import PRECISION_BITS, PhasePoint, omega
 
 __all__ = [
     "Word",
@@ -45,7 +45,7 @@ MAX_WORD_LEVEL = 40  # F_40 ~ 2.7e8 symbols; beyond that memory is the limit
 
 
 class SaturationError(ValueError):
-    """Prefix too short for the requested subword census to saturate."""
+    """Window too short for its factor census to saturate."""
 
 
 class PhaseClassificationError(AssertionError):
@@ -214,8 +214,7 @@ def fib_word(k: int) -> Word:
     return _FIB_WORDS[k]
 
 
-def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
-                   monitor: EndpointMonitor | None = None) -> Word:
+def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint) -> Word:
     """The word v(n_lo) v(n_lo+1) ... v(n_hi) of orbit codings.
 
     v(n) codes the orbit point n*omega~ + theta of the rotation by omega~,
@@ -223,8 +222,7 @@ def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
     left endpoint is inclusive, the right endpoint (= 0 mod 1) exclusive, and
     the comparison is exact in fixed point.  On the sites the commands reach,
     every point farther than 2**-111 from an endpoint is coded as by the
-    rotation by omega itself (the `phase` error model).  If a monitor is
-    supplied, evaluations within 2**-64 of either endpoint are recorded.
+    rotation by omega itself (the `phase` error model).
     """
     if n_lo > n_hi:
         raise ValueError("n_lo must not exceed n_hi")
@@ -234,20 +232,10 @@ def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint,
     left = one - om
     val = (n_lo * om + theta.raw) % one
     out = 0
-    if monitor is None:
-        for i in range(n_hi - n_lo + 1):
-            if val >= left:
-                out |= 1 << i
-            val = (val + om) & mask
-    else:
-        near = 1 << (PRECISION_BITS - 64)
-        for i in range(n_hi - n_lo + 1):
-            d = min(abs(val - left), val, one - val)
-            if d < near:
-                monitor.record(n_lo + i, d / one)
-            if val >= left:
-                out |= 1 << i
-            val = (val + om) & mask
+    for i in range(n_hi - n_lo + 1):
+        if val >= left:
+            out |= 1 << i
+        val = (val + om) & mask
     return Word(out, n_hi - n_lo + 1)
 
 
@@ -255,8 +243,8 @@ def saturation_prefix_length(n: int) -> int:
     """Prefix length guaranteeing every length-n factor has appeared.
 
     Uses the uniform-recurrence gap n + F(k+2) with k the smallest level
-    such that F(k) >= n.  The bound is validated empirically by the
-    prefix-doubling check in subwords().
+    such that F(k) >= n.  `test_saturation_prefix_holds_every_factor` checks
+    it by doubling the prefix, for n up to the cap of `--subword-max`.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
@@ -290,24 +278,9 @@ def _factor_values(word: Word, n: int) -> set[int]:
     return seen
 
 
-def subwords(prefix_length: int, n: int, validate: bool = True) -> SubwordSet:
-    """All length-n factors of the length-prefix_length prefix of the word.
-
-    Raises SaturationError if the prefix is below the recurrence bound, or if
-    validation is on and doubling the prefix still grows the factor set.
-    """
-    needed = saturation_prefix_length(n)
-    if prefix_length < needed:
-        raise SaturationError(
-            f"prefix {prefix_length} below the saturation bound {needed} for n={n}"
-        )
-    values = _factor_values(_prefix_word(prefix_length), n)
-    if validate:
-        doubled = _factor_values(_prefix_word(2 * prefix_length), n)
-        if doubled != values:
-            raise SaturationError(
-                f"factor census for n={n} still growing at prefix {prefix_length}"
-            )
+def subwords(n: int) -> SubwordSet:
+    """All length-n factors of the word, read off its saturated prefix."""
+    values = _factor_values(_prefix_word(saturation_prefix_length(n)), n)
     return SubwordSet(n, frozenset(Word(v, n) for v in values))
 
 
@@ -386,6 +359,6 @@ def hull_membership_check(window: Word, n: int) -> bool:
             f"window of length {len(window)} too short for a length-{n} hull check"
             f" (need {needed})"
         )
-    reference = subwords(needed, n, validate=False)
+    reference = subwords(n)
     observed = _factor_values(window, n)
     return observed == {w.bits for w in reference.members}

@@ -253,7 +253,7 @@ def test_one_sweep_per_solve(monkeypatch):
     assert calls == [1, 1] and boxes == [60, 60]
     calls.clear()
     boxes.clear()
-    DY.exponent_trend([10.0], HALF, T_grid=(10.0, 30.0))
+    DY.exponent_trend(10.0, HALF, T_grid=(10.0, 30.0))
     assert boxes == [32 * 2**i for i in range(len(boxes))]
     assert calls == [1] * len(boxes)
 

@@ -7,7 +7,7 @@ import importlib
 import pytest
 
 PUBLIC = {
-    "phase": {"PRECISION_BITS", "PhasePoint", "EndpointMonitor", "omega"},
+    "phase": {"PRECISION_BITS", "PhasePoint", "omega"},
     "words": {
         "Word", "SubwordSet", "ParityReport", "SaturationError", "PhaseClassificationError",
         "substitute", "fib_number", "fib_word", "rotation_block",

@@ -645,6 +645,27 @@ def test_traces_huge_coupling_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of a traces run at coupling 1e300 and energies near 1e-250, where
+# lambda * |E| lies below 2**256 but one more factor of lambda overflows: the
+# run exited 1 with an OverflowError until each lane rescaled below
+# 2**1022 / g, g its largest factor plus one.  Its 33 traces and derivatives
+# were within 2.4e-12 relative of the phase-zero recursion at 200 digits.
+TRACES_TINY_ENERGY_SHA256 = {
+    "traces.csv": "71d40ec8b3285ec0191d6ceadfcee34c42f2261116ac7fa92e3368d4672d8e8e",
+    "margins.csv": "5d5b1f102eac4cb2af63a5afcd03129e58addc34047ce296eef2e38760c0f7b7",
+    "norms.csv": "3434db5e0d97078ce469ffd245439aff28b78ea5fcda3f367cfcffe32ddd2167",
+    "traces_summary.json":
+        "88f7eb65ab3c63b0cae7cb10a7813015926e0ee8d9fe901d392c524bcb85fffd",
+}
+
+
+def test_traces_huge_coupling_tiny_energy_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--lambda", "1e300", "--k-max", "10",
+                 "--energies=1e-250:3e-250:3", "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_TINY_ENERGY_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of the default spectrum outputs, copied from the paper-default entry
 # of bench/digests.json; they were taken with one trace_grid call per segment.
 SPECTRUM_DEFAULT_SHA256 = {
@@ -685,6 +706,22 @@ def test_default_outputs_are_pinned(tmp_path, command):
                       env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     for name, digest in DEFAULT_SHA256[command].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a words run that drives the factor census to n = 300 and codes
+# three random phases up to F(20), taken before `subwords` lost its prefix
+# length and self-check and `rotation_block` its endpoint monitor
+WORDS_LARGE_SHA256 = {
+    "words.csv": "9a7858dfb13e09cf37aad051939e67727a8c926c0702a494abc7ad4e2c10a9fc",
+    "parity.json": "1fbad8d632a3360aeadc83fc1aabae8157c77da4d9fd3806f4a1fb48defbcb30",
+}
+
+
+def test_words_large_outputs_are_pinned(tmp_path):
+    assert main(["words", "--k-max", "20", "--random-thetas", "3", "--subword-max", "300",
+                 "--out", str(tmp_path)]) == 0
+    for name, digest in WORDS_LARGE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 

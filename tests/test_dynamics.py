@@ -297,12 +297,12 @@ def test_clipped_edge_mass_keeps_a_positive_bound(monkeypatch):
 
 def test_exponent_trend_rejects_weak_coupling():
     with pytest.raises(ValueError):
-        DY.exponent_trend([5.0], TH0, T_grid=(10.0,))
+        DY.exponent_trend(5.0, TH0, T_grid=(10.0,))
 
 
 def test_exponent_trend_small():
-    rows = DY.exponent_trend([10.0], HALF, T_grid=(10.0, 30.0))
-    (row,) = rows
+    row = DY.exponent_trend(10.0, HALF, T_grid=(10.0, 30.0))
+    assert isinstance(row, DY.TrendRow) and row.lam == 10.0
     assert 0.05 <= row.p_fit <= 1.0
     assert all(m >= 0.5 for _, _, m in row.masses)
     sizes = [n for n, _ in row.box_steps]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quasitrace.phase import PRECISION_BITS, EndpointMonitor, PhasePoint, omega
+from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 
 RAWS = st.integers(0, (1 << PRECISION_BITS) - 1)
 HALF_ULP = Fraction(1, 1 << (PRECISION_BITS + 1))
@@ -44,13 +44,6 @@ def test_raw_range_enforced():
         PhasePoint(1 << PRECISION_BITS)
     with pytest.raises(ValueError):
         PhasePoint(-1)
-
-
-def test_monitor_records_hits():
-    mon = EndpointMonitor(max_samples=4)
-    mon.record(7, 1e-30)
-    assert mon.hits == 1
-    assert mon.samples == [(7, 1e-30)]
 
 
 # ---------------------------------------------------------------------------

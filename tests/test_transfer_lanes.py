@@ -13,8 +13,9 @@ at coupling or energy near 1e300 its entries 1e-300 below its largest leave
 the normal range, and there its traces are held to the scalar rule.  Norm
 sums are taken a block of sites at a time, so marks on both sides of every
 block edge, and windows whose edge term opens the next block, are held to
-the scalar sums.  Lanes of several (side, phase) groups in one sweep, with
-derivatives on a prefix of them, keep the bits of a sweep per group.
+the scalar sums.  Several (side, phase) groups in one sweep, in any order,
+over energies in any order, with derivatives on a prefix of the groups, keep
+the bits of a sweep per group.
 """
 
 import math
@@ -71,16 +72,17 @@ def scalar_reference(side, k, E, lam, theta):
     marks = {fib_number(j) for j in range(k + 1)}
     m, d = (1.0, 0.0, 0.0, 1.0, 0), (0.0, 0.0, 0.0, 0.0, 0)
     total, high = XReal(), -math.inf
+    limit = TR._lane_limit(E, lam)
     out = []
     for n in range(1, fib_number(k) + 1):
         if side == "right":  # T(n) ... T(1); (T M)' = T' M + T M'
             t = local_matrix(n, E, lam, theta)
-            d = TR._add((m[0], m[1], 0.0, 0.0, m[4]), TR._mul(t, d))
-            m = TR._mul(t, m)
+            d = TR._add((m[0], m[1], 0.0, 0.0, m[4]), TR._mul(t, d, limit))
+            m = TR._mul(t, m, limit)
         else:  # T(0) T(-1) ... T(1 - n); (M T)' = M T' + M' T
             t = local_matrix(1 - n, E, lam, theta)
-            d = TR._add((m[0], 0.0, m[2], 0.0, m[4]), TR._mul(d, t))
-            m = TR._mul(m, t)
+            d = TR._add((m[0], 0.0, m[2], 0.0, m[4]), TR._mul(d, t, limit))
+            m = TR._mul(m, t, limit)
         total = total + TR._norm_sq(m)
         high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
         if n in marks:
@@ -100,8 +102,8 @@ def lane_values(side, m, e, i):
 def lane_results(side, k, energies, lam, theta, carry):
     """Per lane, per mark F(0..k): the records of `scalar_reference`, from a
     sweep that carries "norms" or "peaks"; None for the field it does not."""
-    marks = TR._sweep(side, np.array(energies, dtype=float), lam, theta,
-                      [fib_number(j) for j in range(k + 1)], deriv=True, **{carry: True})
+    marks = TR._sweep([(side, theta)], np.array(energies, dtype=float), lam,
+                      [fib_number(j) for j in range(k + 1)], deriv=1, **{carry: True})
     lanes = []
     for i in range(len(energies)):
         records = []
@@ -156,12 +158,12 @@ def signed(lo, hi):
 
 
 # coupling near 1e300 with energies in [-1, 1], or energies near +-1e300.
-# Energies of magnitude between about 1e-292 and 1e-177 are left out at
-# coupling 1e250..1e300: there a product entry near lambda * |E| stays below
-# 2**256 unrescaled and the next factor of lambda overflows the product itself,
-# in the scalar rule as in the sweep.
+# At energies of magnitude 1e-292..1e-177 a product entry near lambda * |E|
+# lies below 2**256 but above 2**1022 / lambda, so only the lane's own
+# threshold (`_lane_limit`) keeps the next factor of lambda from overflowing.
 huge_coupling = st.tuples(st.just(1e300) | st.floats(1e250, 1e300),
-                          st.lists(st.just(0.0) | signed(1e-150, 1.0), min_size=1, max_size=3))
+                          st.lists(st.just(0.0) | signed(1e-150, 1.0) | signed(1e-292, 1e-177),
+                                   min_size=1, max_size=3))
 huge_energy = st.tuples(st.floats(0.0, 12.0),
                         st.lists(signed(1e250, 1e300), min_size=1, max_size=3))
 
@@ -181,6 +183,9 @@ huge_energy = st.tuples(st.floats(0.0, 12.0),
 # small entries fall below the normal range in the shared exponent
 @example(side="right", k=12, case=(12.0, [-1e300, 1e300]), phase=0)
 @example(side="left", k=12, case=(12.0, [-1e300, 1e300]), phase=0)
+# lambda * |E| near 1e29: below 2**256, so a threshold of 2**256 alone lets
+# the next factor of lambda overflow at site 4
+@example(side="right", k=10, case=(1e300, [3.49e-271, -1e-250, 1e-177]), phase=0)
 def test_huge_lanes_keep_the_derivative_traces_of_the_add_rule(side, k, case, phase):
     # everything but the entries of dM/dE keeps the bits of the scalar rule
     lam, energies = case
@@ -197,13 +202,13 @@ def test_derivative_lanes_leave_their_product_only_past_the_limit():
     # at coupling 1e300 some derivative lane takes an exponent of its own; in
     # the examples of the tests above at lambda 12 none does
     for side in ("right", "left"):
-        marks = TR._sweep(side, np.array([-1.0, 0.0, 1.0]), 1e300, PhasePoint.zero(),
-                          [fib_number(j) for j in range(13)], deriv=True, peaks=True)
+        group = [(side, PhasePoint.zero())]
+        marks = TR._sweep(group, np.array([-1.0, 0.0, 1.0]), 1e300,
+                          [fib_number(j) for j in range(13)], deriv=1, peaks=True)
         assert (marks[-1].de != marks[-1].e).any()
         for carry in ("norms", "peaks"):
-            marks = TR._sweep(side, np.array([BAND_CENTER, 3.0, 20.0, -8.0]), 12.0,
-                              PhasePoint.zero(), [fib_number(j) for j in range(15)],
-                              deriv=True, **{carry: True})
+            marks = TR._sweep(group, np.array([BAND_CENTER, 3.0, 20.0, -8.0]), 12.0,
+                              [fib_number(j) for j in range(15)], deriv=1, **{carry: True})
             assert all((mark.de == mark.e).all() for mark in marks)
             assert min(marks[-1].e[2:]) > 256  # the far lanes rescale
 
@@ -221,13 +226,15 @@ def test_derivative_lanes_leave_their_product_only_past_the_limit():
          shuffle=random.Random(0))
 @example(k=9, lam=0.0, energies=[0.0, -0.0], far=6.0, phase=0, shuffle=random.Random(1))
 def test_two_sided_lanes_match_scalar_products(k, lam, energies, far, phase, shuffle):
-    # one lane per energy and side, the sides mixed in any order
+    # one lane per energy and side, the sides and the energies in any order
     theta = PhasePoint(phase)
     energies = energies + [lam + far, -far]  # off the spectrum: these rescale
-    lanes = [(side, E) for E in energies for side in ("right", "left")]
-    shuffle.shuffle(lanes)
-    marks = TR._sweep([side for side, _ in lanes], np.array([E for _, E in lanes]), lam,
-                      theta, [fib_number(j) for j in range(k + 1)], norms=True)
+    sides = ["right", "left"]
+    shuffle.shuffle(sides)
+    shuffle.shuffle(energies)
+    marks = TR._sweep([(side, theta) for side in sides], np.array(energies), lam,
+                      [fib_number(j) for j in range(k + 1)], norms=True)
+    lanes = [(side, E) for side in sides for E in energies]
     for i, (side, E) in enumerate(lanes):
         want = [(m_raw, values[0], *total)
                 for m_raw, _, values, total, _ in scalar_reference(side, k, E, lam, theta)]
@@ -301,22 +308,23 @@ phases = st.sampled_from([0, 1 << (PRECISION_BITS - 1)]) | st.integers(
          energies=[-1.0, 0.0], far=6.0, prefix=0.5, shuffle=random.Random(2))
 def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, prefix,
                                                  shuffle):
-    # lanes of any (side, phase) groups in any order, derivatives on a prefix:
-    # each lane keeps the bits of a sweep of its group alone
+    # any (side, phase) groups, repeats included, in any order over energies
+    # in any order, derivatives on a prefix of the groups: each lane keeps the
+    # bits of a sweep of its group alone
     energies = energies + [lam + far, -far]  # off the spectrum: these rescale
-    lanes = [(side, PhasePoint(phase), E) for side, phase in groups for E in energies]
-    shuffle.shuffle(lanes)
-    n_d = round(prefix * len(lanes))
+    groups = [(side, PhasePoint(phase)) for side, phase in groups]
+    shuffle.shuffle(groups)
+    shuffle.shuffle(energies)
+    n, deriv = len(energies), round(prefix * len(groups))
     marks = [fib_number(j) for j in range(k + 1)]
-    grouped = TR._sweep([s for s, _, _ in lanes], np.array([E for _, _, E in lanes]), lam,
-                        [t for _, t, _ in lanes], marks, deriv=n_d, norms=True, peaks=True)
-    for side, theta in {(s, t) for s, t, _ in lanes}:
-        own = [i for i, (s, t, _) in enumerate(lanes) if (s, t) == (side, theta)]
-        alone = TR._sweep(side, np.array([lanes[i][2] for i in own]), lam, theta, marks,
-                          deriv=True, norms=True, peaks=True)
+    grouped = TR._sweep(groups, np.array(energies), lam, marks, deriv=deriv, norms=True,
+                        peaks=True)
+    for g, group in enumerate(groups):
+        alone = TR._sweep([group], np.array(energies), lam, marks, deriv=1, norms=True,
+                          peaks=True)
         for mark, ref in zip(grouped, alone):
-            for j, i in enumerate(own):
-                assert column(mark, i, i < n_d) == column(ref, j, i < n_d)
+            for i in range(n):
+                assert column(mark, g * n + i, g < deriv) == column(ref, i, g < deriv)
 
 
 def test_peaks_are_the_least_power_of_two_above_every_entry():
@@ -324,7 +332,7 @@ def test_peaks_are_the_least_power_of_two_above_every_entry():
     energies = [BAND_CENTER, 3.0, lam + 8.0, -8.0]
     for side in ("right", "left"):
         top = 300
-        marks = TR._sweep(side, np.array(energies), lam, theta, list(range(1, top + 1)),
+        marks = TR._sweep([(side, theta)], np.array(energies), lam, list(range(1, top + 1)),
                           peaks=True)
         pattern = (rotation_block(1, top, theta).to01() if side == "right"
                    else rotation_block(1 - top, 0, theta).to01()[::-1])
@@ -372,7 +380,7 @@ def test_band_lane_never_rescales_beside_far_lanes():
     # the premise of the examples above: at lambda 12 and phase 0 the band
     # lane keeps exponent 0 over F(14) sites while the far lanes rescale
     energies = [BAND_CENTER, 3.0, 12.0 + 8.0, -8.0]
-    last = TR._sweep("right", np.array(energies), 12.0, PhasePoint.zero(),
+    last = TR._sweep([("right", PhasePoint.zero())], np.array(energies), 12.0,
                      [fib_number(14)])[0]
     assert last.e[0] == 0 and min(last.e[2:]) > 256
 
@@ -515,12 +523,14 @@ def test_block_norm_sums_match_scalar_sums(lam, energies, blocks, phase, shuffle
     # last block holds one site
     theta = PhasePoint(phase)
     energies = energies + [0.0, -0.0, lam + 8.0, -8.0]  # the far lanes rescale
-    lanes = [(side, E) for E in energies for side in ("right", "left")]
-    shuffle.shuffle(lanes)
+    sides = ["right", "left"]
+    shuffle.shuffle(sides)
+    shuffle.shuffle(energies)
+    lanes = [(side, E) for side in sides for E in energies]
     size = block_length(energies, lam)
     top = blocks * size + 1 if size > 1 else 40
-    marks = TR._sweep([side for side, _ in lanes], np.array([E for _, E in lanes]), lam,
-                      theta, list(range(1, top + 1)), norms=True)
+    marks = TR._sweep([(side, theta) for side in sides], np.array(energies), lam,
+                      list(range(1, top + 1)), norms=True)
     norms = lane_columns([TR._xreals(mark.norm_m, mark.norm_e) for mark in marks])
     sums = lane_columns([TR._xreals(mark.sum_m, mark.sum_e) for mark in marks])
     for i, (side, E) in enumerate(lanes):

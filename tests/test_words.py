@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasitrace.cli import parse_theta
-from quasitrace.phase import PRECISION_BITS, EndpointMonitor, PhasePoint, omega
+from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace import words as W
 
 from oracles import beatty_block
@@ -137,13 +137,6 @@ def test_rotation_symbol_examples():
     assert W.rotation_block(-1, -1, th0)[0] == 1  # exact left-endpoint hit, inclusive
 
 
-def test_rotation_symbol_flags_exact_endpoint():
-    mon = EndpointMonitor()
-    W.rotation_block(-1, -1, PhasePoint.zero(), mon)
-    assert mon.hits == 1
-    assert mon.samples[0] == (-1, 0.0)
-
-
 def test_rotation_block_examples():
     th0 = PhasePoint.zero()
     assert W.rotation_block(1, 5, th0).to01() == "10110"
@@ -201,14 +194,10 @@ def _phases(draw):
 
 
 @given(_phases(), st.integers(-60, 60), st.integers(0, 40))
-def test_rotation_symbols_match_block_and_monitor(theta, lo, span):
+def test_rotation_symbols_match_block(theta, lo, span):
     sites = range(lo, lo + span + 1)
-    block_monitor, symbol_monitor = EndpointMonitor(), EndpointMonitor()
-    block = W.rotation_block(lo, lo + span, theta, block_monitor)
-    assert [W.rotation_block(n, n, theta, symbol_monitor)[0] for n in sites] == list(block)
-    assert W.rotation_block(lo, lo + span, theta) == block
-    assert symbol_monitor.hits == block_monitor.hits
-    assert symbol_monitor.samples == block_monitor.samples
+    block = W.rotation_block(lo, lo + span, theta)
+    assert [W.rotation_block(n, n, theta)[0] for n in sites] == list(block)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +210,27 @@ def test_rotation_symbols_match_block_and_monitor(theta, lo, span):
     (3, {"010", "011", "101", "110"}),
 ])
 def test_subword_examples(n, expected):
-    ss = W.subwords(W.saturation_prefix_length(n), n)
+    ss = W.subwords(n)
     assert {w.to01() for w in ss.members} == expected
 
 
 def test_subwords_match_string_oracle():
     for n in (1, 2, 3, 5, 13, 21, 50):
         bound = W.saturation_prefix_length(n)
-        ours = {w.to01() for w in W.subwords(bound, n).members}
+        ours = {w.to01() for w in W.subwords(n).members}
         oracle = factor_set_str(word_prefix_str(4 * bound), n)
         assert ours == oracle
         assert len(ours) == n + 1
 
 
-def test_subwords_rejects_short_prefix():
-    with pytest.raises(W.SaturationError):
-        W.subwords(W.saturation_prefix_length(10) - 1, 10)
+def test_saturation_prefix_holds_every_factor():
+    # doubling the saturated prefix finds no new factor, and there are n + 1
+    # of them; 2000 is the cap on --subword-max
+    for n in [*range(1, 201), 500, 1000, 2000]:
+        length = W.saturation_prefix_length(n)
+        census = {w.bits for w in W.subwords(n).members}
+        assert W._factor_values(W._prefix_word(2 * length), n) == census, n
+        assert len(census) == n + 1, n
 
 
 def test_cyclic_permutations():
@@ -259,7 +253,7 @@ def test_special_word_is_factor_but_not_rotation():
     for k in range(1, 13):
         b = W.special_word(k)
         n = len(b)
-        census = W.subwords(W.saturation_prefix_length(n), n, validate=False)
+        census = W.subwords(n)
         assert b in census
         assert not b.is_rotation_of(W.fib_word(k))
 
