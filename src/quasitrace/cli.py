@@ -96,8 +96,8 @@ class RunConfig:
     def __post_init__(self):
         if self.lam < 0 or not math.isfinite(self.lam):
             raise ConfigError("coupling must be finite and nonnegative")
-        if not 0 <= self.k_max <= 25:
-            raise ConfigError("k-max must lie in [0, 25]")
+        if not 0 <= self.k_max <= W.MAX_WORD_LEVEL:
+            raise ConfigError(f"k-max must lie in [0, {W.MAX_WORD_LEVEL}]")
         lo, hi, count = self.energies
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and count >= 1):
             raise ConfigError(_ENERGY_RANGE)
@@ -203,8 +203,7 @@ def cmd_words(cfg: RunConfig) -> int:
         census = len(W.subwords(len(s)))
         identity = W.fibonacci_identity_check(k) if k >= 1 else 1
         rows.append((k, W.fib_number(k), W.height(s),
-                     s.to01()[-2:] if len(s) >= 2 else s.to01(),
-                     b[0], b[len(b) - 1], identity, distinct, census))
+                     s[-2:], b[0], b[-1], identity, distinct, census))
         if k >= 1 and identity != 1:
             failures.append(f"fibonacci-identity k={k}")
         if distinct != W.fib_number(k):

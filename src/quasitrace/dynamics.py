@@ -260,8 +260,8 @@ def build_truncation(N: int, lam: float, theta: PhasePoint) -> Truncation:
     """Diagonal = coupling times the orbit coding on sites -N..N, hopping = 1."""
     if N < 1:
         raise ValueError("box half-width must be >= 1")
-    pattern = rotation_block(-N, N, theta)
-    diag = lam * np.array(list(pattern), dtype=float)
+    ones = np.frombuffer(rotation_block(-N, N, theta).encode(), np.uint8) == ord("1")
+    diag = lam * ones.astype(float)
     off = np.ones(2 * N, dtype=float)
     return Truncation(N, lam, theta, diag, off)
 
@@ -674,7 +674,7 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
     fixed = N != "auto"
     limit = int(N) if fixed else MAX_BOX
     if top >= limit:
-        raise WindowError(f"window radius {max_l:.1f} does not fit the box N={limit}")
+        raise WindowError(f"window radius {max_l:.6g} does not fit the box N={limit}")
     records: list[AbelRecord] = []
     n_used, solver, box_steps = {}, {}, {}
     for theta in thetas:

@@ -321,7 +321,7 @@ def _norm_sq(m) -> XReal:
 
 @lru_cache(maxsize=1024)
 def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
-    return rotation_block(lo, hi, theta).to01()
+    return rotation_block(lo, hi, theta)
 
 
 # ----------------------------------------------------------------------------

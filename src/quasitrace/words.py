@@ -2,9 +2,10 @@
 
 The infinite word w is the coding of the orbit n -> frac(n*omega) by the
 interval [1-omega, 1); it is equivalently generated by the substitution
-0 -> 1, 1 -> 10.  Finite words are stored packed: bit i of an integer holds
-the symbol at position i, so concatenation, slicing, rotation and equality
-are cheap big-integer operations even for words of 10**8 symbols.
+0 -> 1, 1 -> 10.  A finite word is a `str` of "0" and "1" characters: every
+consumer (the transfer sweep, the truncated operator, the `words` table)
+reads the coding as text, and at one byte per symbol the longest word a
+command builds, F(25) = 196418 symbols (`MAX_WORD_LEVEL`), takes 0.2 MB.
 
 No CLI path calls `substitute` or `hull_membership_check`; they stay public as
 the two definitions a word is checked against.  `substitute` is the rule
@@ -22,8 +23,6 @@ from functools import lru_cache
 from .phase import PRECISION_BITS, PhasePoint, omega
 
 __all__ = [
-    "Word",
-    "SubwordSet",
     "ParityReport",
     "SaturationError",
     "PhaseClassificationError",
@@ -41,7 +40,8 @@ __all__ = [
     "hull_membership_check",
 ]
 
-MAX_WORD_LEVEL = 40  # F_40 ~ 2.7e8 symbols; beyond that memory is the limit
+# the cap on k of every command; the `phase` error model covers no site beyond F(25)
+MAX_WORD_LEVEL = 25
 
 
 class SaturationError(ValueError):
@@ -50,107 +50,6 @@ class SaturationError(ValueError):
 
 class PhaseClassificationError(AssertionError):
     """A phase window failed conjugacy on both parity classes (implementation bug)."""
-
-
-class Word:
-    """Immutable binary word, packed one symbol per bit (bit i = position i)."""
-
-    __slots__ = ("_bits", "_len")
-
-    def __init__(self, bits: int, length: int):
-        if length < 0 or bits < 0 or bits >> length:
-            raise ValueError("bits inconsistent with length")
-        self._bits = bits
-        self._len = length
-
-    @classmethod
-    def from_str(cls, text: str) -> "Word":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"not a binary word: {text!r}")
-        return cls(bits, len(text))
-
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self._len == other._len
-            and self._bits == other._bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._bits, self._len))
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            start, stop, step = idx.indices(self._len)
-            if step != 1:
-                raise ValueError("only contiguous slices are supported")
-            n = max(stop - start, 0)
-            return Word((self._bits >> start) & ((1 << n) - 1), n)
-        if idx < 0:
-            idx += self._len
-        if not 0 <= idx < self._len:
-            raise IndexError("word index out of range")
-        return (self._bits >> idx) & 1
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self._bits | (other._bits << self._len), self._len + other._len)
-
-    def __iter__(self):
-        bits = self._bits
-        for _ in range(self._len):
-            yield bits & 1
-            bits >>= 1
-
-    def to01(self) -> str:
-        if self._len == 0:
-            return ""
-        return format(self._bits, f"0{self._len}b")[::-1]
-
-    def __str__(self) -> str:
-        return self.to01()
-
-    def __repr__(self) -> str:
-        if self._len <= 40:
-            return f"Word('{self.to01()}')"
-        return f"Word(<{self._len} symbols>)"
-
-    def ones(self) -> int:
-        return self._bits.bit_count()
-
-    def rotate(self, r: int) -> "Word":
-        """Cyclic shift moving position r to the front."""
-        r %= max(self._len, 1)
-        return self[r:] + self[:r]
-
-    def is_rotation_of(self, other: "Word") -> bool:
-        if self._len != other._len:
-            return False
-        return self.to01() in (other.to01() * 2)
-
-
-@dataclass(frozen=True)
-class SubwordSet:
-    """All length-n factors seen in a (saturated) prefix of the infinite word."""
-
-    n: int
-    members: frozenset
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.members
 
 
 @dataclass(frozen=True)
@@ -171,14 +70,12 @@ class ParityReport:
                    tuple((k, side, outcome) for k, outcome in enumerate(outcomes)))
 
 
-def substitute(w: Word) -> Word:
+_SUBSTITUTION = str.maketrans({"0": "1", "1": "10"})
+
+
+def substitute(w: str) -> str:
     """Apply 0 -> 1, 1 -> 10 symbol-wise; output length is len(w) + height(w)."""
-    bits = 0
-    pos = 0
-    for ch in w.to01():
-        bits |= 1 << pos  # both images start with symbol 1
-        pos += 2 if ch == "1" else 1
-    return Word(bits, pos)
+    return w.translate(_SUBSTITUTION)
 
 
 @lru_cache(maxsize=None)
@@ -194,35 +91,30 @@ def fib_number(k: int) -> int:
     return b
 
 
-_FIB_WORDS: list[Word] = []
+_FIB_WORDS = ["1", "10"]
 
 
-def fib_word(k: int) -> Word:
+def fib_word(k: int) -> str:
     """The k-fold substitution image of "1", built by the two-term concatenation."""
     if k < 0:
         raise ValueError("level must be >= 0")
     if k > MAX_WORD_LEVEL:
-        raise ValueError(f"level {k} exceeds the practical bound {MAX_WORD_LEVEL}")
+        raise ValueError(f"level {k} exceeds the bound {MAX_WORD_LEVEL}")
     while len(_FIB_WORDS) <= k:
-        j = len(_FIB_WORDS)
-        if j == 0:
-            _FIB_WORDS.append(Word(1, 1))  # "1"
-        elif j == 1:
-            _FIB_WORDS.append(Word(1, 2))  # "10"
-        else:
-            _FIB_WORDS.append(_FIB_WORDS[j - 1] + _FIB_WORDS[j - 2])
+        _FIB_WORDS.append(_FIB_WORDS[-1] + _FIB_WORDS[-2])
     return _FIB_WORDS[k]
 
 
-def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint) -> Word:
-    """The word v(n_lo) v(n_lo+1) ... v(n_hi) of orbit codings.
+def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint) -> str:
+    """The word v(n_lo) v(n_lo+1) ... v(n_hi) of orbit codings, as a `str`.
 
     v(n) codes the orbit point n*omega~ + theta of the rotation by omega~,
     the 128-bit rotation number `omega()`, by the interval [1-omega~, 1): the
     left endpoint is inclusive, the right endpoint (= 0 mod 1) exclusive, and
     the comparison is exact in fixed point.  On the sites the commands reach,
     every point farther than 2**-111 from an endpoint is coded as by the
-    rotation by omega itself (the `phase` error model).
+    rotation by omega itself (the `phase` error model).  The symbols are
+    written into a `bytearray`, one byte each, and decoded once.
     """
     if n_lo > n_hi:
         raise ValueError("n_lo must not exceed n_hi")
@@ -231,12 +123,12 @@ def rotation_block(n_lo: int, n_hi: int, theta: PhasePoint) -> Word:
     om = omega().raw
     left = one - om
     val = (n_lo * om + theta.raw) % one
-    out = 0
-    for i in range(n_hi - n_lo + 1):
+    out = bytearray(b"0") * (n_hi - n_lo + 1)
+    for i in range(len(out)):
         if val >= left:
-            out |= 1 << i
+            out[i] = 49  # "1"
         val = (val + om) & mask
-    return Word(out, n_hi - n_lo + 1)
+    return out.decode()
 
 
 def saturation_prefix_length(n: int) -> int:
@@ -254,58 +146,59 @@ def saturation_prefix_length(n: int) -> int:
     return n + fib_number(k + 2)
 
 
-def _prefix_word(length: int) -> Word:
+def _prefix_word(length: int) -> str:
     k = 0
     while fib_number(k) < length:
         k += 1
     return fib_word(k)[:length]
 
 
-def _factor_values(word: Word, n: int) -> set[int]:
-    """Distinct packed values of the length-n windows of word."""
-    if n > len(word):
+def _factors(text: str, n: int) -> set[str]:
+    """The distinct length-n windows of text.
+
+    An n-bit integer (bit i = window position i) rolls over the text, and each
+    distinct window is sliced out once, at its first offset; a slice at every
+    offset made `words --subword-max 2000` slower.
+    """
+    if n > len(text):
         return set()
-    text = word.to01()
-    mask = (1 << n) - 1
-    window = word.bits & mask
-    seen = {window}
-    top = n - 1
-    for i in range(n, len(word)):
+    top = 1 << (n - 1)
+    window = int(text[n - 1::-1], 2)
+    first = {window: 0}
+    for i, ch in enumerate(text[n:], 1):
         window >>= 1
-        if text[i] == "1":
-            window |= 1 << top
-        seen.add(window)
-    return seen
+        if ch == "1":
+            window |= top
+        first.setdefault(window, i)
+    return {text[i:i + n] for i in first.values()}
 
 
-def subwords(n: int) -> SubwordSet:
+def subwords(n: int) -> frozenset[str]:
     """All length-n factors of the word, read off its saturated prefix."""
-    values = _factor_values(_prefix_word(saturation_prefix_length(n)), n)
-    return SubwordSet(n, frozenset(Word(v, n) for v in values))
+    return frozenset(_factors(_prefix_word(saturation_prefix_length(n)), n))
 
 
-def cyclic_permutations(w: Word) -> tuple[list[Word], int]:
+def cyclic_permutations(w: str) -> tuple[list[str], int]:
     """All rotations of w in shift order, plus the count of distinct ones."""
-    if len(w) == 0:
+    if not w:
         raise ValueError("empty word")
-    rots = [w.rotate(r) for r in range(len(w))]
-    return rots, len({r.bits for r in rots})
+    rots = [w[r:] + w[:r] for r in range(len(w))]
+    return rots, len(set(rots))
 
 
-def special_word(k: int) -> Word:
+def special_word(k: int) -> str:
     """The unique length-F(k) factor that is not a rotation of the level word.
 
     Obtained by flipping the last symbol of the level-k word and prepending it
     to the first F(k)-1 symbols.
     """
     s = fib_word(k)
-    flipped = Word(1 - s[len(s) - 1], 1)
-    return flipped + s[: len(s) - 1]
+    return ("1" if s[-1] == "0" else "0") + s[:-1]
 
 
-def height(w: Word) -> int:
+def height(w: str) -> int:
     """Number of 1 symbols."""
-    return w.ones()
+    return w.count("1")
 
 
 def fibonacci_identity_check(k: int) -> int:
@@ -335,8 +228,8 @@ def classify_phase_words(theta: PhasePoint, k_max: int) -> tuple[ParityReport, P
         passed = []
         for k in range(k_max + 1):
             f = fib_number(k)
-            window = block[:f] if side == "right" else block[len(block) - f:]
-            passed.append(window.is_rotation_of(fib_word(k)))
+            window = block[:f] if side == "right" else block[-f:]
+            passed.append(window in fib_word(k) * 2)
         report = ParityReport.of(side, passed, passed)
         if not (report.even_ok or report.odd_ok):
             raise PhaseClassificationError(
@@ -346,7 +239,7 @@ def classify_phase_words(theta: PhasePoint, k_max: int) -> tuple[ParityReport, P
     return reports[0], reports[1]
 
 
-def hull_membership_check(window: Word, n: int) -> bool:
+def hull_membership_check(window: str, n: int) -> bool:
     """Finite-scale hull test: does the window carry exactly the factors of w?
 
     True iff the set of length-n factors of the window equals the saturated
@@ -359,6 +252,6 @@ def hull_membership_check(window: Word, n: int) -> bool:
             f"window of length {len(window)} too short for a length-{n} hull check"
             f" (need {needed})"
         )
-    reference = subwords(n)
-    observed = _factor_values(window, n)
-    return observed == {w.bits for w in reference.members}
+    if set(window) - {"0", "1"}:
+        raise ValueError("the window is not a word in 0 and 1")
+    return _factors(window, n) == subwords(n)

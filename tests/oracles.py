@@ -177,7 +177,7 @@ def dense_spectrum(trunc, drivers=MRRR) -> DY.SiteSpectrum:
 
 def local_matrix(m: int, E: float, lam: float, theta) -> tuple:
     """One-site propagation matrix [[E - V(m), -1], [1, 0]]."""
-    return (E - lam if rotation_block(m, m, theta)[0] else E, -1.0, 1.0, 0.0, 0)
+    return (E - lam if rotation_block(m, m, theta) == "1" else E, -1.0, 1.0, 0.0, 0)
 
 
 def transfer_product(n: int, E: float, lam: float, theta) -> tuple:
@@ -188,7 +188,7 @@ def transfer_product(n: int, E: float, lam: float, theta) -> tuple:
     if n == 0:
         raise ValueError("site count must be nonzero")
     E, m = float(E), (1.0, 0.0, 0.0, 1.0, 0)
-    for ch in rotation_block(*((1, n) if n > 0 else (n + 1, 0)), theta).to01():
+    for ch in rotation_block(*((1, n) if n > 0 else (n + 1, 0)), theta):
         t = E - lam if ch == "1" else E  # as in `local_matrix`
         m = TR._mul((t, -1.0, 1.0, 0.0, 0), m) if n > 0 else TR._mul(m, (0.0, 1.0, -1.0, t, 0))
     return m

@@ -9,7 +9,7 @@ import pytest
 PUBLIC = {
     "phase": {"PRECISION_BITS", "PhasePoint", "omega"},
     "words": {
-        "Word", "SubwordSet", "ParityReport", "SaturationError", "PhaseClassificationError",
+        "ParityReport", "SaturationError", "PhaseClassificationError",
         "substitute", "fib_number", "fib_word", "rotation_block",
         "subwords", "saturation_prefix_length", "cyclic_permutations", "special_word",
         "height", "fibonacci_identity_check", "classify_phase_words",

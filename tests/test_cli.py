@@ -132,7 +132,7 @@ def test_words_degenerate_level_zero(tmp_path):
 def _drop_one_factor(subwords):
     def patched(*args, **kwargs):
         found = subwords(*args, **kwargs)
-        return W.SubwordSet(found.n, frozenset(list(found.members)[1:]))
+        return frozenset(list(found)[1:])
     return patched
 
 
@@ -312,6 +312,14 @@ def test_dynamics_box_limit_exits_2(tmp_path, monkeypatch, capsys):
     code = main(["dynamics", "--lambda", "10", "--out", str(tmp_path)])
     assert code == 2
     assert "no box up to N=40" in capsys.readouterr().err
+
+
+def test_dynamics_huge_window_radius_is_one_short_line(tmp_path, capsys):
+    code = main(["dynamics", "--C1", "1e300", "--p", "1", "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert lines[0] == "error: window radius 1e+303 does not fit the box N=4096"
 
 
 def test_dynamics_report_carries_solver_numbers(tmp_path):

@@ -23,11 +23,11 @@ def numpy_product(n, E, lam, theta):
     if n >= 1:
         pattern = rotation_block(1, n, theta)
         for v in pattern:
-            acc = np.array([[E - lam * v, -1.0], [1.0, 0.0]]) @ acc
+            acc = np.array([[E - lam * (v == "1"), -1.0], [1.0, 0.0]]) @ acc
     else:
         pattern = rotation_block(n + 1, 0, theta)
         for v in pattern:
-            acc = acc @ np.array([[0.0, 1.0], [-1.0, E - lam * v]])
+            acc = acc @ np.array([[0.0, 1.0], [-1.0, E - lam * (v == "1")]])
     return acc
 
 
@@ -410,7 +410,7 @@ def exact_right_derivs(k, E, lam, theta):
         E, lam = mp.mpf(E), mp.mpf(lam)
         a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
         da = db = dc = dd = mp.mpf(0)
-        for n, v in enumerate(rotation_block(1, fib_number(k), theta).to01(), 1):
+        for n, v in enumerate(rotation_block(1, fib_number(k), theta), 1):
             t = E - lam if v == "1" else E
             # (T M)' = T M' + T' M with T = [[t, -1], [1, 0]], T' = [[1, 0], [0, 0]]
             da, db, dc, dd = t * da - dc + a, t * db - dd + b, da, db

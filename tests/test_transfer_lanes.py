@@ -334,8 +334,8 @@ def test_peaks_are_the_least_power_of_two_above_every_entry():
         top = 300
         marks = TR._sweep([(side, theta)], np.array(energies), lam, list(range(1, top + 1)),
                           peaks=True)
-        pattern = (rotation_block(1, top, theta).to01() if side == "right"
-                   else rotation_block(1 - top, 0, theta).to01()[::-1])
+        pattern = (rotation_block(1, top, theta) if side == "right"
+                   else rotation_block(1 - top, 0, theta)[::-1])
         for i, E in enumerate(energies):
             m, high = (1.0, 0.0, 0.0, 1.0, 0), -math.inf
             for mark, v in zip(marks, pattern):
@@ -479,9 +479,9 @@ def test_lane_xreal_add_matches_xreal(pairs):
 def scalar_norms(side, top, E, lam, theta):
     """Per site n = 1..top: ||M(n)||^2 and its sum over sites 1..n, as XReals."""
     if side == "right":
-        pattern = rotation_block(1, top, theta).to01()
+        pattern = rotation_block(1, top, theta)
     else:
-        pattern = rotation_block(1 - top, 0, theta).to01()[::-1]  # site 0, -1, ...
+        pattern = rotation_block(1 - top, 0, theta)[::-1]  # site 0, -1, ...
     m, total, out = (1.0, 0.0, 0.0, 1.0, 0), XReal(), []
     for v in pattern:
         t = (E - lam if v == "1" else E, -1.0, 1.0, 0.0, 0)  # as in `local_matrix`
