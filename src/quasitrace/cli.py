@@ -38,7 +38,7 @@ _ENERGY_RANGE = "energy grid must be lo:hi:count with lo < hi, count >= 1"
 _T_RANGE = "timescales must be finite and positive"
 _N_RANGE = f"N must be an integer in [1, {DY.MAX_BOX}] or 'auto'"
 _P_RANGE = "p must be in (0, 1] or 'auto'"
-_GROWTH_RANGE = "growth range must satisfy 0 <= kmin < kmax <= 22"
+_GROWTH_RANGE = f"growth range must satisfy 0 <= kmin < kmax <= {SP.MAX_GROWTH_LEVEL}"
 
 _THETA_OMEGA = re.compile(r"^(?:(\d+)\*?)?omega(?:/(\d+))?$")
 _THETA_FRACTION = re.compile(r"^(\d+)/(\d+)$")
@@ -116,8 +116,12 @@ class RunConfig:
         if not 1 <= self.subword_max <= 2000:
             raise ConfigError("subword-max must lie in [1, 2000]")
         kmin, kmax = self.growth
-        if not (0 <= kmin < kmax <= 22):
+        if not (0 <= kmin < kmax <= SP.MAX_GROWTH_LEVEL):
             raise ConfigError(_GROWTH_RANGE)
+        try:
+            SP.growth_levels(kmin, kmax)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         first: dict = {}  # phase -> index of the first token that names it
         for i, token in enumerate(self.thetas):
             j = first.setdefault(parse_theta(token), i)
@@ -156,7 +160,7 @@ def _fmt(value) -> str:
     if isinstance(value, PhasePoint):
         return value.to_decimal(24)
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # numpy's float64 repr is "np.float64(...)"
     return str(value)
 
 
@@ -215,11 +219,9 @@ def cmd_words(cfg: RunConfig) -> int:
                 "identity", "distinct_rotations", "census"],
                rows)
 
-    complexity_ok = True
-    for n in range(1, cfg.subword_max + 1):
-        if len(W.subwords(n)) != n + 1:
-            complexity_ok = False
-            failures.append(f"complexity n={n}")
+    wrong = [n for n, count in enumerate(W.complexity_counts(cfg.subword_max), 1)
+             if count != n + 1]
+    failures.extend(f"complexity n={n}" for n in wrong)
 
     phases = cfg.phase_points()
     try:
@@ -237,7 +239,7 @@ def cmd_words(cfg: RunConfig) -> int:
     return _finish("words", out / "parity.json", {
         "k_max": cfg.k_max,
         "complexity_max_n": cfg.subword_max,
-        "complexity_ok": complexity_ok,
+        "complexity_ok": not wrong,
         "classifications": classifications,
     }, failures, f"k_max={cfg.k_max}, {len(phases)} phases, complexity to n={cfg.subword_max}")
 
@@ -321,10 +323,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     counts = {}
     try:
         for k in range(cfg.k_max + 1):
-            level_bands = SP.bands(k, cfg.lam)
-            counts[k] = len(level_bands)
-            for i, b in enumerate(level_bands):
-                band_rows.append((k, cfg.lam, i, b.lo, b.hi))
+            lo, hi = SP.bands(k, cfg.lam)
+            counts[k] = len(lo)
+            band_rows.extend((k, cfg.lam, i, a, b)
+                             for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())))
     except SP.BandResolutionError as exc:
         failures.append(f"bands: {exc}")
     _write_csv(out / "bands.csv",
@@ -337,8 +339,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         try:
             fit = SP.derivative_growth_scan(cfg.lam, cfg.growth[0], cfg.growth[1])
             resolved = max(resolved, cfg.growth[1] + 1)  # the scan's cover reads level kmax + 1
-            for k, m in fit.min_derivs:
-                growth_rows.append((cfg.lam, k, m))
+            growth_rows = [(cfg.lam, k, m) for k, m in fit.min_derivs]
             fit_payload = {
                 "xi_hat": fit.xi_hat,
                 "zeta_hat": fit.zeta_hat,
@@ -355,16 +356,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     c_fits = {}
     if fit_payload is not None:
         base_level = min(cfg.k_max, 12)
-        centers = [b.center for b in SP.bands(base_level, cfg.lam)]
+        lo, hi = SP.bands(base_level, cfg.lam)
+        centers = (0.5 * (lo + hi)).tolist()
         sample = centers[:: max(1, len(centers) // 12)]
         l_grid = [W.fib_number(k) for k in range(4, min(cfg.growth[1], 18) + 1)]
         for label, theta in cfg.phase_points():
-            result = SP.norm_growth_check(cfg.lam, theta, sample, l_grid,
-                                          fit_payload["zeta_hat"])
-            for rec in result.records:
-                norm_rows.append((rec.theta, rec.E, rec.side, rec.L,
-                                  rec.norm_sq, rec.bound))
-            c_fits[label] = {repr(e): c for (_, e), c in result.c_fit.items()}
+            rows, constants = SP.norm_growth_check(cfg.lam, theta, sample, l_grid,
+                                                   fit_payload["zeta_hat"])
+            norm_rows.extend(rows)
+            c_fits[label] = {repr(e): c for e, c in constants.items()}
             if any(c <= 0 for c in c_fits[label].values()):
                 failures.append(f"norm-growth constant nonpositive at theta={label}")
     _write_csv(out / "norm_growth.csv",

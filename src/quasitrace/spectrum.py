@@ -32,6 +32,13 @@ run holds an even point when it starts on one or has two points, and two
 consecutive runs join on the even points when one odd point parts them, that
 is when the later starts at an even index >= 2, two after the earlier ends.
 
+A band census is two float64 arrays (lo, hi) of edges sorted by lo, as
+`bands` and `spectrum_cover` return it.  `_level_edges`, an `lru_cache` of
+(level, lam), scans each level once, after every lower level has resolved,
+and hands out its read-only arrays themselves; a failure is not cached.  The
+module reads levels through it, so the benchmark span `bands` counts the
+calls from outside.
+
 No public name here is kept for the tests alone.  `trace_grid` is also a
 benchmark span, and the tests hold it to the transfer-matrix sweeps.
 """
@@ -41,24 +48,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .phase import PhasePoint, omega
-from .words import fib_number
+from .words import MAX_WORD_LEVEL, fib_number
 from . import transfer
 
 __all__ = [
-    "Band",
     "GrowthFit",
-    "NormGrowthRecord",
-    "NormGrowthResult",
     "BandResolutionError",
     "DegenerateGrowthError",
+    "MAX_GROWTH_LEVEL",
     "trace_grid",
     "bands",
     "census_shortfalls",
     "spectrum_cover",
+    "growth_levels",
     "derivative_growth_scan",
     "norm_growth_check",
 ]
@@ -68,6 +75,7 @@ SEARCH_MARGIN = 0.5
 _PER_PARENT_POINTS = 129
 _GLOBAL_POINTS = 4097
 _SCAN_BLOCK_POINTS = 1 << 15
+MAX_GROWTH_LEVEL = 22  # the top level of a growth fit
 
 
 class BandResolutionError(RuntimeError):
@@ -79,51 +87,14 @@ class DegenerateGrowthError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Band:
-    """Maximal energy interval on which |x_k| <= 2."""
-
-    k: int
-    lo: float
-    hi: float
-    lam: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-
-@dataclass(frozen=True)
 class GrowthFit:
     """Least-squares fit of log minimal band derivatives against the level."""
 
-    lam: float
     k_range: tuple
     xi_hat: float
     zeta_hat: float
     residual: float
     min_derivs: tuple  # (k, m_k) pairs entering the fit
-
-
-@dataclass(frozen=True)
-class NormGrowthRecord:
-    theta: PhasePoint
-    E: float
-    side: int  # +1 right half-line, -1 left
-    L: float
-    norm_sq: float
-    bound: float  # C_fit * L**zeta
-
-
-@dataclass(frozen=True)
-class NormGrowthResult:
-    lam: float
-    zeta: float
-    records: tuple
-    c_fit: dict  # (theta, E) -> fitted constant valid on both half-lines
 
 
 # ----------------------------------------------------------------------------
@@ -153,17 +124,15 @@ def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool):
     return xs, ds
 
 
-def trace_grid(E, lam: float, k_max: int, derivatives: bool = False):
-    """Phase-zero traces x_0..x_k_max (and optionally d/dE) on an energy array.
+def trace_grid(E, lam: float, k_max: int):
+    """Phase-zero traces x_0..x_k_max and derivatives d/dE on an array: (xs, ds).
 
     Plain float64: entries that overflow to inf/nan are unambiguously outside
     every band (bounded orbits stay below ~lam + 6 by the trace invariant),
     so band detection treats non-finite as out.
     """
-    xs, ds = _recurse(np.asarray(E, dtype=float), lam, k_max, derivatives, keep_all=True)
-    if derivatives:
-        return xs[: k_max + 1], ds[: k_max + 1]
-    return xs[: k_max + 1]
+    xs, ds = _recurse(np.asarray(E, dtype=float), lam, k_max, True, keep_all=True)
+    return xs[: k_max + 1], ds[: k_max + 1]
 
 
 def _trace_at(E, lam: float, k: int):
@@ -287,11 +256,9 @@ def _merge_intervals(lo, hi):
     return lo[first], reach[last], last - first + 1
 
 
-_BANDS_CACHE: dict = {}  # (level, lam) -> band edges (lo, hi), arrays sorted by lo
-
-
-def _band_edges(k: int, lam: float):
-    """The level-k bands as arrays (lo, hi), by hierarchical refinement.
+@lru_cache(maxsize=None)
+def _level_edges(level: int, lam: float):
+    """The bands of one level as read-only arrays (lo, hi), by hierarchical refinement.
 
     The census on any grid must match the census on the doubled grid, read
     off the even points of one scan; if two refinement rounds cannot
@@ -299,62 +266,45 @@ def _band_edges(k: int, lam: float):
     count is additionally pinned to F(k) (all gaps open there).  A negative
     coupling mirrors the bands: x_k(-E, -lam) = (-1)^F(k) x_k(E, lam).
     """
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    if k > 25:
-        raise ValueError("band scans supported up to level 25")
-    key = (k, float(lam))
-    if key in _BANDS_CACHE:
-        return _BANDS_CACHE[key]
-    for level in range(k + 1):
-        key_l = (level, float(lam))
-        if key_l in _BANDS_CACHE:
-            continue
-        if level <= 2:
-            # the spectrum lies in [min(0, lam) - 2, max(0, lam) + 2]
-            segments = (np.array([min(0.0, lam) - 2.0 - SEARCH_MARGIN]),
-                        np.array([max(0.0, lam) + 2.0 + SEARCH_MARGIN]), np.array([1]))
-            base_pts = max(_GLOBAL_POINTS, 16 * fib_number(level) + 1)
-        else:
-            # Pad parents past their own edge-location tolerance: a child band
-            # narrower than the parent's edge slack may otherwise be clipped.
-            (lo1, hi1), (lo2, hi2) = (_BANDS_CACHE[(level - 1, float(lam))],
-                                      _BANDS_CACHE[(level - 2, float(lam))])
-            lo, hi = np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2))
-            segments = _merge_intervals(lo - _edge_pad(lo), hi + _edge_pad(hi))
-            base_pts = _PER_PARENT_POINTS
-        pts = base_pts
-        found = None
-        for _attempt in range(3):
-            # the census at pts points is that of the even points of the doubled grid
-            fine, coarse = _detect_bands(segments, lam, level, 2 * pts - 1)
-            count = len(fine[0])
-            stable = coarse == count
-            # above coupling 6 all gaps are open, so more than F(k) bands can
-            # only be spurious splits: treat as instability and refine
-            not_split = (abs(lam) <= 6.0) or (count <= fib_number(level))
-            if stable and not_split:
-                found = fine
-                break
-            pts = 4 * pts - 3
-        if found is None:
-            raise BandResolutionError(
-                f"band census at level {level}, coupling {lam} unstable under refinement"
-            )
-        if not found[0].size:  # every level has F(level) >= 1 bands
-            raise BandResolutionError(
-                f"no band resolvable in float64 at level {level}, coupling {lam}")
-        _BANDS_CACHE[key_l] = found
-    return _BANDS_CACHE[key]
+    if not 0 <= level <= MAX_WORD_LEVEL:
+        raise ValueError(f"band levels must lie in [0, {MAX_WORD_LEVEL}]")
+    if level > 0:
+        parent = _level_edges(level - 1, lam)  # the lower levels resolve first
+    if level <= 2:
+        # the spectrum lies in [min(0, lam) - 2, max(0, lam) + 2]
+        segments = (np.array([min(0.0, lam) - 2.0 - SEARCH_MARGIN]),
+                    np.array([max(0.0, lam) + 2.0 + SEARCH_MARGIN]), np.array([1]))
+        pts = max(_GLOBAL_POINTS, 16 * fib_number(level) + 1)
+    else:
+        # Pad parents past their own edge-location tolerance: a child band
+        # narrower than the parent's edge slack may otherwise be clipped.
+        (lo1, hi1), (lo2, hi2) = parent, _level_edges(level - 2, lam)
+        lo, hi = np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2))
+        segments = _merge_intervals(lo - _edge_pad(lo), hi + _edge_pad(hi))
+        pts = _PER_PARENT_POINTS
+    for _attempt in range(3):
+        # the census at pts points is that of the even points of the doubled grid
+        found, coarse = _detect_bands(segments, lam, level, 2 * pts - 1)
+        count = len(found[0])
+        # above coupling 6 all gaps are open, so more than F(k) bands can
+        # only be spurious splits: treat as instability and refine
+        if coarse == count and (abs(lam) <= 6.0 or count <= fib_number(level)):
+            break
+        pts = 4 * pts - 3
+    else:
+        raise BandResolutionError(
+            f"band census at level {level}, coupling {lam} unstable under refinement")
+    if not count:  # every level has F(level) >= 1 bands
+        raise BandResolutionError(
+            f"no band resolvable in float64 at level {level}, coupling {lam}")
+    for edges in found:
+        edges.flags.writeable = False  # callers share the cached arrays
+    return found
 
 
-def _as_bands(k: int, lam: float, lo, hi) -> list[Band]:
-    return [Band(k, a, b, lam) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def bands(k: int, lam: float) -> list[Band]:
-    """Maximal closed intervals where |x_k| <= 2, sorted by lo (`_band_edges`)."""
-    return _as_bands(k, lam, *_band_edges(k, lam))
+def bands(k: int, lam: float):
+    """Maximal closed intervals where |x_k| <= 2: read-only arrays (lo, hi), sorted by lo."""
+    return _level_edges(k, float(lam))
 
 
 def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
@@ -364,25 +314,18 @@ def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
     if abs(lam) <= 6.0:
         return []
     return [(level, found, fib_number(level)) for level in range(k + 1)
-            if (found := len(_band_edges(level, lam)[0])) < fib_number(level)]
+            if (found := len(_level_edges(level, float(lam))[0])) < fib_number(level)]
 
 
-def _cover_edges(K: int, lam: float):
-    """The intervals of `spectrum_cover` as arrays (lo, hi)."""
-    if K > 24:
-        raise ValueError("cover supported up to level 24")
-    (lo1, hi1), (lo2, hi2) = _band_edges(K, lam), _band_edges(K + 1, lam)
-    lo, hi, _ = _merge_intervals(np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2)))
-    return lo, hi
-
-
-def spectrum_cover(K: int, lam: float) -> list[Band]:
-    """Merged union of the level-K and level-(K+1) bands.
+def spectrum_cover(K: int, lam: float):
+    """Merged union of the level-K and level-(K+1) bands, as arrays (lo, hi).
 
     An outer approximation of the spectrum, used as the sampling domain for
     spectrum-restricted bounds; it is not the spectrum itself.
     """
-    return _as_bands(K, lam, *_cover_edges(K, lam))
+    (lo1, hi1), (lo2, hi2) = _level_edges(K, float(lam)), _level_edges(K + 1, float(lam))
+    lo, hi, _ = _merge_intervals(np.concatenate((lo1, lo2)), np.concatenate((hi1, hi2)))
+    return lo, hi
 
 
 # ----------------------------------------------------------------------------
@@ -391,30 +334,31 @@ def spectrum_cover(K: int, lam: float) -> list[Band]:
 
 def _cover_samples(K: int, lam: float) -> np.ndarray:
     """Three interior points per cover interval (quarter, mid, three-quarter)."""
-    lo, hi = _cover_edges(K, lam)
+    lo, hi = spectrum_cover(K, lam)
     w = hi - lo
     return np.unique(np.concatenate((lo + 0.25 * w, 0.5 * (lo + hi), hi - 0.25 * w)))
 
 
-def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18,
-                           parity: str = "even") -> GrowthFit:
+def growth_levels(k_min: int, k_max: int) -> list[int]:
+    """The even levels k_min..k_max of a growth fit; `RunConfig` applies it too."""
+    if not 0 <= k_min <= k_max <= MAX_GROWTH_LEVEL:
+        raise ValueError(f"growth levels must lie in [0, {MAX_GROWTH_LEVEL}]")
+    ks = [k for k in range(k_min, k_max + 1) if k % 2 == 0]
+    if len(ks) < 3:
+        raise ValueError("need at least three levels for a growth fit")
+    return ks
+
+
+def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18) -> GrowthFit:
     """Fit the exponential growth of minimal on-band trace derivatives.
 
-    For each level k of the requested parity, m_k is the minimum of |dx_k/dE|
+    For each even level k of `growth_levels`, m_k is the minimum of |dx_k/dE|
     over sampled cover energies that lie in the level-k band set; the fitted
     slope of log m_k against k gives the growth base xi via slope = log(xi)/2
     and the norm-growth exponent zeta = log(xi) / (3 log(omega**-2)).
     """
-    if k_max > 22:
-        raise ValueError("growth scans supported up to level 22")
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    ks = [k for k in range(k_min, k_max + 1)
-          if (k % 2 == 0) == (parity == "even")]
-    if len(ks) < 3:
-        raise ValueError("need at least three levels for a growth fit")
-    samples = _cover_samples(k_max, lam)
-    xs, ds = trace_grid(samples, lam, max(ks), derivatives=True)
+    ks = growth_levels(k_min, k_max)
+    xs, ds = trace_grid(_cover_samples(k_max, lam), lam, ks[-1])
     min_derivs = []
     for k in ks:
         mask = _in_band(xs[k])
@@ -440,37 +384,30 @@ def derivative_growth_scan(lam: float, k_min: int = 6, k_max: int = 18,
         )
     zeta_hat = math.log(xi_hat) / (3.0 * math.log(float(omega()) ** -2))
     residual = float(np.sqrt(np.mean((logs - (slope * karr + intercept)) ** 2)))
-    return GrowthFit(lam, (ks[0], ks[-1]), xi_hat, zeta_hat, residual, tuple(min_derivs))
+    return GrowthFit((ks[0], ks[-1]), xi_hat, zeta_hat, residual, tuple(min_derivs))
 
 
-def norm_growth_check(lam: float, theta: PhasePoint, E_sample, L_grid,
-                      zeta: float) -> NormGrowthResult:
+def norm_growth_check(lam: float, theta: PhasePoint, E_sample, L_grid, zeta: float):
     """Tabulate windowed norm sums against the fitted power law C * L**zeta.
 
-    For each sampled energy the constant is the minimal observed ratio
+    For each sampled energy the constant C is the minimal observed ratio
     ||M||^2_L / L**zeta over both half-lines, so the bound holds across the
     whole window grid by construction; positivity and cross-phase uniformity
-    of the constants are the meaningful outcomes.
+    of the constants are the meaningful outcomes.  Returns (rows, constants):
+    the rows (theta, E, side, L, norm_sq, C * L**zeta), side +1 for the right
+    half-line and -1 for the left, and the constants as a dict E -> C.
     """
     energies = [float(E) for E in E_sample]
     ls = sorted(float(L) for L in L_grid)
     if any(l <= 0 for l in ls):
         raise ValueError("window grid must be positive; sides are handled internally")
-    records = []
-    c_fit = {}
+    rows, constants = [], {}
     sums = transfer.norm_profile(ls + [-l for l in ls], energies, lam, theta)
-    for i, E in enumerate(energies):
-        values = [float(s) for s in sums[i]]
-        per_side = {+1: values[:len(ls)], -1: values[len(ls):]}
-        c = min(
-            val / l**zeta
-            for side in (+1, -1)
-            for l, val in zip(ls, per_side[side])
-        )
-        c_fit[(theta, E)] = c
-        for side in (+1, -1):
-            for l, val in zip(ls, per_side[side]):
-                records.append(
-                    NormGrowthRecord(theta, E, side, l, val, c * l**zeta)
-                )
-    return NormGrowthResult(lam, zeta, tuple(records), c_fit)
+    for E, row in zip(energies, sums):
+        values = [float(s) for s in row]
+        per_side = ((+1, values[:len(ls)]), (-1, values[len(ls):]))
+        c = min(val / l**zeta for _, half in per_side for l, val in zip(ls, half))
+        constants[E] = c
+        rows.extend((theta, E, side, l, val, c * l**zeta)
+                    for side, half in per_side for l, val in zip(ls, half))
+    return rows, constants

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .phase import PRECISION_BITS, PhasePoint, omega
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "fib_word",
     "rotation_block",
     "subwords",
+    "complexity_counts",
     "saturation_prefix_length",
     "cyclic_permutations",
     "special_word",
@@ -154,12 +157,9 @@ def _prefix_word(length: int) -> str:
 
 
 def _factors(text: str, n: int) -> set[str]:
-    """The distinct length-n windows of text.
-
-    An n-bit integer (bit i = window position i) rolls over the text, and each
-    distinct window is sliced out once, at its first offset; a slice at every
-    offset made `words --subword-max 2000` slower.
-    """
+    """The distinct length-n windows of text: an n-bit integer (bit i = window
+    position i) rolls over the text, and each distinct window is sliced out
+    once, at its first offset."""
     if n > len(text):
         return set()
     top = 1 << (n - 1)
@@ -176,6 +176,24 @@ def _factors(text: str, n: int) -> set[str]:
 def subwords(n: int) -> frozenset[str]:
     """All length-n factors of the word, read off its saturated prefix."""
     return frozenset(_factors(_prefix_word(saturation_prefix_length(n)), n))
+
+
+def _factor_counts(text: str, n_max: int) -> list[int]:
+    """len(_factors(text, n)) for n = 1..n_max in one pass: the classes of equal
+    length-n windows refine those of length n - 1 by the windows' last symbol."""
+    sym = np.frombuffer(text.encode(), np.uint8) == ord("1")
+    cls = np.zeros(len(text) + 1, dtype=np.int64)  # the one class of empty windows
+    counts = []
+    for n in range(1, n_max + 1):
+        values, cls = np.unique(cls[:-1] * 2 + sym[n - 1:], return_inverse=True)
+        counts.append(len(values))
+    return counts
+
+
+def complexity_counts(n_max: int) -> list[int]:
+    """len(subwords(n)) for n = 1..n_max, counted on the one prefix that
+    saturates every n <= n_max (`saturation_prefix_length` increases with n)."""
+    return _factor_counts(_prefix_word(saturation_prefix_length(n_max)), n_max)
 
 
 def cyclic_permutations(w: str) -> tuple[list[str], int]:

@@ -10,8 +10,8 @@ PUBLIC = {
     "phase": {"PRECISION_BITS", "PhasePoint", "omega"},
     "words": {
         "ParityReport", "SaturationError", "PhaseClassificationError",
-        "substitute", "fib_number", "fib_word", "rotation_block",
-        "subwords", "saturation_prefix_length", "cyclic_permutations", "special_word",
+        "substitute", "fib_number", "fib_word", "rotation_block", "subwords",
+        "complexity_counts", "saturation_prefix_length", "cyclic_permutations", "special_word",
         "height", "fibonacci_identity_check", "classify_phase_words",
         "hull_membership_check",
     },
@@ -23,8 +23,8 @@ PUBLIC = {
         "TraceTable",
     },
     "spectrum": {
-        "Band", "GrowthFit", "NormGrowthRecord", "NormGrowthResult", "BandResolutionError",
-        "DegenerateGrowthError", "trace_grid", "bands", "census_shortfalls", "spectrum_cover",
+        "GrowthFit", "BandResolutionError", "DegenerateGrowthError", "MAX_GROWTH_LEVEL",
+        "trace_grid", "bands", "census_shortfalls", "spectrum_cover", "growth_levels",
         "derivative_growth_scan", "norm_growth_check",
     },
     "dynamics": {

@@ -7,13 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasitrace
 from quasitrace import dynamics as DY
+from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
 from quasitrace import words as W
-from quasitrace.cli import ConfigError, RunConfig, main, parse_theta
+from quasitrace.cli import ConfigError, RunConfig, _fmt, main, parse_theta
 from quasitrace.phase import PhasePoint, omega
 
 # the child interpreter imports the same package as this one
@@ -105,6 +107,28 @@ def test_two_tokens_for_one_phase_exit_2_before_writing(tmp_path, capsys, args, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--growth", "0:3"],
+    ["--growth", "20:22"],
+    ["--lambda", "4.5", "--growth", "6:7"],
+    ["--lambda", "3", "--growth", "6:9"],  # no growth fit at this coupling, same rule
+])
+def test_short_growth_range_exit_2_before_writing(tmp_path, capsys, args):
+    # fewer than three even levels leave no growth fit
+    out = tmp_path / "out"
+    assert main(["spectrum", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need at least three levels for a growth fit\n"
+    assert not out.exists()
+
+
+def test_fmt_writes_numpy_floats_as_numbers():
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(0.1) == "0.1"
+    # the edge arrays at coupling 24 hold zero-width bands up to level 16
+    rows = [_fmt(v) for level in range(17) for edges in SP.bands(level, 24.0) for v in edges]
+    assert rows and not any("np." in row for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -145,11 +169,12 @@ def _raise_classification(theta, k_max):
      [f"fibonacci-identity k={k}" for k in range(1, 7)]),
     ("cyclic_permutations", lambda fn: lambda w: (fn(w)[0], fn(w)[1] - 1),
      [f"distinct-rotations k={k}" for k in range(7)]),
-    ("subwords", _drop_one_factor,
-     [f"census-count k={k}" for k in range(7)] + [f"complexity n={n}" for n in range(1, 11)]),
+    ("subwords", _drop_one_factor, [f"census-count k={k}" for k in range(7)]),
+    ("complexity_counts", lambda fn: lambda n: [c - 1 for c in fn(n)],
+     [f"complexity n={n}" for n in range(1, 11)]),
     ("classify_phase_words", lambda fn: _raise_classification,
      ["phase-classification: no parity class passes on the right side"]),
-], ids=["identity", "rotations", "census", "classification"])
+], ids=["identity", "rotations", "census", "complexity", "classification"])
 def test_words_gates_can_fail(tmp_path, monkeypatch, name, patch, failures):
     monkeypatch.setattr(W, name, patch(getattr(W, name)))
     assert main(["words", "--k-max", "6", "--subword-max", "10", "--out", str(tmp_path)]) == 1

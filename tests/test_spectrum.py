@@ -17,9 +17,18 @@ TH0 = PhasePoint.zero()
 SQRT5 = math.sqrt(5.0)
 
 
+@pytest.fixture
+def fresh_band_cache():
+    """An empty band cache, cleared again after the test, so bands computed
+    under a patched scan never reach a later test."""
+    SP._level_edges.cache_clear()
+    yield
+    SP._level_edges.cache_clear()
+
+
 def test_trace_grid_matches_transfer_products():
     energies = np.linspace(-3.0, 13.0, 7)
-    xs = SP.trace_grid(energies, 10.0, 10)
+    xs, _ = SP.trace_grid(energies, 10.0, 10)
     for k in (0, 1, 2, 5, 10):
         for i, E in enumerate(energies):
             ref = float(TR.traces_right_upto(k, float(E), 10.0, TH0)[k])
@@ -28,7 +37,7 @@ def test_trace_grid_matches_transfer_products():
 
 def test_trace_grid_derivatives_match_duals():
     energies = np.linspace(-2.0, 12.0, 5)
-    xs, ds = SP.trace_grid(energies, 10.0, 9, derivatives=True)
+    xs, ds = SP.trace_grid(energies, 10.0, 9)
     for k in (1, 4, 9):
         for i, E in enumerate(energies):
             ref = TR.dual_traces_upto(k, float(E), 10.0, TH0)
@@ -50,97 +59,109 @@ def test_in_band_mask_puts_nan_and_infinities_out_of_band():
 
 
 def test_band_closed_forms():
-    (b,) = SP.bands(0, 2.0)
-    assert (b.lo, b.hi) == (pytest.approx(0.0, abs=1e-11), pytest.approx(4.0, abs=1e-11))
-    lo_band, hi_band = SP.bands(1, 2.0)
-    assert lo_band.lo == pytest.approx(1.0 - SQRT5, abs=1e-10)
-    assert lo_band.hi == pytest.approx(0.0, abs=1e-10)
-    assert hi_band.lo == pytest.approx(2.0, abs=1e-10)
-    assert hi_band.hi == pytest.approx(1.0 + SQRT5, abs=1e-10)
+    (lo,), (hi,) = SP.bands(0, 2.0)
+    assert (lo, hi) == (pytest.approx(0.0, abs=1e-11), pytest.approx(4.0, abs=1e-11))
+    lo, hi = SP.bands(1, 2.0)
+    assert len(lo) == 2
+    assert lo[0] == pytest.approx(1.0 - SQRT5, abs=1e-10)
+    assert hi[0] == pytest.approx(0.0, abs=1e-10)
+    assert lo[1] == pytest.approx(2.0, abs=1e-10)
+    assert hi[1] == pytest.approx(1.0 + SQRT5, abs=1e-10)
 
 
 def test_free_case_single_band():
     for k in (0, 1, 5, 9):
-        got = SP.bands(k, 0.0)
-        assert len(got) == 1
-        assert got[0].lo == pytest.approx(-2.0, abs=1e-10)
-        assert got[0].hi == pytest.approx(2.0, abs=1e-10)
+        lo, hi = SP.bands(k, 0.0)
+        assert len(lo) == 1
+        assert lo[0] == pytest.approx(-2.0, abs=1e-10)
+        assert hi[0] == pytest.approx(2.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("lam", [2.0, 10.0])
 def test_band_counts_and_disjointness(lam):
     for k in range(0, 13):
-        level = SP.bands(k, lam)
+        lo, hi = SP.bands(k, lam)
         if lam > 6.0:
-            assert len(level) == fib_number(k)
-        for a, b in zip(level, level[1:]):
-            assert a.hi <= b.lo  # ordered, disjoint up to shared edges
+            assert len(lo) == fib_number(k)
+        assert np.all(hi[:-1] <= lo[1:])  # ordered, disjoint up to shared edges
 
 
 def test_band_interiors_and_edges():
     for k in (4, 8):
-        for band in SP.bands(k, 10.0)[:: max(1, fib_number(k) // 8)]:
-            interior = np.linspace(band.lo, band.hi, 64)
-            vals = SP.trace_grid(interior, 10.0, k)[k]
+        step = max(1, fib_number(k) // 8)
+        for band in zip(*(edges[::step] for edges in SP.bands(k, 10.0))):
+            interior = np.linspace(*band, 64)
+            vals = SP.trace_grid(interior, 10.0, k)[0][k]
             assert np.all(np.abs(vals) <= 2.0 + 1e-9)
-            for edge in (band.lo, band.hi):
-                val = abs(SP.trace_grid(np.array([edge]), 10.0, k)[k][0])
+            for edge in band:
+                val = abs(SP.trace_grid(np.array([edge]), 10.0, k)[0][k][0])
                 assert abs(val - 2.0) <= 1e-6  # root of |x| = 2 to edge tolerance
 
 
 def test_band_edges_refined_to_tight_tolerance():
     # at moderate level the edge residual resolves to the bisection target
-    for band in SP.bands(6, 10.0)[::5]:
-        for edge in (band.lo, band.hi):
-            val = abs(SP.trace_grid(np.array([edge]), 10.0, 6)[6][0])
-            assert abs(val - 2.0) <= 1e-9
+    lo, hi = SP.bands(6, 10.0)
+    for edge in np.concatenate((lo[::5], hi[::5])):
+        val = abs(SP.trace_grid(np.array([edge]), 10.0, 6)[0][6][0])
+        assert abs(val - 2.0) <= 1e-9
 
 
 def test_bands_independent_revalidation_against_products():
     # re-evaluate the trace by direct matrix products at 64 interior points
-    band = SP.bands(8, 10.0)[21]
-    for E in np.linspace(band.lo, band.hi, 64):
+    lo, hi = SP.bands(8, 10.0)
+    for E in np.linspace(lo[21], hi[21], 64):
         assert abs(float(TR.traces_right_upto(8, float(E), 10.0, TH0)[8])) <= 2.0 + 1e-9
 
 
 def test_spectrum_cover_nesting():
-    fine = SP.spectrum_cover(9, 10.0)
-    coarse = SP.spectrum_cover(8, 10.0)
+    fine_lo, fine_hi = SP.spectrum_cover(9, 10.0)
+    coarse_lo, coarse_hi = SP.spectrum_cover(8, 10.0)
     tol = 1e-9
-    for piece in fine:
-        assert any(c.lo - tol <= piece.lo and piece.hi <= c.hi + tol for c in coarse)
+    for lo, hi in zip(fine_lo, fine_hi):
+        assert np.any((coarse_lo - tol <= lo) & (hi <= coarse_hi + tol))
 
 
 def test_cover_free_case():
-    cover = SP.spectrum_cover(5, 0.0)
-    assert len(cover) == 1
-    assert cover[0].lo == pytest.approx(-2.0, abs=1e-9)
-    assert cover[0].hi == pytest.approx(2.0, abs=1e-9)
+    lo, hi = SP.spectrum_cover(5, 0.0)
+    assert len(lo) == 1
+    assert lo[0] == pytest.approx(-2.0, abs=1e-9)
+    assert hi[0] == pytest.approx(2.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("K, lam", [(8, 10.0), (12, 3.0), (9, 0.0), (10, -24.0)])
 def test_cover_samples_are_those_of_the_cover_intervals(K, lam):
     # the samples as Python floats once built them, deduplicated by a set
     ref = []
-    for b in SP.spectrum_cover(K, lam):
-        w = b.width
-        ref.extend((b.lo + 0.25 * w, b.center, b.hi - 0.25 * w))
+    for lo, hi in zip(*(edges.tolist() for edges in SP.spectrum_cover(K, lam))):
+        w = hi - lo
+        ref.extend((lo + 0.25 * w, 0.5 * (lo + hi), hi - 0.25 * w))
     assert SP._cover_samples(K, lam).tobytes() == np.array(sorted(set(ref))).tobytes()
 
 
 def test_band_levels_are_cached_as_edge_arrays():
-    found = SP.bands(7, 10.0)
-    lo, hi = SP._BANDS_CACHE[(7, 10.0)]
-    assert lo.dtype == hi.dtype == np.float64 and lo.shape == hi.shape == (len(found),)
-    assert [(b.lo, b.hi) for b in found] == list(zip(lo.tolist(), hi.tolist()))
-    assert all(b.k == 7 and b.lam == 10.0 for b in found)
+    lo, hi = SP.bands(7, 10.0)
+    assert lo.dtype == hi.dtype == np.float64 and lo.shape == hi.shape == (fib_number(7),)
+    cached = SP._level_edges(7, 10.0)
+    assert cached[0] is lo and cached[1] is hi
+    assert np.all(lo[1:] >= lo[:-1])  # sorted by lo
+
+
+def test_bands_hand_out_the_same_read_only_arrays():
+    lo, hi = SP.bands(6, 3.0)
+    again = SP.bands(6, 3)  # an int coupling names the same cache entry
+    assert again[0] is lo and again[1] is hi
+    for edges in (lo, hi):
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0] = 0.0
 
 
 def test_cover_measure_decreases(caplog):
     lam = 10.0
     measures = []
     for K in (6, 8, 10):
-        measures.append(sum(b.width for b in SP.bands(K, lam)))
+        lo, hi = SP.bands(K, lam)
+        measures.append(sum((hi - lo).tolist()))
     assert measures[0] > measures[1] > measures[2]
 
 
@@ -150,7 +171,7 @@ def _scan_reference(segments, lam, k, per_parent):
     for lo, hi, weight in zip(*segments):
         per_segment = weight * (per_parent - 1) + 1
         grid = np.linspace(lo, hi, per_segment)
-        vals = SP.trace_grid(grid, lam, k)[k]
+        vals = SP.trace_grid(grid, lam, k)[0][k]
         inside = np.isfinite(vals) & (np.abs(vals) <= 2.0)
         idx = np.flatnonzero(inside)
         if idx.size == 0:
@@ -346,16 +367,16 @@ BAND_EDGE_SHA256 = {
 
 @pytest.mark.parametrize("lam, k", sorted(BAND_EDGE_SHA256))
 def test_band_edges_are_pinned(lam, k):
-    found = [(level, b) for level in range(k + 1) for b in SP.bands(level, lam)]
-    text = "".join(f"{level} {b.lo.hex()} {b.hi.hex()}\n" for level, b in found)
+    levels = [(level, SP.bands(level, lam)) for level in range(k + 1)]
+    text = "".join(f"{level} {a.hex()} {b.hex()}\n" for level, (lo, hi) in levels
+                   for a, b in zip(lo.tolist(), hi.tolist()))
     assert hashlib.sha256(text.encode()).hexdigest() == BAND_EDGE_SHA256[(lam, k)]
-    # plain floats, which bands.csv prints as numbers; at (24, 16) the
-    # zero-width bands once held numpy scalars there
-    assert {type(v) for _, b in found for v in (b.lo, b.hi)} == {float}
+    # every edge a float64, zero-width bands too; bands.csv writes them as
+    # numbers (`test_fmt_writes_numpy_floats_as_numbers`)
+    assert {edges.dtype for _, pair in levels for edges in pair} == {np.dtype(np.float64)}
 
 
-def test_bands_raise_when_census_never_stabilises(monkeypatch):
-    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+def test_bands_raise_when_census_never_stabilises(monkeypatch, fresh_band_cache):
     calls = itertools.count()
 
     def unstable(segments, lam, k, pts):
@@ -370,9 +391,8 @@ def test_bands_raise_when_census_never_stabilises(monkeypatch):
 
 @pytest.mark.parametrize("lam, accepted_pts", [(10.0, 32769), (2.0, 8193)])
 def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
-        monkeypatch, lam, accepted_pts):
+        monkeypatch, fresh_band_cache, lam, accepted_pts):
     # the first attempt (4097 and 8193 points) sees one spurious split band
-    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
     grids = []
 
     def split_on_coarse_grids(segments, lam, k, pts):
@@ -382,9 +402,9 @@ def test_bands_census_above_fibonacci_is_refined_at_strong_coupling(
         return (np.arange(count, dtype=float), np.arange(count) + 0.5), coarse
 
     monkeypatch.setattr(SP, "_detect_bands", split_on_coarse_grids)
-    found = SP.bands(0, lam)
+    lo, _ = SP.bands(0, lam)
     assert grids[-1] == accepted_pts
-    assert len(found) == (1 if lam > 6.0 else 2)
+    assert len(lo) == (1 if lam > 6.0 else 2)
 
 
 def _split_census(segments, lam, k, pts):
@@ -393,12 +413,11 @@ def _split_census(segments, lam, k, pts):
     return (np.arange(count, dtype=float), np.arange(count) + 0.5), count
 
 
-def test_bands_census_always_above_fibonacci_raises(monkeypatch):
-    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+def test_bands_census_always_above_fibonacci_raises(monkeypatch, fresh_band_cache):
     monkeypatch.setattr(SP, "_detect_bands", _split_census)
     with pytest.raises(SP.BandResolutionError):
         SP.bands(0, 10.0)
-    assert len(SP.bands(0, 2.0)) == 2  # at coupling <= 6 a stable census stands
+    assert len(SP.bands(0, 2.0)[0]) == 2  # at coupling <= 6 a stable census stands
 
 
 @pytest.mark.parametrize("lam", [3.0, 10.0])
@@ -406,25 +425,22 @@ def test_negative_coupling_mirrors_the_bands(lam):
     # gauge identity x_k(-E, -lam) = (-1)^F(k) x_k(E, lam), so the level-k
     # band set of -lam is the mirror image of that of lam
     for k in range(7):
-        pos, neg = SP.bands(k, lam), SP.bands(k, -lam)
-        assert len(neg) == len(pos)
-        for a, b in zip(pos, reversed(neg)):
-            assert abs(b.lo + a.hi) <= SP.EDGE_TOL_ABS
-            assert abs(b.hi + a.lo) <= SP.EDGE_TOL_ABS
+        (pos_lo, pos_hi), (neg_lo, neg_hi) = SP.bands(k, lam), SP.bands(k, -lam)
+        assert len(neg_lo) == len(pos_lo)
+        assert np.all(np.abs(neg_lo[::-1] + pos_hi) <= SP.EDGE_TOL_ABS)
+        assert np.all(np.abs(neg_hi[::-1] + pos_lo) <= SP.EDGE_TOL_ABS)
 
 
-def test_census_gate_acts_on_the_modulus_of_the_coupling(monkeypatch):
-    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
+def test_census_gate_acts_on_the_modulus_of_the_coupling(monkeypatch, fresh_band_cache):
     monkeypatch.setattr(SP, "_detect_bands", _split_census)
     with pytest.raises(SP.BandResolutionError):
         SP.bands(0, -10.0)
-    assert len(SP.bands(0, -2.0)) == 2
+    assert len(SP.bands(0, -2.0)[0]) == 2
 
 
-def test_bands_raise_on_an_empty_census(monkeypatch):
+def test_bands_raise_on_an_empty_census(fresh_band_cache):
     # every level has F(k) >= 1 bands; at coupling 1000 float64 resolves none
     # at level 1, which the next level's parent merge could not take
-    monkeypatch.setattr(SP, "_BANDS_CACHE", {})
     with pytest.raises(SP.BandResolutionError, match="no band .* level 1,"):
         SP.bands(3, 1000.0)
 
@@ -467,15 +483,16 @@ def test_growth_rejects_free_case():
         SP.derivative_growth_scan(0.0, 6, 12)
 
 
-def test_growth_odd_parity_available():
-    fit = SP.derivative_growth_scan(10.0, 6, 15, parity="odd")
-    assert all(k % 2 == 1 for k, _ in fit.min_derivs)
-    assert fit.xi_hat > 1.0
-
-
 def test_growth_rejects_short_range():
     with pytest.raises(ValueError):
         SP.derivative_growth_scan(10.0, 6, 8)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(-4, 8), (18, 24)])
+def test_growth_levels_lie_in_range(k_min, k_max):
+    # a negative level would read the trace list from its end
+    with pytest.raises(ValueError, match=r"growth levels must lie in \[0, 22\]"):
+        SP.derivative_growth_scan(10.0, k_min, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +501,26 @@ def test_growth_rejects_short_range():
 
 def test_norm_growth_constants_positive_and_bounding():
     zeta = SP.derivative_growth_scan(10.0, 6, 14).zeta_hat
-    centers = [b.center for b in SP.bands(10, 10.0)][::29]
+    lo, hi = SP.bands(10, 10.0)
+    centers = (0.5 * (lo + hi))[::29]
     l_grid = [float(fib_number(k)) for k in range(4, 13)]
-    result = SP.norm_growth_check(10.0, TH0, centers, l_grid, zeta)
-    assert result.records
-    for rec in result.records:
-        assert rec.norm_sq >= rec.bound - 1e-9 * abs(rec.bound)
-    for c in result.c_fit.values():
+    rows, constants = SP.norm_growth_check(10.0, TH0, centers, l_grid, zeta)
+    assert rows
+    for _, _, _, _, norm_sq, bound in rows:
+        assert norm_sq >= bound - 1e-9 * abs(bound)
+    for c in constants.values():
         assert c > 0.0
 
 
 def test_norm_growth_trivial_floor():
     # each factor is unimodular, so the windowed sum is at least the window
     zeta = 1.0
-    centers = [SP.bands(8, 10.0)[13].center]
+    lo, hi = SP.bands(8, 10.0)
+    centers = [0.5 * (lo[13] + hi[13])]
     l_grid = [1.0, 2.0, 5.0, 13.0]
-    result = SP.norm_growth_check(10.0, TH0, centers, l_grid, zeta)
-    for rec in result.records:
-        assert rec.norm_sq >= rec.L
+    rows, _ = SP.norm_growth_check(10.0, TH0, centers, l_grid, zeta)
+    for _, _, _, L, norm_sq, _ in rows:
+        assert norm_sq >= L
 
 
 def test_norm_growth_rejects_nonpositive_windows():

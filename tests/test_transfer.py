@@ -356,7 +356,7 @@ def test_parity_passes_at_strong_coupling_where_products_outgrow_traces():
 def test_parity_fails_a_trace_off_by_a_millionth():
     # a level-8 band centre at lambda 10, where the products stay small
     lam, E = 10.0, 9.048289750908484
-    assert abs(SP.trace_grid([E], lam, 8)[8][0]) <= 2.0
+    assert abs(SP.trace_grid([E], lam, 8)[0][8][0]) <= 2.0
     grid = [-3.0, E, 13.0]
     (traces,), refs = TR.phase_traces(8, grid, lam, [TH0])
 

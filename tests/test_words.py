@@ -201,6 +201,17 @@ def test_factors_match_string_windows(text, data):
         assert W._factors(text, n) == set()
 
 
+@given(st.text(alphabet="01", max_size=120), st.integers(1, 124))
+def test_factor_counts_match_the_census(text, n_max):
+    # one refinement pass counts what a census per length finds
+    assert W._factor_counts(text, n_max) == [len(W._factors(text, n))
+                                             for n in range(1, n_max + 1)]
+
+
+def test_complexity_counts_are_those_of_subwords():
+    assert W.complexity_counts(300) == [len(W.subwords(n)) for n in range(1, 301)]
+
+
 def test_cyclic_permutations():
     rots, distinct = W.cyclic_permutations("101")
     assert rots == ["101", "011", "110"]
