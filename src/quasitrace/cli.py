@@ -74,6 +74,11 @@ def parse_theta(token: str) -> PhasePoint:
     raise ConfigError(f"cannot parse phase {token!r}")
 
 
+def _grid_point(lo: float, hi: float, count: int, i: int) -> float:
+    """Point i of the `traces` energy grid of `count` points from lo to hi."""
+    return lo + (hi - lo) * i / max(count - 1, 1)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters; round-trips through a JSON dictionary."""
@@ -103,6 +108,10 @@ class RunConfig:
             raise ConfigError(_ENERGY_RANGE)
         if not math.isfinite(hi - lo):
             raise ConfigError("energy grid span hi - lo must be finite")
+        # the grid is monotone in i, so its two ends bound every point and every E - lambda
+        ends = (_grid_point(lo, hi, count, 0), _grid_point(lo, hi, count, count - 1))
+        if not all(math.isfinite(E) and math.isfinite(E - self.lam) for E in ends):
+            raise ConfigError("energy grid points E and E - lambda must be finite")
         if not all(math.isfinite(t) and t > 0 for t in self.T_grid):
             raise ConfigError(_T_RANGE)
         if self.N != "auto" and (not isinstance(self.N, int) or not 1 <= self.N <= DY.MAX_BOX):
@@ -253,7 +262,7 @@ def cmd_traces(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     lo, hi, count = cfg.energies
-    energies = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+    energies = [_grid_point(lo, hi, count, i) for i in range(count)]
     phases = cfg.phase_points()
     k_norm = min(cfg.k_max, 12)
 

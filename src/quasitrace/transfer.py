@@ -15,7 +15,7 @@ multiplies two of them and rescales when an entry passes its threshold,
 `_lane_limit` of the energy: 2**256, or 2**1022 / g where that is lower, g =
 max(|E|, |E - lam|) + 1, so that the next factor cannot overflow.  `_add`
 rescales sums past 2**256; `_norm_sq` gives the squared spectral norm as an
-XReal.  They are the specification the sweep keeps bit for bit (see "Byte
+XReal.  They are the specification whose values the sweep keeps (see "Value
 identity"), and the tests build their scalar products on them.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
@@ -30,56 +30,78 @@ read their derivatives and norm sums off these sweeps.
 - lane state: the four float64 entries of the product and an int64 exponent
   per lane; with derivatives, the same again for dM/dE on the lanes of a
   prefix of the groups, whose exponent is that of its product (see
-  "Derivative lanes").  The entries live in two preallocated buffers, and
-  each site steps from one into the other with `out=` (see "Calls per
-  site").  The loop over sites does only the 2x2 step, rescale and
-  derivative.
-- factors: a (sites, groups) array of potential symbols; per block of B sites
-  one lookup gives every lane its factors, so memory is O(lanes * B +
-  sites * groups) however many groups share the sweep (B as below with
-  norms, at most 32 without).
-- with norms (or peaks), each site's product also goes into a buffer of B
-  sites; per block, `_norm_sq_lanes` takes all its squared norms in one call,
-  and `_running_sums` their running sums in one float64 `np.add.accumulate`
-  (the peaks, one running maximum of exponents).  State is O(lanes * B);
-  nothing else is kept per site except at the requested marks (site counts).
+  "Derivative lanes").  The entries live in one preallocated buffer of
+  B + 1 slots, and each site of a block of B sites steps from one slot into
+  the next with `out=` (see "Calls per site").  The loop over sites does
+  only the 2x2 step and the derivative; the rescale runs once per block
+  (see "Block rescale").
+- factors: a (sites, groups) array of potential symbols; per block one
+  lookup gives every lane its factors, so memory is O(lanes * B + sites *
+  groups) however many groups share the sweep.
+- with norms, per block `_norm_sq_lanes` takes the squared norms of all its
+  stored products in one call, and `_running_sums` their running sums in
+  one float64 `np.add.accumulate`; with peaks, one running maximum of
+  exponents per block gives the peaks.  State is O(lanes * B); nothing else
+  is kept per site except at the requested marks (site counts).
 - at each mark it records the product, its derivative, the norm at that
   site, the running norm sum and the peak, so traces, derivative traces,
   windowed norm sums and rounding scales at all Fibonacci lengths come from
   one pass.
 
-Byte identity.  Every product lane does the IEEE operations of the scalar
-layer in the same order: `_mul` per factor, `_norm_sq` and `XReal.__add__`
-for norm sums, with the same per-lane frexp/ldexp rescaling.  The derivative
-lanes keep the values of `_add` for the product rule, and their traces its
-bits (see "Derivative lanes").  The results are bit-identical to the scalar
-ones because numpy's elementwise float64 operations are correctly rounded
-IEEE-754 binary64 operations like Python's float arithmetic, each one rounds
-on its own (no fused multiply-add), and frexp/ldexp by powers of two are
-exact.  Two rewrites keep the bits: x * 1.0 is x, and x * -1.0 + y is y - x.
-The 0.0 * x terms are kept, because they fix the sign of zero entries.  The
-rescale check is skipped only while a running upper bound on the entries
-shows that no lane can pass its threshold, so each lane rescales at exactly
-the sites where the scalar code does, and never because another lane did.
-With peaks no bound is kept and every site is checked.
+Block rescale.  A product lane is checked against its threshold once per block
+of B sites, at the block's last site, not at every site as in `_mul`.  A step
+multiplies the largest |entry| by at most `growth`, the largest |t| + 1 of the
+sweep with a rounding slack, and `_rescale_sites` takes the largest B up to a
+cap with growth**B <= the least threshold: at coupling 10 over energies in
+[-3, 13], 32 sites (the cap) without norms and 67 with them.  At a block's end
+every lane whose largest |entry| passes its threshold / growth**B, and so
+could pass the threshold within the next block, is scaled into [0.5, 1) by
+`_renorm`, and its derivative lane takes the same scale.  So no stored entry
+passes its lane's threshold, and within a block a site is only the step and
+the derivative.  Where growth**2 passes the least threshold (factors beyond
+about 2**128, as at coupling 1e300) B is 1, and the check is that of `_mul`,
+|entry| > threshold, at every site, the last one included, in its order: the
+product's rescale, then the check of `d_bound`, then the mark.  Those sweeps
+keep the raw split of the scalar layer.  With B > 1 nothing is rescaled after
+the last site, as nothing follows it.  The cap is `_block_sites` with norms
+(see "Norm sums") and 32 without, which keeps the buffers small.  The peaks
+are read once per block from its stored products: frexp(max |entry|)[1] + e, e
+the exponent of the block, which changes only at its end.  They do not depend
+on where a lane rescales: a scale by 2**-ex lowers frexp of the largest entry
+by ex and raises e by ex.
 
-`_renorm` takes each lane's largest |entry| mx before it rescales, and with
-peaks every site is checked, so that one maximum serves both the check and the
-peak.  The peak frexp(mx)[1] + e is taken from mx and the exponent e from
-before the rescale, and it is the same on either side of it: a lane that
-rescales is multiplied by 2**-ex, ex = frexp(mx)[1], which puts its largest
-entry in [0.5, 1) without rounding, so frexp of that entry is ex lower while e
-is ex higher.  So the rescale leaves mx as it is, and the peaks read the
-exponents from before it, in a buffer of their own beside the exponents after
-it that the norms read.  The scales 2**-ex of the rescale and 2**shift of
-`_add` come from one table, `_HALVES[i]` = ldexp(1.0, -i) for i = 0..1075,
-taken with mode="clip".  That is ldexp(1.0, -max(k, 0)) for every integer k: a
-k below 0 reads 1.0, the scale of the operand with the larger exponent, and
-one above 1075 reads `_HALVES[1075]` = 0.0, as ldexp(1.0, -k) is 0.0 for every
-k >= 1075 (2**-1075 is half the least subnormal and rounds to even).
-Where |shift| > 1080 `_add` returns the larger operand untouched, and so
-does `_add_lanes`: adding the other operand's 0.0 would turn a -0.0 entry
-into 0.0.
+Value identity.  Every product lane does the IEEE operations of the scalar
+layer in the same order: `_mul` per factor, `_norm_sq` and `XReal.__add__`
+for norm sums.  It rescales at other sites than `_mul` does, but every
+rescale is a scaling by a power of two, and IEEE rounding does not change
+under a common power-of-two scale while no entry leaves the normal range:
+numpy's elementwise float64 operations are correctly rounded IEEE-754
+binary64 operations like Python's float arithmetic, each one rounds on its
+own (no fused multiply-add), and frexp/ldexp by powers of two are exact.  So
+each entry of a product has the value that the scalar layer gives, and only
+its split into entry and exponent differs.  The one exception is an entry
+more than 2**1021 below the largest entry of its matrix: a scale that puts
+the largest entry into [0.5, 1) puts it below the normal range, where it
+rounds or flushes to zero, so where one split takes such a scale and the
+other does not, its value can differ.  The outputs do not depend on the
+split: traces, derivative traces and norm sums are XReals normalized from
+the entries, and a peak is the exponent of the largest entry.  They keep the
+bits of the scalar layer; the tests hold them to it bit for bit, and the
+products by value with that one exception.  Two rewrites keep the bits:
+x * 1.0 is x, and x * -1.0 + y is y - x.  The 0.0 * x terms are kept, because
+they fix the sign of zero entries.  Which lanes share a sweep sets B and the
+cutoff threshold / growth**B through its largest factor, so it can change
+the split of a product but not its values; lanes over the same energies keep
+their bits in any groups and any order.
+
+The scales 2**-ex of a rescale and 2**shift of `_add` come from one table,
+`_HALVES[i]` = ldexp(1.0, -i) for i = 0..1075, taken with mode="clip".  That
+is ldexp(1.0, -max(k, 0)) for every integer k: a k below 0 reads 1.0, the
+scale of the operand with the larger exponent, and one above 1075 reads
+`_HALVES[1075]` = 0.0, as ldexp(1.0, -k) is 0.0 for every k >= 1075 (2**-1075
+is half the least subnormal and rounds to even).  Where |shift| > 1080 `_add`
+returns the larger operand untouched, and so does `_add_lanes`: adding the
+other operand's 0.0 would turn a -0.0 entry into 0.0.
 
 Derivative lanes.  A derivative lane shares its product lane's exponent e:
 it is not checked against a threshold, and `_renorm` copies its owner's ex to
@@ -87,103 +109,107 @@ it before the one `take` of the scales, so it takes every rescale of its owner.
 Both operands of the product rule, T dM and (X, 0), then carry the exponent
 of the old product, and the rule is one `np.add`.  The scalar rule rescales
 T dM on its own and aligns the operands of `_add` by 2**shift; all of these
-are scalings by powers of two, exact while no entry leaves the normal range,
-and IEEE rounding does not change under a common power-of-two scale.  So
-each entry of dM has the value that `_add` gives, and only its split into
-entry and exponent differs; the derivative traces, XReals normalized from
-dM[0] + dM[3], keep their bits.  Values can differ only where an entry leaves
-the normal range.  At |E| near 1e300 dM lies about 1e-300 below its product,
-and its entries 1e-300 below its largest round to 0.0 in the shared exponent;
-where the scalar rule drops an operand by its far-shift branch, a zero entry
-can differ in sign.  The traces, dominated by the largest entry, kept their
-bits in every such case tried: the lane tests at coupling or energy near
-1e300, and 300 random draws of both up to 1e300 against the scalar rule.
+are scalings by powers of two, so, as for the products, each entry of dM has
+the value that `_add` gives and only its split differs; the derivative
+traces, XReals normalized from dM[0] + dM[3], keep their bits.  Values can
+differ only where an entry leaves the normal range.  At |E| near 1e300 dM
+lies about 1e-300 below its product, and its entries 1e-300 below its largest
+round to 0.0 in the shared exponent; where the scalar rule drops an operand
+by its far-shift branch, a zero entry can differ in sign.  The traces,
+dominated by the largest entry, kept their bits in every such case tried:
+the lane tests at coupling or energy near 1e300, and 300 random draws of both
+up to 1e300 against the scalar rule.
 
 dM is never squared, so it needs no rescale of its own; it only must not
-overflow in the next step.  |T dM + X| <= growth * |dM| + 2**256 (the
-rounding slack is in `growth`), and the Python float `d_bound` carries that
-bound from site to site.  Where it passes `d_limit`, 2**1022 / growth but at
-least 1.0, `_renorm` with `limit` takes the largest |entry| of every
-derivative lane, which becomes the new bound, and rescales into [0.5, 1)
-each lane whose own entries pass the limit: that lane leaves its owner's
-exponent.  Until a later check finds every lane back on its owner's
-exponent, the product rule runs as `_add_lanes`, the general `_add` per
-lane; on a lane whose exponent is its owner's both operands take the scale
-1.0, so it gets the bits of the one add.  A lane off its owner's exponent
-still takes its owner's rescales, as no power-of-two scale changes a value.
-`d_bound` bounds every lane, so a lane leaves exactly where its own entries
-pass `d_limit`; that limit follows the largest factor of the sweep, so the
-split of a derivative lane that leaves, but not its values, can depend on
-the other lanes.  The running bound of the product lanes, kept where there
-are no peaks, does not cover the derivative lanes: `d_bound` does.  The
-general add ran at 0 of the 17,711 sites of the `phase_traces` sweep of
-the benchmark's `traces-large` run, at 0 of 987 of the default `traces` run,
-and at 373 of 377 of `traces --lambda 1e300 --k-max 12 --energies=-1:1:5
---theta 1/3`, where a derivative outgrows its product by about lambda per
-level.  `d_bound` passed the limit at 89, 4 and 377 of those sites.
+overflow in the next step.  No stored product entry passes 2**256, so
+|T dM + X| <= growth * |dM| + 2**256 (the rounding slack is in `growth`), and
+the Python float `d_bound` carries that bound from site to site.  Where it
+passes `d_limit`, 2**1022 / growth but at least 1.0, `_renorm` with `limit`
+takes the largest |entry| of every derivative lane, which becomes the new
+bound, and rescales into [0.5, 1) each lane whose own entries pass the limit:
+that lane leaves its owner's exponent.  Until a later check finds every lane
+back on its owner's exponent, the product rule runs as `_add_lanes`, the
+general `_add` per lane; on a lane whose exponent is its owner's both
+operands take the scale 1.0, so it gets the bits of the one add.  A lane off
+its owner's exponent still takes its owner's rescales, as no power-of-two
+scale changes a value.  `d_bound` bounds every lane, so a lane leaves exactly
+where its own entries pass `d_limit`; that limit follows the largest factor
+of the sweep, so the split of a derivative lane that leaves, but not its
+values, can depend on the other lanes.  The general add ran at 0 of the
+17,711 sites of the `phase_traces` sweep of the benchmark's `traces-large`
+run, at 0 of 987 of the default `traces` run, and at 373 of 377 of `traces
+--lambda 1e300 --k-max 12 --energies=-1:1:5 --theta 1/3`, where a derivative
+outgrows its product by about lambda per level.  `d_bound` passed the limit
+at 88, 4 and 377 of those sites.
 
-Norm sums keep the bits of one `XReal.__add__` per site, though they are
-summed a block at a time.  For normalized positive operands that add is the
-binary64 sum of the values scaled by a common power of two while the larger
-stays normal: scaling does not change IEEE rounding.  `_running_sums` scales
-a lane's carry and block values by 2**-top (top their largest exponent), adds
-them in float64 and splits the sums back with `frexp`.  Squared norms of det-1
-products change by at most g**2 per site, g = `growth` (||T|| <= |t| + 1), and
-B = `_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every running sum
+Norm sums.  They keep the bits of one `XReal.__add__` per site, though they
+are summed a block at a time.  `_norm_sq_lanes` normalizes each stored
+product, as `_norm_sq` does, so the squared norms do not depend on its split.
+For normalized positive operands that add is the binary64 sum of the values
+scaled by a common power of two while the larger stays normal: scaling does
+not change IEEE rounding.  `_running_sums` scales a lane's carry and block
+values by 2**-top (top their largest exponent), adds them in float64 and
+splits the sums back with `frexp`.  Squared norms of det-1 products change by
+at most g**2 per site, g = `growth` (||T|| <= |t| + 1), and B <=
+`_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every running sum
 stays within 2**960 of its block's largest value, normal and exact.  A value
 that goes subnormal lies below half an ulp of the sum it joins and rounds
-away in both forms, as in the `shift < -1080` branch.  Where no B fits,
-B = 1 and a block is one add, whose larger operand scales into [0.5, 1).
+away in both forms, as in the `shift < -1080` branch.  Where no B fits, B = 1
+and a block is one add, whose larger operand scales into [0.5, 1).
 
-Every lane runs one step, x * t + y * s and x * -s + y * 0.0 with s = -1 on
-the right lanes and 1 on the left ones, both halves from one product of
+Steps.  Every lane runs one step, x * t + y * s and x * -s + y * 0.0 with s =
+-1 on the right lanes and 1 on the left ones, both halves from one product of
 (X, Y) with per-lane factor arrays.  By the same rewrites that is x * t - y
 and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 - x on the
 left, the steps of `_mul` (addition commutes in IEEE arithmetic), with the
-signs of zeros kept.  The derivative step is the same on both sides: the
-step of dM/dE plus X of the old product (see `_sweep`), run as extra lanes
-after the products, with the factors and signs of the lanes they belong to.
-Which lanes share the sweep, and in what order, changes no product lane's
-bits and no derivative's values: every operation is elementwise, and a
-product lane rescales only where its own entries pass its own threshold.
-Each lane's factor is E or E - lam of its own energy, picked by its group's
-symbol at the site.  On every side, one gather per block puts each lane's entries in
+signs of zeros kept.  The derivative step is the same on both sides: the step
+of dM/dE plus X of the old product (see `_sweep`), run as extra lanes after
+the products, with the factors and signs of the lanes they belong to.  Every
+operation is elementwise, so the order of the lanes changes no bits.  Each
+lane's factor is E or E - lam of its own energy, picked by its group's symbol
+at the site.  On every side, one gather per block puts each lane's entries in
 (a, b, c, d) order before its squared norms, so the squares add in the order
 of `_norm_sq`.
 
-Calls per site.  The state is two (3, 2, lanes) buffers, (X, Y) and a block
-of zeros; a site multiplies (X, Y) by the step's factors [[t, f], [s, 0.0]]
-of its block with one `np.multiply` and sums the two terms into the other
-buffer with one `np.add`.  The old buffer keeps X, and its zeros complete it
-to the operand (X, 0) of the derivative's product rule, added in place into
-the derivative lanes with one more `np.add`.  A `_renorm` check is one
-`np.abs` and two `np.maximum.reduce`; a rescale adds six calls: `np.frexp`,
-the comparison and product that zero ex on the other lanes, one `take` of the
-scales, the in-place product of the entries and the new exponents, and two
-more where a bound is kept, the rescaled maxima and the new bound.  Where
-`d_bound` passes its limit, the check of the derivative lanes is the same
-three calls and `np.array_equal`.  `_add_lanes`, where it runs, makes eight
-calls into work arrays made once per sweep: the shifts and their negatives,
-one `take` of both scales, the |shift| > 1080 test, the scaled sum (three)
-and the exponents.  Counting ufunc calls, ufunc methods, numpy functions and
-the reducing ndarray methods (not numpy scalar arithmetic or indexing), each
-weighted by how often its branch runs, the `phase_traces` sweep of the
-benchmark's `traces-large` run (17,711 sites, 288 product lanes and 96
-derivative lanes) made per site, in the step, its check and rescale and the
-derivative, and took in CPU seconds (median of 8 fresh processes, on a 2-vCPU
-Xeon):
+Calls per site.  The state is one (B + 1, 3, 2, lanes) buffer: per slot
+(X, Y) and a block of zeros.  A site multiplies (X, Y) of its slot by the
+step's factors [[t, f], [s, 0.0]] with one `np.multiply` and sums the two
+terms into the next slot with one `np.add`.  The old slot keeps X, and its
+zeros complete it to the operand (X, 0) of the derivative's product rule,
+added in place into the derivative lanes with one more `np.add`.  At a
+block's end the lookup of the next block's factors is one `np.where`, and
+the peaks are six calls: `np.abs`, the `max` over entries, `np.frexp`, the
+add of the exponents, `np.maximum` and `np.maximum.accumulate`.  The
+rescale's check is one `np.abs` and two `np.maximum.reduce`, and a rescale
+adds six calls: `np.frexp`, the comparison and product that zero ex on the
+other lanes, one `take` of the scales, the in-place product of the entries
+and the new exponents.  The copy of a block's last slot into its first is
+indexing.  Where `d_bound` passes its limit, the check of the derivative
+lanes is the same three calls and `np.array_equal`.  `_add_lanes`, where it
+runs, makes eight calls into work arrays made once per sweep: the shifts and
+their negatives, one `take` of both scales, the |shift| > 1080 test, the
+scaled sum (three) and the exponents.  Counting ufunc calls, ufunc methods,
+numpy functions and the reducing ndarray methods (not numpy scalar arithmetic
+or indexing), each weighted by how often its branch runs, the `phase_traces`
+sweep of the benchmark's `traces-large` run (17,711 sites, 288 product lanes
+and 96 derivative lanes) made per site, in the step, the rescale, the
+derivative and the block's factor lookup and peaks, and took in CPU seconds
+(median over 16 fresh processes of the best of 3 calls, on a 2-vCPU Xeon),
+with a rescale check at every site as `_mul` has it and once per block:
 
-                          step   renorm  derivative  total  seconds
-    shared exponent        2.0      7.7         1.0   10.8     0.53
+                          step  rescale  derivative  block  total  seconds
+    check at every site    2.0     7.73        1.02   0.16  10.91     0.43
+    check once per block   2.0     0.28        1.02   0.22   3.52     0.25
 
-The step checks only the product lanes and rescales at 13,951 sites, and the
-derivative is one add per site plus the check of `d_bound`, 0.02 calls per
-site at its 89 sites (see "Derivative lanes").  Without its 96 derivative
-lanes the same sweep took 0.48 s.  Where some lane's threshold is below
-2**256, which needs a factor of 2**766 or more, each check takes one more
-call for the least threshold.  `_add_lanes` stays a function: by `timeit` on
-96 lanes the call costs at most 0.3 us per site over its body inlined in the
-loop, and its own test holds it to `_add` at the |shift| edges.
+The check at every site rescaled at 13,951 sites; once per block, 552 of the
+554 blocks of 32 sites rescale, and the derivative is one add per site plus
+the check of `d_bound`, 0.02 calls per site at its 88 sites (see "Derivative
+lanes").  Without its 96 derivative lanes the same sweep took 0.17 s (0.33 s
+with the check at every site).  Where some lane's threshold is below 2**256,
+which needs a factor of 2**766 or more, each check takes one more call for
+the least threshold.  `_add_lanes` stays a function: by `timeit` on 96 lanes
+the call costs at most 0.3 us per site over its body inlined in the loop, and
+its own test holds it to `_add` at the |shift| edges.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` are one-group calls of the sweep that the `traces` command
@@ -335,12 +361,13 @@ def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
 # halves: T @ M with T = [[t, -1], [1, 0]] on the right is (x * t - y,
 # x + y * 0.0), M @ T on the left is (x * t + y, y * 0.0 - x).  `_sweep` runs
 # both as x * t + y * s, x * f + y * 0.0 with (s, f) = (-1, 1) on the right
-# and (1, -1) on the left; see "Byte identity".
+# and (1, -1) on the left; see "Steps".
 _ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}  # of a, b, c, d
 
-# Rounding slack for the entry bounds that let `_renorm` skip its check: a
-# step x * t - y rounds twice, so |new entry| <= (|t| + 1) * bound * (1 + 2**-53)**2,
-# and the bound's own products round once more; 2**-40 covers all of it.
+# Rounding slack of `growth`, the bound on what one step does to the largest
+# entry: a step x * t - y rounds twice, so |new entry| <= (|t| + 1) * bound *
+# (1 + 2**-53)**2, and each product of bounds and powers of `growth` rounds
+# once more; 2**-40 per site covers all of it.
 _SLACK = 1.0 + 2.0**-40
 
 # 2**-i for i = 0..1075, the last one 0.0, as ldexp(1.0, -1075) rounds to even.
@@ -364,37 +391,27 @@ class _Mark(NamedTuple):
     peak: np.ndarray | None = None  # every |entry| over sites 1..n is below 2**peak
 
 
-class _Buffer(NamedTuple):
-    """Views of one (3, 2, lanes) state buffer of `_sweep`: (X, Y, zeros)."""
-
-    step: np.ndarray  # (X, Y), shaped to multiply the step's factors
-    m: np.ndarray  # (X, Y) of every lane
-    x: np.ndarray  # (X, 0) of the lanes that carry derivatives
-    dm: np.ndarray  # (X, Y) of the derivative lanes
-
-
-def _renorm(m, e, bound, mx=None, out=None, owned=0, limit=_RENORM):
+def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
     """The rescale of `_mul` and `_add`, per lane, in place on `m`.
 
     `m` holds the entries of each lane along its last axis, and `bound` is an
     upper bound on every |entry|, or inf where none is kept.  `limit` is the
     rescale threshold, one number or one per lane (`_lane_limit`).  While the
     bound stays at or below the least limit no lane can need rescaling and
-    nothing is checked; otherwise each lane's largest |entry| goes to `mx` (a
-    new array if None), and only lanes whose own largest entry passes their
-    limit are rescaled.  Their new exponents go to `out` (a new array if None).
-    With a finite `bound`, `mx` is rescaled with its lanes and its largest
-    value is the new bound; with inf, `mx` keeps the maxima from before the
-    rescale, which with the exponents from before it give the peaks (see "Byte
-    identity"), and the bound stays inf.  The last `owned` lanes are the
-    derivatives of the first `owned` ones: they are not checked, they take
+    nothing is checked; otherwise only lanes whose own largest |entry| passes
+    their limit are rescaled.  Their new exponents go to `out` (a new array if
+    None).  With a finite `bound`, the largest |entry| after the rescale is
+    the new bound; with inf, the bound stays inf.  The sweep passes inf and a
+    `limit` of threshold / growth**B at a block's end (see "Block rescale"),
+    and a finite bound for its derivative lanes.  The last `owned` lanes are
+    the derivatives of the first `owned` ones: they are not checked, they take
     their owner's rescale, and the bound does not cover them (see "Derivative
     lanes").  Returns (m, e, bound).
     """
     least = limit if isinstance(limit, float) else float(limit.min())
     if bound <= least:
         return m, e, bound
-    mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0, out=mx)
+    mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0)
     lanes = mx.size - owned
     top = float(np.maximum.reduce(mx[:lanes], initial=0.0))
     if top <= least:
@@ -460,13 +477,21 @@ def _norm_sq_lanes(m, e):
 
 
 def _block_sites(growth: float) -> int:
-    """B of "Byte identity": max B <= 256 with 2 * (B + 1) * log2(growth) <= 960, else 1."""
+    """B of "Norm sums": max B <= 256 with 2 * (B + 1) * log2(growth) <= 960, else 1."""
     bits = math.log2(growth)
     return min(256, max(1, math.floor(480.0 / bits) - 1)) if bits < 480.0 else 1
 
 
+def _rescale_sites(growth: float, least: float, cap: int) -> int:
+    """B of "Block rescale": the most sites up to `cap` with growth**B <= least, at least 1."""
+    size, reach = 1, growth
+    while size < cap and reach * growth <= least:
+        size, reach = size + 1, reach * growth
+    return size
+
+
 def _running_sums(m, e, carry):
-    """`XReal.__add__` per site over norms (sites, lanes) from `carry`; see "Byte identity"."""
+    """`XReal.__add__` per site over norms (sites, lanes) from `carry`; see "Norm sums"."""
     top = np.maximum(e.max(axis=0), carry[1])
     vals = np.ldexp(m, e - top)
     vals[0] += np.ldexp(carry[0], carry[1] - top)
@@ -498,9 +523,10 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     unimodular products are at least 1, so the zero branches of
     `XReal.__add__` never apply after the first site.
 
-    State is O(lanes * B + sites * groups): the factors of a block of sites
-    are looked up at once, and with `norms` or `peaks` products wait in a
-    buffer of B sites, and a mark gets those fields when its block is done.
+    State is O(lanes * B + sites * groups): the products of a block of B
+    sites stay in a buffer, whose factors are looked up at once and whose
+    norms, peaks and rescale are taken when the block is done; a mark gets
+    its norm and peak fields then.
     """
     if not {side for side, _ in groups} <= {"right", "left"}:
         raise ValueError("a sweep takes ('right' or 'left', phase) groups")
@@ -531,45 +557,46 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     # and its add, and a lane that passes it takes an exponent of its own;
     # at least 1.0, so a rescale into [0.5, 1) puts any lane below it
     d_limit = max(2.0**1022 / growth, 1.0)
+    # B sites per block (see "Block rescale"): exact norm sums need B <=
+    # `_block_sites`, and without them 32 sites keep the buffers small
+    size = _rescale_sites(growth, float(np.min(limit)),
+                          _block_sites(growth) if norms else 32)
+    # lanes past this at a block's end could pass their threshold within the
+    # next block; one-site blocks check the threshold itself, as `_mul` does
+    cutoff = limit if size == 1 else limit / growth**size
     # per lane the rows that put its entries in (a, b, c, d) order
     order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
                      np.arange(4)[:, None])[:, None]
-    # two buffers of (X, Y, zeros), each lane's halves along axis 1; a site
-    # steps from one into the other, which keeps X of the old product for
-    # the derivative, and the zeros complete it to the operand (X, 0) of the
+    # the products of the block's sites, after the one it starts from: per
+    # slot (X, Y, zeros), each lane's halves along axis 1.  A site steps from
+    # one slot into the next, which keeps X of the old product for the
+    # derivative, and the zeros complete it to the operand (X, 0) of the
     # product rule
-    buffers = np.zeros((2, 3, 2, width))
-    buffers[0, 0, 0, :lanes] = buffers[0, 1, 1, :lanes] = 1.0  # a and d on every side
-    cur, nxt = (_Buffer(b[:2, None], b[:2], b[::2, :, :n_d], b[:2, :, lanes:]) for b in buffers)
+    state = np.zeros((size + 1, 3, 2, width))
+    state[0, 0, 0, :lanes] = state[0, 1, 1, :lanes] = 1.0  # a and d on every side
+    products = state[1:, :2, :, :lanes]
     e = np.zeros(width, dtype=np.int64)
-    # with peaks every site is checked, so no bound is kept
-    bound = math.inf if peaks else 1.0
-    # exact norm sums need B <= `_block_sites`; without them 32 sites keep the
-    # factor and peak buffers small
-    size = _block_sites(growth) if norms else min(_block_sites(growth), 32)
+    de = e[lanes:]
     # per site of a block the step's factors [[t, f], [s, 0.0]]: row one
     # multiplies x and row two y, column one gives the new X and column two Y
     factors = np.zeros((size, 2, 2, 1, width))
     factors[:, 0, 1, 0] = -sign
     factors[:, 1, 0, 0] = sign
-    steps = list(factors)
+    # per site of a block: (X, Y) of the old product shaped to multiply the
+    # step's factors, the factors, (X, Y) of the new product, (X, 0) of the
+    # old product on the lanes that carry derivatives, and the new dM/dE
+    steps = [(old[:2, None], f, new[:2], old[::2, :, :n_d], new[:2, :, lanes:])
+             for old, new, f in zip(state, state[1:], factors)]
     terms = np.empty((2, 2, 2, width))  # x and y times their factors
     x_terms, y_terms = terms
     # the derivative lanes share their owners' exponents while `apart` is
     # False; `d_bound` bounds their entries, which no rescale check covers
     apart, d_bound = False, 0.0
-    work = _add_work(cur.dm)  # work arrays of the general add
-    maxima = [None] * size
+    work = _add_work(steps[0][4])  # work arrays of the general add
     if norms:
-        block_m = np.empty((4, size, lanes))
-        block_e = np.empty((size, lanes), dtype=np.int64)
         # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
         carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
     if peaks:
-        # each lane's largest |entry| and exponent before the site's rescale
-        block_p = np.empty((size, width))
-        block_pe = np.empty((size, lanes), dtype=np.int64)
-        maxima = list(block_p)
         # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
         high = np.zeros(lanes, dtype=np.int64)
     done = 0  # marks that have their block fields
@@ -581,57 +608,55 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
         if j == 0:  # the factors of each lane over the next block of sites
             rows = symbols[n - 1:n - 1 + size][:, group]
             factors[:len(rows), 0, 0, 0] = np.where(rows, span, E)
-        np.multiply(cur.step, steps[j], out=terms)
-        m = np.add(x_terms, y_terms, out=nxt.m)
+        old, factor, m, x, dm = steps[j]
+        np.multiply(old, factor, out=terms)
+        np.add(x_terms, y_terms, out=m)
         if n_d:
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
             if apart:
-                _add_lanes(cur.x, e[:n_d], nxt.dm, e[lanes:], (nxt.dm, e[lanes:]), work)
+                _add_lanes(x, e[:n_d], dm, de, (dm, de), work)
             else:
-                np.add(nxt.dm, cur.x, out=nxt.dm)
+                np.add(dm, x, out=dm)
             # |T M' + X| <= growth * |M'| + 2**256, rounding included
             d_bound = (d_bound + _RENORM) * growth
-        if peaks:
-            block_pe[j] = e[:lanes]
-        m, e, bound = _renorm(m, e, bound * growth, maxima[j], owned=n_d, limit=limit)
-        if d_bound > d_limit:
-            # lanes whose derivative passes the limit leave their owner's exponent
-            de = e[lanes:]
-            d_bound = _renorm(nxt.dm, de, min(d_bound, sys.float_info.max), out=de,
-                              limit=d_limit)[2]
-            apart = not np.array_equal(de, e[:n_d])
-        cur, nxt = nxt, cur
-        if n == want:
-            entries = m.reshape(4, width)
-            out.append(_Mark(n, entries[:, :lanes].copy(), e[:lanes].copy(),
-                             *((entries[:, lanes:].copy(), e[lanes:].copy()) if n_d
-                               else (None, None))))
-            want = next(pending, None)
-        if norms:
-            block_m[:, j] = m[..., :lanes].reshape(4, lanes)
-            block_e[j] = e[:lanes]
-        if (norms or peaks) and (j == size - 1 or n == top):
+        end = j == size - 1 or n == top
+        if end:
             fields = {}
+            block = products[:j + 1]
             if norms:
                 # in (a, b, c, d) order, as `_norm_sq` adds the squares
-                block = np.take_along_axis(block_m[:, :j + 1], order, axis=0)
-                norm_m, norm_e = _norm_sq_lanes(block, block_e[:j + 1])
+                ordered = np.take_along_axis(block.reshape(j + 1, 4, lanes).transpose(1, 0, 2),
+                                             order, axis=0)
+                norm_m, norm_e = _norm_sq_lanes(ordered, e[:lanes])
                 sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
                 carry = sum_m[j], sum_e[j]
                 fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
             if peaks:
-                # frexp(mx)[1] + e is the same before and after a rescale
-                peak = block_pe[:j + 1]  # the buffer is spent: add in place
-                peak += np.frexp(block_p[:j + 1, :lanes])[1]
+                # the product lanes keep their exponents through a block
+                peak = np.frexp(np.abs(block).max(axis=(1, 2)))[1] + e[:lanes]
                 np.maximum(peak[0], high, out=peak[0])
-                np.maximum.accumulate(peak, axis=0, out=peak)
-                high = peak[j].copy()
+                high = np.maximum.accumulate(peak, axis=0, out=peak)[j]
                 fields.update(peak=peak)
+            if n < top or size == 1:
+                _renorm(m, e, math.inf, out=e, owned=n_d, limit=cutoff)
+        if d_bound > d_limit:
+            # lanes whose derivative passes the limit leave their owner's exponent
+            d_bound = _renorm(dm, de, min(d_bound, sys.float_info.max), out=de,
+                              limit=d_limit)[2]
+            apart = not np.array_equal(de, e[:n_d])
+        if n == want:
+            entries = m.reshape(4, width)
+            out.append(_Mark(n, entries[:, :lanes].copy(), e[:lanes].copy(),
+                             *((entries[:, lanes:].copy(), de.copy()) if n_d
+                               else (None, None))))
+            want = next(pending, None)
+        if end:
             for i in range(done, len(out)):
                 at = out[i].n - (n - j)
                 out[i] = out[i]._replace(**{name: v[at].copy() for name, v in fields.items()})
             done = len(out)
+            state[0, :2] = state[j + 1, :2]
     return out
 
 
@@ -757,7 +782,7 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
     coincide with those of the matrix itself, so the left side accumulates
     direct factors downward.  Windows of both signs share one two-sided
     sweep, a block of lanes per half-line, bit-identical to a call per sign.
-    Its norms are summed a block of sites at a time; see "Byte identity".
+    Its norms are summed a block of sites at a time; see "Norm sums".
     """
     ls = list(l_values)
     lanes, scalar = _lanes(E)

@@ -421,6 +421,20 @@ def test_exit_code_energy_grid_span_overflow(tmp_path):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    # (hi - lo) * i overflows at the last grid point, though hi - lo does not
+    ["--lambda", "1", "--energies=-1e308:1e307:3"],
+    # E - lambda overflows at every grid point
+    ["--lambda", "1e308", "--energies=-1e308:-9e307:2"],
+], ids=["grid-point", "E-minus-lambda"])
+def test_energy_grid_overflow_exit_2_before_writing(tmp_path, capsys, args):
+    # both wrote their files and then exited 1 on an infinite trace
+    out = tmp_path / "out"
+    assert main(["traces", *args, "--k-max", "6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: energy grid points E and E - lambda must be finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["dynamics", "--N", "abc"], "N must be an integer in [1, 4096] or 'auto'"),
     (["dynamics", "--N", "5.5"], "N must be an integer in [1, 4096] or 'auto'"),
@@ -696,6 +710,44 @@ def test_traces_huge_coupling_tiny_energy_outputs_are_pinned(tmp_path):
     assert main(["traces", "--lambda", "1e300", "--k-max", "10",
                  "--energies=1e-250:3e-250:3", "--out", str(tmp_path)]) == 0
     for name, digest in TRACES_TINY_ENERGY_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a traces run over many blocks of sites of the sweep, the last one
+# partial, with three phases whose right lanes carry derivatives and whose
+# norm sums cross block edges; taken while every lane rescaled at every site
+TRACES_MANY_BLOCKS_SHA256 = {
+    "traces.csv": "3e7043ea6b9b9a2312f94aded447946c8c4816a8772253e7d2403058899fdd03",
+    "margins.csv": "d1ccd3073144db074503b8a797a7310b983139f5a0f948c74822e0d5b3d07fff",
+    "norms.csv": "f92e17edf4f5569dfcbdf5bafeb76d0576fbf05271a7d9676cd92c8248486253",
+    "traces_summary.json":
+        "dda5f86845405609b99aacf33821758325cf2664c5d6da486c2718051c2af7eb",
+}
+
+
+def test_traces_many_blocks_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--k-max", "16", "--energies=-3:13:24", "--theta", "omega/2",
+                 "--random-thetas", "2", "--seed", "4", "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_MANY_BLOCKS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of a traces run at coupling 1e30 and energies near 1e-250, taken
+# while every lane rescaled at every site: factors of about 2**100 give
+# two-site blocks, and the entries of E near 1e-250 lie far below the largest
+TRACES_COUPLING_1E30_SHA256 = {
+    "traces.csv": "4e55ab2ab3d186f7cb59357b0e385957d68f519f57a7596371437f7d497b9c49",
+    "margins.csv": "f1e621ab14991020aeee9938d97759a3a746b60a242ce2dc87ddc7db230efeed",
+    "norms.csv": "69b480becc37f1bd92b4f97671e77c787608620f95f00a19dd10c7c3a1703609",
+    "traces_summary.json":
+        "77f1161f5acf68ae1962ca45359548f7e72ca9f5294bde377e129f2822f1ab4e",
+}
+
+
+def test_traces_coupling_1e30_tiny_energy_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--lambda", "1e30", "--k-max", "14",
+                 "--energies=1e-250:3e-250:3", "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_COUPLING_1E30_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 

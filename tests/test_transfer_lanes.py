@@ -1,21 +1,25 @@
 """Property tests of the batched transfer sweep against scalar products.
 
-Every lane of `transfer._sweep` must reproduce, bit for bit, what a one-lane
-sweep and what scalar `_mul` products with `_add` / `_norm_sq` give
-for that energy alone: the raw entries and exponents of the product, the
-value of each entry of its energy derivative, and the XReal (mantissa,
-exponent) pairs of traces, derivative traces and norm sums.  A lane whose
-entries pass 2**256 rescales on its own; if a rescale leaked into another
-lane, that lane's raw exponents would change even where its normalized values
-do not.  A derivative lane shares its product's exponent, so only the values
-of its entries, each normalized with that exponent, are the scalar rule's;
+Every lane of `transfer._sweep` must reproduce what a one-lane sweep and what
+scalar `_mul` products with `_add` / `_norm_sq` give for that energy alone:
+bit for bit the XReal (mantissa, exponent) pairs of traces, derivative traces
+and norm sums and the peaks, and by value each entry of the product and of its
+energy derivative.  The sweep rescales its products once per block of sites,
+where `_mul` rescales at every site, so a product keeps the values of the
+scalar rule but not its split into entries and exponent; the one exception
+allowed is an entry more than 2**1021 below the largest entry of its matrix,
+which a scale into [0.5, 1) can round or flush.  A derivative lane shares its
+product's exponent, so only the values of its entries are the scalar rule's;
 at coupling or energy near 1e300 its entries 1e-300 below its largest leave
-the normal range, and there its traces are held to the scalar rule.  Norm
-sums are taken a block of sites at a time, so marks on both sides of every
-block edge, and windows whose edge term opens the next block, are held to
-the scalar sums.  Several (side, phase) groups in one sweep, in any order,
-over energies in any order, with derivatives on a prefix of the groups, keep
-the bits of a sweep per group.
+the normal range, and there its traces are held to the scalar rule.  Where a
+block is one site, at coupling near 1e300, the raw entries and exponents are
+the scalar rule's too.  The block rule must keep every stored entry within its
+lane's threshold; a test with a mark at every site fails if a block is one
+site longer.  Norm sums are taken a block of sites at a time, so marks on both
+sides of every block edge, and windows whose edge term opens the next block,
+are held to the scalar sums.  Several (side, phase) groups in one sweep, in
+any order, over energies in any order, with derivatives on a prefix of the
+groups, keep the bits, raw splits included, of a sweep per group.
 """
 
 import math
@@ -64,6 +68,30 @@ def entry_values(matrix):
         mantissa, ex = math.frexp(v)
         out.append((f64(mantissa), ex + matrix[4] if v else 0))
     return out
+
+
+def unpack(raw_matrix):
+    """A product from its `raw` bits."""
+    return [struct.unpack("<d", v)[0] for v in raw_matrix[:4]] + [raw_matrix[4]]
+
+
+def assert_same_entries(got, want):
+    """Two `raw` products hold the same entry values.  The one exception: an
+    entry more than 2**1021 below the largest entry of its matrix may differ,
+    since a split with a larger exponent flushes it sooner (see "Value
+    identity" in `transfer`)."""
+    got, want = entry_values(unpack(got)), entry_values(unpack(want))
+    largest = max(ex for mantissa, ex in want if struct.unpack("<d", mantissa)[0])
+    for g, w in zip(got, want):
+        assert g == w or max(g[1], w[1]) < largest - 1021, (got, want)
+
+
+def assert_same_records(got, want):
+    """Records of `lane_results`: products by value, everything else bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_entries(g[0], w[0])
+        assert g[1:] == w[1:]
 
 
 def scalar_reference(side, k, E, lam, theta):
@@ -141,6 +169,9 @@ def carried(records, carry):
 # `_add` at site 41, where its step `_mul` stays below
 @example(side="right", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0)
 @example(side="left", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0)
+# an energy of 1e-300 at a coupling far outside the drawn range: the lane
+# holds an entry of 1e-300 beside entries near 2 * lambda, about 2**-1022 of them
+@example(side="right", k=2, lam=2.0**24, energies=[1e-300], far=8.0, phase=0)
 def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
                                                          far, phase):
     theta = PhasePoint(phase)
@@ -149,8 +180,8 @@ def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
     for carry in ("norms", "peaks"):
         lanes = lane_results(side, k, energies, lam, theta, carry)
         for E, lane, reference in zip(energies, lanes, references):
-            assert lane == lane_results(side, k, [E], lam, theta, carry)[0]
-            assert lane == carried(reference, carry)
+            assert_same_records(lane, lane_results(side, k, [E], lam, theta, carry)[0])
+            assert_same_records(lane, carried(reference, carry))
 
 
 def signed(lo, hi):
@@ -242,7 +273,7 @@ def test_two_sided_lanes_match_scalar_products(k, lam, energies, far, phase, shu
                 *xbits([TR._trace_xreals(mark.m, mark.e)[i],
                         TR._xreals(mark.sum_m, mark.sum_e)[i]]))
                for mark in marks]
-        assert got == want
+        assert_same_records(got, want)
 
 
 window = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 13.0, 21.0, 144.0]) | st.floats(0.01, 400.0)
@@ -385,6 +416,49 @@ def test_band_lane_never_rescales_beside_far_lanes():
     assert last.e[0] == 0 and min(last.e[2:]) > 256
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    sides=st.lists(st.sampled_from(["right", "left"]), min_size=1, max_size=2),
+    k=st.integers(0, 11),
+    lam=st.sampled_from([0.0, 12.0, 1e300]) | st.floats(0.0, 1e6),
+    energies=st.lists(st.floats(-4.0, 16.0) | st.floats(-2.0**20, 2.0**20), min_size=1,
+                      max_size=3),
+    carry=st.sampled_from([{}, {"norms": True}, {"peaks": True}]),
+    phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+)
+# growth just below 2**16 gives 16-site blocks, and each lane grows by almost
+# that much per site: a lane scaled into [0.5, 1) at a block's end passes
+# 2**256 at the 17th site after it
+@example(sides=["right"], k=9, lam=0.0, energies=[2.0**16 - 2.0], carry={}, phase=0)
+@example(sides=["left"], k=9, lam=0.0, energies=[2.0**16 - 2.0], carry={"peaks": True},
+         phase=0)
+def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, carry, phase):
+    # a mark at every site records every product the sweep steps through;
+    # the rescale at each block's end must keep all of them within their
+    # lane's threshold, which keeps the next step finite
+    theta = PhasePoint(phase)
+    groups = [(side, theta) for side in sides]
+    marks = TR._sweep(groups, np.array(energies), lam, list(range(1, fib_number(k) + 1)),
+                      deriv=1, **carry)
+    limit = np.tile(TR._lane_limit(np.array(energies), lam), len(groups))
+    for mark in marks:
+        assert (np.abs(mark.m).max(axis=0) <= limit).all(), mark.n
+
+
+def test_one_site_blocks_keep_the_scalar_raw_split():
+    # at coupling 1e300 one factor passes 2**128, so a block is one site and
+    # each lane rescales where `_mul` does: the raw entries and exponents,
+    # not only their values, are the scalar rule's at every mark
+    lam, energies = 1e300, [-1.0, 0.0, 1.0, 1e-250]
+    assert TR._rescale_sites((lam + 2.0) * TR._SLACK, 2.0**256, 32) == 1
+    for side in ("right", "left"):
+        theta = PhasePoint.from_decimal("0.3")
+        lanes = lane_results(side, 12, energies, lam, theta, "peaks")
+        for E, lane in zip(energies, lanes):
+            reference = scalar_reference(side, 12, E, lam, theta)
+            assert [record[0] for record in lane] == [record[0] for record in reference]
+
+
 # ---------------------------------------------------------------------------
 # the per-lane helpers against their scalar counterparts
 # ---------------------------------------------------------------------------
@@ -419,8 +493,8 @@ def test_lane_add_matches_scalar_add(pairs):
         assert lane_raw("right", m, e, i) == raw(TR._add(p, q))
 
 
-@pytest.mark.parametrize("maxima", [True, False], ids=["with-maxima", "bound-only"])
-def test_rescale_starts_strictly_above_two_to_the_256(maxima):
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bound-only"])
+def test_rescale_starts_strictly_above_two_to_the_256(bounded):
     # lanes whose largest entry is exactly 2**256 keep it, as `_mul` does;
     # beside them in one call, lanes an ulp above rescale
     above = math.nextafter(TR._RENORM, math.inf)
@@ -434,17 +508,10 @@ def test_rescale_starts_strictly_above_two_to_the_256(maxima):
     products = [TR._mul(mat, (1.0, 0.0, 0.0, 1.0, 0)) for mat in matrices]
     assert [p[4] for p in products] == [7] * 8 + [7 + 257] * 8
     m, e = columns(matrices)
-    mx = np.empty(len(matrices)) if maxima else None
-    before = e.copy()
-    m, e, bound = TR._renorm(m, e, math.inf if maxima else 2.0 * above, mx)
+    m, e, bound = TR._renorm(m, e, 2.0 * above if bounded else math.inf)
     for i, product in enumerate(products):
         assert lane_raw("right", m, e, i) == raw(product)
-    if maxima:  # the largest |entry| before the rescale gives the peak
-        peaks = np.frexp(mx)[1] + before
-        assert peaks.tolist() == [math.frexp(max(map(abs, p[:4])))[1] + p[4] for p in products]
-        assert bound == math.inf
-    else:
-        assert bound == max(max(map(abs, p[:4])) for p in products)
+    assert bound == (max(max(map(abs, p[:4])) for p in products) if bounded else math.inf)
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,9 +560,11 @@ def scalar_norms(side, top, E, lam, theta):
 
 
 def block_length(energies, lam):
-    """The B of a sweep over these energies, from its step growth bound."""
+    """The B of a sweep with norms over these energies, from its step growth bound."""
     E = np.array(energies, dtype=float)
-    return TR._block_sites((max(np.abs(E).max(), np.abs(E - lam).max()) + 1.0) * TR._SLACK)
+    growth = (max(np.abs(E).max(), np.abs(E - lam).max()) + 1.0) * TR._SLACK
+    return TR._rescale_sites(growth, float(TR._lane_limit(E, lam).min()),
+                             TR._block_sites(growth))
 
 
 def lane_columns(values):
