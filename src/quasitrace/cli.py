@@ -24,7 +24,7 @@ from . import transfer as TR
 from . import spectrum as SP
 from . import dynamics as DY
 from .phase import PRECISION_BITS, PhasePoint, omega
-from .xfloat import XReal
+from .xfloat import XReal, sci
 
 __all__ = ["RunConfig", "ConfigError", "parse_theta", "main"]
 
@@ -257,6 +257,17 @@ def cmd_words(cfg: RunConfig) -> int:
 # traces subcommand
 # ----------------------------------------------------------------------------
 
+def _trace_rows(energies, lam: float, phases, tables):
+    """Rows of traces.csv from the right tables' (m, e) arrays, as `_fmt` writes XReals."""
+    lam = _fmt(lam)
+    for (_, theta), (right, _) in zip(phases, tables):
+        theta = _fmt(theta)
+        for E, *row in zip(energies, *(a.tolist() for a in (*right.traces, *right.derivs))):
+            E = _fmt(E)
+            for k, (xm, xe, dm, de) in enumerate(zip(*row)):
+                yield k, E, lam, theta, sci(xm, xe), sci(dm, de)
+
+
 def cmd_traces(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,11 +279,8 @@ def cmd_traces(cfg: RunConfig) -> int:
 
     # one sweep for both sides of every phase and the phase-zero reference
     tables, refs = TR.phase_traces(cfg.k_max, energies, cfg.lam, [pt for _, pt in phases])
-    trace_rows = [(k, E, cfg.lam, theta, x, dx)
-                  for (_, theta), (right, _) in zip(phases, tables)
-                  for E, xs, dxs in zip(energies, right.traces, right.derivs)
-                  for k, (x, dx) in enumerate(zip(xs, dxs))]
-    _write_csv(out / "traces.csv", ["k", "E", "lambda", "theta", "x", "dx"], trace_rows)
+    _write_csv(out / "traces.csv", ["k", "E", "lambda", "theta", "x", "dx"],
+               _trace_rows(energies, cfg.lam, phases, tables))
 
     try:
         reports = [TR.phase_trace_parity(theta, traces, refs)
@@ -288,8 +296,10 @@ def cmd_traces(cfg: RunConfig) -> int:
     # the margins take their trace derivatives from the sweep above
     step = max(1, len(energies) // 16)
     margin_energies = energies[::step]
-    margin_derivs = [[row[:k_norm + 1] for row in right.derivs[::step]] for right, _ in tables]
-    del tables, refs, trace_rows  # memory peaks in the norm sums below
+    margin_derivs = [[list(map(XReal, m, e))
+                      for m, e in zip(*(a[::step, :k_norm + 1].tolist() for a in right.derivs))]
+                     for right, _ in tables]
+    del tables, refs  # memory peaks in the norm sums below
 
     # per phase one sweep gives the norm sums over windows +-F(0..k_norm): the
     # right ones at F(k) for the margins, both sides from F(4) on for norms.csv

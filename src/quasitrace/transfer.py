@@ -19,34 +19,25 @@ XReal.  They are the specification whose values the sweep keeps (see "Value
 identity"), and the tests build their scalar products on them.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
-one-site matrices along the potential for many lanes at once: the lanes are
-(side, phase) groups times one grid of energies, and each group steps along
-its half-line and potential.  A `traces` run over P phases makes 1 + P
+one-site matrices along the potential for many lanes at once: (side, phase)
+groups times one grid of energies.  A `traces` run over P phases makes 1 + P
 sweeps: `phase_traces` sweeps both sides of every phase and the phase-zero
 reference in one, with the right derivatives, and per phase `norm_profile`
-sums the right and left norms in one.  The margins of `norm_trace_margin`
-read their derivatives and norm sums off these sweeps.
-
-- lane state: the four float64 entries of the product and an int64 exponent
-  per lane; with derivatives, the same again for dM/dE on the lanes of a
-  prefix of the groups, whose exponent is that of its product (see
-  "Derivative lanes").  The entries live in one preallocated buffer of
-  B + 1 slots, and each site of a block of B sites steps from one slot into
-  the next with `out=` (see "Calls per site").  The loop over sites does
-  only the 2x2 step and the derivative; the rescale runs once per block
-  (see "Block rescale").
-- factors: a (sites, groups) array of potential symbols; per block one
-  lookup gives every lane its factors, so memory is O(lanes * B + sites *
-  groups) however many groups share the sweep.
-- with norms, per block `_norm_sq_lanes` takes the squared norms of all its
-  stored products in one call, and `_running_sums` their running sums in
-  one float64 `np.add.accumulate`; with peaks, one running maximum of
-  exponents per block gives the peaks.  State is O(lanes * B); nothing else
-  is kept per site except at the requested marks (site counts).
-- at each mark it records the product, its derivative, the norm at that
-  site, the running norm sum and the peak, so traces, derivative traces,
-  windowed norm sums and rounding scales at all Fibonacci lengths come from
-  one pass.
+sums the right and left norms in one; the margins of `norm_trace_margin`
+read their derivatives and norm sums off these sweeps.  A lane holds the
+last two rows X_n and X_{n-1} of its product (columns on the left; see
+"Steps") and an int64 exponent; derivative lanes on a prefix of the groups
+hold the same for dM/dE, with the exponent of their product (see
+"Derivative lanes").  The rows of a block of B sites live in one (B + 2, 2,
+lanes) buffer, and the loop over sites does only the step and the
+derivative.  Per block, one lookup in a (sites, groups) array of symbols
+gives every lane its factors, `_norm_sq_lanes` and `_running_sums` the
+squared norms and their running sums, one running maximum the peaks, and
+the rescale runs (see "Block rescale"): state is O(lanes * B + sites *
+groups).  At each mark the sweep records the product, its derivative, the
+norm, the running norm sum and the peak, so traces, derivative traces,
+windowed norm sums and rounding scales at all Fibonacci lengths come from
+one pass.
 
 Block rescale.  A product lane is checked against its threshold once per block
 of B sites, at the block's last site, not at every site as in `_mul`.  A step
@@ -56,19 +47,20 @@ cap with growth**B <= the least threshold: at coupling 10 over energies in
 [-3, 13], 32 sites (the cap) without norms and 67 with them.  At a block's end
 every lane whose largest |entry| passes its threshold / growth**B, and so
 could pass the threshold within the next block, is scaled into [0.5, 1) by
-`_renorm`, and its derivative lane takes the same scale.  So no stored entry
-passes its lane's threshold, and within a block a site is only the step and
-the derivative.  Where growth**2 passes the least threshold (factors beyond
-about 2**128, as at coupling 1e300) B is 1, and the check is that of `_mul`,
-|entry| > threshold, at every site, the last one included, in its order: the
-product's rescale, then the check of `d_bound`, then the mark.  Those sweeps
-keep the raw split of the scalar layer.  With B > 1 nothing is rescaled after
-the last site, as nothing follows it.  The cap is `_block_sites` with norms
-(see "Norm sums") and 32 without, which keeps the buffers small.  The peaks
-are read once per block from its stored products: frexp(max |entry|)[1] + e, e
-the exponent of the block, which changes only at its end.  They do not depend
-on where a lane rescales: a scale by 2**-ex lowers frexp of the largest entry
-by ex and raises e by ex.
+`_renorm`, both rows and its derivative lane alike.  So no stored entry passes
+its lane's threshold.  Where growth**2 passes the least threshold (factors
+beyond about 2**128, as at coupling 1e300) B is 1, and the check is that of
+`_mul`, |entry| > threshold, at every site, the last one included, in its
+order: the product's rescale, then the check of `d_bound`, then the mark.
+Those sweeps keep the raw split of the scalar layer.  With B > 1 nothing is
+rescaled after the last site, as nothing follows it.  The cap is
+`_block_sites` with norms (see "Norm sums") and 32 without, which keeps the
+buffers small.  The peak of a site is frexp(max |entry|)[1] + e, and e changes
+only at a block's end.  A block takes its peaks from the running maximum over
+its rows: the product of a site is its row and the row before, which the peak
+of the site before holds (X_0 = (1, 0) is matched by the entry +-1 of X_1).  A
+scale by 2**-ex lowers the frexp by ex and raises e by ex, so the peaks do not
+depend on where a lane rescales.
 
 Value identity.  Every product lane does the IEEE operations of the scalar
 layer in the same order: `_mul` per factor, `_norm_sq` and `XReal.__add__`
@@ -87,38 +79,32 @@ other does not, its value can differ.  The outputs do not depend on the
 split: traces, derivative traces and norm sums are XReals normalized from
 the entries, and a peak is the exponent of the largest entry.  They keep the
 bits of the scalar layer; the tests hold them to it bit for bit, and the
-products by value with that one exception.  Two rewrites keep the bits:
-x * 1.0 is x, and x * -1.0 + y is y - x.  The 0.0 * x terms are kept, because
-they fix the sign of zero entries.  Which lanes share a sweep sets B and the
+products by value with that one exception.  The step (see "Steps") drops
+the terms 0.0 * y of `_mul`, so a zero entry can differ from `_mul`'s in
+sign.  No output sees it: XReal normalizes -0.0, peaks and norms read
+|entry|, and no nonzero value depends on the sign of a zero, as x + (+-0.0)
+is x and t * (+-0.0) - y is -y.  Which lanes share a sweep sets B and the
 cutoff threshold / growth**B through its largest factor, so it can change
 the split of a product but not its values; lanes over the same energies keep
 their bits in any groups and any order.
 
-The scales 2**-ex of a rescale and 2**shift of `_add` come from one table,
-`_HALVES[i]` = ldexp(1.0, -i) for i = 0..1075, taken with mode="clip".  That
-is ldexp(1.0, -max(k, 0)) for every integer k: a k below 0 reads 1.0, the
-scale of the operand with the larger exponent, and one above 1075 reads
-`_HALVES[1075]` = 0.0, as ldexp(1.0, -k) is 0.0 for every k >= 1075 (2**-1075
-is half the least subnormal and rounds to even).  Where |shift| > 1080 `_add`
-returns the larger operand untouched, and so does `_add_lanes`: adding the
-other operand's 0.0 would turn a -0.0 entry into 0.0.
-
 Derivative lanes.  A derivative lane shares its product lane's exponent e:
 it is not checked against a threshold, and `_renorm` copies its owner's ex to
 it before the one `take` of the scales, so it takes every rescale of its owner.
-Both operands of the product rule, T dM and (X, 0), then carry the exponent
-of the old product, and the rule is one `np.add`.  The scalar rule rescales
-T dM on its own and aligns the operands of `_add` by 2**shift; all of these
-are scalings by powers of two, so, as for the products, each entry of dM has
-the value that `_add` gives and only its split differs; the derivative
-traces, XReals normalized from dM[0] + dM[3], keep their bits.  Values can
-differ only where an entry leaves the normal range.  At |E| near 1e300 dM
-lies about 1e-300 below its product, and its entries 1e-300 below its largest
-round to 0.0 in the shared exponent; where the scalar rule drops an operand
-by its far-shift branch, a zero entry can differ in sign.  The traces,
-dominated by the largest entry, kept their bits in every such case tried:
-the lane tests at coupling or energy near 1e300, and 300 random draws of both
-up to 1e300 against the scalar rule.
+Both operands of the product rule, the step of dM and the row X_{n-1} of its
+product, then carry the exponent of the old product, and the rule is one
+`np.add` into dX_n.  The scalar rule rescales T dM on its own and aligns the
+operands of `_add` by 2**shift; all of these are scalings by powers of two,
+so, as for the products, each entry of dM has the value that `_add` gives
+and only its split differs; the derivative traces, XReals normalized from
+dM[0] + dM[3], keep their bits.  Values can differ only where an entry
+leaves the normal range.  At |E| near 1e300 dM lies about 1e-300 below its
+product, and its entries 1e-300 below its largest round to 0.0 in the shared
+exponent; where the scalar rule drops an operand by its far-shift branch, a
+zero entry can differ in sign.  The traces, dominated by the largest entry,
+kept their bits in every such case tried: the lane tests at coupling or
+energy near 1e300, and 300 random draws of both up to 1e300 against the
+scalar rule.
 
 dM is never squared, so it needs no rescale of its own; it only must not
 overflow in the next step.  No stored product entry passes 2**256, so
@@ -129,18 +115,19 @@ takes the largest |entry| of every derivative lane, which becomes the new
 bound, and rescales into [0.5, 1) each lane whose own entries pass the limit:
 that lane leaves its owner's exponent.  Until a later check finds every lane
 back on its owner's exponent, the product rule runs as `_add_lanes`, the
-general `_add` per lane; on a lane whose exponent is its owner's both
-operands take the scale 1.0, so it gets the bits of the one add.  A lane off
-its owner's exponent still takes its owner's rescales, as no power-of-two
-scale changes a value.  `d_bound` bounds every lane, so a lane leaves exactly
-where its own entries pass `d_limit`; that limit follows the largest factor
-of the sweep, so the split of a derivative lane that leaves, but not its
-values, can depend on the other lanes.  The general add ran at 0 of the
-17,711 sites of the `phase_traces` sweep of the benchmark's `traces-large`
-run, at 0 of 987 of the default `traces` run, and at 373 of 377 of `traces
---lambda 1e300 --k-max 12 --energies=-1:1:5 --theta 1/3`, where a derivative
-outgrows its product by about lambda per level.  `d_bound` passed the limit
-at 88, 4 and 377 of those sites.
+general `_add` per lane; on a lane whose exponent is its owner's both operands
+take the scale 1.0, so it gets the bits of the one add.  A lane off its
+owner's exponent still takes its owner's rescales, as no power-of-two scale
+changes a value; it leaves upward, by an ex of at least 1, so its exponent is
+never below its owner's, `_add` gives dM the scale 1.0, and dX_{n-1}, which
+that scale would reach too, keeps its bits.  `d_bound` bounds every lane, so a
+lane leaves exactly where its own entries pass `d_limit`; that limit follows
+the largest factor of the sweep, so the split of a derivative lane that
+leaves, but not its values, can depend on the other lanes.  The general add
+runs at none of the sites of the benchmark's `traces-large` sweep or of the
+default `traces` run, and at 373 of 377 of `traces --lambda 1e300 --k-max 12
+--energies=-1:1:5 --theta 1/3`, where a derivative outgrows its product by
+about lambda per level.
 
 Norm sums.  They keep the bits of one `XReal.__add__` per site, though they
 are summed a block at a time.  `_norm_sq_lanes` normalizes each stored
@@ -157,67 +144,54 @@ that goes subnormal lies below half an ulp of the sum it joins and rounds
 away in both forms, as in the `shift < -1080` branch.  Where no B fits, B = 1
 and a block is one add, whose larger operand scales into [0.5, 1).
 
-Steps.  Every lane runs one step, x * t + y * s and x * -s + y * 0.0 with s =
--1 on the right lanes and 1 on the left ones, both halves from one product of
-(X, Y) with per-lane factor arrays.  By the same rewrites that is x * t - y
-and x + y * 0.0 on the right, x * t + y and -x + y * 0.0 = y * 0.0 - x on the
-left, the steps of `_mul` (addition commutes in IEEE arithmetic), with the
-signs of zeros kept.  The derivative step is the same on both sides: the step
-of dM/dE plus X of the old product (see `_sweep`), run as extra lanes after
-the products, with the factors and signs of the lanes they belong to.  Every
-operation is elementwise, so the order of the lanes changes no bits.  Each
-lane's factor is E or E - lam of its own energy, picked by its group's symbol
-at the site.  On every side, one gather per block puts each lane's entries in
-(a, b, c, d) order before its squared norms, so the squares add in the order
-of `_norm_sq`.
+Steps.  On the right M_n = T_n M_{n-1}, T = [[t, -1], [1, 0]], has the rows
+(X_n, X_{n-1}); on the left M_n = M_{n-1} T_n has the columns (X_n,
+-X_{n-1}).  Either way X_n = t X_{n-1} - X_{n-2}, and every lane runs
+fl(fl(t * X_{n-1}) - X_{n-2}): the operations of `_mul`'s first row x * t +
+y * -1.0, y = X_{n-2}, and first column x * t + y * 1.0, y = -X_{n-2}, as
+y * -1.0 is -y and a + -b is a - b.  Its second row, x + 0.0 * y or 0.0 * y
+- x, is +-X_{n-1} but for the sign of a zero (see "Value identity").  The
+derivative, on lanes after the products with their owners' factors, is
+fl(fl(fl(t * dX_{n-1}) - dX_{n-2}) + X_{n-1}): the same step plus row one of
+the old product, which T' = [[1, 0], [0, 0]] keeps.  Every operation is
+elementwise, so the order of the lanes changes no bits.  A mark holds the
+product as rows 0-1 X and 2-3 +-X_{n-1}: (a, b), (c, d) on the right and
+(a, c), (b, d) on the left.  One gather per block puts the entries in (a, b,
+c, d) order before the squared norms, so the squares add in the order of
+`_norm_sq`; the sign of -X_{n-1} changes no bit of them.
 
-Calls per site.  The state is one (B + 1, 3, 2, lanes) buffer: per slot
-(X, Y) and a block of zeros.  A site multiplies (X, Y) of its slot by the
-step's factors [[t, f], [s, 0.0]] with one `np.multiply` and sums the two
-terms into the next slot with one `np.add`.  The old slot keeps X, and its
-zeros complete it to the operand (X, 0) of the derivative's product rule,
-added in place into the derivative lanes with one more `np.add`.  At a
-block's end the lookup of the next block's factors is one `np.where`, and
-the peaks are six calls: `np.abs`, the `max` over entries, `np.frexp`, the
-add of the exponents, `np.maximum` and `np.maximum.accumulate`.  The
-rescale's check is one `np.abs` and two `np.maximum.reduce`, and a rescale
-adds six calls: `np.frexp`, the comparison and product that zero ex on the
-other lanes, one `take` of the scales, the in-place product of the entries
-and the new exponents.  The copy of a block's last slot into its first is
-indexing.  Where `d_bound` passes its limit, the check of the derivative
-lanes is the same three calls and `np.array_equal`.  `_add_lanes`, where it
-runs, makes eight calls into work arrays made once per sweep: the shifts and
-their negatives, one `take` of both scales, the |shift| > 1080 test, the
-scaled sum (three) and the exponents.  Counting ufunc calls, ufunc methods,
-numpy functions and the reducing ndarray methods (not numpy scalar arithmetic
-or indexing), each weighted by how often its branch runs, the `phase_traces`
-sweep of the benchmark's `traces-large` run (17,711 sites, 288 product lanes
-and 96 derivative lanes) made per site, in the step, the rescale, the
-derivative and the block's factor lookup and peaks, and took in CPU seconds
-(median over 16 fresh processes of the best of 3 calls, on a 2-vCPU Xeon),
-with a rescale check at every site as `_mul` has it and once per block:
+Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and
+the reducing ndarray methods (not numpy scalar arithmetic or indexing), each
+weighted by how often its branch runs: the step is one `np.multiply` and one
+`np.subtract` into the next slot of the buffer, the derivative one `np.add`.
+At a block's end the factor lookup is one `np.where`; the peaks are six calls
+(`np.abs`, `max`, `np.frexp`, `np.maximum.accumulate` of the int32
+exponents, the add of e, `np.maximum`); the rescale check is `np.abs` and two
+`np.maximum.reduce`, and a rescale six more (`np.frexp`, the comparison and
+product that zero ex on the other lanes, the `take` of the scales, the
+product of the entries, the new exponents).  Where `d_bound` passes its
+limit its check is the same three calls and `np.array_equal`; `_add_lanes`
+makes eight calls into work arrays made once per sweep.  The `phase_traces`
+sweep of the benchmark's `traces-large` run (17,711 sites, 288 product and
+96 derivative lanes, 552 of 554 blocks of 32 sites rescaling, `d_bound` past
+its limit at 88 sites) makes per site:
 
-                          step  rescale  derivative  block  total  seconds
-    check at every site    2.0     7.73        1.02   0.16  10.91     0.43
-    check once per block   2.0     0.28        1.02   0.22   3.52     0.25
+    step  rescale  derivative  block  total
+     2.0     0.28        1.02   0.22   3.52
 
-The check at every site rescaled at 13,951 sites; once per block, 552 of the
-554 blocks of 32 sites rescale, and the derivative is one add per site plus
-the check of `d_bound`, 0.02 calls per site at its 88 sites (see "Derivative
-lanes").  Without its 96 derivative lanes the same sweep took 0.17 s (0.33 s
-with the check at every site).  Where some lane's threshold is below 2**256,
-which needs a factor of 2**766 or more, each check takes one more call for
-the least threshold.  `_add_lanes` stays a function: by `timeit` on 96 lanes
-the call costs at most 0.3 us per site over its body inlined in the loop, and
-its own test holds it to `_add` at the |shift| edges.
+A check at every site, as in `_mul`, rescales at 13,951 sites and takes 7.73
+calls per site in the rescale alone.  `BENCH_26.json` holds the CPU seconds
+of this sweep.  A lane threshold below 2**256 (a factor of 2**766 or more)
+adds one call per check for the least threshold.  `_add_lanes` stays a
+function: by `timeit` on 96 lanes the call costs at most 0.3 us per site
+over its body inlined, and its own test holds it to `_add` at the |shift|
+edges.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
-`dual_traces_upto` are one-group calls of the sweep that the `traces` command
-makes through `phase_traces`; `dual_traces_upto` returns the right
-`TraceTable` that `phase_traces` builds, from the same `_trace_tables`.
-`norm_trace_inequality` is `norm_trace_margin` at one level, swept on its
-own, that raises.  No command calls them, but the benchmark's spans trace them
-and its own tests call `dual_traces_upto`, so they stay until it drops them.
+`dual_traces_upto` (the right `TraceTable` of `phase_traces`) are one-group
+sweeps of `phase_traces`, and `norm_trace_inequality` is `norm_trace_margin`
+at one level that raises.  No command calls them, but the benchmark's spans
+trace them and its own tests call `dual_traces_upto`.
 """
 
 from __future__ import annotations
@@ -253,7 +227,6 @@ Energies = float | Sequence[float]
 _RENORM = 2.0**256  # keep entry squares finite in norm computations
 _frexp = math.frexp
 _ldexp = math.ldexp
-_ONE = XReal(1.0)
 
 TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |x|, |reference|); see `phase_trace_parity`
 TRACE_ROUNDING = 64.0  # c of the rounding term of `phase_trace_parity`
@@ -354,15 +327,8 @@ def _potential_pattern(theta: PhasePoint, lo: int, hi: int) -> str:
 # the sweep kernel: one lane per (side, phase) group and energy
 # ----------------------------------------------------------------------------
 
-# The product of each lane is 2**e * [[a, b], [c, d]], its entries stacked as
-# rows of a (4, lanes) array: the halves X = rows 0-1 and Y = rows 2-3 are the
-# two rows of the matrix on the right side, where factors multiply from the
-# left, and its two columns on the left side.  A step maps (X, Y) to the new
-# halves: T @ M with T = [[t, -1], [1, 0]] on the right is (x * t - y,
-# x + y * 0.0), M @ T on the left is (x * t + y, y * 0.0 - x).  `_sweep` runs
-# both as x * t + y * s, x * f + y * 0.0 with (s, f) = (-1, 1) on the right
-# and (1, -1) on the left; see "Steps".
-_ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}  # of a, b, c, d
+# per side the rows of a mark's (4, lanes) entries that hold a, b, c, d; see "Steps"
+_ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}
 
 # Rounding slack of `growth`, the bound on what one step does to the largest
 # entry: a step x * t - y rounds twice, so |new entry| <= (|t| + 1) * bound *
@@ -370,9 +336,10 @@ _ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}  # of a, b, c, d
 # once more; 2**-40 per site covers all of it.
 _SLACK = 1.0 + 2.0**-40
 
-# 2**-i for i = 0..1075, the last one 0.0, as ldexp(1.0, -1075) rounds to even.
-# Taken with mode="clip", an index below 0 reads 1.0 and one above 1075 reads
-# 0.0, so `_HALVES.take(k, mode="clip")` is ldexp(1.0, -max(k, 0)) for every k.
+# The scales 2**-ex of a rescale and 2**shift of `_add`: 2**-i for i = 0..1075,
+# the last one 0.0, as ldexp(1.0, -1075) rounds to even.  Taken with
+# mode="clip", an index below 0 reads 1.0 and one above 1075 reads 0.0, so
+# `_HALVES.take(k, mode="clip")` is ldexp(1.0, -max(k, 0)) for every k.
 _HALVES = np.ldexp(1.0, -np.arange(1076))
 
 
@@ -401,9 +368,7 @@ def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
     nothing is checked; otherwise only lanes whose own largest |entry| passes
     their limit are rescaled.  Their new exponents go to `out` (a new array if
     None).  With a finite `bound`, the largest |entry| after the rescale is
-    the new bound; with inf, the bound stays inf.  The sweep passes inf and a
-    `limit` of threshold / growth**B at a block's end (see "Block rescale"),
-    and a finite bound for its derivative lanes.  The last `owned` lanes are
+    the new bound; with inf, the bound stays inf.  The last `owned` lanes are
     the derivatives of the first `owned` ones: they are not checked, they take
     their owner's rescale, and the bound does not cover them (see "Derivative
     lanes").  Returns (m, e, bound).
@@ -439,7 +404,9 @@ def _add_lanes(m1, e1, m2, e2, out=(None, None), work=None):
     `_add` scales the operand with the smaller exponent by 2**shift and adds
     it to the other one; here both get a scale from `_HALVES`, 1.0 for the
     larger one, which gives the same sums since x * 1.0 is x and addition
-    commutes.  `out` is an (entries, exponents) pair of buffers for the result,
+    commutes.  Where |shift| > 1080 it returns the larger operand untouched,
+    as `_add` does: adding the other one's 0.0 would turn a -0.0 entry into
+    0.0.  `out` is an (entries, exponents) pair of buffers for the result,
     None for new arrays; they may be m2 and e2.  `work` is `_add_work` of
     m1, new ones if None.
     """
@@ -521,12 +488,8 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     `norms` carries the running sum of squared norms over sites 1..n; `peaks`
     the least p with 2**e * |entry| < 2**p at every site 1..n.  Norms of
     unimodular products are at least 1, so the zero branches of
-    `XReal.__add__` never apply after the first site.
-
-    State is O(lanes * B + sites * groups): the products of a block of B
-    sites stay in a buffer, whose factors are looked up at once and whose
-    norms, peaks and rescale are taken when the block is done; a mark gets
-    its norm and peak fields then.
+    `XReal.__add__` never apply after the first site.  A mark gets its norm
+    and peak fields at the end of its block (see "Sweep kernel").
     """
     if not {side for side, _ in groups} <= {"right", "left"}:
         raise ValueError("a sweep takes ('right' or 'left', phase) groups")
@@ -535,15 +498,14 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     top, n = marks[-1], E.size
     lanes, n_d = len(groups) * n, deriv * n
     symbols = _symbols(groups, top)
-    # the state holds the products, then dM/dE of the first `deriv` groups: T dM
-    # is one more step, with the factors and signs of the lane it belongs to
+    # the lanes hold the products, then dM/dE of the first `deriv` groups: its
+    # step is that of the lane it belongs to, with the same factors
     owners = [*range(len(groups)), *range(deriv)]
     group = np.repeat(owners, n)
     left = np.repeat([groups[g][0] == "left" for g in owners], n)
     E = np.tile(E, len(owners))
     span = E - lam
     width = lanes + n_d
-    sign = np.where(left, 1.0, -1.0)
     # each product lane's rescale threshold: 2**256 unless its energy or
     # coupling is near float range
     limit = _lane_limit(E, lam)
@@ -567,28 +529,19 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     # per lane the rows that put its entries in (a, b, c, d) order
     order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
                      np.arange(4)[:, None])[:, None]
-    # the products of the block's sites, after the one it starts from: per
-    # slot (X, Y, zeros), each lane's halves along axis 1.  A site steps from
-    # one slot into the next, which keeps X of the old product for the
-    # derivative, and the zeros complete it to the operand (X, 0) of the
-    # product rule
-    state = np.zeros((size + 1, 3, 2, width))
-    state[0, 0, 0, :lanes] = state[0, 1, 1, :lanes] = 1.0  # a and d on every side
-    products = state[1:, :2, :, :lanes]
+    # X after each site of the block in slots 2.., after the last two sites of
+    # the block before in slots 0 and 1, one exponent per lane; before site 1,
+    # X_0 = (1, 0) and X_-1 = +-Y_0 = (0, +-1)
+    x = np.zeros((size + 2, 2, width))
+    x[1, 0, :lanes] = 1.0
+    x[0, 1, :lanes] = np.where(left[:lanes], -1.0, 1.0)
     e = np.zeros(width, dtype=np.int64)
     de = e[lanes:]
-    # per site of a block the step's factors [[t, f], [s, 0.0]]: row one
-    # multiplies x and row two y, column one gives the new X and column two Y
-    factors = np.zeros((size, 2, 2, 1, width))
-    factors[:, 0, 1, 0] = -sign
-    factors[:, 1, 0, 0] = sign
-    # per site of a block: (X, Y) of the old product shaped to multiply the
-    # step's factors, the factors, (X, Y) of the new product, (X, 0) of the
-    # old product on the lanes that carry derivatives, and the new dM/dE
-    steps = [(old[:2, None], f, new[:2], old[::2, :, :n_d], new[:2, :, lanes:])
-             for old, new, f in zip(state, state[1:], factors)]
-    terms = np.empty((2, 2, 2, width))  # x and y times their factors
-    x_terms, y_terms = terms
+    ts = np.empty((size, width))  # the factor t of each lane at each site of a block
+    # per site of a block: X_{n-2}, X_{n-1} and X_n of every lane, its t, and
+    # on the derivative lanes dX_n and X_{n-1} of their products
+    steps = [(x[j], x[j + 1], x[j + 2], ts[j], x[j + 2, :, lanes:], x[j + 1, :, :n_d])
+             for j in range(size)]
     # the derivative lanes share their owners' exponents while `apart` is
     # False; `d_bound` bounds their entries, which no rescale check covers
     apart, d_bound = False, 0.0
@@ -607,56 +560,57 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
         j = (n - 1) % size
         if j == 0:  # the factors of each lane over the next block of sites
             rows = symbols[n - 1:n - 1 + size][:, group]
-            factors[:len(rows), 0, 0, 0] = np.where(rows, span, E)
-        old, factor, m, x, dm = steps[j]
-        np.multiply(old, factor, out=terms)
-        np.add(x_terms, y_terms, out=m)
+            ts[:len(rows)] = np.where(rows, span, E)
+        x2, x1, x0, t, dx, owner_x = steps[j]
+        np.multiply(x1, t, out=x0)
+        np.subtract(x0, x2, out=x0)
         if n_d:
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
             if apart:
-                _add_lanes(x, e[:n_d], dm, de, (dm, de), work)
+                _add_lanes(owner_x, e[:n_d], dx, de, (dx, de), work)
             else:
-                np.add(dm, x, out=dm)
+                np.add(dx, owner_x, out=dx)
             # |T M' + X| <= growth * |M'| + 2**256, rounding included
             d_bound = (d_bound + _RENORM) * growth
         end = j == size - 1 or n == top
         if end:
             fields = {}
-            block = products[:j + 1]
             if norms:
-                # in (a, b, c, d) order, as `_norm_sq` adds the squares
-                ordered = np.take_along_axis(block.reshape(j + 1, 4, lanes).transpose(1, 0, 2),
-                                             order, axis=0)
+                # in (a, b, c, d) order, as `_norm_sq` adds the squares; the sign
+                # of Y on the left changes no bit of a squared norm
+                block = np.concatenate((x[2:j + 3, :, :lanes], x[1:j + 2, :, :lanes]), axis=1)
+                ordered = np.take_along_axis(block.transpose(1, 0, 2), order, axis=0)
                 norm_m, norm_e = _norm_sq_lanes(ordered, e[:lanes])
                 sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
                 carry = sum_m[j], sum_e[j]
                 fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
             if peaks:
-                # the product lanes keep their exponents through a block
-                peak = np.frexp(np.abs(block).max(axis=(1, 2)))[1] + e[:lanes]
-                np.maximum(peak[0], high, out=peak[0])
-                high = np.maximum.accumulate(peak, axis=0, out=peak)[j]
+                # the product lanes keep their exponents through a block, and
+                # the row before it is in the peak so far (see "Block rescale")
+                ex = np.frexp(np.abs(x[2:j + 3, :, :lanes]).max(axis=1))[1]
+                peak = np.maximum.accumulate(ex, axis=0, out=ex) + e[:lanes]
+                high = np.maximum(peak, high, out=peak)[j]
                 fields.update(peak=peak)
             if n < top or size == 1:
-                _renorm(m, e, math.inf, out=e, owned=n_d, limit=cutoff)
+                _renorm(x[j + 1:j + 3], e, math.inf, out=e, owned=n_d, limit=cutoff)
         if d_bound > d_limit:
             # lanes whose derivative passes the limit leave their owner's exponent
-            d_bound = _renorm(dm, de, min(d_bound, sys.float_info.max), out=de,
-                              limit=d_limit)[2]
+            d_bound = _renorm(x[j + 1:j + 3, :, lanes:], de, min(d_bound, sys.float_info.max),
+                              out=de, limit=d_limit)[2]
             apart = not np.array_equal(de, e[:n_d])
         if n == want:
-            entries = m.reshape(4, width)
-            out.append(_Mark(n, entries[:, :lanes].copy(), e[:lanes].copy(),
-                             *((entries[:, lanes:].copy(), de.copy()) if n_d
-                               else (None, None))))
+            entries = np.concatenate((x0, x1))  # X, then Y = X_{n-1} on the right
+            np.negative(entries[2:], out=entries[2:], where=left)  # and -X_{n-1} on the left
+            out.append(_Mark(n, entries[:, :lanes], e[:lanes].copy(),
+                             *((entries[:, lanes:], de.copy()) if n_d else (None, None))))
             want = next(pending, None)
         if end:
             for i in range(done, len(out)):
                 at = out[i].n - (n - j)
                 out[i] = out[i]._replace(**{name: v[at].copy() for name, v in fields.items()})
             done = len(out)
-            state[0, :2] = state[j + 1, :2]
+            x[:2] = x[j + 1:j + 3]
     return out
 
 
@@ -715,32 +669,43 @@ def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
 class TraceTable(NamedTuple):
     """Traces at lengths F(0..k_max) of one (side, phase), one row per energy.
 
-    `derivs` holds their energy derivatives, or None; `peaks`, an (energies,
-    levels) int array, per product the least p with every |entry| of the
-    products along its sites below 2**p, the scale of its rounding in
+    `traces` is an (m, e) pair of (energies, levels) arrays of XReal parts,
+    m in [0.5, 1) or 0.0; one row of levels where E was one number.  `derivs`
+    holds their energy derivatives so, or None; `peaks`, an int array of the
+    same shape, per product the least p with every |entry| of the products
+    along its sites below 2**p, the scale of its rounding in
     `phase_trace_parity`.
     """
 
-    traces: list
-    derivs: list | None
+    traces: tuple[np.ndarray, np.ndarray]
+    derivs: tuple[np.ndarray, np.ndarray] | None
     peaks: np.ndarray
+
+
+def _normalized(v, e):
+    """XReal(v, e) per element as (m, e) arrays."""
+    m, ex = np.frexp(v)
+    return m + 0.0, np.where(m == 0.0, 0, ex + e)  # + 0.0 turns -0.0 into 0.0
 
 
 def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) -> list:
     """A `TraceTable` per group of n lanes of a sweep with peaks; the first `with_derivs`
     groups carry derivatives, as the sweep's `deriv` prefix does."""
-    traces = [_trace_xreals(mark.m, mark.e) for mark in marks]
-    peaks = np.array([mark.peak for mark in marks]).T
-    derivs = [_trace_xreals(mark.dm, mark.de) for mark in marks] if with_derivs else []
+    def levels(name):  # a field of every mark, (lanes, levels)
+        return np.stack([getattr(mark, name) for mark in marks], axis=-1)
 
-    def table(g: int) -> TraceTable:
-        def rows(columns):
-            return _per_energy([column[g * n:(g + 1) * n] for column in columns], scalar)
-        lanes_g = peaks[g * n:(g + 1) * n]
-        return TraceTable(rows(traces), rows(derivs) if g < with_derivs else None,
-                          lanes_g[0] if scalar else lanes_g)
+    def rows(a, g):
+        return a[g * n] if scalar else a[g * n:(g + 1) * n]
 
-    return [table(g) for g in range(groups)]
+    def trace_of(m, e):  # XReal(m[0] + m[3], e) of every lane at every level
+        m = levels(m)
+        return _normalized(m[0] + m[3], levels(e))
+
+    traces, peaks = trace_of("m", "e"), levels("peak")
+    derivs = trace_of("dm", "de") if with_derivs else None
+    return [TraceTable(tuple(rows(a, g) for a in traces),
+                       tuple(rows(a, g) for a in derivs) if g < with_derivs else None,
+                       rows(peaks, g)) for g in range(groups)]
 
 
 def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> TraceTable:
@@ -849,15 +814,13 @@ def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XR
 # phase invariance of traces
 # ----------------------------------------------------------------------------
 
-def _gap_ratio(x: XReal, ref: XReal, k: int, peak: int, ref_peak: int) -> float:
-    """|x - ref| over its allowance in the error model of `phase_trace_parity`."""
-    gap = abs(x - ref)
-    if not gap:
-        return 0.0
-    rounding = TRACE_ROUNDING * fib_number(k) * 2.0**-53
-    allowance = (TRACE_EQUALITY_TOL * max(abs(x), abs(ref), _ONE)
-                 + XReal(rounding, 2 * peak) + XReal(rounding, 2 * ref_peak))
-    return 2.0 ** min(gap.log2() - allowance.log2(), 64.0)
+def _xadd(m1, e1, m2, e2):
+    """`XReal.__add__` per element of normalized (m, e) arrays (a zero sum keeps e)."""
+    # a zero operand takes the other's exponent, so the sum is the other one
+    e1, e2 = np.where(m1 == 0.0, e2, e1), np.where(m2 == 0.0, e1, e2)
+    top = np.maximum(e1, e2)
+    m, ex = np.frexp(np.ldexp(m1, e1 - top) + np.ldexp(m2, e2 - top))
+    return m, ex + top
 
 
 def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, ParityReport]:
@@ -865,10 +828,11 @@ def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, P
 
     `traces` is the (right, left) pair of `TraceTable`s at theta and `refs`
     the right table at phase zero, as `phase_traces` gives them, over one grid
-    of energies.  A level passes when every energy meets the error model
-    below; on each half-line all even levels or all odd levels must pass,
-    else `TraceParityError`.  Returns a (right, left) pair of `ParityReport`s
-    whose `per_k` holds per level the worst ratio of the gap to its allowance.
+    of energies and one range of levels, else ValueError.  A level passes
+    when every energy meets the error model below; on each half-line all even
+    levels or all odd levels must pass, else `TraceParityError`.  Returns a
+    (right, left) pair of `ParityReport`s whose `per_k` holds per level the
+    worst ratio of the gap to its allowance.
 
     Error model.  A trace x of the sweep at level k and its phase-zero
     reference x0 pass when
@@ -889,15 +853,31 @@ def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, P
     keeps a factor 2.4 above that.  The allowance grows as P**2, so where
     products grow the gate cannot fail: at coupling 10 it reaches the traces
     themselves near level 16.
+
+    Gaps and allowances are the XReal sums of `_xadd` on the (m, e) arrays;
+    only numpy's log2 of their mantissas can differ from `math.log2`, by an ulp.
     """
-    if not refs.traces or any(len(table.traces) != len(refs.traces) for table in traces):
-        raise ValueError("trace tables must share one nonempty energy grid")
+    rm, re = refs.traces
+    if rm.ndim != 2 or not len(rm) or any(t.traces[0].shape != rm.shape for t in traces):
+        raise ValueError("trace tables must share one (energies, levels) shape, energies > 0")
+    rounding = np.frexp(TRACE_ROUNDING * 2.0**-53 * np.array(_fib_marks(rm.shape[1] - 1)))
+    tol_m, tol_e = math.frexp(TRACE_EQUALITY_TOL)
     reports = []
     for side, table in zip(("right", "left"), traces):
-        ratios = [max(_gap_ratio(row[k], ref[k], k, int(peak[k]), int(ref_peak[k]))
-                      for row, peak, ref, ref_peak in zip(table.traces, table.peaks,
-                                                         refs.traces, refs.peaks))
-                  for k in range(len(refs.traces[0]))]
+        xm, xe = table.traces
+        gm, ge = _xadd(xm, xe, -rm, re)
+        # max(|x|, |x0|, 1) keeps its bits, and the others scale below it,
+        # when all three are scaled by 2**-top, top the largest exponent
+        top = np.maximum(np.maximum(xe, re), 1)
+        big = np.maximum.reduce([np.ldexp(np.abs(xm), xe - top), np.ldexp(np.abs(rm), re - top),
+                                 np.ldexp(0.5, 1 - top)])
+        tm, tex = np.frexp(big * tol_m)
+        allowance = _xadd(tm, top + tol_e + tex, rounding[0], 2 * table.peaks + rounding[1])
+        am, ae = _xadd(*allowance, rounding[0], 2 * refs.peaks + rounding[1])
+        # the logs of XReal.log2, -inf for a zero gap
+        log_gap = ge + np.log2(np.abs(gm), out=np.full(gm.shape, -np.inf), where=gm != 0.0)
+        worst = (log_gap - (ae + np.log2(am))).max(axis=0)
+        ratios = [2.0 ** min(w, 64.0) for w in worst.tolist()]
         report = ParityReport.of(side, ratios, [ratio <= 1.0 for ratio in ratios])
         if not (report.even_ok or report.odd_ok):
             raise TraceParityError(f"no parity class passes for {side} traces at theta={theta}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["XReal"]
+__all__ = ["XReal", "sci"]
 
 _LOG10_2 = math.log10(2.0)
 
@@ -142,17 +142,25 @@ class XReal:
 
     def sci(self) -> str:
         """Deterministic scientific-notation string, usable in CSV output."""
-        if self.m == 0.0:
-            return "0.0"
-        lg = self.log2() * _LOG10_2
-        d = math.floor(lg)
-        mant = 10.0 ** (lg - d)
-        if mant >= 10.0 - 5e-13:
-            mant /= 10.0
-            d += 1
-        sign = "-" if self.m < 0 else ""
-        return f"{sign}{mant:.12f}e{d:+03d}"
+        return sci(self.m, self.e)
 
     def __repr__(self):
         return f"XReal({self.sci()})"
 
+
+def sci(m: float, e: int) -> str:
+    """`XReal.sci` of m * 2**e, m normalized as XReal keeps it.
+
+    Python's `math` one value at a time, on purpose: numpy's log2 and power
+    can differ from it by an ulp, which can change a printed digit.
+    """
+    if m == 0.0:
+        return "0.0"
+    lg = (e + math.log2(abs(m))) * _LOG10_2
+    d = math.floor(lg)
+    mant = 10.0 ** (lg - d)
+    if mant >= 10.0 - 5e-13:
+        mant /= 10.0
+        d += 1
+    sign = "-" if m < 0 else ""
+    return f"{sign}{mant:.12f}e{d:+03d}"

@@ -5,6 +5,9 @@ Scalar transfer products are plain (a, b, c, d, e) tuples, 2**e * [[a, b],
 the lane sweep keeps bit for bit.  The time-domain route (`evolve`,
 `windowed_norm`, `abel_average`) is what the closed-form Abel masses of
 `dynamics` are checked against, and `rel_gap` compares extended-range values.
+`xreal_rows` reads the (m, e) arrays of a `transfer.TraceTable` as XReals, and
+`parity_ratios` is the XReal gate that `transfer.phase_trace_parity` runs on
+those arrays.
 `beatty_block` codes the rotation by the true golden number, exactly.
 `secular_roots` is the dlaed4 loop of the divide-and-conquer solver as it ran
 through a typed ctypes prototype.  `dense_spectrum` is the dense reference
@@ -23,7 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 from quasitrace import dynamics as DY
 from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS
-from quasitrace.words import rotation_block
+from quasitrace.words import fib_number, rotation_block
 from quasitrace.xfloat import XReal
 
 ABEL_TAIL_EPS = 1e-8
@@ -45,6 +48,34 @@ def rel_gap(a, b, floor: float = 1.0) -> float:
     if diff.m == 0.0:
         return 0.0
     return float(2.0 ** min(diff.log2() - scale.log2(), 64.0))
+
+
+def xreal_rows(pair):
+    """An (m, e) pair of `TraceTable` arrays as XReals: a list per energy, or one
+    list where the table is of one energy."""
+    def build(m, e):
+        return [build(a, b) for a, b in zip(m, e)] if isinstance(m, list) else XReal(m, e)
+    return build(*(a.tolist() for a in pair))
+
+
+def gap_ratio(x: XReal, ref: XReal, k: int, peak: int, ref_peak: int) -> float:
+    """|x - ref| over its allowance in the error model of `transfer.phase_trace_parity`."""
+    gap = abs(x - ref)
+    if not gap:
+        return 0.0
+    rounding = TR.TRACE_ROUNDING * fib_number(k) * 2.0**-53
+    allowance = (TR.TRACE_EQUALITY_TOL * max(abs(x), abs(ref), XReal(1.0))
+                 + XReal(rounding, 2 * peak) + XReal(rounding, 2 * ref_peak))
+    return 2.0 ** min(gap.log2() - allowance.log2(), 64.0)
+
+
+def parity_ratios(table, refs) -> list[float]:
+    """Per level the worst `gap_ratio` over the energies of a table against its
+    phase-zero references, one XReal at a time."""
+    rows, ref_rows = xreal_rows(table.traces), xreal_rows(refs.traces)
+    return [max(gap_ratio(row[k], ref[k], k, int(peak[k]), int(ref_peak[k]))
+                for row, peak, ref, ref_peak in zip(rows, table.peaks, ref_rows, refs.peaks))
+            for k in range(len(ref_rows[0]))]
 
 
 # ---------------------------------------------------------------------------

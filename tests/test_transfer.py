@@ -12,7 +12,8 @@ from quasitrace.xfloat import XReal
 from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
 
-from oracles import det, entries, local_matrix, rel_gap, trace, transfer_product
+from oracles import (det, entries, local_matrix, parity_ratios, rel_gap, trace,
+                     transfer_product, xreal_rows)
 
 TH0 = PhasePoint.zero()
 
@@ -208,8 +209,9 @@ def test_trace_overflow_carries_exponent():
 # ---------------------------------------------------------------------------
 
 def test_derivative_examples():
-    assert float(TR.dual_traces_upto(0, 5.0, 2.0, TH0).derivs[0]) == pytest.approx(1.0)
-    d1 = TR.dual_traces_upto(1, 0.0, 2.0, TH0).derivs[1]
+    d0 = xreal_rows(TR.dual_traces_upto(0, 5.0, 2.0, TH0).derivs)[0]
+    assert float(d0) == pytest.approx(1.0)
+    d1 = xreal_rows(TR.dual_traces_upto(1, 0.0, 2.0, TH0).derivs)[1]
     assert float(d1) == pytest.approx(-2.0)  # d/dE (E^2 - lam E - 2) at 0
 
 
@@ -222,19 +224,20 @@ def test_derivative_matches_finite_differences():
         E = rng.uniform(-3, lam + 3)
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
         dual = TR.dual_traces_upto(k, E, lam, theta)
-        if abs(dual.traces[k].log2()) > 250:
+        traces, derivs = xreal_rows(dual.traces), xreal_rows(dual.derivs)
+        if abs(traces[k].log2()) > 250:
             continue  # outside float-difference range
         fd = (float(TR.traces_right_upto(k, E + h, lam, theta)[k])
               - float(TR.traces_right_upto(k, E - h, lam, theta)[k])) / (2 * h)
-        assert float(dual.derivs[k]) == pytest.approx(fd, rel=1e-5)
+        assert float(derivs[k]) == pytest.approx(fd, rel=1e-5)
 
 
 def test_dual_traces_consistent_with_scalar_calls():
     duals = TR.dual_traces_upto(8, 0.42, 10.0, TH0)
     for k in (0, 3, 8):
         single = TR.dual_traces_upto(k, 0.42, 10.0, TH0)
-        assert rel_gap(duals.traces[k], single.traces[k]) == 0.0
-        assert rel_gap(duals.derivs[k], single.derivs[k]) == 0.0
+        assert rel_gap(xreal_rows(duals.traces)[k], xreal_rows(single.traces)[k]) == 0.0
+        assert rel_gap(xreal_rows(duals.derivs)[k], xreal_rows(single.derivs)[k]) == 0.0
         assert duals.peaks[k] == single.peaks[k]
 
 
@@ -362,10 +365,11 @@ def test_parity_fails_a_trace_off_by_a_millionth():
 
     def off(family, k):
         table = traces[family]
-        rows = [list(row) for row in table.traces]
-        rows[1][k] = rows[1][k] * (1.0 + 1e-6)  # |x| is about 10 at levels 3 and 6
+        m, e = (a.copy() for a in table.traces)
+        x = XReal(m[1, k], int(e[1, k])) * (1.0 + 1e-6)  # |x| is about 10 at levels 3 and 6
+        m[1, k], e[1, k] = x.m, x.e
         bad = list(traces)
-        bad[family] = table._replace(traces=rows)
+        bad[family] = table._replace(traces=(m, e))
         return TR.phase_trace_parity(TH0, tuple(bad), refs)
 
     right, left = TR.phase_trace_parity(TH0, traces, refs)
@@ -395,7 +399,7 @@ def test_rounding_term_bounds_the_sweep_error(lam, offset, spread, k):
     # other about lam: products pass large entries and cancel back down
     grid = [lam + offset, offset, spread, lam + spread]
     _, refs = TR.phase_traces(k, grid, lam, [])
-    for E, traces, peaks in zip(grid, refs.traces, refs.peaks):
+    for E, traces, peaks in zip(grid, xreal_rows(refs.traces), refs.peaks):
         with mp.workprec(200):
             exact = SP._recurse(mp.mpf(E), mp.mpf(lam), k, False, keep_all=True)[0][k]
             error = abs(mp.ldexp(traces[k].m, traces[k].e) - exact)
@@ -443,7 +447,7 @@ def test_derivative_traces_meet_their_error_model(lam, spots, k, phase):
     theta = PhasePoint(phase)
     grid = [-4.0 + s * (lam + 8.0) for s in spots]  # E in [-4, lam + 4]
     [(right, _)], _ = TR.phase_traces(k, grid, lam, [theta])
-    for E, derivs, peaks in zip(grid, right.derivs, right.peaks):
+    for E, derivs, peaks in zip(grid, xreal_rows(right.derivs), right.peaks):
         exact = exact_right_derivs(k, E, lam, theta)
         with mp.workprec(300):
             for j in range(k + 1):
@@ -452,7 +456,53 @@ def test_derivative_traces_meet_their_error_model(lam, spots, k, phase):
                 assert error <= bound, (E, j)
 
 
+def test_parity_rejects_tables_of_another_shape():
+    # fewer levels than the references, more levels, one level against many
+    # and many against one (shapes that numpy would broadcast), fewer
+    # energies, and one table of the pair off: none may be read against the
+    # other's grid
+    grid = [-3.0, 1.0, 13.0]
+    (short,), short_refs = TR.phase_traces(3, grid, 10.0, [TH0])
+    (long,), long_refs = TR.phase_traces(5, grid, 10.0, [TH0])
+    (one,), one_refs = TR.phase_traces(0, grid, 10.0, [TH0])
+    (few,), _ = TR.phase_traces(5, grid[:2], 10.0, [TH0])
+    for pair, refs in ((short, long_refs), (long, short_refs), (one, long_refs),
+                       (long, one_refs), (few, long_refs), ((long[0], short[1]), long_refs)):
+        with pytest.raises(ValueError, match=r"\(energies, levels\) shape"):
+            TR.phase_trace_parity(TH0, pair, refs)
+
+
+# The array gate differs from the XReal gate of `parity_ratios` only where
+# numpy's log2 of a mantissa differs from `math.log2` by an ulp.  A log is
+# e + log2(m), so with exponents below 2**15, as in these draws, each log and
+# their difference differ by at most an ulp of 2**15, 2**-37, and a ratio
+# 2**difference by less than 2**-34 of itself.
+RATIO_REL = 2.0**-34
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(0.0, 1e4), spots=st.lists(st.floats(-0.25, 1.25), min_size=1, max_size=4),
+       k=st.integers(0, 14), phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+       at_zero=st.booleans())
+@example(lam=10.0, spots=[0.5], k=8, phase=0, at_zero=True)
+def test_array_gate_matches_the_xreal_gate(lam, spots, k, phase, at_zero):
+    theta = PhasePoint(0 if at_zero else phase)
+    grid = [-4.0 + s * (lam + 8.0) for s in spots]  # about E in [-4, lam + 4]
+    [pair], refs = TR.phase_traces(k, grid, lam, [theta])
+    want = [parity_ratios(table, refs) for table in pair]
+    passed = [[ratio <= 1.0 for ratio in ratios] for ratios in want]
+    if not all(all(p[0::2]) or all(p[1::2]) for p in passed):
+        with pytest.raises(TR.TraceParityError):
+            TR.phase_trace_parity(theta, pair, refs)
+        return
+    for report, ratios, flags in zip(TR.phase_trace_parity(theta, pair, refs), want, passed):
+        got = [ratio for _, _, ratio in report.per_k]
+        assert [ratio <= 1.0 for ratio in got] == flags
+        assert got == pytest.approx(ratios, rel=RATIO_REL, abs=0.0)
+
+
 def test_parity_rejects_empty_grid():
-    empty = TR.TraceTable([], None, np.zeros((0, 6), dtype=np.int64))
+    exponents = np.zeros((0, 6), dtype=np.int64)
+    empty = TR.TraceTable((np.zeros((0, 6)), exponents), None, exponents)
     with pytest.raises(ValueError):
         TR.phase_trace_parity(TH0, (empty, empty), empty)

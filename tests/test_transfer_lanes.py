@@ -4,22 +4,24 @@ Every lane of `transfer._sweep` must reproduce what a one-lane sweep and what
 scalar `_mul` products with `_add` / `_norm_sq` give for that energy alone:
 bit for bit the XReal (mantissa, exponent) pairs of traces, derivative traces
 and norm sums and the peaks, and by value each entry of the product and of its
-energy derivative.  The sweep rescales its products once per block of sites,
-where `_mul` rescales at every site, so a product keeps the values of the
-scalar rule but not its split into entries and exponent; the one exception
-allowed is an entry more than 2**1021 below the largest entry of its matrix,
-which a scale into [0.5, 1) can round or flush.  A derivative lane shares its
-product's exponent, so only the values of its entries are the scalar rule's;
-at coupling or energy near 1e300 its entries 1e-300 below its largest leave
-the normal range, and there its traces are held to the scalar rule.  Where a
-block is one site, at coupling near 1e300, the raw entries and exponents are
-the scalar rule's too.  The block rule must keep every stored entry within its
-lane's threshold; a test with a mark at every site fails if a block is one
-site longer.  Norm sums are taken a block of sites at a time, so marks on both
-sides of every block edge, and windows whose edge term opens the next block,
-are held to the scalar sums.  Several (side, phase) groups in one sweep, in
-any order, over energies in any order, with derivatives on a prefix of the
-groups, keep the bits, raw splits included, of a sweep per group.
+energy derivative, zeros of either sign alike: the sweep's three-term step has
+no 0.0 * y term, so a zero entry can differ in sign from `_mul`'s, which a
+test pins and no output sees.  The sweep rescales its products once per block
+of sites, where `_mul` rescales at every site, so a product keeps the values
+of the scalar rule but not its split into entries and exponent; the one
+exception allowed is an entry more than 2**1021 below the largest entry of its
+matrix, which a scale into [0.5, 1) can round or flush.  A derivative lane
+shares its product's exponent, so only the values of its entries are the
+scalar rule's; at coupling or energy near 1e300 its entries 1e-300 below its
+largest leave the normal range, and there its traces are held to the scalar
+rule.  Where a block is one site, at coupling near 1e300, the raw entries and
+exponents are the scalar rule's too, but for the sign of a zero.  The block rule must keep every stored
+entry within its lane's threshold; a test with a mark at every site fails if a
+block is one site longer.  Norm sums are taken a block of sites at a time, so
+marks on both sides of every block edge, and windows whose edge term opens the
+next block, are held to the scalar sums.  Several (side, phase) groups in one
+sweep, in any order, over energies in any order, with derivatives on a prefix
+of the groups, keep the bits, raw splits included, of a sweep per group.
 """
 
 import math
@@ -36,7 +38,7 @@ from quasitrace.phase import PRECISION_BITS, PhasePoint
 from quasitrace.words import fib_number, rotation_block
 from quasitrace.xfloat import XReal
 
-from oracles import local_matrix, trace
+from oracles import local_matrix, trace, xreal_rows
 
 BAND_CENTER = -0.2492839750009455  # a level-9 band at lambda 12, phase 0
 
@@ -51,8 +53,8 @@ def xbits(values):
 
 def tables_bits(table):
     """A `TraceTable` as bits: traces, derivatives and peaks."""
-    return ([xbits(r) for r in table.traces], [xbits(r) for r in table.derivs],
-            table.peaks.tolist())
+    return ([xbits(r) for r in xreal_rows(table.traces)],
+            [xbits(r) for r in xreal_rows(table.derivs)], table.peaks.tolist())
 
 
 def raw(matrix):
@@ -60,13 +62,21 @@ def raw(matrix):
     return [f64(v) for v in matrix[:4]] + [matrix[4]]
 
 
+def unsigned_zeros(raw_matrix):
+    """`raw` bits with -0.0 entries read as 0.0: the sweep's step has no 0.0 * y
+    term, so a zero entry can differ in sign from `_mul`'s (see "Value
+    identity" in `transfer`)."""
+    return [f64(0.0) if v == f64(-0.0) else v for v in raw_matrix[:4]] + raw_matrix[4:]
+
+
 def entry_values(matrix):
     """Each entry of a scalar product with its exponent, normalized: equal for
-    equal values however the product splits them (zeros keep their sign)."""
+    equal values however the product splits them, zeros of either sign alike
+    (see `unsigned_zeros`)."""
     out = []
     for v in matrix[:4]:
         mantissa, ex = math.frexp(v)
-        out.append((f64(mantissa), ex + matrix[4] if v else 0))
+        out.append((f64(mantissa), ex + matrix[4]) if v else (f64(0.0), 0))
     return out
 
 
@@ -225,8 +235,8 @@ def test_huge_lanes_keep_the_derivative_traces_of_the_add_rule(side, k, case, ph
     for carry in ("norms", "peaks"):
         lanes = lane_results(side, k, energies, lam, theta, carry)
         for lane, reference in zip(lanes, references):
-            assert ([(m, *rest) for m, _, *rest in lane]
-                    == [(m, *rest) for m, _, *rest in carried(reference, carry)])
+            assert ([(unsigned_zeros(m), *rest) for m, _, *rest in lane]
+                    == [(unsigned_zeros(m), *rest) for m, _, *rest in carried(reference, carry)])
 
 
 def test_derivative_lanes_leave_their_product_only_past_the_limit():
@@ -237,6 +247,8 @@ def test_derivative_lanes_leave_their_product_only_past_the_limit():
         marks = TR._sweep(group, np.array([-1.0, 0.0, 1.0]), 1e300,
                           [fib_number(j) for j in range(13)], deriv=1, peaks=True)
         assert (marks[-1].de != marks[-1].e).any()
+        # a lane leaves upward, so the general add never scales dM/dE
+        assert all((mark.de >= mark.e).all() for mark in marks)
         for carry in ("norms", "peaks"):
             marks = TR._sweep(group, np.array([BAND_CENTER, 3.0, 20.0, -8.0]), 12.0,
                               [fib_number(j) for j in range(15)], deriv=1, **{carry: True})
@@ -384,9 +396,9 @@ def test_phase_traces_match_the_one_group_calls():
         for theta, (right, left) in zip(thetas, tables):
             assert tables_bits(right) == tables_bits(TR.dual_traces_upto(11, grid, lam, theta))
             assert left.derivs is None
-            assert [xbits(r) for r in left.traces] == [
+            assert [xbits(r) for r in xreal_rows(left.traces)] == [
                 xbits(row) for row in TR.traces_left_upto(11, grid, lam, theta)]
-        assert [xbits(r) for r in refs.traces] == [
+        assert [xbits(r) for r in xreal_rows(refs.traces)] == [
             xbits(row) for row in TR.traces_right_upto(11, grid, lam, PhasePoint.zero())]
 
 
@@ -403,8 +415,8 @@ def test_phase_traces_at_huge_energies_run_without_warnings():
         lefts = TR.traces_left_upto(k, grid, lam, theta)
         zeros = TR.traces_right_upto(k, grid, lam, PhasePoint.zero())
     assert tables_bits(right) == tables_bits(duals)
-    assert [xbits(r) for r in left.traces] == [xbits(row) for row in lefts]
-    assert [xbits(r) for r in refs.traces] == [xbits(row) for row in zeros]
+    assert [xbits(r) for r in xreal_rows(left.traces)] == [xbits(row) for row in lefts]
+    assert [xbits(r) for r in xreal_rows(refs.traces)] == [xbits(row) for row in zeros]
 
 
 def test_band_lane_never_rescales_beside_far_lanes():
@@ -456,7 +468,41 @@ def test_one_site_blocks_keep_the_scalar_raw_split():
         lanes = lane_results(side, 12, energies, lam, theta, "peaks")
         for E, lane in zip(energies, lanes):
             reference = scalar_reference(side, 12, E, lam, theta)
-            assert [record[0] for record in lane] == [record[0] for record in reference]
+            assert ([unsigned_zeros(record[0]) for record in lane]
+                    == [unsigned_zeros(record[0]) for record in reference])
+
+
+def zero_signs(raw_matrix):
+    """Per entry of `raw` bits: None if it is not zero, else whether it is -0.0."""
+    return [v == f64(-0.0) if v in (f64(0.0), f64(-0.0)) else None for v in raw_matrix[:4]]
+
+
+def test_factors_that_are_exactly_zero():
+    # at E = 0 and E = lam a factor t is 0.0, so products and derivatives get
+    # entries that are exactly zero; at lambda 1e300 a block is one site and
+    # the raw split is the scalar rule's, but the derivative's entries 1e-300
+    # below its largest flush in the shared exponent (see "Derivative lanes"
+    # in `transfer`).  Entries keep their values and everything else its
+    # bits, but the step has no 0.0 * y term, so a zero entry can be -0.0
+    # where `_mul` gives 0.0, or the other way round
+    theta = PhasePoint.from_decimal("0.3")
+    for side in ("right", "left"):
+        flips = 0
+        for lam in (0.0, 12.0, 1e300):
+            energies = [0.0, lam, -0.0, lam + 8.0]
+            for carry in ("norms", "peaks"):
+                lanes = lane_results(side, 12, energies, lam, theta, carry)
+                for E, lane in zip(energies, lanes):
+                    reference = carried(scalar_reference(side, 12, E, lam, theta), carry)
+                    if lam < 1e300:
+                        assert_same_records(lane, reference)
+                    else:
+                        assert ([(unsigned_zeros(m), *rest) for m, _, *rest in lane]
+                                == [(unsigned_zeros(m), *rest) for m, _, *rest in reference])
+                    for got, want in zip(lane, reference):
+                        signs = zip(zero_signs(got[0]), zero_signs(want[0]))
+                        flips += sum(g != w for g, w in signs if None not in (g, w))
+        assert flips, side  # the sign of some zero differs, and no value or output bit
 
 
 # ---------------------------------------------------------------------------

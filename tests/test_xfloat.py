@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from quasitrace.xfloat import XReal
+from quasitrace.xfloat import XReal, sci
 
 from oracles import rel_gap, xreal
 
@@ -74,6 +74,28 @@ def test_sci_formatting():
     assert 1.0 <= float(mant) < 10.0
     assert int(expo) == math.floor(1000 * math.log10(2) + math.log10(1.5))
     assert XReal(-2.0).sci().startswith("-2.")
+
+
+# (m, e, the string XReal.sci gave before it called `sci`)
+SCI_CASES = [
+    (0.0, 0, "0.0"),
+    (-0.0, 0, "0.0"),
+    (-0.875, 2, "-3.500000000000e+00"),
+    (0.75, 10**4, "1.496297337661e+3010"),
+    (-0.6, -10**4, "-3.007423649525e-3011"),
+    (0.5, -10**4, "2.506186374602e-3011"),
+    # just below a power of ten: the mantissa rounds to 10 - 5e-13 or more
+    # and rolls over to 1.0 at the next exponent
+    (0.999999999999977, 0, "1.000000000000e+00"),
+    (0.6249999999999857, 4, "1.000000000000e+01"),
+    (0.9094947017729057, 40, "1.000000000000e+12"),
+    (-0.6553599999999853, -16, "-1.000000000000e-05"),
+]
+
+
+@pytest.mark.parametrize("m, e, want", SCI_CASES)
+def test_sci_of_mantissa_and_exponent_is_xreal_sci(m, e, want):
+    assert sci(m, e) == XReal(m, e).sci() == want
 
 
 def test_rel_gap():
