@@ -336,7 +336,11 @@ def _cover_samples(K: int, lam: float) -> np.ndarray:
     """Three interior points per cover interval (quarter, mid, three-quarter)."""
     lo, hi = spectrum_cover(K, lam)
     w = hi - lo
-    return np.unique(np.concatenate((lo + 0.25 * w, 0.5 * (lo + hi), hi - 0.25 * w)))
+    xs = np.sort(np.concatenate((lo + 0.25 * w, 0.5 * (lo + hi), hi - 0.25 * w)))
+    # np.unique without the import of numpy.ma that it makes; the samples hold no NaN
+    keep = np.ones(xs.size, dtype=bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]
 
 
 def growth_levels(k_min: int, k_max: int) -> list[int]:

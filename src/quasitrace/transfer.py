@@ -31,13 +31,14 @@ hold the same for dM/dE, with the exponent of their product (see
 "Derivative lanes").  The rows of a block of B sites live in one (B + 2, 2,
 lanes) buffer, and the loop over sites does only the step and the
 derivative.  Per block, one lookup in a (sites, groups) array of symbols
-gives every lane its factors, `_norm_sq_lanes` and `_running_sums` the
-squared norms and their running sums, one running maximum the peaks, and
-the rescale runs (see "Block rescale"): state is O(lanes * B + sites *
-groups).  At each mark the sweep records the product, its derivative, the
-norm, the running norm sum and the peak, so traces, derivative traces,
-windowed norm sums and rounding scales at all Fibonacci lengths come from
-one pass.
+fills a (B, 2, lanes) array with every lane's factors, one per row of X, so
+that a step multiplies two operands of one shape; `_norm_sq_lanes` and
+`_running_sums` give the squared norms and their running sums, one maximum
+over the block's rows the peaks, and the rescale runs (see "Block
+rescale"): state is O(lanes * B + sites * groups).  At each mark the sweep
+records the product, its derivative, the norm, the running norm sum and the
+peak, so traces, derivative traces, windowed norm sums and rounding scales at
+all Fibonacci lengths come from one pass.
 
 Block rescale.  A product lane is checked against its threshold once per block
 of B sites, at the block's last site, not at every site as in `_mul`.  A step
@@ -56,11 +57,16 @@ Those sweeps keep the raw split of the scalar layer.  With B > 1 nothing is
 rescaled after the last site, as nothing follows it.  The cap is
 `_block_sites` with norms (see "Norm sums") and 32 without, which keeps the
 buffers small.  The peak of a site is frexp(max |entry|)[1] + e, and e changes
-only at a block's end.  A block takes its peaks from the running maximum over
-its rows: the product of a site is its row and the row before, which the peak
-of the site before holds (X_0 = (1, 0) is matched by the entry +-1 of X_1).  A
-scale by 2**-ex lowers the frexp by ex and raises e by ex, so the peaks do not
-depend on where a lane rescales.
+only at a block's end.  The product of a site is its row and the row before
+(X_0 = (1, 0) is matched by the entry +-1 of X_1), so the peak over sites
+1..n is the largest frexp over the rows X_1..X_n.  The exponent of frexp grows
+with |x|, and no row of a det-1 product is zero, so that is the frexp of the
+largest |entry| of those rows.  At a block's end `high`, the peak so far,
+becomes the larger of itself and one frexp per lane of the largest |entry| of
+the block's rows, plus e as it stands before the rescale; a mark inside the
+block takes the larger of `high` from before the block and the same frexp
+over the block's rows up to its site.  A scale by 2**-ex lowers the frexp by
+ex and raises e by ex, so the peaks do not depend on where a lane rescales.
 
 Value identity.  Every product lane does the IEEE operations of the scalar
 layer in the same order: `_mul` per factor, `_norm_sq` and `XReal.__add__`
@@ -160,32 +166,38 @@ product as rows 0-1 X and 2-3 +-X_{n-1}: (a, b), (c, d) on the right and
 c, d) order before the squared norms, so the squares add in the order of
 `_norm_sq`; the sign of -X_{n-1} changes no bit of them.
 
-Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and
-the reducing ndarray methods (not numpy scalar arithmetic or indexing), each
-weighted by how often its branch runs: the step is one `np.multiply` and one
-`np.subtract` into the next slot of the buffer, the derivative one `np.add`.
-At a block's end the factor lookup is one `np.where`; the peaks are six calls
-(`np.abs`, `max`, `np.frexp`, `np.maximum.accumulate` of the int32
-exponents, the add of e, `np.maximum`); the rescale check is `np.abs` and two
-`np.maximum.reduce`, and a rescale six more (`np.frexp`, the comparison and
-product that zero ex on the other lanes, the `take` of the scales, the
-product of the entries, the new exponents).  Where `d_bound` passes its
-limit its check is the same three calls and `np.array_equal`; `_add_lanes`
-makes eight calls into work arrays made once per sweep.  The `phase_traces`
-sweep of the benchmark's `traces-large` run (17,711 sites, 288 product and
-96 derivative lanes, 552 of 554 blocks of 32 sites rescaling, `d_bound` past
-its limit at 88 sites) makes per site:
+Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and the
+reducing ndarray methods (not numpy scalar arithmetic or indexing), each
+weighted by how often its branch runs: the step is one `np.multiply` of two
+(2, lanes) operands and one `np.subtract` into the next slot of the buffer,
+the derivative one `np.add`.  At a block's end the factor lookup is one
+`np.where`; the peaks are five calls (`np.abs`, `max`, `np.frexp`, the add of
+e, `np.maximum`), and four more (all but `np.abs`) for each mark inside the
+block; the rescale check is `np.abs` and two `np.maximum.reduce`, and a
+rescale six more (`np.frexp`, the comparison and product that zero ex on the
+other lanes, the `take` of the scales, the product of the entries, the new
+exponents).  Where `d_bound` passes its limit its check is the same three calls
+and `np.array_equal`; `_add_lanes` makes eight calls into work arrays made
+once per sweep.  The `phase_traces` sweep of the benchmark's `traces-large`
+run (17,711 sites, 288 product and 96 derivative lanes, 552 of 554 blocks of
+32 sites rescaling, `d_bound` past its limit at 88 sites) makes per site:
 
     step  rescale  derivative  block  total
-     2.0     0.28        1.02   0.22   3.52
+     2.0     0.28        1.02   0.19   3.49
 
-A check at every site, as in `_mul`, rescales at 13,951 sites and takes 7.73
-calls per site in the rescale alone.  `BENCH_26.json` holds the CPU seconds
-of this sweep.  A lane threshold below 2**256 (a factor of 2**766 or more)
-adds one call per check for the least threshold.  `_add_lanes` stays a
-function: by `timeit` on 96 lanes the call costs at most 0.3 us per site
-over its body inlined, and its own test holds it to `_add` at the |shift|
-edges.
+Call counts hide the cost of each call.  By `timeit` at this sweep's shapes
+(one 2-vCPU Xeon), `np.multiply` took 1.4-2.4 us where it broadcast a
+(lanes,) row of factors over the (2, lanes) rows, against 0.9-1.1 us on two
+operands of one shape, so the factors are stored once per row; and a running
+maximum (`np.maximum.accumulate`) of the (32, 288) exponents of a block took
+32-33 us against 4 us for their plain `max`, so the peaks take one maximum
+per block and per mark.  A check at every site, as in `_mul`, rescales at
+13,951 sites and takes 7.73 calls per site in the rescale alone.
+`BENCH_26.json` and `BENCH_27.json` hold the CPU seconds of this sweep.  A
+lane threshold below 2**256 (a factor of 2**766 or more) adds one call per
+check for the least threshold.  `_add_lanes` stays a function: by `timeit` on
+96 lanes the call costs at most 0.3 us per site over its body inlined, and its
+own test holds it to `_add` at the |shift| edges.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` (the right `TraceTable` of `phase_traces`) are one-group
@@ -355,7 +367,9 @@ class _Mark(NamedTuple):
     norm_e: np.ndarray | None = None
     sum_m: np.ndarray | None = None  # squared norms summed over sites 1..n
     sum_e: np.ndarray | None = None
-    peak: np.ndarray | None = None  # every |entry| over sites 1..n is below 2**peak
+    # every |entry| over sites 1..n is below 2**peak: the frexp exponent of the
+    # largest |entry| of the rows X_1..X_n, plus e (see "Block rescale")
+    peak: np.ndarray | None = None
 
 
 def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
@@ -537,7 +551,9 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     x[0, 1, :lanes] = np.where(left[:lanes], -1.0, 1.0)
     e = np.zeros(width, dtype=np.int64)
     de = e[lanes:]
-    ts = np.empty((size, width))  # the factor t of each lane at each site of a block
+    # the factor t of each lane at each site of a block, once per row of X, so
+    # that a step multiplies two operands of one shape
+    ts = np.empty((size, 2, width))
     # per site of a block: X_{n-2}, X_{n-1} and X_n of every lane, its t, and
     # on the derivative lanes dX_n and X_{n-1} of their products
     steps = [(x[j], x[j + 1], x[j + 2], ts[j], x[j + 2, :, lanes:], x[j + 1, :, :n_d])
@@ -560,7 +576,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
         j = (n - 1) % size
         if j == 0:  # the factors of each lane over the next block of sites
             rows = symbols[n - 1:n - 1 + size][:, group]
-            ts[:len(rows)] = np.where(rows, span, E)
+            ts[:len(rows)] = np.where(rows, span, E)[:, None, :]
         x2, x1, x0, t, dx, owner_x = steps[j]
         np.multiply(x1, t, out=x0)
         np.subtract(x0, x2, out=x0)
@@ -587,11 +603,13 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
                 fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
             if peaks:
                 # the product lanes keep their exponents through a block, and
-                # the row before it is in the peak so far (see "Block rescale")
-                ex = np.frexp(np.abs(x[2:j + 3, :, :lanes]).max(axis=1))[1]
-                peak = np.maximum.accumulate(ex, axis=0, out=ex) + e[:lanes]
-                high = np.maximum(peak, high, out=peak)[j]
-                fields.update(peak=peak)
+                # the rows before it are in `high` (see "Block rescale"); keyed
+                # by the block's index of each mark, as the other fields are
+                mags = np.abs(x[2:j + 3, :, :lanes])
+                stops = [mark.n - (n - j) + 1 for mark in out[done:]] + [j + 1]
+                fields["peak"] = {stop - 1: np.maximum(
+                    high, np.frexp(mags[:stop].max(axis=(0, 1)))[1] + e[:lanes]) for stop in stops}
+                high = fields["peak"][j]
             if n < top or size == 1:
                 _renorm(x[j + 1:j + 3], e, math.inf, out=e, owned=n_d, limit=cutoff)
         if d_bound > d_limit:

@@ -571,6 +571,29 @@ def test_scipy_is_imported_only_by_dynamics(tmp_path):
     assert "dynamics: ok" in proc.stdout
 
 
+# run in a fresh interpreter: importing numpy.ma takes about 14 ms, and no
+# subcommand that runs without SciPy needs it (SciPy's own import loads it)
+NUMPY_MA_UNUSED = """
+import sys
+
+import quasitrace.cli as cli
+
+out = sys.argv[1]
+for args in (["words", "--k-max", "5", "--subword-max", "10"],
+             ["traces", "--k-max", "5", "--energies=-3:13:4"],
+             ["spectrum", "--k-max", "6", "--growth", "2:6"],
+             ["report"]):
+    assert cli.main([*args, "--out", out]) == 0, args
+    assert "numpy.ma" not in sys.modules, args
+"""
+
+
+def test_numpy_ma_is_not_imported_without_scipy(tmp_path):
+    proc = run_python(["-c", NUMPY_MA_UNUSED, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert "report:" in proc.stdout
+
+
 def test_exit_code_success(tmp_path):
     proc = run_cli(["words", "--k-max", "3", "--subword-max", "5",
                     "--out", str(tmp_path)])

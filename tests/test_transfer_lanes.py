@@ -19,7 +19,9 @@ exponents are the scalar rule's too, but for the sign of a zero.  The block rule
 entry within its lane's threshold; a test with a mark at every site fails if a
 block is one site longer.  Norm sums are taken a block of sites at a time, so
 marks on both sides of every block edge, and windows whose edge term opens the
-next block, are held to the scalar sums.  Several (side, phase) groups in one
+next block, are held to the scalar sums; peaks are taken once per block and
+per mark, so marks on the first, the last and the only site of a block are
+held to the scalar peaks.  Several (side, phase) groups in one
 sweep, in any order, over energies in any order, with derivatives on a prefix
 of the groups, keep the bits, raw splits included, of a sweep per group.
 """
@@ -104,15 +106,24 @@ def assert_same_records(got, want):
         assert g[1:] == w[1:]
 
 
-def scalar_reference(side, k, E, lam, theta):
-    """Per mark F(0..k): raw M, the values of dM/dE, trace and derivative trace,
-    norm sum, peak."""
-    marks = {fib_number(j) for j in range(k + 1)}
+def fib_marks(k):
+    return [fib_number(j) for j in range(k + 1)]
+
+
+# marks on the first, the last and the only site of a block of 32 sites: the
+# blocks of a sweep with peaks at coupling up to 12 are sites 1-32, 33-64 and 65
+EDGE_MARKS = [1, 32, 33, 63, 64, 65]
+
+
+def scalar_reference(side, k, E, lam, theta, marks=None):
+    """Per mark, F(0..k) unless `marks` are given: raw M, the values of dM/dE,
+    trace and derivative trace, norm sum, peak."""
+    marks = marks or fib_marks(k)
     m, d = (1.0, 0.0, 0.0, 1.0, 0), (0.0, 0.0, 0.0, 0.0, 0)
     total, high = XReal(), -math.inf
     limit = TR._lane_limit(E, lam)
     out = []
-    for n in range(1, fib_number(k) + 1):
+    for n in range(1, marks[-1] + 1):
         if side == "right":  # T(n) ... T(1); (T M)' = T' M + T M'
             t = local_matrix(n, E, lam, theta)
             d = TR._add((m[0], m[1], 0.0, 0.0, m[4]), TR._mul(t, d, limit))
@@ -137,11 +148,12 @@ def lane_values(side, m, e, i):
     return entry_values(m[TR._ROWS[side], i].tolist() + [int(e[i])])
 
 
-def lane_results(side, k, energies, lam, theta, carry):
-    """Per lane, per mark F(0..k): the records of `scalar_reference`, from a
-    sweep that carries "norms" or "peaks"; None for the field it does not."""
+def lane_results(side, k, energies, lam, theta, carry, marks=None):
+    """Per lane, per mark, F(0..k) unless `marks` are given: the records of
+    `scalar_reference`, from a sweep that carries "norms" or "peaks"; None for
+    the field it does not."""
     marks = TR._sweep([(side, theta)], np.array(energies, dtype=float), lam,
-                      [fib_number(j) for j in range(k + 1)], deriv=1, **{carry: True})
+                      marks or fib_marks(k), deriv=1, **{carry: True})
     lanes = []
     for i in range(len(energies)):
         records = []
@@ -170,27 +182,39 @@ def carried(records, carry):
     energies=st.lists(st.floats(-4.0, 16.0), min_size=1, max_size=4),
     far=st.floats(6.0, 10.0),
     phase=st.integers(0, (1 << PRECISION_BITS) - 1),
+    edges=st.booleans(),
 )
 # the band lane grows slowly and never rescales over F(14) sites; the far
 # lanes rescale every hundred sites or so
-@example(side="right", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0)
-@example(side="left", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0)
+@example(side="right", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
+         edges=False)
+@example(side="left", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
+         edges=False)
 # the derivative of the E = 77 lane first passes 2**256 in the product rule's
 # `_add` at site 41, where its step `_mul` stays below
-@example(side="right", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0)
-@example(side="left", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0)
+@example(side="right", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0, edges=False)
+@example(side="left", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0, edges=False)
 # an energy of 1e-300 at a coupling far outside the drawn range: the lane
 # holds an entry of 1e-300 beside entries near 2 * lambda, about 2**-1022 of them
-@example(side="right", k=2, lam=2.0**24, energies=[1e-300], far=8.0, phase=0)
+@example(side="right", k=2, lam=2.0**24, energies=[1e-300], far=8.0, phase=0, edges=False)
+# peaks at the edges of blocks of 32 sites, where the far lanes rescale;
+# and of one-site blocks, at coupling 1e300
+@example(side="right", k=0, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
+         edges=True)
+@example(side="left", k=0, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
+         edges=True)
+@example(side="right", k=0, lam=1e300, energies=[1.0], far=8.0, phase=0, edges=True)
+@example(side="left", k=0, lam=1e300, energies=[1.0], far=8.0, phase=0, edges=True)
 def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
-                                                         far, phase):
+                                                         far, phase, edges):
     theta = PhasePoint(phase)
     energies = energies + [lam + far, -far]  # off the spectrum: these rescale
-    references = [scalar_reference(side, k, E, lam, theta) for E in energies]
+    marks = EDGE_MARKS if edges else None
+    references = [scalar_reference(side, k, E, lam, theta, marks) for E in energies]
     for carry in ("norms", "peaks"):
-        lanes = lane_results(side, k, energies, lam, theta, carry)
+        lanes = lane_results(side, k, energies, lam, theta, carry, marks)
         for E, lane, reference in zip(energies, lanes, references):
-            assert_same_records(lane, lane_results(side, k, [E], lam, theta, carry)[0])
+            assert_same_records(lane, lane_results(side, k, [E], lam, theta, carry, marks)[0])
             assert_same_records(lane, carried(reference, carry))
 
 
