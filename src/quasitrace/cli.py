@@ -478,10 +478,14 @@ def cmd_report(cfg: RunConfig) -> int:
             for key in ("G_emp", "p_used"):
                 if key in data:
                     summary[name][key] = data[key]
-            if name == "spectrum.json" and data.get("growth_fit"):
-                summary[name]["xi_hat"] = data["growth_fit"]["xi_hat"]
-            if name == "bound_report.json" and data.get("table"):
-                summary[name]["trunc_bound"] = max(r["trunc_bound"] for r in data["table"])
+            try:
+                if name == "spectrum.json" and data.get("growth_fit"):
+                    summary[name]["xi_hat"] = data["growth_fit"]["xi_hat"]
+                if name == "bound_report.json" and data.get("table"):
+                    summary[name]["trunc_bound"] = max(r["trunc_bound"] for r in data["table"])
+            except (KeyError, TypeError) as exc:
+                raise ConfigError(f"{str(path)!r} is not a {name} summary: "
+                                  f"{type(exc).__name__} {exc}") from None
         else:
             summary[name] = {"pass": None, "missing": True}
     csv_counts = {}

@@ -30,15 +30,35 @@ last two rows X_n and X_{n-1} of its product (columns on the left; see
 hold the same for dM/dE, with the exponent of their product (see
 "Derivative lanes").  The rows of a block of B sites live in one (B + 2, 2,
 lanes) buffer, and the loop over sites does only the step and the
-derivative.  Per block, one lookup in a (sites, groups) array of symbols
-fills a (B, 2, lanes) array with every lane's factors, one per row of X, so
-that a step multiplies two operands of one shape; `_norm_sq_lanes` and
-`_running_sums` give the squared norms and their running sums, one maximum
-over the block's rows the peaks, and the rescale runs (see "Block
-rescale"): state is O(lanes * B + sites * groups).  At each mark the sweep
+derivative.  Per block, `_norm_sq_lanes` and `_running_sums` give the
+squared norms and their running sums, one maximum over the block's rows the
+peaks, and the rescale runs (see "Block rescale").  At each mark the sweep
 records the product, its derivative, the norm, the running norm sum and the
 peak, so traces, derivative traces, windowed norm sums and rounding scales at
 all Fibonacci lengths come from one pass.
+
+Factor table.  The symbols of the G groups at a site, a pattern, set every
+lane's factor there.  `_factor_table` builds, once per sweep, one (2, lanes)
+row of factors per distinct pattern, U of them, t copied onto both rows of X
+so that a step multiplies two operands of one shape, and the pattern of each
+site as a code in the least unsigned dtype that holds U (uint8 up to 255
+patterns); per block the codes of its sites become a short list, and a step
+reads the factors of its site as one row of the table.  Each factor is the
+float that np.where(symbol, E - lam, E) gives, so the table changes no bits.
+There are at most 2G patterns.  Every group's symbol at row n is an arc
+indicator of x = n omega~ mod 1: on the right v(n) = 1 for x in [1 - omega~ -
+theta, 1 - theta), on the left v(1 - n) = 1 for x in (theta + omega~, theta +
+2 omega~] (see `words.rotation_block`).  The 2G endpoints, D of them
+distinct, cut the circle into D open arcs, on each of which the pattern is
+constant.  At an endpoint where only right or only left arcs end, the
+pattern is that of the arc after or before it; only a point where both kinds
+end can hold a pattern of its own, and there are at most 2G - D such points,
+so U <= D + (2G - D) = 2G.  The table holds U * 2 * lanes floats, derivative
+lanes included: on the benchmark's `traces-large` sweep (G = 3, 384 lanes) 6
+patterns in 37 KB, against 197 KB for a (B, 2, lanes) block of factors.  It
+grows as G**2: `traces --random-thetas 30` (62 groups over 64 energies, 5,952
+lanes) has 109 patterns on its 987 sites, 10.4 MB against 3.0 MB.  The state
+of a sweep is O(lanes * (B + U) + sites).
 
 Block rescale.  A product lane is checked against its threshold once per block
 of B sites, at the block's last site, not at every site as in `_mul`.  A step
@@ -170,30 +190,33 @@ Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and the
 reducing ndarray methods (not numpy scalar arithmetic or indexing), each
 weighted by how often its branch runs: the step is one `np.multiply` of two
 (2, lanes) operands and one `np.subtract` into the next slot of the buffer,
-the derivative one `np.add`.  At a block's end the factor lookup is one
-`np.where`; the peaks are five calls (`np.abs`, `max`, `np.frexp`, the add of
-e, `np.maximum`), and four more (all but `np.abs`) for each mark inside the
-block; the rescale check is `np.abs` and two `np.maximum.reduce`, and a
-rescale six more (`np.frexp`, the comparison and product that zero ex on the
-other lanes, the `take` of the scales, the product of the entries, the new
-exponents).  Where `d_bound` passes its limit its check is the same three calls
-and `np.array_equal`; `_add_lanes` makes eight calls into work arrays made
-once per sweep.  The `phase_traces` sweep of the benchmark's `traces-large`
-run (17,711 sites, 288 product and 96 derivative lanes, 552 of 554 blocks of
-32 sites rescaling, `d_bound` past its limit at 88 sites) makes per site:
+the derivative one `np.add`.  At a block's end the peaks are five calls
+(`np.abs`, `max`, `np.frexp`, the add of e, `np.maximum`), and four more (all
+but `np.abs`) for each mark inside the block; the rescale check is `np.abs`
+and two `np.maximum.reduce`, and a rescale six more (`np.frexp`, the
+comparison and product that zero ex on the other lanes, the `take` of the
+scales, the product of the entries, the new exponents).  Where `d_bound`
+passes its limit its check is the same three calls and `np.array_equal`;
+`_add_lanes` makes eight calls into work arrays made once per sweep.  The
+`phase_traces` sweep of the benchmark's `traces-large` run (17,711 sites, 288
+product and 96 derivative lanes, 552 of 554 blocks of 32 sites rescaling,
+`d_bound` past its limit at 88 sites) makes per site:
 
     step  rescale  derivative  block  total
-     2.0     0.28        1.02   0.19   3.49
+     2.0     0.28        1.02   0.16   3.46
 
 Call counts hide the cost of each call.  By `timeit` at this sweep's shapes
-(one 2-vCPU Xeon), `np.multiply` took 1.4-2.4 us where it broadcast a
-(lanes,) row of factors over the (2, lanes) rows, against 0.9-1.1 us on two
-operands of one shape, so the factors are stored once per row; and a running
-maximum (`np.maximum.accumulate`) of the (32, 288) exponents of a block took
-32-33 us against 4 us for their plain `max`, so the peaks take one maximum
-per block and per mark.  A check at every site, as in `_mul`, rescales at
-13,951 sites and takes 7.73 calls per site in the rescale alone.
-`BENCH_26.json` and `BENCH_27.json` hold the CPU seconds of this sweep.  A
+(one 2-vCPU Xeon), `np.multiply` took 1.4-2.4 us where it broadcast a (lanes,)
+row of factors over the (2, lanes) rows, against 0.9-1.1 us on two operands of
+one shape, so the factors are stored once per row; and a running maximum
+(`np.maximum.accumulate`) of the (32, 288) exponents of a block took 32-33 us
+against 4 us for their plain `max`, so the peaks take one maximum per block
+and per mark.  A per-block fill of a (B, 2, lanes) block of factors, a lookup
+of the block's symbols per lane, one `np.where` and a broadcast store, counted
+one call but took 85 us per block, 2.7 us per site, so the factors come from
+the table.  A check at every site, as in `_mul`, rescales at 13,951 sites and
+takes 7.73 calls per site in the rescale alone.  `BENCH_26.json`,
+`BENCH_27.json` and `BENCH_28.json` hold the CPU seconds of this sweep.  A
 lane threshold below 2**256 (a factor of 2**766 or more) adds one call per
 check for the least threshold.  `_add_lanes` stays a function: by `timeit` on
 96 lanes the call costs at most 0.3 us per site over its body inlined, and its
@@ -489,6 +512,29 @@ def _symbols(groups, top: int) -> np.ndarray:
                     axis=1)
 
 
+def _factor_table(symbols, group, span, E):
+    """Every lane's factor at every site, as (table, code); see "Factor table".
+
+    `symbols` is the (sites, groups) array of `_symbols` and `group` the group
+    of each lane.  `table` holds one (2, lanes) row per distinct row of
+    `symbols`, a pattern, with each lane's factor on both rows, and `code` the
+    pattern of each site: table[code[n]] is np.where(symbols[n, group], span, E)
+    on both rows.  Equal patterns are found by a sort and an adjacent-difference
+    mask, which, unlike `np.unique`, do not import `numpy.ma`.
+    """
+    keys = np.packbits(symbols, axis=1)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)  # where a new pattern starts
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    count = int(np.count_nonzero(first))
+    code = np.empty(len(order), dtype=np.min_scalar_type(count))
+    code[order] = np.cumsum(first, dtype=code.dtype)
+    code -= 1
+    factors = np.where(symbols[order[first]][:, group], span, E)
+    return np.stack((factors, factors), axis=1), code
+
+
 def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
            norms: bool = False, peaks: bool = False) -> list[_Mark]:
     """Multiply the one-site matrices for every lane; record at marks.
@@ -511,7 +557,6 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
         raise ValueError("derivatives are carried on a prefix of the groups")
     top, n = marks[-1], E.size
     lanes, n_d = len(groups) * n, deriv * n
-    symbols = _symbols(groups, top)
     # the lanes hold the products, then dM/dE of the first `deriv` groups: its
     # step is that of the lane it belongs to, with the same factors
     owners = [*range(len(groups)), *range(deriv)]
@@ -551,17 +596,18 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     x[0, 1, :lanes] = np.where(left[:lanes], -1.0, 1.0)
     e = np.zeros(width, dtype=np.int64)
     de = e[lanes:]
-    # the factor t of each lane at each site of a block, once per row of X, so
-    # that a step multiplies two operands of one shape
-    ts = np.empty((size, 2, width))
-    # per site of a block: X_{n-2}, X_{n-1} and X_n of every lane, its t, and
-    # on the derivative lanes dX_n and X_{n-1} of their products
-    steps = [(x[j], x[j + 1], x[j + 2], ts[j], x[j + 2, :, lanes:], x[j + 1, :, :n_d])
+    # each lane's factor t per pattern of symbols, once per row of X so that a
+    # step multiplies two operands of one shape, and the pattern of each site
+    table, code = _factor_table(_symbols(groups, top), group, span, E)
+    table = list(table)  # a step reads its row by a list index
+    # per site of a block: X_{n-2}, X_{n-1} and X_n of every lane, and on the
+    # derivative lanes dX_n and X_{n-1} of their products
+    steps = [(x[j], x[j + 1], x[j + 2], x[j + 2, :, lanes:], x[j + 1, :, :n_d])
              for j in range(size)]
     # the derivative lanes share their owners' exponents while `apart` is
     # False; `d_bound` bounds their entries, which no rescale check covers
     apart, d_bound = False, 0.0
-    work = _add_work(steps[0][4])  # work arrays of the general add
+    work = _add_work(steps[0][3])  # work arrays of the general add
     if norms:
         # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
         carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
@@ -574,11 +620,10 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     want = next(pending)
     for n in range(1, top + 1):
         j = (n - 1) % size
-        if j == 0:  # the factors of each lane over the next block of sites
-            rows = symbols[n - 1:n - 1 + size][:, group]
-            ts[:len(rows)] = np.where(rows, span, E)[:, None, :]
-        x2, x1, x0, t, dx, owner_x = steps[j]
-        np.multiply(x1, t, out=x0)
+        if j == 0:  # the patterns of the next block of sites
+            codes = code[n - 1:n - 1 + size].tolist()
+        x2, x1, x0, dx, owner_x = steps[j]
+        np.multiply(x1, table[codes[j]], out=x0)
         np.subtract(x0, x2, out=x0)
         if n_d:
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],

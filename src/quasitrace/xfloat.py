@@ -119,7 +119,8 @@ class XReal:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.m, self.e))
+        # by value, as `__eq__` compares: XReal(1.0) == 1.0, so they hash alike
+        return hash(float(self))
 
     # -- conversions ----------------------------------------------------------
 

@@ -481,6 +481,26 @@ def test_exit_code_report_on_a_summary_that_is_not_json(tmp_path, text, problem)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["parity.json"]
 
 
+@pytest.mark.parametrize("name,payload,problem", [
+    ("bound_report.json", {"pass": True, "table": [{}]}, "KeyError 'trunc_bound'"),
+    ("bound_report.json", {"pass": True, "table": [5]}, "TypeError "),
+    ("bound_report.json", {"table": [{"trunc_bound": 1.0}, {"trunc_bound": "2"}]},
+     "TypeError "),
+    ("spectrum.json", {"pass": True, "growth_fit": {"fit": 1.0}}, "KeyError 'xi_hat'"),
+], ids=["row-without-trunc-bound", "row-not-an-object", "bounds-not-comparable",
+        "fit-without-xi-hat"])
+def test_exit_code_report_on_a_malformed_summary(tmp_path, name, payload, problem):
+    # valid JSON objects that lack what the report reads from them
+    (tmp_path / name).write_text(json.dumps(payload))
+    proc = run_cli(["report", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: {str(tmp_path / name)!r} is not a {name} summary: "
+                                  f"{problem}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
 def test_exit_code_empty_band_census(tmp_path):
     # at coupling 100 float64 resolves no band at level 18 of the growth scan
     proc = run_cli(["spectrum", "--lambda", "100", "--out", str(tmp_path)])

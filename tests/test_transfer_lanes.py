@@ -23,7 +23,9 @@ next block, are held to the scalar sums; peaks are taken once per block and
 per mark, so marks on the first, the last and the only site of a block are
 held to the scalar peaks.  Several (side, phase) groups in one
 sweep, in any order, over energies in any order, with derivatives on a prefix
-of the groups, keep the bits, raw splits included, of a sweep per group.
+of the groups, keep the bits, raw splits included, of a sweep per group.  The
+factor table of a sweep gives every site the factors of its symbols, bit for
+bit on both rows, with at most 2G patterns for G groups.
 """
 
 import math
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasitrace import transfer as TR
-from quasitrace.phase import PRECISION_BITS, PhasePoint
+from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace.words import fib_number, rotation_block
 from quasitrace.xfloat import XReal
 
@@ -373,6 +375,11 @@ phases = st.sampled_from([0, 1 << (PRECISION_BITS - 1)]) | st.integers(
 # it: the general add must keep the bits of the shared one
 @example(groups=[("right", 0), ("left", 1 << (PRECISION_BITS - 1))], k=12, lam=1e300,
          energies=[-1.0, 0.0], far=6.0, prefix=0.5, shuffle=random.Random(2))
+# both sides of four phases: a factor table of 16 patterns, the most 8 groups
+# can have (see `test_factor_table_gives_every_site_its_factors`)
+@example(groups=[(side, phase << (PRECISION_BITS - 2)) for phase in range(4)
+                 for side in ("right", "left")], k=12, lam=12.0,
+         energies=[BAND_CENTER, 3.0], far=8.0, prefix=0.5, shuffle=random.Random(3))
 def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, prefix,
                                                  shuffle):
     # any (side, phase) groups, repeats included, in any order over energies
@@ -392,6 +399,45 @@ def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, 
         for mark, ref in zip(grouped, alone):
             for i in range(n):
                 assert column(mark, g * n + i, g < deriv) == column(ref, i, g < deriv)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    groups=st.lists(st.tuples(st.sampled_from(["right", "left"]), phases),
+                    min_size=1, max_size=8),
+    top=st.integers(1, fib_number(20)),
+    deriv=st.integers(0, 8),
+    lam=st.sampled_from([0.0, 12.0]) | st.floats(0.0, 1e300),
+    energies=st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]), min_size=1,
+                      max_size=3),
+)
+@example(groups=[(side, phase << (PRECISION_BITS - 2)) for phase in range(4)
+                 for side in ("right", "left")], top=fib_number(12), deriv=4, lam=12.0,
+         energies=[BAND_CENTER, 3.0])
+# the `phase_traces` groups of the benchmark's `traces-large` run, over its sites
+@example(groups=[("right", omega().raw // 2), ("left", omega().raw // 2), ("right", 0)],
+         top=fib_number(20), deriv=1, lam=10.0, energies=[-3.0, 13.0])
+# 140 groups: more than 255 patterns, so the codes take two bytes
+@example(groups=[(("right", "left")[g % 2],
+                  (g * 0x9E3779B97F4A7C15 << 64) % (1 << PRECISION_BITS)) for g in range(140)],
+         top=2000, deriv=0, lam=12.0, energies=[3.0])
+def test_factor_table_gives_every_site_its_factors(groups, top, deriv, lam, energies):
+    # each site's row of the table is the factor of every lane, on both rows
+    # of X, and G groups give at most 2G patterns (see "Factor table")
+    groups = [(side, PhasePoint(phase)) for side, phase in groups]
+    deriv = min(deriv, len(groups))
+    n = len(energies)
+    group = np.repeat([*range(len(groups)), *range(deriv)], n)
+    E = np.tile(energies, len(groups) + deriv)
+    span = E - lam
+    symbols = TR._symbols(groups, top)
+    table, code = TR._factor_table(symbols, group, span, E)
+    assert len(table) <= 2 * len(groups)
+    assert sorted(set(code.tolist())) == list(range(len(table)))
+    assert code.dtype == (np.uint8 if len(table) < 256 else np.uint16)
+    want = np.where(symbols[:, group], span, E)
+    for row in (0, 1):
+        assert table[code, row].tobytes() == want.tobytes()
 
 
 def test_peaks_are_the_least_power_of_two_above_every_entry():

@@ -169,3 +169,10 @@ def test_rel_gap_matches_mpmath(pair, floor):
         # the difference is good to EPS of the scale, log2 of exponents up to
         # 1e4 to about 2e-12
         assert abs(rel_gap(a, b, floor) - exact) <= 1e-11 * exact + 2 * EPS
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**53, 2**53))
+def test_equal_values_hash_equal(x):
+    a = XReal(x)
+    assert a == x and hash(a) == hash(x)
+    assert len({a, x}) == 1
