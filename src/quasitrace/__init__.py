@@ -3,7 +3,7 @@
 Subpackages:
     phase     exact fixed-point circle arithmetic
     words     combinatorics of the binary coding sequence and its hull
-    xfloat    extended-range scalars for doubly-exponential growth
+    xfloat    extended-range (mantissa, exponent) arrays for doubly-exponential growth
     transfer  unimodular transfer-matrix products, traces, windowed norms
     spectrum  trace-condition bands, derivative and norm growth exponents
     dynamics  finite truncations, their spectra, Abel-averaged confinement

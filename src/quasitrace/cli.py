@@ -24,7 +24,7 @@ from . import transfer as TR
 from . import spectrum as SP
 from . import dynamics as DY
 from .phase import PRECISION_BITS, PhasePoint, omega
-from .xfloat import XReal, sci
+from .xfloat import sci
 
 __all__ = ["RunConfig", "ConfigError", "parse_theta", "main"]
 
@@ -164,8 +164,6 @@ class RunConfig:
 # ----------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, XReal):
-        return value.sci()
     if isinstance(value, PhasePoint):
         return value.to_decimal(24)
     if isinstance(value, float):
@@ -258,7 +256,7 @@ def cmd_words(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 def _trace_rows(energies, lam: float, phases, tables):
-    """Rows of traces.csv from the right tables' (m, e) arrays, as `_fmt` writes XReals."""
+    """Rows of traces.csv from the right tables' (m, e) arrays, written by `sci`."""
     lam = _fmt(lam)
     for (_, theta), (right, _) in zip(phases, tables):
         theta = _fmt(theta)
@@ -296,9 +294,7 @@ def cmd_traces(cfg: RunConfig) -> int:
     # the margins take their trace derivatives from the sweep above
     step = max(1, len(energies) // 16)
     margin_energies = energies[::step]
-    margin_derivs = [[list(map(XReal, m, e))
-                      for m, e in zip(*(a[::step, :k_norm + 1].tolist() for a in right.derivs))]
-                     for right, _ in tables]
+    margin_derivs = [tuple(a[::step, :k_norm + 1] for a in right.derivs) for right, _ in tables]
     del tables, refs  # memory peaks in the norm sums below
 
     # per phase one sweep gives the norm sums over windows +-F(0..k_norm): the
@@ -307,18 +303,18 @@ def cmd_traces(cfg: RunConfig) -> int:
     margin_rows, norm_rows = [], []
     for (_, theta), derivs in zip(phases, margin_derivs):
         sums = TR.norm_profile(levels + [-l for l in levels], margin_energies, cfg.lam, theta)
-        for E, row, dxs in zip(margin_energies, sums, derivs):
-            right, left = row[:len(levels)], row[len(levels):]
-            for k, (total, dx) in enumerate(zip(right, dxs)):
-                margin = TR.norm_trace_margin(total, dx)
-                if margin is None:
+        margins, failed = TR.norm_trace_margin(tuple(a[:, :len(levels)] for a in sums), derivs)
+        rows = zip(margin_energies, failed.tolist(), *(a.tolist() for a in (*margins, *sums)))
+        for E, bad, mm, me, sm, se in rows:
+            for k, flag in enumerate(bad):
+                if flag:
                     failures.append(
                         f"norm-derivative-margin: {TR.MarginViolationError.at(k, E, cfg.lam)}")
-                    continue
-                margin_rows.append((k, E, cfg.lam, theta, margin))
-            norm_rows.extend((sign * l, E, cfg.lam, theta, value)
-                             for sign, half in ((1, right), (-1, left))
-                             for l, value in zip(levels[4:], half[4:]))
+                else:
+                    margin_rows.append((k, E, cfg.lam, theta, sci(mm[k], me[k])))
+            norm_rows.extend((sign * l, E, cfg.lam, theta, sci(sm[j], se[j]))
+                             for sign, start in ((1, 0), (-1, len(levels)))
+                             for j, l in enumerate(levels[4:], start + 4))
     _write_csv(out / "margins.csv", ["k", "E", "lambda", "theta", "margin"], margin_rows)
     _write_csv(out / "norms.csv", ["L", "E", "lambda", "theta", "norm_sq"], norm_rows)
 
@@ -456,6 +452,31 @@ def cmd_dynamics(cfg: RunConfig) -> int:
 # report subcommand
 # ----------------------------------------------------------------------------
 
+def _number(value, key: str):
+    """A JSON number of a summary, not a boolean; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} {value!r} is not a number")
+    return value
+
+
+def _suite_summary(name: str, data: dict) -> dict:
+    """What `report` reads of a suite's summary, each value of its JSON type:
+    a boolean `pass`, a list of strings `failures`, and numbers."""
+    if not isinstance(data.get("pass"), bool):
+        raise TypeError(f"pass {data.get('pass')!r} is not a boolean")
+    failures = data.get("failures", [])
+    if not isinstance(failures, list) or not all(isinstance(f, str) for f in failures):
+        raise TypeError(f"failures {failures!r} is not a list of strings")
+    summary = {"pass": data["pass"], "failures": failures}
+    summary.update((key, _number(data[key], key)) for key in ("G_emp", "p_used") if key in data)
+    if name == "spectrum.json" and data.get("growth_fit"):
+        summary["xi_hat"] = _number(data["growth_fit"]["xi_hat"], "xi_hat")
+    if name == "bound_report.json" and data.get("table"):
+        summary["trunc_bound"] = max(_number(r["trunc_bound"], "trunc_bound")
+                                     for r in data["table"])
+    return summary
+
+
 def cmd_report(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     if not out.is_dir():
@@ -471,18 +492,8 @@ def cmd_report(cfg: RunConfig) -> int:
                 raise ConfigError(f"{str(path)!r} is not valid JSON: {exc}") from None
             if not isinstance(data, dict):
                 raise ConfigError(f"{str(path)!r} is not a JSON object")
-            summary[name] = {
-                "pass": data.get("pass"),
-                "failures": data.get("failures", []),
-            }
-            for key in ("G_emp", "p_used"):
-                if key in data:
-                    summary[name][key] = data[key]
             try:
-                if name == "spectrum.json" and data.get("growth_fit"):
-                    summary[name]["xi_hat"] = data["growth_fit"]["xi_hat"]
-                if name == "bound_report.json" and data.get("table"):
-                    summary[name]["trunc_bound"] = max(r["trunc_bound"] for r in data["table"])
+                summary[name] = _suite_summary(name, data)
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"{str(path)!r} is not a {name} summary: "
                                   f"{type(exc).__name__} {exc}") from None

@@ -107,7 +107,8 @@ def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool):
     Returns the lists (xs, ds) of x_j and, with `derivatives`, dx_j/dE.  With
     `keep_all` they hold levels 0..max(k_max, 2); without it only the last
     three levels are kept, so x_k_max is ``xs[min(k_max, 2)]``.  E is a float64
-    array, or an XReal, in which the tests run it far past float64 range.
+    array, or any number with +, - and *: the tests run it on extended reals
+    and mpmath numbers, far past float64 range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         xs = [E - lam, E * E - lam * E - 2.0, (E - lam) * (E * (E - lam) - 2.0) - E]
@@ -407,8 +408,9 @@ def norm_growth_check(lam: float, theta: PhasePoint, E_sample, L_grid, zeta: flo
         raise ValueError("window grid must be positive; sides are handled internally")
     rows, constants = [], {}
     sums = transfer.norm_profile(ls + [-l for l in ls], energies, lam, theta)
-    for E, row in zip(energies, sums):
-        values = [float(s) for s in row]
+    with np.errstate(over="ignore"):  # a sum past float range reads inf
+        sums = np.ldexp(*sums)
+    for E, values in zip(energies, sums.tolist()):
         per_side = ((+1, values[:len(ls)]), (-1, values[len(ls):]))
         c = min(val / l**zeta for _, half in per_side for l, val in zip(ls, half))
         constants[E] = c

@@ -14,9 +14,10 @@ Scalar layer.  A tuple (a, b, c, d, e) means 2**e * [[a, b], [c, d]].  `_mul`
 multiplies two of them and rescales when an entry passes its threshold,
 `_lane_limit` of the energy: 2**256, or 2**1022 / g where that is lower, g =
 max(|E|, |E - lam|) + 1, so that the next factor cannot overflow.  `_add`
-rescales sums past 2**256; `_norm_sq` gives the squared spectral norm as an
-XReal.  They are the specification whose values the sweep keeps (see "Value
-identity"), and the tests build their scalar products on them.
+rescales sums past 2**256; `_norm_sq` gives the squared spectral norm as a
+normalized (m, e) pair of `xfloat`.  They are the specification whose values
+the sweep keeps (see "Value identity"), and the tests build their scalar
+products on them.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
 one-site matrices along the potential for many lanes at once: (side, phase)
@@ -89,48 +90,46 @@ over the block's rows up to its site.  A scale by 2**-ex lowers the frexp by
 ex and raises e by ex, so the peaks do not depend on where a lane rescales.
 
 Value identity.  Every product lane does the IEEE operations of the scalar
-layer in the same order: `_mul` per factor, `_norm_sq` and `XReal.__add__`
-for norm sums.  It rescales at other sites than `_mul` does, but every
-rescale is a scaling by a power of two, and IEEE rounding does not change
-under a common power-of-two scale while no entry leaves the normal range:
-numpy's elementwise float64 operations are correctly rounded IEEE-754
-binary64 operations like Python's float arithmetic, each one rounds on its
-own (no fused multiply-add), and frexp/ldexp by powers of two are exact.  So
-each entry of a product has the value that the scalar layer gives, and only
-its split into entry and exponent differs.  The one exception is an entry
-more than 2**1021 below the largest entry of its matrix: a scale that puts
-the largest entry into [0.5, 1) puts it below the normal range, where it
-rounds or flushes to zero, so where one split takes such a scale and the
-other does not, its value can differ.  The outputs do not depend on the
-split: traces, derivative traces and norm sums are XReals normalized from
-the entries, and a peak is the exponent of the largest entry.  They keep the
-bits of the scalar layer; the tests hold them to it bit for bit, and the
-products by value with that one exception.  The step (see "Steps") drops
-the terms 0.0 * y of `_mul`, so a zero entry can differ from `_mul`'s in
-sign.  No output sees it: XReal normalizes -0.0, peaks and norms read
-|entry|, and no nonzero value depends on the sign of a zero, as x + (+-0.0)
-is x and t * (+-0.0) - y is -y.  Which lanes share a sweep sets B and the
-cutoff threshold / growth**B through its largest factor, so it can change
-the split of a product but not its values; lanes over the same energies keep
-their bits in any groups and any order.
+layer in the same order: `_mul` per factor, `_norm_sq` and `xfloat.add` for
+norm sums.  It rescales at other sites than `_mul` does, but every rescale is
+a scaling by a power of two, and IEEE rounding does not change under a common
+power-of-two scale while no entry leaves the normal range: numpy's elementwise
+float64 operations are correctly rounded IEEE-754 binary64 operations like
+Python's float arithmetic, each one rounds on its own (no fused multiply-add),
+and frexp/ldexp by powers of two are exact.  So each entry of a product has
+the value that the scalar layer gives, and only its split into entry and
+exponent differs.  The one exception is an entry more than 2**1021 below the
+largest entry of its matrix: a scale that puts the largest entry into [0.5, 1)
+puts it below the normal range, where it rounds or flushes to zero, so where
+one split takes such a scale and the other does not, its value can differ.
+The outputs do not depend on the split: traces, derivative traces and norm
+sums are (m, e) pairs normalized from the entries, and a peak is the exponent
+of the largest entry.  They keep the bits of the scalar layer; the tests hold
+them to it bit for bit, and the products by value with that one exception.
+The step (see "Steps") drops the terms 0.0 * y of `_mul`, so a zero entry can
+differ from `_mul`'s in sign.  No output sees it: `xfloat.normalized` turns
+-0.0 into 0.0, peaks and norms read |entry|, and no nonzero value depends on
+the sign of a zero, as x + (+-0.0) is x and t * (+-0.0) - y is -y.  Which
+lanes share a sweep sets B and the cutoff threshold / growth**B through its
+largest factor, so it can change the split of a product but not its values;
+lanes over the same energies keep their bits in any groups and any order.
 
-Derivative lanes.  A derivative lane shares its product lane's exponent e:
-it is not checked against a threshold, and `_renorm` copies its owner's ex to
-it before the one `take` of the scales, so it takes every rescale of its owner.
+Derivative lanes.  A derivative lane shares its product lane's exponent e: it
+is not checked against a threshold, and `_renorm` copies its owner's ex to it
+before the one `take` of the scales, so it takes every rescale of its owner.
 Both operands of the product rule, the step of dM and the row X_{n-1} of its
 product, then carry the exponent of the old product, and the rule is one
 `np.add` into dX_n.  The scalar rule rescales T dM on its own and aligns the
 operands of `_add` by 2**shift; all of these are scalings by powers of two,
-so, as for the products, each entry of dM has the value that `_add` gives
-and only its split differs; the derivative traces, XReals normalized from
-dM[0] + dM[3], keep their bits.  Values can differ only where an entry
-leaves the normal range.  At |E| near 1e300 dM lies about 1e-300 below its
-product, and its entries 1e-300 below its largest round to 0.0 in the shared
-exponent; where the scalar rule drops an operand by its far-shift branch, a
-zero entry can differ in sign.  The traces, dominated by the largest entry,
-kept their bits in every such case tried: the lane tests at coupling or
-energy near 1e300, and 300 random draws of both up to 1e300 against the
-scalar rule.
+so, as for the products, each entry of dM has the value that `_add` gives and
+only its split differs; the derivative traces, normalized from dM[0] + dM[3],
+keep their bits.  Values can differ only where an entry leaves the normal
+range.  At |E| near 1e300 dM lies about 1e-300 below its product, and its
+entries 1e-300 below its largest round to 0.0 in the shared exponent; where
+the scalar rule drops an operand by its far-shift branch, a zero entry can
+differ in sign.  The traces, dominated by the largest entry, kept their bits
+in every such case tried: the lane tests at coupling or energy near 1e300, and
+300 random draws of both up to 1e300 against the scalar rule.
 
 dM is never squared, so it needs no rescale of its own; it only must not
 overflow in the next step.  No stored product entry passes 2**256, so
@@ -155,10 +154,10 @@ default `traces` run, and at 373 of 377 of `traces --lambda 1e300 --k-max 12
 --energies=-1:1:5 --theta 1/3`, where a derivative outgrows its product by
 about lambda per level.
 
-Norm sums.  They keep the bits of one `XReal.__add__` per site, though they
-are summed a block at a time.  `_norm_sq_lanes` normalizes each stored
-product, as `_norm_sq` does, so the squared norms do not depend on its split.
-For normalized positive operands that add is the binary64 sum of the values
+Norm sums.  They keep the bits of one `xfloat.add` per site, though they are
+summed a block at a time.  `_norm_sq_lanes` normalizes each stored product,
+as `_norm_sq` does, so the squared norms do not depend on its split.  For
+normalized positive operands that add is the binary64 sum of the values
 scaled by a common power of two while the larger stays normal: scaling does
 not change IEEE rounding.  `_running_sums` scales a lane's carry and block
 values by 2**-top (top their largest exponent), adds them in float64 and
@@ -167,8 +166,12 @@ at most g**2 per site, g = `growth` (||T|| <= |t| + 1), and B <=
 `_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every running sum
 stays within 2**960 of its block's largest value, normal and exact.  A value
 that goes subnormal lies below half an ulp of the sum it joins and rounds
-away in both forms, as in the `shift < -1080` branch.  Where no B fits, B = 1
-and a block is one add, whose larger operand scales into [0.5, 1).
+away in both forms, as it does past shift < -1080 in `xfloat.add`.  Where no
+B fits, B = 1 and a block is one add, whose larger operand scales into [0.5,
+1).  `norm_profile` adds the fractional edge term of a window with
+`xfloat.mul` and `add`, and `norm_trace_margin` takes the 3/2 power of the
+sums with `xfloat.sqrt` and `mul`, so norm sums and margins stay (m, e)
+arrays from the sweep to the files.
 
 Steps.  On the right M_n = T_n M_{n-1}, T = [[t, -1], [1, 0]], has the rows
 (X_n, X_{n-1}); on the left M_n = M_{n-1} T_n has the columns (X_n,
@@ -241,7 +244,7 @@ import numpy as np
 
 from .phase import PhasePoint
 from .words import ParityReport, fib_number, rotation_block
-from .xfloat import XReal
+from .xfloat import add, compare, mul, normalized, sqrt
 
 __all__ = [
     "TraceParityError",
@@ -331,8 +334,9 @@ def _add(m1, m2):
     return (a, b, c, d, e1)
 
 
-def _norm_sq(m) -> XReal:
-    """Squared spectral norm, closed form from tr(A^T A) and det(A).
+def _norm_sq(m) -> tuple[float, int]:
+    """Squared spectral norm as a normalized (m, e) pair, closed form from
+    tr(A^T A) and det(A).
 
     The copy is rescaled so the largest entry sits in [0.5, 1); squares then
     stay comfortably inside float range regardless of the carried exponent.
@@ -340,7 +344,7 @@ def _norm_sq(m) -> XReal:
     a, b, c, d, e = m
     mx = max(abs(a), abs(b), abs(c), abs(d))
     if mx == 0.0:
-        return XReal()
+        return 0.0, 0
     ex = _frexp(mx)[1]
     # ldexp on each entry, not a product with 2**-ex: that factor overflows
     # when the largest entry is subnormal
@@ -350,7 +354,8 @@ def _norm_sq(m) -> XReal:
     disc = t * t - 4.0 * det * det
     if disc < 0.0:
         disc = 0.0
-    return XReal(0.5 * (t + math.sqrt(disc)), 2 * (e + ex))
+    norm, ex2 = _frexp(0.5 * (t + math.sqrt(disc)))
+    return norm, 2 * (e + ex) + ex2
 
 
 @lru_cache(maxsize=1024)
@@ -386,7 +391,7 @@ class _Mark(NamedTuple):
     e: np.ndarray
     dm: np.ndarray | None = None  # its energy derivative
     de: np.ndarray | None = None
-    norm_m: np.ndarray | None = None  # squared norm at site n, XReal parts
+    norm_m: np.ndarray | None = None  # squared norm at site n, an (m, e) pair
     norm_e: np.ndarray | None = None
     sum_m: np.ndarray | None = None  # squared norms summed over sites 1..n
     sum_e: np.ndarray | None = None
@@ -463,7 +468,7 @@ def _add_lanes(m1, e1, m2, e2, out=(None, None), work=None):
 
 
 def _norm_sq_lanes(m, e):
-    """`_norm_sq` per lane for nonzero matrices, normalized like its XReal.
+    """`_norm_sq` per lane for nonzero matrices, normalized as it is.
 
     The entries a, b, c, d lie on axis 0; the rest is elementwise, so a
     (4, sites, lanes) block gives the bits of one call per site.
@@ -495,7 +500,7 @@ def _rescale_sites(growth: float, least: float, cap: int) -> int:
 
 
 def _running_sums(m, e, carry):
-    """`XReal.__add__` per site over norms (sites, lanes) from `carry`; see "Norm sums"."""
+    """`xfloat.add` per site over norms (sites, lanes) from `carry`; see "Norm sums"."""
     top = np.maximum(e.max(axis=0), carry[1])
     vals = np.ldexp(m, e - top)
     vals[0] += np.ldexp(carry[0], carry[1] - top)
@@ -548,7 +553,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     `norms` carries the running sum of squared norms over sites 1..n; `peaks`
     the least p with 2**e * |entry| < 2**p at every site 1..n.  Norms of
     unimodular products are at least 1, so the zero branches of
-    `XReal.__add__` never apply after the first site.  A mark gets its norm
+    `xfloat.add` never apply after the first site.  A mark gets its norm
     and peak fields at the end of its block (see "Sweep kernel").
     """
     if not {side for side, _ in groups} <= {"right", "left"}:
@@ -609,7 +614,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     apart, d_bound = False, 0.0
     work = _add_work(steps[0][3])  # work arrays of the general add
     if norms:
-        # XReal zero; its exponent 0 never sets top, as squared norms are >= 1
+        # a zero (m, e); its exponent 0 never sets top, as squared norms are >= 1
         carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
     if peaks:
         # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
@@ -677,54 +682,45 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     return out
 
 
-def _xreals(m, e) -> list[XReal]:
-    return [XReal(mi, ei) for mi, ei in zip(m.tolist(), e.tolist())]
-
-
 def _lanes(E: Energies):
     """Energies as a float64 lane array, and whether E was one number."""
     scalar = np.ndim(E) == 0
     return np.atleast_1d(np.asarray(E, dtype=float)), scalar
 
 
-def _per_energy(columns, scalar: bool):
-    """Per-mark lists of per-lane values -> per-lane lists (one list if scalar)."""
-    rows = [list(r) for r in zip(*columns)]
-    return rows[0] if scalar else rows
-
-
 def _fib_marks(k_max: int) -> list[int]:
     return [fib_number(k) for k in range(k_max + 1)]
-
-
-def _trace_xreals(m, e) -> list[XReal]:
-    return _xreals(m[0] + m[3], e)
 
 
 # ----------------------------------------------------------------------------
 # products and traces
 #
 # The functions whose E is `Energies` take one energy or a sequence of them.
-# A sequence is swept in one pass, one lane per energy, and gives one result
-# per energy, in order.
+# A sequence is swept in one pass, one lane per energy, and gives `xfloat`
+# (m, e) arrays with one row per energy, in order; one energy gives its row
+# alone, as a `TraceTable` holds it.
 # ----------------------------------------------------------------------------
 
 def _traces_upto(side: str, k_max: int, E: Energies, lam: float, theta: PhasePoint):
     lanes, scalar = _lanes(E)
-    marks = _sweep([(side, theta)], lanes, lam, _fib_marks(k_max))
-    return _per_energy([_trace_xreals(mark.m, mark.e) for mark in marks], scalar)
+    marks = _sweep([(side, theta)], lanes, lam, _fib_marks(k_max), peaks=True)
+    return _trace_tables(marks, lanes.size, scalar, 1, 0)[0].traces
 
 
-def traces_right_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
-    """Traces of the right-half-line products at lengths F(0..k_max), one pass."""
+def traces_right_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> tuple:
+    """Traces of the right-half-line products at lengths F(0..k_max), one pass.
+
+    Returns the `traces` pair of a `TraceTable`: (energies, levels) arrays.
+    """
     return _traces_upto("right", k_max, E, lam, theta)
 
 
-def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> list:
+def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> tuple:
     """Traces of the left-half-line products at lengths F(0..k_max), one pass.
 
     Uses tr(A**-1) = tr(A) for det-1 matrices: the trace over inverse factors
     down to site -F(k)+1 equals the trace of T(0) T(-1) ... T(-F(k)+1).
+    Returns (m, e) arrays as `traces_right_upto` does.
     """
     return _traces_upto("left", k_max, E, lam, theta)
 
@@ -732,23 +728,16 @@ def traces_left_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> 
 class TraceTable(NamedTuple):
     """Traces at lengths F(0..k_max) of one (side, phase), one row per energy.
 
-    `traces` is an (m, e) pair of (energies, levels) arrays of XReal parts,
-    m in [0.5, 1) or 0.0; one row of levels where E was one number.  `derivs`
-    holds their energy derivatives so, or None; `peaks`, an int array of the
-    same shape, per product the least p with every |entry| of the products
-    along its sites below 2**p, the scale of its rounding in
-    `phase_trace_parity`.
+    `traces` is a normalized `xfloat` (m, e) pair of (energies, levels)
+    arrays; one row of levels where E was one number.  `derivs` holds their
+    energy derivatives so, or None; `peaks`, an int array of the same shape,
+    per product the least p with every |entry| of the products along its
+    sites below 2**p, the scale of its rounding in `phase_trace_parity`.
     """
 
     traces: tuple[np.ndarray, np.ndarray]
     derivs: tuple[np.ndarray, np.ndarray] | None
     peaks: np.ndarray
-
-
-def _normalized(v, e):
-    """XReal(v, e) per element as (m, e) arrays."""
-    m, ex = np.frexp(v)
-    return m + 0.0, np.where(m == 0.0, 0, ex + e)  # + 0.0 turns -0.0 into 0.0
 
 
 def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) -> list:
@@ -760,9 +749,9 @@ def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) ->
     def rows(a, g):
         return a[g * n] if scalar else a[g * n:(g + 1) * n]
 
-    def trace_of(m, e):  # XReal(m[0] + m[3], e) of every lane at every level
+    def trace_of(m, e):  # the trace m[0] + m[3] of every lane at every level
         m = levels(m)
-        return _normalized(m[0] + m[3], levels(e))
+        return normalized(m[0] + m[3], levels(e))
 
     traces, peaks = trace_of("m", "e"), levels("peak")
     derivs = trace_of("dm", "de") if with_derivs else None
@@ -801,21 +790,21 @@ def phase_traces(k_max: int, E: Energies, lam: float, thetas):
 # windowed norms and the norm/derivative inequality
 # ----------------------------------------------------------------------------
 
-def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
+def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> tuple:
     """Windowed squared-norm sums at several window lengths, one pass.
 
     Positive windows sum ||M(1)||^2 .. ||M(floor(L))||^2 plus the fractional
-    edge term; negative windows do the mirrored left-half-line sum over sites
-    -1 .. -floor(|L|).  Singular values of the inverse of a det-1 matrix
-    coincide with those of the matrix itself, so the left side accumulates
-    direct factors downward.  Windows of both signs share one two-sided
-    sweep, a block of lanes per half-line, bit-identical to a call per sign.
-    Its norms are summed a block of sites at a time; see "Norm sums".
+    edge term (L - floor(L)) * ||M(floor(L) + 1)||^2; negative windows do the
+    mirrored left-half-line sum over sites -1 .. -floor(|L|).  Singular values
+    of the inverse of a det-1 matrix coincide with those of the matrix
+    itself, so the left side accumulates direct factors downward.  Windows of
+    both signs share one two-sided sweep, a block of lanes per half-line,
+    bit-identical to a call per sign.  Its norms are summed a block of sites
+    at a time; see "Norm sums".  Returns an (m, e) pair of (energies,
+    windows) arrays.
     """
     ls = list(l_values)
     lanes, scalar = _lanes(E)
-    if not ls:
-        return [] if scalar else [[] for _ in range(lanes.size)]
     if 0 in ls:
         raise ValueError("window lengths must be nonzero")
     blocks = [side for side, sign in (("right", 1), ("left", -1))
@@ -823,68 +812,59 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> list:
     mags = sorted(set(abs(l) for l in ls))
     edges = {n for l in mags for n in (math.floor(l), math.floor(l) + 1)} - {0}
     at = {mark.n: mark for mark in _sweep([(side, theta) for side in blocks], lanes, lam,
-                                          sorted(edges), norms=True)}
-    result: dict[float, list[XReal]] = {}
+                                          sorted(edges), norms=True)} if edges else {}
+    n = lanes.size
+    zero = np.zeros(n * len(blocks)), np.zeros(n * len(blocks), dtype=np.int64)
+    sums = {}
     for l in mags:
         fl = math.floor(l)
-        totals = (_xreals(at[fl].sum_m, at[fl].sum_e) if fl
-                  else [XReal()] * (lanes.size * len(blocks)))
+        sums[l] = (at[fl].sum_m, at[fl].sum_e) if fl else zero
         if l > fl:
             edge = at[fl + 1]
-            totals = [total + (l - fl) * norm
-                      for total, norm in zip(totals, _xreals(edge.norm_m, edge.norm_e))]
-        result[l] = totals
-    n = lanes.size
-    offset = {side: i * n for i, side in enumerate(blocks)}
-    columns = []
-    for l in ls:
-        o = offset["right" if l > 0 else "left"]
-        columns.append(result[abs(l)][o:o + n])
-    return _per_energy(columns, scalar)
+            sums[l] = add(*sums[l], *mul(edge.norm_m, edge.norm_e, *math.frexp(l - fl)))
+    m, e = np.empty((n, len(ls))), np.empty((n, len(ls)), dtype=np.int64)
+    for j, l in enumerate(ls):
+        o = n * blocks.index("right" if l > 0 else "left")
+        m[:, j], e[:, j] = (a[o:o + n] for a in sums[abs(l)])
+    return (m[0], e[0]) if scalar else (m, e)
 
 
-def norm_trace_margin(total: XReal, deriv: XReal) -> XReal | None:
-    """Margin 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| of the norm/derivative inequality.
+def norm_trace_margin(total, deriv):
+    """Margins 4 * (||M||^2_{F(k)})^{3/2} - |d trace/dE| of the norm/derivative inequality.
 
-    `total` is the squared-norm sum over the window F(k) and `deriv` the
-    energy derivative of the level-k trace; the margin must be >= 0.  The
-    cubed windowed norm means the 3/2 power of the squared-norm sum, matching
-    the squared object the window is defined on.  None marks a margin below
-    -1e-8 * scale, which falsifies the implementation.
+    `total` holds squared-norm sums over windows F(k) and `deriv` the energy
+    derivatives of the level-k traces, (m, e) pairs of arrays of one shape;
+    the margins must be >= 0.  The cubed windowed norm means the 3/2 power of
+    the squared-norm sum, matching the squared object the window is defined
+    on.  Returns the margins, an (m, e) pair, and a mask of those below
+    -MARGIN_TOL * scale, scale = 4 * total**1.5 + |d trace/dE|, which
+    falsify the implementation.
     """
-    lhs = 4.0 * total.pow_3_2()
-    rhs = abs(deriv)
-    margin = lhs - rhs
-    scale = lhs + rhs
-    return None if margin < -MARGIN_TOL * scale else margin
+    lhs = mul(*mul(*total, *sqrt(*total)), *math.frexp(4.0))
+    rhs = np.abs(deriv[0]), deriv[1]
+    margin = add(*lhs, -rhs[0], rhs[1])
+    bound = mul(*add(*lhs, *rhs), *math.frexp(-MARGIN_TOL))
+    return margin, compare(*margin, *bound) < 0
 
 
-def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> XReal:
-    """`norm_trace_margin` at level k, from one sweep over F(k) sites.
+def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> tuple:
+    """`norm_trace_margin` at level k, from one sweep over F(k) sites: the
+    margin as an (m, e) pair of numpy scalars.
 
-    A margin below -1e-8 * scale falsifies the implementation and raises.
+    A margin below -MARGIN_TOL * scale falsifies the implementation and raises.
     """
     (mark,) = _sweep([("right", theta)], _lanes(E)[0], lam, [fib_number(k)], deriv=1,
                      norms=True)
-    margin = norm_trace_margin(_xreals(mark.sum_m, mark.sum_e)[0],
-                               _trace_xreals(mark.dm, mark.de)[0])
-    if margin is None:
+    margin, failed = norm_trace_margin((mark.sum_m, mark.sum_e),
+                                       normalized(mark.dm[0] + mark.dm[3], mark.de))
+    if failed[0]:
         raise MarginViolationError.at(k, E, lam)
-    return margin
+    return margin[0][0], margin[1][0]
 
 
 # ----------------------------------------------------------------------------
 # phase invariance of traces
 # ----------------------------------------------------------------------------
-
-def _xadd(m1, e1, m2, e2):
-    """`XReal.__add__` per element of normalized (m, e) arrays (a zero sum keeps e)."""
-    # a zero operand takes the other's exponent, so the sum is the other one
-    e1, e2 = np.where(m1 == 0.0, e2, e1), np.where(m2 == 0.0, e1, e2)
-    top = np.maximum(e1, e2)
-    m, ex = np.frexp(np.ldexp(m1, e1 - top) + np.ldexp(m2, e2 - top))
-    return m, ex + top
-
 
 def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, ParityReport]:
     """Compare the traces at phase theta against phase zero, level by level.
@@ -917,8 +897,9 @@ def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, P
     products grow the gate cannot fail: at coupling 10 it reaches the traces
     themselves near level 16.
 
-    Gaps and allowances are the XReal sums of `_xadd` on the (m, e) arrays;
-    only numpy's log2 of their mantissas can differ from `math.log2`, by an ulp.
+    Gaps and allowances are `xfloat.add` sums of the (m, e) arrays, which
+    keep the bits of extended-real sums taken one value at a time; only
+    numpy's log2 of their mantissas can differ from `math.log2`, by an ulp.
     """
     rm, re = refs.traces
     if rm.ndim != 2 or not len(rm) or any(t.traces[0].shape != rm.shape for t in traces):
@@ -928,16 +909,16 @@ def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, P
     reports = []
     for side, table in zip(("right", "left"), traces):
         xm, xe = table.traces
-        gm, ge = _xadd(xm, xe, -rm, re)
+        gm, ge = add(xm, xe, -rm, re)
         # max(|x|, |x0|, 1) keeps its bits, and the others scale below it,
         # when all three are scaled by 2**-top, top the largest exponent
         top = np.maximum(np.maximum(xe, re), 1)
         big = np.maximum.reduce([np.ldexp(np.abs(xm), xe - top), np.ldexp(np.abs(rm), re - top),
                                  np.ldexp(0.5, 1 - top)])
         tm, tex = np.frexp(big * tol_m)
-        allowance = _xadd(tm, top + tol_e + tex, rounding[0], 2 * table.peaks + rounding[1])
-        am, ae = _xadd(*allowance, rounding[0], 2 * refs.peaks + rounding[1])
-        # the logs of XReal.log2, -inf for a zero gap
+        allowance = add(tm, top + tol_e + tex, rounding[0], 2 * table.peaks + rounding[1])
+        am, ae = add(*allowance, rounding[0], 2 * refs.peaks + rounding[1])
+        # the logs e + log2|m|, -inf for a zero gap
         log_gap = ge + np.log2(np.abs(gm), out=np.full(gm.shape, -np.inf), where=gm != 0.0)
         worst = (log_gap - (ae + np.log2(am))).max(axis=0)
         ratios = [2.0 ** min(w, 64.0) for w in worst.tolist()]

@@ -1,156 +1,78 @@
-"""Extended-range real scalars as (mantissa, exponent) pairs.
+"""Extended-range reals as (mantissa, exponent) pairs of numpy arrays.
 
 Traces and matrix norms grow doubly exponentially in the level index off the
-spectrum, overrunning float64 around level 13-15.  XReal stores value =
-m * 2**e with |m| in [0.5, 1), keeping ~16 significant digits at any
-magnitude.  Only the handful of operations the trace/norm pipelines need are
-implemented.
+spectrum, overrunning float64 around level 13-15.  A pair (m, e) of arrays
+of one shape holds value = m * 2**e per element, m a float64 with |m| in
+[0.5, 1) and e an integer, keeping ~16 significant digits at any magnitude.
+A zero is m = +-0.0 with e = 0: every operation here gives a zero result
+exponent 0, a sum that cancels included, so a value has one (m, e) pair up
+to the sign of a zero.  Only the operations the trace and norm pipelines
+need are implemented; inputs are normalized pairs.
+
+Each operation rounds as one IEEE operation on the mantissas, then
+normalizes with `frexp`; the tests hold every one to an extended-real
+reference, elementwise and bit for bit, signed zeros included.  `sci` prints
+one value.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["XReal", "sci"]
+import numpy as np
+
+__all__ = ["normalized", "add", "mul", "sqrt", "compare", "sci"]
 
 _LOG10_2 = math.log10(2.0)
 
 
-class XReal:
-    """value = m * 2**e, |m| in [0.5, 1) or m == 0."""
+def normalized(v, e):
+    """v * 2**e per element for any float64 v, as a normalized (m, e) pair."""
+    m, ex = np.frexp(v)
+    return m + 0.0, np.where(m == 0.0, 0, ex + e)  # + 0.0 turns -0.0 into 0.0
 
-    __slots__ = ("m", "e")
 
-    def __init__(self, m: float = 0.0, e: int = 0):
-        if m == 0.0:
-            self.m = 0.0
-            self.e = 0
-        else:
-            frac, ex = math.frexp(m)
-            self.m = frac
-            self.e = e + ex
+def add(m1, e1, m2, e2):
+    """The sum of normalized pairs per element.
 
-    @classmethod
-    def _raw(cls, m: float, e: int) -> "XReal":
-        out = object.__new__(cls)
-        out.m = m
-        out.e = e
-        return out
+    The operand with the smaller exponent is scaled by 2**shift, shift the
+    difference of the exponents, and added to the other one in float64.
+    Past shift < -1080 the scaled mantissa rounds to +-0.0, so the sum is
+    the larger operand, bits included.  A zero operand gives the other one
+    as it is, its sign and exponent included.
+    """
+    z1, z2 = m1 == 0.0, m2 == 0.0
+    # a zero operand takes the other's exponent, so it scales nothing away
+    f1, f2 = np.where(z1, e2, e1), np.where(z2, e1, e2)
+    top = np.maximum(f1, f2)
+    m, e = normalized(np.ldexp(m1, f1 - top) + np.ldexp(m2, f2 - top), top)
+    return np.where(z1, m2, m), np.where(z1, e2, e)
 
-    # -- arithmetic -------------------------------------------------------
 
-    def __mul__(self, other):
-        o = other if isinstance(other, XReal) else XReal(float(other))
-        if self.m == 0.0 or o.m == 0.0:
-            return XReal()
-        return XReal(self.m * o.m, self.e + o.e)
+def mul(m1, e1, m2, e2):
+    """The product of normalized pairs per element; (0.0, 0) where one is zero."""
+    return normalized(m1 * m2, e1 + e2)
 
-    __rmul__ = __mul__
 
-    def __add__(self, other):
-        o = other if isinstance(other, XReal) else XReal(float(other))
-        if self.m == 0.0:
-            return o
-        if o.m == 0.0:
-            return self
-        if self.e >= o.e:
-            hi, lo = self, o
-        else:
-            hi, lo = o, self
-        shift = lo.e - hi.e
-        if shift < -1080:
-            return hi
-        return XReal(hi.m + math.ldexp(lo.m, shift), hi.e)
+def sqrt(m, e):
+    """The square root of a nonnegative normalized pair per element.
 
-    __radd__ = __add__
+    An odd exponent moves one factor 2 into the mantissa, so the exponent
+    halves exactly; ValueError on a negative value.
+    """
+    if np.any(m < 0.0):
+        raise ValueError("sqrt of a negative extended real")
+    odd = e % 2
+    return normalized(np.sqrt(np.ldexp(m, odd)), (e - odd) // 2)
 
-    def __neg__(self):
-        return XReal._raw(-self.m, self.e)
 
-    def __sub__(self, other):
-        o = other if isinstance(other, XReal) else XReal(float(other))
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return XReal(float(other)) + (-self)
-
-    def __abs__(self):
-        return XReal._raw(abs(self.m), self.e)
-
-    def sqrt(self) -> "XReal":
-        if self.m < 0.0:
-            raise ValueError("sqrt of a negative extended real")
-        if self.m == 0.0:
-            return XReal()
-        if self.e % 2 == 0:
-            return XReal(math.sqrt(self.m), self.e // 2)
-        return XReal(math.sqrt(2.0 * self.m), (self.e - 1) // 2)
-
-    def pow_3_2(self) -> "XReal":
-        """x**1.5 for nonnegative x, via x * sqrt(x)."""
-        return self * self.sqrt()
-
-    # -- comparisons --------------------------------------------------------
-
-    def _cmp(self, other) -> int:
-        o = other if isinstance(other, XReal) else XReal(float(other))
-        d = self - o
-        if d.m > 0:
-            return 1
-        if d.m < 0:
-            return -1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (XReal, int, float)):
-            return self._cmp(other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        # by value, as `__eq__` compares: XReal(1.0) == 1.0, so they hash alike
-        return hash(float(self))
-
-    # -- conversions ----------------------------------------------------------
-
-    def __float__(self) -> float:
-        if self.m == 0.0:
-            return 0.0
-        if self.e > 1024:
-            return math.inf if self.m > 0 else -math.inf
-        if self.e < -1074:
-            return 0.0
-        return math.ldexp(self.m, self.e)
-
-    def __bool__(self) -> bool:
-        return self.m != 0.0
-
-    def log2(self) -> float:
-        if self.m == 0.0:
-            raise ValueError("log of zero")
-        return self.e + math.log2(abs(self.m))
-
-    def sci(self) -> str:
-        """Deterministic scientific-notation string, usable in CSV output."""
-        return sci(self.m, self.e)
-
-    def __repr__(self):
-        return f"XReal({self.sci()})"
+def compare(m1, e1, m2, e2):
+    """-1, 0 or 1 per element: the sign of (m1, e1) - (m2, e2) as `add` rounds it."""
+    return np.sign(add(m1, e1, -m2, e2)[0])
 
 
 def sci(m: float, e: int) -> str:
-    """`XReal.sci` of m * 2**e, m normalized as XReal keeps it.
+    """Deterministic scientific-notation string of m * 2**e, m normalized.
 
     Python's `math` one value at a time, on purpose: numpy's log2 and power
     can differ from it by an ulp, which can change a printed digit.

@@ -1,13 +1,17 @@
 """Reference implementations the tests hold the package to.
 
+`XReal` is an extended-range real scalar, value = m * 2**e, one Python object
+per value.  It is the reference the (m, e) arrays of `xfloat` are held to bit
+for bit: `rel_gap` compares extended-range values with it, `xreal_rows` reads
+the (m, e) arrays that `transfer` returns as XReals, `parity_ratios` and
+`margin_gate` are the XReal gates that `transfer.phase_trace_parity` and
+`transfer.norm_trace_margin` run on those arrays, and the tests run the trace
+recursion of `spectrum` in it.
 Scalar transfer products are plain (a, b, c, d, e) tuples, 2**e * [[a, b],
 [c, d]], built on `transfer._mul` and `transfer._norm_sq`, the scalar layer
 the lane sweep keeps bit for bit.  The time-domain route (`evolve`,
 `windowed_norm`, `abel_average`) is what the closed-form Abel masses of
-`dynamics` are checked against, and `rel_gap` compares extended-range values.
-`xreal_rows` reads the (m, e) arrays of a `transfer.TraceTable` as XReals, and
-`parity_ratios` is the XReal gate that `transfer.phase_trace_parity` runs on
-those arrays.
+`dynamics` are checked against.
 `beatty_block` codes the rotation by the true golden number, exactly.
 `secular_roots` is the dlaed4 loop of the divide-and-conquer solver as it ran
 through a typed ctypes prototype.  `dense_spectrum` is the dense reference
@@ -27,14 +31,147 @@ from quasitrace import dynamics as DY
 from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS
 from quasitrace.words import fib_number, rotation_block
-from quasitrace.xfloat import XReal
+from quasitrace.xfloat import sci
 
 ABEL_TAIL_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# extended-range comparison
+# extended-range reals
 # ---------------------------------------------------------------------------
+
+class XReal:
+    """value = m * 2**e, |m| in [0.5, 1) or m == 0."""
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, m: float = 0.0, e: int = 0):
+        if m == 0.0:
+            self.m = 0.0
+            self.e = 0
+        else:
+            frac, ex = math.frexp(m)
+            self.m = frac
+            self.e = e + ex
+
+    @classmethod
+    def _raw(cls, m: float, e: int) -> "XReal":
+        out = object.__new__(cls)
+        out.m = m
+        out.e = e
+        return out
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __mul__(self, other):
+        o = other if isinstance(other, XReal) else XReal(float(other))
+        if self.m == 0.0 or o.m == 0.0:
+            return XReal()
+        return XReal(self.m * o.m, self.e + o.e)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        o = other if isinstance(other, XReal) else XReal(float(other))
+        if self.m == 0.0:
+            return o
+        if o.m == 0.0:
+            return self
+        if self.e >= o.e:
+            hi, lo = self, o
+        else:
+            hi, lo = o, self
+        shift = lo.e - hi.e
+        if shift < -1080:
+            return hi
+        return XReal(hi.m + math.ldexp(lo.m, shift), hi.e)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return XReal._raw(-self.m, self.e)
+
+    def __sub__(self, other):
+        o = other if isinstance(other, XReal) else XReal(float(other))
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return XReal(float(other)) + (-self)
+
+    def __abs__(self):
+        return XReal._raw(abs(self.m), self.e)
+
+    def sqrt(self) -> "XReal":
+        if self.m < 0.0:
+            raise ValueError("sqrt of a negative extended real")
+        if self.m == 0.0:
+            return XReal()
+        if self.e % 2 == 0:
+            return XReal(math.sqrt(self.m), self.e // 2)
+        return XReal(math.sqrt(2.0 * self.m), (self.e - 1) // 2)
+
+    def pow_3_2(self) -> "XReal":
+        """x**1.5 for nonnegative x, via x * sqrt(x)."""
+        return self * self.sqrt()
+
+    # -- comparisons --------------------------------------------------------
+
+    def _cmp(self, other) -> int:
+        o = other if isinstance(other, XReal) else XReal(float(other))
+        d = self - o
+        if d.m > 0:
+            return 1
+        if d.m < 0:
+            return -1
+        return 0
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __eq__(self, other):
+        if isinstance(other, (XReal, int, float)):
+            return self._cmp(other) == 0
+        return NotImplemented
+
+    def __hash__(self):
+        # by value, as `__eq__` compares: XReal(1.0) == 1.0, so they hash alike
+        return hash(float(self))
+
+    # -- conversions ----------------------------------------------------------
+
+    def __float__(self) -> float:
+        if self.m == 0.0:
+            return 0.0
+        if self.e > 1024:
+            return math.inf if self.m > 0 else -math.inf
+        if self.e < -1074:
+            return 0.0
+        return math.ldexp(self.m, self.e)
+
+    def __bool__(self) -> bool:
+        return self.m != 0.0
+
+    def log2(self) -> float:
+        if self.m == 0.0:
+            raise ValueError("log of zero")
+        return self.e + math.log2(abs(self.m))
+
+    def sci(self) -> str:
+        """Deterministic scientific-notation string, usable in CSV output."""
+        return sci(self.m, self.e)
+
+    def __repr__(self):
+        return f"XReal({self.sci()})"
+
 
 def xreal(x) -> XReal:
     return x if isinstance(x, XReal) else XReal(float(x))
@@ -51,11 +188,21 @@ def rel_gap(a, b, floor: float = 1.0) -> float:
 
 
 def xreal_rows(pair):
-    """An (m, e) pair of `TraceTable` arrays as XReals: a list per energy, or one
-    list where the table is of one energy."""
+    """An (m, e) pair of arrays as XReals, nested as the arrays are: for a
+    `TraceTable` a list per energy, or one list where the table is of one
+    energy; one XReal for 0-d arrays or numpy scalars."""
     def build(m, e):
         return [build(a, b) for a, b in zip(m, e)] if isinstance(m, list) else XReal(m, e)
     return build(*(a.tolist() for a in pair))
+
+
+def margin_gate(total: XReal, deriv: XReal) -> tuple[XReal, bool]:
+    """The norm/derivative margin of `transfer.norm_trace_margin` one XReal at
+    a time, and whether it falls below -MARGIN_TOL * scale."""
+    lhs = 4.0 * total.pow_3_2()
+    rhs = abs(deriv)
+    margin = lhs - rhs
+    return margin, margin < -TR.MARGIN_TOL * (lhs + rhs)
 
 
 def gap_ratio(x: XReal, ref: XReal, k: int, peak: int, ref_peak: int) -> float:
@@ -233,6 +380,11 @@ def entries(m) -> tuple:
 
 def trace(m) -> XReal:
     return XReal(m[0] + m[3], m[4])
+
+
+def norm_sq(m) -> XReal:
+    """`transfer._norm_sq` of a scalar product as an XReal."""
+    return XReal(*TR._norm_sq(m))
 
 
 def det(m) -> XReal:

@@ -15,7 +15,7 @@ PUBLIC = {
         "height", "fibonacci_identity_check", "classify_phase_words",
         "hull_membership_check",
     },
-    "xfloat": {"XReal", "sci"},
+    "xfloat": {"normalized", "add", "mul", "sqrt", "compare", "sci"},
     "transfer": {
         "TraceParityError", "MarginViolationError",
         "traces_right_upto", "traces_left_upto", "dual_traces_upto", "norm_profile",

@@ -15,6 +15,7 @@ from quasitrace import dynamics as DY
 from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
 from quasitrace import words as W
+from quasitrace import xfloat
 from quasitrace.cli import ConfigError, RunConfig, _fmt, main, parse_theta
 from quasitrace.phase import PhasePoint, omega
 
@@ -219,8 +220,8 @@ def test_traces_margin_gate_fails_on_scaled_norms(tmp_path, monkeypatch):
     # norm sums a millionth of their size: the margin 4 * sum**1.5 - |dx/dE|
     # goes negative wherever the derivative is not far below the true bound
     profile = TR.norm_profile
-    monkeypatch.setattr(TR, "norm_profile", lambda *args: [
-        [total * 1e-6 for total in row] for row in profile(*args)])
+    monkeypatch.setattr(TR, "norm_profile", lambda *args: xfloat.mul(
+        *profile(*args), *math.frexp(1e-6)))
     assert main(["traces", "--k-max", "8", "--energies=-3:13:6", "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "traces_summary.json").read_text())
     failed = {(int(k), float(E)) for k, E in
@@ -487,10 +488,22 @@ def test_exit_code_report_on_a_summary_that_is_not_json(tmp_path, text, problem)
     ("bound_report.json", {"table": [{"trunc_bound": 1.0}, {"trunc_bound": "2"}]},
      "TypeError "),
     ("spectrum.json", {"pass": True, "growth_fit": {"fit": 1.0}}, "KeyError 'xi_hat'"),
+    ("bound_report.json", {"pass": True, "table": [{"trunc_bound": "x"}], "failures": 7},
+     "TypeError failures 7 is not a list of strings"),
+    ("bound_report.json", {"pass": True, "table": [{"trunc_bound": "x"}]},
+     "TypeError trunc_bound 'x' is not a number"),
+    ("parity.json", {"pass": "yes", "failures": []}, "TypeError pass 'yes' is not a boolean"),
+    ("traces_summary.json", {"pass": False, "failures": ["a", None]},
+     "TypeError failures ['a', None] is not a list of strings"),
+    ("spectrum.json", {"pass": True, "growth_fit": {"xi_hat": "2.5"}},
+     "TypeError xi_hat '2.5' is not a number"),
+    ("bound_report.json", {"pass": True, "G_emp": True}, "TypeError G_emp True is not a number"),
 ], ids=["row-without-trunc-bound", "row-not-an-object", "bounds-not-comparable",
-        "fit-without-xi-hat"])
+        "fit-without-xi-hat", "failures-not-a-list", "bound-not-a-number", "pass-not-a-boolean",
+        "failure-not-a-string", "xi-hat-not-a-number", "boolean-not-a-number"])
 def test_exit_code_report_on_a_malformed_summary(tmp_path, name, payload, problem):
-    # valid JSON objects that lack what the report reads from them
+    # valid JSON objects that lack what the report reads from them, or hold it
+    # as a value of another JSON type
     (tmp_path / name).write_text(json.dumps(payload))
     proc = run_cli(["report", "--out", str(tmp_path)])
     assert proc.returncode == 2

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 from quasitrace.words import fib_number, rotation_block
-from quasitrace.xfloat import XReal
 from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
 
-from oracles import (det, entries, local_matrix, parity_ratios, rel_gap, trace,
-                     transfer_product, xreal_rows)
+from oracles import (XReal, det, entries, local_matrix, margin_gate, norm_sq, parity_ratios,
+                     rel_gap, trace, transfer_product, xreal_rows)
 
 TH0 = PhasePoint.zero()
 
@@ -75,7 +74,7 @@ def test_determinant_one_long_products():
         for n in (10_000, 100_000, -100_000):
             m = transfer_product(n, E, 10.0, PhasePoint.from_decimal(theta_text))
             defect = abs(det(m) - 1.0)
-            scale = max(TR._norm_sq(m), XReal(1.0))
+            scale = max(norm_sq(m), XReal(1.0))
             assert defect <= 1e-10 * scale
 
 
@@ -87,7 +86,7 @@ def test_determinant_exact_at_moderate_lengths():
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
         m = transfer_product(n, E, 10.0, theta)
         defect = abs(det(m) - 1.0)
-        scale = max(TR._norm_sq(m), XReal(1.0))
+        scale = max(norm_sq(m), XReal(1.0))
         assert defect <= 1e-12 * scale
 
 
@@ -106,7 +105,7 @@ def test_determinant_one_at_random_points(n, lam, span, theta):
     defect was 1.7e-14 of it.
     """
     m = transfer_product(n, -3.0 + span * (lam + 6.0), lam, theta)
-    assert abs(det(m) - 1.0) <= 1e-12 * max(TR._norm_sq(m), XReal(1.0))
+    assert abs(det(m) - 1.0) <= 1e-12 * max(norm_sq(m), XReal(1.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,9 +125,9 @@ def test_fricke_vogt_invariant_at_random_points(lam, span):
     draws the worst error was 7.1 * F(k+1) * u * M.
     """
     E = -3.0 + span * (lam + 6.0)
-    norms = [TR._norm_sq(transfer_product(fib_number(j), E, lam, TH0)).sqrt()
+    norms = [norm_sq(transfer_product(fib_number(j), E, lam, TH0)).sqrt()
              for j in range(14)]
-    for xs in (TR.traces_right_upto(13, E, lam, TH0), xreal_recursion(13, E, lam)):
+    for xs in (xreal_rows(TR.traces_right_upto(13, E, lam, TH0)), xreal_recursion(13, E, lam)):
         for k in range(1, 13):
             a, b, c = xs[k + 1], xs[k], xs[k - 1]
             na, nb, nc = norms[k + 1], norms[k], norms[k - 1]
@@ -142,12 +141,12 @@ def test_fricke_vogt_invariant_at_random_points(lam, span):
 # ---------------------------------------------------------------------------
 
 def test_trace_examples():
-    assert float(TR.traces_right_upto(0, 1.0, 2.0, TH0)[0]) == pytest.approx(-1.0)
-    assert float(TR.traces_right_upto(1, 0.0, 2.0, TH0)[1]) == pytest.approx(-2.0)
-    assert float(TR.traces_right_upto(3, 0.0, 2.0, TH0)[3]) == pytest.approx(-6.0)
-    assert float(TR.traces_left_upto(1, 0.0, 2.0, TH0)[1]) == pytest.approx(-2.0)
+    assert float(xreal_rows(TR.traces_right_upto(0, 1.0, 2.0, TH0))[0]) == pytest.approx(-1.0)
+    assert float(xreal_rows(TR.traces_right_upto(1, 0.0, 2.0, TH0))[1]) == pytest.approx(-2.0)
+    assert float(xreal_rows(TR.traces_right_upto(3, 0.0, 2.0, TH0))[3]) == pytest.approx(-6.0)
+    assert float(xreal_rows(TR.traces_left_upto(1, 0.0, 2.0, TH0))[1]) == pytest.approx(-2.0)
     # left level 0 covers site 0 only, where the potential vanishes
-    assert float(TR.traces_left_upto(0, 0.7, 2.0, TH0)[0]) == pytest.approx(0.7)
+    assert float(xreal_rows(TR.traces_left_upto(0, 0.7, 2.0, TH0))[0]) == pytest.approx(0.7)
 
 
 def test_trace_left_equals_inverse_product_trace():
@@ -157,15 +156,15 @@ def test_trace_left_equals_inverse_product_trace():
         E = rng.uniform(-3, 13)
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
         literal = trace(transfer_product(-fib_number(k), E, 10.0, theta))
-        fast = TR.traces_left_upto(k, E, 10.0, theta)[k]
+        fast = xreal_rows(TR.traces_left_upto(k, E, 10.0, theta))[k]
         assert rel_gap(literal, fast) < 1e-12
 
 
 def test_free_case_phase_independent():
     for k in range(0, 10):
-        a = TR.traces_right_upto(k, 0.7, 0.0, TH0)[k]
-        b = TR.traces_right_upto(k, 0.7, 0.0, PhasePoint.from_decimal("0.613"))[k]
-        c = TR.traces_left_upto(k, 0.7, 0.0, PhasePoint.from_decimal("0.09"))[k]
+        a = xreal_rows(TR.traces_right_upto(k, 0.7, 0.0, TH0))[k]
+        b = xreal_rows(TR.traces_right_upto(k, 0.7, 0.0, PhasePoint.from_decimal("0.613")))[k]
+        c = xreal_rows(TR.traces_left_upto(k, 0.7, 0.0, PhasePoint.from_decimal("0.09")))[k]
         assert rel_gap(a, b) < 1e-12
         assert rel_gap(a, c) < 1e-12
 
@@ -179,7 +178,7 @@ def test_trace_recursion_matches_direct_products():
     # the sweep against the trace-map recursion run on 400-bit numbers
     for lam in (2.0, 5.0, 10.0, 20.0):
         energies = np.linspace(-3, lam + 3, 9)
-        for E, direct in zip(energies, TR.traces_right_upto(20, energies, lam, TH0)):
+        for E, direct in zip(energies, xreal_rows(TR.traces_right_upto(20, energies, lam, TH0))):
             with mp.workprec(400):
                 rec = SP._recurse(mp.mpf(float(E)), mp.mpf(lam), 20, False, keep_all=True)[0]
                 assert len(rec) == 21
@@ -191,7 +190,7 @@ def test_trace_recursion_matches_direct_products():
 def test_fricke_invariant_from_direct_products():
     for lam in (2.0, 10.0):
         for E in np.linspace(-2, lam + 2, 8):
-            xs = [float(v) for v in TR.traces_right_upto(5, float(E), lam, TH0)]
+            xs = [float(v) for v in xreal_rows(TR.traces_right_upto(5, float(E), lam, TH0))]
             for k in range(1, 4):
                 q = (xs[k + 1] ** 2 + xs[k] ** 2 + xs[k - 1] ** 2
                      - xs[k + 1] * xs[k] * xs[k - 1] - 4.0)
@@ -199,7 +198,7 @@ def test_fricke_invariant_from_direct_products():
 
 
 def test_trace_overflow_carries_exponent():
-    x = TR.traces_right_upto(25, 6.1, 10.0, TH0)[25]
+    x = xreal_rows(TR.traces_right_upto(25, 6.1, 10.0, TH0))[25]
     assert x.log2() > 5000  # far beyond float64 but well-defined
     assert math.isinf(float(x))
 
@@ -227,8 +226,8 @@ def test_derivative_matches_finite_differences():
         traces, derivs = xreal_rows(dual.traces), xreal_rows(dual.derivs)
         if abs(traces[k].log2()) > 250:
             continue  # outside float-difference range
-        fd = (float(TR.traces_right_upto(k, E + h, lam, theta)[k])
-              - float(TR.traces_right_upto(k, E - h, lam, theta)[k])) / (2 * h)
+        fd = (float(xreal_rows(TR.traces_right_upto(k, E + h, lam, theta))[k])
+              - float(xreal_rows(TR.traces_right_upto(k, E - h, lam, theta))[k])) / (2 * h)
         assert float(derivs[k]) == pytest.approx(fd, rel=1e-5)
 
 
@@ -247,9 +246,9 @@ def test_dual_traces_consistent_with_scalar_calls():
 
 def test_cumulative_norm_examples():
     base = 3.0 + 2.0 * math.sqrt(2.0)
-    assert float(TR.norm_profile([1.0], 0.0, 2.0, TH0)[0]) == pytest.approx(base)
-    assert float(TR.norm_profile([0.5], 0.0, 2.0, TH0)[0]) == pytest.approx(base / 2)
-    assert float(TR.norm_profile([2.0], 0.0, 2.0, TH0)[0]) == pytest.approx(2 * base)
+    assert float(xreal_rows(TR.norm_profile([1.0], 0.0, 2.0, TH0))[0]) == pytest.approx(base)
+    assert float(xreal_rows(TR.norm_profile([0.5], 0.0, 2.0, TH0))[0]) == pytest.approx(base / 2)
+    assert float(xreal_rows(TR.norm_profile([2.0], 0.0, 2.0, TH0))[0]) == pytest.approx(2 * base)
 
 
 def test_norm_matches_numpy_singular_value():
@@ -260,15 +259,15 @@ def test_norm_matches_numpy_singular_value():
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
         m = numpy_product(n, E, 10.0, theta)
         smax = np.linalg.svd(m, compute_uv=False)[0]
-        ours = TR._norm_sq(transfer_product(n, E, 10.0, theta))
+        ours = norm_sq(transfer_product(n, E, 10.0, theta))
         assert float(ours) == pytest.approx(smax * smax, rel=1e-10)
 
 
 def test_cumulative_norm_monotone_and_floored():
     theta = PhasePoint.from_decimal("0.21")
     for side in (1, -1):
-        values = TR.norm_profile([side * l for l in (0.5, 1, 2, 3.5, 8, 21)],
-                                 1.1, 10.0, theta)
+        values = xreal_rows(TR.norm_profile([side * l for l in (0.5, 1, 2, 3.5, 8, 21)],
+                                            1.1, 10.0, theta))
         floats = [float(v) for v in values]
         assert floats == sorted(floats)
         for l, v in zip((0.5, 1, 2, 3.5, 8, 21), floats):
@@ -282,10 +281,10 @@ def test_norm_profile_rejects_a_zero_window():
 
 
 def test_margin_example_and_positivity():
-    margin = TR.norm_trace_inequality(1, 0.0, 2.0, TH0)
+    margin = xreal_rows(TR.norm_trace_inequality(1, 0.0, 2.0, TH0))
     base = 2.0 * (3.0 + 2.0 * math.sqrt(2.0))
     assert float(margin) == pytest.approx(4.0 * base**1.5 - 2.0)
-    assert float(TR.norm_trace_inequality(2, 0.0, 0.0, TH0)) > 0.0
+    assert float(xreal_rows(TR.norm_trace_inequality(2, 0.0, 0.0, TH0))) > 0.0
 
 
 def test_margin_positive_across_magnitudes():
@@ -297,8 +296,39 @@ def test_margin_positive_across_magnitudes():
         lam = rng.choice([2.0, 10.0])
         E = rng.uniform(-3, lam + 3)
         theta = PhasePoint(rng.getrandbits(PRECISION_BITS))
-        margin = TR.norm_trace_inequality(k, E, lam, theta)
+        margin = xreal_rows(TR.norm_trace_inequality(k, E, lam, theta))
         assert margin >= 0.0
+
+
+def ulp_steps(x: XReal, steps) -> list[XReal]:
+    """x moved by each number of ulps of its mantissa in `steps`, normalized."""
+    return [XReal(float(m), x.e) for m in
+            x.m + np.array(steps) * math.ulp(abs(x.m)) * np.sign(x.m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(total=st.builds(XReal, st.floats(1.0, 2.0), st.integers(-5000, 5000)),
+       negative=st.booleans())
+@example(total=XReal(0.7, 3000), negative=False)  # sums and margins past float range
+@example(total=XReal(1.5, 0), negative=True)
+def test_margin_gate_flags_where_the_xreal_gate_does(total, negative):
+    # derivatives |x'| within a few ulps of the |x'| whose margin 4 S**1.5 - |x'|
+    # is -MARGIN_TOL times the scale 4 S**1.5 + |x'|, in increasing order: the
+    # gate flags a tail of them, and the two next to its start put margins one
+    # ulp of |x'| above and below -MARGIN_TOL * scale
+    tol = TR.MARGIN_TOL
+    edge = 4.0 * total.pow_3_2() * ((1.0 + tol) / (1.0 - tol))
+    derivs = [-d if negative else d for d in ulp_steps(edge, range(-8, 9))]
+    want = [margin_gate(total, d) for d in derivs]
+    flags = [flag for _, flag in want]
+    assert not flags[0] and flags[-1]
+    start = flags.index(True)
+    assert flags == [False] * start + [True] * (len(flags) - start)
+    sums = tuple(np.array(v) for v in zip(*[(total.m, total.e)] * len(derivs)))
+    dx = (np.array([d.m for d in derivs]), np.array([d.e for d in derivs]))
+    (mm, me), failed = TR.norm_trace_margin(sums, dx)
+    assert failed.tolist() == flags
+    assert list(zip(mm.tolist(), me.tolist())) == [(m.m, m.e) for m, _ in want]
 
 
 # ---------------------------------------------------------------------------

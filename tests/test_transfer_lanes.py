@@ -40,9 +40,8 @@ from hypothesis import example, given, settings, strategies as st
 from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace.words import fib_number, rotation_block
-from quasitrace.xfloat import XReal
 
-from oracles import local_matrix, trace, xreal_rows
+from oracles import XReal, local_matrix, norm_sq, trace, xreal_rows
 
 BAND_CENTER = -0.2492839750009455  # a level-9 band at lambda 12, phase 0
 
@@ -134,7 +133,7 @@ def scalar_reference(side, k, E, lam, theta, marks=None):
             t = local_matrix(1 - n, E, lam, theta)
             d = TR._add((m[0], 0.0, m[2], 0.0, m[4]), TR._mul(d, t, limit))
             m = TR._mul(m, t, limit)
-        total = total + TR._norm_sq(m)
+        total = total + norm_sq(m)
         high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
         if n in marks:
             out.append((raw(m), entry_values(d), xbits([trace(m), trace(d)]), xbits([total]),
@@ -160,8 +159,9 @@ def lane_results(side, k, energies, lam, theta, carry, marks=None):
     for i in range(len(energies)):
         records = []
         for mark in marks:
-            traces = [TR._trace_xreals(mark.m, mark.e)[i], TR._trace_xreals(mark.dm, mark.de)[i]]
-            total = (xbits(TR._xreals(mark.sum_m, mark.sum_e)[i:i + 1]) if carry == "norms"
+            traces = [xreal_rows((m[0] + m[3], e))[i]
+                      for m, e in ((mark.m, mark.e), (mark.dm, mark.de))]
+            total = (xbits(xreal_rows((mark.sum_m, mark.sum_e))[i:i + 1]) if carry == "norms"
                      else None)
             records.append((lane_raw(side, mark.m, mark.e, i),
                             lane_values(side, mark.dm, mark.de, i), xbits(traces), total,
@@ -308,8 +308,8 @@ def test_two_sided_lanes_match_scalar_products(k, lam, energies, far, phase, shu
         want = [(m_raw, values[0], *total)
                 for m_raw, _, values, total, _ in scalar_reference(side, k, E, lam, theta)]
         got = [(lane_raw(side, mark.m, mark.e, i),
-                *xbits([TR._trace_xreals(mark.m, mark.e)[i],
-                        TR._xreals(mark.sum_m, mark.sum_e)[i]]))
+                *xbits([xreal_rows((mark.m[0] + mark.m[3], mark.e))[i],
+                        xreal_rows((mark.sum_m, mark.sum_e))[i]]))
                for mark in marks]
         assert_same_records(got, want)
 
@@ -334,9 +334,9 @@ def test_two_sided_norm_profile_matches_one_call_per_side(lam, energies, far, wi
     theta = PhasePoint(phase)
     energies = energies + [0.0, -0.0, lam + far, -far]  # the far lanes rescale
     ls = [sign * w for w, sign in windows] + [right, -left]
-    both = TR.norm_profile(ls, energies, lam, theta)
-    pos = TR.norm_profile([l for l in ls if l > 0], energies, lam, theta)
-    neg = TR.norm_profile([l for l in ls if l < 0], energies, lam, theta)
+    both = xreal_rows(TR.norm_profile(ls, energies, lam, theta))
+    pos = xreal_rows(TR.norm_profile([l for l in ls if l > 0], energies, lam, theta))
+    neg = xreal_rows(TR.norm_profile([l for l in ls if l < 0], energies, lam, theta))
     for row, p, n in zip(both, pos, neg):
         p, n = iter(p), iter(n)
         assert xbits(row) == xbits([next(p) if l > 0 else next(n) for l in ls])
@@ -467,9 +467,10 @@ def test_phase_traces_match_the_one_group_calls():
             assert tables_bits(right) == tables_bits(TR.dual_traces_upto(11, grid, lam, theta))
             assert left.derivs is None
             assert [xbits(r) for r in xreal_rows(left.traces)] == [
-                xbits(row) for row in TR.traces_left_upto(11, grid, lam, theta)]
+                xbits(row) for row in xreal_rows(TR.traces_left_upto(11, grid, lam, theta))]
         assert [xbits(r) for r in xreal_rows(refs.traces)] == [
-            xbits(row) for row in TR.traces_right_upto(11, grid, lam, PhasePoint.zero())]
+            xbits(row)
+            for row in xreal_rows(TR.traces_right_upto(11, grid, lam, PhasePoint.zero()))]
 
 
 def test_phase_traces_at_huge_energies_run_without_warnings():
@@ -482,8 +483,8 @@ def test_phase_traces_at_huge_energies_run_without_warnings():
         warnings.simplefilter("error")
         [(right, left)], refs = TR.phase_traces(k, grid, lam, [theta])
         duals = TR.dual_traces_upto(k, grid, lam, theta)
-        lefts = TR.traces_left_upto(k, grid, lam, theta)
-        zeros = TR.traces_right_upto(k, grid, lam, PhasePoint.zero())
+        lefts = xreal_rows(TR.traces_left_upto(k, grid, lam, theta))
+        zeros = xreal_rows(TR.traces_right_upto(k, grid, lam, PhasePoint.zero()))
     assert tables_bits(right) == tables_bits(duals)
     assert [xbits(r) for r in xreal_rows(left.traces)] == [xbits(row) for row in lefts]
     assert [xbits(r) for r in xreal_rows(refs.traces)] == [xbits(row) for row in zeros]
@@ -637,7 +638,7 @@ def test_lane_norm_matches_scalar_norm(matrices):
     m, e = columns(matrices)
     m, ex = TR._norm_sq_lanes(m, e)
     for i, mat in enumerate(matrices):
-        assert xbits(TR._xreals(m[i:i + 1], ex[i:i + 1])) == xbits([TR._norm_sq(mat)])
+        assert xbits(xreal_rows((m[i:i + 1], ex[i:i + 1]))) == xbits([norm_sq(mat)])
 
 
 positive = st.tuples(st.floats(0.5, 1.0, exclude_max=True), st.integers(-5000, 5000))
@@ -669,7 +670,7 @@ def scalar_norms(side, top, E, lam, theta):
     for v in pattern:
         t = (E - lam if v == "1" else E, -1.0, 1.0, 0.0, 0)  # as in `local_matrix`
         m = TR._mul(t, m) if side == "right" else TR._mul(m, t)
-        norm = TR._norm_sq(m)
+        norm = norm_sq(m)
         total = total + norm
         out.append((norm, total))
     return out
@@ -716,8 +717,8 @@ def test_block_norm_sums_match_scalar_sums(lam, energies, blocks, phase, shuffle
     top = blocks * size + 1 if size > 1 else 40
     marks = TR._sweep([(side, theta) for side in sides], np.array(energies), lam,
                       list(range(1, top + 1)), norms=True)
-    norms = lane_columns([TR._xreals(mark.norm_m, mark.norm_e) for mark in marks])
-    sums = lane_columns([TR._xreals(mark.sum_m, mark.sum_e) for mark in marks])
+    norms = lane_columns([xreal_rows((mark.norm_m, mark.norm_e)) for mark in marks])
+    sums = lane_columns([xreal_rows((mark.sum_m, mark.sum_e)) for mark in marks])
     for i, (side, E) in enumerate(lanes):
         want = scalar_norms(side, top, E, lam, theta)
         assert norms[i] == xbits([norm for norm, _ in want])
@@ -740,7 +741,7 @@ def test_fractional_windows_across_block_edges(lam, energies, fraction, phase):
     size = block_length(energies, lam)
     mags = [fraction] + [b * size + fraction for b in (1, 2, 3)]
     ls = mags + [-l for l in mags]
-    rows = TR.norm_profile(ls, energies, lam, theta)
+    rows = xreal_rows(TR.norm_profile(ls, energies, lam, theta))
     for E, row in zip(energies, rows):
         want = []
         for side in ("right", "left"):

@@ -1,13 +1,16 @@
 import math
 import random
+import struct
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from quasitrace.xfloat import XReal, sci
+from quasitrace import xfloat
+from quasitrace.xfloat import sci
 
-from oracles import rel_gap, xreal
+from oracles import XReal, rel_gap, xreal
 
 EPS = 2.0 ** -52
 EXPONENTS = st.integers(-10**4, 10**4)
@@ -176,3 +179,137 @@ def test_equal_values_hash_equal(x):
     a = XReal(x)
     assert a == x and hash(a) == hash(x)
     assert len({a, x}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the (m, e) array operations against XReal, bit for bit, and mpmath
+# ---------------------------------------------------------------------------
+
+def f64(value):
+    return struct.pack("<d", value)  # tells -0.0 from 0.0
+
+
+def bits(values):
+    return [(f64(x.m), x.e) for x in values]
+
+
+def arrays(values):
+    """XReals as an (m, e) pair of arrays."""
+    return np.array([x.m for x in values]), np.array([x.e for x in values], dtype=np.int64)
+
+
+def array_bits(m, e):
+    return [(f64(a), b) for a, b in zip(m.tolist(), e.tolist())]
+
+
+# zeros of either sign, XReal(0.0) and its negation, and exponents far past
+# float range (2**1024) on both sides
+SIGNED = st.builds(lambda x, negate: -x if negate else x,
+                   XREALS | st.just(XReal(0.0)), st.booleans())
+
+
+@st.composite
+def gapped_pairs(draw):
+    """Pairs near in exponent, at any distance, or with a gap near and past the
+    1080 of XReal's absorption rule, in either order."""
+    a = draw(SIGNED)
+    gap = draw(st.integers(0, 64) | st.integers(1070, 1090) | st.integers(1081, 5000)
+               | st.integers(0, 2 * 10**4))
+    b = XReal(draw(MANTISSAS), a.e + draw(st.sampled_from([gap, -gap])))
+    b = -b if draw(st.booleans()) else b
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+PAIR_LISTS = st.lists(gapped_pairs(), min_size=1, max_size=8)
+
+
+def pair_arrays(pairs):
+    return (*arrays([a for a, _ in pairs]), *arrays([b for _, b in pairs]))
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), EXPONENTS),
+                min_size=1, max_size=8))
+@example([(-0.0, 7), (0.0, -3), (5e-324, 0), (-3.0, 10**4)])
+def test_normalized_is_the_xreal_constructor(values):
+    m, e = (np.array(v) for v in zip(*values))
+    assert array_bits(*xfloat.normalized(m, e)) == bits([XReal(*v) for v in values])
+
+
+@given(PAIR_LISTS)
+@example([(XReal(0.0), -XReal(0.0)), (-XReal(0.0), XReal(0.0)), (-XReal(0.0), -XReal(0.0)),
+          (XReal(0.75, -2000), XReal(0.0)), (XReal(0.0), XReal(-0.5, 3000)),
+          (XReal(0.75, 3), XReal(-0.75, 3))])
+@example([(XReal(0.75, 0), XReal(0.9, -1080)), (XReal(0.75, 0), XReal(0.9, -1081)),
+          (XReal(-0.5, 1081), XReal(0.99, 0)), (XReal(0.5, 0), XReal(0.5, -1074))])
+def test_array_add_is_xreal_add(pairs):
+    got = xfloat.add(*pair_arrays(pairs))
+    assert array_bits(*got) == bits([a + b for a, b in pairs])
+    with mpmath.workdps(60):
+        for (a, b), m, e in zip(pairs, *got):
+            A, B = _mp(a), _mp(b)
+            assert abs(mpmath.ldexp(mpmath.mpf(float(m)), int(e)) - (A + B)) <= EPS * max(
+                abs(A), abs(B))
+
+
+@given(PAIR_LISTS)
+@example([(XReal(0.0), XReal(0.5, 10**4)), (-XReal(0.0), XReal(-0.75, -10**4)),
+          (XReal(0.999, 9000), XReal(-0.999, 9000))])
+def test_array_mul_is_xreal_mul(pairs):
+    got = xfloat.mul(*pair_arrays(pairs))
+    assert array_bits(*got) == bits([a * b for a, b in pairs])
+    with mpmath.workdps(60):
+        for (a, b), m, e in zip(pairs, *got):
+            exact = _mp(a) * _mp(b)
+            assert abs(mpmath.ldexp(mpmath.mpf(float(m)), int(e)) - exact) <= EPS * abs(exact)
+
+
+@given(PAIR_LISTS)
+@example([(XReal(0.0), -XReal(0.0)), (XReal(0.5, 2000), XReal(0.5, 2000)),
+          (XReal(0.75, 0), XReal(0.75, -1200)), (XReal(-0.75, -1200), XReal(0.0))])
+def test_array_compare_is_the_xreal_comparison(pairs):
+    signs = xfloat.compare(*pair_arrays(pairs)).tolist()
+    assert signs == [(a > b) - (a < b) for a, b in pairs]
+    with mpmath.workdps(60):
+        assert signs == [(A > B) - (A < B) for A, B in ((_mp(a), _mp(b)) for a, b in pairs)]
+
+
+@given(st.lists(SIGNED.map(abs), min_size=1, max_size=8))
+@example([XReal(0.5, 1), XReal(0.5, 2), XReal(0.75, -10**4 - 1), XReal(0.75, 10**4),
+          XReal(0.0), -XReal(0.0)])
+def test_array_sqrt_is_xreal_sqrt(values):
+    # odd and even exponents, on both sides of float range
+    got = xfloat.sqrt(*arrays(values))
+    assert array_bits(*got) == bits([x.sqrt() for x in values])
+    with mpmath.workdps(60):
+        for x, m, e in zip(values, *got):
+            exact = mpmath.sqrt(_mp(x))
+            assert abs(mpmath.ldexp(mpmath.mpf(float(m)), int(e)) - exact) <= EPS * exact
+
+
+def test_array_sqrt_rejects_a_negative_value():
+    with pytest.raises(ValueError):
+        xfloat.sqrt(*arrays([XReal(4.0), XReal(-1.0, 3000)]))
+    with pytest.raises(ValueError):
+        XReal(-1.0, 3000).sqrt()
+
+
+@given(st.lists(SIGNED, min_size=1, max_size=8))
+@example([XReal(0.75, 1024), XReal(-0.75, 1025), XReal(0.75, -1074), XReal(-0.99, -1075)])
+def test_ldexp_reads_pairs_as_xreal_floats(values):
+    # np.ldexp is how `spectrum.norm_growth_check` reads norm sums: +-inf past
+    # 2**1024 and zero below 2**-1074, as float(XReal)
+    with np.errstate(over="ignore"):
+        assert np.ldexp(*arrays(values)).tolist() == [float(x) for x in values]
+
+
+@given(st.lists(SIGNED, min_size=1, max_size=8))
+def test_sci_of_arrays_is_xreal_sci(values):
+    m, e = arrays(values)
+    strings = [sci(a, b) for a, b in zip(m.tolist(), e.tolist())]
+    assert strings == [x.sci() for x in values]
+    with mpmath.workdps(60):
+        for x, text in zip(values, strings):
+            # 13 digits, from a log of up to 3,011 decimal digits: good to a
+            # few 1e-13 relative
+            exact = _mp(x)
+            assert abs(mpmath.mpf(text) - exact) <= 1e-11 * abs(exact)
