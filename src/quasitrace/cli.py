@@ -185,6 +185,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _parity_failures(gate: str, phases, reports) -> list[str]:
+    """A failure per phase and side of a parity gate where neither class passes."""
+    return [f"{gate}: no parity class passes on the {report.side} side at theta={label}"
+            for (label, _), pair in zip(phases, reports) for report in pair
+            if not (report.even_ok or report.odd_ok)]
+
+
 def _finish(name: str, path: Path, payload: dict, failures: list[str], ok: str) -> int:
     """Write a suite's JSON summary with its failures and pass flag, print the
     verdict and return the exit code."""
@@ -231,11 +238,8 @@ def cmd_words(cfg: RunConfig) -> int:
     failures.extend(f"complexity n={n}" for n in wrong)
 
     phases = cfg.phase_points()
-    try:
-        reports = [W.classify_phase_words(pt, cfg.k_max) for _, pt in phases]
-    except W.PhaseClassificationError as exc:
-        failures.append(f"phase-classification: {exc}")
-        reports = []
+    reports = [W.classify_phase_words(pt, cfg.k_max) for _, pt in phases]
+    failures.extend(_parity_failures("phase-classification", phases, reports))
     classifications = []
     for (label, _), (right, left) in zip(phases, reports):
         classifications.append({
@@ -280,12 +284,8 @@ def cmd_traces(cfg: RunConfig) -> int:
     _write_csv(out / "traces.csv", ["k", "E", "lambda", "theta", "x", "dx"],
                _trace_rows(energies, cfg.lam, phases, tables))
 
-    try:
-        reports = [TR.phase_trace_parity(theta, traces, refs)
-                   for (_, theta), traces in zip(phases, tables)]
-    except TR.TraceParityError as exc:
-        failures.append(f"trace-parity: {exc}")
-        reports = []
+    reports = [TR.phase_trace_parity(traces, refs) for traces in tables]
+    failures.extend(_parity_failures("trace-parity", phases, reports))
     parity_summary = [{
         "theta": label,
         "x": {"even_ok": right.even_ok, "odd_ok": right.odd_ok},
@@ -585,23 +585,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     updates = {f.name: given[f.name] for f in fields(RunConfig)
                if f.name in given and f.name not in _PARSED}
-    tokens = (given.get("thetas") or []) + [
-        t for t in (given.get("theta_list") or "").split(",") if t.strip()]
+    # an empty value or token is parsed, and fails, like any other
+    theta_list = given.get("theta_list")
+    tokens = (given.get("thetas") or []) + ([] if theta_list is None else theta_list.split(","))
     if tokens:
         updates["thetas"] = tuple(tokens)
-    if given.get("energies"):
+    if given.get("energies") is not None:
         parts = args.energies.split(":")
         if len(parts) != 3:
             raise ConfigError("energy grid must be LO:HI:COUNT")
         with _numbers_or(_ENERGY_RANGE):
             updates["energies"] = (float(parts[0]), float(parts[1]), int(parts[2]))
-    if given.get("growth"):
+    if given.get("growth") is not None:
         parts = args.growth.split(":")
         if len(parts) != 2:
             raise ConfigError("growth range must be KMIN:KMAX")
         with _numbers_or(_GROWTH_RANGE):
             updates["growth"] = (int(parts[0]), int(parts[1]))
-    if given.get("T_grid"):
+    if given.get("T_grid") is not None:
         with _numbers_or(_T_RANGE):
             updates["T_grid"] = tuple(float(t) for t in args.T_grid.split(","))
     if given.get("p") is not None:

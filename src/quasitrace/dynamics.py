@@ -452,13 +452,6 @@ def _secular_rows(poles, z, rho, tracked):
     return roots, rows
 
 
-def _union(rows: np.ndarray, row: int) -> np.ndarray:
-    """np.union1d(rows, [row]) without the import of numpy.ma that np.unique
-    makes; `scipy.linalg` imports it too, for now."""
-    u = np.sort(np.append(rows, row))
-    return u[np.append(True, u[1:] != u[:-1])]
-
-
 def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
     """All eigenvalues of the tridiagonal (d, e) and eigenvector entries at `rows`.
 
@@ -485,8 +478,8 @@ def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
     d1[-1] -= abs(beta)
     d2[0] -= abs(beta)
     left = rows < c
-    need1 = _union(rows[left], c - 1)
-    need2 = _union(rows[~left] - c, 0)
+    need1 = np.union1d(rows[left], [c - 1])
+    need2 = np.union1d(rows[~left] - c, [0])
     poles1, rows1, (small1, close1) = _split_merge(d1, e[:c - 1], need1)
     poles2, rows2, (small2, close2) = _split_merge(d2, e[c:], need2)
     tracked = np.zeros((len(rows), m))

@@ -31,12 +31,12 @@ last two rows X_n and X_{n-1} of its product (columns on the left; see
 hold the same for dM/dE, with the exponent of their product (see
 "Derivative lanes").  The rows of a block of B sites live in one (B + 2, 2,
 lanes) buffer, and the loop over sites does only the step and the
-derivative.  Per block, `_norm_sq_lanes` and `_running_sums` give the
-squared norms and their running sums, one maximum over the block's rows the
-peaks, and the rescale runs (see "Block rescale").  At each mark the sweep
-records the product, its derivative, the norm, the running norm sum and the
-peak, so traces, derivative traces, windowed norm sums and rounding scales at
-all Fibonacci lengths come from one pass.
+derivative.  Per block, one maximum over the block's rows gives the peaks of
+every sweep, `_norm_sq_lanes` and `_running_sums` the squared norms and their
+running sums where it takes norms, and the rescale runs (see "Block rescale").
+At each mark the sweep records the product, its derivative, the norm, the
+running norm sum and the peak, so traces, derivative traces, windowed norm
+sums and rounding scales at all Fibonacci lengths come from one pass.
 
 Factor table.  The symbols of the G groups at a site, a pattern, set every
 lane's factor there.  `_factor_table` builds, once per sweep, one (2, lanes)
@@ -152,7 +152,7 @@ leaves, but not its values, can depend on the other lanes.  The general add
 runs at none of the sites of the benchmark's `traces-large` sweep or of the
 default `traces` run, and at 373 of 377 of `traces --lambda 1e300 --k-max 12
 --energies=-1:1:5 --theta 1/3`, where a derivative outgrows its product by
-about lambda per level.
+about lambda per level, so it allocates its temporaries at each call.
 
 Norm sums.  They keep the bits of one `xfloat.add` per site, though they are
 summed a block at a time.  `_norm_sq_lanes` normalizes each stored product,
@@ -200,10 +200,11 @@ and two `np.maximum.reduce`, and a rescale six more (`np.frexp`, the
 comparison and product that zero ex on the other lanes, the `take` of the
 scales, the product of the entries, the new exponents).  Where `d_bound`
 passes its limit its check is the same three calls and `np.array_equal`;
-`_add_lanes` makes eight calls into work arrays made once per sweep.  The
-`phase_traces` sweep of the benchmark's `traces-large` run (17,711 sites, 288
-product and 96 derivative lanes, 552 of 554 blocks of 32 sites rescaling,
-`d_bound` past its limit at 88 sites) makes per site:
+`_add_lanes` makes nine calls.  A sweep with norms pays the five calls of
+the peaks per block too, 0.07 per site at the B = 67 of the default
+`norm_profile`.  The `phase_traces` sweep of the benchmark's `traces-large`
+run (17,711 sites, 288 product and 96 derivative lanes, 552 of 554 blocks of
+32 sites rescaling, `d_bound` past its limit at 88 sites) makes per site:
 
     step  rescale  derivative  block  total
      2.0     0.28        1.02   0.16   3.46
@@ -247,7 +248,6 @@ from .words import ParityReport, fib_number, rotation_block
 from .xfloat import add, compare, mul, normalized, sqrt
 
 __all__ = [
-    "TraceParityError",
     "MarginViolationError",
     "traces_right_upto",
     "traces_left_upto",
@@ -269,10 +269,6 @@ _ldexp = math.ldexp
 TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |x|, |reference|); see `phase_trace_parity`
 TRACE_ROUNDING = 64.0  # c of the rounding term of `phase_trace_parity`
 MARGIN_TOL = 1e-8
-
-
-class TraceParityError(AssertionError):
-    """No parity class of levels satisfies the trace equality (implementation bug)."""
 
 
 class MarginViolationError(AssertionError):
@@ -434,13 +430,7 @@ def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
     return m, np.add(e, ex, out=out), bound
 
 
-def _add_work(m):
-    """Work arrays of `_add_lanes` for operands shaped like `m`, made once per sweep."""
-    turns, scales = np.empty((2, m.shape[-1]), dtype=np.int64), np.empty((2, m.shape[-1]))
-    return turns, *turns, scales, *scales, np.empty(m.shape)
-
-
-def _add_lanes(m1, e1, m2, e2, out=(None, None), work=None):
+def _add_lanes(m1, e1, m2, e2, out=(None, None)):
     """`_add` per lane, before its rescale: the sums and their exponents.
 
     `_add` scales the operand with the smaller exponent by 2**shift and adds
@@ -449,21 +439,18 @@ def _add_lanes(m1, e1, m2, e2, out=(None, None), work=None):
     commutes.  Where |shift| > 1080 it returns the larger operand untouched,
     as `_add` does: adding the other one's 0.0 would turn a -0.0 entry into
     0.0.  `out` is an (entries, exponents) pair of buffers for the result,
-    None for new arrays; they may be m2 and e2.  `work` is `_add_work` of
-    m1, new ones if None.
+    None for new arrays; they may be m2 and e2.  Temporaries are new arrays.
     """
-    turns, shift, back, scales, s2, s1, scaled = work or _add_work(m1)
-    np.subtract(e1, e2, out=shift)
-    np.negative(shift, out=back)
-    _HALVES.take(turns, mode="clip", out=scales)
-    far = np.maximum.reduce(turns, axis=None, initial=0) > 1080
+    turns = np.stack((e1 - e2, e2 - e1))
+    s2, s1 = _HALVES.take(turns, mode="clip")
+    far = turns.max() > 1080
     if far:  # `_add` returns the larger operand untouched
-        keep = np.where(shift < 0, m2, m1)
+        keep = np.where(turns[0] < 0, m2, m1)
     m, e = out
     m = np.multiply(m2, s2, out=m)
-    m += np.multiply(m1, s1, out=scaled)
+    m += m1 * s1
     if far:
-        np.copyto(m, keep, where=np.abs(shift) > 1080)
+        np.copyto(m, keep, where=np.abs(turns[0]) > 1080)
     return m, np.maximum(e1, e2, out=e)
 
 
@@ -541,7 +528,7 @@ def _factor_table(symbols, group, span, E):
 
 
 def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
-           norms: bool = False, peaks: bool = False) -> list[_Mark]:
+           norms: bool = False) -> list[_Mark]:
     """Multiply the one-site matrices for every lane; record at marks.
 
     `groups` are (side, phase) pairs: side "right" is T(n)...T(1) over sites
@@ -550,11 +537,11 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     its factors from the group's row of symbols and keeps its entries in the
     row order of its side.  `marks` are increasing site counts >= 1.
     `deriv` carries dM/dE by the product rule on the first `deriv` groups;
-    `norms` carries the running sum of squared norms over sites 1..n; `peaks`
-    the least p with 2**e * |entry| < 2**p at every site 1..n.  Norms of
-    unimodular products are at least 1, so the zero branches of
-    `xfloat.add` never apply after the first site.  A mark gets its norm
-    and peak fields at the end of its block (see "Sweep kernel").
+    `norms` carries the running sum of squared norms over sites 1..n.  Every
+    sweep records the peak, the least p with 2**e * |entry| < 2**p at every
+    site 1..n.  Norms of unimodular products are at least 1, so the zero
+    branches of `xfloat.add` never apply after the first site.  A mark gets
+    its norm and peak fields at the end of its block (see "Sweep kernel").
     """
     if not {side for side, _ in groups} <= {"right", "left"}:
         raise ValueError("a sweep takes ('right' or 'left', phase) groups")
@@ -612,13 +599,11 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     # the derivative lanes share their owners' exponents while `apart` is
     # False; `d_bound` bounds their entries, which no rescale check covers
     apart, d_bound = False, 0.0
-    work = _add_work(steps[0][3])  # work arrays of the general add
     if norms:
         # a zero (m, e); its exponent 0 never sets top, as squared norms are >= 1
         carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
-    if peaks:
-        # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
-        high = np.zeros(lanes, dtype=np.int64)
+    # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
+    high = np.zeros(lanes, dtype=np.int64)
     done = 0  # marks that have their block fields
     out: list[_Mark] = []
     pending = iter(marks)
@@ -634,7 +619,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
             if apart:
-                _add_lanes(owner_x, e[:n_d], dx, de, (dx, de), work)
+                _add_lanes(owner_x, e[:n_d], dx, de, (dx, de))
             else:
                 np.add(dx, owner_x, out=dx)
             # |T M' + X| <= growth * |M'| + 2**256, rounding included
@@ -651,15 +636,14 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
                 sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
                 carry = sum_m[j], sum_e[j]
                 fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
-            if peaks:
-                # the product lanes keep their exponents through a block, and
-                # the rows before it are in `high` (see "Block rescale"); keyed
-                # by the block's index of each mark, as the other fields are
-                mags = np.abs(x[2:j + 3, :, :lanes])
-                stops = [mark.n - (n - j) + 1 for mark in out[done:]] + [j + 1]
-                fields["peak"] = {stop - 1: np.maximum(
-                    high, np.frexp(mags[:stop].max(axis=(0, 1)))[1] + e[:lanes]) for stop in stops}
-                high = fields["peak"][j]
+            # the product lanes keep their exponents through a block, and the
+            # rows before it are in `high` (see "Block rescale"); keyed by the
+            # block's index of each mark, as the other fields are
+            mags = np.abs(x[2:j + 3, :, :lanes])
+            stops = [mark.n - (n - j) + 1 for mark in out[done:]] + [j + 1]
+            fields["peak"] = {stop - 1: np.maximum(
+                high, np.frexp(mags[:stop].max(axis=(0, 1)))[1] + e[:lanes]) for stop in stops}
+            high = fields["peak"][j]
             if n < top or size == 1:
                 _renorm(x[j + 1:j + 3], e, math.inf, out=e, owned=n_d, limit=cutoff)
         if d_bound > d_limit:
@@ -703,7 +687,7 @@ def _fib_marks(k_max: int) -> list[int]:
 
 def _traces_upto(side: str, k_max: int, E: Energies, lam: float, theta: PhasePoint):
     lanes, scalar = _lanes(E)
-    marks = _sweep([(side, theta)], lanes, lam, _fib_marks(k_max), peaks=True)
+    marks = _sweep([(side, theta)], lanes, lam, _fib_marks(k_max))
     return _trace_tables(marks, lanes.size, scalar, 1, 0)[0].traces
 
 
@@ -741,8 +725,8 @@ class TraceTable(NamedTuple):
 
 
 def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) -> list:
-    """A `TraceTable` per group of n lanes of a sweep with peaks; the first `with_derivs`
-    groups carry derivatives, as the sweep's `deriv` prefix does."""
+    """A `TraceTable` per group of n lanes of a sweep; the first `with_derivs` groups
+    carry derivatives, as the sweep's `deriv` prefix does."""
     def levels(name):  # a field of every mark, (lanes, levels)
         return np.stack([getattr(mark, name) for mark in marks], axis=-1)
 
@@ -763,7 +747,7 @@ def _trace_tables(marks, n: int, scalar: bool, groups: int, with_derivs: int) ->
 def dual_traces_upto(k_max: int, E: Energies, lam: float, theta: PhasePoint) -> TraceTable:
     """The right `TraceTable` of `phase_traces` at one phase: traces, derivatives, peaks."""
     lanes, scalar = _lanes(E)
-    marks = _sweep([("right", theta)], lanes, lam, _fib_marks(k_max), deriv=1, peaks=True)
+    marks = _sweep([("right", theta)], lanes, lam, _fib_marks(k_max), deriv=1)
     return _trace_tables(marks, lanes.size, scalar, 1, 1)[0]
 
 
@@ -780,7 +764,7 @@ def phase_traces(k_max: int, E: Energies, lam: float, thetas):
     at_zero = next((i for i, theta in enumerate(thetas) if theta.raw == 0), None)
     groups = ([("right", theta) for theta in thetas] + [("left", theta) for theta in thetas]
               + ([("right", PhasePoint.zero())] if at_zero is None else []))
-    marks = _sweep(groups, lanes, lam, _fib_marks(k_max), deriv=len(thetas), peaks=True)
+    marks = _sweep(groups, lanes, lam, _fib_marks(k_max), deriv=len(thetas))
     tables = _trace_tables(marks, lanes.size, scalar, len(groups), len(thetas))
     pairs = list(zip(tables, tables[len(thetas):2 * len(thetas)]))
     return pairs, tables[at_zero if at_zero is not None else -1]
@@ -799,9 +783,9 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> tuple:
     of the inverse of a det-1 matrix coincide with those of the matrix
     itself, so the left side accumulates direct factors downward.  Windows of
     both signs share one two-sided sweep, a block of lanes per half-line,
-    bit-identical to a call per sign.  Its norms are summed a block of sites
-    at a time; see "Norm sums".  Returns an (m, e) pair of (energies,
-    windows) arrays.
+    bit-identical to a call per sign, over ceil(max |L|) sites, the last one
+    a window reads.  Its norms are summed a block of sites at a time; see
+    "Norm sums".  Returns an (m, e) pair of (energies, windows) arrays.
     """
     ls = list(l_values)
     lanes, scalar = _lanes(E)
@@ -810,7 +794,7 @@ def norm_profile(l_values, E: Energies, lam: float, theta: PhasePoint) -> tuple:
     blocks = [side for side, sign in (("right", 1), ("left", -1))
               if any(l * sign > 0 for l in ls)]
     mags = sorted(set(abs(l) for l in ls))
-    edges = {n for l in mags for n in (math.floor(l), math.floor(l) + 1)} - {0}
+    edges = {n for l in mags for n in (math.floor(l), math.ceil(l))} - {0}
     at = {mark.n: mark for mark in _sweep([(side, theta) for side in blocks], lanes, lam,
                                           sorted(edges), norms=True)} if edges else {}
     n = lanes.size
@@ -866,16 +850,17 @@ def norm_trace_inequality(k: int, E: float, lam: float, theta: PhasePoint) -> tu
 # phase invariance of traces
 # ----------------------------------------------------------------------------
 
-def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, ParityReport]:
-    """Compare the traces at phase theta against phase zero, level by level.
+def phase_trace_parity(traces, refs) -> tuple[ParityReport, ParityReport]:
+    """Compare the traces at a phase against phase zero, level by level.
 
-    `traces` is the (right, left) pair of `TraceTable`s at theta and `refs`
-    the right table at phase zero, as `phase_traces` gives them, over one grid
-    of energies and one range of levels, else ValueError.  A level passes
-    when every energy meets the error model below; on each half-line all even
-    levels or all odd levels must pass, else `TraceParityError`.  Returns a
-    (right, left) pair of `ParityReport`s whose `per_k` holds per level the
-    worst ratio of the gap to its allowance.
+    `traces` is the (right, left) pair of `TraceTable`s at the phase and
+    `refs` the right table at phase zero, as `phase_traces` gives them, over
+    one grid of energies and one range of levels, else ValueError.  A level
+    passes when every energy meets the error model below; on each half-line
+    all even levels or all odd levels must pass, and a report where neither
+    class passes shows an implementation error, which the caller records.
+    Returns a (right, left) pair of `ParityReport`s whose `per_k` holds per
+    level the worst ratio of the gap to its allowance.
 
     Error model.  A trace x of the sweep at level k and its phase-zero
     reference x0 pass when
@@ -922,8 +907,5 @@ def phase_trace_parity(theta: PhasePoint, traces, refs) -> tuple[ParityReport, P
         log_gap = ge + np.log2(np.abs(gm), out=np.full(gm.shape, -np.inf), where=gm != 0.0)
         worst = (log_gap - (ae + np.log2(am))).max(axis=0)
         ratios = [2.0 ** min(w, 64.0) for w in worst.tolist()]
-        report = ParityReport.of(side, ratios, [ratio <= 1.0 for ratio in ratios])
-        if not (report.even_ok or report.odd_ok):
-            raise TraceParityError(f"no parity class passes for {side} traces at theta={theta}")
-        reports.append(report)
+        reports.append(ParityReport.of(side, ratios, [ratio <= 1.0 for ratio in ratios]))
     return reports[0], reports[1]

@@ -9,7 +9,7 @@ import pytest
 PUBLIC = {
     "phase": {"PRECISION_BITS", "PhasePoint", "omega"},
     "words": {
-        "ParityReport", "SaturationError", "PhaseClassificationError",
+        "ParityReport", "SaturationError",
         "substitute", "fib_number", "fib_word", "rotation_block", "subwords",
         "complexity_counts", "saturation_prefix_length", "cyclic_permutations", "special_word",
         "height", "fibonacci_identity_check", "classify_phase_words",
@@ -17,7 +17,7 @@ PUBLIC = {
     },
     "xfloat": {"normalized", "add", "mul", "sqrt", "compare", "sci"},
     "transfer": {
-        "TraceParityError", "MarginViolationError",
+        "MarginViolationError",
         "traces_right_upto", "traces_left_upto", "dual_traces_upto", "norm_profile",
         "norm_trace_margin", "norm_trace_inequality", "phase_trace_parity", "phase_traces",
         "TraceTable",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -161,8 +162,16 @@ def _drop_one_factor(subwords):
     return patched
 
 
-def _raise_classification(theta, k_max):
-    raise W.PhaseClassificationError("no parity class passes on the right side")
+def _neither(report):
+    """A parity report in which neither class passes."""
+    return dataclasses.replace(report, even_ok=False, odd_ok=False)
+
+
+def _fail_right_side(classify):
+    def patched(theta, k_max):
+        right, left = classify(theta, k_max)
+        return _neither(right), left
+    return patched
 
 
 @pytest.mark.parametrize("name, patch, failures", [
@@ -173,8 +182,8 @@ def _raise_classification(theta, k_max):
     ("subwords", _drop_one_factor, [f"census-count k={k}" for k in range(7)]),
     ("complexity_counts", lambda fn: lambda n: [c - 1 for c in fn(n)],
      [f"complexity n={n}" for n in range(1, 11)]),
-    ("classify_phase_words", lambda fn: _raise_classification,
-     ["phase-classification: no parity class passes on the right side"]),
+    ("classify_phase_words", _fail_right_side,
+     ["phase-classification: no parity class passes on the right side at theta=0"]),
 ], ids=["identity", "rotations", "census", "complexity", "classification"])
 def test_words_gates_can_fail(tmp_path, monkeypatch, name, patch, failures):
     monkeypatch.setattr(W, name, patch(getattr(W, name)))
@@ -182,6 +191,46 @@ def test_words_gates_can_fail(tmp_path, monkeypatch, name, patch, failures):
     payload = json.loads((tmp_path / "parity.json").read_text())
     assert payload["pass"] is False
     assert payload["failures"] == sorted(failures)
+
+
+def test_a_phase_failing_a_parity_gate_keeps_every_phase_in_the_summary(tmp_path,
+                                                                       monkeypatch):
+    # the second of two phases fails the words gate on the left side and the
+    # traces gate on the right side; the first keeps the entry of a clean run
+    args = ["--k-max", "6", "--theta", "0", "--theta", "1/3"]
+    words = ["words", "--subword-max", "10", *args]
+    traces = ["traces", "--energies=-3:13:6", *args]
+    clean = tmp_path / "clean"
+    assert main([*words, "--out", str(clean)]) == 0
+    assert main([*traces, "--out", str(clean)]) == 0
+
+    classify, parity = W.classify_phase_words, TR.phase_trace_parity
+    calls = []
+
+    def classify_failing(theta, k_max):
+        right, left = classify(theta, k_max)
+        return (right, _neither(left)) if theta == parse_theta("1/3") else (right, left)
+
+    def parity_failing(pair, refs):  # called once per phase, in order
+        calls.append(pair)
+        right, left = parity(pair, refs)
+        return (_neither(right), left) if len(calls) == 2 else (right, left)
+
+    monkeypatch.setattr(W, "classify_phase_words", classify_failing)
+    monkeypatch.setattr(TR, "phase_trace_parity", parity_failing)
+    assert main([*words, "--out", str(tmp_path)]) == 1
+    assert main([*traces, "--out", str(tmp_path)]) == 1
+    for name, key, failed, failure in (
+            ("parity.json", "classifications", "left",
+             "phase-classification: no parity class passes on the left side at theta=1/3"),
+            ("traces_summary.json", "parity", "x",
+             "trace-parity: no parity class passes on the right side at theta=1/3")):
+        payload = json.loads((tmp_path / name).read_text())
+        entries = json.loads((clean / name).read_text())[key]
+        assert payload["failures"] == [failure]
+        assert [entry["theta"] for entry in payload[key]] == ["0", "1/3"]
+        assert payload[key][0] == entries[0]
+        assert payload[key][1] == {**entries[1], failed: {"even_ok": False, "odd_ok": False}}
 
 
 def test_traces_command(tmp_path):
@@ -447,6 +496,13 @@ def test_energy_grid_overflow_exit_2_before_writing(tmp_path, capsys, args):
     (["traces", "--energies=-3:13:6.5"],
      "energy grid must be lo:hi:count with lo < hi, count >= 1"),
     (["spectrum", "--growth", "6:x"], "growth range must satisfy 0 <= kmin < kmax <= 22"),
+    # an explicitly empty value, or an empty token, is not the default
+    (["dynamics", "--T-grid="], "timescales must be finite and positive"),
+    (["traces", "--energies="], "energy grid must be LO:HI:COUNT"),
+    (["spectrum", "--growth="], "growth range must be KMIN:KMAX"),
+    (["words", "--theta-list="], "cannot parse phase ''"),
+    (["words", "--theta-list", "0,,1/3"], "cannot parse phase ''"),
+    (["traces", "--theta-list", "0,1/3,"], "cannot parse phase ''"),
 ])
 def test_exit_code_non_numeric_argument_names_its_option(tmp_path, capsys, args, message):
     assert main([*args, "--out", str(tmp_path)]) == 2

@@ -15,17 +15,20 @@ shares its product's exponent, so only the values of its entries are the
 scalar rule's; at coupling or energy near 1e300 its entries 1e-300 below its
 largest leave the normal range, and there its traces are held to the scalar
 rule.  Where a block is one site, at coupling near 1e300, the raw entries and
-exponents are the scalar rule's too, but for the sign of a zero.  The block rule must keep every stored
-entry within its lane's threshold; a test with a mark at every site fails if a
-block is one site longer.  Norm sums are taken a block of sites at a time, so
-marks on both sides of every block edge, and windows whose edge term opens the
-next block, are held to the scalar sums; peaks are taken once per block and
-per mark, so marks on the first, the last and the only site of a block are
-held to the scalar peaks.  Several (side, phase) groups in one
-sweep, in any order, over energies in any order, with derivatives on a prefix
-of the groups, keep the bits, raw splits included, of a sweep per group.  The
-factor table of a sweep gives every site the factors of its symbols, bit for
-bit on both rows, with at most 2G patterns for G groups.
+exponents are the scalar rule's too, but for the sign of a zero.  The block
+rule must keep every stored entry within its lane's threshold; a test with a
+mark at every site fails if a block is one site longer.  Norm sums are taken a
+block of sites at a time, so marks on both sides of every block edge, and
+windows whose edge term opens the next block, are held to the scalar sums.
+Every sweep takes peaks, once per block and per mark, so marks on the first,
+the last and the only site of a block are held to the scalar peaks.  The tests
+run each case on a sweep with norms and on the plain sweep, which cover both
+block sizes: up to `_block_sites` sites with norms, up to 32 without; the two
+record the same peaks bit for bit.  Several (side, phase) groups in one sweep,
+in any order, over energies in any order, with derivatives on a prefix of the
+groups, keep the bits, raw splits included, of a sweep per group.  The factor
+table of a sweep gives every site the factors of its symbols, bit for bit on
+both rows, with at most 2G patterns for G groups.
 """
 
 import math
@@ -112,7 +115,8 @@ def fib_marks(k):
 
 
 # marks on the first, the last and the only site of a block of 32 sites: the
-# blocks of a sweep with peaks at coupling up to 12 are sites 1-32, 33-64 and 65
+# blocks of a sweep without norms at coupling up to 12 are sites 1-32, 33-64
+# and 65
 EDGE_MARKS = [1, 32, 33, 63, 64, 65]
 
 
@@ -149,31 +153,30 @@ def lane_values(side, m, e, i):
     return entry_values(m[TR._ROWS[side], i].tolist() + [int(e[i])])
 
 
-def lane_results(side, k, energies, lam, theta, carry, marks=None):
+def lane_results(side, k, energies, lam, theta, norms, marks=None):
     """Per lane, per mark, F(0..k) unless `marks` are given: the records of
-    `scalar_reference`, from a sweep that carries "norms" or "peaks"; None for
-    the field it does not."""
+    `scalar_reference`, from a sweep with or without `norms`; without them,
+    None for the norm sum."""
     marks = TR._sweep([(side, theta)], np.array(energies, dtype=float), lam,
-                      marks or fib_marks(k), deriv=1, **{carry: True})
+                      marks or fib_marks(k), deriv=1, norms=norms)
     lanes = []
     for i in range(len(energies)):
         records = []
         for mark in marks:
             traces = [xreal_rows((m[0] + m[3], e))[i]
                       for m, e in ((mark.m, mark.e), (mark.dm, mark.de))]
-            total = (xbits(xreal_rows((mark.sum_m, mark.sum_e))[i:i + 1]) if carry == "norms"
-                     else None)
+            total = xbits(xreal_rows((mark.sum_m, mark.sum_e))[i:i + 1]) if norms else None
             records.append((lane_raw(side, mark.m, mark.e, i),
                             lane_values(side, mark.dm, mark.de, i), xbits(traces), total,
-                            int(mark.peak[i]) if carry == "peaks" else None))
+                            int(mark.peak[i])))
         lanes.append(records)
     return lanes
 
 
-def carried(records, carry):
-    """Scalar records with None for the field a sweep carrying `carry` does not take."""
-    return [(*r[:3], r[3] if carry == "norms" else None, r[4] if carry == "peaks" else None)
-            for r in records]
+def carried(records, norms):
+    """Scalar records as a sweep with or without `norms` gives them: without,
+    None for the norm sum."""
+    return records if norms else [(*r[:3], None, r[4]) for r in records]
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,11 +216,11 @@ def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
     energies = energies + [lam + far, -far]  # off the spectrum: these rescale
     marks = EDGE_MARKS if edges else None
     references = [scalar_reference(side, k, E, lam, theta, marks) for E in energies]
-    for carry in ("norms", "peaks"):
-        lanes = lane_results(side, k, energies, lam, theta, carry, marks)
+    for norms in (True, False):
+        lanes = lane_results(side, k, energies, lam, theta, norms, marks)
         for E, lane, reference in zip(energies, lanes, references):
-            assert_same_records(lane, lane_results(side, k, [E], lam, theta, carry, marks)[0])
-            assert_same_records(lane, carried(reference, carry))
+            assert_same_records(lane, lane_results(side, k, [E], lam, theta, norms, marks)[0])
+            assert_same_records(lane, carried(reference, norms))
 
 
 def signed(lo, hi):
@@ -258,11 +261,11 @@ def test_huge_lanes_keep_the_derivative_traces_of_the_add_rule(side, k, case, ph
     lam, energies = case
     theta = PhasePoint(phase)
     references = [scalar_reference(side, k, E, lam, theta) for E in energies]
-    for carry in ("norms", "peaks"):
-        lanes = lane_results(side, k, energies, lam, theta, carry)
+    for norms in (True, False):
+        lanes = lane_results(side, k, energies, lam, theta, norms)
         for lane, reference in zip(lanes, references):
             assert ([(unsigned_zeros(m), *rest) for m, _, *rest in lane]
-                    == [(unsigned_zeros(m), *rest) for m, _, *rest in carried(reference, carry)])
+                    == [(unsigned_zeros(m), *rest) for m, _, *rest in carried(reference, norms)])
 
 
 def test_derivative_lanes_leave_their_product_only_past_the_limit():
@@ -271,13 +274,13 @@ def test_derivative_lanes_leave_their_product_only_past_the_limit():
     for side in ("right", "left"):
         group = [(side, PhasePoint.zero())]
         marks = TR._sweep(group, np.array([-1.0, 0.0, 1.0]), 1e300,
-                          [fib_number(j) for j in range(13)], deriv=1, peaks=True)
+                          [fib_number(j) for j in range(13)], deriv=1)
         assert (marks[-1].de != marks[-1].e).any()
         # a lane leaves upward, so the general add never scales dM/dE
         assert all((mark.de >= mark.e).all() for mark in marks)
-        for carry in ("norms", "peaks"):
+        for norms in (True, False):
             marks = TR._sweep(group, np.array([BAND_CENTER, 3.0, 20.0, -8.0]), 12.0,
-                              [fib_number(j) for j in range(15)], deriv=1, **{carry: True})
+                              [fib_number(j) for j in range(15)], deriv=1, norms=norms)
             assert all((mark.de == mark.e).all() for mark in marks)
             assert min(marks[-1].e[2:]) > 256  # the far lanes rescale
 
@@ -391,11 +394,9 @@ def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, 
     shuffle.shuffle(energies)
     n, deriv = len(energies), round(prefix * len(groups))
     marks = [fib_number(j) for j in range(k + 1)]
-    grouped = TR._sweep(groups, np.array(energies), lam, marks, deriv=deriv, norms=True,
-                        peaks=True)
+    grouped = TR._sweep(groups, np.array(energies), lam, marks, deriv=deriv, norms=True)
     for g, group in enumerate(groups):
-        alone = TR._sweep([group], np.array(energies), lam, marks, deriv=1, norms=True,
-                          peaks=True)
+        alone = TR._sweep([group], np.array(energies), lam, marks, deriv=1, norms=True)
         for mark, ref in zip(grouped, alone):
             for i in range(n):
                 assert column(mark, g * n + i, g < deriv) == column(ref, i, g < deriv)
@@ -445,8 +446,7 @@ def test_peaks_are_the_least_power_of_two_above_every_entry():
     energies = [BAND_CENTER, 3.0, lam + 8.0, -8.0]
     for side in ("right", "left"):
         top = 300
-        marks = TR._sweep([(side, theta)], np.array(energies), lam, list(range(1, top + 1)),
-                          peaks=True)
+        marks = TR._sweep([(side, theta)], np.array(energies), lam, list(range(1, top + 1)))
         pattern = (rotation_block(1, top, theta) if side == "right"
                    else rotation_block(1 - top, 0, theta)[::-1])
         for i, E in enumerate(energies):
@@ -456,6 +456,21 @@ def test_peaks_are_the_least_power_of_two_above_every_entry():
                 m = TR._mul(t, m) if side == "right" else TR._mul(m, t)
                 high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
                 assert int(mark.peak[i]) == high
+
+
+@pytest.mark.parametrize("lam", [0.0, 12.0])
+@pytest.mark.parametrize("marks", [list(range(1, 301)), fib_marks(12)], ids=["every", "fib"])
+def test_sweeps_with_and_without_norms_record_the_same_peaks(lam, marks):
+    # a sweep with norms takes blocks of up to `_block_sites` sites, one
+    # without of up to 32; the peaks, taken once per block and per mark, must
+    # not depend on where the blocks end
+    theta, energies = PhasePoint.from_decimal("0.3"), [BAND_CENTER, 3.0, lam + 8.0, -8.0]
+    assert block_length(energies, lam) > 32
+    groups = [("right", theta), ("left", theta)]
+    with_norms = TR._sweep(groups, np.array(energies), lam, marks, deriv=1, norms=True)
+    plain = TR._sweep(groups, np.array(energies), lam, marks, deriv=1)
+    assert [mark.peak.tobytes() for mark in with_norms] == [mark.peak.tobytes() for mark in plain]
+    assert min(plain[-1].e[2:4]) > 256  # the far lanes rescale
 
 
 def test_phase_traces_match_the_one_group_calls():
@@ -506,23 +521,22 @@ def test_band_lane_never_rescales_beside_far_lanes():
     lam=st.sampled_from([0.0, 12.0, 1e300]) | st.floats(0.0, 1e6),
     energies=st.lists(st.floats(-4.0, 16.0) | st.floats(-2.0**20, 2.0**20), min_size=1,
                       max_size=3),
-    carry=st.sampled_from([{}, {"norms": True}, {"peaks": True}]),
+    norms=st.booleans(),
     phase=st.integers(0, (1 << PRECISION_BITS) - 1),
 )
 # growth just below 2**16 gives 16-site blocks, and each lane grows by almost
 # that much per site: a lane scaled into [0.5, 1) at a block's end passes
 # 2**256 at the 17th site after it
-@example(sides=["right"], k=9, lam=0.0, energies=[2.0**16 - 2.0], carry={}, phase=0)
-@example(sides=["left"], k=9, lam=0.0, energies=[2.0**16 - 2.0], carry={"peaks": True},
-         phase=0)
-def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, carry, phase):
+@example(sides=["right"], k=9, lam=0.0, energies=[2.0**16 - 2.0], norms=False, phase=0)
+@example(sides=["left"], k=9, lam=0.0, energies=[2.0**16 - 2.0], norms=False, phase=0)
+def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, norms, phase):
     # a mark at every site records every product the sweep steps through;
     # the rescale at each block's end must keep all of them within their
     # lane's threshold, which keeps the next step finite
     theta = PhasePoint(phase)
     groups = [(side, theta) for side in sides]
     marks = TR._sweep(groups, np.array(energies), lam, list(range(1, fib_number(k) + 1)),
-                      deriv=1, **carry)
+                      deriv=1, norms=norms)
     limit = np.tile(TR._lane_limit(np.array(energies), lam), len(groups))
     for mark in marks:
         assert (np.abs(mark.m).max(axis=0) <= limit).all(), mark.n
@@ -536,7 +550,7 @@ def test_one_site_blocks_keep_the_scalar_raw_split():
     assert TR._rescale_sites((lam + 2.0) * TR._SLACK, 2.0**256, 32) == 1
     for side in ("right", "left"):
         theta = PhasePoint.from_decimal("0.3")
-        lanes = lane_results(side, 12, energies, lam, theta, "peaks")
+        lanes = lane_results(side, 12, energies, lam, theta, False)
         for E, lane in zip(energies, lanes):
             reference = scalar_reference(side, 12, E, lam, theta)
             assert ([unsigned_zeros(record[0]) for record in lane]
@@ -561,10 +575,10 @@ def test_factors_that_are_exactly_zero():
         flips = 0
         for lam in (0.0, 12.0, 1e300):
             energies = [0.0, lam, -0.0, lam + 8.0]
-            for carry in ("norms", "peaks"):
-                lanes = lane_results(side, 12, energies, lam, theta, carry)
+            for norms in (True, False):
+                lanes = lane_results(side, 12, energies, lam, theta, norms)
                 for E, lane in zip(energies, lanes):
-                    reference = carried(scalar_reference(side, 12, E, lam, theta), carry)
+                    reference = carried(scalar_reference(side, 12, E, lam, theta), norms)
                     if lam < 1e300:
                         assert_same_records(lane, reference)
                     else:
