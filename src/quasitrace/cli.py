@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or configuration
 error.  Identical configuration and seed produce byte-identical output files
-(for `dynamics`, on the same BLAS library and thread count); all tables are
+(for `dynamics`, on the same BLAS library and kind of CPU); all tables are
 CSV, structured reports are JSON, and nothing time-dependent is ever written.
 """
 
@@ -585,9 +585,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     updates = {f.name: given[f.name] for f in fields(RunConfig)
                if f.name in given and f.name not in _PARSED}
-    # an empty value or token is parsed, and fails, like any other
+    # an empty value or token is parsed, and fails, like any other; a label
+    # is the token as `parse_theta` reads it, without surrounding blanks
     theta_list = given.get("theta_list")
-    tokens = (given.get("thetas") or []) + ([] if theta_list is None else theta_list.split(","))
+    tokens = [token.strip() for token in (given.get("thetas") or [])
+              + ([] if theta_list is None else theta_list.split(","))]
     if tokens:
         updates["thetas"] = tuple(tokens)
     if given.get("energies") is not None:

@@ -29,10 +29,15 @@ before it solves; at T = 3000 every bound is at least 3e-6.  N = "auto"
 starts the box just beyond the largest window and doubles it until every
 record of the phase is certified, up to MAX_BOX; an explicit N fixes it.
 
-Outputs are byte-identical across runs on one BLAS configuration only: the
-products of the Abel sweep and of the secular passes go through BLAS, and
-OpenBLAS splits them differently by thread count, which moves their last
-bits (masses by about 1e-15).
+Outputs do not depend on the BLAS thread count.  The products of the Abel
+sweep and of the secular passes go through numpy's OpenBLAS, which splits a
+product by its thread count and so moves its last bits (masses by about
+1e-15); `site_spectrum` and `abel_site_masses` therefore run on one OpenBLAS
+thread and give the user's count back on return.  CPU kernels can still move
+bits between machines: OpenBLAS and numpy pick their kernels by CPU at run
+time (AVX2 against AVX-512, say), so a pinned digest holds for one kind of
+CPU.  Where numpy has no bundled OpenBLAS (MKL, Accelerate, a system BLAS)
+there is no thread setter, and the outputs follow the thread count again.
 
 Abel means of site probabilities are evaluated in closed form through the
 eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
@@ -107,19 +112,28 @@ ranges of the second sweep are 0.3 s on the phase sweep and 0.6 s on N
 4096), and at 256 the phase sweep, whose leaves become 250-site blocks, is a
 fifth slower.  96 sits in the middle of that plateau.
 
-The tables predate two changes that took about a tenth off the sweep and
-moved no bit: dlaed4 called through a bare pointer (`_secular_roots`), and
-each block of gaps built as a copy and an in-place subtract
-(`_column_minus_row`).  Where a 2001-site box's time goes since (coupling 6,
-phase 0, 4 timescales; median of 6 solves in one process): `site_spectrum`
-0.26 s, of which the dlaed4 loop over 9,863 roots takes 0.10 s, the two
-secular passes 0.09 s, the rest of the 31 merges 0.01 s, and the leaves, the
-dsterf solve and the validation 0.06 s; then the Abel sweep 0.04 s.
+The tables predate three changes that took time off the sweep and moved no
+bit: dlaed4 called through a bare pointer (`_secular_roots`), each block of
+gaps built as a copy and an in-place subtract (`_column_minus_row`), and the
+dsterf reference solved on a second thread while the merges run, with the
+products on one BLAS thread (`site_spectrum`).  Where a 2001-site box's time
+goes since (coupling 6, phase 0, 4 timescales, OpenBLAS started with 2
+threads; medians of 6 solves in one process): `site_spectrum` 0.25 s, all
+but about 0.01 s of it in `_split_merge`, whose dlaed4 loop over 9,863 roots
+takes 0.10 s and the two secular passes 0.09 s; the dsterf solve, 0.05 s,
+ends on the other core before the merges do; then the Abel sweep 0.04 s.
+Before, the dsterf solve ran after the merges, and OpenBLAS's idle worker
+spun on the second core through the whole box: 0.60 s of CPU time per
+0.31 s box, against 0.34 s per 0.29 s now.  Splitting the dlaed4 loop of
+a merge over two threads was slower, 1.73 against 1.43 s for eight such
+boxes (medians of 5), because each call hands the GIL over; a thread per
+phase would ignore ``--jobs 1``.
 
-SciPy's LAPACK wrappers are imported inside the functions that call them
-(`_dlaed4`, `_split_merge` and `site_spectrum`), not with this module.  The
-command line imports every layer, and SciPy more than doubles the time that
-import takes, so only the `dynamics` subcommand pays for it.
+LAPACK comes from numpy's bundled OpenBLAS through ctypes (`_lapack`), so
+no subcommand imports SciPy where numpy ships that library: importing
+``scipy.linalg.cython_lapack`` after numpy costs about 0.23 s and 26 MB, and
+loads ``numpy.ma``.  SciPy's capsules are the fallback for other numpy
+builds, imported only when first needed.
 
 Kept for the benchmark: `eigensystem`, `site_spectrum` with every site
 tracked, whose validation then costs O(n^3) for n sites.
@@ -130,8 +144,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
+import threading
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -277,22 +295,126 @@ _SECULAR_CHUNK = 1 << 18  # entries per block of the secular passes and the Abel
 _LEAF_SIZE = 96  # blocks this small are solved whole by dstevd
 
 
+_ROUTINES = ("dlaed4", "dstevd", "dsterf")
+
+
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, opened by path: the handle numpy itself loaded."""
+    top = os.path.dirname(np.__file__)
+    for folder in (top + ".libs", os.path.join(top, ".dylibs")):
+        try:
+            names = sorted(os.listdir(folder))
+        except OSError:
+            continue
+        for name in names:
+            if name.startswith("libscipy_openblas64_"):
+                return ctypes.CDLL(os.path.join(folder, name))
+    return None
+
+
 @functools.lru_cache(maxsize=None)
-def _dlaed4():
-    """LAPACK dlaed4 (one root of a rank-one secular equation), a bare C pointer.
+def _lapack(bundled: bool = True) -> SimpleNamespace:
+    """dlaed4, dstevd and dsterf from numpy's OpenBLAS, else from SciPy.
 
-    No argument types are declared: ctypes passes the pointer objects that
-    `_secular_roots` builds as they are, instead of checking and converting
-    each of the eight on every call.
+    numpy's wheels ship an ILP64 OpenBLAS that exports the three routines as
+    ``scipy_<name>_64_``; where it does, no SciPy module is imported.
+    Elsewhere (MKL, Accelerate or a system BLAS), or with `bundled` False,
+    they come from SciPy's capsules with LP64 integers.  The routines are
+    bare C pointers.  No argument types are declared: ctypes passes the
+    pointer objects that the callers build as they are, instead of checking
+    and converting each on every call, and it releases the GIL for the call.
+
+    Returns a namespace: `source` ("numpy" or "scipy"), the three routines,
+    `integer`, the ctypes type of a Fortran INTEGER there, `tail`, the
+    hidden string lengths that follow dstevd's own arguments in a direct
+    Fortran call (none for the capsules, which are C wrappers), and
+    `set_threads`, the ``openblas_set_num_threads_local`` of numpy's
+    OpenBLAS, which runs numpy's matrix products, or None where numpy has
+    no bundled OpenBLAS.  A namespace, not a class of this module: a class
+    defined at import made `spectrum`, which never calls this module, about
+    5% slower in fresh interpreters under PYTHONHASHSEED=0 (20 alternating
+    pairs), an effect of the interpreter's layout, not of any work.
     """
-    from scipy.linalg import cython_lapack
+    blas = _numpy_openblas()
+    set_threads = getattr(blas, "openblas_set_num_threads_local", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    symbols = [f"scipy_{name}_64_" for name in _ROUTINES]
+    if bundled and blas is not None and all(hasattr(blas, s) for s in symbols):
+        pointers = [ctypes.cast(getattr(blas, s), ctypes.c_void_p).value for s in symbols]
+        source, integer, tail = "numpy", ctypes.c_int64, (ctypes.c_size_t(1),)
+    else:
+        from scipy.linalg import cython_lapack
 
-    capsule = cython_lapack.__pyx_capi__["dlaed4"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None)(get_pointer(capsule, get_name(capsule)))
+        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        capsules = [cython_lapack.__pyx_capi__[name] for name in _ROUTINES]
+        pointers = [get_pointer(c, get_name(c)) for c in capsules]
+        source, integer, tail = "scipy", ctypes.c_int, ()
+    dlaed4, dstevd, dsterf = (ctypes.CFUNCTYPE(None)(p) for p in pointers)
+    return SimpleNamespace(source=source, integer=integer, tail=tail, dlaed4=dlaed4,
+                           dstevd=dstevd, dsterf=dsterf, set_threads=set_threads)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's matrix products on one OpenBLAS thread, whatever the user set.
+
+    OpenBLAS splits a product by its thread count, which moves the last bits
+    of the result; on one thread the outputs are the same under every
+    ``OPENBLAS_NUM_THREADS``.  The previous count comes back on exit.  The
+    count is process-wide, so solves run at once on several threads of one
+    process can give back each other's counts in the wrong order.
+    """
+    set_threads = _lapack().set_threads
+    if set_threads is None:
+        yield
+        return
+    previous = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+def _ptr(a: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def _dsterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the tridiagonal (d, e), ascending, by LAPACK dsterf."""
+    lib = _lapack()
+    vals, off = np.array(d, dtype=float), np.array(e, dtype=float)  # both overwritten
+    info = lib.integer(0)
+    lib.dsterf(ctypes.byref(lib.integer(len(vals))), _ptr(vals), _ptr(off),
+               ctypes.byref(info))
+    if info.value != 0:
+        raise AssertionError(f"dsterf failed (info={info.value})")
+    return vals
+
+
+def _dstevd(d: np.ndarray, e: np.ndarray):
+    """Eigenvalues and eigenvectors (columns) of the tridiagonal (d, e), by dstevd.
+
+    The workspace sizes are the ones SciPy's wrapper passes.
+    """
+    lib = _lapack()
+    n = len(d)
+    vals, off = np.array(d, dtype=float), np.append(e, 0.0)  # off: room for n = 1
+    vecs = np.empty((n, n), order="F")
+    work = np.empty(1 + 4 * n + n * n)
+    iwork = np.empty(3 + 5 * n, dtype=lib.integer)
+    info = lib.integer(0)
+    lib.dstevd(ctypes.c_char_p(b"V"), ctypes.byref(lib.integer(n)), _ptr(vals), _ptr(off),
+               _ptr(vecs), ctypes.byref(lib.integer(n)),
+               _ptr(work), ctypes.byref(lib.integer(len(work))),
+               _ptr(iwork), ctypes.byref(lib.integer(len(iwork))), ctypes.byref(info),
+               *lib.tail)
+    if info.value != 0:
+        raise AssertionError(f"dstevd failed on a {n}-site block (info={info.value})")
+    return vals, vecs
 
 
 def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
@@ -303,10 +425,11 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     pole-minus-root difference from those: |poles_i - origin| is at most
     twice |poles_i - root|, so the difference keeps full relative accuracy.
 
-    One dlaed4 call per root, from Python.  dlaed4 reads `poles` and `z`
-    through raw pointers, so both must be C-contiguous float64.  The eight
-    pointer arguments are built once per call of this function, and `delta`
-    is a ctypes array whose entries read as Python floats.  A call through
+    One dlaed4 call per root, from Python, with the integer type of the
+    source `_lapack` picked.  dlaed4 reads `poles` and `z` through raw
+    pointers, so both must be C-contiguous float64.  The eight pointer
+    arguments are built once per call of this function, and `delta` is a
+    ctypes array whose entries read as Python floats.  A call through
     the bare pointer costs about 0.7 us against 2.1 us through a prototype
     that declares the argument types (k = 5, where dlaed4 itself does next
     to nothing).  On the 2001-site box at coupling 6 and phase 0 (31 merges,
@@ -321,12 +444,12 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
         if a.dtype != np.float64 or not a.flags.c_contiguous or len(a) != k:
             raise AssertionError("dlaed4 needs C-contiguous float64 poles and weights")
     roots, origin, offset = [], [], []
+    lib = _lapack()
     delta = (ctypes.c_double * k)()
-    i_c, root, info = ctypes.c_int(0), ctypes.c_double(0.0), ctypes.c_int(0)
-    args = (ctypes.byref(ctypes.c_int(k)), ctypes.byref(i_c),
-            ctypes.c_void_p(poles.ctypes.data), ctypes.c_void_p(z.ctypes.data), delta,
+    i_c, root, info = lib.integer(0), ctypes.c_double(0.0), lib.integer(0)
+    args = (ctypes.byref(lib.integer(k)), ctypes.byref(i_c), _ptr(poles), _ptr(z), delta,
             ctypes.byref(ctypes.c_double(rho)), ctypes.byref(root), ctypes.byref(info))
-    dlaed4 = _dlaed4()
+    dlaed4 = lib.dlaed4
     for i in range(k):
         i_c.value = i + 1
         dlaed4(*args)
@@ -466,11 +589,7 @@ def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
     """
     m = len(d)
     if m <= _LEAF_SIZE:
-        from scipy.linalg import lapack
-
-        vals, vecs, info = lapack.dstevd(d, e if len(e) else np.zeros(1))
-        if info != 0:
-            raise AssertionError(f"dstevd failed on a {m}-site block (info={info})")
+        vals, vecs = _dstevd(d, e)
         return vals, vecs[rows, :], (0, 0)
     c = m // 2
     beta = float(e[c - 1])
@@ -478,8 +597,10 @@ def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
     d1[-1] -= abs(beta)
     d2[0] -= abs(beta)
     left = rows < c
-    need1 = np.union1d(rows[left], [c - 1])
-    need2 = np.union1d(rows[~left] - c, [0])
+    # each half's rows and its row at the cut, ascending (np.union1d would
+    # import numpy.ma)
+    need1 = np.append(rows[rows < c - 1], c - 1)
+    need2 = np.append(0, rows[rows > c] - c)
     poles1, rows1, (small1, close1) = _split_merge(d1, e[:c - 1], need1)
     poles2, rows2, (small2, close2) = _split_merge(d2, e[c:], need2)
     tracked = np.zeros((len(rows), m))
@@ -530,21 +651,35 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     """All eigenvalues and the eigenvector entries at `sites` and the source site 1.
 
     Divide and conquer that carries only the rows it needs (`_split_merge`),
-    validated by `_validate_site_spectrum` against LAPACK dsterf.  `stats`
-    records the box size, the poles deflated in the merges (of each kind)
-    and the three defects.
+    validated by `_validate_site_spectrum` against LAPACK dsterf.  The
+    dsterf solve runs on a second thread while the merges run: ctypes lets
+    go of the GIL for the call, so it takes the core the one BLAS thread
+    leaves idle.  An error there is raised again here.  `stats` records the
+    box size, the poles deflated in the merges (of each kind) and the three
+    defects.
     """
-    from scipy.linalg import lapack
-
     tracked = sorted({int(n) for n in sites} | {1})
     rows_at = np.array([_box_index(n, trunc.N) for n in tracked])
-    w, rows, (small, close) = _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at)
-    reference, info = lapack.dsterf(trunc.diagonal, trunc.offdiagonal)
-    if info != 0:
-        raise AssertionError(f"dsterf failed (info={info})")
-    stats = {"size": trunc.size, "deflated_small_weight": small,
-             "deflated_close_poles": close}
-    stats.update(_validate_site_spectrum(trunc, w, reference, rows_at, rows))
+    reference, failure = [], []
+
+    def check():
+        try:
+            reference.append(_dsterf(trunc.diagonal, trunc.offdiagonal))
+        except Exception as exc:  # raised again in the caller
+            failure.append(exc)
+
+    checker = threading.Thread(target=check, name="dsterf")
+    with _one_blas_thread():
+        checker.start()
+        try:
+            w, rows, (small, close) = _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at)
+        finally:
+            checker.join()
+        if failure:
+            raise failure[0]
+        stats = {"size": trunc.size, "deflated_small_weight": small,
+                 "deflated_close_poles": close}
+        stats.update(_validate_site_spectrum(trunc, w, reference[0], rows_at, rows))
     return SiteSpectrum(trunc, w, tuple(tracked), rows, stats)
 
 
@@ -584,25 +719,26 @@ def abel_site_masses(es: SiteSpectrum, sites, T: Timescales) -> np.ndarray:
     size = max(min(m * m, _SECULAR_CHUNK), m, s)
     gap_buf, kern_buf = np.empty((2, size))
     acc = np.zeros((len(tau2), s))
-    j0 = 0
-    while j0 < m:
-        j1 = min(m, j0 + size // max(m - j0, s))
-        b = j1 - j0
-        gap2 = _column_minus_row(w[j0:], w[j0:j1], gap_buf[:(m - j0) * b].reshape(m - j0, b))
-        kern = kern_buf[:gap2.size].reshape(gap2.shape)
-        # a squared gap, or its product with (T/2)^2, beyond the float range
-        # is inf, whose kernel 1 / (1 + inf) = 0 is the exact limit
-        with np.errstate(over="ignore"):
-            np.square(gap2, out=gap2)
-        for t, c in enumerate(tau2):
+    with _one_blas_thread():
+        j0 = 0
+        while j0 < m:
+            j1 = min(m, j0 + size // max(m - j0, s))
+            b = j1 - j0
+            gap2 = _column_minus_row(w[j0:], w[j0:j1], gap_buf[:(m - j0) * b].reshape(m - j0, b))
+            kern = kern_buf[:gap2.size].reshape(gap2.shape)
+            # a squared gap, or its product with (T/2)^2, beyond the float range
+            # is inf, whose kernel 1 / (1 + inf) = 0 is the exact limit
             with np.errstate(over="ignore"):
-                np.multiply(gap2, c, out=kern)
-            kern += 1.0
-            # 2 / x is exactly twice 1 / x: the part below counts twice
-            np.divide(1.0, kern[:b], out=kern[:b])
-            np.divide(2.0, kern[b:], out=kern[b:])
-            acc[t] += np.einsum("sb,sb->s", g[:, j0:] @ kern, g[:, j0:j1])
-        j0 = j1
+                np.square(gap2, out=gap2)
+            for t, c in enumerate(tau2):
+                with np.errstate(over="ignore"):
+                    np.multiply(gap2, c, out=kern)
+                kern += 1.0
+                # 2 / x is exactly twice 1 / x: the part below counts twice
+                np.divide(1.0, kern[:b], out=kern[:b])
+                np.divide(2.0, kern[b:], out=kern[b:])
+                acc[t] += np.einsum("sb,sb->s", g[:, j0:] @ kern, g[:, j0:j1])
+            j0 = j1
     # the kernel is positive definite, so the exact values are probabilities;
     # rounding can leave negatives of up to ~1e-19 at numerically empty
     # sites, which the truncation bound charges through EDGE_ROUNDING

@@ -1,8 +1,10 @@
 """Test-session setup shared by the suite.
 
-The pytest header names the BLAS setup, because the pinned `dynamics`
-digests hold for one BLAS configuration only: OpenBLAS splits its products
-by thread count, so the same solve can differ in the last bits.
+The pytest header names the BLAS setup.  The pinned `dynamics` digests hold
+under any OpenBLAS thread count, because the solver and the Abel sweep run
+numpy's products on one thread, but they hold for one kind of CPU and one
+BLAS build: OpenBLAS and numpy pick their kernels by CPU at run time, and
+another BLAS can round differently.
 """
 
 import os

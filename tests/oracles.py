@@ -263,14 +263,15 @@ def secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     The same LAPACK dlaed4, called through a prototype that declares its
     eight pointer types, on numpy arrays, with `delta` read as numpy scalars.
     """
-    int_p, dbl_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    lib = DY._lapack()
+    int_p, dbl_p = ctypes.POINTER(lib.integer), ctypes.POINTER(ctypes.c_double)
     proto = ctypes.CFUNCTYPE(None, int_p, int_p, dbl_p, dbl_p, dbl_p, dbl_p, dbl_p, int_p)
-    dlaed4 = proto(ctypes.cast(DY._dlaed4(), ctypes.c_void_p).value)
+    dlaed4 = proto(ctypes.cast(lib.dlaed4, ctypes.c_void_p).value)
     k = len(poles)
     roots, origin, offset = [], [], []
     delta = np.empty(k)
-    i_c, root, info = ctypes.c_int(0), ctypes.c_double(0.0), ctypes.c_int(0)
-    args = (ctypes.byref(ctypes.c_int(k)), ctypes.byref(i_c),
+    i_c, root, info = lib.integer(0), ctypes.c_double(0.0), lib.integer(0)
+    args = (ctypes.byref(lib.integer(k)), ctypes.byref(i_c),
             poles.ctypes.data_as(dbl_p), z.ctypes.data_as(dbl_p),
             delta.ctypes.data_as(dbl_p), ctypes.byref(ctypes.c_double(rho)),
             ctypes.byref(root), ctypes.byref(info))

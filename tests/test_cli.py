@@ -626,10 +626,23 @@ def test_exit_code_bad_precision_bits(tmp_path, monkeypatch, launcher, bits):
     assert outputs[0] == outputs[1]
 
 
+
+def test_theta_list_labels_are_the_stripped_tokens(tmp_path):
+    # "0, 1/3" parses to the phases of "0,1/3", and labels them the same
+    outputs = []
+    for theta_list in ("0, 1/3", "0,1/3"):
+        out = tmp_path / str(len(outputs))
+        assert main(["words", "--k-max", "8", "--subword-max", "20",
+                     "--theta-list", theta_list, "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in ("words.csv", "parity.json")})
+    assert b'" 1/3"' not in outputs[0]["parity.json"]
+    assert outputs[0] == outputs[1]
+
 # run in a fresh interpreter: importing the command line loads every layer
-# (the benchmark's tracer reads them from sys.modules) but not SciPy, which
-# only the dynamics solvers import
-SCIPY_ON_DEMAND = """
+# (the benchmark's tracer reads them from sys.modules), and where numpy's
+# bundled OpenBLAS exports the solver's LAPACK routines no subcommand loads
+# SciPy, `dynamics` included
+SCIPY_UNUSED = """
 import sys
 
 import quasitrace.cli as cli
@@ -640,22 +653,23 @@ def scipy_modules():
 
 
 out = sys.argv[1]
-assert scipy_modules() == [], scipy_modules()[:5]
 layers = ["phase", "xfloat", "words", "transfer", "spectrum", "dynamics"]
 assert [n for n in layers if f"quasitrace.{n}" not in sys.modules] == []
+assert scipy_modules() == [], scipy_modules()[:5]
 for args in (["words", "--k-max", "5", "--subword-max", "10"],
              ["traces", "--k-max", "5", "--energies=-3:13:4"],
+             ["spectrum", "--k-max", "6", "--growth", "2:6"],
+             ["dynamics", "--p", "0.3", "--N", "50", "--T-grid", "10"],
              ["report"]):
     assert cli.main([*args, "--out", out]) == 0, args
-assert scipy_modules() == [], scipy_modules()[:5]
-assert cli.main(["dynamics", "--p", "0.3", "--N", "50", "--T-grid", "10",
-                 "--out", out]) == 0
-assert "scipy.linalg" in sys.modules
+    assert scipy_modules() == [], (args, scipy_modules()[:5])
 """
 
 
-def test_scipy_is_imported_only_by_dynamics(tmp_path):
-    proc = run_python(["-c", SCIPY_ON_DEMAND, str(tmp_path)])
+def test_no_subcommand_imports_scipy(tmp_path):
+    if DY._lapack().source != "numpy":
+        pytest.skip("numpy has no bundled OpenBLAS with the solver's LAPACK routines")
+    proc = run_python(["-c", SCIPY_UNUSED, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert "dynamics: ok" in proc.stdout
 
@@ -671,6 +685,7 @@ out = sys.argv[1]
 for args in (["words", "--k-max", "5", "--subword-max", "10"],
              ["traces", "--k-max", "5", "--energies=-3:13:4"],
              ["spectrum", "--k-max", "6", "--growth", "2:6"],
+             ["dynamics", "--p", "0.3", "--N", "50", "--T-grid", "10"],
              ["report"]):
     assert cli.main([*args, "--out", out]) == 0, args
     assert "numpy.ma" not in sys.modules, args
@@ -678,6 +693,8 @@ for args in (["words", "--k-max", "5", "--subword-max", "10"],
 
 
 def test_numpy_ma_is_not_imported_without_scipy(tmp_path):
+    if DY._lapack().source != "numpy":
+        pytest.skip("the solver's LAPACK routines come from SciPy, which loads numpy.ma")
     proc = run_python(["-c", NUMPY_MA_UNUSED, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert "report:" in proc.stdout
@@ -880,9 +897,10 @@ def test_spectrum_default_outputs_are_pinned(tmp_path):
 
 
 # SHA-256 of the default dynamics and words outputs.  The dynamics digests
-# hold for one BLAS configuration: OpenBLAS splits its products by thread
-# count, which moves the solver's last bits, so they are taken with
-# single-threaded BLAS (numpy's OpenBLAS build, 2-vCPU x86-64).
+# were taken with single-threaded BLAS (numpy's OpenBLAS build, 2-vCPU
+# x86-64); the solver now runs its products on one thread whatever the
+# environment sets, so they hold under any thread count, but the CPU
+# kernels OpenBLAS and numpy pick can still move bits on another machine.
 DEFAULT_SHA256 = {
     "dynamics": {
         "dynamics.csv": "0b3c819e5bbcdd88b92595b4a466f12d8af083c5c8d39f59232c64d9bb9b8864",
@@ -926,7 +944,8 @@ def test_words_large_outputs_are_pinned(tmp_path):
 # last merges keep 793 and 788 poles in the secular equation (the default
 # run's largest box, 305 sites, keeps at most 301).  Taken with
 # single-threaded BLAS before dlaed4 was called through a bare function
-# pointer.
+# pointer, and with SciPy's LAPACK before numpy's bundled OpenBLAS took its
+# place; like the default digests, they hold on one kind of CPU.
 LARGE_MERGE_SHA256 = {
     "dynamics.csv": "a4c0cc02383ee975c455e863d09a441190aaa1d7e57444df1b956c49dd6a8d5d",
     "bound_report.json": "6d1382b1ea998dbbcecd559f6beb6e8f51735b70e46285b6db64f9899d78b2cd",
@@ -943,25 +962,25 @@ def test_large_merge_dynamics_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-def test_dynamics_agrees_across_blas_thread_counts(tmp_path):
-    # the automatic box doubles from N = 28 to 448 per phase, and its last
-    # bits differ between 1 and 2 OpenBLAS threads
+def test_dynamics_agrees_across_blas_thread_counts(tmp_path, monkeypatch):
+    # the automatic box doubles from N = 28 to 448 per phase; the solver and
+    # the Abel sweep run their products on one BLAS thread, so every byte
+    # agrees whatever thread count the user set
     args = ["-m", "quasitrace", "dynamics", "--lambda", "6", "--p", "0.3",
             "--T-grid", "10,3000", "--theta-list", "0,1/3"]
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    outputs = {}
+    for threads in ("1", "2", None):
+        out = tmp_path / str(threads)
         proc = run_python([*args, "--out", str(out)],
-                          env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+                          env=None if threads is None else
+                          {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
-        reports.append(json.loads((out / "bound_report.json").read_text()))
-    one, two = reports
-    assert one["N_used"] == two["N_used"]
-    assert ({theta: [n for n, _ in steps] for theta, steps in one["box_steps"].items()}
-            == {theta: [n for n, _ in steps] for theta, steps in two["box_steps"].items()})
-    assert len(one["table"]) == len(two["table"]) == 4
-    for a, b in zip(one["table"], two["table"]):
-        assert (a["theta"], a["T"], a["valid"]) == (b["theta"], b["T"], b["valid"])
-        assert abs(a["mass"] - b["mass"]) <= 1e-12
-        assert abs(a["edge_mass"] - b["edge_mass"]) <= 1e-12
-    assert abs(one["G_emp"] - two["G_emp"]) <= 1e-12
+        outputs[threads] = {name: (out / name).read_bytes()
+                            for name in ("dynamics.csv", "bound_report.json")}
+    report = json.loads(outputs["1"]["bound_report.json"])
+    assert {theta: [n for n, _ in steps] for theta, steps in report["box_steps"].items()} == {
+        theta: [28, 56, 112, 224, 448] for theta in ("0", "1/3")}
+    assert outputs["2"] == outputs["1"]
+    assert outputs[None] == outputs["1"]

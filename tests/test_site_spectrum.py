@@ -265,6 +265,41 @@ def test_validation_rejects_eigenvalue_outside_gershgorin(checked):
         DY._validate_site_spectrum(trunc, w, ref, rows_at, spec.rows)
 
 
+
+def test_a_dsterf_failure_on_its_thread_is_raised_in_the_caller(monkeypatch):
+    def fail(d, e):
+        raise AssertionError("dsterf failed (info=1)")
+
+    monkeypatch.setattr(DY, "_dsterf", fail)
+    with pytest.raises(AssertionError, match=r"dsterf failed \(info=1\)"):
+        DY.site_spectrum(DY.build_truncation(20, 6.0, TH0), range(-2, 3))
+
+
+def test_solver_and_sweep_run_on_one_blas_thread_and_give_the_count_back(
+        monkeypatch, small_leaves):
+    set_threads = DY._lapack().set_threads
+    if set_threads is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    seen = []
+
+    def spy(real):
+        def wrapped(*args):
+            seen.append(set_threads(1))  # the count in force; left at 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(DY, "_validate_site_spectrum", spy(DY._validate_site_spectrum))
+    monkeypatch.setattr(DY, "_column_minus_row", spy(DY._column_minus_row))
+    before = set_threads(2)
+    try:
+        es = DY.site_spectrum(DY.build_truncation(40, 6.0, TH0), range(-3, 4))
+        assert set_threads(2) == 2
+        DY.abel_site_masses(es, range(-3, 4), [10.0, 100.0])
+        assert set_threads(2) == 2
+    finally:
+        set_threads(before)
+    assert seen and set(seen) == {1}
+
 # ---------------------------------------------------------------------------
 # high-precision reference
 # ---------------------------------------------------------------------------
