@@ -18,10 +18,20 @@ packed into blocks of about ``_SCAN_BLOCK_POINTS`` grid points, each evaluated
 in one call, and every segment's points are built as linspace builds them,
 ``arange(n) * ((hi - lo) / (n - 1)) + lo`` with the last point set to ``hi``.
 In-band runs break at every segment boundary, so the runs, their brackets and
-the bands are those of the per-segment scan bit for bit.  The budget bounds
-memory and keeps a block's arrays (256 KiB of float64 at 2^15 points) in cache
-through the ~40 numpy passes over it: a cold `derivative_growth_scan(10, 6, 18)`
-took median 0.50, 0.46, 0.47, 0.72 s at 2^14..2^17 points (2-vCPU Xeon).
+the bands are those of the per-segment scan bit for bit.
+
+Every block of a scan, and the bisection of its edges, runs on one workspace
+of rows as wide as the largest block, and the recursion writes each level
+into one of four of them.  The workspace is there for page churn, not peak
+memory: with fresh rows for every level, malloc handed the pages back to the
+system and took new zeroed ones, about 50,000 minor faults (200 MB) and
+0.05 s of system time in a cold `derivative_growth_scan(10, 6, 18)` at 2^15
+points, whose peak RSS is 46 MB.  On the workspace that call takes 3,700 to
+5,300 faults at any budget from 2^14 to 2^17.  The budget keeps a block's
+rows in cache through the ~40 numpy passes over them, four rows of 2^14
+float64 being 512 KiB: the cold call took median 0.203, 0.232, 0.242,
+0.312 s at 2^14..2^17 points (7 fresh processes each, alternating), and
+0.249, 0.208, 0.222 s at 2^13..2^15 (12 each; 2-vCPU Xeon).
 
 A refinement attempt compares the census at p points per parent with the one
 at 2p - 1 and evaluates only the finer grid.  Its even-indexed points are the
@@ -74,7 +84,7 @@ EDGE_TOL_ABS = 1e-12
 SEARCH_MARGIN = 0.5
 _PER_PARENT_POINTS = 129
 _GLOBAL_POINTS = 4097
-_SCAN_BLOCK_POINTS = 1 << 15
+_SCAN_BLOCK_POINTS = 1 << 14
 MAX_GROWTH_LEVEL = 22  # the top level of a growth fit
 
 
@@ -101,7 +111,7 @@ class GrowthFit:
 # vectorized phase-zero trace recursion
 # ----------------------------------------------------------------------------
 
-def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool):
+def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool, rows=None):
     """The phase-zero recursion x_j = x_{j-1} x_{j-2} - x_{j-3}, written once.
 
     Returns the lists (xs, ds) of x_j and, with `derivatives`, dx_j/dE.  With
@@ -109,17 +119,31 @@ def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool):
     three levels are kept, so x_k_max is ``xs[min(k_max, 2)]``.  E is a float64
     array, or any number with +, - and *: the tests run it on extended reals
     and mpmath numbers, far past float64 range.
+
+    With `rows`, four float64 rows of E's length, each level is written into a
+    row as the ufuncs' output: level j goes to row j mod 4, the one row the
+    last three levels leave free, and row 3 holds lam * E until level 3.  The
+    operations and their order are those of the allocating path, so every
+    value keeps its bits.  It takes neither `derivatives` nor `keep_all`, since
+    the rows are overwritten.
     """
+    if rows is None:
+        mul, sub, out = (lambda a, b, _: a * b), (lambda a, b, _: a - b), [None] * 4
+    else:
+        mul, sub, out = np.multiply, np.subtract, list(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = [E - lam, E * E - lam * E - 2.0, (E - lam) * (E * (E - lam) - 2.0) - E]
-        ds = []
+        # E - lam, E * E - lam * E - 2.0 and (E - lam) * (E * (E - lam) - 2.0) - E
+        x0 = sub(E, lam, out[0])
+        x1 = sub(sub(mul(E, E, out[1]), mul(lam, E, out[3]), out[1]), 2.0, out[1])
+        x2 = sub(mul(x0, sub(mul(E, x0, out[2]), 2.0, out[2]), out[2]), E, out[2])
+        xs, ds = [x0, x1, x2], []
         if derivatives:
             ds = [np.ones_like(E), 2.0 * E - lam,
                   (E * (E - lam) - 2.0) + (E - lam) * (2.0 * E - lam) - 1.0]
-        for _ in range(3, k_max + 1):
+        for j in range(3, k_max + 1):
             if derivatives:
                 ds.append(ds[-1] * xs[-2] + xs[-1] * ds[-2] - ds[-3])
-            xs.append(xs[-1] * xs[-2] - xs[-3])
+            xs.append(sub(mul(xs[-1], xs[-2], out[j % 4]), xs[-3], out[j % 4]))
             if not keep_all:
                 del xs[:-3], ds[:-3]
     return xs, ds
@@ -136,9 +160,16 @@ def trace_grid(E, lam: float, k_max: int):
     return xs[: k_max + 1], ds[: k_max + 1]
 
 
-def _trace_at(E, lam: float, k: int):
-    """x_k on an array, holding three levels at a time."""
-    return _recurse(E, lam, k, False, keep_all=False)[0][min(k, 2)]
+def _trace_at(E, lam: float, k: int, rows):
+    """x_k on a float64 array, the bits of ``trace_grid(E, lam, k)[0][k]``.
+
+    The recursion runs in place on `rows`, a float64 array of shape (4, m) with
+    m >= E.size, and the result is a view of one of them, valid until the rows
+    are used again.  A scan hands the same rows to every block and bisection
+    step, so the levels reuse pages that are already mapped instead of
+    faulting in new ones.
+    """
+    return _recurse(E, lam, k, False, keep_all=False, rows=rows[:, :E.size])[0][min(k, 2)]
 
 
 # ----------------------------------------------------------------------------
@@ -150,7 +181,29 @@ def _in_band(vals):
     return np.abs(vals) <= 2.0
 
 
-def _scan_segments(segments, lam: float, k: int, per_parent: int):
+def _grid_sizes(weight, per_parent: int):
+    """Grid points of each scan segment: weight * per_parent, shared ends once."""
+    return weight * (per_parent - 1) + 1
+
+
+def _workspace(sizes):
+    """The rows one scan reuses for every block and for its bisection.
+
+    A float64 array of five rows: the grid, and the four rows `_trace_at` runs
+    the recursion on.  An integer array of two rows: 0, 1, 2, ... and each
+    point's index within its segment.  A boolean row for the run bounds.  They
+    are as wide as the largest block, since a block's segments all start
+    within one stretch of _SCAN_BLOCK_POINTS points.  A block's three
+    ``np.repeat`` expansions are freed as soon as they are read, so malloc
+    hands their heap memory to the next block without new pages.
+    """
+    points = int(min(sizes.sum(), _SCAN_BLOCK_POINTS + sizes.max() - 1))
+    ints = np.empty((2, points), dtype=np.intp)
+    ints[0] = np.arange(points)
+    return np.empty((5, points)), ints, np.empty(points + 1, dtype=bool)
+
+
+def _scan_segments(segments, lam: float, k: int, per_parent: int, work=None):
     """Return the in-band runs of a scan as arrays, and its coarse census.
 
     `segments` holds the arrays (lo, hi, weight); the weight counts the parent
@@ -161,13 +214,17 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
     right neighbours, and the masks has_left and has_right, False where a band
     edge lies on the segment boundary and the neighbour brackets nothing.  The
     census is the run count on the even-indexed points of each segment: for
-    per_parent = 2p - 1 that of the scan at p points per parent.
+    per_parent = 2p - 1 that of the scan at p points per parent.  The blocks
+    run on `work`, a `_workspace` for these segments, fresh when None; the
+    runs are copies and hold none of it.
     """
     lo, hi, weight = segments
-    sizes = weight * (per_parent - 1) + 1
+    sizes = _grid_sizes(weight, per_parent)
     step = (hi - lo) / (sizes - 1)
     # hi > lo without underflow: numpy's step == 0 branch of linspace never arises
-    assert np.all(step > 0), "scan segments must have hi > lo"
+    if not np.all(step > 0):
+        raise ValueError("scan segments must have hi > lo")
+    floats, ints, bounds_row = _workspace(sizes) if work is None else work
     offsets = np.cumsum(sizes) - sizes
     cuts = np.flatnonzero(np.diff(offsets // _SCAN_BLOCK_POINTS)) + 1
     parts = []
@@ -176,14 +233,18 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
         n = sizes[block]
         first = np.cumsum(n) - n
         total = int(n.sum())
-        index = np.arange(total) - np.repeat(first, n)
-        grid = index * np.repeat(step[block], n) + np.repeat(lo[block], n)
+        grid = floats[0, :total]
+        count, index = ints[:, :total]
+        np.subtract(count, np.repeat(first, n), out=index)
+        np.multiply(index, np.repeat(step[block], n), out=grid)
+        np.add(grid, np.repeat(lo[block], n), out=grid)
         grid[first + n - 1] = hi[block]
-        inside = _in_band(_trace_at(grid, lam, k))
+        inside = _in_band(_trace_at(grid, lam, k, floats[1:]))
         # pieces of constant in/out within one segment lie between these bounds
-        flips = np.ones(total + 1, dtype=bool)
+        flips = bounds_row[:total + 1]
         np.not_equal(inside[1:], inside[:-1], out=flips[1:-1])
         flips[first] = True
+        flips[total] = True
         bounds = np.flatnonzero(flips)
         live = inside[bounds[:-1]]
         starts, ends = bounds[:-1][live], bounds[1:][live] - 1
@@ -197,24 +258,28 @@ def _scan_segments(segments, lam: float, k: int, per_parent: int):
     return tuple(np.concatenate(column) for column in zip(*parts)), coarse
 
 
-def _bisect_edges(outer, inner, lam: float, k: int):
+def _bisect_edges(outer, inner, lam: float, k: int, rows=None):
     """Vectorized bisection of |x_k| = 2 crossings between outer and inner points.
 
     Runs down to a few ULP so the located edges leave no slack a child band of
     the next levels could hide in; comfortably below the 1e-12 edge target.
     That tolerance shrinks with |E|, so an edge at E = 0 may never meet it: the
     bisection stops after 90 halvings and raises BandResolutionError only if a
-    bracket is still wider than EDGE_TOL_ABS.
+    bracket is still wider than EDGE_TOL_ABS.  Every halving runs the
+    recursion on `rows`, as `_trace_at` takes them, or on rows of its own
+    where they are None or too short.
     """
     lo = np.array(outer, dtype=float)
     hi = np.array(inner, dtype=float)
+    if rows is None or rows.shape[1] < lo.size:
+        rows = np.empty((4, lo.size))
     for halving in range(91):
         width = np.abs(hi - lo)
         tol = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         if halving == 90 or np.all(width <= tol):
             break
         mid = 0.5 * (lo + hi)
-        inside = _in_band(_trace_at(mid, lam, k))
+        inside = _in_band(_trace_at(mid, lam, k, rows))
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
     if np.any(width > np.maximum(tol, EDGE_TOL_ABS)):
@@ -226,12 +291,13 @@ def _detect_bands(segments, lam: float, k: int, per_segment: int):
     """The band edges (lo, hi) of one scan, and the run count on its even points.
 
     The edges come as two arrays sorted by lo, a zero-width band after a
-    band of the same lo.
+    band of the same lo.  The scan and both bisections share one workspace.
     """
+    work = _workspace(_grid_sizes(segments[2], per_segment))
     (out_lo, los, his, out_hi, has_lo, has_hi), coarse = _scan_segments(
-        segments, lam, k, per_segment)
+        segments, lam, k, per_segment, work)
     for outer, edges, refine in ((out_lo, los, has_lo), (out_hi, his, has_hi)):
-        edges[refine] = _bisect_edges(outer[refine], edges[refine], lam, k)
+        edges[refine] = _bisect_edges(outer[refine], edges[refine], lam, k, work[0][1:])
     # zero-width runs (single grid point, edges collapsed) still count as bands
     point = los >= his
     eps = 2.0 * np.spacing(np.abs(los[point]) + 1.0)

@@ -1,13 +1,18 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import quasitrace
 from quasitrace.phase import PhasePoint, omega
 from quasitrace.words import fib_number
 from quasitrace import spectrum as SP
@@ -46,6 +51,29 @@ def test_trace_grid_derivatives_match_duals():
             traces, derivs = xreal_rows(ref.traces), xreal_rows(ref.derivs)
             assert xs[k][i] == pytest.approx(float(traces[k]), rel=1e-10, abs=1e-9)
             assert ds[k][i] == pytest.approx(float(derivs[k]), rel=1e-10, abs=1e-9)
+
+
+# E from band-sized values out to +-1e300, where the levels overflow to inf
+# and then meet inf - inf; drawn as (E, ...) lists of different lengths
+_energies = st.lists(
+    st.one_of(st.floats(-5.0, 15.0), st.floats(-1e300, 1e300)), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_energies, st.floats(0.0, 1e30), st.integers(0, 25)),
+                min_size=1, max_size=4),
+       st.integers(0, 8))
+@example([([1e300, -1e300, 0.5, 7.0], 1e30, 25), ([3.0], 0.0, 0), ([3.0, -2.5], 10.0, 1),
+          ([9.5, 1e200], 10.0, 2)], 3)
+def test_trace_at_is_the_trace_grid_level_bit_for_bit(calls, slack):
+    # one set of rows, wider than every E, serves all the calls in turn
+    rows = np.full((4, max(len(E) for E, _, _ in calls) + slack), np.nan)
+    for E, lam, k in calls:
+        E = np.array(E)
+        got = SP._trace_at(E, lam, k, rows)
+        want = SP.trace_grid(E, lam, k)[0][k]
+        assert got.shape == E.shape and np.shares_memory(got, rows)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +307,47 @@ def test_batched_scan_edge_cases(budget):
     # on the even points (7.9, 12.1 | 6, 8, 10 | 10, 13 | -3, ..., 9.4) the
     # runs are [8, 10], [10, 10] and [9.4, 9.4]; the first segment has none
     assert coarse == 3
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+def test_scan_rejects_a_segment_without_width_under_optimisation(lo, hi):
+    # python -O strips assert statements; the check must still raise there
+    script = ("import numpy as np\n"
+              "from quasitrace import spectrum as SP\n"
+              f"segments = (np.array([{lo}]), np.array([{hi}]), np.array([1]))\n"
+              "try:\n"
+              "    SP._scan_segments(segments, 10.0, 3, 5)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    root = str(Path(quasitrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "scan segments must have hi > lo\n"
+
+
+def test_scan_runs_hold_no_workspace_memory():
+    # two scans on one workspace, then two on workspaces of their own
+    segments = _arrays([(-3.0, 2.0, 2), (7.0, 13.0, 3)])
+    work = SP._workspace(SP._grid_sizes(segments[2], 17))
+    for shared in (work, None):
+        first, _ = SP._scan_segments(segments, 10.0, 1, 17, shared)
+        second, _ = SP._scan_segments(segments, 10.0, 2, 17, shared)
+        assert all(len(run) for run in first + second)
+        for a, b in itertools.combinations(first + second, 2):
+            assert not np.shares_memory(a, b)
+        for run in first + second:
+            assert not any(np.shares_memory(run, rows) for rows in work)
+
+
+def test_scans_leave_the_cached_lower_levels_alone(fresh_band_cache):
+    # the scans of levels 13..19 reuse workspaces; none may write into a cached level
+    lower = [tuple(edges.copy() for edges in SP.bands(k, 10.0)) for k in range(13)]
+    SP.bands(19, 10.0)
+    for k, copies in enumerate(lower):
+        for copy, cached in zip(copies, SP.bands(k, 10.0)):
+            assert copy.view(np.uint64).tolist() == cached.view(np.uint64).tolist()
 
 
 @st.composite
