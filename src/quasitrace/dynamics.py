@@ -806,11 +806,12 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
     if min(ts) <= 0:
         raise ValueError("timescales must be positive")
     max_l = max(C1 * t**p_used for t in ts)
-    top = math.floor(max_l) + 1
     fixed = N != "auto"
     limit = int(N) if fixed else MAX_BOX
-    if top >= limit:
+    # floor(max_l) + 1 >= limit; a radius past float range is inf, and fails too
+    if not max_l < limit - 1:
         raise WindowError(f"window radius {max_l:.6g} does not fit the box N={limit}")
+    top = math.floor(max_l) + 1
     records: list[AbelRecord] = []
     n_used, solver, box_steps = {}, {}, {}
     for theta in thetas:

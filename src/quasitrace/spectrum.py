@@ -111,21 +111,21 @@ class GrowthFit:
 # vectorized phase-zero trace recursion
 # ----------------------------------------------------------------------------
 
-def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool, rows=None):
+def _recurse(E, lam: float, k_max: int, derivatives: bool, rows=None):
     """The phase-zero recursion x_j = x_{j-1} x_{j-2} - x_{j-3}, written once.
 
-    Returns the lists (xs, ds) of x_j and, with `derivatives`, dx_j/dE.  With
-    `keep_all` they hold levels 0..max(k_max, 2); without it only the last
-    three levels are kept, so x_k_max is ``xs[min(k_max, 2)]``.  E is a float64
-    array, or any number with +, - and *: the tests run it on extended reals
-    and mpmath numbers, far past float64 range.
+    Returns the lists (xs, ds) of x_j and, with `derivatives`, dx_j/dE, at
+    levels 0..max(k_max, 2).  E is a float64 array, or any number with +, -
+    and *: the tests run it on extended reals and mpmath numbers, far past
+    float64 range.
 
     With `rows`, four float64 rows of E's length, each level is written into a
     row as the ufuncs' output: level j goes to row j mod 4, the one row the
     last three levels leave free, and row 3 holds lam * E until level 3.  The
     operations and their order are those of the allocating path, so every
-    value keeps its bits.  It takes neither `derivatives` nor `keep_all`, since
-    the rows are overwritten.
+    value keeps its bits.  As the rows are overwritten, xs then holds only the
+    last three levels, so x_k_max is ``xs[min(k_max, 2)]``, and it takes no
+    `derivatives`.
     """
     if rows is None:
         mul, sub, out = (lambda a, b, _: a * b), (lambda a, b, _: a - b), [None] * 4
@@ -144,8 +144,8 @@ def _recurse(E, lam: float, k_max: int, derivatives: bool, keep_all: bool, rows=
             if derivatives:
                 ds.append(ds[-1] * xs[-2] + xs[-1] * ds[-2] - ds[-3])
             xs.append(sub(mul(xs[-1], xs[-2], out[j % 4]), xs[-3], out[j % 4]))
-            if not keep_all:
-                del xs[:-3], ds[:-3]
+            if rows is not None:
+                del xs[:-3]
     return xs, ds
 
 
@@ -156,7 +156,7 @@ def trace_grid(E, lam: float, k_max: int):
     every band (bounded orbits stay below ~lam + 6 by the trace invariant),
     so band detection treats non-finite as out.
     """
-    xs, ds = _recurse(np.asarray(E, dtype=float), lam, k_max, True, keep_all=True)
+    xs, ds = _recurse(np.asarray(E, dtype=float), lam, k_max, True)
     return xs[: k_max + 1], ds[: k_max + 1]
 
 
@@ -169,7 +169,7 @@ def _trace_at(E, lam: float, k: int, rows):
     step, so the levels reuse pages that are already mapped instead of
     faulting in new ones.
     """
-    return _recurse(E, lam, k, False, keep_all=False, rows=rows[:, :E.size])[0][min(k, 2)]
+    return _recurse(E, lam, k, False, rows=rows[:, :E.size])[0][min(k, 2)]
 
 
 # ----------------------------------------------------------------------------

@@ -8,16 +8,10 @@ norm/derivative inequality.
 All products carry a power-of-two exponent so sweeps stay valid where the
 entries grow past float64 range (doubly exponential growth off the spectrum).
 Rescaling by powers of two is exact, so the extended representation changes
-nothing but the dynamic range.
-
-Scalar layer.  A tuple (a, b, c, d, e) means 2**e * [[a, b], [c, d]].  `_mul`
-multiplies two of them and rescales when an entry passes its threshold,
-`_lane_limit` of the energy: 2**256, or 2**1022 / g where that is lower, g =
-max(|E|, |E - lam|) + 1, so that the next factor cannot overflow.  `_add`
-rescales sums past 2**256; `_norm_sq` gives the squared spectral norm as a
-normalized (m, e) pair of `xfloat`.  They are the specification whose values
-the sweep keeps (see "Value identity"), and the tests build their scalar
-products on them.
+nothing but the dynamic range.  The sweep is specified by `scalar_mul`,
+`scalar_add` and `scalar_norm_sq` in `tests/oracles.py`, products of (a, b,
+c, d, e) tuples, 2**e * [[a, b], [c, d]]; `tests/test_transfer_lanes.py`
+holds every lane to them, and its docstring argues why a lane can.
 
 Sweep kernel.  `_sweep` is the only loop over sites.  It multiplies the
 one-site matrices along the potential for many lanes at once: (side, phase)
@@ -61,8 +55,8 @@ grows as G**2: `traces --random-thetas 30` (62 groups over 64 energies, 5,952
 lanes) has 109 patterns on its 987 sites, 10.4 MB against 3.0 MB.  The state
 of a sweep is O(lanes * (B + U) + sites).
 
-Block rescale.  A product lane is checked against its threshold once per block
-of B sites, at the block's last site, not at every site as in `_mul`.  A step
+Block rescale.  A product lane is checked against its threshold, `_lane_limit`
+of its energy, once per block of B sites, at the block's last site.  A step
 multiplies the largest |entry| by at most `growth`, the largest |t| + 1 of the
 sweep with a rounding slack, and `_rescale_sites` takes the largest B up to a
 cap with growth**B <= the least threshold: at coupling 10 over energies in
@@ -71,11 +65,10 @@ every lane whose largest |entry| passes its threshold / growth**B, and so
 could pass the threshold within the next block, is scaled into [0.5, 1) by
 `_renorm`, both rows and its derivative lane alike.  So no stored entry passes
 its lane's threshold.  Where growth**2 passes the least threshold (factors
-beyond about 2**128, as at coupling 1e300) B is 1, and the check is that of
-`_mul`, |entry| > threshold, at every site, the last one included, in its
-order: the product's rescale, then the check of `d_bound`, then the mark.
-Those sweeps keep the raw split of the scalar layer.  With B > 1 nothing is
-rescaled after the last site, as nothing follows it.  The cap is
+beyond about 2**128, as at coupling 1e300) B is 1, and the check, |entry| >
+threshold, runs at every site, the last one included, in this order: the
+product's rescale, then the check of `d_bound`, then the mark.  With B > 1
+nothing is rescaled after the last site, as nothing follows it.  The cap is
 `_block_sites` with norms (see "Norm sums") and 32 without, which keeps the
 buffers small.  The peak of a site is frexp(max |entry|)[1] + e, and e changes
 only at a block's end.  The product of a site is its row and the row before
@@ -88,48 +81,16 @@ the block's rows, plus e as it stands before the rescale; a mark inside the
 block takes the larger of `high` from before the block and the same frexp
 over the block's rows up to its site.  A scale by 2**-ex lowers the frexp by
 ex and raises e by ex, so the peaks do not depend on where a lane rescales.
-
-Value identity.  Every product lane does the IEEE operations of the scalar
-layer in the same order: `_mul` per factor, `_norm_sq` and `xfloat.add` for
-norm sums.  It rescales at other sites than `_mul` does, but every rescale is
-a scaling by a power of two, and IEEE rounding does not change under a common
-power-of-two scale while no entry leaves the normal range: numpy's elementwise
-float64 operations are correctly rounded IEEE-754 binary64 operations like
-Python's float arithmetic, each one rounds on its own (no fused multiply-add),
-and frexp/ldexp by powers of two are exact.  So each entry of a product has
-the value that the scalar layer gives, and only its split into entry and
-exponent differs.  The one exception is an entry more than 2**1021 below the
-largest entry of its matrix: a scale that puts the largest entry into [0.5, 1)
-puts it below the normal range, where it rounds or flushes to zero, so where
-one split takes such a scale and the other does not, its value can differ.
-The outputs do not depend on the split: traces, derivative traces and norm
-sums are (m, e) pairs normalized from the entries, and a peak is the exponent
-of the largest entry.  They keep the bits of the scalar layer; the tests hold
-them to it bit for bit, and the products by value with that one exception.
-The step (see "Steps") drops the terms 0.0 * y of `_mul`, so a zero entry can
-differ from `_mul`'s in sign.  No output sees it: `xfloat.normalized` turns
--0.0 into 0.0, peaks and norms read |entry|, and no nonzero value depends on
-the sign of a zero, as x + (+-0.0) is x and t * (+-0.0) - y is -y.  Which
-lanes share a sweep sets B and the cutoff threshold / growth**B through its
-largest factor, so it can change the split of a product but not its values;
-lanes over the same energies keep their bits in any groups and any order.
+Which energies share a sweep sets B and the cutoff through its largest
+factor, so it can move where a lane rescales, but it changes no output (see
+"Value identity" in the docstring of `tests/test_transfer_lanes.py`).
 
 Derivative lanes.  A derivative lane shares its product lane's exponent e: it
 is not checked against a threshold, and `_renorm` copies its owner's ex to it
 before the one `take` of the scales, so it takes every rescale of its owner.
 Both operands of the product rule, the step of dM and the row X_{n-1} of its
 product, then carry the exponent of the old product, and the rule is one
-`np.add` into dX_n.  The scalar rule rescales T dM on its own and aligns the
-operands of `_add` by 2**shift; all of these are scalings by powers of two,
-so, as for the products, each entry of dM has the value that `_add` gives and
-only its split differs; the derivative traces, normalized from dM[0] + dM[3],
-keep their bits.  Values can differ only where an entry leaves the normal
-range.  At |E| near 1e300 dM lies about 1e-300 below its product, and its
-entries 1e-300 below its largest round to 0.0 in the shared exponent; where
-the scalar rule drops an operand by its far-shift branch, a zero entry can
-differ in sign.  The traces, dominated by the largest entry, kept their bits
-in every such case tried: the lane tests at coupling or energy near 1e300, and
-300 random draws of both up to 1e300 against the scalar rule.
+`np.add` into dX_n.
 
 dM is never squared, so it needs no rescale of its own; it only must not
 overflow in the next step.  No stored product entry passes 2**256, so
@@ -139,92 +100,47 @@ passes `d_limit`, 2**1022 / growth but at least 1.0, `_renorm` with `limit`
 takes the largest |entry| of every derivative lane, which becomes the new
 bound, and rescales into [0.5, 1) each lane whose own entries pass the limit:
 that lane leaves its owner's exponent.  Until a later check finds every lane
-back on its owner's exponent, the product rule runs as `_add_lanes`, the
-general `_add` per lane; on a lane whose exponent is its owner's both operands
-take the scale 1.0, so it gets the bits of the one add.  A lane off its
-owner's exponent still takes its owner's rescales, as no power-of-two scale
-changes a value; it leaves upward, by an ex of at least 1, so its exponent is
-never below its owner's, `_add` gives dM the scale 1.0, and dX_{n-1}, which
-that scale would reach too, keeps its bits.  `d_bound` bounds every lane, so a
-lane leaves exactly where its own entries pass `d_limit`; that limit follows
-the largest factor of the sweep, so the split of a derivative lane that
-leaves, but not its values, can depend on the other lanes.  The general add
-runs at none of the sites of the benchmark's `traces-large` sweep or of the
-default `traces` run, and at 373 of 377 of `traces --lambda 1e300 --k-max 12
---energies=-1:1:5 --theta 1/3`, where a derivative outgrows its product by
-about lambda per level, so it allocates its temporaries at each call.
+back on its owner's exponent, the product rule runs as `_add_lanes`, an add
+that aligns the exponents of its operands; on a lane whose exponent is its
+owner's both operands take the scale 1.0, so it gets the bits of the one add.
+A lane off its owner's exponent still takes its owner's rescales, as no
+power-of-two scale changes a value; it leaves upward, by an ex of at least 1,
+so its exponent is never below its owner's, `_add_lanes` gives dM the scale
+1.0, and dX_{n-1}, which that scale would reach too, keeps its bits.
+`d_bound` bounds every lane, so a lane leaves exactly where its own entries
+pass `d_limit`, which follows the largest factor of the sweep.  The general
+add runs at none of the sites of the benchmark's `traces-large` sweep or of
+the default `traces` run, and at 373 of 377 of
+`traces --lambda 1e300 --k-max 12 --energies=-1:1:5 --theta 1/3`, where a
+derivative outgrows its product by about lambda per level, so it allocates
+its temporaries at each call.
 
 Norm sums.  They keep the bits of one `xfloat.add` per site, though they are
 summed a block at a time.  `_norm_sq_lanes` normalizes each stored product,
-as `_norm_sq` does, so the squared norms do not depend on its split.  For
-normalized positive operands that add is the binary64 sum of the values
-scaled by a common power of two while the larger stays normal: scaling does
-not change IEEE rounding.  `_running_sums` scales a lane's carry and block
-values by 2**-top (top their largest exponent), adds them in float64 and
-splits the sums back with `frexp`.  Squared norms of det-1 products change by
-at most g**2 per site, g = `growth` (||T|| <= |t| + 1), and B <=
-`_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every running sum
-stays within 2**960 of its block's largest value, normal and exact.  A value
-that goes subnormal lies below half an ulp of the sum it joins and rounds
-away in both forms, as it does past shift < -1080 in `xfloat.add`.  Where no
-B fits, B = 1 and a block is one add, whose larger operand scales into [0.5,
-1).  `norm_profile` adds the fractional edge term of a window with
-`xfloat.mul` and `add`, and `norm_trace_margin` takes the 3/2 power of the
-sums with `xfloat.sqrt` and `mul`, so norm sums and margins stay (m, e)
-arrays from the sweep to the files.
+so the squared norms do not depend on its split.  `_running_sums` scales a
+lane's carry and block values by 2**-top (top their largest exponent), adds
+them in float64 and splits the sums back with `frexp`.  Squared norms of
+det-1 products change by at most g**2 per site, g = `growth` (||T|| <= |t| +
+1), and B <= `_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every
+running sum stays within 2**960 of its block's largest value, normal and
+exact.  Where no B fits, B = 1 and a block is one add, whose larger operand
+scales into [0.5, 1).  `norm_profile` adds the
+fractional edge term of a window with `xfloat.mul` and `add`, and
+`norm_trace_margin` takes the 3/2 power of the sums with `xfloat.sqrt` and
+`mul`, so norm sums and margins stay (m, e) arrays from the sweep to the
+files.
 
 Steps.  On the right M_n = T_n M_{n-1}, T = [[t, -1], [1, 0]], has the rows
 (X_n, X_{n-1}); on the left M_n = M_{n-1} T_n has the columns (X_n,
 -X_{n-1}).  Either way X_n = t X_{n-1} - X_{n-2}, and every lane runs
-fl(fl(t * X_{n-1}) - X_{n-2}): the operations of `_mul`'s first row x * t +
-y * -1.0, y = X_{n-2}, and first column x * t + y * 1.0, y = -X_{n-2}, as
-y * -1.0 is -y and a + -b is a - b.  Its second row, x + 0.0 * y or 0.0 * y
-- x, is +-X_{n-1} but for the sign of a zero (see "Value identity").  The
-derivative, on lanes after the products with their owners' factors, is
-fl(fl(fl(t * dX_{n-1}) - dX_{n-2}) + X_{n-1}): the same step plus row one of
-the old product, which T' = [[1, 0], [0, 0]] keeps.  Every operation is
-elementwise, so the order of the lanes changes no bits.  A mark holds the
-product as rows 0-1 X and 2-3 +-X_{n-1}: (a, b), (c, d) on the right and
-(a, c), (b, d) on the left.  One gather per block puts the entries in (a, b,
-c, d) order before the squared norms, so the squares add in the order of
-`_norm_sq`; the sign of -X_{n-1} changes no bit of them.
-
-Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and the
-reducing ndarray methods (not numpy scalar arithmetic or indexing), each
-weighted by how often its branch runs: the step is one `np.multiply` of two
-(2, lanes) operands and one `np.subtract` into the next slot of the buffer,
-the derivative one `np.add`.  At a block's end the peaks are five calls
-(`np.abs`, `max`, `np.frexp`, the add of e, `np.maximum`), and four more (all
-but `np.abs`) for each mark inside the block; the rescale check is `np.abs`
-and two `np.maximum.reduce`, and a rescale six more (`np.frexp`, the
-comparison and product that zero ex on the other lanes, the `take` of the
-scales, the product of the entries, the new exponents).  Where `d_bound`
-passes its limit its check is the same three calls and `np.array_equal`;
-`_add_lanes` makes nine calls.  A sweep with norms pays the five calls of
-the peaks per block too, 0.07 per site at the B = 67 of the default
-`norm_profile`.  The `phase_traces` sweep of the benchmark's `traces-large`
-run (17,711 sites, 288 product and 96 derivative lanes, 552 of 554 blocks of
-32 sites rescaling, `d_bound` past its limit at 88 sites) makes per site:
-
-    step  rescale  derivative  block  total
-     2.0     0.28        1.02   0.16   3.46
-
-Call counts hide the cost of each call.  By `timeit` at this sweep's shapes
-(one 2-vCPU Xeon), `np.multiply` took 1.4-2.4 us where it broadcast a (lanes,)
-row of factors over the (2, lanes) rows, against 0.9-1.1 us on two operands of
-one shape, so the factors are stored once per row; and a running maximum
-(`np.maximum.accumulate`) of the (32, 288) exponents of a block took 32-33 us
-against 4 us for their plain `max`, so the peaks take one maximum per block
-and per mark.  A per-block fill of a (B, 2, lanes) block of factors, a lookup
-of the block's symbols per lane, one `np.where` and a broadcast store, counted
-one call but took 85 us per block, 2.7 us per site, so the factors come from
-the table.  A check at every site, as in `_mul`, rescales at 13,951 sites and
-takes 7.73 calls per site in the rescale alone.  `BENCH_26.json`,
-`BENCH_27.json` and `BENCH_28.json` hold the CPU seconds of this sweep.  A
-lane threshold below 2**256 (a factor of 2**766 or more) adds one call per
-check for the least threshold.  `_add_lanes` stays a function: by `timeit` on
-96 lanes the call costs at most 0.3 us per site over its body inlined, and its
-own test holds it to `_add` at the |shift| edges.
+fl(fl(t * X_{n-1}) - X_{n-2}).  The derivative, on lanes after the products
+with their owners' factors, is fl(fl(fl(t * dX_{n-1}) - dX_{n-2}) +
+X_{n-1}): the same step plus row one of the old product, which T' = [[1, 0],
+[0, 0]] keeps.  Every operation is elementwise, so the order of the lanes
+changes no bits.  A mark holds the product as rows 0-1 X and 2-3 +-X_{n-1}:
+(a, b), (c, d) on the right and (a, c), (b, d) on the left.  One gather per
+block puts the entries in (a, b, c, d) order, which `_norm_sq_lanes` reads;
+the sign of -X_{n-1} changes no bit of a squared norm.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` (the right `TraceTable` of `phase_traces`) are one-group
@@ -263,8 +179,6 @@ __all__ = [
 Energies = float | Sequence[float]
 
 _RENORM = 2.0**256  # keep entry squares finite in norm computations
-_frexp = math.frexp
-_ldexp = math.ldexp
 
 TRACE_EQUALITY_TOL = 1e-9  # relative to max(1, |x|, |reference|); see `phase_trace_parity`
 TRACE_ROUNDING = 64.0  # c of the rounding term of `phase_trace_parity`
@@ -277,81 +191,6 @@ class MarginViolationError(AssertionError):
     @classmethod
     def at(cls, k: int, E: float, lam: float) -> "MarginViolationError":
         return cls(f"norm/derivative inequality violated at k={k}, E={E}, lam={lam}")
-
-
-# ----------------------------------------------------------------------------
-# scalar representation: (a, b, c, d, e) meaning 2**e * [[a, b], [c, d]]
-# ----------------------------------------------------------------------------
-
-def _lane_limit(E, lam: float):
-    """The rescale threshold of a product at energy E (a number or an array).
-
-    A step multiplies the largest entry by at most g = max(|E|, |E - lam|) + 1,
-    so entries up to 2**1022 / g stay finite through the next one; the
-    threshold is that or 2**256, whichever is lower, and 2**256 for g below
-    2**766.
-    """
-    return np.minimum(_RENORM, 2.0**1022 / (np.maximum(np.abs(E), np.abs(E - lam)) + 1.0))
-
-
-def _mul(m1, m2, limit=_RENORM):
-    a1, b1, c1, d1, e1 = m1
-    a2, b2, c2, d2, e2 = m2
-    a = a1 * a2 + b1 * c2
-    b = a1 * b2 + b1 * d2
-    c = c1 * a2 + d1 * c2
-    d = c1 * b2 + d1 * d2
-    mx = max(abs(a), abs(b), abs(c), abs(d))
-    if mx > limit:
-        ex = _frexp(mx)[1]
-        s = _ldexp(1.0, -ex)
-        return (a * s, b * s, c * s, d * s, e1 + e2 + ex)
-    return (a, b, c, d, e1 + e2)
-
-
-def _add(m1, m2):
-    a1, b1, c1, d1, e1 = m1
-    a2, b2, c2, d2, e2 = m2
-    if e1 < e2:
-        a1, b1, c1, d1, e1, a2, b2, c2, d2, e2 = a2, b2, c2, d2, e2, a1, b1, c1, d1, e1
-    shift = e2 - e1
-    if shift < -1080:
-        return (a1, b1, c1, d1, e1)
-    s = _ldexp(1.0, shift)
-    a = a1 + a2 * s
-    b = b1 + b2 * s
-    c = c1 + c2 * s
-    d = d1 + d2 * s
-    mx = max(abs(a), abs(b), abs(c), abs(d))
-    if mx > _RENORM:
-        ex = _frexp(mx)[1]
-        sc = _ldexp(1.0, -ex)
-        return (a * sc, b * sc, c * sc, d * sc, e1 + ex)
-    return (a, b, c, d, e1)
-
-
-def _norm_sq(m) -> tuple[float, int]:
-    """Squared spectral norm as a normalized (m, e) pair, closed form from
-    tr(A^T A) and det(A).
-
-    The copy is rescaled so the largest entry sits in [0.5, 1); squares then
-    stay comfortably inside float range regardless of the carried exponent.
-    """
-    a, b, c, d, e = m
-    mx = max(abs(a), abs(b), abs(c), abs(d))
-    if mx == 0.0:
-        return 0.0, 0
-    ex = _frexp(mx)[1]
-    # ldexp on each entry, not a product with 2**-ex: that factor overflows
-    # when the largest entry is subnormal
-    a, b, c, d = (_ldexp(v, -ex) for v in (a, b, c, d))
-    t = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = t * t - 4.0 * det * det
-    if disc < 0.0:
-        disc = 0.0
-    norm, ex2 = _frexp(0.5 * (t + math.sqrt(disc)))
-    return norm, 2 * (e + ex) + ex2
 
 
 @lru_cache(maxsize=1024)
@@ -372,7 +211,7 @@ _ROWS = {"right": [0, 1, 2, 3], "left": [0, 2, 1, 3]}
 # once more; 2**-40 per site covers all of it.
 _SLACK = 1.0 + 2.0**-40
 
-# The scales 2**-ex of a rescale and 2**shift of `_add`: 2**-i for i = 0..1075,
+# The scales 2**-ex of a rescale and 2**shift of an add: 2**-i for i = 0..1075,
 # the last one 0.0, as ldexp(1.0, -1075) rounds to even.  Taken with
 # mode="clip", an index below 0 reads 1.0 and one above 1075 reads 0.0, so
 # `_HALVES.take(k, mode="clip")` is ldexp(1.0, -max(k, 0)) for every k.
@@ -396,8 +235,19 @@ class _Mark(NamedTuple):
     peak: np.ndarray | None = None
 
 
+def _lane_limit(E, lam: float):
+    """The rescale threshold of a product at energy E (a number or an array).
+
+    A step multiplies the largest entry by at most g = max(|E|, |E - lam|) + 1,
+    so entries up to 2**1022 / g stay finite through the next one; the
+    threshold is that or 2**256, whichever is lower, and 2**256 for g below
+    2**766.  It is the `limit` of `oracles.scalar_mul`.
+    """
+    return np.minimum(_RENORM, 2.0**1022 / (np.maximum(np.abs(E), np.abs(E - lam)) + 1.0))
+
+
 def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
-    """The rescale of `_mul` and `_add`, per lane, in place on `m`.
+    """The rescale of `oracles.scalar_mul` and `scalar_add`, per lane, in place on `m`.
 
     `m` holds the entries of each lane along its last axis, and `bound` is an
     upper bound on every |entry|, or inf where none is kept.  `limit` is the
@@ -431,20 +281,18 @@ def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
 
 
 def _add_lanes(m1, e1, m2, e2, out=(None, None)):
-    """`_add` per lane, before its rescale: the sums and their exponents.
+    """`oracles.scalar_add` per lane, before its rescale: the sums and their exponents.
 
-    `_add` scales the operand with the smaller exponent by 2**shift and adds
-    it to the other one; here both get a scale from `_HALVES`, 1.0 for the
-    larger one, which gives the same sums since x * 1.0 is x and addition
-    commutes.  Where |shift| > 1080 it returns the larger operand untouched,
-    as `_add` does: adding the other one's 0.0 would turn a -0.0 entry into
-    0.0.  `out` is an (entries, exponents) pair of buffers for the result,
+    Both operands take a scale from `_HALVES`: 2**shift the one with the
+    smaller exponent, 1.0 the other.  Where |shift| > 1080 the larger operand
+    is returned untouched, as adding the other one's 0.0 would turn a -0.0
+    entry into 0.0.  `out` is an (entries, exponents) pair of buffers for the result,
     None for new arrays; they may be m2 and e2.  Temporaries are new arrays.
     """
     turns = np.stack((e1 - e2, e2 - e1))
     s2, s1 = _HALVES.take(turns, mode="clip")
     far = turns.max() > 1080
-    if far:  # `_add` returns the larger operand untouched
+    if far:  # the larger operand, untouched
         keep = np.where(turns[0] < 0, m2, m1)
     m, e = out
     m = np.multiply(m2, s2, out=m)
@@ -455,14 +303,14 @@ def _add_lanes(m1, e1, m2, e2, out=(None, None)):
 
 
 def _norm_sq_lanes(m, e):
-    """`_norm_sq` per lane for nonzero matrices, normalized as it is.
+    """`oracles.scalar_norm_sq` per lane for nonzero matrices, normalized as it is.
 
     The entries a, b, c, d lie on axis 0; the rest is elementwise, so a
     (4, sites, lanes) block gives the bits of one call per site.
     """
     mx = np.abs(m).max(axis=0)
     ex = np.frexp(mx)[1]
-    m = np.ldexp(m, -ex)  # as in `_norm_sq`, safe for subnormal maxima
+    m = np.ldexp(m, -ex)  # not a product with 2**-ex, which overflows for subnormal maxima
     sq = m * m
     t = sq[0] + sq[1] + sq[2] + sq[3]
     det = m[0] * m[3] - m[1] * m[2]
@@ -575,7 +423,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     size = _rescale_sites(growth, float(np.min(limit)),
                           _block_sites(growth) if norms else 32)
     # lanes past this at a block's end could pass their threshold within the
-    # next block; one-site blocks check the threshold itself, as `_mul` does
+    # next block; one-site blocks check the threshold itself
     cutoff = limit if size == 1 else limit / growth**size
     # per lane the rows that put its entries in (a, b, c, d) order
     order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
@@ -628,7 +476,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
         if end:
             fields = {}
             if norms:
-                # in (a, b, c, d) order, as `_norm_sq` adds the squares; the sign
+                # in (a, b, c, d) order, as `_norm_sq_lanes` reads them; the sign
                 # of Y on the left changes no bit of a squared norm
                 block = np.concatenate((x[2:j + 3, :, :lanes], x[1:j + 2, :, :lanes]), axis=1)
                 ordered = np.take_along_axis(block.transpose(1, 0, 2), order, axis=0)

@@ -5,11 +5,20 @@ under any OpenBLAS thread count, because the solver and the Abel sweep run
 numpy's products on one thread, but they hold for one kind of CPU and one
 BLAS build: OpenBLAS and numpy pick their kernels by CPU at run time, and
 another BLAS can round differently.
+
+Hypothesis runs under a derandomized profile: every run draws the same
+examples, so a failure reproduces from the test command alone, and a failing
+test prints the blob that replays its example.  Runs no longer explore new
+examples; the `@example` cases pin the inputs a test must always cover.
 """
 
 import os
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, print_blob=True)
+settings.load_profile("derandomized")
 
 
 def _blas_name() -> str:

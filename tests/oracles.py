@@ -8,8 +8,10 @@ the (m, e) arrays that `transfer` returns as XReals, `parity_ratios` and
 `transfer.norm_trace_margin` run on those arrays, and the tests run the trace
 recursion of `spectrum` in it.
 Scalar transfer products are plain (a, b, c, d, e) tuples, 2**e * [[a, b],
-[c, d]], built on `transfer._mul` and `transfer._norm_sq`, the scalar layer
-the lane sweep keeps bit for bit.  The time-domain route (`evolve`,
+[c, d]].  `scalar_mul`, `scalar_add` and `scalar_norm_sq` are the scalar layer
+that specifies `transfer._sweep`: each lane keeps their values, and its traces,
+derivative traces, norm sums and peaks their bits (the docstring of
+`test_transfer_lanes` argues why).  The time-domain route (`evolve`,
 `windowed_norm`, `abel_average`) is what the closed-form Abel masses of
 `dynamics` are checked against.
 `beatty_block` codes the rotation by the true golden number, exactly.
@@ -354,6 +356,75 @@ def dense_spectrum(trunc, drivers=MRRR) -> DY.SiteSpectrum:
 # scalar transfer products
 # ---------------------------------------------------------------------------
 
+def scalar_mul(m1, m2, limit=TR._RENORM):
+    """The product m1 * m2, rescaled into [0.5, 1) where an entry passes `limit`.
+
+    `limit` is the rescale threshold of the sweep: 2**256, or the lower
+    `transfer._lane_limit` of the energy, so that the next factor cannot
+    overflow.
+    """
+    a1, b1, c1, d1, e1 = m1
+    a2, b2, c2, d2, e2 = m2
+    a = a1 * a2 + b1 * c2
+    b = a1 * b2 + b1 * d2
+    c = c1 * a2 + d1 * c2
+    d = c1 * b2 + d1 * d2
+    mx = max(abs(a), abs(b), abs(c), abs(d))
+    if mx > limit:
+        ex = math.frexp(mx)[1]
+        s = math.ldexp(1.0, -ex)
+        return (a * s, b * s, c * s, d * s, e1 + e2 + ex)
+    return (a, b, c, d, e1 + e2)
+
+
+def scalar_add(m1, m2):
+    """The sum m1 + m2, the operand of the smaller exponent scaled by 2**shift,
+    rescaled into [0.5, 1) where an entry passes 2**256; the larger operand
+    untouched where shift < -1080."""
+    a1, b1, c1, d1, e1 = m1
+    a2, b2, c2, d2, e2 = m2
+    if e1 < e2:
+        a1, b1, c1, d1, e1, a2, b2, c2, d2, e2 = a2, b2, c2, d2, e2, a1, b1, c1, d1, e1
+    shift = e2 - e1
+    if shift < -1080:
+        return (a1, b1, c1, d1, e1)
+    s = math.ldexp(1.0, shift)
+    a = a1 + a2 * s
+    b = b1 + b2 * s
+    c = c1 + c2 * s
+    d = d1 + d2 * s
+    mx = max(abs(a), abs(b), abs(c), abs(d))
+    if mx > TR._RENORM:
+        ex = math.frexp(mx)[1]
+        sc = math.ldexp(1.0, -ex)
+        return (a * sc, b * sc, c * sc, d * sc, e1 + ex)
+    return (a, b, c, d, e1)
+
+
+def scalar_norm_sq(m) -> tuple[float, int]:
+    """Squared spectral norm as a normalized (m, e) pair, closed form from
+    tr(A^T A) and det(A).
+
+    The copy is rescaled so the largest entry sits in [0.5, 1); squares then
+    stay comfortably inside float range regardless of the carried exponent.
+    """
+    a, b, c, d, e = m
+    mx = max(abs(a), abs(b), abs(c), abs(d))
+    if mx == 0.0:
+        return 0.0, 0
+    ex = math.frexp(mx)[1]
+    # ldexp on each entry, not a product with 2**-ex: that factor overflows
+    # when the largest entry is subnormal
+    a, b, c, d = (math.ldexp(v, -ex) for v in (a, b, c, d))
+    t = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    disc = t * t - 4.0 * det * det
+    if disc < 0.0:
+        disc = 0.0
+    norm, ex2 = math.frexp(0.5 * (t + math.sqrt(disc)))
+    return norm, 2 * (e + ex) + ex2
+
+
 def local_matrix(m: int, E: float, lam: float, theta) -> tuple:
     """One-site propagation matrix [[E - V(m), -1], [1, 0]]."""
     return (E - lam if rotation_block(m, m, theta) == "1" else E, -1.0, 1.0, 0.0, 0)
@@ -362,14 +433,15 @@ def local_matrix(m: int, E: float, lam: float, theta) -> tuple:
 def transfer_product(n: int, E: float, lam: float, theta) -> tuple:
     """Ordered product over sites 1..n (n >= 1) or inverse factors over n+1..0 (n <= -1).
 
-    A `_mul` chain over `local_matrix` factors, T**-1 = [[0, 1], [-1, t]].
+    A `scalar_mul` chain over `local_matrix` factors, T**-1 = [[0, 1], [-1, t]].
     """
     if n == 0:
         raise ValueError("site count must be nonzero")
     E, m = float(E), (1.0, 0.0, 0.0, 1.0, 0)
     for ch in rotation_block(*((1, n) if n > 0 else (n + 1, 0)), theta):
         t = E - lam if ch == "1" else E  # as in `local_matrix`
-        m = TR._mul((t, -1.0, 1.0, 0.0, 0), m) if n > 0 else TR._mul(m, (0.0, 1.0, -1.0, t, 0))
+        m = (scalar_mul((t, -1.0, 1.0, 0.0, 0), m) if n > 0
+             else scalar_mul(m, (0.0, 1.0, -1.0, t, 0)))
     return m
 
 
@@ -384,8 +456,8 @@ def trace(m) -> XReal:
 
 
 def norm_sq(m) -> XReal:
-    """`transfer._norm_sq` of a scalar product as an XReal."""
-    return XReal(*TR._norm_sq(m))
+    """`scalar_norm_sq` of a scalar product as an XReal."""
+    return XReal(*scalar_norm_sq(m))
 
 
 def det(m) -> XReal:

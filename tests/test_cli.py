@@ -390,11 +390,14 @@ def test_dynamics_box_limit_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_dynamics_huge_window_radius_is_one_short_line(tmp_path, capsys):
-    code = main(["dynamics", "--C1", "1e300", "--p", "1", "--out", str(tmp_path)])
-    assert code == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and len(lines[0]) < 200
-    assert lines[0] == "error: window radius 1e+303 does not fit the box N=4096"
+    # at C1 1e306 and T 1000, C1 * T**p passes float range: the radius is inf
+    for C1, T_grid, radius in (("1e300", [], "1e+303"),
+                               ("1e306", ["--T-grid", "1000"], "inf")):
+        code = main(["dynamics", "--C1", C1, "--p", "1", *T_grid, "--out", str(tmp_path)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200
+        assert lines[0] == f"error: window radius {radius} does not fit the box N=4096"
 
 
 def test_dynamics_report_carries_solver_numbers(tmp_path):

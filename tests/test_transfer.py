@@ -33,7 +33,7 @@ def numpy_product(n, E, lam, theta):
 
 def xreal_recursion(k_max, E, lam):
     """Phase-zero traces x_0..x_k_max from the spectrum recursion, run in XReal."""
-    return SP._recurse(XReal(E), lam, k_max, False, keep_all=True)[0][:k_max + 1]
+    return SP._recurse(XReal(E), lam, k_max, False)[0][:k_max + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_trace_recursion_matches_direct_products():
         energies = np.linspace(-3, lam + 3, 9)
         for E, direct in zip(energies, xreal_rows(TR.traces_right_upto(20, energies, lam, TH0))):
             with mp.workprec(400):
-                rec = SP._recurse(mp.mpf(float(E)), mp.mpf(lam), 20, False, keep_all=True)[0]
+                rec = SP._recurse(mp.mpf(float(E)), mp.mpf(lam), 20, False)[0]
                 assert len(rec) == 21
                 for a, b in zip(rec, direct):
                     b = mp.ldexp(b.m, b.e)
@@ -447,7 +447,7 @@ def test_rounding_term_bounds_the_sweep_error(lam, offset, spread, k):
     _, refs = TR.phase_traces(k, grid, lam, [])
     for E, traces, peaks in zip(grid, xreal_rows(refs.traces), refs.peaks):
         with mp.workprec(200):
-            exact = SP._recurse(mp.mpf(E), mp.mpf(lam), k, False, keep_all=True)[0][k]
+            exact = SP._recurse(mp.mpf(E), mp.mpf(lam), k, False)[0][k]
             error = abs(mp.ldexp(traces[k].m, traces[k].e) - exact)
             assert error <= TR.TRACE_ROUNDING * fib_number(k) * mp.ldexp(1, 2 * int(peaks[k]) - 53)
 

@@ -1,34 +1,152 @@
 """Property tests of the batched transfer sweep against scalar products.
 
 Every lane of `transfer._sweep` must reproduce what a one-lane sweep and what
-scalar `_mul` products with `_add` / `_norm_sq` give for that energy alone:
-bit for bit the XReal (mantissa, exponent) pairs of traces, derivative traces
-and norm sums and the peaks, and by value each entry of the product and of its
-energy derivative, zeros of either sign alike: the sweep's three-term step has
-no 0.0 * y term, so a zero entry can differ in sign from `_mul`'s, which a
-test pins and no output sees.  The sweep rescales its products once per block
-of sites, where `_mul` rescales at every site, so a product keeps the values
-of the scalar rule but not its split into entries and exponent; the one
-exception allowed is an entry more than 2**1021 below the largest entry of its
-matrix, which a scale into [0.5, 1) can round or flush.  A derivative lane
-shares its product's exponent, so only the values of its entries are the
-scalar rule's; at coupling or energy near 1e300 its entries 1e-300 below its
-largest leave the normal range, and there its traces are held to the scalar
-rule.  Where a block is one site, at coupling near 1e300, the raw entries and
-exponents are the scalar rule's too, but for the sign of a zero.  The block
-rule must keep every stored entry within its lane's threshold; a test with a
-mark at every site fails if a block is one site longer.  Norm sums are taken a
-block of sites at a time, so marks on both sides of every block edge, and
-windows whose edge term opens the next block, are held to the scalar sums.
-Every sweep takes peaks, once per block and per mark, so marks on the first,
-the last and the only site of a block are held to the scalar peaks.  The tests
-run each case on a sweep with norms and on the plain sweep, which cover both
-block sizes: up to `_block_sites` sites with norms, up to 32 without; the two
-record the same peaks bit for bit.  Several (side, phase) groups in one sweep,
-in any order, over energies in any order, with derivatives on a prefix of the
-groups, keep the bits, raw splits included, of a sweep per group.  The factor
-table of a sweep gives every site the factors of its symbols, bit for bit on
-both rows, with at most 2G patterns for G groups.
+scalar `scalar_mul` products with `scalar_add` / `scalar_norm_sq` give for
+that energy alone: bit for bit the XReal (mantissa, exponent) pairs of traces,
+derivative traces and norm sums and the peaks, and by value each entry of the
+product and of its energy derivative, zeros of either sign alike: the sweep's
+three-term step has no 0.0 * y term, so a zero entry can differ in sign from
+`scalar_mul`'s, which a test pins and no output sees.  The sweep rescales its
+products once per block of sites, where `scalar_mul` rescales at every site,
+so a product keeps the values of the scalar rule but not its split into
+entries and exponent; the one exception allowed is an entry more than 2**1021
+below the largest entry of its matrix, which a scale into [0.5, 1) can round
+or flush.  A derivative lane shares its product's exponent, so only the values
+of its entries are the scalar rule's; at coupling or energy near 1e300 its
+entries 1e-300 below its largest leave the normal range, and there its traces
+are held to the scalar rule.  Where a block is one site, at coupling near
+1e300, the raw entries and exponents are the scalar rule's too, but for the
+sign of a zero.  The block rule must keep every stored entry within its lane's
+threshold; a test with a mark at every site fails if a block is one site
+longer.  Norm sums are taken a block of sites at a time, so marks on both
+sides of every block edge, and windows whose edge term opens the next block,
+are held to the scalar sums.  Every sweep takes peaks, once per block and per
+mark, so marks on the first, the last and the only site of a block are held
+to the scalar peaks.  The tests run each case on a sweep with norms and on
+the plain sweep, which cover both block sizes: up to `_block_sites` sites with
+norms, up to 32 without; the two record the same peaks bit for bit.  Several
+(side, phase) groups in one sweep, in any order, over energies in any order,
+with derivatives on a prefix of the groups, keep the bits, raw splits
+included, of a sweep per group.  The factor table of a sweep gives every site
+the factors of its symbols, bit for bit on both rows, with at most 2G
+patterns for G groups.
+
+The sections below argue why the sweep can keep those bits.  The sections of
+the `transfer` module docstring that they name ("Block rescale", "Derivative
+lanes", "Norm sums", "Steps") describe the sweep itself.
+
+Scalar layer.  The specification lives in `oracles`.  A tuple (a, b, c, d, e)
+means 2**e * [[a, b], [c, d]].  `scalar_mul` multiplies two of them and
+rescales into [0.5, 1) when an entry passes its threshold,
+`transfer._lane_limit` of the energy: 2**256, or 2**1022 / g where that is
+lower, g = max(|E|, |E - lam|) + 1, so that the next factor cannot overflow.
+`scalar_add` aligns its operands by 2**shift, returns the larger one untouched
+past shift < -1080, and rescales sums past 2**256; `scalar_norm_sq` gives the
+squared spectral norm as a normalized (m, e) pair of `xfloat`.  Norm sums add
+those pairs with one `xfloat.add` per site.  A sweep checks its products
+against the threshold once per block of sites, not at every site as
+`scalar_mul` does; where a block is one site (growth**2 past the least
+threshold, as at coupling 1e300) the check is that of `scalar_mul`,
+|entry| > threshold, at every site, the last one included, in the order of
+"Block rescale", so those sweeps keep the raw split of the scalar layer.
+
+Value identity.  Every product lane does the IEEE operations of the scalar
+layer in the same order: `scalar_mul` per factor, `scalar_norm_sq` and
+`xfloat.add` for norm sums.  It rescales at other sites than `scalar_mul`
+does, but every rescale is a scaling by a power of two, and IEEE rounding does
+not change under a common power-of-two scale while no entry leaves the normal
+range: numpy's elementwise float64 operations are correctly rounded IEEE-754
+binary64 operations like Python's float arithmetic, each one rounds on its own
+(no fused multiply-add), and frexp/ldexp by powers of two are exact.  So each
+entry of a product has the value that the scalar layer gives, and only its
+split into entry and exponent differs.  The one exception is an entry more
+than 2**1021 below the largest entry of its matrix: a scale that puts the
+largest entry into [0.5, 1) puts it below the normal range, where it rounds or
+flushes to zero, so where one split takes such a scale and the other does not,
+its value can differ.  The outputs do not depend on the split: traces,
+derivative traces and norm sums are (m, e) pairs normalized from the entries,
+and a peak is the exponent of the largest entry.  They keep the bits of the
+scalar layer; the tests hold them to it bit for bit, and the products by value
+with that one exception.  The step drops the terms 0.0 * y of `scalar_mul`,
+so a zero entry can differ from `scalar_mul`'s in sign.  No output sees it:
+`xfloat.normalized` turns -0.0 into 0.0, peaks and norms read |entry|, and no
+nonzero value depends on the sign of a zero, as x + (+-0.0) is x and t *
+(+-0.0) - y is -y.  Which lanes share a sweep sets B and the cutoff threshold
+/ growth**B through its largest factor, so it can change the split of a
+product but not its values; lanes over the same energies keep their bits in
+any groups and any order.
+
+Steps.  The sweep's step fl(fl(t * X_{n-1}) - X_{n-2}) does the operations of
+`scalar_mul`'s first row x * t + y * -1.0, y = X_{n-2}, on the right and of
+its first column x * t + y * 1.0, y = -X_{n-2}, on the left, as y * -1.0 is
+-y and a + -b is a - b.  Its second row, x + 0.0 * y or 0.0 * y - x, is
++-X_{n-1} but for the sign of a zero (see "Value identity").  The gather of a
+block before its squared norms puts the entries in (a, b, c, d) order, so the
+squares add in the order of `scalar_norm_sq`.
+
+Derivative lanes.  The scalar rule rescales T dM on its own and aligns the
+operands of `scalar_add` by 2**shift; all of these are scalings by powers of
+two, so, as for the products, each entry of dM has the value that
+`scalar_add` gives and only its split differs; the derivative traces,
+normalized from dM[0] + dM[3], keep their bits.  Values can differ only where
+an entry leaves the normal range.  At |E| near 1e300 dM lies about 1e-300
+below its product, and its entries 1e-300 below its largest round to 0.0 in
+the shared exponent; where the scalar rule drops an operand by its far-shift
+branch, a zero entry can differ in sign.  The traces, dominated by the
+largest entry, kept their bits in every such case tried: the lane tests at
+coupling or energy near 1e300, and 300 random draws of both up to 1e300
+against the scalar rule.  `transfer._add_lanes`, the product rule of a lane
+off its owner's exponent, is `scalar_add` per lane: it scales both operands,
+1.0 the one with the larger exponent, which gives the same sums since x * 1.0
+is x and addition commutes, and past |shift| > 1080 it returns the larger
+operand untouched, as `scalar_add` does.  A lane leaves its owner's exponent
+upward, so `scalar_add` gives dM the scale 1.0.  `d_limit` follows the
+largest factor of the sweep, so the split of a derivative lane that leaves,
+but not its values, can depend on the other lanes.
+
+Norm sums.  `transfer._norm_sq_lanes` normalizes each stored product, as
+`scalar_norm_sq` does.  For normalized positive operands `xfloat.add` is the
+binary64 sum of the values scaled by a common power of two while the larger
+stays normal: scaling does not change IEEE rounding, so the block sums of
+`transfer._running_sums` keep the bits of one add per site.  A value that
+goes subnormal lies below half an ulp of the sum it joins and rounds away in
+both forms, as it does past shift < -1080 in `xfloat.add`.
+
+Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and the
+reducing ndarray methods (not numpy scalar arithmetic or indexing), each
+weighted by how often its branch runs: the step is one `np.multiply` of two
+(2, lanes) operands and one `np.subtract` into the next slot of the buffer,
+the derivative one `np.add`.  At a block's end the peaks are five calls
+(`np.abs`, `max`, `np.frexp`, the add of e, `np.maximum`), and four more (all
+but `np.abs`) for each mark inside the block; the rescale check is `np.abs`
+and two `np.maximum.reduce`, and a rescale six more (`np.frexp`, the
+comparison and product that zero ex on the other lanes, the `take` of the
+scales, the product of the entries, the new exponents).  Where `d_bound`
+passes its limit its check is the same three calls and `np.array_equal`;
+`_add_lanes` makes nine calls.  A sweep with norms pays the five calls of
+the peaks per block too, 0.07 per site at the B = 67 of the default
+`norm_profile`.  The `phase_traces` sweep of the benchmark's `traces-large`
+run (17,711 sites, 288 product and 96 derivative lanes, 552 of 554 blocks of
+32 sites rescaling, `d_bound` past its limit at 88 sites) makes per site:
+
+    step  rescale  derivative  block  total
+     2.0     0.28        1.02   0.16   3.46
+
+Call counts hide the cost of each call; `BENCH_33.json` holds the `timeit`
+measurements at this sweep's shapes behind four choices.  A multiply that
+broadcasts a (lanes,) row of factors over the (2, lanes) rows cost more than
+one on two operands of one shape, so the factors are stored once per row.  A
+running maximum (`np.maximum.accumulate`) of a block's exponents cost about
+eight plain maxima, so the peaks take one maximum per block and per mark.  A
+per-block fill of a (B, 2, lanes) block of factors counted one call but cost
+more per site than the step, so the factors come from the table.  And
+`_add_lanes` inlined saves little per site, so it stays a function, which
+`test_lane_add_matches_scalar_add` holds to `scalar_add` at the |shift|
+edges.  A check at every site, as in `scalar_mul`, rescales at 13,951 sites
+and takes 7.73 calls per site in the rescale alone.  `BENCH_26.json`,
+`BENCH_27.json` and `BENCH_28.json` hold the CPU seconds of this sweep.  A
+lane threshold below 2**256 (a factor of 2**766 or more) adds one call per
+check for the least threshold.
 """
 
 import math
@@ -44,7 +162,7 @@ from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace.words import fib_number, rotation_block
 
-from oracles import XReal, local_matrix, norm_sq, trace, xreal_rows
+from oracles import XReal, local_matrix, norm_sq, scalar_add, scalar_mul, trace, xreal_rows
 
 BAND_CENTER = -0.2492839750009455  # a level-9 band at lambda 12, phase 0
 
@@ -70,8 +188,8 @@ def raw(matrix):
 
 def unsigned_zeros(raw_matrix):
     """`raw` bits with -0.0 entries read as 0.0: the sweep's step has no 0.0 * y
-    term, so a zero entry can differ in sign from `_mul`'s (see "Value
-    identity" in `transfer`)."""
+    term, so a zero entry can differ in sign from `scalar_mul`'s (see "Value
+    identity" above)."""
     return [f64(0.0) if v == f64(-0.0) else v for v in raw_matrix[:4]] + raw_matrix[4:]
 
 
@@ -95,7 +213,7 @@ def assert_same_entries(got, want):
     """Two `raw` products hold the same entry values.  The one exception: an
     entry more than 2**1021 below the largest entry of its matrix may differ,
     since a split with a larger exponent flushes it sooner (see "Value
-    identity" in `transfer`)."""
+    identity" above)."""
     got, want = entry_values(unpack(got)), entry_values(unpack(want))
     largest = max(ex for mantissa, ex in want if struct.unpack("<d", mantissa)[0])
     for g, w in zip(got, want):
@@ -131,12 +249,12 @@ def scalar_reference(side, k, E, lam, theta, marks=None):
     for n in range(1, marks[-1] + 1):
         if side == "right":  # T(n) ... T(1); (T M)' = T' M + T M'
             t = local_matrix(n, E, lam, theta)
-            d = TR._add((m[0], m[1], 0.0, 0.0, m[4]), TR._mul(t, d, limit))
-            m = TR._mul(t, m, limit)
+            d = scalar_add((m[0], m[1], 0.0, 0.0, m[4]), scalar_mul(t, d, limit))
+            m = scalar_mul(t, m, limit)
         else:  # T(0) T(-1) ... T(1 - n); (M T)' = M T' + M' T
             t = local_matrix(1 - n, E, lam, theta)
-            d = TR._add((m[0], 0.0, m[2], 0.0, m[4]), TR._mul(d, t, limit))
-            m = TR._mul(m, t, limit)
+            d = scalar_add((m[0], 0.0, m[2], 0.0, m[4]), scalar_mul(d, t, limit))
+            m = scalar_mul(m, t, limit)
         total = total + norm_sq(m)
         high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
         if n in marks:
@@ -196,7 +314,7 @@ def carried(records, norms):
 @example(side="left", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
          edges=False)
 # the derivative of the E = 77 lane first passes 2**256 in the product rule's
-# `_add` at site 41, where its step `_mul` stays below
+# `scalar_add` at site 41, where its step `scalar_mul` stays below
 @example(side="right", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0, edges=False)
 @example(side="left", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0, edges=False)
 # an energy of 1e-300 at a coupling far outside the drawn range: the lane
@@ -453,7 +571,7 @@ def test_peaks_are_the_least_power_of_two_above_every_entry():
             m, high = (1.0, 0.0, 0.0, 1.0, 0), -math.inf
             for mark, v in zip(marks, pattern):
                 t = (E - lam if v == "1" else E, -1.0, 1.0, 0.0, 0)
-                m = TR._mul(t, m) if side == "right" else TR._mul(m, t)
+                m = scalar_mul(t, m) if side == "right" else scalar_mul(m, t)
                 high = max(high, math.frexp(max(map(abs, m[:4])))[1] + m[4])
                 assert int(mark.peak[i]) == high
 
@@ -544,7 +662,7 @@ def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, norms, ph
 
 def test_one_site_blocks_keep_the_scalar_raw_split():
     # at coupling 1e300 one factor passes 2**128, so a block is one site and
-    # each lane rescales where `_mul` does: the raw entries and exponents,
+    # each lane rescales where `scalar_mul` does: the raw entries and exponents,
     # not only their values, are the scalar rule's at every mark
     lam, energies = 1e300, [-1.0, 0.0, 1.0, 1e-250]
     assert TR._rescale_sites((lam + 2.0) * TR._SLACK, 2.0**256, 32) == 1
@@ -567,9 +685,9 @@ def test_factors_that_are_exactly_zero():
     # entries that are exactly zero; at lambda 1e300 a block is one site and
     # the raw split is the scalar rule's, but the derivative's entries 1e-300
     # below its largest flush in the shared exponent (see "Derivative lanes"
-    # in `transfer`).  Entries keep their values and everything else its
+    # above).  Entries keep their values and everything else its
     # bits, but the step has no 0.0 * y term, so a zero entry can be -0.0
-    # where `_mul` gives 0.0, or the other way round
+    # where `scalar_mul` gives 0.0, or the other way round
     theta = PhasePoint.from_decimal("0.3")
     for side in ("right", "left"):
         flips = 0
@@ -606,7 +724,7 @@ def columns(matrices):
 
 
 # shifts on both sides of where 2**shift underflows to 0 (-1074) and of where
-# `_add` starts returning the larger operand (beyond 1080), with -0.0 entries
+# `scalar_add` starts returning the larger operand (beyond 1080), with -0.0 entries
 # that an added 0.0 would turn into 0.0
 LARGER, SMALLER = (1.0, -0.0, -3.0, 2.0**255), (-2.0**200, 1.5, -0.0, 0.0)
 EDGE_SHIFTS = (1074, 1075, 1080, 1081)
@@ -621,12 +739,12 @@ def test_lane_add_matches_scalar_add(pairs):
     m2, e2 = columns([q for _, q in pairs])
     m, e, _ = TR._renorm(*TR._add_lanes(m1, e1, m2, e2), math.inf)
     for i, (p, q) in enumerate(pairs):
-        assert lane_raw("right", m, e, i) == raw(TR._add(p, q))
+        assert lane_raw("right", m, e, i) == raw(scalar_add(p, q))
 
 
 @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bound-only"])
 def test_rescale_starts_strictly_above_two_to_the_256(bounded):
-    # lanes whose largest entry is exactly 2**256 keep it, as `_mul` does;
+    # lanes whose largest entry is exactly 2**256 keep it, as `scalar_mul` does;
     # beside them in one call, lanes an ulp above rescale
     above = math.nextafter(TR._RENORM, math.inf)
     matrices = []
@@ -636,7 +754,7 @@ def test_rescale_starts_strictly_above_two_to_the_256(bounded):
                 entries = [0.75, -3.0, 0.0, 1.5]
                 entries[place] = sign * top
                 matrices.append((*entries, 7))
-    products = [TR._mul(mat, (1.0, 0.0, 0.0, 1.0, 0)) for mat in matrices]
+    products = [scalar_mul(mat, (1.0, 0.0, 0.0, 1.0, 0)) for mat in matrices]
     assert [p[4] for p in products] == [7] * 8 + [7 + 257] * 8
     m, e = columns(matrices)
     m, e, bound = TR._renorm(m, e, 2.0 * above if bounded else math.inf)
@@ -683,7 +801,7 @@ def scalar_norms(side, top, E, lam, theta):
     m, total, out = (1.0, 0.0, 0.0, 1.0, 0), XReal(), []
     for v in pattern:
         t = (E - lam if v == "1" else E, -1.0, 1.0, 0.0, 0)  # as in `local_matrix`
-        m = TR._mul(t, m) if side == "right" else TR._mul(m, t)
+        m = scalar_mul(t, m) if side == "right" else scalar_mul(m, t)
         norm = norm_sq(m)
         total = total + norm
         out.append((norm, total))
