@@ -114,6 +114,11 @@ class RunConfig:
             raise ConfigError("energy grid points E and E - lambda must be finite")
         if not all(math.isfinite(t) and t > 0 for t in self.T_grid):
             raise ConfigError(_T_RANGE)
+        seen: set = set()
+        for t in self.T_grid:  # one record per phase and timescale
+            if t in seen:
+                raise ConfigError(f"T grid repeats the timescale {float(t)!r}")
+            seen.add(t)
         if self.N != "auto" and (not isinstance(self.N, int) or not 1 <= self.N <= DY.MAX_BOX):
             raise ConfigError(_N_RANGE)
         if not (math.isfinite(self.C1) and self.C1 > 0):
@@ -520,7 +525,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=20260810,
                         help="seed for randomized phase sampling")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="must be >= 1; has no effect, every suite runs in one process")
+                        help="must be >= 1; has no effect, every suite runs in one process "
+                             "(dynamics may use one more thread inside an eigensolve)")
     parser.add_argument("--theta", dest="thetas", action="append", default=None,
                         metavar="PHASE", help="phase token (repeatable)")
     parser.add_argument("--theta-list", default=None,

@@ -112,22 +112,45 @@ ranges of the second sweep are 0.3 s on the phase sweep and 0.6 s on N
 4096), and at 256 the phase sweep, whose leaves become 250-site blocks, is a
 fifth slower.  96 sits in the middle of that plateau.
 
-The tables predate three changes that took time off the sweep and moved no
+The tables predate four changes that took time off the sweep and moved no
 bit: dlaed4 called through a bare pointer (`_secular_roots`), each block of
-gaps built as a copy and an in-place subtract (`_column_minus_row`), and the
-dsterf reference solved on a second thread while the merges run, with the
-products on one BLAS thread (`site_spectrum`).  Where a 2001-site box's time
-goes since (coupling 6, phase 0, 4 timescales, OpenBLAS started with 2
-threads; medians of 6 solves in one process): `site_spectrum` 0.25 s, all
-but about 0.01 s of it in `_split_merge`, whose dlaed4 loop over 9,863 roots
-takes 0.10 s and the two secular passes 0.09 s; the dsterf solve, 0.05 s,
-ends on the other core before the merges do; then the Abel sweep 0.04 s.
-Before, the dsterf solve ran after the merges, and OpenBLAS's idle worker
-spun on the second core through the whole box: 0.60 s of CPU time per
-0.31 s box, against 0.34 s per 0.29 s now.  Splitting the dlaed4 loop of
-a merge over two threads was slower, 1.73 against 1.43 s for eight such
-boxes (medians of 5), because each call hands the GIL over; a thread per
-phase would ignore ``--jobs 1``.
+gaps built as a copy and an in-place subtract (`_column_minus_row`), the
+products on one BLAS thread, and a helper thread (`_halves`) that takes the
+dsterf reference and half of every merge of two or more blocks of roots
+(`_secular_rows`).  The two halves of a merge are independent by
+construction, as in Cuppen's and Gu and Eisenstat's own parallel versions.
+Where a 2001-site box's time goes since (coupling 6, phase 0, 4 timescales,
+OpenBLAS started with 2 threads; medians of 6 solves in one process, three
+processes, each alternating with one of the code before the helper):
+`site_spectrum` 0.12 to 0.13 s of wall time and 0.20 to 0.22 s of CPU time,
+against 0.16 to 0.22 s and 0.20 to 0.21 s; the dlaed4 loops 0.055 to 0.058 s
+against 0.074 to 0.098 s, the two secular passes 0.050 to 0.054 s against
+0.072 to 0.090 s, the ``dstevd`` leaves 0.008 s; then the Abel sweep, on one
+thread, 0.03 s.  The phase sweep's raw `cli.main` time fell from 1.87 to
+1.53 s (10 alternating benchmark pairs, the change lower in all 10), and the
+8193-site box's from 2.74 to 1.99 s (6 pairs, 6 lower); `BENCH_34.json` has
+every run.  Dead ends, measured on the same machine:
+
+- the helper running the passes while this thread runs the dlaed4 loop
+  gained nothing, because each dlaed4 call hands the GIL over;
+- each block split between the threads on shared buffers, with a hand-off
+  per block, was slower and took about 1 s more CPU time on the sweep;
+- ``tracked @ vecs`` split by column halves changed ``dynamics.csv``:
+  OpenBLAS's result depends on the block's width, so each product runs on a
+  whole block;
+- a full pair of block buffers per thread took 23% off the sweep but added
+  5 MB of peak RSS, and collecting the helper's pass-1 products per block
+  held 8 MB on the 8193-site box; the split by pole rows needs neither;
+- the Abel sweep split by timescale needs a third block buffer and saved
+  about 4%.
+
+The roots split pays most on large merges, where dlaed4's O(k) work per root
+outweighs the hand-over of the GIL at each call.  A caller whose helper has
+not started its half by the time its own half is done runs that half too:
+the helper is then still on the dsterf check, which ends only after the
+first large merges start.  The job left in the helper's queue is emptied
+then; jobs that kept their closures there, with their merges' block buffers,
+took the 8193-site box's peak RSS from 44 to 66 MB.
 
 LAPACK comes from numpy's bundled OpenBLAS through ctypes (`_lapack`), so
 no subcommand imports SciPy where numpy ships that library: importing
@@ -293,6 +316,7 @@ _EPS = 0.5 * np.finfo(float).eps
 # both chosen by measurement, see the module docstring
 _SECULAR_CHUNK = 1 << 18  # entries per block of the secular passes and the Abel sweep
 _LEAF_SIZE = 96  # blocks this small are solved whole by dstevd
+_SQUARES = 1 << 13  # entries of each thread's scratch for the squares of a split pass 2
 
 
 _ROUTINES = ("dlaed4", "dstevd", "dsterf")
@@ -365,8 +389,10 @@ def _one_blas_thread():
     OpenBLAS splits a product by its thread count, which moves the last bits
     of the result; on one thread the outputs are the same under every
     ``OPENBLAS_NUM_THREADS``.  The previous count comes back on exit.  The
-    count is process-wide, so solves run at once on several threads of one
-    process can give back each other's counts in the wrong order.
+    count is process-wide: the products that the helper thread of `_halves`
+    runs for the caller go on one thread too, and solves run at once on
+    several threads of one process can give back each other's counts in the
+    wrong order.
     """
     set_threads = _lapack().set_threads
     if set_threads is None:
@@ -377,6 +403,74 @@ def _one_blas_thread():
         yield
     finally:
         set_threads(previous)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    # sched_getaffinity is Linux-only; elsewhere count every CPU
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_HELPER: list = []  # the helper thread's job queue, once started
+_HELPER_START = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child has no helper thread
+    os.register_at_fork(after_in_child=_HELPER.clear)
+
+
+def _serve(jobs) -> None:
+    """The helper thread: run each job not yet claimed, hand back its result or error."""
+    while True:
+        job, claim, out, done = jobs.get()
+        if claim.acquire(blocking=False):
+            try:
+                out.append((job.pop()(), None))
+            except BaseException as exc:  # raised again by the waiting caller
+                out.append((None, exc))
+            done.release()
+        out = None  # an error's traceback holds the job's buffers
+
+
+def _halves(mine, theirs):
+    """Run theirs() on the helper thread and mine() here; return both results.
+
+    With one CPU there is no helper, and both run here, mine() first.  The
+    helper is a daemon thread with a job queue, started on first use, so it
+    never holds up the interpreter's exit.  If the helper has not started
+    theirs() when mine() returns, it is still busy with an earlier job (the
+    dsterf check, say), and theirs() runs here instead; the queue then keeps
+    only an emptied job, not the buffers that theirs() holds.  Otherwise
+    this thread waits for it, also when mine() raised, and raises its
+    exception if mine() returned.
+    """
+    if _cpus() < 2:
+        return mine(), theirs()
+    with _HELPER_START:
+        if not _HELPER:
+            import queue  # here: the other subcommands never load it
+
+            _HELPER.append(queue.SimpleQueue())
+            threading.Thread(target=_serve, args=(_HELPER[0],), name="quasitrace-helper",
+                             daemon=True).start()
+    job, claim, out, done = [theirs], threading.Lock(), [], threading.Lock()
+    done.acquire()
+    _HELPER[0].put((job, claim, out, done))
+    try:
+        here = mine()
+    except BaseException:
+        if claim.acquire(blocking=False):
+            job.clear()
+        else:
+            done.acquire()
+        raise
+    if claim.acquire(blocking=False):
+        return here, job.pop()()
+    done.acquire()
+    there, error = out[0]
+    if error is not None:
+        raise error
+    return here, there
 
 
 def _ptr(a: np.ndarray) -> ctypes.c_void_p:
@@ -417,7 +511,33 @@ def _dstevd(d: np.ndarray, e: np.ndarray):
     return vals, vecs
 
 
-def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
+def _dlaed4_roots(poles, z, rho, lo: int, hi: int):
+    """Roots lo..hi-1 of `_secular_roots`, as lists: root, origin, offset.
+
+    The arguments are built here, so that two threads can run two root ranges.
+    """
+    k = len(poles)
+    roots, origin, offset = [], [], []
+    lib = _lapack()
+    delta = (ctypes.c_double * k)()
+    i_c, root, info = lib.integer(0), ctypes.c_double(0.0), lib.integer(0)
+    args = (ctypes.byref(lib.integer(k)), ctypes.byref(i_c), _ptr(poles), _ptr(z), delta,
+            ctypes.byref(ctypes.c_double(rho)), ctypes.byref(root), ctypes.byref(info))
+    dlaed4 = lib.dlaed4
+    for i in range(lo, hi):
+        i_c.value = i + 1
+        dlaed4(*args)
+        if info.value != 0:
+            raise AssertionError(f"dlaed4 did not converge on root {i + 1} of {k}")
+        # root i lies between poles i and i + 1 (beyond the last pole for i = k - 1)
+        o = i if i == k - 1 or abs(delta[i]) <= abs(delta[i + 1]) else i + 1
+        roots.append(root.value)
+        origin.append(o)
+        offset.append(-delta[o])
+    return roots, origin, offset
+
+
+def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, split: bool = False):
     """Roots of 1 + rho sum z_i^2 / (poles_i - x) = 0 for increasing poles.
 
     Returns the roots and, per root, the nearest pole and the root's offset
@@ -428,38 +548,27 @@ def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     One dlaed4 call per root, from Python, with the integer type of the
     source `_lapack` picked.  dlaed4 reads `poles` and `z` through raw
     pointers, so both must be C-contiguous float64.  The eight pointer
-    arguments are built once per call of this function, and `delta` is a
-    ctypes array whose entries read as Python floats.  A call through
-    the bare pointer costs about 0.7 us against 2.1 us through a prototype
-    that declares the argument types (k = 5, where dlaed4 itself does next
-    to nothing).  On the 2001-site box at coupling 6 and phase 0 (31 merges,
-    9,863 roots, k up to 1963) the loop takes 0.10 s, most of it dlaed4's
-    own O(k) work per root.  LAPACK dlaed9, which finds the same roots and
-    the Gu-Eisenstat vectors in one Fortran call, took 0.24 s there with
-    16-site leaves (127 merges, 13,772 roots) and needs two k x k arrays,
-    62 MB at k = 1963.
+    arguments are built once per root range, and `delta` is a ctypes array
+    whose entries read as Python floats.  A call through the bare pointer
+    costs about 0.7 us against 2.1 us through a prototype that declares the
+    argument types (k = 5, where dlaed4 itself does next to nothing).  With
+    `split`, the helper thread finds the upper half of the roots while this
+    thread finds the lower half (`_halves`); each root is found alone, so the
+    results do not change.  LAPACK dlaed9, which finds the same roots and the
+    Gu-Eisenstat vectors in one Fortran call, took 0.24 s on a 2001-site box
+    with 16-site leaves (127 merges, 13,772 roots), where this loop took 0.10 s
+    on one thread, and needs two k x k arrays, 62 MB at k = 1963.
     """
     k = len(poles)
     for a in (poles, z):
         if a.dtype != np.float64 or not a.flags.c_contiguous or len(a) != k:
             raise AssertionError("dlaed4 needs C-contiguous float64 poles and weights")
-    roots, origin, offset = [], [], []
-    lib = _lapack()
-    delta = (ctypes.c_double * k)()
-    i_c, root, info = lib.integer(0), ctypes.c_double(0.0), lib.integer(0)
-    args = (ctypes.byref(lib.integer(k)), ctypes.byref(i_c), _ptr(poles), _ptr(z), delta,
-            ctypes.byref(ctypes.c_double(rho)), ctypes.byref(root), ctypes.byref(info))
-    dlaed4 = lib.dlaed4
-    for i in range(k):
-        i_c.value = i + 1
-        dlaed4(*args)
-        if info.value != 0:
-            raise AssertionError(f"dlaed4 did not converge on root {i + 1} of {k}")
-        # root i lies between poles i and i + 1 (beyond the last pole for i = k - 1)
-        o = i if i == k - 1 or abs(delta[i]) <= abs(delta[i + 1]) else i + 1
-        roots.append(root.value)
-        origin.append(o)
-        offset.append(-delta[o])
+    if split:
+        low, high = _halves(lambda: _dlaed4_roots(poles, z, rho, 0, k // 2),
+                            lambda: _dlaed4_roots(poles, z, rho, k // 2, k))
+        roots, origin, offset = (a + b for a, b in zip(low, high))
+    else:
+        roots, origin, offset = _dlaed4_roots(poles, z, rho, 0, k)
     return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
 
 
@@ -474,9 +583,9 @@ def _column_minus_row(col, row, out) -> np.ndarray:
     return np.subtract(out, row, out=out)
 
 
-def _root_gaps(poles, origin, offset, cols, out) -> np.ndarray:
-    """poles_i - root_j for all i and the roots j in `cols`, written into `out`."""
-    _column_minus_row(poles, poles[origin[cols]], out)
+def _root_gaps(poles, origin, offset, cols, out, rows=slice(None)) -> np.ndarray:
+    """poles_i - root_j for the poles i in `rows` and the roots j in `cols`, into `out`."""
+    _column_minus_row(poles[rows], poles[origin[cols]], out)
     return np.subtract(out, offset[cols], out=out)
 
 
@@ -527,51 +636,119 @@ def _merge(poles, z, rho, tracked):
     return eigenvalues, rows, (len(small), len(close))
 
 
+def _weight_rows(poles, origin, offset, chunk, lo, hi, ratio_buf, denom_buf):
+    """Pass 1 of `_secular_rows` for the poles lo..hi-1, block after block of roots.
+
+    Gu-Eisenstat: the weights for which the computed roots are exact,
+    zhat_i^2 = -prod_j (poles_i - root_j) / prod_{j != i} (poles_i - poles_j).
+    Returns -zhat_i^2; the blocks' ratios and pole differences go through
+    `ratio_buf` and `denom_buf`.
+    """
+    k, rows, h = len(poles), slice(lo, hi), hi - lo
+    w = np.ones(h)
+    for j0 in range(0, k, chunk):
+        b = min(chunk, k - j0)
+        cols = slice(j0, j0 + b)
+        ratio, denom = (buf[:h * b].reshape((h, b), order="F") for buf in (ratio_buf, denom_buf))
+        _root_gaps(poles, origin, offset, cols, ratio, rows)
+        _column_minus_row(poles[rows], poles[cols], denom)
+        diag = np.arange(max(lo, j0), min(hi, j0 + b))
+        denom[diag - lo, diag - j0] = 1.0
+        w *= np.prod(np.divide(ratio, denom, out=ratio), axis=1)
+    return w
+
+
+def _square_sums(vecs, scratch) -> np.ndarray:
+    """``np.add.reduce(vecs * vecs, axis=0)``, bit for bit, the squares in `scratch`.
+
+    numpy sums a C-ordered block of two or more columns along axis 0 row
+    after row.  So does this, when `scratch` cannot hold the block: it holds
+    the sum so far in its first row and the squares of the next rows below,
+    and sums them along axis 0 again.  numpy sums a single contiguous column
+    pairwise, so `scratch` must hold at least one whole column.
+    """
+    k, b = vecs.shape
+    n = min(len(scratch) // b, k)  # rows of squares at a time
+    sq = scratch[:n * b].reshape(n, b)
+    total = np.add.reduce(np.multiply(vecs[:n], vecs[:n], out=sq), axis=0)
+    for i in range(n, k, n - 1):
+        j = min(i + n - 1, k)
+        sq[0] = total
+        np.multiply(vecs[i:j], vecs[i:j], out=sq[1:j - i + 1])
+        np.add.reduce(sq[:j - i + 1], axis=0, out=total)
+    return total
+
+
+def _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts, buf, scratch, rows):
+    """Pass 2 of `_secular_rows` for the blocks of roots at `starts`, into `rows`."""
+    k = len(poles)
+    for j0 in starts:
+        b = min(chunk, k - j0)
+        cols = slice(j0, j0 + b)
+        vecs = _root_gaps(poles, origin, offset, cols, buf[:k * b].reshape(k, b))
+        np.divide(zhat[:, None], vecs, out=vecs)
+        vecs /= np.sqrt(_square_sums(vecs, scratch))
+        rows[:, cols] = tracked @ vecs
+
+
 def _secular_rows(poles, z, rho, tracked):
     """Roots of the undeflated secular equation and its eigenvectors' tracked rows.
 
     Both passes run over blocks of roots of at most `_SECULAR_CHUNK` entries,
-    in two buffers allocated once: the root gaps, and the pole differences
-    or the squares of the column norms.  A block is k poles by b roots.  The
-    first pass multiplies along the roots, so it lays each root's column out
-    contiguously: numpy then runs its broadcasts and the product in loops of
-    k entries, not k loops of b, and multiplies the columns in the same order.
-    The second pass keeps each pole's row contiguous: numpy sums along a
+    in two buffers allocated once.  A block is k poles by b roots.  The first
+    pass (`_weight_rows`) forms the Gu-Eisenstat weights from the root gaps
+    and the pole differences, one buffer each.  It multiplies along the
+    roots, so it lays each root's column out contiguously: numpy then runs
+    its broadcasts and the product in loops of k entries, not k loops of b,
+    and multiplies the columns in the same order.  The second pass
+    (`_vector_rows`) keeps each pole's row contiguous: numpy sums along a
     contiguous axis pairwise, which would move the column norms' last bits.
+    It turns the root gaps into eigenvectors in one buffer and sums their
+    squares in the other.
+
+    When the roots take two or more blocks (k > 512 at 2^18 entries) and the
+    process may use two CPUs, the helper thread of `_halves` takes half of
+    every stage, and nothing moves a bit.  It finds the upper half of the
+    roots (`_secular_roots`).  In the first pass it forms the weights of the
+    upper half of the poles, in the upper half of each buffer, block after
+    block in the same order: w_i depends on row i alone.  In the second pass
+    it takes the upper half of the blocks of roots, with the second buffer
+    for its eigenvectors; each thread then sums the squares in a scratch of
+    `_SQUARES` entries (`_square_sums`).  The products with the tracked rows
+    run on whole blocks: OpenBLAS's result depends on the block's width.
     """
     k = len(poles)
     if k <= 2:
         # dlaed4 returns eigenvector entries, not differences, for k <= 2
         lam, vecs = np.linalg.eigh(np.diag(poles) + rho * np.outer(z, z))
         return lam, tracked @ vecs
-    roots, origin, offset = _secular_roots(poles, z, rho)
     chunk = max(1, _SECULAR_CHUNK // k)
+    starts = range(0, k, chunk)
+    split = len(starts) > 1 and _cpus() > 1
+    roots, origin, offset = _secular_roots(poles, z, rho, split)
     gap_buf, aux_buf = np.empty((2, k * min(chunk, k)))
-
-    def blocks(layout):
-        for j0 in range(0, k, chunk):
-            b = min(chunk, k - j0)
-            cols = slice(j0, j0 + b)
-            gaps, aux = (buf[:k * b].reshape((k, b), order=layout)
-                         for buf in (gap_buf, aux_buf))
-            yield j0, cols, _root_gaps(poles, origin, offset, cols, gaps), aux
-
-    # Gu-Eisenstat: the weights for which the computed roots are exact,
-    # zhat_i^2 = -prod_j (poles_i - root_j) / prod_{j != i} (poles_i - poles_j)
-    w = np.ones(k)
-    for j0, cols, ratio, denom in blocks("F"):
-        _column_minus_row(poles, poles[cols], denom)
-        diag = np.arange(denom.shape[1])
-        denom[j0 + diag, diag] = 1.0
-        w *= np.prod(np.divide(ratio, denom, out=ratio), axis=1)
+    if split:
+        h = k // 2
+        w = np.concatenate(_halves(
+            lambda: _weight_rows(poles, origin, offset, chunk, 0, h, gap_buf, aux_buf),
+            lambda: _weight_rows(poles, origin, offset, chunk, h, k,
+                                 gap_buf[h * chunk:], aux_buf[h * chunk:])))
+    else:
+        w = _weight_rows(poles, origin, offset, chunk, 0, k, gap_buf, aux_buf)
     if not (np.all(np.isfinite(w)) and np.all(w < 0.0)):
         raise AssertionError("secular roots do not interlace the poles")
     zhat = np.copysign(np.sqrt(-w), z)
     rows = np.empty((tracked.shape[0], k))
-    for _, cols, vecs, sq in blocks("C"):
-        np.divide(zhat[:, None], vecs, out=vecs)
-        vecs /= np.sqrt(np.add.reduce(np.multiply(vecs, vecs, out=sq), axis=0))
-        rows[:, cols] = tracked @ vecs
+    if split:
+        half = (len(starts) + 1) // 2
+        # a whole column fits a scratch, and two rows of any block
+        scratch = np.empty((2, max(_SQUARES, k, 2 * chunk)))
+        _halves(lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk,
+                                     starts[:half], gap_buf, scratch[0], rows),
+                lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk,
+                                     starts[half:], aux_buf, scratch[1], rows))
+    else:
+        _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts, gap_buf, aux_buf, rows)
     return roots, rows
 
 
@@ -651,35 +828,23 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     """All eigenvalues and the eigenvector entries at `sites` and the source site 1.
 
     Divide and conquer that carries only the rows it needs (`_split_merge`),
-    validated by `_validate_site_spectrum` against LAPACK dsterf.  The
-    dsterf solve runs on a second thread while the merges run: ctypes lets
-    go of the GIL for the call, so it takes the core the one BLAS thread
-    leaves idle.  An error there is raised again here.  `stats` records the
-    box size, the poles deflated in the merges (of each kind) and the three
-    defects.
+    validated by `_validate_site_spectrum` against LAPACK dsterf.  With two
+    or more CPUs the dsterf solve runs on the helper thread of `_halves`
+    while the merges run here: ctypes lets go of the GIL for the call, so it
+    takes the core the one BLAS thread leaves idle.  The helper then takes
+    half of every large merge (`_secular_rows`).  An error on the helper is
+    raised again here.  `stats` records the box size, the poles deflated in
+    the merges (of each kind) and the three defects.
     """
     tracked = sorted({int(n) for n in sites} | {1})
     rows_at = np.array([_box_index(n, trunc.N) for n in tracked])
-    reference, failure = [], []
-
-    def check():
-        try:
-            reference.append(_dsterf(trunc.diagonal, trunc.offdiagonal))
-        except Exception as exc:  # raised again in the caller
-            failure.append(exc)
-
-    checker = threading.Thread(target=check, name="dsterf")
     with _one_blas_thread():
-        checker.start()
-        try:
-            w, rows, (small, close) = _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at)
-        finally:
-            checker.join()
-        if failure:
-            raise failure[0]
+        (w, rows, (small, close)), reference = _halves(
+            lambda: _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at),
+            lambda: _dsterf(trunc.diagonal, trunc.offdiagonal))
         stats = {"size": trunc.size, "deflated_small_weight": small,
                  "deflated_close_poles": close}
-        stats.update(_validate_site_spectrum(trunc, w, reference[0], rows_at, rows))
+        stats.update(_validate_site_spectrum(trunc, w, reference, rows_at, rows))
     return SiteSpectrum(trunc, w, tuple(tracked), rows, stats)
 
 
@@ -805,6 +970,9 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
         raise ValueError("need at least one phase and one timescale")
     if min(ts) <= 0:
         raise ValueError("timescales must be positive")
+    for a, b in zip(ts, ts[1:]):
+        if a == b:
+            raise ValueError(f"T grid repeats the timescale {a!r}")
     max_l = max(C1 * t**p_used for t in ts)
     fixed = N != "auto"
     limit = int(N) if fixed else MAX_BOX

@@ -50,3 +50,36 @@ def small_leaves(monkeypatch):
     from quasitrace import dynamics
 
     monkeypatch.setattr(dynamics, "_LEAF_SIZE", 16)
+
+
+def helper_first(halves):
+    """`dynamics._halves` whose caller starts its half once the helper has started its own.
+
+    A caller that finds the helper still busy with an earlier job runs the
+    helper's half itself, so without this which thread runs a half is a
+    matter of timing.
+    """
+    import threading
+
+    def gated(mine, theirs):
+        started = threading.Event()
+
+        def helper_half():
+            started.set()
+            return theirs()
+
+        def caller_half():
+            assert started.wait(timeout=60), "the helper never started its half"
+            return mine()
+
+        return halves(caller_half, helper_half)
+    return gated
+
+
+@pytest.fixture
+def helper_takes_its_halves(monkeypatch):
+    """Two CPUs for `dynamics`, whose helper thread then runs every half it is given."""
+    from quasitrace import dynamics
+
+    monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_halves", helper_first(dynamics._halves))

@@ -9,6 +9,7 @@ solver's output must be bit-identical.
 """
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -305,19 +306,64 @@ def test_secular_pass_memory_is_bounded():
 # secular passes: bit-identical to fresh temporaries
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("N,lam,theta,budget", [
+# The last two cases run the helper's edge cases (with 16-site leaves):
+# at 2^18 entries the 595-pole merge of the 601-site box at coupling 10 takes
+# two blocks of roots, as every merge past 512 poles does in production; at
+# 249 * 499 entries the 499-pole merge of the 501-site box at coupling 3 takes
+# three, the last of one root.
+SECULAR_CASES = [
     (300, 10.0, HALF, 1 << 20),
     (300, 0.0, TH0, 1 << 20),
     (250, 3.0, TH0, 1000),  # several blocks of roots in every large merge
     (200, 20.0, HALF, 1),
-])
+    (300, 10.0, HALF, 1 << 18),
+    (250, 3.0, TH0, 249 * 499),
+]
+
+
+@pytest.mark.parametrize("N,lam,theta,budget", SECULAR_CASES)
 def test_secular_passes_are_bit_identical(monkeypatch, small_leaves, N, lam, theta, budget):
     monkeypatch.setattr(DY, "_SECULAR_CHUNK", budget)
     trunc = DY.build_truncation(N, lam, theta)
     sites = list(range(-5, 6)) + [-N, N]
-    got = DY.site_spectrum(trunc, sites)
+    got = []
+    for cpus in (1, 2):  # the helper thread forced off, then on
+        monkeypatch.setattr(DY, "_cpus", lambda cpus=cpus: cpus)
+        got.append(DY.site_spectrum(trunc, sites))
     monkeypatch.setattr(DY, "_secular_rows", _reference_secular_rows)
     ref = DY.site_spectrum(trunc, sites)
-    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-    assert got.rows.tobytes() == ref.rows.tobytes()
-    assert got.stats == ref.stats
+    for es in got:
+        assert es.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert es.rows.tobytes() == ref.rows.tobytes()
+        assert es.stats == ref.stats
+
+
+def test_the_secular_cases_cover_the_helpers_halves(monkeypatch, small_leaves,
+                                                   helper_takes_its_halves):
+    """With two CPUs the cases above split roots and blocks, odd counts included."""
+    layouts, on_helper = set(), set()
+
+    def spy(name, real):
+        def wrapped(*args):
+            if threading.current_thread().name == "quasitrace-helper":
+                on_helper.add(name)
+            return real(*args)
+        return wrapped
+
+    def secular_rows(poles, z, rho, tracked):
+        k, chunk = len(poles), max(1, DY._SECULAR_CHUNK // len(poles))
+        blocks = -(-k // chunk)
+        if blocks > 1:
+            layouts.add((blocks % 2, k - (blocks - 1) * chunk == 1))
+        return real_rows(poles, z, rho, tracked)
+
+    real_rows = DY._secular_rows
+    for name in ("_dlaed4_roots", "_weight_rows", "_vector_rows"):
+        monkeypatch.setattr(DY, name, spy(name, getattr(DY, name)))
+    monkeypatch.setattr(DY, "_secular_rows", secular_rows)
+    for N, lam, theta, budget in SECULAR_CASES[-2:]:
+        monkeypatch.setattr(DY, "_SECULAR_CHUNK", budget)
+        DY.site_spectrum(DY.build_truncation(N, lam, theta), [-N, N])
+    assert on_helper == {"_dlaed4_roots", "_weight_rows", "_vector_rows"}
+    assert (0, False) in layouts  # an even number of blocks
+    assert (1, True) in layouts  # an odd number, the last block of one root

@@ -109,6 +109,20 @@ def test_two_tokens_for_one_phase_exit_2_before_writing(tmp_path, capsys, args, 
     assert not out.exists()
 
 
+def test_a_repeated_timescale_exits_2_before_writing(tmp_path, capsys):
+    # one record per phase and timescale: a repeat would solve its Abel kernel
+    # twice and write every record of it twice
+    out = tmp_path / "out"
+    args = ["dynamics", "--lambda", "6", "--p", "0.3", "--N", "50", "--T-grid", "10,1e1"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: T grid repeats the timescale 10.0\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="repeats the timescale 100.0"):
+        RunConfig(T_grid=(100.0, 10.0, 100))
+    with pytest.raises(ValueError, match="repeats the timescale 10.0"):
+        DY.dynamical_bound_check(6.0, [PhasePoint.zero()], [10.0, 30.0, 1e1], p_used=0.3, N=50)
+
+
 @pytest.mark.parametrize("args", [
     ["--growth", "0:3"],
     ["--growth", "20:22"],

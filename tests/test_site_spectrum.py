@@ -13,6 +13,15 @@ validation gates of `_validate_site_spectrum` are fed corrupted input one
 check at a time.
 """
 
+import functools
+import os
+import subprocess
+import sys
+import threading
+import weakref
+from contextlib import contextmanager
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -299,6 +308,243 @@ def test_solver_and_sweep_run_on_one_blas_thread_and_give_the_count_back(
     finally:
         set_threads(before)
     assert seen and set(seen) == {1}
+
+# ---------------------------------------------------------------------------
+# the helper thread
+# ---------------------------------------------------------------------------
+
+HELPER = "quasitrace-helper"
+
+
+def _run_script(script, *args, **env):
+    """Run `script` in a fresh interpreter with this package and `conftest` importable."""
+    path = os.pathsep.join(filter(None, [str(Path(DY.__file__).parents[1]),
+                                         str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+@pytest.mark.parametrize("stage, thread", [
+    ("_dlaed4_roots", HELPER),  # the upper half of a merge's roots
+    ("_weight_rows", HELPER),
+    ("_vector_rows", HELPER),
+    ("_dsterf", HELPER),
+    ("_weight_rows", "MainThread"),  # the caller fails while the helper works
+])
+def test_a_failure_in_a_half_is_raised_in_the_caller(monkeypatch, small_leaves,
+                                                    helper_takes_its_halves, stage, thread):
+    monkeypatch.setattr(DY, "_SECULAR_CHUNK", 1000)  # every large merge splits
+    trunc = DY.build_truncation(100, 6.0, TH0)
+    clean = DY.site_spectrum(trunc, range(-3, 4))
+    real, failed = getattr(DY, stage), []
+
+    def fail(*args):
+        if threading.current_thread().name == thread:
+            failed.append(stage)
+            raise AssertionError(f"{stage} failed on {thread}")
+        return real(*args)
+
+    monkeypatch.setattr(DY, stage, fail)
+    with pytest.raises(AssertionError, match=f"^{stage} failed on {thread}$"):
+        DY.site_spectrum(trunc, range(-3, 4))
+    assert failed
+    monkeypatch.setattr(DY, stage, real)
+    again = DY.site_spectrum(trunc, range(-3, 4))
+    assert again.rows.tobytes() == clean.rows.tobytes()
+    assert again.stats == clean.stats
+
+
+@contextmanager
+def _helper_blocked():
+    """Hold the helper thread in a job of its own until the block exits."""
+    busy, hold, released = threading.Event(), threading.Event(), []
+
+    def block():
+        busy.set()
+        released.append(hold.wait(timeout=60))
+
+    blocker = threading.Thread(target=DY._halves, args=(lambda: busy.wait(60), block))
+    blocker.start()
+    try:
+        assert busy.wait(60)
+        yield
+    finally:
+        hold.set()
+        blocker.join(timeout=60)
+    assert not blocker.is_alive()
+    assert released == [True]
+
+
+def test_the_caller_runs_the_helpers_halves_while_the_helper_is_busy(monkeypatch, small_leaves):
+    monkeypatch.setattr(DY, "_SECULAR_CHUNK", 1000)
+    trunc = DY.build_truncation(100, 6.0, TH0)
+    monkeypatch.setattr(DY, "_cpus", lambda: 1)
+    alone = DY.site_spectrum(trunc, range(-3, 4))
+    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    with _helper_blocked():
+        es = DY.site_spectrum(trunc, range(-3, 4))  # the helper is blocked throughout
+    assert es.rows.tobytes() == alone.rows.tobytes()
+    assert es.stats == alone.stats
+
+
+@pytest.mark.parametrize("mine_fails", [False, True])
+def test_a_half_the_caller_ran_leaves_no_buffers_queued(monkeypatch, mine_fails):
+    # a half holds its merge's block buffers: the helper's queue must not keep
+    # them while the helper is busy, or every merge of a large box adds its own
+    def mine():
+        if mine_fails:
+            raise AssertionError("my half failed")
+        return 1
+
+    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    with _helper_blocked():
+        buffer = np.empty(10)
+        held = weakref.ref(buffer)
+        try:
+            got = DY._halves(mine, functools.partial(len, buffer))
+        except AssertionError as exc:
+            got = str(exc)
+        del buffer
+        assert held() is None
+    assert got == ("my half failed" if mine_fails else (1, 10))
+
+
+def test_halves_from_many_threads_run_each_half_once(monkeypatch):
+    # the claim lock decides between the caller and the helper: a half run by
+    # both, or by neither, shows as a repeated or missing entry
+    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    calls, ran, results = 300, [], {n: [] for n in range(4)}
+
+    def worker(n):
+        for i in range(calls):
+            results[n].append(DY._halves(lambda: (n, i), lambda: ran.append((n, i)) or -i))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for n, got in results.items():
+        assert got == [((n, i), -i) for i in range(calls)]
+    assert sorted(ran) == [(n, i) for n in results for i in range(calls)]
+
+
+THREADS_AFTER_A_SOLVE = """
+import sys, threading
+from quasitrace import dynamics as DY
+from quasitrace.phase import PhasePoint
+
+DY._LEAF_SIZE, DY._SECULAR_CHUNK = 16, 1000
+DY._cpus = lambda: int(sys.argv[1])
+DY.site_spectrum(DY.build_truncation(100, 6.0, PhasePoint.zero()), range(-3, 4))
+print(" ".join(sorted(t.name for t in threading.enumerate())))
+"""
+
+
+@pytest.mark.parametrize("cpus, threads", [("1", "MainThread"),
+                                           ("2", f"MainThread {HELPER}")])
+def test_the_helper_starts_only_with_two_cpus(cpus, threads):
+    proc = _run_script(THREADS_AFTER_A_SOLVE, cpus)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == threads + "\n"
+
+
+FORKED_CHILD = """
+import os, threading
+from quasitrace import dynamics as DY
+from quasitrace.phase import PhasePoint
+
+DY._LEAF_SIZE, DY._SECULAR_CHUNK = 16, 1000
+DY._cpus = lambda: 2
+trunc = DY.build_truncation(100, 6.0, PhasePoint.zero())
+first = DY.site_spectrum(trunc, range(-3, 4))  # starts the helper
+pid = os.fork()
+if pid == 0:  # the parent's helper thread is not copied: the child starts its own
+    again = DY.site_spectrum(trunc, range(-3, 4))
+    helpers = [t for t in threading.enumerate() if t.name == "quasitrace-helper"]
+    os._exit(0 if again.rows.tobytes() == first.rows.tobytes() and helpers else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_solves_with_a_helper_of_its_own():
+    proc = _run_script(FORKED_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+FAILING_DYNAMICS = """
+import sys
+from quasitrace import cli, dynamics as DY
+
+
+def fail(*args):
+    raise AssertionError("pass 2 failed")
+
+
+DY._cpus, DY._vector_rows = (lambda: 2), fail
+sys.exit(cli.main(["dynamics", "--lambda", "6", "--p", "0.3", "--N", "300",
+                   "--T-grid", "10", "--out", sys.argv[1]]))
+"""
+
+
+def test_a_failing_dynamics_run_exits_promptly(tmp_path):
+    # the 601-site box merges 595 poles, two blocks of roots; the helper,
+    # started by the box's dsterf check, is a daemon, so the interpreter exits
+    # on the error instead of waiting for it
+    proc = _run_script(FAILING_DYNAMICS, str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "AssertionError: pass 2 failed"
+
+
+BLAS_THREADS_ON_THE_HELPER = """
+import ctypes, threading
+from conftest import helper_first
+from quasitrace import dynamics as DY
+from quasitrace.phase import PhasePoint
+
+blas = DY._numpy_openblas()
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+         "openblas_get_num_threads")
+getter = next((getattr(blas, n) for n in names if blas is not None and hasattr(blas, n)), None)
+if getter is None:
+    print("no getter")
+    raise SystemExit
+getter.restype = ctypes.c_int
+seen, real = [], DY._vector_rows
+
+
+def spy(*args):
+    if threading.current_thread().name == "quasitrace-helper":
+        seen.append(getter())
+    return real(*args)
+
+
+DY._LEAF_SIZE, DY._SECULAR_CHUNK = 16, 1000
+DY._cpus, DY._vector_rows = (lambda: 2), spy
+DY._halves = helper_first(DY._halves)  # the caller never runs the helper's half
+before = getter()
+DY.site_spectrum(DY.build_truncation(100, 6.0, PhasePoint.zero()), range(-3, 4))
+print(before, sorted(set(seen)), getter())
+"""
+
+
+def test_the_helpers_products_run_on_one_blas_thread():
+    proc = _run_script(BLAS_THREADS_ON_THE_HELPER, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "no getter\n":
+        pytest.skip("numpy has no bundled OpenBLAS")
+    # the count is process-wide: the caller's one thread holds on the helper too
+    assert proc.stdout == "2 [1] 2\n"
+
 
 # ---------------------------------------------------------------------------
 # high-precision reference
