@@ -526,7 +526,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="seed for randomized phase sampling")
     parser.add_argument("--jobs", type=int, default=1,
                         help="must be >= 1; has no effect, every suite runs in one process "
-                             "(dynamics may use one more thread inside an eigensolve)")
+                             "(dynamics may use one more thread, in and beside an eigensolve)")
     parser.add_argument("--theta", dest="thetas", action="append", default=None,
                         metavar="PHASE", help="phase token (repeatable)")
     parser.add_argument("--theta-list", default=None,

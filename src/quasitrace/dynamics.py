@@ -33,11 +33,13 @@ Outputs do not depend on the BLAS thread count.  The products of the Abel
 sweep and of the secular passes go through numpy's OpenBLAS, which splits a
 product by its thread count and so moves its last bits (masses by about
 1e-15); `site_spectrum` and `abel_site_masses` therefore run on one OpenBLAS
-thread and give the user's count back on return.  CPU kernels can still move
-bits between machines: OpenBLAS and numpy pick their kernels by CPU at run
-time (AVX2 against AVX-512, say), so a pinned digest holds for one kind of
-CPU.  Where numpy has no bundled OpenBLAS (MKL, Accelerate, a system BLAS)
-there is no thread setter, and the outputs follow the thread count again.
+thread and give the user's count back on return, and the phase loop of
+`dynamical_bound_check` runs inside one such context as a whole.  CPU
+kernels can still move bits between machines: OpenBLAS and numpy pick their
+kernels by CPU at run time (AVX2 against AVX-512, say), so a pinned digest
+holds for one kind of CPU.  Where numpy has no bundled OpenBLAS (MKL,
+Accelerate, a system BLAS) there is no thread setter, and the outputs follow
+the thread count again.
 
 Abel means of site probabilities are evaluated in closed form through the
 eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
@@ -112,24 +114,31 @@ ranges of the second sweep are 0.3 s on the phase sweep and 0.6 s on N
 4096), and at 256 the phase sweep, whose leaves become 250-site blocks, is a
 fifth slower.  96 sits in the middle of that plateau.
 
-The tables predate four changes that took time off the sweep and moved no
+The tables predate five changes that took time off the sweep and moved no
 bit: dlaed4 called through a bare pointer (`_secular_roots`), each block of
 gaps built as a copy and an in-place subtract (`_column_minus_row`), the
-products on one BLAS thread, and a helper thread (`_halves`) that takes the
+products on one BLAS thread, a helper thread (`_halves`) that takes the
 dsterf reference and half of every merge of two or more blocks of roots
-(`_secular_rows`).  The two halves of a merge are independent by
-construction, as in Cuppen's and Gu and Eisenstat's own parallel versions.
-Where a 2001-site box's time goes since (coupling 6, phase 0, 4 timescales,
-OpenBLAS started with 2 threads; medians of 6 solves in one process, three
-processes, each alternating with one of the code before the helper):
-`site_spectrum` 0.12 to 0.13 s of wall time and 0.20 to 0.22 s of CPU time,
-against 0.16 to 0.22 s and 0.20 to 0.21 s; the dlaed4 loops 0.055 to 0.058 s
-against 0.074 to 0.098 s, the two secular passes 0.050 to 0.054 s against
-0.072 to 0.090 s, the ``dstevd`` leaves 0.008 s; then the Abel sweep, on one
-thread, 0.03 s.  The phase sweep's raw `cli.main` time fell from 1.87 to
-1.53 s (10 alternating benchmark pairs, the change lower in all 10), and the
-8193-site box's from 2.74 to 1.99 s (6 pairs, 6 lower); `BENCH_34.json` has
-every run.  Dead ends, measured on the same machine:
+(`_secular_rows`), and the phase pipeline of `_certified_boxes`, in which
+the helper sweeps one phase's first box while this thread solves the next
+phase's.  The two halves of a merge are independent by construction, as in
+Cuppen's and Gu and Eisenstat's own parallel versions, and so are the boxes
+of two phases.  Where a 2001-site box's time goes before the pipeline
+(coupling 6, phase 0, 4 timescales, OpenBLAS started with 2 threads; medians
+of 6 solves in one process, three processes, each alternating with one of
+the code before the helper): `site_spectrum` 0.12 to 0.13 s of wall time and
+0.20 to 0.22 s of CPU time, against 0.16 to 0.22 s and 0.20 to 0.21 s; the
+dlaed4 loops 0.055 to 0.058 s against 0.074 to 0.098 s, the two secular
+passes 0.050 to 0.054 s against 0.072 to 0.090 s, the ``dstevd`` leaves
+0.008 s; then the Abel sweep, on one thread, 0.03 s, with the second core
+idle.  The phase sweep's raw `cli.main` time fell from 1.87 to 1.53 s with
+the helper (10 alternating benchmark pairs, the change lower in all 10), and
+the 8193-site box's from 2.74 to 1.99 s (6 pairs, 6 lower); `BENCH_34.json`
+has every run.  The pipeline then took the sweep's raw `cli.main` time from
+1.45 to 1.26 s (10 alternating pairs of fresh processes, 9 lower) and the
+benchmark's `main_s` from 1.36 to 1.18 s (10 of 10 lower); the sweep's two
+buffers, now alive beside the solver's, raised the benchmark's peak RSS from
+69.7 to 74.7 MB (`BENCH_35.json`).  Dead ends, measured on the same machine:
 
 - the helper running the passes while this thread runs the dlaed4 loop
   gained nothing, because each dlaed4 call hands the GIL over;
@@ -141,8 +150,17 @@ every run.  Dead ends, measured on the same machine:
 - a full pair of block buffers per thread took 23% off the sweep but added
   5 MB of peak RSS, and collecting the helper's pass-1 products per block
   held 8 MB on the 8193-site box; the split by pole rows needs neither;
-- the Abel sweep split by timescale needs a third block buffer and saved
-  about 4%.
+- the Abel sweep split by timescale between the two threads, with a third
+  block buffer, took a tenth off the phase sweep before the pipeline (raw
+  `cli.main` 1.30 against 1.18 s, 6 of 6 pairs lower) and gained nothing on
+  top of it (1.29 against 1.28 s, 5 of 8 lower), where the helper already
+  runs every sweep but the last phase's; its halves must not hold contexts
+  of their own without one around both (`_one_blas_thread`);
+- the band scan's blocks (`spectrum._scan_segments`) split between the two
+  threads, each with a workspace of its own, gained nothing on a default
+  `spectrum` run (the scan took 0.165 against 0.169 s, then 0.178 against
+  0.187 s, 5 of 10 pairs lower in each round): a ufunc pass over 2^14 points
+  takes about 5 us, and the Python between two passes holds the GIL.
 
 The roots split pays most on large merges, where dlaed4's O(k) work per root
 outweighs the hand-over of the GIL at each call.  A caller whose helper has
@@ -389,10 +407,14 @@ def _one_blas_thread():
     OpenBLAS splits a product by its thread count, which moves the last bits
     of the result; on one thread the outputs are the same under every
     ``OPENBLAS_NUM_THREADS``.  The previous count comes back on exit.  The
-    count is process-wide: the products that the helper thread of `_halves`
-    runs for the caller go on one thread too, and solves run at once on
-    several threads of one process can give back each other's counts in the
-    wrong order.
+    count is process-wide, so the products that the helper thread of
+    `_halves` runs go on one thread too.  Contexts that open and close on two
+    threads at once can close out of order: the first to close gives the
+    user's count back while the other thread still runs products, and the
+    last leaves 1 behind.  `_certified_boxes` therefore holds one context
+    around its whole phase loop, in which the helper sweeps one box while
+    this thread solves the next; every context nested in it, on either
+    thread, finds 1 and gives back 1.
     """
     set_threads = _lapack().set_threads
     if set_threads is None:
@@ -920,39 +942,91 @@ def _window_mass(site_masses: dict, L: float) -> float:
     return float(total)
 
 
-def _certified_box(lam: float, theta: PhasePoint, ts: list, n_box: int, top: int,
-                   fixed: bool = False):
-    """Abel site masses at |n| <= top and the edges, from the first certified box.
+def _box_solve(lam: float, theta: PhasePoint, n_box: int, top: int):
+    """Solve step: the box [-n_box, n_box] with its sites |n| <= top and its edges tracked.
 
-    Solves [-n_box, n_box]; unless `fixed`, doubles it until every bound
-    T sqrt(e_T + EDGE_ROUNDING) is at most TRUNC_TOL, and past MAX_BOX raises
-    ValueError with the best bound reached; a T that no box can certify
-    raises before the first solve.  Returns the masses per T (dicts
-    by site), the bounds, the solver's stats and the boxes tried as
-    (N, worst bound) pairs.
+    Returns the tracked sites, in the order the sweep reads them, and the
+    `SiteSpectrum`.
+    """
+    reach = min(top, n_box)
+    sites = list(range(-reach, reach + 1)) + ([-n_box, n_box] if reach < n_box else [])
+    return sites, site_spectrum(build_truncation(n_box, lam, theta), sites)
+
+
+def _held(step, *args):
+    """(step(*args), None), or (None, the exception it raised) for the caller to raise."""
+    try:
+        return step(*args), None
+    except Exception as exc:
+        return None, exc
+
+
+def _box_masses(solved, ts: list):
+    """Sweep-and-certify step: the Abel site masses of a solved box and its bounds.
+
+    Returns the masses per T (dicts by site) and the truncation bounds
+    T sqrt(e_T + EDGE_ROUNDING).
+    """
+    sites, es = solved
+    n_box = es.trunc.N
+    per_t = [dict(zip(sites, row)) for row in abel_site_masses(es, sites, ts)]
+    return per_t, [t * math.sqrt(m[-n_box] + m[n_box] + EDGE_ROUNDING) for t, m in zip(ts, per_t)]
+
+
+def _certified_boxes(lam: float, thetas: list, ts: list, n_first: int, top: int,
+                     fixed: bool = False) -> list:
+    """Per phase, Abel site masses at |n| <= top and the edges, from the first certified box.
+
+    Each phase solves [-n_first, n_first]; unless `fixed`, it doubles the box
+    until every bound T sqrt(e_T + EDGE_ROUNDING) is at most TRUNC_TOL, and
+    past MAX_BOX raises ValueError with the best bound reached; a T that no
+    box can certify raises before the first solve.  Returns, per phase, the
+    masses per T (dicts by site), the bounds, the solver's stats and the
+    boxes tried as (N, worst bound) pairs.
+
+    The phases are pipelined.  While the helper thread of `_halves` sweeps a
+    phase's first box (`_box_masses`), this thread solves the next phase's
+    first box (`_box_solve`), which that phase always needs; the two steps
+    share nothing, so no bit moves.  With one CPU both run here, the solve
+    first.  An error of the look-ahead solve is held and raised when its
+    phase is reached, so errors come in phase order.  Doubled boxes, and
+    every box of the last phase, are solved and swept in turn; so is a
+    single phase.  The whole loop runs inside one `_one_blas_thread`, so the
+    two threads' nested contexts never give the user's thread count back
+    while the other runs a product.
     """
     if not fixed and max(ts) * math.sqrt(EDGE_ROUNDING) > TRUNC_TOL:
         raise ValueError(
             f"no box certifies T={max(ts):g}: T*sqrt(EDGE_ROUNDING) exceeds the "
             f"tolerance {TRUNC_TOL:g} beyond T={TRUNC_TOL / math.sqrt(EDGE_ROUNDING):g}")
-    steps = []
-    while True:
-        reach = min(top, n_box)
-        sites = list(range(-reach, reach + 1)) + ([-n_box, n_box] if reach < n_box else [])
-        es = site_spectrum(build_truncation(n_box, lam, theta), sites)
-        per_t = [dict(zip(sites, row)) for row in abel_site_masses(es, sites, ts)]
-        bounds = [t * math.sqrt(m[-n_box] + m[n_box] + EDGE_ROUNDING)
-                  for t, m in zip(ts, per_t)]
-        steps.append((n_box, max(bounds)))
-        if fixed or max(bounds) <= TRUNC_TOL:
-            return per_t, bounds, es.stats, tuple(steps)
-        if n_box >= MAX_BOX:
-            best_n, best = min(steps, key=lambda step: step[1])
-            raise ValueError(
-                f"no box up to N={MAX_BOX} certifies the masses at lambda={lam}: "
-                f"best T*sqrt(edge mass + EDGE_ROUNDING) {best:.2e} at N={best_n}, "
-                f"tolerance {TRUNC_TOL:g}")
-        n_box = min(2 * n_box, MAX_BOX)
+    out = []
+    with _one_blas_thread():
+        ahead = _held(_box_solve, lam, thetas[0], n_first, top)
+        for i, theta in enumerate(thetas):
+            (solved, error), ahead = ahead, None
+            if error is not None:
+                raise error
+            n_box, steps = n_first, []
+            while True:
+                if ahead is None and i + 1 < len(thetas):
+                    ahead, (per_t, bounds) = _halves(
+                        lambda: _held(_box_solve, lam, thetas[i + 1], n_first, top),
+                        lambda: _box_masses(solved, ts))
+                else:
+                    per_t, bounds = _box_masses(solved, ts)
+                steps.append((n_box, max(bounds)))
+                if fixed or max(bounds) <= TRUNC_TOL:
+                    break
+                if n_box >= MAX_BOX:
+                    best_n, best = min(steps, key=lambda step: step[1])
+                    raise ValueError(
+                        f"no box up to N={MAX_BOX} certifies the masses at lambda={lam}: "
+                        f"best T*sqrt(edge mass + EDGE_ROUNDING) {best:.2e} at N={best_n}, "
+                        f"tolerance {TRUNC_TOL:g}")
+                n_box = min(2 * n_box, MAX_BOX)
+                solved = _box_solve(lam, theta, n_box, top)
+            out.append((per_t, bounds, solved[1].stats, tuple(steps)))
+    return out
 
 
 def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
@@ -982,9 +1056,9 @@ def dynamical_bound_check(lam: float, theta_list, T_grid, C1: float = 1.0,
     top = math.floor(max_l) + 1
     records: list[AbelRecord] = []
     n_used, solver, box_steps = {}, {}, {}
-    for theta in thetas:
-        per_t, bounds, solver[theta], box_steps[theta] = _certified_box(
-            lam, theta, ts, limit if fixed else min(top + _BOX_MARGIN, limit), top, fixed)
+    boxes = _certified_boxes(lam, thetas, ts, limit if fixed else min(top + _BOX_MARGIN, limit),
+                             top, fixed)
+    for theta, (per_t, bounds, solver[theta], box_steps[theta]) in zip(thetas, boxes):
         n_box = n_used[theta] = box_steps[theta][-1][0]
         for t, masses, bound in zip(ts, per_t, bounds):
             l_val = C1 * t**p_used
@@ -1011,7 +1085,7 @@ def exponent_trend(lam: float, theta: PhasePoint,
         raise ValueError("exponent calibration expects a coupling above 8")
     ts = sorted(float(T) for T in T_grid)
     top = math.floor(max(ts) ** max(_TREND_P_GRID)) + 1
-    per_t, _, _, steps = _certified_box(lam, theta, ts, 2 * _BOX_MARGIN, top)
+    ((per_t, _, _, steps),) = _certified_boxes(lam, [theta], ts, 2 * _BOX_MARGIN, top)
     n_box = steps[-1][0]
     for p in _TREND_P_GRID:
         table = [(p, t, _window_mass(m, min(t**p, n_box))) for t, m in zip(ts, per_t)]

@@ -263,6 +263,28 @@ def test_one_sweep_per_solve(monkeypatch):
 # memory
 # ---------------------------------------------------------------------------
 
+def _traced_peak(run) -> int:
+    """The peak of the memory tracemalloc traces while run() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sweep_bound() -> int:
+    # two buffers of _SECULAR_CHUNK doubles and products of fewer entries
+    return 3 * 8 * DY._SECULAR_CHUNK
+
+
+def _secular_bound(rows: int) -> int:
+    # the two buffers of the secular passes, and about 4.6 copies of the
+    # tracked rows of `rows` bytes (the merge's input, its secular rows, their
+    # concatenation, the sorted result)
+    return 2 * 8 * DY._SECULAR_CHUNK + 6 * rows
+
+
 def test_sweep_memory_is_bounded():
     # the 3001 x 768 kernel block and its gaps, both alive at once in the
     # per-timescale formula, take 2 * 18.4 MB; the sweep holds two buffers
@@ -270,35 +292,49 @@ def test_sweep_memory_is_bounded():
     trunc = DY.build_truncation(1500, 10.0, TH0)
     sites = list(range(-4, 5)) + [-1500, 1500]
     spec = DY.site_spectrum(trunc, sites)
-    bound = 3 * 8 * DY._SECULAR_CHUNK
+    bound = _sweep_bound()
     assert bound < 2 * 8 * trunc.size * 768
-    tracemalloc.start()
-    try:
-        DY.abel_site_masses(spec, sites, T_GRID)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    assert _traced_peak(lambda: DY.abel_site_masses(spec, sites, T_GRID)) <= bound
 
 
 def test_secular_pass_memory_is_bounded():
     # the 2001-site box of the phase sweep: its largest merge keeps 1963
-    # roots, so the secular passes fill both buffers, 2 * 8 * _SECULAR_CHUNK
-    # bytes; the solver also holds about 4.6 copies of the tracked rows (the
-    # merge's input, its secular rows, their concatenation, the sorted result)
+    # roots, so the secular passes fill both buffers
     trunc = DY.build_truncation(1000, 6.0, TH0)
     sites = list(range(-12, 13)) + [-1000, 1000]  # the source site 1 included
-    rows = 8 * len(sites) * trunc.size
-    bound = 2 * 8 * DY._SECULAR_CHUNK + 6 * rows
+    bound = _secular_bound(8 * len(sites) * trunc.size)
     # at the former budget of 2^20 entries the two buffers alone took 16.8 MB
     assert bound < 2 * 8 * 1963 * ((1 << 20) // 1963)
     DY.site_spectrum(DY.build_truncation(40, 6.0, TH0), [0])  # LAPACK loaded
-    tracemalloc.start()
-    try:
-        DY.site_spectrum(trunc, sites)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert _traced_peak(lambda: DY.site_spectrum(trunc, sites)) <= bound
+
+
+def test_large_box_memory_is_bounded_with_the_helper(monkeypatch):
+    # the 8193-site box: its largest merge keeps 8065 poles in 32-root blocks,
+    # and with two CPUs the helper takes half of every stage, the caller
+    # taking over the halves the helper has not started; each thread sums its
+    # squares in a scratch of max(_SQUARES, k) doubles.  The solve peaks at
+    # about 10.2 MB against a bound of 11.8 MB; a helper queue that kept the
+    # halves the caller took over, with their block buffers, peaked at 19 to
+    # 22 MB.
+    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    trunc = DY.build_truncation(4096, 6.0, TH0)
+    sites = list(range(-8, 9)) + [-4096, 4096]
+    bound = (_secular_bound(8 * len(sites) * trunc.size)
+             + 2 * 8 * max(DY._SQUARES, trunc.size))
+    DY.site_spectrum(DY.build_truncation(40, 6.0, TH0), [0])  # LAPACK loaded
+    assert _traced_peak(lambda: DY.site_spectrum(trunc, sites)) <= bound
+
+
+def test_pipelined_check_memory_is_bounded(helper_takes_its_halves):
+    # two phases of the phase sweep's 2001-site boxes: the helper sweeps the
+    # first box while this thread solves the second, so one set of buffers
+    # per stage is alive at once, never two of the same stage
+    sites = list(range(-12, 13)) + [-1000, 1000]
+    bound = _secular_bound(8 * len(sites) * 2001) + _sweep_bound()
+    DY.site_spectrum(DY.build_truncation(40, 6.0, TH0), [0])  # LAPACK loaded
+    peak = _traced_peak(lambda: DY.dynamical_bound_check(
+        6.0, [TH0, HALF], [10.0, 100.0, 1000.0, 3000.0], p_used=0.3, N=1000))
     assert peak <= bound
 
 

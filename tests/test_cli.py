@@ -982,9 +982,11 @@ def test_large_merge_dynamics_outputs_are_pinned(tmp_path):
 def test_dynamics_agrees_across_blas_thread_counts(tmp_path, monkeypatch):
     # the automatic box doubles from N = 28 to 448 per phase; the solver and
     # the Abel sweep run their products on one BLAS thread, so every byte
-    # agrees whatever thread count the user set
+    # agrees whatever thread count the user set.  With two CPUs the first two
+    # phases' first boxes are swept on the helper while the next phase's first
+    # box is solved.
     args = ["-m", "quasitrace", "dynamics", "--lambda", "6", "--p", "0.3",
-            "--T-grid", "10,3000", "--theta-list", "0,1/3"]
+            "--T-grid", "10,3000", "--theta-list", "0,1/3,1/2"]
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     outputs = {}
@@ -998,6 +1000,6 @@ def test_dynamics_agrees_across_blas_thread_counts(tmp_path, monkeypatch):
                             for name in ("dynamics.csv", "bound_report.json")}
     report = json.loads(outputs["1"]["bound_report.json"])
     assert {theta: [n for n, _ in steps] for theta, steps in report["box_steps"].items()} == {
-        theta: [28, 56, 112, 224, 448] for theta in ("0", "1/3")}
+        theta: [28, 56, 112, 224, 448] for theta in ("0", "1/3", "1/2")}
     assert outputs["2"] == outputs["1"]
     assert outputs[None] == outputs["1"]

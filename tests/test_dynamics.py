@@ -241,9 +241,10 @@ def test_auto_box_refuses_uncertifiable_timescales_before_solving(monkeypatch):
 def test_truncation_bound_holds(raw, lam, N, log_T, frac):
     # both boxes are within their own bounds of the untruncated masses
     theta, T, L = PhasePoint(raw), 10.0 ** log_T, frac * N
-    masses, (bound,), _, _ = DY._certified_box(lam, theta, [T], N, N, fixed=True)
+    ((masses, (bound,), _, _),) = DY._certified_boxes(lam, [theta], [T], N, N, fixed=True)
     n_ref = N + min(60 + int(8 * T), 400)
-    ref, (ref_bound,), _, _ = DY._certified_box(lam, theta, [T], n_ref, N + 1, fixed=True)
+    ((ref, (ref_bound,), _, _),) = DY._certified_boxes(lam, [theta], [T], n_ref, N + 1,
+                                                        fixed=True)
     gap = abs(DY._window_mass(masses[0], L) - DY._window_mass(ref[0], L))
     assert gap <= bound + ref_bound + 1e-12
 

@@ -32,10 +32,13 @@ from quasitrace import dynamics as DY
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 
 import oracles
+from conftest import helper_first
 from oracles import BISECTION, dense_spectrum
 
 TH0 = PhasePoint.zero()
 HALF = PhasePoint.from_fraction(1, 2)
+THIRD = PhasePoint.from_fraction(1, 3)
+HELPER = "quasitrace-helper"
 MRRR_MASS_TOL = 1e-10
 
 
@@ -290,10 +293,44 @@ def test_solver_and_sweep_run_on_one_blas_thread_and_give_the_count_back(
     if set_threads is None:
         pytest.skip("numpy has no bundled OpenBLAS")
     seen = []
+    # the pipelined check below: the helper's sweep of the first phase's box
+    # enters its context, this thread's solve of the second phase's box
+    # enters its own, and the sweep ends while the solve still runs products,
+    # the order in which nested contexts alone would give the user's count
+    # back in the middle of the solve
+    in_sweep, in_solve, swept, solving = (threading.Event() for _ in range(4))
 
     def spy(real):
         def wrapped(*args):
-            seen.append(set_threads(1))  # the count in force; left at 1
+            seen.append((threading.current_thread().name, set_threads(1)))  # left at 1
+            if threading.current_thread().name == HELPER and not in_sweep.is_set():
+                in_sweep.set()
+                assert in_solve.wait(timeout=60)
+            return real(*args)
+        return wrapped
+
+    def sweep_then_flag(real):
+        def wrapped(*args):
+            try:
+                return real(*args)
+            finally:
+                if threading.current_thread().name == HELPER:
+                    swept.set()
+        return wrapped
+
+    def solve_flagged(real):
+        def wrapped(trunc, sites):
+            if trunc.theta == HALF:
+                solving.set()
+            return real(trunc, sites)
+        return wrapped
+
+    def merge_after_the_sweep(real):
+        def wrapped(*args):
+            if solving.is_set() and not in_solve.is_set():
+                assert in_sweep.wait(timeout=60)
+                in_solve.set()
+                assert swept.wait(timeout=60)
             return real(*args)
         return wrapped
 
@@ -305,15 +342,23 @@ def test_solver_and_sweep_run_on_one_blas_thread_and_give_the_count_back(
         assert set_threads(2) == 2
         DY.abel_site_masses(es, range(-3, 4), [10.0, 100.0])
         assert set_threads(2) == 2
+        assert {name for name, _ in seen} == {"MainThread"}
+        monkeypatch.setattr(DY, "_cpus", lambda: 2)
+        monkeypatch.setattr(DY, "abel_site_masses", sweep_then_flag(DY.abel_site_masses))
+        monkeypatch.setattr(DY, "site_spectrum", solve_flagged(DY.site_spectrum))
+        monkeypatch.setattr(DY, "_split_merge", merge_after_the_sweep(DY._split_merge))
+        DY.dynamical_bound_check(6.0, [TH0, HALF, THIRD], [10.0, 100.0], p_used=0.3, N=40)
+        assert set_threads(2) == 2
     finally:
         set_threads(before)
-    assert seen and set(seen) == {1}
+    assert in_solve.is_set() and swept.is_set()
+    assert {count for _, count in seen} == {1}
+    assert {name for name, _ in seen} == {"MainThread", HELPER}
+
 
 # ---------------------------------------------------------------------------
 # the helper thread
 # ---------------------------------------------------------------------------
-
-HELPER = "quasitrace-helper"
 
 
 def _run_script(script, *args, **env):
@@ -544,6 +589,82 @@ def test_the_helpers_products_run_on_one_blas_thread():
         pytest.skip("numpy has no bundled OpenBLAS")
     # the count is process-wide: the caller's one thread holds on the helper too
     assert proc.stdout == "2 [1] 2\n"
+
+
+# ---------------------------------------------------------------------------
+# the phase pipeline of `dynamical_bound_check`
+# ---------------------------------------------------------------------------
+
+PHASES = [TH0, HALF, THIRD, PhasePoint.from_fraction(1, 5)]
+
+
+@pytest.mark.parametrize("lam, ts, p, N", [
+    (10.0, [10.0, 100.0], 0.3, 60),  # a fixed box, four phases
+    (10.0, [10.0, 1000.0], 0.15, "auto"),  # every phase doubles its box from 19 to 152
+])
+def test_the_phase_pipeline_equals_the_serial_check_bit_for_bit(monkeypatch, lam, ts, p, N):
+    sweeps, real_sweep = [], DY.abel_site_masses
+
+    def sweep(es, sites, T):
+        sweeps.append((PHASES.index(es.trunc.theta), threading.current_thread().name))
+        return real_sweep(es, sites, T)
+
+    monkeypatch.setattr(DY, "abel_site_masses", sweep)
+    monkeypatch.setattr(DY, "_cpus", lambda: 1)
+    serial = DY.dynamical_bound_check(lam, PHASES, ts, p_used=p, N=N)
+    assert {name for _, name in sweeps} == {"MainThread"}
+    sweeps.clear()
+    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    monkeypatch.setattr(DY, "_halves", helper_first(DY._halves))
+    piped = DY.dynamical_bound_check(lam, PHASES, ts, p_used=p, N=N)
+    # the first box of every phase but the last is swept on the helper
+    assert [i for i, name in sweeps if name == HELPER] == [0, 1, 2]
+    assert piped == serial
+    assert repr(piped) == repr(serial)  # every float to its last bit, signed zeros too
+    if N == "auto":
+        assert all(len(steps) > 1 for steps in serial.box_steps.values())
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("sweep_fails, solve_fails, first, swept, solved", [
+    (1, 2, "sweep of phase 1", [0], [0, 1]),  # on the helper, beside phase 2's solve
+    (0, 1, "sweep of phase 0", [], [0]),
+    (None, 1, "solve of phase 1", [0], [0]),  # the look-ahead solve, held past phase 0
+    (2, None, "sweep of phase 2", [0, 1], [0, 1, 2, 3]),
+])
+def test_a_failing_phase_raises_before_any_later_phase(monkeypatch, cpus, sweep_fails,
+                                                       solve_fails, first, swept, solved):
+    done, raised_on = {"sweep": [], "solve": []}, {}
+    fails = {"sweep": sweep_fails, "solve": solve_fails}
+
+    def failing(step, real):
+        def wrapped(box, *args):
+            trunc = getattr(box, "trunc", box)
+            i = PHASES.index(trunc.theta)
+            if i == fails[step]:
+                raised_on[step] = threading.current_thread().name
+                raise AssertionError(f"{step} of phase {i} failed")
+            done[step].append(i)
+            return real(box, *args)
+        return wrapped
+
+    monkeypatch.setattr(DY, "abel_site_masses", failing("sweep", DY.abel_site_masses))
+    monkeypatch.setattr(DY, "site_spectrum", failing("solve", DY.site_spectrum))
+    monkeypatch.setattr(DY, "_cpus", lambda: cpus)
+    if cpus == 2:
+        monkeypatch.setattr(DY, "_halves", helper_first(DY._halves))
+    check = functools.partial(DY.dynamical_bound_check, 10.0, PHASES, [10.0, 100.0],
+                              p_used=0.3, N=60)
+    with pytest.raises(AssertionError, match=f"^{first} failed$"):
+        check()
+    assert done == {"sweep": swept, "solve": solved}
+    # with two CPUs every failing sweep here is on the helper, every solve here
+    assert raised_on == {step: HELPER if cpus == 2 and step == "sweep" else "MainThread"
+                         for step, i in fails.items() if i is not None}
+    fails.update(sweep=None, solve=None)  # nothing fails now; the helper serves the next check
+    done["sweep"].clear()
+    check()
+    assert done["sweep"] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
