@@ -32,14 +32,13 @@ record of the phase is certified, up to MAX_BOX; an explicit N fixes it.
 Outputs do not depend on the BLAS thread count.  The products of the Abel
 sweep and of the secular passes go through numpy's OpenBLAS, which splits a
 product by its thread count and so moves its last bits (masses by about
-1e-15); `site_spectrum` and `abel_site_masses` therefore run on one OpenBLAS
-thread and give the user's count back on return, and the phase loop of
-`dynamical_bound_check` runs inside one such context as a whole.  CPU
-kernels can still move bits between machines: OpenBLAS and numpy pick their
-kernels by CPU at run time (AVX2 against AVX-512, say), so a pinned digest
-holds for one kind of CPU.  Where numpy has no bundled OpenBLAS (MKL,
-Accelerate, a system BLAS) there is no thread setter, and the outputs follow
-the thread count again.
+1e-15); `site_spectrum` and `abel_site_masses` therefore run inside
+`lapack.one_blas_thread`, and the phase loop of `dynamical_bound_check`
+runs inside one such context as a whole.  CPU kernels can still move bits
+between machines: OpenBLAS and numpy pick their kernels by CPU at run time
+(AVX2 against AVX-512, say), so a pinned digest holds for one kind of CPU.
+Where numpy has no bundled OpenBLAS (MKL, Accelerate, a system BLAS) there
+is no thread setter, and the outputs follow the thread count again.
 
 Abel means of site probabilities are evaluated in closed form through the
 eigenpair double sum with the Lorentzian kernel 1/(1 + (T/2)^2 (E_j - E_j')^2).
@@ -63,118 +62,11 @@ buffers of a merge.  The solver validates what it returns against an
 independent ``dsterf`` eigenvalue solve, the orthonormality of the tracked
 rows, and the first moments of the operator.
 
-The two block sizes were chosen by measurement.  Each entry below is the
-median of 5 fresh processes, the configurations alternating: raw seconds of
-`cli.main` and the process's peak RSS, on a 2-vCPU Xeon (2 MiB L2 per core)
-with OpenBLAS on 2 threads.  "sweep" is the benchmark's phase sweep,
-``dynamics --lambda 6 --p 0.3 --N 1000 --T-grid 10,100,1000,3000
---random-thetas 7`` (8 boxes of 2001 sites); "N 4096" is ``dynamics --lambda 6
---p 0.3 --N 4096 --T-grid 10,1000`` (one box of 8193 sites).
-
-    _SECULAR_CHUNK   sweep            N 4096
-    (leaf 96)
-    2^14             3.48 s  62.1 MB  6.47 s  66.1 MB
-    2^15             2.98 s  62.4 MB  5.70 s  66.2 MB
-    2^16             3.27 s  63.2 MB  5.08 s  66.8 MB
-    2^17             3.09 s  64.2 MB  5.10 s  68.8 MB
-    2^18             3.12 s  69.1 MB  4.65 s  71.1 MB
-    2^19             3.15 s  77.3 MB  4.53 s  75.1 MB
-    2^20             3.26 s  91.9 MB  4.73 s  95.8 MB
-    2^20, leaf 16    3.63 s  91.9 MB  4.98 s  95.8 MB
-
-    _LEAF_SIZE       sweep            N 4096    merges, roots
-    (chunk 2^18)                                (2001 sites)
-    16               3.66 s  68.9 MB  5.21 s    127, 13,772
-    32               3.17 s  69.1 MB  4.84 s     63, 11,841
-    48               3.28 s  69.1 MB  4.83 s     63, 11,841
-    64               2.98 s  69.1 MB  4.71 s     31,  9,863
-    96               3.08 s  69.1 MB  4.79 s     31,  9,863
-    128              3.05 s  68.9 MB  4.40 s     15,  7,882
-
-A second leaf sweep, 7 processes each, read:
-
-    _LEAF_SIZE       sweep            N 4096    merges, roots
-    64               3.19 s  69.1 MB  4.73 s     31,  9,863
-    96               3.11 s  69.0 MB  4.81 s     31,  9,863
-    128              3.11 s  68.9 MB  4.86 s     15,  7,882
-    192              3.01 s  69.1 MB  4.77 s     15,  7,882
-    256              3.79 s  69.5 MB  4.82 s      7,  5,895
-
-A block of the secular passes is k poles by `_SECULAR_CHUNK` // k roots.
-The largest merge of the 8193-site box keeps k = 8065, and there the two
-passes took 1.12, 0.94, 0.96, 0.87 and 0.77 s at 2^16 to 2^20 entries (8 to
-130 roots per block).  At 2^18 entries, 2 MiB per buffer, that box still
-runs faster than with the former 2^20 entries and 16-site leaves.  The
-phase sweep's peak RSS falls by a quarter, because each large merge of a
-2001-site box (k up to 1963) fills both buffers.  A whole ``dstevd`` block
-costs less than one split and merge up to a few hundred sites (125 sites:
-0.75 against 1.36 ms; 500 sites: 10.7 against 12.2 ms), but from 48 to 192
-sites both commands move within their run-to-run spread (the interquartile
-ranges of the second sweep are 0.3 s on the phase sweep and 0.6 s on N
-4096), and at 256 the phase sweep, whose leaves become 250-site blocks, is a
-fifth slower.  96 sits in the middle of that plateau.
-
-The tables predate five changes that took time off the sweep and moved no
-bit: dlaed4 called through a bare pointer (`_secular_roots`), each block of
-gaps built as a copy and an in-place subtract (`_column_minus_row`), the
-products on one BLAS thread, a helper thread (`_halves`) that takes the
-dsterf reference and half of every merge of two or more blocks of roots
-(`_secular_rows`), and the phase pipeline of `_certified_boxes`, in which
-the helper sweeps one phase's first box while this thread solves the next
-phase's.  The two halves of a merge are independent by construction, as in
-Cuppen's and Gu and Eisenstat's own parallel versions, and so are the boxes
-of two phases.  Where a 2001-site box's time goes before the pipeline
-(coupling 6, phase 0, 4 timescales, OpenBLAS started with 2 threads; medians
-of 6 solves in one process, three processes, each alternating with one of
-the code before the helper): `site_spectrum` 0.12 to 0.13 s of wall time and
-0.20 to 0.22 s of CPU time, against 0.16 to 0.22 s and 0.20 to 0.21 s; the
-dlaed4 loops 0.055 to 0.058 s against 0.074 to 0.098 s, the two secular
-passes 0.050 to 0.054 s against 0.072 to 0.090 s, the ``dstevd`` leaves
-0.008 s; then the Abel sweep, on one thread, 0.03 s, with the second core
-idle.  The phase sweep's raw `cli.main` time fell from 1.87 to 1.53 s with
-the helper (10 alternating benchmark pairs, the change lower in all 10), and
-the 8193-site box's from 2.74 to 1.99 s (6 pairs, 6 lower); `BENCH_34.json`
-has every run.  The pipeline then took the sweep's raw `cli.main` time from
-1.45 to 1.26 s (10 alternating pairs of fresh processes, 9 lower) and the
-benchmark's `main_s` from 1.36 to 1.18 s (10 of 10 lower); the sweep's two
-buffers, now alive beside the solver's, raised the benchmark's peak RSS from
-69.7 to 74.7 MB (`BENCH_35.json`).  Dead ends, measured on the same machine:
-
-- the helper running the passes while this thread runs the dlaed4 loop
-  gained nothing, because each dlaed4 call hands the GIL over;
-- each block split between the threads on shared buffers, with a hand-off
-  per block, was slower and took about 1 s more CPU time on the sweep;
-- ``tracked @ vecs`` split by column halves changed ``dynamics.csv``:
-  OpenBLAS's result depends on the block's width, so each product runs on a
-  whole block;
-- a full pair of block buffers per thread took 23% off the sweep but added
-  5 MB of peak RSS, and collecting the helper's pass-1 products per block
-  held 8 MB on the 8193-site box; the split by pole rows needs neither;
-- the Abel sweep split by timescale between the two threads, with a third
-  block buffer, took a tenth off the phase sweep before the pipeline (raw
-  `cli.main` 1.30 against 1.18 s, 6 of 6 pairs lower) and gained nothing on
-  top of it (1.29 against 1.28 s, 5 of 8 lower), where the helper already
-  runs every sweep but the last phase's; its halves must not hold contexts
-  of their own without one around both (`_one_blas_thread`);
-- the band scan's blocks (`spectrum._scan_segments`) split between the two
-  threads, each with a workspace of its own, gained nothing on a default
-  `spectrum` run (the scan took 0.165 against 0.169 s, then 0.178 against
-  0.187 s, 5 of 10 pairs lower in each round): a ufunc pass over 2^14 points
-  takes about 5 us, and the Python between two passes holds the GIL.
-
-The roots split pays most on large merges, where dlaed4's O(k) work per root
-outweighs the hand-over of the GIL at each call.  A caller whose helper has
-not started its half by the time its own half is done runs that half too:
-the helper is then still on the dsterf check, which ends only after the
-first large merges start.  The job left in the helper's queue is emptied
-then; jobs that kept their closures there, with their merges' block buffers,
-took the 8193-site box's peak RSS from 44 to 66 MB.
-
-LAPACK comes from numpy's bundled OpenBLAS through ctypes (`_lapack`), so
-no subcommand imports SciPy where numpy ships that library: importing
-``scipy.linalg.cython_lapack`` after numpy costs about 0.23 s and 26 MB, and
-loads ``numpy.ma``.  SciPy's capsules are the fallback for other numpy
-builds, imported only when first needed.
+With two CPUs the helper thread of `lapack.halves` runs the dsterf check,
+half of every merge of two or more blocks of roots, and the Abel sweep of
+one phase's box while this thread solves the next phase's.  The halves are
+independent, as in Cuppen's and Gu and Eisenstat's own parallel versions,
+so no bit moves.
 
 Kept for the benchmark: `eigensystem`, `site_spectrum` with every site
 tracked, whose validation then costs O(n^3) for n sites.
@@ -182,18 +74,13 @@ tracked, whose validation then costs O(n^3) for n sites.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import threading
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
+from . import lapack
 from .phase import PhasePoint
 from .words import rotation_block
 
@@ -331,266 +218,31 @@ def build_truncation(N: int, lam: float, theta: PhasePoint) -> Truncation:
 
 # LAPACK's relative machine precision dlamch('E'): half the spacing at 1.0
 _EPS = 0.5 * np.finfo(float).eps
-# both chosen by measurement, see the module docstring
-_SECULAR_CHUNK = 1 << 18  # entries per block of the secular passes and the Abel sweep
-_LEAF_SIZE = 96  # blocks this small are solved whole by dstevd
-_SQUARES = 1 << 13  # entries of each thread's scratch for the squares of a split pass 2
+_SECULAR_CHUNK = 1 << 18  # entries per block of the secular passes and the sweep; BENCH_36.json
+_LEAF_SIZE = 96  # blocks this small are solved whole by dstevd; timings in BENCH_36.json
+_SQUARES = 1 << 13  # entries of each half's scratch for the squares of pass 2; BENCH_36.json
 
 
-_ROUTINES = ("dlaed4", "dstevd", "dsterf")
+def _in_turn(mine, theirs):
+    """`lapack.halves` without the helper: mine(), then theirs(), both here."""
+    return mine(), theirs()
 
 
-def _numpy_openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS, opened by path: the handle numpy itself loaded."""
-    top = os.path.dirname(np.__file__)
-    for folder in (top + ".libs", os.path.join(top, ".dylibs")):
-        try:
-            names = sorted(os.listdir(folder))
-        except OSError:
-            continue
-        for name in names:
-            if name.startswith("libscipy_openblas64_"):
-                return ctypes.CDLL(os.path.join(folder, name))
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _lapack(bundled: bool = True) -> SimpleNamespace:
-    """dlaed4, dstevd and dsterf from numpy's OpenBLAS, else from SciPy.
-
-    numpy's wheels ship an ILP64 OpenBLAS that exports the three routines as
-    ``scipy_<name>_64_``; where it does, no SciPy module is imported.
-    Elsewhere (MKL, Accelerate or a system BLAS), or with `bundled` False,
-    they come from SciPy's capsules with LP64 integers.  The routines are
-    bare C pointers.  No argument types are declared: ctypes passes the
-    pointer objects that the callers build as they are, instead of checking
-    and converting each on every call, and it releases the GIL for the call.
-
-    Returns a namespace: `source` ("numpy" or "scipy"), the three routines,
-    `integer`, the ctypes type of a Fortran INTEGER there, `tail`, the
-    hidden string lengths that follow dstevd's own arguments in a direct
-    Fortran call (none for the capsules, which are C wrappers), and
-    `set_threads`, the ``openblas_set_num_threads_local`` of numpy's
-    OpenBLAS, which runs numpy's matrix products, or None where numpy has
-    no bundled OpenBLAS.  A namespace, not a class of this module: a class
-    defined at import made `spectrum`, which never calls this module, about
-    5% slower in fresh interpreters under PYTHONHASHSEED=0 (20 alternating
-    pairs), an effect of the interpreter's layout, not of any work.
-    """
-    blas = _numpy_openblas()
-    set_threads = getattr(blas, "openblas_set_num_threads_local", None)
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-    symbols = [f"scipy_{name}_64_" for name in _ROUTINES]
-    if bundled and blas is not None and all(hasattr(blas, s) for s in symbols):
-        pointers = [ctypes.cast(getattr(blas, s), ctypes.c_void_p).value for s in symbols]
-        source, integer, tail = "numpy", ctypes.c_int64, (ctypes.c_size_t(1),)
-    else:
-        from scipy.linalg import cython_lapack
-
-        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", ctypes.pythonapi))
-        get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi))
-        capsules = [cython_lapack.__pyx_capi__[name] for name in _ROUTINES]
-        pointers = [get_pointer(c, get_name(c)) for c in capsules]
-        source, integer, tail = "scipy", ctypes.c_int, ()
-    dlaed4, dstevd, dsterf = (ctypes.CFUNCTYPE(None)(p) for p in pointers)
-    return SimpleNamespace(source=source, integer=integer, tail=tail, dlaed4=dlaed4,
-                           dstevd=dstevd, dsterf=dsterf, set_threads=set_threads)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's matrix products on one OpenBLAS thread, whatever the user set.
-
-    OpenBLAS splits a product by its thread count, which moves the last bits
-    of the result; on one thread the outputs are the same under every
-    ``OPENBLAS_NUM_THREADS``.  The previous count comes back on exit.  The
-    count is process-wide, so the products that the helper thread of
-    `_halves` runs go on one thread too.  Contexts that open and close on two
-    threads at once can close out of order: the first to close gives the
-    user's count back while the other thread still runs products, and the
-    last leaves 1 behind.  `_certified_boxes` therefore holds one context
-    around its whole phase loop, in which the helper sweeps one box while
-    this thread solves the next; every context nested in it, on either
-    thread, finds 1 and gives back 1.
-    """
-    set_threads = _lapack().set_threads
-    if set_threads is None:
-        yield
-        return
-    previous = set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    # sched_getaffinity is Linux-only; elsewhere count every CPU
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_HELPER: list = []  # the helper thread's job queue, once started
-_HELPER_START = threading.Lock()
-if hasattr(os, "register_at_fork"):  # a forked child has no helper thread
-    os.register_at_fork(after_in_child=_HELPER.clear)
-
-
-def _serve(jobs) -> None:
-    """The helper thread: run each job not yet claimed, hand back its result or error."""
-    while True:
-        job, claim, out, done = jobs.get()
-        if claim.acquire(blocking=False):
-            try:
-                out.append((job.pop()(), None))
-            except BaseException as exc:  # raised again by the waiting caller
-                out.append((None, exc))
-            done.release()
-        out = None  # an error's traceback holds the job's buffers
-
-
-def _halves(mine, theirs):
-    """Run theirs() on the helper thread and mine() here; return both results.
-
-    With one CPU there is no helper, and both run here, mine() first.  The
-    helper is a daemon thread with a job queue, started on first use, so it
-    never holds up the interpreter's exit.  If the helper has not started
-    theirs() when mine() returns, it is still busy with an earlier job (the
-    dsterf check, say), and theirs() runs here instead; the queue then keeps
-    only an emptied job, not the buffers that theirs() holds.  Otherwise
-    this thread waits for it, also when mine() raised, and raises its
-    exception if mine() returned.
-    """
-    if _cpus() < 2:
-        return mine(), theirs()
-    with _HELPER_START:
-        if not _HELPER:
-            import queue  # here: the other subcommands never load it
-
-            _HELPER.append(queue.SimpleQueue())
-            threading.Thread(target=_serve, args=(_HELPER[0],), name="quasitrace-helper",
-                             daemon=True).start()
-    job, claim, out, done = [theirs], threading.Lock(), [], threading.Lock()
-    done.acquire()
-    _HELPER[0].put((job, claim, out, done))
-    try:
-        here = mine()
-    except BaseException:
-        if claim.acquire(blocking=False):
-            job.clear()
-        else:
-            done.acquire()
-        raise
-    if claim.acquire(blocking=False):
-        return here, job.pop()()
-    done.acquire()
-    there, error = out[0]
-    if error is not None:
-        raise error
-    return here, there
-
-
-def _ptr(a: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(a.ctypes.data)
-
-
-def _dsterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the tridiagonal (d, e), ascending, by LAPACK dsterf."""
-    lib = _lapack()
-    vals, off = np.array(d, dtype=float), np.array(e, dtype=float)  # both overwritten
-    info = lib.integer(0)
-    lib.dsterf(ctypes.byref(lib.integer(len(vals))), _ptr(vals), _ptr(off),
-               ctypes.byref(info))
-    if info.value != 0:
-        raise AssertionError(f"dsterf failed (info={info.value})")
-    return vals
-
-
-def _dstevd(d: np.ndarray, e: np.ndarray):
-    """Eigenvalues and eigenvectors (columns) of the tridiagonal (d, e), by dstevd.
-
-    The workspace sizes are the ones SciPy's wrapper passes.
-    """
-    lib = _lapack()
-    n = len(d)
-    vals, off = np.array(d, dtype=float), np.append(e, 0.0)  # off: room for n = 1
-    vecs = np.empty((n, n), order="F")
-    work = np.empty(1 + 4 * n + n * n)
-    iwork = np.empty(3 + 5 * n, dtype=lib.integer)
-    info = lib.integer(0)
-    lib.dstevd(ctypes.c_char_p(b"V"), ctypes.byref(lib.integer(n)), _ptr(vals), _ptr(off),
-               _ptr(vecs), ctypes.byref(lib.integer(n)),
-               _ptr(work), ctypes.byref(lib.integer(len(work))),
-               _ptr(iwork), ctypes.byref(lib.integer(len(iwork))), ctypes.byref(info),
-               *lib.tail)
-    if info.value != 0:
-        raise AssertionError(f"dstevd failed on a {n}-site block (info={info.value})")
-    return vals, vecs
-
-
-def _dlaed4_roots(poles, z, rho, lo: int, hi: int):
-    """Roots lo..hi-1 of `_secular_roots`, as lists: root, origin, offset.
-
-    The arguments are built here, so that two threads can run two root ranges.
-    """
-    k = len(poles)
-    roots, origin, offset = [], [], []
-    lib = _lapack()
-    delta = (ctypes.c_double * k)()
-    i_c, root, info = lib.integer(0), ctypes.c_double(0.0), lib.integer(0)
-    args = (ctypes.byref(lib.integer(k)), ctypes.byref(i_c), _ptr(poles), _ptr(z), delta,
-            ctypes.byref(ctypes.c_double(rho)), ctypes.byref(root), ctypes.byref(info))
-    dlaed4 = lib.dlaed4
-    for i in range(lo, hi):
-        i_c.value = i + 1
-        dlaed4(*args)
-        if info.value != 0:
-            raise AssertionError(f"dlaed4 did not converge on root {i + 1} of {k}")
-        # root i lies between poles i and i + 1 (beyond the last pole for i = k - 1)
-        o = i if i == k - 1 or abs(delta[i]) <= abs(delta[i + 1]) else i + 1
-        roots.append(root.value)
-        origin.append(o)
-        offset.append(-delta[o])
-    return roots, origin, offset
-
-
-def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, split: bool = False):
+def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, run=_in_turn):
     """Roots of 1 + rho sum z_i^2 / (poles_i - x) = 0 for increasing poles.
 
     Returns the roots and, per root, the nearest pole and the root's offset
-    from it, as dlaed4 represents them.  `_root_gaps` rebuilds every
-    pole-minus-root difference from those: |poles_i - origin| is at most
-    twice |poles_i - root|, so the difference keeps full relative accuracy.
-
-    One dlaed4 call per root, from Python, with the integer type of the
-    source `_lapack` picked.  dlaed4 reads `poles` and `z` through raw
-    pointers, so both must be C-contiguous float64.  The eight pointer
-    arguments are built once per root range, and `delta` is a ctypes array
-    whose entries read as Python floats.  A call through the bare pointer
-    costs about 0.7 us against 2.1 us through a prototype that declares the
-    argument types (k = 5, where dlaed4 itself does next to nothing).  With
-    `split`, the helper thread finds the upper half of the roots while this
-    thread finds the lower half (`_halves`); each root is found alone, so the
-    results do not change.  LAPACK dlaed9, which finds the same roots and the
-    Gu-Eisenstat vectors in one Fortran call, took 0.24 s on a 2001-site box
-    with 16-site leaves (127 merges, 13,772 roots), where this loop took 0.10 s
-    on one thread, and needs two k x k arrays, 62 MB at k = 1963.
+    from it, as dlaed4 represents them (`lapack.dlaed4_roots`).  `_root_gaps`
+    rebuilds every pole-minus-root difference from those: |poles_i - origin|
+    is at most twice |poles_i - root|, so the difference keeps full relative
+    accuracy.  `run` finds the lower and the upper half of the roots, in turn
+    or on two threads (`lapack.halves`); each root is found alone, so the
+    results do not change.
     """
     k = len(poles)
-    for a in (poles, z):
-        if a.dtype != np.float64 or not a.flags.c_contiguous or len(a) != k:
-            raise AssertionError("dlaed4 needs C-contiguous float64 poles and weights")
-    if split:
-        low, high = _halves(lambda: _dlaed4_roots(poles, z, rho, 0, k // 2),
-                            lambda: _dlaed4_roots(poles, z, rho, k // 2, k))
-        roots, origin, offset = (a + b for a, b in zip(low, high))
-    else:
-        roots, origin, offset = _dlaed4_roots(poles, z, rho, 0, k)
+    low, high = run(lambda: lapack.dlaed4_roots(poles, z, rho, 0, k // 2),
+                    lambda: lapack.dlaed4_roots(poles, z, rho, k // 2, k))
+    roots, origin, offset = (a + b for a, b in zip(low, high))
     return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
 
 
@@ -728,16 +380,15 @@ def _secular_rows(poles, z, rho, tracked):
     It turns the root gaps into eigenvectors in one buffer and sums their
     squares in the other.
 
-    When the roots take two or more blocks (k > 512 at 2^18 entries) and the
-    process may use two CPUs, the helper thread of `_halves` takes half of
-    every stage, and nothing moves a bit.  It finds the upper half of the
-    roots (`_secular_roots`).  In the first pass it forms the weights of the
-    upper half of the poles, in the upper half of each buffer, block after
-    block in the same order: w_i depends on row i alone.  In the second pass
-    it takes the upper half of the blocks of roots, with the second buffer
-    for its eigenvectors; each thread then sums the squares in a scratch of
-    `_SQUARES` entries (`_square_sums`).  The products with the tracked rows
-    run on whole blocks: OpenBLAS's result depends on the block's width.
+    Each stage runs as two halves, and no bit moves: the lower and the upper
+    half of the roots (`_secular_roots`); in pass 1, of the poles, each in
+    its own part of the two buffers, since w_i depends on row i alone; in
+    pass 2, of the blocks of roots, each with a buffer for its eigenvectors
+    and a scratch of `_SQUARES` entries for their squares (`_square_sums`).
+    The products with the tracked rows run on whole blocks: OpenBLAS's
+    result depends on the block's width.  `lapack.halves` runs the halves
+    of a merge of two or more blocks (k > 512 at 2^18 entries); those of one
+    block run in turn, where the helper's hand-over costs more than it saves.
     """
     k = len(poles)
     if k <= 2:
@@ -746,31 +397,24 @@ def _secular_rows(poles, z, rho, tracked):
         return lam, tracked @ vecs
     chunk = max(1, _SECULAR_CHUNK // k)
     starts = range(0, k, chunk)
-    split = len(starts) > 1 and _cpus() > 1
-    roots, origin, offset = _secular_roots(poles, z, rho, split)
-    gap_buf, aux_buf = np.empty((2, k * min(chunk, k)))
-    if split:
-        h = k // 2
-        w = np.concatenate(_halves(
-            lambda: _weight_rows(poles, origin, offset, chunk, 0, h, gap_buf, aux_buf),
-            lambda: _weight_rows(poles, origin, offset, chunk, h, k,
-                                 gap_buf[h * chunk:], aux_buf[h * chunk:])))
-    else:
-        w = _weight_rows(poles, origin, offset, chunk, 0, k, gap_buf, aux_buf)
+    run = lapack.halves if len(starts) > 1 else _in_turn
+    roots, origin, offset = _secular_roots(poles, z, rho, run)
+    b, h, half = min(chunk, k), k // 2, (len(starts) + 1) // 2
+    gap_buf, aux_buf = np.empty((2, k * b))
+    w = np.concatenate(run(
+        lambda: _weight_rows(poles, origin, offset, chunk, 0, h, gap_buf, aux_buf),
+        lambda: _weight_rows(poles, origin, offset, chunk, h, k,
+                             gap_buf[h * b:], aux_buf[h * b:])))
     if not (np.all(np.isfinite(w)) and np.all(w < 0.0)):
         raise AssertionError("secular roots do not interlace the poles")
     zhat = np.copysign(np.sqrt(-w), z)
     rows = np.empty((tracked.shape[0], k))
-    if split:
-        half = (len(starts) + 1) // 2
-        # a whole column fits a scratch, and two rows of any block
-        scratch = np.empty((2, max(_SQUARES, k, 2 * chunk)))
-        _halves(lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk,
-                                     starts[:half], gap_buf, scratch[0], rows),
-                lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk,
-                                     starts[half:], aux_buf, scratch[1], rows))
-    else:
-        _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts, gap_buf, aux_buf, rows)
+    # a whole column fits a scratch, and two rows of any block
+    scratch = np.empty((2, max(_SQUARES, k, 2 * b)))
+    run(lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts[:half],
+                             gap_buf, scratch[0], rows),
+        lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts[half:],
+                             aux_buf, scratch[1], rows))
     return roots, rows
 
 
@@ -788,7 +432,7 @@ def _split_merge(d: np.ndarray, e: np.ndarray, rows: np.ndarray):
     """
     m = len(d)
     if m <= _LEAF_SIZE:
-        vals, vecs = _dstevd(d, e)
+        vals, vecs = lapack.dstevd(d, e)
         return vals, vecs[rows, :], (0, 0)
     c = m // 2
     beta = float(e[c - 1])
@@ -850,20 +494,20 @@ def site_spectrum(trunc: Truncation, sites) -> SiteSpectrum:
     """All eigenvalues and the eigenvector entries at `sites` and the source site 1.
 
     Divide and conquer that carries only the rows it needs (`_split_merge`),
-    validated by `_validate_site_spectrum` against LAPACK dsterf.  With two
-    or more CPUs the dsterf solve runs on the helper thread of `_halves`
-    while the merges run here: ctypes lets go of the GIL for the call, so it
-    takes the core the one BLAS thread leaves idle.  The helper then takes
-    half of every large merge (`_secular_rows`).  An error on the helper is
-    raised again here.  `stats` records the box size, the poles deflated in
-    the merges (of each kind) and the three defects.
+    validated by `_validate_site_spectrum` against LAPACK dsterf.  The dsterf
+    solve is the helper's half of `lapack.halves`, the merges this thread's:
+    ctypes lets go of the GIL for the call, so it takes the core the one
+    BLAS thread leaves idle.  The helper then takes half of every large
+    merge (`_secular_rows`).  An error on the helper is raised again here.
+    `stats` records the box size, the poles deflated in the merges (of each
+    kind) and the three defects.
     """
     tracked = sorted({int(n) for n in sites} | {1})
     rows_at = np.array([_box_index(n, trunc.N) for n in tracked])
-    with _one_blas_thread():
-        (w, rows, (small, close)), reference = _halves(
+    with lapack.one_blas_thread():
+        (w, rows, (small, close)), reference = lapack.halves(
             lambda: _split_merge(trunc.diagonal, trunc.offdiagonal, rows_at),
-            lambda: _dsterf(trunc.diagonal, trunc.offdiagonal))
+            lambda: lapack.dsterf(trunc.diagonal, trunc.offdiagonal))
         stats = {"size": trunc.size, "deflated_small_weight": small,
                  "deflated_close_poles": close}
         stats.update(_validate_site_spectrum(trunc, w, reference, rows_at, rows))
@@ -906,7 +550,7 @@ def abel_site_masses(es: SiteSpectrum, sites, T: Timescales) -> np.ndarray:
     size = max(min(m * m, _SECULAR_CHUNK), m, s)
     gap_buf, kern_buf = np.empty((2, size))
     acc = np.zeros((len(tau2), s))
-    with _one_blas_thread():
+    with lapack.one_blas_thread():
         j0 = 0
         while j0 < m:
             j1 = min(m, j0 + size // max(m - j0, s))
@@ -984,23 +628,23 @@ def _certified_boxes(lam: float, thetas: list, ts: list, n_first: int, top: int,
     masses per T (dicts by site), the bounds, the solver's stats and the
     boxes tried as (N, worst bound) pairs.
 
-    The phases are pipelined.  While the helper thread of `_halves` sweeps a
-    phase's first box (`_box_masses`), this thread solves the next phase's
-    first box (`_box_solve`), which that phase always needs; the two steps
-    share nothing, so no bit moves.  With one CPU both run here, the solve
-    first.  An error of the look-ahead solve is held and raised when its
-    phase is reached, so errors come in phase order.  Doubled boxes, and
-    every box of the last phase, are solved and swept in turn; so is a
-    single phase.  The whole loop runs inside one `_one_blas_thread`, so the
-    two threads' nested contexts never give the user's thread count back
-    while the other runs a product.
+    The phases are pipelined through `lapack.halves`: its helper's half
+    sweeps a phase's first box (`_box_masses`) while this thread's half
+    solves the next phase's first box (`_box_solve`), which that phase
+    always needs; the two steps share nothing, so no bit moves.  An error of
+    the look-ahead solve is held and raised when its phase is reached, so
+    errors come in phase order.  Doubled boxes, and every box of the last
+    phase, are solved and swept in turn; so is a single phase.  The whole
+    loop runs inside one `lapack.one_blas_thread`, so the two threads'
+    nested contexts never give the user's thread count back while the other
+    runs a product.
     """
     if not fixed and max(ts) * math.sqrt(EDGE_ROUNDING) > TRUNC_TOL:
         raise ValueError(
             f"no box certifies T={max(ts):g}: T*sqrt(EDGE_ROUNDING) exceeds the "
             f"tolerance {TRUNC_TOL:g} beyond T={TRUNC_TOL / math.sqrt(EDGE_ROUNDING):g}")
     out = []
-    with _one_blas_thread():
+    with lapack.one_blas_thread():
         ahead = _held(_box_solve, lam, thetas[0], n_first, top)
         for i, theta in enumerate(thetas):
             (solved, error), ahead = ahead, None
@@ -1009,7 +653,7 @@ def _certified_boxes(lam: float, thetas: list, ts: list, n_first: int, top: int,
             n_box, steps = n_first, []
             while True:
                 if ahead is None and i + 1 < len(thetas):
-                    ahead, (per_t, bounds) = _halves(
+                    ahead, (per_t, bounds) = lapack.halves(
                         lambda: _held(_box_solve, lam, thetas[i + 1], n_first, top),
                         lambda: _box_masses(solved, ts))
                 else:

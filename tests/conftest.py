@@ -1,6 +1,7 @@
 """Test-session setup shared by the suite.
 
-The pytest header names the BLAS setup.  The pinned `dynamics` digests hold
+The pytest header names the BLAS setup, the LAPACK source and the CPU count
+the solver's helper thread sees.  The pinned `dynamics` digests hold
 under any OpenBLAS thread count, because the solver and the Abel sweep run
 numpy's products on one thread, but they hold for one kind of CPU and one
 BLAS build: OpenBLAS and numpy pick their kernels by CPU at run time, and
@@ -33,11 +34,12 @@ def _blas_name() -> str:
 
 
 def pytest_report_header(config):
+    from quasitrace import lapack
+
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
                         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    # sched_getaffinity is Linux-only; elsewhere count every CPU
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return [f"blas: {_blas_name()}; {threads}; cpu affinity: {cpus}"]
+    return [f"blas: {_blas_name()}; {threads}; lapack: {lapack._lapack().source}; "
+            f"cpu affinity: {lapack._cpus()}"]
 
 
 @pytest.fixture
@@ -53,7 +55,7 @@ def small_leaves(monkeypatch):
 
 
 def helper_first(halves):
-    """`dynamics._halves` whose caller starts its half once the helper has started its own.
+    """`lapack.halves` whose caller starts its half once the helper has started its own.
 
     A caller that finds the helper still busy with an earlier job runs the
     helper's half itself, so without this which thread runs a half is a
@@ -78,8 +80,8 @@ def helper_first(halves):
 
 @pytest.fixture
 def helper_takes_its_halves(monkeypatch):
-    """Two CPUs for `dynamics`, whose helper thread then runs every half it is given."""
-    from quasitrace import dynamics
+    """Two CPUs for `lapack.halves`, whose helper thread then runs every half it is given."""
+    from quasitrace import lapack
 
-    monkeypatch.setattr(dynamics, "_cpus", lambda: 2)
-    monkeypatch.setattr(dynamics, "_halves", helper_first(dynamics._halves))
+    monkeypatch.setattr(lapack, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack, "halves", helper_first(lapack.halves))

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from quasitrace import dynamics as DY
+from quasitrace import lapack as LA
 from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS
 from quasitrace.words import fib_number, rotation_block
@@ -265,7 +266,7 @@ def secular_roots(poles: np.ndarray, z: np.ndarray, rho: float):
     The same LAPACK dlaed4, called through a prototype that declares its
     eight pointer types, on numpy arrays, with `delta` read as numpy scalars.
     """
-    lib = DY._lapack()
+    lib = LA._lapack()
     int_p, dbl_p = ctypes.POINTER(lib.integer), ctypes.POINTER(ctypes.c_double)
     proto = ctypes.CFUNCTYPE(None, int_p, int_p, dbl_p, dbl_p, dbl_p, dbl_p, dbl_p, int_p)
     dlaed4 = proto(ctypes.cast(lib.dlaed4, ctypes.c_void_p).value)

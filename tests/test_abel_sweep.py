@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasitrace import dynamics as DY
+from quasitrace import lapack as LA
 from quasitrace.cli import main
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 
@@ -317,7 +318,7 @@ def test_large_box_memory_is_bounded_with_the_helper(monkeypatch):
     # about 10.2 MB against a bound of 11.8 MB; a helper queue that kept the
     # halves the caller took over, with their block buffers, peaked at 19 to
     # 22 MB.
-    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    monkeypatch.setattr(LA, "_cpus", lambda: 2)
     trunc = DY.build_truncation(4096, 6.0, TH0)
     sites = list(range(-8, 9)) + [-4096, 4096]
     bound = (_secular_bound(8 * len(sites) * trunc.size)
@@ -364,7 +365,7 @@ def test_secular_passes_are_bit_identical(monkeypatch, small_leaves, N, lam, the
     sites = list(range(-5, 6)) + [-N, N]
     got = []
     for cpus in (1, 2):  # the helper thread forced off, then on
-        monkeypatch.setattr(DY, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(LA, "_cpus", lambda cpus=cpus: cpus)
         got.append(DY.site_spectrum(trunc, sites))
     monkeypatch.setattr(DY, "_secular_rows", _reference_secular_rows)
     ref = DY.site_spectrum(trunc, sites)
@@ -394,12 +395,12 @@ def test_the_secular_cases_cover_the_helpers_halves(monkeypatch, small_leaves,
         return real_rows(poles, z, rho, tracked)
 
     real_rows = DY._secular_rows
-    for name in ("_dlaed4_roots", "_weight_rows", "_vector_rows"):
-        monkeypatch.setattr(DY, name, spy(name, getattr(DY, name)))
+    for owner, name in ((LA, "dlaed4_roots"), (DY, "_weight_rows"), (DY, "_vector_rows")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     monkeypatch.setattr(DY, "_secular_rows", secular_rows)
     for N, lam, theta, budget in SECULAR_CASES[-2:]:
         monkeypatch.setattr(DY, "_SECULAR_CHUNK", budget)
         DY.site_spectrum(DY.build_truncation(N, lam, theta), [-N, N])
-    assert on_helper == {"_dlaed4_roots", "_weight_rows", "_vector_rows"}
+    assert on_helper == {"dlaed4_roots", "_weight_rows", "_vector_rows"}
     assert (0, False) in layouts  # an even number of blocks
     assert (1, True) in layouts  # an odd number, the last block of one root

@@ -3,6 +3,8 @@ name in it exists.  A name added, removed or left stale in __all__ fails here
 until this table is changed with it."""
 
 import importlib
+import os
+import types
 
 import pytest
 
@@ -32,6 +34,7 @@ PUBLIC = {
         "WindowError", "build_truncation", "eigensystem", "site_spectrum", "abel_site_masses",
         "dynamical_bound_check", "exponent_trend",
     },
+    "lapack": {"dlaed4_roots", "dstevd", "dsterf", "halves", "one_blas_thread"},
     "cli": {"RunConfig", "ConfigError", "parse_theta", "main"},
 }
 
@@ -42,3 +45,16 @@ def test_all_is_the_agreed_surface_and_resolves(name):
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == PUBLIC[name]
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_dynamics_leaves_foreign_code_and_threads_to_lapack():
+    # one owner per name: `dynamics` reaches ctypes, the helper thread and the
+    # CPU count only through `lapack`, which is where tests patch them
+    dynamics = importlib.import_module("quasitrace.dynamics")
+    lapack = importlib.import_module("quasitrace.lapack")
+    bound = list(vars(dynamics).values())
+    modules = {v.__name__ for v in bound if isinstance(v, types.ModuleType)}
+    assert modules & {"ctypes", "functools", "os", "threading", "types"} == set()
+    cpu_counts = [os.cpu_count, lapack._cpus, getattr(os, "sched_getaffinity", None)]
+    assert [v for v in bound if any(v is f for f in cpu_counts if f is not None)] == []
+    assert "_cpus" not in vars(dynamics)

@@ -13,6 +13,7 @@ import pytest
 
 import quasitrace
 from quasitrace import dynamics as DY
+from quasitrace import lapack as LA
 from quasitrace import spectrum as SP
 from quasitrace import transfer as TR
 from quasitrace import words as W
@@ -670,7 +671,7 @@ def scipy_modules():
 
 
 out = sys.argv[1]
-layers = ["phase", "xfloat", "words", "transfer", "spectrum", "dynamics"]
+layers = ["phase", "xfloat", "words", "transfer", "spectrum", "lapack", "dynamics"]
 assert [n for n in layers if f"quasitrace.{n}" not in sys.modules] == []
 assert scipy_modules() == [], scipy_modules()[:5]
 for args in (["words", "--k-max", "5", "--subword-max", "10"],
@@ -684,7 +685,7 @@ for args in (["words", "--k-max", "5", "--subword-max", "10"],
 
 
 def test_no_subcommand_imports_scipy(tmp_path):
-    if DY._lapack().source != "numpy":
+    if LA._lapack().source != "numpy":
         pytest.skip("numpy has no bundled OpenBLAS with the solver's LAPACK routines")
     proc = run_python(["-c", SCIPY_UNUSED, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
@@ -710,7 +711,7 @@ for args in (["words", "--k-max", "5", "--subword-max", "10"],
 
 
 def test_numpy_ma_is_not_imported_without_scipy(tmp_path):
-    if DY._lapack().source != "numpy":
+    if LA._lapack().source != "numpy":
         pytest.skip("the solver's LAPACK routines come from SciPy, which loads numpy.ma")
     proc = run_python(["-c", NUMPY_MA_UNUSED, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 """The solver's two LAPACK sources, held bit for bit to each other.
 
-`dynamics._lapack` takes dlaed4, dstevd and dsterf from numpy's bundled
+`lapack._lapack` takes dlaed4, dstevd and dsterf from numpy's bundled
 ILP64 OpenBLAS where it exports them, and otherwise from SciPy's
 `cython_lapack` capsules with LP64 integers.  Forcing the SciPy source
 (`_lapack(False)`) must move no bit of a root, an eigenpair, an eigenvalue
@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasitrace import dynamics as DY
+from quasitrace import lapack as LA
 
 from test_secular import secular_problems
 
 pytestmark = pytest.mark.skipif(
-    DY._lapack().source != "numpy",
+    LA._lapack().source != "numpy",
     reason="numpy has no bundled OpenBLAS with the solver's LAPACK routines")
 
 
@@ -35,9 +36,9 @@ def _bits(values) -> list:
 def _on_both_sources(solve):
     """`solve()` on the default source, then on SciPy's: each result, or its error."""
     results = []
-    for source in (DY._lapack, functools.partial(DY._lapack, False)):
+    for source in (LA._lapack, functools.partial(LA._lapack, False)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DY, "_lapack", source)
+            mp.setattr(LA, "_lapack", source)
             try:
                 results.append(solve())
             except AssertionError as exc:
@@ -46,7 +47,7 @@ def _on_both_sources(solve):
 
 
 def test_the_fallback_is_scipy_with_lp64_integers():
-    bundled, fallback = DY._lapack(), DY._lapack(False)
+    bundled, fallback = LA._lapack(), LA._lapack(False)
     assert bundled.integer is ctypes.c_int64 and len(bundled.tail) == 1
     assert (fallback.source, fallback.integer, fallback.tail) == ("scipy", ctypes.c_int, ())
     # numpy's products run in numpy's OpenBLAS whichever source LAPACK comes from
@@ -82,14 +83,14 @@ def test_dlaed4_roots_agree_bit_for_bit(problem):
 @settings(max_examples=40, deadline=None)
 @given(problem=tridiagonals(DY._LEAF_SIZE))
 def test_dstevd_pairs_agree_bit_for_bit(problem):
-    bundled, fallback = _on_both_sources(lambda: DY._dstevd(*problem))
+    bundled, fallback = _on_both_sources(lambda: LA.dstevd(*problem))
     assert _bits(bundled) == _bits(fallback)
 
 
 @settings(max_examples=40, deadline=None)
 @given(problem=tridiagonals(600))
 def test_dsterf_values_agree_bit_for_bit(problem):
-    bundled, fallback = _on_both_sources(lambda: [DY._dsterf(*problem)])
+    bundled, fallback = _on_both_sources(lambda: [LA.dsterf(*problem)])
     assert _bits(bundled) == _bits(fallback)
 
 
@@ -99,7 +100,7 @@ def test_dsterf_values_agree_bit_for_bit(problem):
 MERGING_SOLVE = """
 import functools
 
-from quasitrace import dynamics as DY
+from quasitrace import dynamics as DY, lapack as LA
 from quasitrace.phase import PhasePoint
 
 DY._LEAF_SIZE = 16
@@ -114,9 +115,9 @@ def solve():
 
 
 bundled = solve()
-DY._lapack = functools.partial(DY._lapack, False)
+LA._lapack = functools.partial(LA._lapack, False)
 fallback = solve()
-assert DY._lapack().source == "scipy"
+assert LA._lapack().source == "scipy"
 assert bundled[3]["deflated_small_weight"] + bundled[3]["deflated_close_poles"] > 0
 assert fallback == bundled
 print("agree")

@@ -1,8 +1,9 @@
 """The secular-equation kernels of the merge, held bit for bit to their references.
 
-`_secular_roots` calls dlaed4 through a bare function pointer and reads its
-`delta` as Python floats; `tests/oracles.py` keeps the loop that called it
-through a typed prototype on numpy arrays.  `_column_minus_row` builds
+`_secular_roots` calls dlaed4 through a bare function pointer
+(`lapack.dlaed4_roots`) and reads its `delta` as Python floats;
+`tests/oracles.py` keeps the loop that called it through a typed prototype
+on numpy arrays.  `_column_minus_row` builds
 col_i - row_j as a copy and an in-place subtract; the reference is numpy's
 two-operand broadcast.  Both do the same IEEE operations, so every bit must
 agree, the signs of zeros included.
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from quasitrace import dynamics as DY
+from quasitrace import lapack as LA
 
 from oracles import secular_roots
 
@@ -82,6 +84,12 @@ def test_secular_roots_refuse_arrays_that_dlaed4_cannot_read(bad):
         DY._secular_roots(bad(poles), z, rho)
     with pytest.raises(AssertionError, match="C-contiguous float64"):
         DY._secular_roots(poles, bad(z), rho)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 1), (0, 4)])
+def test_dlaed4_roots_refuse_a_range_outside_the_roots(lo, hi):
+    with pytest.raises(ValueError, match="outside the 3 roots"):
+        LA.dlaed4_roots(*_MIDWAY, lo, hi)
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 from quasitrace import dynamics as DY
+from quasitrace import lapack as LA
 from quasitrace.phase import PRECISION_BITS, PhasePoint
 
 import oracles
@@ -282,14 +283,14 @@ def test_a_dsterf_failure_on_its_thread_is_raised_in_the_caller(monkeypatch):
     def fail(d, e):
         raise AssertionError("dsterf failed (info=1)")
 
-    monkeypatch.setattr(DY, "_dsterf", fail)
+    monkeypatch.setattr(LA, "dsterf", fail)
     with pytest.raises(AssertionError, match=r"dsterf failed \(info=1\)"):
         DY.site_spectrum(DY.build_truncation(20, 6.0, TH0), range(-2, 3))
 
 
 def test_solver_and_sweep_run_on_one_blas_thread_and_give_the_count_back(
         monkeypatch, small_leaves):
-    set_threads = DY._lapack().set_threads
+    set_threads = LA._lapack().set_threads
     if set_threads is None:
         pytest.skip("numpy has no bundled OpenBLAS")
     seen = []
@@ -343,7 +344,7 @@ def test_solver_and_sweep_run_on_one_blas_thread_and_give_the_count_back(
         DY.abel_site_masses(es, range(-3, 4), [10.0, 100.0])
         assert set_threads(2) == 2
         assert {name for name, _ in seen} == {"MainThread"}
-        monkeypatch.setattr(DY, "_cpus", lambda: 2)
+        monkeypatch.setattr(LA, "_cpus", lambda: 2)
         monkeypatch.setattr(DY, "abel_site_masses", sweep_then_flag(DY.abel_site_masses))
         monkeypatch.setattr(DY, "site_spectrum", solve_flagged(DY.site_spectrum))
         monkeypatch.setattr(DY, "_split_merge", merge_after_the_sweep(DY._split_merge))
@@ -370,19 +371,20 @@ def _run_script(script, *args, **env):
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
 
 
-@pytest.mark.parametrize("stage, thread", [
-    ("_dlaed4_roots", HELPER),  # the upper half of a merge's roots
-    ("_weight_rows", HELPER),
-    ("_vector_rows", HELPER),
-    ("_dsterf", HELPER),
-    ("_weight_rows", "MainThread"),  # the caller fails while the helper works
-])
+@pytest.mark.parametrize("owner, stage, thread", [
+    (LA, "dlaed4_roots", HELPER),  # the upper half of a merge's roots
+    (DY, "_weight_rows", HELPER),
+    (DY, "_vector_rows", HELPER),
+    (LA, "dsterf", HELPER),
+    (DY, "_weight_rows", "MainThread"),  # the caller fails while the helper works
+], ids=[f"_dlaed4_roots-{HELPER}", f"_weight_rows-{HELPER}", f"_vector_rows-{HELPER}",
+        f"_dsterf-{HELPER}", "_weight_rows-MainThread"])
 def test_a_failure_in_a_half_is_raised_in_the_caller(monkeypatch, small_leaves,
-                                                    helper_takes_its_halves, stage, thread):
+                                                    helper_takes_its_halves, owner, stage, thread):
     monkeypatch.setattr(DY, "_SECULAR_CHUNK", 1000)  # every large merge splits
     trunc = DY.build_truncation(100, 6.0, TH0)
     clean = DY.site_spectrum(trunc, range(-3, 4))
-    real, failed = getattr(DY, stage), []
+    real, failed = getattr(owner, stage), []
 
     def fail(*args):
         if threading.current_thread().name == thread:
@@ -390,11 +392,11 @@ def test_a_failure_in_a_half_is_raised_in_the_caller(monkeypatch, small_leaves,
             raise AssertionError(f"{stage} failed on {thread}")
         return real(*args)
 
-    monkeypatch.setattr(DY, stage, fail)
+    monkeypatch.setattr(owner, stage, fail)
     with pytest.raises(AssertionError, match=f"^{stage} failed on {thread}$"):
         DY.site_spectrum(trunc, range(-3, 4))
     assert failed
-    monkeypatch.setattr(DY, stage, real)
+    monkeypatch.setattr(owner, stage, real)
     again = DY.site_spectrum(trunc, range(-3, 4))
     assert again.rows.tobytes() == clean.rows.tobytes()
     assert again.stats == clean.stats
@@ -409,7 +411,7 @@ def _helper_blocked():
         busy.set()
         released.append(hold.wait(timeout=60))
 
-    blocker = threading.Thread(target=DY._halves, args=(lambda: busy.wait(60), block))
+    blocker = threading.Thread(target=LA.halves, args=(lambda: busy.wait(60), block))
     blocker.start()
     try:
         assert busy.wait(60)
@@ -424,9 +426,9 @@ def _helper_blocked():
 def test_the_caller_runs_the_helpers_halves_while_the_helper_is_busy(monkeypatch, small_leaves):
     monkeypatch.setattr(DY, "_SECULAR_CHUNK", 1000)
     trunc = DY.build_truncation(100, 6.0, TH0)
-    monkeypatch.setattr(DY, "_cpus", lambda: 1)
+    monkeypatch.setattr(LA, "_cpus", lambda: 1)
     alone = DY.site_spectrum(trunc, range(-3, 4))
-    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    monkeypatch.setattr(LA, "_cpus", lambda: 2)
     with _helper_blocked():
         es = DY.site_spectrum(trunc, range(-3, 4))  # the helper is blocked throughout
     assert es.rows.tobytes() == alone.rows.tobytes()
@@ -442,12 +444,12 @@ def test_a_half_the_caller_ran_leaves_no_buffers_queued(monkeypatch, mine_fails)
             raise AssertionError("my half failed")
         return 1
 
-    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    monkeypatch.setattr(LA, "_cpus", lambda: 2)
     with _helper_blocked():
         buffer = np.empty(10)
         held = weakref.ref(buffer)
         try:
-            got = DY._halves(mine, functools.partial(len, buffer))
+            got = LA.halves(mine, functools.partial(len, buffer))
         except AssertionError as exc:
             got = str(exc)
         del buffer
@@ -458,12 +460,12 @@ def test_a_half_the_caller_ran_leaves_no_buffers_queued(monkeypatch, mine_fails)
 def test_halves_from_many_threads_run_each_half_once(monkeypatch):
     # the claim lock decides between the caller and the helper: a half run by
     # both, or by neither, shows as a repeated or missing entry
-    monkeypatch.setattr(DY, "_cpus", lambda: 2)
+    monkeypatch.setattr(LA, "_cpus", lambda: 2)
     calls, ran, results = 300, [], {n: [] for n in range(4)}
 
     def worker(n):
         for i in range(calls):
-            results[n].append(DY._halves(lambda: (n, i), lambda: ran.append((n, i)) or -i))
+            results[n].append(LA.halves(lambda: (n, i), lambda: ran.append((n, i)) or -i))
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -483,11 +485,11 @@ def test_halves_from_many_threads_run_each_half_once(monkeypatch):
 
 THREADS_AFTER_A_SOLVE = """
 import sys, threading
-from quasitrace import dynamics as DY
+from quasitrace import dynamics as DY, lapack as LA
 from quasitrace.phase import PhasePoint
 
 DY._LEAF_SIZE, DY._SECULAR_CHUNK = 16, 1000
-DY._cpus = lambda: int(sys.argv[1])
+LA._cpus = lambda: int(sys.argv[1])
 DY.site_spectrum(DY.build_truncation(100, 6.0, PhasePoint.zero()), range(-3, 4))
 print(" ".join(sorted(t.name for t in threading.enumerate())))
 """
@@ -503,11 +505,11 @@ def test_the_helper_starts_only_with_two_cpus(cpus, threads):
 
 FORKED_CHILD = """
 import os, threading
-from quasitrace import dynamics as DY
+from quasitrace import dynamics as DY, lapack as LA
 from quasitrace.phase import PhasePoint
 
 DY._LEAF_SIZE, DY._SECULAR_CHUNK = 16, 1000
-DY._cpus = lambda: 2
+LA._cpus = lambda: 2
 trunc = DY.build_truncation(100, 6.0, PhasePoint.zero())
 first = DY.site_spectrum(trunc, range(-3, 4))  # starts the helper
 pid = os.fork()
@@ -528,14 +530,14 @@ def test_a_forked_child_solves_with_a_helper_of_its_own():
 
 FAILING_DYNAMICS = """
 import sys
-from quasitrace import cli, dynamics as DY
+from quasitrace import cli, dynamics as DY, lapack as LA
 
 
 def fail(*args):
     raise AssertionError("pass 2 failed")
 
 
-DY._cpus, DY._vector_rows = (lambda: 2), fail
+LA._cpus, DY._vector_rows = (lambda: 2), fail
 sys.exit(cli.main(["dynamics", "--lambda", "6", "--p", "0.3", "--N", "300",
                    "--T-grid", "10", "--out", sys.argv[1]]))
 """
@@ -553,10 +555,10 @@ def test_a_failing_dynamics_run_exits_promptly(tmp_path):
 BLAS_THREADS_ON_THE_HELPER = """
 import ctypes, threading
 from conftest import helper_first
-from quasitrace import dynamics as DY
+from quasitrace import dynamics as DY, lapack as LA
 from quasitrace.phase import PhasePoint
 
-blas = DY._numpy_openblas()
+blas = LA._numpy_openblas()
 names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
          "openblas_get_num_threads")
 getter = next((getattr(blas, n) for n in names if blas is not None and hasattr(blas, n)), None)
@@ -574,8 +576,8 @@ def spy(*args):
 
 
 DY._LEAF_SIZE, DY._SECULAR_CHUNK = 16, 1000
-DY._cpus, DY._vector_rows = (lambda: 2), spy
-DY._halves = helper_first(DY._halves)  # the caller never runs the helper's half
+LA._cpus, DY._vector_rows = (lambda: 2), spy
+LA.halves = helper_first(LA.halves)  # the caller never runs the helper's half
 before = getter()
 DY.site_spectrum(DY.build_truncation(100, 6.0, PhasePoint.zero()), range(-3, 4))
 print(before, sorted(set(seen)), getter())
@@ -610,12 +612,12 @@ def test_the_phase_pipeline_equals_the_serial_check_bit_for_bit(monkeypatch, lam
         return real_sweep(es, sites, T)
 
     monkeypatch.setattr(DY, "abel_site_masses", sweep)
-    monkeypatch.setattr(DY, "_cpus", lambda: 1)
+    monkeypatch.setattr(LA, "_cpus", lambda: 1)
     serial = DY.dynamical_bound_check(lam, PHASES, ts, p_used=p, N=N)
     assert {name for _, name in sweeps} == {"MainThread"}
     sweeps.clear()
-    monkeypatch.setattr(DY, "_cpus", lambda: 2)
-    monkeypatch.setattr(DY, "_halves", helper_first(DY._halves))
+    monkeypatch.setattr(LA, "_cpus", lambda: 2)
+    monkeypatch.setattr(LA, "halves", helper_first(LA.halves))
     piped = DY.dynamical_bound_check(lam, PHASES, ts, p_used=p, N=N)
     # the first box of every phase but the last is swept on the helper
     assert [i for i, name in sweeps if name == HELPER] == [0, 1, 2]
@@ -650,9 +652,9 @@ def test_a_failing_phase_raises_before_any_later_phase(monkeypatch, cpus, sweep_
 
     monkeypatch.setattr(DY, "abel_site_masses", failing("sweep", DY.abel_site_masses))
     monkeypatch.setattr(DY, "site_spectrum", failing("solve", DY.site_spectrum))
-    monkeypatch.setattr(DY, "_cpus", lambda: cpus)
+    monkeypatch.setattr(LA, "_cpus", lambda: cpus)
     if cpus == 2:
-        monkeypatch.setattr(DY, "_halves", helper_first(DY._halves))
+        monkeypatch.setattr(LA, "halves", helper_first(LA.halves))
     check = functools.partial(DY.dynamical_bound_check, 10.0, PHASES, [10.0, 100.0],
                               p_used=0.3, N=60)
     with pytest.raises(AssertionError, match=f"^{first} failed$"):
