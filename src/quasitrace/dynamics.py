@@ -223,26 +223,25 @@ _LEAF_SIZE = 96  # blocks this small are solved whole by dstevd; timings in BENC
 _SQUARES = 1 << 13  # entries of each half's scratch for the squares of pass 2; BENCH_36.json
 
 
-def _in_turn(mine, theirs):
-    """`lapack.halves` without the helper: mine(), then theirs(), both here."""
-    return mine(), theirs()
+def _in_halves(part, n: int, h: int, two: bool) -> tuple:
+    """(part(0, h), part(h, n)) through `lapack.halves` where `two`, else (part(0, n),)."""
+    return lapack.halves(lambda: part(0, h), lambda: part(h, n)) if two else (part(0, n),)
 
 
-def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, run=_in_turn):
+def _secular_roots(poles: np.ndarray, z: np.ndarray, rho: float, two: bool = False):
     """Roots of 1 + rho sum z_i^2 / (poles_i - x) = 0 for increasing poles.
 
     Returns the roots and, per root, the nearest pole and the root's offset
     from it, as dlaed4 represents them (`lapack.dlaed4_roots`).  `_root_gaps`
     rebuilds every pole-minus-root difference from those: |poles_i - origin|
     is at most twice |poles_i - root|, so the difference keeps full relative
-    accuracy.  `run` finds the lower and the upper half of the roots, in turn
-    or on two threads (`lapack.halves`); each root is found alone, so the
-    results do not change.
+    accuracy.  With `two` the lower and the upper half of the roots are
+    found through `lapack.halves`, else all of them in one call; each root
+    is found alone, so the results do not change.
     """
     k = len(poles)
-    low, high = run(lambda: lapack.dlaed4_roots(poles, z, rho, 0, k // 2),
-                    lambda: lapack.dlaed4_roots(poles, z, rho, k // 2, k))
-    roots, origin, offset = (a + b for a, b in zip(low, high))
+    parts = _in_halves(lambda lo, hi: lapack.dlaed4_roots(poles, z, rho, lo, hi), k, k // 2, two)
+    roots, origin, offset = (sum(lists, []) for lists in zip(*parts))
     return np.array(roots), np.array(origin, dtype=np.intp), np.array(offset)
 
 
@@ -380,15 +379,17 @@ def _secular_rows(poles, z, rho, tracked):
     It turns the root gaps into eigenvectors in one buffer and sums their
     squares in the other.
 
-    Each stage runs as two halves, and no bit moves: the lower and the upper
-    half of the roots (`_secular_roots`); in pass 1, of the poles, each in
-    its own part of the two buffers, since w_i depends on row i alone; in
-    pass 2, of the blocks of roots, each with a buffer for its eigenvectors
-    and a scratch of `_SQUARES` entries for their squares (`_square_sums`).
-    The products with the tracked rows run on whole blocks: OpenBLAS's
-    result depends on the block's width.  `lapack.halves` runs the halves
-    of a merge of two or more blocks (k > 512 at 2^18 entries); those of one
-    block run in turn, where the helper's hand-over costs more than it saves.
+    A merge of two or more blocks (k > 512 at 2^18 entries) runs each stage
+    as two halves through `lapack.halves`, and no bit moves: the lower and
+    the upper half of the roots (`_secular_roots`); in pass 1, of the poles,
+    split at k // 2, each in its own part of the two buffers, since w_i
+    depends on row i alone; in pass 2, of the blocks of roots, each with a
+    buffer for its eigenvectors and a scratch of `_SQUARES` entries for
+    their squares (`_square_sums`).  A merge of one block runs each stage
+    whole on this thread, where the helper's hand-over costs more than it
+    saves; its pass 2 sums the squares in the idle second buffer, in one
+    reduction.  The products with the tracked rows run on whole blocks:
+    OpenBLAS's result depends on the block's width.
     """
     k = len(poles)
     if k <= 2:
@@ -397,21 +398,26 @@ def _secular_rows(poles, z, rho, tracked):
         return lam, tracked @ vecs
     chunk = max(1, _SECULAR_CHUNK // k)
     starts = range(0, k, chunk)
-    run = lapack.halves if len(starts) > 1 else _in_turn
-    roots, origin, offset = _secular_roots(poles, z, rho, run)
-    b, h, half = min(chunk, k), k // 2, (len(starts) + 1) // 2
+    two = len(starts) > 1
+    roots, origin, offset = _secular_roots(poles, z, rho, two)
+    b = min(chunk, k)
     gap_buf, aux_buf = np.empty((2, k * b))
-    w = np.concatenate(run(
-        lambda: _weight_rows(poles, origin, offset, chunk, 0, h, gap_buf, aux_buf),
-        lambda: _weight_rows(poles, origin, offset, chunk, h, k,
-                             gap_buf[h * b:], aux_buf[h * b:])))
+    w = np.concatenate(_in_halves(
+        lambda lo, hi: _weight_rows(poles, origin, offset, chunk, lo, hi,
+                                    gap_buf[lo * b:], aux_buf[lo * b:]), k, k // 2, two))
     if not (np.all(np.isfinite(w)) and np.all(w < 0.0)):
         raise AssertionError("secular roots do not interlace the poles")
     zhat = np.copysign(np.sqrt(-w), z)
     rows = np.empty((tracked.shape[0], k))
+    if not two:
+        _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts, gap_buf, aux_buf,
+                     rows)
+        return roots, rows
     # a whole column fits a scratch, and two rows of any block
     scratch = np.empty((2, max(_SQUARES, k, 2 * b)))
-    run(lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts[:half],
+    half = (len(starts) + 1) // 2
+    lapack.halves(
+        lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts[:half],
                              gap_buf, scratch[0], rows),
         lambda: _vector_rows(poles, origin, offset, zhat, tracked, chunk, starts[half:],
                              aux_buf, scratch[1], rows))

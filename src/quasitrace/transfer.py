@@ -25,10 +25,11 @@ last two rows X_n and X_{n-1} of its product (columns on the left; see
 hold the same for dM/dE, with the exponent of their product (see
 "Derivative lanes").  The rows of a block of B sites live in one (B + 2, 2,
 lanes) buffer, and the loop over sites does only the step and the
-derivative.  Per block, one maximum over the block's rows gives the peaks of
-every sweep, `_norm_sq_lanes` and `_running_sums` the squared norms and their
-running sums where it takes norms, and the rescale runs (see "Block rescale").
-At each mark the sweep records the product, its derivative, the norm, the
+derivative.  A block ends after B sites or at a mark, whichever comes first.
+Per block, one maximum over the block's rows gives the peaks of every sweep,
+`_norm_sq_lanes` and `_running_sums` the squared norms and their running
+sums where it takes norms, and the rescale runs (see "Block rescale").  Each
+mark is then recorded whole: the product, its derivative, the norm, the
 running norm sum and the peak, so traces, derivative traces, windowed norm
 sums and rounding scales at all Fibonacci lengths come from one pass.
 
@@ -56,34 +57,34 @@ lanes) has 109 patterns on its 987 sites, 10.4 MB against 3.0 MB.  The state
 of a sweep is O(lanes * (B + U) + sites).
 
 Block rescale.  A product lane is checked against its threshold, `_lane_limit`
-of its energy, once per block of B sites, at the block's last site.  A step
-multiplies the largest |entry| by at most `growth`, the largest |t| + 1 of the
-sweep with a rounding slack, and `_rescale_sites` takes the largest B up to a
-cap with growth**B <= the least threshold: at coupling 10 over energies in
-[-3, 13], 32 sites (the cap) without norms and 67 with them.  At a block's end
-every lane whose largest |entry| passes its threshold / growth**B, and so
-could pass the threshold within the next block, is scaled into [0.5, 1) by
-`_renorm`, both rows and its derivative lane alike.  So no stored entry passes
-its lane's threshold.  Where growth**2 passes the least threshold (factors
-beyond about 2**128, as at coupling 1e300) B is 1, and the check, |entry| >
-threshold, runs at every site, the last one included, in this order: the
-product's rescale, then the check of `d_bound`, then the mark.  With B > 1
-nothing is rescaled after the last site, as nothing follows it.  The cap is
+of its energy, once per block, at the block's last site.  A step multiplies
+the largest |entry| by at most `growth`, the largest |t| + 1 of the sweep with
+a rounding slack, and `_rescale_sites` takes the largest B up to a cap with
+growth**B <= the least threshold: at coupling 10 over energies in [-3, 13], 32
+sites (the cap) without norms and 67 with them.  At a block's end every lane
+whose largest |entry| passes its threshold / growth**B, and so could pass the
+threshold within the next block, is scaled into [0.5, 1) by `_renorm`, both
+rows and its derivative lane alike.  A block that a mark ends early is
+shorter, so the cutoff holds for it too.  So no stored entry passes its lane's
+threshold.  Where growth**2 passes the least threshold (factors beyond about
+2**128, as at coupling 1e300) B is 1, and the check is |entry| > threshold,
+the last site included.  At every block's end the product's rescale comes
+first, then the check of `d_bound`, then the mark.  With B > 1 nothing is
+rescaled after the last site, as nothing follows it.  The cap is
 `_block_sites` with norms (see "Norm sums") and 32 without, which keeps the
 buffers small.  The peak of a site is frexp(max |entry|)[1] + e, and e changes
 only at a block's end.  The product of a site is its row and the row before
-(X_0 = (1, 0) is matched by the entry +-1 of X_1), so the peak over sites
-1..n is the largest frexp over the rows X_1..X_n.  The exponent of frexp grows
-with |x|, and no row of a det-1 product is zero, so that is the frexp of the
+(X_0 = (1, 0) is matched by the entry +-1 of X_1), so the peak over sites 1..n
+is the largest frexp over the rows X_1..X_n.  The exponent of frexp grows with
+|x|, and no row of a det-1 product is zero, so that is the frexp of the
 largest |entry| of those rows.  At a block's end `high`, the peak so far,
 becomes the larger of itself and one frexp per lane of the largest |entry| of
-the block's rows, plus e as it stands before the rescale; a mark inside the
-block takes the larger of `high` from before the block and the same frexp
-over the block's rows up to its site.  A scale by 2**-ex lowers the frexp by
-ex and raises e by ex, so the peaks do not depend on where a lane rescales.
-Which energies share a sweep sets B and the cutoff through its largest
-factor, so it can move where a lane rescales, but it changes no output (see
-"Value identity" in the docstring of `tests/test_transfer_lanes.py`).
+the block's rows, plus e as it stands before the rescale.  A scale by 2**-ex
+lowers the frexp by ex and raises e by ex, so the peaks do not depend on where
+a lane rescales.  Which energies share a sweep sets B and the cutoff through
+its largest factor, and its marks set where blocks end early, so both can move
+where a lane rescales, but neither changes an output (see "Value identity" in
+the docstring of `tests/test_transfer_lanes.py`).
 
 Derivative lanes.  A derivative lane shares its product lane's exponent e: it
 is not checked against a threshold, and `_renorm` copies its owner's ex to it
@@ -388,8 +389,8 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     `norms` carries the running sum of squared norms over sites 1..n.  Every
     sweep records the peak, the least p with 2**e * |entry| < 2**p at every
     site 1..n.  Norms of unimodular products are at least 1, so the zero
-    branches of `xfloat.add` never apply after the first site.  A mark gets
-    its norm and peak fields at the end of its block (see "Sweep kernel").
+    branches of `xfloat.add` never apply after the first site.  Every mark
+    ends a block and is recorded after its rescale (see "Block rescale").
     """
     if not {side for side, _ in groups} <= {"right", "left"}:
         raise ValueError("a sweep takes ('right' or 'left', phase) groups")
@@ -452,12 +453,10 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
         carry = np.zeros(lanes), np.zeros(lanes, dtype=np.int64)
     # a det-1 product has an entry of at least 2**-0.5, so its p is >= 0
     high = np.zeros(lanes, dtype=np.int64)
-    done = 0  # marks that have their block fields
     out: list[_Mark] = []
     pending = iter(marks)
-    want = next(pending)
+    want, j = next(pending), 0
     for n in range(1, top + 1):
-        j = (n - 1) % size
         if j == 0:  # the patterns of the next block of sites
             codes = code[n - 1:n - 1 + size].tolist()
         x2, x1, x0, dx, owner_x = steps[j]
@@ -472,7 +471,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
                 np.add(dx, owner_x, out=dx)
             # |T M' + X| <= growth * |M'| + 2**256, rounding included
             d_bound = (d_bound + _RENORM) * growth
-        end = j == size - 1 or n == top
+        end = j == size - 1 or n == want  # a block ends at every mark
         if end:
             fields = {}
             if norms:
@@ -483,15 +482,12 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
                 norm_m, norm_e = _norm_sq_lanes(ordered, e[:lanes])
                 sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
                 carry = sum_m[j], sum_e[j]
-                fields.update(norm_m=norm_m, norm_e=norm_e, sum_m=sum_m, sum_e=sum_e)
+                fields = dict(norm_m=norm_m[j].copy(), norm_e=norm_e[j].copy(),
+                              sum_m=carry[0].copy(), sum_e=carry[1].copy())
             # the product lanes keep their exponents through a block, and the
-            # rows before it are in `high` (see "Block rescale"); keyed by the
-            # block's index of each mark, as the other fields are
-            mags = np.abs(x[2:j + 3, :, :lanes])
-            stops = [mark.n - (n - j) + 1 for mark in out[done:]] + [j + 1]
-            fields["peak"] = {stop - 1: np.maximum(
-                high, np.frexp(mags[:stop].max(axis=(0, 1)))[1] + e[:lanes]) for stop in stops}
-            high = fields["peak"][j]
+            # rows before it are in `high` (see "Block rescale")
+            mags = np.abs(x[2:j + 3, :, :lanes]).max(axis=(0, 1))
+            high = np.maximum(high, np.frexp(mags)[1] + e[:lanes])
             if n < top or size == 1:
                 _renorm(x[j + 1:j + 3], e, math.inf, out=e, owned=n_d, limit=cutoff)
         if d_bound > d_limit:
@@ -503,14 +499,14 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
             entries = np.concatenate((x0, x1))  # X, then Y = X_{n-1} on the right
             np.negative(entries[2:], out=entries[2:], where=left)  # and -X_{n-1} on the left
             out.append(_Mark(n, entries[:, :lanes], e[:lanes].copy(),
-                             *((entries[:, lanes:], de.copy()) if n_d else (None, None))))
+                             *((entries[:, lanes:], de.copy()) if n_d else (None, None)),
+                             peak=high, **fields))
             want = next(pending, None)
         if end:
-            for i in range(done, len(out)):
-                at = out[i].n - (n - j)
-                out[i] = out[i]._replace(**{name: v[at].copy() for name, v in fields.items()})
-            done = len(out)
             x[:2] = x[j + 1:j + 3]
+            j = 0
+        else:
+            j += 1
     return out
 
 

@@ -404,3 +404,28 @@ def test_the_secular_cases_cover_the_helpers_halves(monkeypatch, small_leaves,
     assert on_helper == {"dlaed4_roots", "_weight_rows", "_vector_rows"}
     assert (0, False) in layouts  # an even number of blocks
     assert (1, True) in layouts  # an odd number, the last block of one root
+
+
+def test_a_one_block_merge_runs_each_stage_whole(monkeypatch):
+    # with two CPUs too, a merge of one block finds its roots in one dlaed4
+    # call and its weights in one pass over all poles, on this thread
+    calls = []
+
+    def spy(name, real, lo_hi):
+        def wrapped(*args):
+            calls.append((name, *(args[i] for i in lo_hi), threading.current_thread().name))
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(LA, "_cpus", lambda: 2)
+    monkeypatch.setattr(LA, "dlaed4_roots", spy("dlaed4_roots", LA.dlaed4_roots, (3, 4)))
+    monkeypatch.setattr(DY, "_weight_rows", spy("_weight_rows", DY._weight_rows, (4, 5)))
+    rng = np.random.default_rng(5)
+    k = 60
+    poles = np.arange(k) + rng.uniform(0.1, 0.9, k)
+    z = rng.uniform(0.5, 1.0, k) / math.sqrt(k)
+    assert DY._SECULAR_CHUNK // k >= k  # one block of roots
+    got = DY._secular_rows(poles, z, 2.0, rng.standard_normal((3, k)))
+    here = threading.current_thread().name
+    assert calls == [("dlaed4_roots", 0, k, here), ("_weight_rows", 0, k, here)]
+    assert got[1].shape == (3, k)

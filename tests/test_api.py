@@ -1,9 +1,14 @@
 """The public surface: each module's __all__ is the agreed set, and every
 name in it exists.  A name added, removed or left stale in __all__ fails here
-until this table is changed with it."""
+until this table is changed with it.  Every function, class and method of
+`src/` is live: code in `src/` refers to it, or `UNREFERENCED` gives the
+reason it stays."""
 
+import ast
+import collections
 import importlib
 import os
+import pathlib
 import types
 
 import pytest
@@ -38,6 +43,20 @@ PUBLIC = {
     "cli": {"RunConfig", "ConfigError", "parse_theta", "main"},
 }
 
+# definitions no code in `src/` refers to, each with the reason it stays
+BENCH_PINS = "the benchmark's spans trace it (`bench/spans.py`)"
+UNREFERENCED = {
+    "transfer.traces_right_upto": BENCH_PINS,
+    "transfer.traces_left_upto": BENCH_PINS,
+    "transfer.dual_traces_upto": BENCH_PINS + " and its tests call it",
+    "transfer.norm_trace_inequality": BENCH_PINS,
+    "dynamics.eigensystem": BENCH_PINS,
+    "words.substitute": "the reference definition of the Fibonacci substitution",
+    "words.hull_membership_check": "the reference definition of hull membership",
+    "cli.RunConfig.to_dict": "kept for the run manifest (ROADMAP item 14)",
+    "cli.RunConfig.from_dict": "kept for the run manifest (ROADMAP item 14)",
+}
+
 
 @pytest.mark.parametrize("name", sorted(PUBLIC))
 def test_all_is_the_agreed_surface_and_resolves(name):
@@ -58,3 +77,32 @@ def test_dynamics_leaves_foreign_code_and_threads_to_lapack():
     cpu_counts = [os.cpu_count, lapack._cpus, getattr(os, "sched_getaffinity", None)]
     assert [v for v in bound if any(v is f for f in cpu_counts if f is not None)] == []
     assert "_cpus" not in vars(dynamics)
+
+
+def _definitions(tree):
+    """(qualified name, name code refers to it by, node) of every module-level
+    function and class and every method; dunder methods run implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(node) -> collections.Counter:
+    """Names read in code under `node`: bare names and attributes, not strings."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_in_src_is_referenced_or_listed():
+    src = pathlib.Path(importlib.import_module("quasitrace").__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    unreferenced = {f"{module}.{qualified}" for module, tree in trees.items()
+                    for qualified, name, node in _definitions(tree)
+                    if used[name] == _references(node)[name]}  # only itself
+    assert unreferenced == set(UNREFERENCED)

@@ -17,19 +17,21 @@ entries 1e-300 below its largest leave the normal range, and there its traces
 are held to the scalar rule.  Where a block is one site, at coupling near
 1e300, the raw entries and exponents are the scalar rule's too, but for the
 sign of a zero.  The block rule must keep every stored entry within its lane's
-threshold; a test with a mark at every site fails if a block is one site
-longer.  Norm sums are taken a block of sites at a time, so marks on both
-sides of every block edge, and windows whose edge term opens the next block,
-are held to the scalar sums.  Every sweep takes peaks, once per block and per
-mark, so marks on the first, the last and the only site of a block are held
-to the scalar peaks.  The tests run each case on a sweep with norms and on
+threshold; a test that reads the rows of each block through its squared norms
+fails if a block is one site longer.  A block ends after B sites or at a mark.
+Norm sums are taken a block of sites at a time, so the sums of whole blocks,
+marks at every site, and windows whose edge term opens the next block, are
+held to the scalar sums.  Every sweep takes peaks once per block, so marks
+that end one-site blocks and longer ones are held to the scalar peaks.  Extra
+marks move where blocks end and lanes rescale, and leave every output at the
+other marks bit for bit.  The tests run each case on a sweep with norms and on
 the plain sweep, which cover both block sizes: up to `_block_sites` sites with
 norms, up to 32 without; the two record the same peaks bit for bit.  Several
 (side, phase) groups in one sweep, in any order, over energies in any order,
 with derivatives on a prefix of the groups, keep the bits, raw splits
 included, of a sweep per group.  The factor table of a sweep gives every site
-the factors of its symbols, bit for bit on both rows, with at most 2G
-patterns for G groups.
+the factors of its symbols, bit for bit on both rows, with at most 2G patterns
+for G groups.
 
 The sections below argue why the sweep can keep those bits.  The sections of
 the `transfer` module docstring that they name ("Block rescale", "Derivative
@@ -117,17 +119,17 @@ reducing ndarray methods (not numpy scalar arithmetic or indexing), each
 weighted by how often its branch runs: the step is one `np.multiply` of two
 (2, lanes) operands and one `np.subtract` into the next slot of the buffer,
 the derivative one `np.add`.  At a block's end the peaks are five calls
-(`np.abs`, `max`, `np.frexp`, the add of e, `np.maximum`), and four more (all
-but `np.abs`) for each mark inside the block; the rescale check is `np.abs`
-and two `np.maximum.reduce`, and a rescale six more (`np.frexp`, the
-comparison and product that zero ex on the other lanes, the `take` of the
+(`np.abs`, `max`, `np.frexp`, the add of e, `np.maximum`); the rescale check
+is `np.abs` and two `np.maximum.reduce`, and a rescale six more (`np.frexp`,
+the comparison and product that zero ex on the other lanes, the `take` of the
 scales, the product of the entries, the new exponents).  Where `d_bound`
 passes its limit its check is the same three calls and `np.array_equal`;
-`_add_lanes` makes nine calls.  A sweep with norms pays the five calls of
-the peaks per block too, 0.07 per site at the B = 67 of the default
+`_add_lanes` makes nine calls.  A sweep with norms pays the five calls of the
+peaks per block too, 0.07 per site at the B = 67 of the default
 `norm_profile`.  The `phase_traces` sweep of the benchmark's `traces-large`
-run (17,711 sites, 288 product and 96 derivative lanes, 552 of 554 blocks of
-32 sites rescaling, `d_bound` past its limit at 88 sites) makes per site:
+run (17,711 sites, 288 product and 96 derivative lanes, 566 blocks of up to 32
+sites, 556 of them rescaling, `d_bound` past its limit at 88 sites) makes per
+site:
 
     step  rescale  derivative  block  total
      2.0     0.28        1.02   0.16   3.46
@@ -137,7 +139,7 @@ measurements at this sweep's shapes behind four choices.  A multiply that
 broadcasts a (lanes,) row of factors over the (2, lanes) rows cost more than
 one on two operands of one shape, so the factors are stored once per row.  A
 running maximum (`np.maximum.accumulate`) of a block's exponents cost about
-eight plain maxima, so the peaks take one maximum per block and per mark.  A
+eight plain maxima, so the peaks take one maximum per block.  A
 per-block fill of a (B, 2, lanes) block of factors counted one call but cost
 more per site than the step, so the factors come from the table.  And
 `_add_lanes` inlined saves little per site, so it stays a function, which
@@ -161,6 +163,7 @@ from hypothesis import example, given, settings, strategies as st
 from quasitrace import transfer as TR
 from quasitrace.phase import PRECISION_BITS, PhasePoint, omega
 from quasitrace.words import fib_number, rotation_block
+from quasitrace.xfloat import normalized
 
 from oracles import XReal, local_matrix, norm_sq, scalar_add, scalar_mul, trace, xreal_rows
 
@@ -232,9 +235,8 @@ def fib_marks(k):
     return [fib_number(j) for j in range(k + 1)]
 
 
-# marks on the first, the last and the only site of a block of 32 sites: the
-# blocks of a sweep without norms at coupling up to 12 are sites 1-32, 33-64
-# and 65
+# marks that end one-site blocks and longer ones: at coupling up to 12 the
+# blocks of a sweep without norms are sites 1, 2-32, 33, 34-63, 64 and 65
 EDGE_MARKS = [1, 32, 33, 63, 64, 65]
 
 
@@ -591,6 +593,47 @@ def test_sweeps_with_and_without_norms_record_the_same_peaks(lam, marks):
     assert min(plain[-1].e[2:4]) > 256  # the far lanes rescale
 
 
+def outputs(mark):
+    """Bits of every output field of a mark: the normalized trace and derivative
+    trace, the norm and the running norm sum where the sweep took norms, and
+    the peak."""
+    fields = (*normalized(mark.m[0] + mark.m[3], mark.e),
+              *normalized(mark.dm[0] + mark.dm[3], mark.de),
+              mark.norm_m, mark.norm_e, mark.sum_m, mark.sum_e, mark.peak)
+    return [f.tobytes() for f in fields if f is not None]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sides=st.lists(st.sampled_from(["right", "left"]), min_size=1, max_size=2),
+    k=st.integers(1, 12),
+    lam=st.sampled_from([0.0, 12.0, 1e300]) | st.floats(0.0, 1e300),
+    energies=st.lists(st.floats(-4.0, 16.0) | signed(1e-300, 1e300), min_size=1, max_size=3),
+    phase=phases,
+    extra=st.lists(st.integers(1, fib_number(12)), max_size=40),
+)
+# one-site blocks, and derivative lanes that leave their product's exponent
+@example(sides=["right", "left"], k=12, lam=1e300, energies=[-1.0, 0.0, 1.0], phase=0,
+         extra=list(range(1, 100, 3)))
+# blocks of 32 sites (67 with norms) cut by marks on and beside their edges
+@example(sides=["left", "right"], k=12, lam=12.0, energies=[BAND_CENTER, 3.0, 20.0, -8.0],
+         phase=0, extra=[*EDGE_MARKS, 66, 67, 68, 134])
+def test_extra_marks_keep_every_output_at_the_shared_marks(sides, k, lam, energies, phase,
+                                                           extra):
+    # every mark ends a block, so extra marks move where blocks end and lanes
+    # rescale: at the marks both sweeps share, only the split of the products
+    # into entries and exponent may differ
+    groups = [(side, PhasePoint(phase)) for side in sides]
+    marks = fib_marks(k)
+    more = sorted(set(marks) | {n for n in extra if n <= marks[-1]})
+    E = np.array(energies)
+    for norms in (True, False):
+        base = TR._sweep(groups, E, lam, marks, deriv=len(groups), norms=norms)
+        at = {mark.n: mark for mark in TR._sweep(groups, E, lam, more, deriv=len(groups),
+                                                 norms=norms)}
+        assert [outputs(mark) for mark in base] == [outputs(at[mark.n]) for mark in base]
+
+
 def test_phase_traces_match_the_one_group_calls():
     grid, lam = [-0.0, 0.0, BAND_CENTER, 3.0, 20.0, -8.0], 12.0
     other = PhasePoint.from_decimal("0.3")
@@ -642,15 +685,15 @@ def test_band_lane_never_rescales_beside_far_lanes():
     norms=st.booleans(),
     phase=st.integers(0, (1 << PRECISION_BITS) - 1),
 )
-# growth just below 2**16 gives 16-site blocks, and each lane grows by almost
-# that much per site: a lane scaled into [0.5, 1) at a block's end passes
-# 2**256 at the 17th site after it
+# growth just below 2**16, where each lane grows by almost that much per
+# site; a mark at every site ends every block after one site, and the test
+# below holds the 16-site blocks of this lane to the threshold
 @example(sides=["right"], k=9, lam=0.0, energies=[2.0**16 - 2.0], norms=False, phase=0)
 @example(sides=["left"], k=9, lam=0.0, energies=[2.0**16 - 2.0], norms=False, phase=0)
 def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, norms, phase):
-    # a mark at every site records every product the sweep steps through;
-    # the rescale at each block's end must keep all of them within their
-    # lane's threshold, which keeps the next step finite
+    # a mark at every site records every product the sweep keeps between
+    # sites; the rescale at each block's end must keep all of them within
+    # their lane's threshold, which keeps the next step finite
     theta = PhasePoint(phase)
     groups = [(side, theta) for side in sides]
     marks = TR._sweep(groups, np.array(energies), lam, list(range(1, fib_number(k) + 1)),
@@ -658,6 +701,30 @@ def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, norms, ph
     limit = np.tile(TR._lane_limit(np.array(energies), lam), len(groups))
     for mark in marks:
         assert (np.abs(mark.m).max(axis=0) <= limit).all(), mark.n
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("lam, energies", [
+    (0.0, [2.0**16 - 2.0]),  # 16-site blocks that reach 2**256 at a 17th site
+    (12.0, [BAND_CENTER, 3.0, 20.0, -8.0]),
+], ids=["16-sites", "67-sites"])
+def test_no_entry_inside_a_block_passes_its_threshold(side, lam, energies, monkeypatch):
+    # marks end blocks, so the marks of the test above never see a whole
+    # block; the squared norms read every row of a block before its rescale,
+    # and where blocks are longer than one site none may pass its lane's
+    # threshold (a one-site block's step may, and its rescale follows)
+    limit, seen = TR._lane_limit(np.array(energies), lam), []
+
+    def spy(m, e):
+        seen.append(np.abs(m).max(axis=(0, 1)))
+        return norm_sq_lanes(m, e)
+
+    norm_sq_lanes = TR._norm_sq_lanes
+    monkeypatch.setattr(TR, "_norm_sq_lanes", spy)
+    TR._sweep([(side, PhasePoint.zero())], np.array(energies), lam, [fib_number(12)],
+              deriv=1, norms=True)
+    assert len(seen) > 1
+    assert [n for n, mags in enumerate(seen) if (mags > limit).any()] == []
 
 
 def test_one_site_blocks_keep_the_scalar_raw_split():
@@ -837,8 +904,9 @@ couplings = st.sampled_from([0.0, 12.0, HUGE, -HUGE]) | st.floats(0.0, 1e6)
 @example(lam=0.0, energies=[0.0, -0.0], blocks=2, phase=0, shuffle=random.Random(1))
 @example(lam=12.0, energies=[BAND_CENTER], blocks=3, phase=0, shuffle=random.Random(2))
 def test_block_norm_sums_match_scalar_sums(lam, energies, blocks, phase, shuffle):
-    # a mark at every site puts marks on both sides of every block edge; the
-    # last block holds one site
+    # a mark at every site makes every block one site long; marks at every
+    # B-th site and the last one hold the sums of whole blocks, the last
+    # block one site long
     theta = PhasePoint(phase)
     energies = energies + [0.0, -0.0, lam + 8.0, -8.0]  # the far lanes rescale
     sides = ["right", "left"]
@@ -851,10 +919,14 @@ def test_block_norm_sums_match_scalar_sums(lam, energies, blocks, phase, shuffle
                       list(range(1, top + 1)), norms=True)
     norms = lane_columns([xreal_rows((mark.norm_m, mark.norm_e)) for mark in marks])
     sums = lane_columns([xreal_rows((mark.sum_m, mark.sum_e)) for mark in marks])
+    ends = [*range(size, top, size), top]
+    whole = lane_columns([xreal_rows((mark.sum_m, mark.sum_e)) for mark in TR._sweep(
+        [(side, theta) for side in sides], np.array(energies), lam, ends, norms=True)])
     for i, (side, E) in enumerate(lanes):
         want = scalar_norms(side, top, E, lam, theta)
         assert norms[i] == xbits([norm for norm, _ in want])
         assert sums[i] == xbits([total for _, total in want])
+        assert whole[i] == xbits([want[n - 1][1] for n in ends])
 
 
 @settings(max_examples=10, deadline=None)
