@@ -23,8 +23,9 @@ read their derivatives and norm sums off these sweeps.  A lane holds the
 last two rows X_n and X_{n-1} of its product (columns on the left; see
 "Steps") and an int64 exponent; derivative lanes on a prefix of the groups
 hold the same for dM/dE, with the exponent of their product (see
-"Derivative lanes").  The rows of a block of B sites live in one (B + 2, 2,
-lanes) buffer, and the loop over sites does only the step and the
+"Derivative lanes").  The rows of a block of B sites live in one (B + 2,
+lanes, 2) buffer, lane-major, so that every operand the loop reads at a site
+is contiguous, and the loop over sites does only the step and the
 derivative.  A block ends after B sites or at a mark, whichever comes first.
 Per block, one maximum over the block's rows gives the peaks of every sweep,
 `_norm_sq_lanes` and `_running_sums` the squared norms and their running
@@ -34,27 +35,28 @@ running norm sum and the peak, so traces, derivative traces, windowed norm
 sums and rounding scales at all Fibonacci lengths come from one pass.
 
 Factor table.  The symbols of the G groups at a site, a pattern, set every
-lane's factor there.  `_factor_table` builds, once per sweep, one (2, lanes)
-row of factors per distinct pattern, U of them, t copied onto both rows of X
-so that a step multiplies two operands of one shape, and the pattern of each
-site as a code in the least unsigned dtype that holds U (uint8 up to 255
-patterns); per block the codes of its sites become a short list, and a step
-reads the factors of its site as one row of the table.  Each factor is the
-float that np.where(symbol, E - lam, E) gives, so the table changes no bits.
-There are at most 2G patterns.  Every group's symbol at row n is an arc
-indicator of x = n omega~ mod 1: on the right v(n) = 1 for x in [1 - omega~ -
-theta, 1 - theta), on the left v(1 - n) = 1 for x in (theta + omega~, theta +
-2 omega~] (see `words.rotation_block`).  The 2G endpoints, D of them
-distinct, cut the circle into D open arcs, on each of which the pattern is
-constant.  At an endpoint where only right or only left arcs end, the
-pattern is that of the arc after or before it; only a point where both kinds
-end can hold a pattern of its own, and there are at most 2G - D such points,
-so U <= D + (2G - D) = 2G.  The table holds U * 2 * lanes floats, derivative
-lanes included: on the benchmark's `traces-large` sweep (G = 3, 384 lanes) 6
-patterns in 37 KB, against 197 KB for a (B, 2, lanes) block of factors.  It
-grows as G**2: `traces --random-thetas 30` (62 groups over 64 energies, 5,952
-lanes) has 109 patterns on its 987 sites, 10.4 MB against 3.0 MB.  The state
-of a sweep is O(lanes * (B + U) + sites).
+lane's factor there.  `_factor_table` builds, once per sweep, one (lanes, 2)
+row of factors per distinct pattern, U of them, t copied onto both entries
+of X so that a step multiplies two contiguous operands of one shape, and the
+pattern of each site as a code in the least unsigned dtype that holds U
+(uint8 up to 255 patterns); per block the codes of its sites become a short
+list, and a step reads the factors of its site as one row of the table.
+Each factor is the float that np.where(symbol, E - lam, E) gives, so the
+table changes no bits.  There are at most 2G patterns.  Every group's symbol
+at row n is an arc indicator of x = n omega~ mod 1: on the right v(n) = 1
+for x in [1 - omega~ - theta, 1 - theta), on the left v(1 - n) = 1 for x in
+(theta + omega~, theta + 2 omega~] (see `words.rotation_block`).  The 2G
+endpoints, D of them distinct, cut the circle into D open arcs, on each of
+which the pattern is constant.  At an endpoint where only right or only left
+arcs end, the pattern is that of the arc after or before it; only a point
+where both kinds end can hold a pattern of its own, and there are at most
+2G - D such points, so U <= D + (2G - D) = 2G.  The table, one C-contiguous
+(U, lanes, 2) array, holds U * lanes * 2 floats, derivative lanes included: on
+the benchmark's `traces-large` sweep (G = 3, 384 lanes) 6 patterns in 37 KB,
+against 197 KB for a (B, lanes, 2) block of factors.  It grows as G**2:
+`traces --random-thetas 30` (62 groups over 64 energies, 5,952 lanes) has
+109 patterns on its 987 sites, 10.4 MB against 3.0 MB.  The state of a
+sweep is O(lanes * (B + U) + sites).
 
 Block rescale.  A product lane is checked against its threshold, `_lane_limit`
 of its energy, once per block, at the block's last site.  A step multiplies
@@ -138,10 +140,19 @@ fl(fl(t * X_{n-1}) - X_{n-2}).  The derivative, on lanes after the products
 with their owners' factors, is fl(fl(fl(t * dX_{n-1}) - dX_{n-2}) +
 X_{n-1}): the same step plus row one of the old product, which T' = [[1, 0],
 [0, 0]] keeps.  Every operation is elementwise, so the order of the lanes
-changes no bits.  A mark holds the product as rows 0-1 X and 2-3 +-X_{n-1}:
-(a, b), (c, d) on the right and (a, c), (b, d) on the left.  One gather per
-block puts the entries in (a, b, c, d) order, which `_norm_sq_lanes` reads;
-the sign of -X_{n-1} changes no bit of a squared norm.
+changes no bits.  A slot of the buffer holds X of every lane as a (lanes, 2)
+array, so the step's `np.multiply` and `np.subtract` read and write whole
+slots, and the derivative's `np.add` one contiguous run of its lanes.  The
+reads at a block's end go through transposed views with the lanes last, as
+`_renorm` and `_norm_sq_lanes` take them; the peaks take the maximum over
+the sites first, which reads whole slots, and then the larger of each pair,
+as a maximum over the sites and the pair at once strides across the lanes.
+Maxima are exact and scales are powers of two, so the layout changes no
+bits.  A mark holds the product as rows 0-1 X and 2-3 +-X_{n-1}: (a, b), (c,
+d) on the right and (a, c), (b, d) on the left.  Per block the rows of the
+block's products are stacked so, and one `np.where` swaps rows 1 and 2 of
+the left lanes into the (a, b, c, d) order that `_norm_sq_lanes` reads; the
+sign of -X_{n-1} changes no bit of a squared norm.
 
 Kept for the benchmark.  `traces_right_upto`, `traces_left_upto` and
 `dual_traces_upto` (the right `TraceTable` of `phase_traces`) are one-group
@@ -357,11 +368,13 @@ def _factor_table(symbols, group, span, E):
     """Every lane's factor at every site, as (table, code); see "Factor table".
 
     `symbols` is the (sites, groups) array of `_symbols` and `group` the group
-    of each lane.  `table` holds one (2, lanes) row per distinct row of
-    `symbols`, a pattern, with each lane's factor on both rows, and `code` the
-    pattern of each site: table[code[n]] is np.where(symbols[n, group], span, E)
-    on both rows.  Equal patterns are found by a sort and an adjacent-difference
-    mask, which, unlike `np.unique`, do not import `numpy.ma`.
+    of each lane.  `table` is a C-contiguous (patterns, lanes, 2) array: one
+    (lanes, 2) row per distinct row of `symbols`, a pattern, the shape of a
+    slot of the sweep's buffer, with each lane's factor on both entries; `code`
+    is the pattern of each site: table[code[n], :, i] is
+    np.where(symbols[n, group], span, E) for i = 0, 1.  Equal patterns are
+    found by a sort and an adjacent-difference mask, which, unlike `np.unique`,
+    do not import `numpy.ma`.
     """
     keys = np.packbits(symbols, axis=1)
     order = np.lexsort(keys.T)
@@ -373,7 +386,7 @@ def _factor_table(symbols, group, span, E):
     code[order] = np.cumsum(first, dtype=code.dtype)
     code -= 1
     factors = np.where(symbols[order[first]][:, group], span, E)
-    return np.stack((factors, factors), axis=1), code
+    return np.repeat(factors[:, :, None], 2, axis=2), code
 
 
 def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
@@ -384,7 +397,8 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     1..n, "left" T(0)T(-1)... over sites 0, -1, ....  Every group sweeps
     every energy of `E`: lane g * E.size + i is energy E[i] of group g, reads
     its factors from the group's row of symbols and keeps its entries in the
-    row order of its side.  `marks` are increasing site counts >= 1.
+    row order of its side, as a contiguous pair in each slot of the block
+    buffer (see "Steps").  `marks` are increasing site counts >= 1.
     `deriv` carries dM/dE by the product rule on the first `deriv` groups;
     `norms` carries the running sum of squared norms over sites 1..n.  Every
     sweep records the peak, the least p with 2**e * |entry| < 2**p at every
@@ -426,24 +440,22 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     # lanes past this at a block's end could pass their threshold within the
     # next block; one-site blocks check the threshold itself
     cutoff = limit if size == 1 else limit / growth**size
-    # per lane the rows that put its entries in (a, b, c, d) order
-    order = np.where(left[:lanes], np.array(_ROWS["left"])[:, None],
-                     np.arange(4)[:, None])[:, None]
     # X after each site of the block in slots 2.., after the last two sites of
-    # the block before in slots 0 and 1, one exponent per lane; before site 1,
-    # X_0 = (1, 0) and X_-1 = +-Y_0 = (0, +-1)
-    x = np.zeros((size + 2, 2, width))
-    x[1, 0, :lanes] = 1.0
-    x[0, 1, :lanes] = np.where(left[:lanes], -1.0, 1.0)
+    # the block before in slots 0 and 1, lane-major so that every operand of a
+    # step is contiguous, one exponent per lane; before site 1, X_0 = (1, 0)
+    # and X_-1 = +-Y_0 = (0, +-1)
+    x = np.zeros((size + 2, width, 2))
+    x[1, :lanes, 0] = 1.0
+    x[0, :lanes, 1] = np.where(left[:lanes], -1.0, 1.0)
     e = np.zeros(width, dtype=np.int64)
     de = e[lanes:]
-    # each lane's factor t per pattern of symbols, once per row of X so that a
-    # step multiplies two operands of one shape, and the pattern of each site
+    # each lane's factor t per pattern of symbols, on both entries of X so that
+    # a step multiplies two operands of one shape, and the pattern of each site
     table, code = _factor_table(_symbols(groups, top), group, span, E)
     table = list(table)  # a step reads its row by a list index
     # per site of a block: X_{n-2}, X_{n-1} and X_n of every lane, and on the
     # derivative lanes dX_n and X_{n-1} of their products
-    steps = [(x[j], x[j + 1], x[j + 2], x[j + 2, :, lanes:], x[j + 1, :, :n_d])
+    steps = [(x[j], x[j + 1], x[j + 2], x[j + 2, lanes:], x[j + 1, :n_d])
              for j in range(size)]
     # the derivative lanes share their owners' exponents while `apart` is
     # False; `d_bound` bounds their entries, which no rescale check covers
@@ -466,37 +478,43 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
             if apart:
-                _add_lanes(owner_x, e[:n_d], dx, de, (dx, de))
+                _add_lanes(owner_x.T, e[:n_d], dx.T, de, (dx.T, de))
             else:
                 np.add(dx, owner_x, out=dx)
             # |T M' + X| <= growth * |M'| + 2**256, rounding included
             d_bound = (d_bound + _RENORM) * growth
         end = j == size - 1 or n == want  # a block ends at every mark
         if end:
+            rows = x[2:j + 3, :lanes]  # X_n of the block's sites, (sites, lanes, 2)
             fields = {}
             if norms:
-                # in (a, b, c, d) order, as `_norm_sq_lanes` reads them; the sign
-                # of Y on the left changes no bit of a squared norm
-                block = np.concatenate((x[2:j + 3, :, :lanes], x[1:j + 2, :, :lanes]), axis=1)
-                ordered = np.take_along_axis(block.transpose(1, 0, 2), order, axis=0)
+                # the rows of a mark, then in (a, b, c, d) order, as
+                # `_norm_sq_lanes` reads them; the sign of Y on the left changes
+                # no bit of a squared norm
+                block = np.stack((*rows.transpose(2, 0, 1),
+                                  *x[1:j + 2, :lanes].transpose(2, 0, 1)))
+                ordered = np.where(left[:lanes], block[_ROWS["left"]], block)
                 norm_m, norm_e = _norm_sq_lanes(ordered, e[:lanes])
                 sum_m, sum_e = _running_sums(norm_m, norm_e, carry)
                 carry = sum_m[j], sum_e[j]
                 fields = dict(norm_m=norm_m[j].copy(), norm_e=norm_e[j].copy(),
                               sum_m=carry[0].copy(), sum_e=carry[1].copy())
             # the product lanes keep their exponents through a block, and the
-            # rows before it are in `high` (see "Block rescale")
-            mags = np.abs(x[2:j + 3, :, :lanes]).max(axis=(0, 1))
+            # rows before it are in `high` (see "Block rescale"); the maximum
+            # over the sites runs on contiguous rows, then one over each pair
+            mags = np.abs(rows).max(axis=0)
+            mags = np.maximum(mags[:, 0], mags[:, 1])
             high = np.maximum(high, np.frexp(mags)[1] + e[:lanes])
             if n < top or size == 1:
-                _renorm(x[j + 1:j + 3], e, math.inf, out=e, owned=n_d, limit=cutoff)
+                _renorm(x[j + 1:j + 3].transpose(0, 2, 1), e, math.inf, out=e, owned=n_d,
+                        limit=cutoff)
         if d_bound > d_limit:
             # lanes whose derivative passes the limit leave their owner's exponent
-            d_bound = _renorm(x[j + 1:j + 3, :, lanes:], de, min(d_bound, sys.float_info.max),
-                              out=de, limit=d_limit)[2]
+            d_bound = _renorm(x[j + 1:j + 3, lanes:].transpose(0, 2, 1), de,
+                              min(d_bound, sys.float_info.max), out=de, limit=d_limit)[2]
             apart = not np.array_equal(de, e[:n_d])
         if n == want:
-            entries = np.concatenate((x0, x1))  # X, then Y = X_{n-1} on the right
+            entries = np.stack((*x0.T, *x1.T))  # X, then Y = X_{n-1} on the right
             np.negative(entries[2:], out=entries[2:], where=left)  # and -X_{n-1} on the left
             out.append(_Mark(n, entries[:, :lanes], e[:lanes].copy(),
                              *((entries[:, lanes:], de.copy()) if n_d else (None, None)),

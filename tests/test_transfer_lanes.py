@@ -30,8 +30,8 @@ norms, up to 32 without; the two record the same peaks bit for bit.  Several
 (side, phase) groups in one sweep, in any order, over energies in any order,
 with derivatives on a prefix of the groups, keep the bits, raw splits
 included, of a sweep per group.  The factor table of a sweep gives every site
-the factors of its symbols, bit for bit on both rows, with at most 2G patterns
-for G groups.
+the factors of its symbols, bit for bit on both entries of a slot, in one
+C-contiguous array, with at most 2G patterns for G groups.
 
 The sections below argue why the sweep can keep those bits.  The sections of
 the `transfer` module docstring that they name ("Block rescale", "Derivative
@@ -117,38 +117,42 @@ both forms, as it does past shift < -1080 in `xfloat.add`.
 Calls per site.  Counting ufunc calls, ufunc methods, numpy functions and the
 reducing ndarray methods (not numpy scalar arithmetic or indexing), each
 weighted by how often its branch runs: the step is one `np.multiply` of two
-(2, lanes) operands and one `np.subtract` into the next slot of the buffer,
-the derivative one `np.add`.  At a block's end the peaks are five calls
-(`np.abs`, `max`, `np.frexp`, the add of e, `np.maximum`); the rescale check
-is `np.abs` and two `np.maximum.reduce`, and a rescale six more (`np.frexp`,
-the comparison and product that zero ex on the other lanes, the `take` of the
-scales, the product of the entries, the new exponents).  Where `d_bound`
-passes its limit its check is the same three calls and `np.array_equal`;
-`_add_lanes` makes nine calls.  A sweep with norms pays the five calls of the
-peaks per block too, 0.07 per site at the B = 67 of the default
-`norm_profile`.  The `phase_traces` sweep of the benchmark's `traces-large`
-run (17,711 sites, 288 product and 96 derivative lanes, 566 blocks of up to 32
-sites, 556 of them rescaling, `d_bound` past its limit at 88 sites) makes per
-site:
+contiguous (lanes, 2) operands and one `np.subtract` into the next slot of
+the buffer, the derivative one `np.add` on one contiguous run of lanes.  At a
+block's end the peaks are six calls (`np.abs`, `max` over the sites,
+`np.maximum` of each pair, `np.frexp`, the add of e, `np.maximum`); the
+rescale check is `np.abs` and two `np.maximum.reduce` (the reshape between
+them copies the transposed view, which the count does not see), and a
+rescale six more (`np.frexp`, the comparison and product that zero ex on the
+other lanes, the `take` of the scales, the product of the entries, the new
+exponents).  Where `d_bound` passes its limit its check is the same three
+calls and `np.array_equal`; `_add_lanes` makes nine calls.  A sweep with
+norms pays the six calls of the peaks per block too, 0.09 per site at the
+B = 67 of the default `norm_profile`.  The `phase_traces` sweep of the
+benchmark's `traces-large` run (17,711 sites, 288 product and 96 derivative
+lanes, 566 blocks of up to 32 sites, 556 of them rescaling, `d_bound` past
+its limit at 88 sites) makes per site:
 
     step  rescale  derivative  block  total
-     2.0     0.28        1.02   0.16   3.46
+     2.0     0.28        1.02   0.19   3.49
 
 Call counts hide the cost of each call; `BENCH_33.json` holds the `timeit`
-measurements at this sweep's shapes behind four choices.  A multiply that
-broadcasts a (lanes,) row of factors over the (2, lanes) rows cost more than
-one on two operands of one shape, so the factors are stored once per row.  A
-running maximum (`np.maximum.accumulate`) of a block's exponents cost about
-eight plain maxima, so the peaks take one maximum per block.  A
-per-block fill of a (B, 2, lanes) block of factors counted one call but cost
-more per site than the step, so the factors come from the table.  And
-`_add_lanes` inlined saves little per site, so it stays a function, which
-`test_lane_add_matches_scalar_add` holds to `scalar_add` at the |shift|
-edges.  A check at every site, as in `scalar_mul`, rescales at 13,951 sites
-and takes 7.73 calls per site in the rescale alone.  `BENCH_26.json`,
-`BENCH_27.json` and `BENCH_28.json` hold the CPU seconds of this sweep.  A
-lane threshold below 2**256 (a factor of 2**766 or more) adds one call per
-check for the least threshold.
+measurements at this sweep's shapes behind four choices.  Its first one, a
+multiply that broadcasts a row of factors against one on two operands of one
+shape, was measured on a table whose rows were strided; `BENCH_38.json`
+measures the lane-major layout: a multiply that broadcasts a (lanes, 1) row
+over a (lanes, 2) slot took 2.16 us against 0.54 us with the factor on both
+entries of a contiguous row, so the factors stay duplicated.  A running
+maximum (`np.maximum.accumulate`) of a block's exponents cost about eight
+plain maxima, so the peaks take one maximum per block.  A per-block fill of
+a block of factors counted one call but cost more per site than the step, so
+the factors come from the table.  And `_add_lanes` inlined saves little per
+site, so it stays a function, which `test_lane_add_matches_scalar_add` holds
+to `scalar_add` at the |shift| edges.  A check at every site, as in
+`scalar_mul`, rescales at 13,951 sites and takes 7.73 calls per site in the
+rescale alone.  `BENCH_26.json`, `BENCH_27.json` and `BENCH_28.json` hold
+the CPU seconds of this sweep.  A lane threshold below 2**256 (a factor of
+2**766 or more) adds one call per check for the least threshold.
 """
 
 import math
@@ -543,8 +547,9 @@ def test_grouped_lanes_match_one_sweep_per_group(groups, k, lam, energies, far, 
                   (g * 0x9E3779B97F4A7C15 << 64) % (1 << PRECISION_BITS)) for g in range(140)],
          top=2000, deriv=0, lam=12.0, energies=[3.0])
 def test_factor_table_gives_every_site_its_factors(groups, top, deriv, lam, energies):
-    # each site's row of the table is the factor of every lane, on both rows
-    # of X, and G groups give at most 2G patterns (see "Factor table")
+    # each site's row of the table is the factor of every lane, on both
+    # entries of X in the (lanes, 2) shape of a step's slot, one C-contiguous
+    # array, and G groups give at most 2G patterns (see "Factor table")
     groups = [(side, PhasePoint(phase)) for side, phase in groups]
     deriv = min(deriv, len(groups))
     n = len(energies)
@@ -556,9 +561,10 @@ def test_factor_table_gives_every_site_its_factors(groups, top, deriv, lam, ener
     assert len(table) <= 2 * len(groups)
     assert sorted(set(code.tolist())) == list(range(len(table)))
     assert code.dtype == (np.uint8 if len(table) < 256 else np.uint16)
+    assert table.flags.c_contiguous and table.shape[1:] == (len(group), 2)
     want = np.where(symbols[:, group], span, E)
     for row in (0, 1):
-        assert table[code, row].tobytes() == want.tobytes()
+        assert table[code, :, row].tobytes() == want.tobytes()
 
 
 def test_peaks_are_the_least_power_of_two_above_every_entry():
