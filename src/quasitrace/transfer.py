@@ -53,38 +53,37 @@ where both kinds end can hold a pattern of its own, and there are at most
 2G - D such points, so U <= D + (2G - D) = 2G.  The table, one C-contiguous
 (U, lanes, 2) array, holds U * lanes * 2 floats, derivative lanes included: on
 the benchmark's `traces-large` sweep (G = 3, 384 lanes) 6 patterns in 37 KB,
-against 197 KB for a (B, lanes, 2) block of factors.  It grows as G**2:
+against 412 KB for a (B, lanes, 2) block of factors.  It grows as G**2:
 `traces --random-thetas 30` (62 groups over 64 energies, 5,952 lanes) has
-109 patterns on its 987 sites, 10.4 MB against 3.0 MB.  The state of a
+109 patterns on its 987 sites, 10.4 MB against 6.4 MB.  The state of a
 sweep is O(lanes * (B + U) + sites).
 
 Block rescale.  A product lane is checked against its threshold, `_lane_limit`
 of its energy, once per block, at the block's last site.  A step multiplies
 the largest |entry| by at most `growth`, the largest |t| + 1 of the sweep with
-a rounding slack, and `_rescale_sites` takes the largest B up to a cap with
-growth**B <= the least threshold: at coupling 10 over energies in [-3, 13], 32
-sites (the cap) without norms and 67 with them.  At a block's end every lane
-whose largest |entry| passes its threshold / growth**B, and so could pass the
-threshold within the next block, is scaled into [0.5, 1) by `_renorm`, both
-rows and its derivative lane alike.  A block that a mark ends early is
-shorter, so the cutoff holds for it too.  So no stored entry passes its lane's
-threshold.  Where growth**2 passes the least threshold (factors beyond about
-2**128, as at coupling 1e300) B is 1, and the check is |entry| > threshold,
-the last site included.  At every block's end the product's rescale comes
-first, then the check of `d_bound`, then the mark.  With B > 1 nothing is
-rescaled after the last site, as nothing follows it.  The cap is
-`_block_sites` with norms (see "Norm sums") and 32 without, which keeps the
-buffers small.  The peak of a site is frexp(max |entry|)[1] + e, and e changes
-only at a block's end.  The product of a site is its row and the row before
-(X_0 = (1, 0) is matched by the entry +-1 of X_1), so the peak over sites 1..n
-is the largest frexp over the rows X_1..X_n.  The exponent of frexp grows with
-|x|, and no row of a det-1 product is zero, so that is the frexp of the
-largest |entry| of those rows.  At a block's end `high`, the peak so far,
-becomes the larger of itself and one frexp per lane of the largest |entry| of
-the block's rows, plus e as it stands before the rescale.  A scale by 2**-ex
-lowers the frexp by ex and raises e by ex, so the peaks do not depend on where
-a lane rescales.  Which energies share a sweep sets B and the cutoff through
-its largest factor, and its marks set where blocks end early, so both can move
+a rounding slack, and `_rescale_sites` takes the largest B up to 256 with
+growth**B <= the least threshold, with norms or without: at coupling 10 over
+energies in [-3, 13], 67 sites, and 256 at coupling 0 with |E| < 1.  At a
+block's end every lane whose largest |entry| passes its threshold / growth**B,
+and so could pass the threshold within the next block, is scaled into [0.5, 1)
+by `_renorm`, both rows and its derivative lane alike.  A block that a mark
+ends early is shorter, so the cutoff holds for it too.  So no stored entry
+passes its lane's threshold.  Where growth**2 passes the least threshold
+(factors beyond about 2**128, as at coupling 1e300) B is 1, and the check is
+|entry| > threshold, the last site included.  At every block's end the
+product's rescale comes first, then the check of `d_bound`, then the mark.
+With B > 1 nothing is rescaled after the last site, as nothing follows it.
+The peak of a site is frexp(max |entry|)[1] + e, and e changes only at a
+block's end.  The product of a site is its row and the row before (X_0 = (1,
+0) is matched by the entry +-1 of X_1), so the peak over sites 1..n is the
+largest frexp over the rows X_1..X_n.  The exponent of frexp grows with |x|,
+and no row of a det-1 product is zero, so that is the frexp of the largest
+|entry| of those rows.  At a block's end `high`, the peak so far, becomes the
+larger of itself and one frexp per lane of the largest |entry| of the block's
+rows, plus e as it stands before the rescale.  A scale by 2**-ex lowers the
+frexp by ex and raises e by ex, so the peaks do not depend on where a lane
+rescales.  Which energies share a sweep sets B and the cutoff through its
+largest factor, and its marks set where blocks end early, so both can move
 where a lane rescales, but neither changes an output (see "Value identity" in
 the docstring of `tests/test_transfer_lanes.py`).
 
@@ -124,14 +123,14 @@ so the squared norms do not depend on its split.  `_running_sums` scales a
 lane's carry and block values by 2**-top (top their largest exponent), adds
 them in float64 and splits the sums back with `frexp`.  Squared norms of
 det-1 products change by at most g**2 per site, g = `growth` (||T|| <= |t| +
-1), and B <= `_block_sites(g)` keeps 2 * (B + 1) * log2(g) <= 960, so every
-running sum stays within 2**960 of its block's largest value, normal and
-exact.  Where no B fits, B = 1 and a block is one add, whose larger operand
-scales into [0.5, 1).  `norm_profile` adds the
-fractional edge term of a window with `xfloat.mul` and `add`, and
-`norm_trace_margin` takes the 3/2 power of the sums with `xfloat.sqrt` and
-`mul`, so norm sums and margins stay (m, e) arrays from the sweep to the
-files.
+1).  Where B > 1, g**B <= the least threshold <= 2**256 gives B * log2(g) <=
+256 and log2(g) <= 128, so 2 * (B + 1) * log2(g) <= 768 < 960: every running
+sum stays within 2**960 of its block's largest value, normal and exact.
+Where B = 1 a block is one add, whose larger operand scales into [0.5, 1).
+`norm_profile` adds the fractional edge term of a window with `xfloat.mul`
+and `add`, and `norm_trace_margin` takes the 3/2 power of the sums with
+`xfloat.sqrt` and `mul`, so norm sums and margins stay (m, e) arrays from
+the sweep to the files.
 
 Steps.  On the right M_n = T_n M_{n-1}, T = [[t, -1], [1, 0]], has the rows
 (X_n, X_{n-1}); on the left M_n = M_{n-1} T_n has the columns (X_n,
@@ -142,13 +141,14 @@ X_{n-1}): the same step plus row one of the old product, which T' = [[1, 0],
 [0, 0]] keeps.  Every operation is elementwise, so the order of the lanes
 changes no bits.  A slot of the buffer holds X of every lane as a (lanes, 2)
 array, so the step's `np.multiply` and `np.subtract` read and write whole
-slots, and the derivative's `np.add` one contiguous run of its lanes.  The
-reads at a block's end go through transposed views with the lanes last, as
-`_renorm` and `_norm_sq_lanes` take them; the peaks take the maximum over
-the sites first, which reads whole slots, and then the larger of each pair,
-as a maximum over the sites and the pair at once strides across the lanes.
-Maxima are exact and scales are powers of two, so the layout changes no
-bits.  A mark holds the product as rows 0-1 X and 2-3 +-X_{n-1}: (a, b), (c,
+slots, and the derivative's `np.add` one contiguous run of its lanes.
+`_renorm` and `_add_lanes` take the slots as they are.  The rescale check
+takes the maximum over its two slots first, and the peaks over the block's
+slots, which reads them whole, and then the larger of each pair, as a
+maximum over the slots and the pair at once strides across the lanes.
+`_norm_sq_lanes` reads a block's rows through transposed views with the
+lanes last.  Maxima are exact and scales are powers of two, so the layout
+changes no bits.  A mark holds the product as rows 0-1 X and 2-3 +-X_{n-1}: (a, b), (c,
 d) on the right and (a, c), (b, d) on the left.  Per block the rows of the
 block's products are stacked so, and one `np.where` swaps rows 1 and 2 of
 the left lanes into the (a, b, c, d) order that `_norm_sq_lanes` reads; the
@@ -261,12 +261,11 @@ def _lane_limit(E, lam: float):
 def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
     """The rescale of `oracles.scalar_mul` and `scalar_add`, per lane, in place on `m`.
 
-    `m` holds the entries of each lane along its last axis, and `bound` is an
-    upper bound on every |entry|, or inf where none is kept.  `limit` is the
-    rescale threshold, one number or one per lane (`_lane_limit`).  While the
-    bound stays at or below the least limit no lane can need rescaling and
-    nothing is checked; otherwise only lanes whose own largest |entry| passes
-    their limit are rescaled.  Their new exponents go to `out` (a new array if
+    `m` holds the entries of each lane as two (lanes, 2) slots of the sweep's
+    buffer, and `bound` is an upper bound on every |entry|, or inf where none
+    is kept.  `limit` is the rescale threshold, one number or one per lane
+    (`_lane_limit`).  Only lanes whose own largest |entry| passes their limit
+    are rescaled.  Their new exponents go to `out` (a new array if
     None).  With a finite `bound`, the largest |entry| after the rescale is
     the new bound; with inf, the bound stays inf.  The last `owned` lanes are
     the derivatives of the first `owned` ones: they are not checked, they take
@@ -274,9 +273,9 @@ def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
     lanes").  Returns (m, e, bound).
     """
     least = limit if isinstance(limit, float) else float(limit.min())
-    if bound <= least:
-        return m, e, bound
-    mx = np.maximum.reduce(np.abs(m).reshape(-1, m.shape[-1]), axis=0)
+    # the maximum over the slots reads them whole, then one over each pair
+    mx = np.abs(m).max(axis=0)
+    mx = np.maximum(mx[:, 0], mx[:, 1])
     lanes = mx.size - owned
     top = float(np.maximum.reduce(mx[:lanes], initial=0.0))
     if top <= least:
@@ -285,7 +284,7 @@ def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
     ex *= mx > limit  # 0 on the other lanes: a scale of 1.0 keeps their bits
     ex[lanes:] = ex[:owned]
     s = _HALVES.take(ex, mode="clip")
-    m *= s
+    m *= s[:, None]
     if bound < math.inf:
         # exact: the largest entry of a rescaled lane lands in [0.5, 1)
         bound = float(np.maximum.reduce(np.multiply(mx, s, out=mx)[:lanes]))
@@ -295,22 +294,24 @@ def _renorm(m, e, bound, out=None, owned=0, limit=_RENORM):
 def _add_lanes(m1, e1, m2, e2, out=(None, None)):
     """`oracles.scalar_add` per lane, before its rescale: the sums and their exponents.
 
-    Both operands take a scale from `_HALVES`: 2**shift the one with the
-    smaller exponent, 1.0 the other.  Where |shift| > 1080 the larger operand
-    is returned untouched, as adding the other one's 0.0 would turn a -0.0
-    entry into 0.0.  `out` is an (entries, exponents) pair of buffers for the result,
-    None for new arrays; they may be m2 and e2.  Temporaries are new arrays.
+    The entries of each lane lie in (lanes, 2) slots, as `_renorm` takes
+    them.  Both operands take a scale from `_HALVES`: 2**shift the one with
+    the smaller exponent, 1.0 the other.  Where |shift| > 1080 the larger
+    operand is returned untouched, as adding the other one's 0.0 would turn a
+    -0.0 entry into 0.0.  `out` is an (entries, exponents) pair of buffers for
+    the result, None for new arrays; they may be m2 and e2.  Temporaries are
+    new arrays.
     """
     turns = np.stack((e1 - e2, e2 - e1))
     s2, s1 = _HALVES.take(turns, mode="clip")
     far = turns.max() > 1080
     if far:  # the larger operand, untouched
-        keep = np.where(turns[0] < 0, m2, m1)
+        keep = np.where(turns[0][:, None] < 0, m2, m1)
     m, e = out
-    m = np.multiply(m2, s2, out=m)
-    m += m1 * s1
+    m = np.multiply(m2, s2[:, None], out=m)
+    m += m1 * s1[:, None]
     if far:
-        np.copyto(m, keep, where=np.abs(turns[0]) > 1080)
+        np.copyto(m, keep, where=np.abs(turns[0])[:, None] > 1080)
     return m, np.maximum(e1, e2, out=e)
 
 
@@ -332,16 +333,11 @@ def _norm_sq_lanes(m, e):
     return norm, 2 * (e + ex) + ex2
 
 
-def _block_sites(growth: float) -> int:
-    """B of "Norm sums": max B <= 256 with 2 * (B + 1) * log2(growth) <= 960, else 1."""
-    bits = math.log2(growth)
-    return min(256, max(1, math.floor(480.0 / bits) - 1)) if bits < 480.0 else 1
-
-
-def _rescale_sites(growth: float, least: float, cap: int) -> int:
-    """B of "Block rescale": the most sites up to `cap` with growth**B <= least, at least 1."""
+def _rescale_sites(growth: float, least: float) -> int:
+    """B of every sweep (see "Block rescale"): the most sites up to 256 with
+    growth**B <= least, at least 1."""
     size, reach = 1, growth
-    while size < cap and reach * growth <= least:
+    while size < 256 and reach * growth <= least:
         size, reach = size + 1, reach * growth
     return size
 
@@ -433,10 +429,8 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
     # and its add, and a lane that passes it takes an exponent of its own;
     # at least 1.0, so a rescale into [0.5, 1) puts any lane below it
     d_limit = max(2.0**1022 / growth, 1.0)
-    # B sites per block (see "Block rescale"): exact norm sums need B <=
-    # `_block_sites`, and without them 32 sites keep the buffers small
-    size = _rescale_sites(growth, float(np.min(limit)),
-                          _block_sites(growth) if norms else 32)
+    # B sites per block (see "Block rescale")
+    size = _rescale_sites(growth, float(np.min(limit)))
     # lanes past this at a block's end could pass their threshold within the
     # next block; one-site blocks check the threshold itself
     cutoff = limit if size == 1 else limit / growth**size
@@ -478,7 +472,7 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
             # (T M)' = T M' + T' M and (M T)' = M' T + M T' with T' = [[1, 0],
             # [0, 0]]: T' M keeps row one of M, M T' column one, which is X
             if apart:
-                _add_lanes(owner_x.T, e[:n_d], dx.T, de, (dx.T, de))
+                _add_lanes(owner_x, e[:n_d], dx, de, (dx, de))
             else:
                 np.add(dx, owner_x, out=dx)
             # |T M' + X| <= growth * |M'| + 2**256, rounding included
@@ -506,12 +500,11 @@ def _sweep(groups, E: np.ndarray, lam: float, marks, *, deriv: int = 0,
             mags = np.maximum(mags[:, 0], mags[:, 1])
             high = np.maximum(high, np.frexp(mags)[1] + e[:lanes])
             if n < top or size == 1:
-                _renorm(x[j + 1:j + 3].transpose(0, 2, 1), e, math.inf, out=e, owned=n_d,
-                        limit=cutoff)
+                _renorm(x[j + 1:j + 3], e, math.inf, out=e, owned=n_d, limit=cutoff)
         if d_bound > d_limit:
             # lanes whose derivative passes the limit leave their owner's exponent
-            d_bound = _renorm(x[j + 1:j + 3, lanes:].transpose(0, 2, 1), de,
-                              min(d_bound, sys.float_info.max), out=de, limit=d_limit)[2]
+            d_bound = _renorm(x[j + 1:j + 3, lanes:], de, min(d_bound, sys.float_info.max),
+                              out=de, limit=d_limit)[2]
             apart = not np.array_equal(de, e[:n_d])
         if n == want:
             entries = np.stack((*x0.T, *x1.T))  # X, then Y = X_{n-1} on the right

@@ -898,6 +898,25 @@ def test_traces_coupling_1e30_tiny_energy_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of a traces run at coupling 0 with every energy inside (-1, 1), taken
+# while sweeps without norm sums ended a block after at most 32 sites: here
+# every factor is below 1 in size, and the blocks run to the 256-site cap
+TRACES_COUPLING_ZERO_SHA256 = {
+    "traces.csv": "f419b504df8593f1d0f961ef1064151ad7173cb7a0984afbc83473c6a135a516",
+    "margins.csv": "aea0f1edf78b859e42da8146c2a83a959efb481ef2af278192eca7287b97a56e",
+    "norms.csv": "1ec482a416a017b3015813e2b7f23741413cef5b7c7b493127a9e9a183c0128d",
+    "traces_summary.json":
+        "68e1ad65be4b7bc5eccd3aa6ac5a0da5332192a0b9b211ece7b873df8697e287",
+}
+
+
+def test_traces_coupling_zero_outputs_are_pinned(tmp_path):
+    assert main(["traces", "--lambda", "0", "--energies=-0.9:0.9:7", "--k-max", "16",
+                 "--out", str(tmp_path)]) == 0
+    for name, digest in TRACES_COUPLING_ZERO_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of the default spectrum outputs, copied from the paper-default entry
 # of bench/digests.json; they were taken with one trace_grid call per segment.
 SPECTRUM_DEFAULT_SHA256 = {

@@ -25,8 +25,8 @@ held to the scalar sums.  Every sweep takes peaks once per block, so marks
 that end one-site blocks and longer ones are held to the scalar peaks.  Extra
 marks move where blocks end and lanes rescale, and leave every output at the
 other marks bit for bit.  The tests run each case on a sweep with norms and on
-the plain sweep, which cover both block sizes: up to `_block_sites` sites with
-norms, up to 32 without; the two record the same peaks bit for bit.  Several
+the plain sweep; the two take one block length and record the same peaks bit
+for bit, as do sweeps whose blocks end at other sites.  Several
 (side, phase) groups in one sweep, in any order, over energies in any order,
 with derivatives on a prefix of the groups, keep the bits, raw splits
 included, of a sweep per group.  The factor table of a sweep gives every site
@@ -121,20 +121,19 @@ contiguous (lanes, 2) operands and one `np.subtract` into the next slot of
 the buffer, the derivative one `np.add` on one contiguous run of lanes.  At a
 block's end the peaks are six calls (`np.abs`, `max` over the sites,
 `np.maximum` of each pair, `np.frexp`, the add of e, `np.maximum`); the
-rescale check is `np.abs` and two `np.maximum.reduce` (the reshape between
-them copies the transposed view, which the count does not see), and a
-rescale six more (`np.frexp`, the comparison and product that zero ex on the
-other lanes, the `take` of the scales, the product of the entries, the new
-exponents).  Where `d_bound` passes its limit its check is the same three
-calls and `np.array_equal`; `_add_lanes` makes nine calls.  A sweep with
-norms pays the six calls of the peaks per block too, 0.09 per site at the
-B = 67 of the default `norm_profile`.  The `phase_traces` sweep of the
+rescale check is four (`np.abs`, `max` over the two slots, `np.maximum` of
+each pair, `np.maximum.reduce`), and a rescale six more (`np.frexp`, the
+comparison and product that zero ex on the other lanes, the `take` of the
+scales, the product of the entries, the new exponents).  Where `d_bound`
+passes its limit its check is the same four calls and `np.array_equal`;
+`_add_lanes` makes nine calls.  Every sweep takes its B from
+`_rescale_sites`, with norms or without.  The `phase_traces` sweep of the
 benchmark's `traces-large` run (17,711 sites, 288 product and 96 derivative
-lanes, 566 blocks of up to 32 sites, 556 of them rescaling, `d_bound` past
-its limit at 88 sites) makes per site:
+lanes, 278 blocks of up to 67 sites, each one but the last rescaling,
+`d_bound` past its limit at 88 sites) makes per site:
 
     step  rescale  derivative  block  total
-     2.0     0.28        1.02   0.19   3.49
+     2.0     0.16        1.02   0.09   3.28
 
 Call counts hide the cost of each call; `BENCH_33.json` holds the `timeit`
 measurements at this sweep's shapes behind four choices.  Its first one, a
@@ -149,7 +148,7 @@ a block of factors counted one call but cost more per site than the step, so
 the factors come from the table.  And `_add_lanes` inlined saves little per
 site, so it stays a function, which `test_lane_add_matches_scalar_add` holds
 to `scalar_add` at the |shift| edges.  A check at every site, as in
-`scalar_mul`, rescales at 13,951 sites and takes 7.73 calls per site in the
+`scalar_mul`, rescales at 13,951 sites and takes 8.73 calls per site in the
 rescale alone.  `BENCH_26.json`, `BENCH_27.json` and `BENCH_28.json` hold
 the CPU seconds of this sweep.  A lane threshold below 2**256 (a factor of
 2**766 or more) adds one call per check for the least threshold.
@@ -239,9 +238,19 @@ def fib_marks(k):
     return [fib_number(j) for j in range(k + 1)]
 
 
-# marks that end one-site blocks and longer ones: at coupling up to 12 the
-# blocks of a sweep without norms are sites 1, 2-32, 33, 34-63, 64 and 65
-EDGE_MARKS = [1, 32, 33, 63, 64, 65]
+def block_length(energies, lam):
+    """The B of a sweep over these energies, from its step growth bound."""
+    E = np.array(energies, dtype=float)
+    growth = float((max(np.abs(E).max(), np.abs(E - lam).max()) + 1.0) * TR._SLACK)
+    return TR._rescale_sites(growth, float(TR._lane_limit(E, lam).min()))
+
+
+def edge_marks(energies, lam):
+    """Marks on and beside the edges B and 2B of a sweep's blocks, and at site 1:
+    they end one-site blocks and longer ones, the blocks 1, 2..B - 1, B, B + 1,
+    B + 2..2B - 1, 2B and 2B + 1 where B > 2."""
+    size = block_length(energies, lam)
+    return sorted({1, size - 1, size, size + 1, 2 * size - 1, 2 * size, 2 * size + 1} - {0})
 
 
 def scalar_reference(side, k, E, lam, theta, marks=None):
@@ -313,12 +322,14 @@ def carried(records, norms):
     phase=st.integers(0, (1 << PRECISION_BITS) - 1),
     edges=st.booleans(),
 )
-# the band lane grows slowly and never rescales over F(14) sites; the far
-# lanes rescale every hundred sites or so
+# a band lane beside far lanes that rescale every hundred sites or so; the
+# E = 0 lane at coupling 0 never rescales (see the premise test below)
 @example(side="right", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
          edges=False)
 @example(side="left", k=14, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
          edges=False)
+@example(side="right", k=14, lam=0.0, energies=[0.0, 3.0], far=8.0, phase=0, edges=False)
+@example(side="left", k=14, lam=0.0, energies=[0.0, 3.0], far=8.0, phase=0, edges=False)
 # the derivative of the E = 77 lane first passes 2**256 in the product rule's
 # `scalar_add` at site 41, where its step `scalar_mul` stays below
 @example(side="right", k=10, lam=0.0, energies=[77.0], far=8.0, phase=0, edges=False)
@@ -326,19 +337,21 @@ def carried(records, norms):
 # an energy of 1e-300 at a coupling far outside the drawn range: the lane
 # holds an entry of 1e-300 beside entries near 2 * lambda, about 2**-1022 of them
 @example(side="right", k=2, lam=2.0**24, energies=[1e-300], far=8.0, phase=0, edges=False)
-# peaks at the edges of blocks of 32 sites, where the far lanes rescale;
+# peaks at the edges of blocks of B sites, where the far lanes rescale;
 # and of one-site blocks, at coupling 1e300
 @example(side="right", k=0, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
          edges=True)
 @example(side="left", k=0, lam=12.0, energies=[BAND_CENTER, 3.0], far=8.0, phase=0,
          edges=True)
+@example(side="right", k=0, lam=0.0, energies=[0.0, 3.0], far=8.0, phase=0, edges=True)
+@example(side="left", k=0, lam=0.0, energies=[0.0, 3.0], far=8.0, phase=0, edges=True)
 @example(side="right", k=0, lam=1e300, energies=[1.0], far=8.0, phase=0, edges=True)
 @example(side="left", k=0, lam=1e300, energies=[1.0], far=8.0, phase=0, edges=True)
 def test_every_lane_matches_one_lane_and_scalar_products(side, k, lam, energies,
                                                          far, phase, edges):
     theta = PhasePoint(phase)
     energies = energies + [lam + far, -far]  # off the spectrum: these rescale
-    marks = EDGE_MARKS if edges else None
+    marks = edge_marks(energies, lam) if edges else None
     references = [scalar_reference(side, k, E, lam, theta, marks) for E in energies]
     for norms in (True, False):
         lanes = lane_results(side, k, energies, lam, theta, norms, marks)
@@ -586,16 +599,28 @@ def test_peaks_are_the_least_power_of_two_above_every_entry():
 
 @pytest.mark.parametrize("lam", [0.0, 12.0])
 @pytest.mark.parametrize("marks", [list(range(1, 301)), fib_marks(12)], ids=["every", "fib"])
-def test_sweeps_with_and_without_norms_record_the_same_peaks(lam, marks):
-    # a sweep with norms takes blocks of up to `_block_sites` sites, one
-    # without of up to 32; the peaks, taken once per block and per mark, must
-    # not depend on where the blocks end
+def test_sweeps_with_and_without_norms_record_the_same_peaks(lam, marks, monkeypatch):
+    # sweeps with and without norms take one block length B; the peaks, taken
+    # once per block and per mark, must not depend on where the blocks end,
+    # so a sweep that records every other mark, whose blocks end at other
+    # sites, records the same peaks at the marks they share
     theta, energies = PhasePoint.from_decimal("0.3"), [BAND_CENTER, 3.0, lam + 8.0, -8.0]
-    assert block_length(energies, lam) > 32
+    sizes = []
+
+    def spy(growth, least):
+        sizes.append(rescale_sites(growth, least))
+        return sizes[-1]
+
+    rescale_sites = TR._rescale_sites
+    monkeypatch.setattr(TR, "_rescale_sites", spy)
     groups = [("right", theta), ("left", theta)]
     with_norms = TR._sweep(groups, np.array(energies), lam, marks, deriv=1, norms=True)
     plain = TR._sweep(groups, np.array(energies), lam, marks, deriv=1)
+    assert sizes[0] == sizes[1] > 32
+    sparse = TR._sweep(groups, np.array(energies), lam, marks[1::2], deriv=1)
     assert [mark.peak.tobytes() for mark in with_norms] == [mark.peak.tobytes() for mark in plain]
+    assert ([mark.peak.tobytes() for mark in with_norms[1::2]]
+            == [mark.peak.tobytes() for mark in sparse])
     assert min(plain[-1].e[2:4]) > 256  # the far lanes rescale
 
 
@@ -621,9 +646,9 @@ def outputs(mark):
 # one-site blocks, and derivative lanes that leave their product's exponent
 @example(sides=["right", "left"], k=12, lam=1e300, energies=[-1.0, 0.0, 1.0], phase=0,
          extra=list(range(1, 100, 3)))
-# blocks of 32 sites (67 with norms) cut by marks on and beside their edges
+# blocks of B sites cut by marks on and beside their edges
 @example(sides=["left", "right"], k=12, lam=12.0, energies=[BAND_CENTER, 3.0, 20.0, -8.0],
-         phase=0, extra=[*EDGE_MARKS, 66, 67, 68, 134])
+         phase=0, extra=edge_marks([BAND_CENTER, 3.0, 20.0, -8.0], 12.0))
 def test_extra_marks_keep_every_output_at_the_shared_marks(sides, k, lam, energies, phase,
                                                            extra):
     # every mark ends a block, so extra marks move where blocks end and lanes
@@ -673,12 +698,16 @@ def test_phase_traces_at_huge_energies_run_without_warnings():
 
 
 def test_band_lane_never_rescales_beside_far_lanes():
-    # the premise of the examples above: at lambda 12 and phase 0 the band
-    # lane keeps exponent 0 over F(14) sites while the far lanes rescale
-    energies = [BAND_CENTER, 3.0, 12.0 + 8.0, -8.0]
-    last = TR._sweep([("right", PhasePoint.zero())], np.array(energies), 12.0,
-                     [fib_number(14)])[0]
-    assert last.e[0] == 0 and min(last.e[2:]) > 256
+    # the premise of the examples above: at lambda 0 every factor of the E = 0
+    # lane is [[0, -1], [1, 0]], so its products are that matrix's powers,
+    # whose entries are 0 and +-1; it keeps exponent 0 over F(14) sites on
+    # either side, with norms or without, while the far lanes rescale
+    energies = [0.0, 3.0, 0.0 + 8.0, -8.0]
+    for side in ("right", "left"):
+        for norms in (True, False):
+            last = TR._sweep([(side, PhasePoint.zero())], np.array(energies), 0.0,
+                             [fib_number(14)], norms=norms)[0]
+            assert last.e[0] == 0 and min(last.e[2:]) > 256
 
 
 @settings(max_examples=25, deadline=None)
@@ -738,7 +767,7 @@ def test_one_site_blocks_keep_the_scalar_raw_split():
     # each lane rescales where `scalar_mul` does: the raw entries and exponents,
     # not only their values, are the scalar rule's at every mark
     lam, energies = 1e300, [-1.0, 0.0, 1.0, 1e-250]
-    assert TR._rescale_sites((lam + 2.0) * TR._SLACK, 2.0**256, 32) == 1
+    assert TR._rescale_sites((lam + 2.0) * TR._SLACK, 2.0**256) == 1
     for side in ("right", "left"):
         theta = PhasePoint.from_decimal("0.3")
         lanes = lane_results(side, 12, energies, lam, theta, False)
@@ -796,6 +825,12 @@ def columns(matrices):
     return np.array([a, b, c, d]), e.astype(np.int64)
 
 
+def slots(m):
+    """(4, lanes) entries as the two (lanes, 2) slots of the sweep's buffer that
+    `transfer._renorm` and `_add_lanes` take, (a, b) and (c, d): a view of `m`."""
+    return m.reshape(2, 2, -1).transpose(0, 2, 1)
+
+
 # shifts on both sides of where 2**shift underflows to 0 (-1074) and of where
 # `scalar_add` starts returning the larger operand (beyond 1080), with -0.0 entries
 # that an added 0.0 would turn into 0.0
@@ -810,7 +845,9 @@ EDGE_SHIFTS = (1074, 1075, 1080, 1081)
 def test_lane_add_matches_scalar_add(pairs):
     m1, e1 = columns([p for p, _ in pairs])
     m2, e2 = columns([q for _, q in pairs])
-    m, e, _ = TR._renorm(*TR._add_lanes(m1, e1, m2, e2), math.inf)
+    m = np.empty_like(m1)
+    e = TR._add_lanes(slots(m1), e1, slots(m2), e2, (slots(m), None))[1]
+    e = TR._renorm(slots(m), e, math.inf)[1]
     for i, (p, q) in enumerate(pairs):
         assert lane_raw("right", m, e, i) == raw(scalar_add(p, q))
 
@@ -830,7 +867,7 @@ def test_rescale_starts_strictly_above_two_to_the_256(bounded):
     products = [scalar_mul(mat, (1.0, 0.0, 0.0, 1.0, 0)) for mat in matrices]
     assert [p[4] for p in products] == [7] * 8 + [7 + 257] * 8
     m, e = columns(matrices)
-    m, e, bound = TR._renorm(m, e, 2.0 * above if bounded else math.inf)
+    e, bound = TR._renorm(slots(m), e, 2.0 * above if bounded else math.inf)[1:]
     for i, product in enumerate(products):
         assert lane_raw("right", m, e, i) == raw(product)
     assert bound == (max(max(map(abs, p[:4])) for p in products) if bounded else math.inf)
@@ -879,14 +916,6 @@ def scalar_norms(side, top, E, lam, theta):
         total = total + norm
         out.append((norm, total))
     return out
-
-
-def block_length(energies, lam):
-    """The B of a sweep with norms over these energies, from its step growth bound."""
-    E = np.array(energies, dtype=float)
-    growth = (max(np.abs(E).max(), np.abs(E - lam).max()) + 1.0) * TR._SLACK
-    return TR._rescale_sites(growth, float(TR._lane_limit(E, lam).min()),
-                             TR._block_sites(growth))
 
 
 def lane_columns(values):
@@ -964,13 +993,17 @@ def test_fractional_windows_across_block_edges(lam, energies, fraction, phase):
 
 
 @given(st.floats(1.0, 1e300, exclude_min=True)
-       | st.sampled_from([1.0 + 2.0**-40, 2.0, 2.0**3.75, 2.0**240, 2.0**480, math.inf]))
-def test_block_length_keeps_running_sums_in_range(growth):
+       | st.sampled_from([1.0 + 2.0**-40, 2.0, 2.0**3.75, 2.0**128, 2.0**240, 2.0**480,
+                          math.inf]),
+       st.floats(1.0, 2.0**256) | st.sampled_from([1.0, 2.0**128, 2.0**256]))
+def test_block_length_keeps_running_sums_in_range(growth, least):
     # 2 (B + 1) log2(g) <= 960 keeps every running sum within 2**960 of its
-    # block's largest value; B is the largest such length up to 256, else 1
-    # (the tolerance only absorbs the rounding of 480 / log2(g))
-    size, bits = TR._block_sites(growth), math.log2(growth)
+    # block's largest value, for every least threshold up to 2**256; B is the
+    # largest length up to 256 with g**B <= least, else 1 (the tolerance only
+    # absorbs the rounding of g**B)
+    size, bits = TR._rescale_sites(growth, least), math.log2(growth)
     assert 1 <= size <= 256
     assert size == 1 or 2 * (size + 1) * bits <= 960 * (1 + 1e-12)
-    assert size == 256 or 2 * (size + 2) * bits > 960 * (1 - 1e-12)
-    assert TR._block_sites(math.nan) == 1
+    assert size == 1 or size * bits <= math.log2(least) + 1e-9
+    assert size == 256 or (size + 1) * bits > math.log2(least) - 1e-9
+    assert TR._rescale_sites(math.nan, 2.0**256) == 1
