@@ -412,7 +412,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     phases = cfg.phase_points()
     trend = None
     if cfg.p == "auto":
-        if cfg.lam <= 8.0:
+        if cfg.lam <= DY.TREND_COUPLING:
             raise ConfigError("automatic exponent calibration needs coupling > 8; pass --p")
         label = "1/2"
         row = DY.exponent_trend(cfg.lam, parse_theta(label), T_grid=cfg.T_grid)
@@ -507,7 +507,7 @@ def cmd_report(cfg: RunConfig) -> int:
     csv_counts = {}
     for path in sorted(out.glob("*.csv")):
         with open(path) as fh:
-            csv_counts[path.name] = sum(1 for _ in fh) - 1
+            csv_counts[path.name] = max(sum(1 for _ in fh) - 1, 0)  # less the header
     summary["csv_rows"] = csv_counts
     _write_json(out / "report.json", summary)
     present = [k for k, v in summary.items()

@@ -102,6 +102,7 @@ __all__ = [
 TRUNC_TOL = 1e-5  # largest certified truncation error of a valid record
 EDGE_ROUNDING = 1e-18  # bound on the rounding error of a computed edge mass e_T
 MAX_BOX = 4096  # largest box half-width the certified loop tries
+TREND_COUPLING = 8.0  # `exponent_trend` calibrates only at couplings above it
 _BOX_MARGIN = 16  # sites between the largest window and the edge of the first box
 RESIDUAL_TOL = 1e-8
 GRAM_TOL = 1e-9
@@ -731,7 +732,7 @@ def exponent_trend(lam: float, theta: PhasePoint,
     the true mass up to the certified error.  The row keeps the boxes tried,
     the last one certified.
     """
-    if lam <= 8.0:
+    if lam <= TREND_COUPLING:
         raise ValueError("exponent calibration expects a coupling above 8")
     ts = sorted(float(T) for T in T_grid)
     top = math.floor(max(ts) ** max(_TREND_P_GRID)) + 1

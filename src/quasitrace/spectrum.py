@@ -86,6 +86,7 @@ _PER_PARENT_POINTS = 129
 _GLOBAL_POINTS = 4097
 _SCAN_BLOCK_POINTS = 1 << 14
 MAX_GROWTH_LEVEL = 22  # the top level of a growth fit
+_OPEN_GAPS_COUPLING = 6.0  # above it in modulus all gaps are open: level k has F(k) bands
 
 
 class BandResolutionError(RuntimeError):
@@ -341,7 +342,7 @@ def _level_edges(level: int, lam: float):
         # the spectrum lies in [min(0, lam) - 2, max(0, lam) + 2]
         segments = (np.array([min(0.0, lam) - 2.0 - SEARCH_MARGIN]),
                     np.array([max(0.0, lam) + 2.0 + SEARCH_MARGIN]), np.array([1]))
-        pts = max(_GLOBAL_POINTS, 16 * fib_number(level) + 1)
+        pts = _GLOBAL_POINTS  # above 16 points a band: 16 F(level) + 1 <= 49
     else:
         # Pad parents past their own edge-location tolerance: a child band
         # narrower than the parent's edge slack may otherwise be clipped.
@@ -355,7 +356,7 @@ def _level_edges(level: int, lam: float):
         count = len(found[0])
         # above coupling 6 all gaps are open, so more than F(k) bands can
         # only be spurious splits: treat as instability and refine
-        if coarse == count and (abs(lam) <= 6.0 or count <= fib_number(level)):
+        if coarse == count and (abs(lam) <= _OPEN_GAPS_COUPLING or count <= fib_number(level)):
             break
         pts = 4 * pts - 3
     else:
@@ -378,7 +379,7 @@ def census_shortfalls(k: int, lam: float) -> list[tuple[int, int, int]]:
     """(level, bands found, F(level)) for each level 0..k that resolves fewer
     than F(level) bands where all of them are open, at couplings above 6 in
     modulus; a run reports them as failures."""
-    if abs(lam) <= 6.0:
+    if abs(lam) <= _OPEN_GAPS_COUPLING:
         return []
     return [(level, found, fib_number(level)) for level in range(k + 1)
             if (found := len(_level_edges(level, float(lam))[0])) < fib_number(level)]

@@ -7,12 +7,9 @@ consumer (the transfer sweep, the truncated operator, the `words` table)
 reads the coding as text, and at one byte per symbol the longest word a
 command builds, F(25) = 196418 symbols (`MAX_WORD_LEVEL`), takes 0.2 MB.
 
-No CLI path calls `substitute` or `hull_membership_check`; they stay public as
-the two definitions a word is checked against.  `substitute` is the rule
-0 -> 1, 1 -> 10 itself, from which `fib_word` and its faster concatenation
-must not drift.  `hull_membership_check` says at a finite scale whether a
-window, taken from any sequence, carries exactly the factors of w: membership
-in the hull, over which the paper's bounds are uniform.
+No public name here is kept for the tests alone.  The tests hold `fib_word`
+to the substitution and `subwords` to the factor sets of the prefix and of
+rotation blocks, each against a string oracle of their own.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from .phase import PRECISION_BITS, PhasePoint, omega
 
 __all__ = [
     "ParityReport",
-    "SaturationError",
-    "substitute",
     "fib_number",
     "fib_word",
     "rotation_block",
@@ -39,15 +34,10 @@ __all__ = [
     "height",
     "fibonacci_identity_check",
     "classify_phase_words",
-    "hull_membership_check",
 ]
 
 # the cap on k of every command; the `phase` error model covers no site beyond F(25)
 MAX_WORD_LEVEL = 25
-
-
-class SaturationError(ValueError):
-    """Window too short for its factor census to saturate."""
 
 
 @dataclass(frozen=True)
@@ -66,14 +56,6 @@ class ParityReport:
         even levels pass if all of them pass, odd levels likewise."""
         return cls(side, all(passed[0::2]), all(passed[1::2]),
                    tuple((k, side, outcome) for k, outcome in enumerate(outcomes)))
-
-
-_SUBSTITUTION = str.maketrans({"0": "1", "1": "10"})
-
-
-def substitute(w: str) -> str:
-    """Apply 0 -> 1, 1 -> 10 symbol-wise; output length is len(w) + height(w)."""
-    return w.translate(_SUBSTITUTION)
 
 
 @lru_cache(maxsize=None)
@@ -138,17 +120,19 @@ def saturation_prefix_length(n: int) -> int:
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
+    return n + fib_number(_cover_level(n) + 2)
+
+
+def _cover_level(n: int) -> int:
+    """The least level k with F(k) >= n."""
     k = 0
     while fib_number(k) < n:
         k += 1
-    return n + fib_number(k + 2)
+    return k
 
 
 def _prefix_word(length: int) -> str:
-    k = 0
-    while fib_number(k) < length:
-        k += 1
-    return fib_word(k)[:length]
+    return fib_word(_cover_level(length))[:length]
 
 
 def _factors(text: str, n: int) -> set[str]:
@@ -247,20 +231,3 @@ def classify_phase_words(theta: PhasePoint, k_max: int) -> tuple[ParityReport, P
         reports.append(ParityReport.of(side, passed, passed))
     return reports[0], reports[1]
 
-
-def hull_membership_check(window: str, n: int) -> bool:
-    """Finite-scale hull test: does the window carry exactly the factors of w?
-
-    True iff the set of length-n factors of the window equals the saturated
-    reference census.  The window must be at least as long as the saturation
-    bound for the check to be meaningful.
-    """
-    needed = saturation_prefix_length(n)
-    if len(window) < needed:
-        raise SaturationError(
-            f"window of length {len(window)} too short for a length-{n} hull check"
-            f" (need {needed})"
-        )
-    if set(window) - {"0", "1"}:
-        raise ValueError("the window is not a word in 0 and 1")
-    return _factors(window, n) == subwords(n)

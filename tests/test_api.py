@@ -1,8 +1,10 @@
 """The public surface: each module's __all__ is the agreed set, and every
 name in it exists.  A name added, removed or left stale in __all__ fails here
-until this table is changed with it.  Every function, class and method of
-`src/` is live: code in `src/` refers to it, or `UNREFERENCED` gives the
-reason it stays."""
+until this table is changed with it.  Every name in an __all__ is used by the
+program: code in `src/` or in the benchmark refers to it, so a name only the
+tests call is not public.  Every function, class and method of `src/` is
+live: code in `src/` refers to it, or `UNREFERENCED` gives the reason it
+stays."""
 
 import ast
 import collections
@@ -16,11 +18,9 @@ import pytest
 PUBLIC = {
     "phase": {"PRECISION_BITS", "PhasePoint", "omega"},
     "words": {
-        "ParityReport", "SaturationError",
-        "substitute", "fib_number", "fib_word", "rotation_block", "subwords",
+        "ParityReport", "fib_number", "fib_word", "rotation_block", "subwords",
         "complexity_counts", "saturation_prefix_length", "cyclic_permutations", "special_word",
         "height", "fibonacci_identity_check", "classify_phase_words",
-        "hull_membership_check",
     },
     "xfloat": {"normalized", "add", "mul", "sqrt", "compare", "sci"},
     "transfer": {
@@ -51,8 +51,6 @@ UNREFERENCED = {
     "transfer.dual_traces_upto": BENCH_PINS + " and its tests call it",
     "transfer.norm_trace_inequality": BENCH_PINS,
     "dynamics.eigensystem": BENCH_PINS,
-    "words.substitute": "the reference definition of the Fibonacci substitution",
-    "words.hull_membership_check": "the reference definition of hull membership",
     "cli.RunConfig.to_dict": "kept for the run manifest (ROADMAP item 14)",
     "cli.RunConfig.from_dict": "kept for the run manifest (ROADMAP item 14)",
 }
@@ -95,12 +93,39 @@ def _references(node) -> collections.Counter:
     """Names read in code under `node`: bare names and attributes, not strings."""
     return collections.Counter(
         n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+SRC = pathlib.Path(importlib.import_module("quasitrace").__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _trees(directory):
+    """Module name -> syntax tree of each program file in `directory`, its tests left out."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))
+            if not path.stem.startswith("test_")}
+
+
+def test_every_public_name_is_used_by_the_program():
+    # the benchmark's span table names what it traces as "module.name" strings
+    src = _trees(SRC)
+    trees = [*src.values(), *_trees(BENCH).values()]
+    used = sum((_references(tree) for tree in trees), collections.Counter())
+    dotted = {n.value for tree in trees for n in ast.walk(tree)
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    unused = []
+    for module in sorted(PUBLIC):
+        own = {qualified: node for qualified, _, node in _definitions(src[module])}
+        for name in importlib.import_module(f"quasitrace.{module}").__all__:
+            inside = _references(own[name])[name] if name in own else 0
+            if used[name] == inside and f"{module}.{name}" not in dotted:
+                unused.append(f"{module}.{name}")
+    assert unused == []
 
 
 def test_every_definition_in_src_is_referenced_or_listed():
-    src = pathlib.Path(importlib.import_module("quasitrace").__file__).parent
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    trees = _trees(SRC)
     used = sum((_references(tree) for tree in trees.values()), collections.Counter())
     unreferenced = {f"{module}.{qualified}" for module, tree in trees.items()
                     for qualified, name, node in _definitions(tree)

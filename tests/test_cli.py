@@ -442,11 +442,16 @@ def test_dynamics_auto_p_needs_strong_coupling(tmp_path):
 
 def test_report_command(tmp_path):
     main(["words", "--k-max", "4", "--subword-max", "10", "--out", str(tmp_path)])
+    (tmp_path / "empty.csv").write_text("")  # a zero-byte file has no header to subtract
+    (tmp_path / "header.csv").write_text("a,b\n")
     code = main(["report", "--out", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["parity.json"]["pass"] is True
     assert payload["bound_report.json"]["missing"] is True
+    words = len((tmp_path / "words.csv").read_text().splitlines()) - 1
+    assert words > 0
+    assert payload["csv_rows"] == {"empty.csv": 0, "header.csv": 0, "words.csv": words}
 
 
 # ---------------------------------------------------------------------------

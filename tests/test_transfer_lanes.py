@@ -742,7 +742,7 @@ def test_no_stored_entry_passes_its_threshold(sides, k, lam, energies, norms, ph
 @pytest.mark.parametrize("lam, energies", [
     (0.0, [2.0**16 - 2.0]),  # 16-site blocks that reach 2**256 at a 17th site
     (12.0, [BAND_CENTER, 3.0, 20.0, -8.0]),
-], ids=["16-sites", "67-sites"])
+], ids=["16-sites", "58-sites"])
 def test_no_entry_inside_a_block_passes_its_threshold(side, lam, energies, monkeypatch):
     # marks end blocks, so the marks of the test above never see a whole
     # block; the squared norms read every row of a block before its rescale,
